@@ -7,6 +7,7 @@
 package bench
 
 import (
+	"context"
 	"math"
 	"strconv"
 	"sync"
@@ -15,6 +16,7 @@ import (
 
 	"neurospatial/internal/circuit"
 	"neurospatial/internal/core"
+	"neurospatial/internal/engine"
 	"neurospatial/internal/experiments"
 	"neurospatial/internal/flat"
 	"neurospatial/internal/geom"
@@ -422,11 +424,37 @@ func BenchmarkS3ProbeWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkFLATBatchQueryWorkers measures batched concurrent range queries
-// against the FLAT index — the multi-user serving regime. ns/op is the time
-// to drain the whole batch; pages/op must be identical across worker counts
-// (the determinism guarantee).
-func BenchmarkFLATBatchQueryWorkers(b *testing.B) {
+// benchBatch drains the boxes as one Session.DoBatch of Range requests on the
+// model's named engine contender per iteration, reporting pages/op and
+// results/op — both must be identical across worker counts (the determinism
+// guarantee).
+func benchBatch(b *testing.B, m *core.Model, contender string, queries []geom.AABB, workers int) {
+	b.Helper()
+	sess, err := engine.Open(engine.WithIndex(m.Engine.Index(contender)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	reqs := rangeRequests(queries)
+	b.ResetTimer()
+	var pages, results int64
+	for i := 0; i < b.N; i++ {
+		res, err := sess.DoBatch(context.Background(), reqs, workers)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j := range res {
+			pages += res[j].Stats.PagesRead
+			results += res[j].Stats.Results
+		}
+	}
+	b.ReportMetric(float64(pages)/float64(b.N), "pages/op")
+	b.ReportMetric(float64(results)/float64(b.N), "results/op")
+}
+
+// BenchmarkFLATDoBatchWorkers measures batched concurrent range queries
+// against the FLAT contender — the multi-user serving regime. ns/op is the
+// time to drain the whole batch.
+func BenchmarkFLATDoBatchWorkers(b *testing.B) {
 	m := benchModel(b, modelKey{neurons: 256, edge: 300, seed: 1})
 	vol := m.Circuit.Params.Volume
 	c := vol.Center()
@@ -443,30 +471,20 @@ func BenchmarkFLATBatchQueryWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		workers := workers
 		b.Run(sub("workers", workers), func(b *testing.B) {
-			var pages, results int64
-			for i := 0; i < b.N; i++ {
-				sts := m.Flat.BatchQuery(queries, nil, workers, nil)
-				agg := flat.Aggregate(sts)
-				pages += agg.PagesRead
-				results += agg.Results
-			}
-			b.ReportMetric(float64(pages)/float64(b.N), "pages/op")
-			b.ReportMetric(float64(results)/float64(b.N), "results/op")
+			benchBatch(b, m, "flat", queries, workers)
 		})
 	}
 }
 
-// BenchmarkRTreeBatchQueryWorkers is the R-tree counterpart of the FLAT
+// BenchmarkRTreeDoBatchWorkers is the R-tree counterpart of the FLAT
 // batch bench, over the same query set shape.
-func BenchmarkRTreeBatchQueryWorkers(b *testing.B) {
+func BenchmarkRTreeDoBatchWorkers(b *testing.B) {
 	m := benchModel(b, modelKey{neurons: 256, edge: 300, seed: 1})
 	queries := e1Queries(m)
 	for _, workers := range []int{1, 4} {
 		workers := workers
 		b.Run(sub("workers", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m.RTree.BatchQuery(queries, workers, nil)
-			}
+			benchBatch(b, m, "rtree", queries, workers)
 		})
 	}
 }

@@ -42,8 +42,9 @@
 //
 // Contradictory flag combinations (-k without -kind knn, -radius with a
 // kind that has no radius, -limit without -kind, -cursor without -limit,
-// -index without -shards, -quick without -json) are rejected with a one-line
-// usage error instead of being silently ignored.
+// -index without -shards, -quick without -json, a -json path that starts with
+// "-" — a swallowed flag) are rejected with a one-line usage error instead of
+// being silently ignored.
 //
 // The -workers flag follows the repository-wide convention (see README):
 // 0 or 1 run serially, values > 1 use that many workers, negative values
@@ -52,10 +53,12 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
 	"neurospatial/internal/experiments"
 	"neurospatial/internal/stats"
@@ -99,6 +102,9 @@ func main() {
 	}
 	if set["quick"] && *jsonOut == "" {
 		usageErr("-quick applies only with -json")
+	}
+	if strings.HasPrefix(*jsonOut, "-") {
+		usageErr("-json needs an output path before other flags (got %q); write ./%s for a file of that name", *jsonOut, *jsonOut)
 	}
 	if set["index"] && *shards == 0 {
 		usageErr("-index selects the E8 per-shard contender; pass -shards too")
@@ -288,15 +294,13 @@ func writeBenchJSON(path string, quick bool, workers int) error {
 	cfgs.E7.Workers = workers
 	cfgs.E8.Workers = workers
 	cfgs.E9.Workers = workers
-	f, err := os.Create(path)
-	if err != nil {
+	// Buffer the report and touch path only once every experiment has
+	// passed: a failing run must not truncate the previous report.
+	var buf bytes.Buffer
+	if err := experiments.RunBenchJSON(&buf, cfgs); err != nil {
 		return err
 	}
-	defer f.Close()
-	if err := experiments.RunBenchJSON(f, cfgs); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := os.WriteFile(path, buf.Bytes(), 0o666); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s\n", path)

@@ -17,9 +17,8 @@
 // ctxpage covers internal/engine (the cancellation contract); snapref covers
 // the snapshot-lifecycle surface (engine, core, experiments, cmd); lockorder
 // covers the annotated mutexes in engine and core; fsyncorder and errcontract
-// cover the durability layer; hotpath and nodeprecated cover the whole module
-// — hotpath is annotation-driven and nodeprecated guards every internal
-// caller.
+// cover the durability layer; hotpath covers the whole module — it is
+// annotation-driven.
 //
 // A full run (no -analyzers filter, no package arguments) also audits
 // //lint:ignore directives: a directive that suppressed nothing, and whose
@@ -41,7 +40,6 @@ import (
 	"neurospatial/internal/analysis/fsyncorder"
 	"neurospatial/internal/analysis/hotpath"
 	"neurospatial/internal/analysis/lockorder"
-	"neurospatial/internal/analysis/nodeprecated"
 	"neurospatial/internal/analysis/poolcheck"
 	"neurospatial/internal/analysis/snapref"
 )
@@ -58,7 +56,6 @@ var suite = []scoped{
 	{hotpath.Analyzer, nil},
 	{ctxpage.Analyzer, []string{"neurospatial/internal/engine"}},
 	{detorder.Analyzer, []string{"neurospatial/internal/engine", "neurospatial/internal/parallel"}},
-	{nodeprecated.Analyzer, nil},
 	{snapref.Analyzer, []string{"neurospatial/internal/engine", "neurospatial/internal/core", "neurospatial/internal/experiments", "neurospatial/cmd"}},
 	{lockorder.Analyzer, []string{"neurospatial/internal/engine", "neurospatial/internal/core"}},
 	{fsyncorder.Analyzer, []string{"neurospatial/internal/engine", "neurospatial/internal/durable"}},

@@ -8,10 +8,8 @@ import (
 
 // TestSuiteCleanOnRepo pins the whole module at zero findings. It is the
 // regression test for the violations the suite caught when it was first run
-// — the sharded scatter fanning out through the deprecated sub-index Query
-// wrapper (sharded.go), and the durability findings the interprocedural
-// analyzers surfaced (see internal/durable) — and the gate that keeps new
-// ones out: the same check CI's lint-static job runs via
+// — the durability findings the interprocedural analyzers surfaced (see
+// internal/durable) — and the gate that keeps new ones out: the same check CI's lint-static job runs via
 // `go run ./cmd/neurolint`. It also pins the stale-ignore audit at zero, so
 // every surviving //lint:ignore in the tree still suppresses something.
 func TestSuiteCleanOnRepo(t *testing.T) {

@@ -9,11 +9,15 @@ package bench
 // algorithm.
 
 import (
+	"context"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"neurospatial/internal/circuit"
 	"neurospatial/internal/core"
+	"neurospatial/internal/engine"
 	"neurospatial/internal/geom"
 	"neurospatial/internal/join"
 	"neurospatial/internal/pager"
@@ -194,9 +198,70 @@ func TestS3ParallelStatsMatchSerial(t *testing.T) {
 	}
 }
 
-// TestBatchQueryMatchesSerial asserts that the FLAT and R-tree batch APIs
-// reproduce a serial query loop exactly — visit order, per-query stats, and
-// totals — for several worker counts, with and without a shared buffer pool.
+// qhit is one (query, id) pair of a batch's flattened hit stream.
+type qhit struct {
+	q  int
+	id int32
+}
+
+// rangeRequests lifts query boxes into Range requests.
+func rangeRequests(qs []geom.AABB) []engine.Request {
+	reqs := make([]engine.Request, len(qs))
+	for i, q := range qs {
+		reqs[i] = engine.RangeRequest(q)
+	}
+	return reqs
+}
+
+// doRange runs one Range request through ix.Do and returns the hit IDs (in
+// Do's canonical ascending order) with the query's stats.
+func doRange(t testing.TB, ix engine.SpatialIndex, q geom.AABB) ([]int32, engine.QueryStats) {
+	t.Helper()
+	var ids []int32
+	st, err := ix.Do(context.Background(), engine.RangeRequest(q), func(h engine.Hit) { ids = append(ids, h.ID) })
+	if err != nil {
+		t.Fatalf("%s: Do(%v): %v", ix.Name(), q, err)
+	}
+	return ids, st
+}
+
+// serialRange runs the boxes as a serial loop of doRange calls on ix: the
+// reference every batched execution must reproduce.
+func serialRange(t testing.TB, ix engine.SpatialIndex, qs []geom.AABB) ([]qhit, []engine.QueryStats) {
+	t.Helper()
+	var hits []qhit
+	sts := make([]engine.QueryStats, 0, len(qs))
+	for qi, q := range qs {
+		ids, st := doRange(t, ix, q)
+		for _, id := range ids {
+			hits = append(hits, qhit{qi, id})
+		}
+		sts = append(sts, st)
+	}
+	return hits, sts
+}
+
+// batchRange runs the boxes as one Session.DoBatch and flattens the results
+// into serialRange's shape.
+func batchRange(t testing.TB, sess *engine.Session, qs []geom.AABB, workers int) ([]qhit, []engine.Result) {
+	t.Helper()
+	results, err := sess.DoBatch(context.Background(), rangeRequests(qs), workers)
+	if err != nil {
+		t.Fatalf("DoBatch workers=%d: %v", workers, err)
+	}
+	var hits []qhit
+	for qi := range results {
+		for _, h := range results[qi].Hits {
+			hits = append(hits, qhit{qi, h.ID})
+		}
+	}
+	return hits, results
+}
+
+// TestBatchQueryMatchesSerial asserts that batched Range requests on the
+// model's FLAT and R-tree contenders reproduce a serial Do loop exactly —
+// visit order and per-query stats — for several worker counts, with and
+// without a shared buffer pool.
 func TestBatchQueryMatchesSerial(t *testing.T) {
 	m := diffModel(t, 12, false, 505)
 	vol := m.Circuit.Params.Volume
@@ -212,84 +277,47 @@ func TestBatchQueryMatchesSerial(t *testing.T) {
 		queries = append(queries, geom.BoxAround(c.Add(off), 12+float64(i)))
 	}
 
-	type hit struct {
-		q  int
-		id int32
-	}
-	var want []hit
-	wantStats := m.Flat.BatchQuery(queries, nil, 1, func(q int, id int32) {
-		want = append(want, hit{q, id})
-	})
-	for _, w := range []int{2, 4, 7} {
-		var got []hit
-		gotStats := m.Flat.BatchQuery(queries, nil, w, func(q int, id int32) {
-			got = append(got, hit{q, id})
-		})
-		if len(got) != len(want) {
-			t.Fatalf("FLAT workers=%d: %d hits, want %d", w, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("FLAT workers=%d: hit %d is %+v, want %+v", w, i, got[i], want[i])
-			}
-		}
-		for qi := range wantStats {
-			g, s := gotStats[qi], wantStats[qi]
-			if g.SeedNodeAccesses != s.SeedNodeAccesses || g.PagesRead != s.PagesRead ||
-				g.Reseeds != s.Reseeds || g.EntriesTested != s.EntriesTested ||
-				g.Results != s.Results {
-				t.Errorf("FLAT workers=%d: query %d stats %+v, want %+v", w, qi, g, s)
-			}
-		}
-	}
-
-	// Through a shared pool the hit/miss split may differ per worker
-	// interleaving, but the result stream must not, and the pool accounting
-	// identity must hold.
-	poolStore := m.Flat.Store()
-	for _, w := range []int{1, 4} {
-		pool, err := pager.NewBufferPool(poolStore, 16)
+	for _, name := range []string{"flat", "rtree"} {
+		ix := m.Engine.Index(name)
+		sess, err := engine.Open(engine.WithIndex(ix))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got []hit
-		m.Flat.BatchQuery(queries, pool, w, func(q int, id int32) {
-			got = append(got, hit{q, id})
-		})
-		if len(got) != len(want) {
-			t.Fatalf("FLAT+pool workers=%d: %d hits, want %d", w, len(got), len(want))
+		want, wantStats := serialRange(t, ix, queries)
+		if len(want) == 0 {
+			t.Fatalf("%s: serial run found no hits — workload degenerate", name)
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("FLAT+pool workers=%d: hit %d diverged", w, i)
+		for _, w := range []int{2, 4, 7} {
+			got, results := batchRange(t, sess, queries, w)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s workers=%d: hit stream diverged from serial (%d vs %d hits)",
+					name, w, len(got), len(want))
+			}
+			for qi := range wantStats {
+				if results[qi].Stats != wantStats[qi] {
+					t.Errorf("%s workers=%d: query %d stats %+v, want %+v",
+						name, w, qi, results[qi].Stats, wantStats[qi])
+				}
 			}
 		}
-		st := pool.Stats()
-		if st.Hits+st.DemandReads == 0 {
-			t.Errorf("FLAT+pool workers=%d: pool saw no traffic", w)
-		}
-	}
 
-	// R-tree batch against its own serial loop.
-	type rhit struct {
-		q  int
-		id int32
-	}
-	var rwant []rhit
-	m.RTree.BatchQuery(queries, 1, func(q int, it rtree.Item) {
-		rwant = append(rwant, rhit{q, it.ID})
-	})
-	for _, w := range []int{2, 5} {
-		var rgot []rhit
-		m.RTree.BatchQuery(queries, w, func(q int, it rtree.Item) {
-			rgot = append(rgot, rhit{q, it.ID})
-		})
-		if len(rgot) != len(rwant) {
-			t.Fatalf("RTree workers=%d: %d hits, want %d", w, len(rgot), len(rwant))
-		}
-		for i := range rgot {
-			if rgot[i] != rwant[i] {
-				t.Fatalf("RTree workers=%d: hit %d diverged", w, i)
+		// Through a shared pool the hit/miss split may differ per worker
+		// interleaving, but the result stream must not, and the pool must
+		// see the traffic.
+		paged := ix.(engine.Paged)
+		for _, w := range []int{1, 4} {
+			pool, err := pager.NewBufferPool(paged.Store(), 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			paged.SetSource(pool)
+			got, _ := batchRange(t, sess, queries, w)
+			paged.SetSource(nil)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s+pool workers=%d: hit stream diverged", name, w)
+			}
+			if st := pool.Stats(); st.Hits+st.DemandReads == 0 {
+				t.Errorf("%s+pool workers=%d: pool saw no traffic", name, w)
 			}
 		}
 	}
@@ -325,8 +353,9 @@ func TestCircuitBuildWorkerCountInvariant(t *testing.T) {
 
 // TestEngineRoutedMatchesDirect is the tentpole differential: on a real
 // tissue model, the engine layer's FLAT and R-tree contenders must emit
-// exactly the hits and stats of the direct index calls, and the planner's
-// routed batch must reproduce its chosen contender's serial run.
+// exactly the hits (Do's ascending-ID order against the sorted native order)
+// and stats of the direct index calls, and the planner's routed batch must
+// reproduce its chosen contender's serial run.
 func TestEngineRoutedMatchesDirect(t *testing.T) {
 	m := diffModel(t, 10, true, 606)
 	vol := m.Circuit.Params.Volume
@@ -345,15 +374,10 @@ func TestEngineRoutedMatchesDirect(t *testing.T) {
 	for qi, q := range queries {
 		var direct []int32
 		ds := m.Flat.Query(q, nil, func(id int32) { direct = append(direct, id) })
-		var routed []int32
-		es := eflat.Query(q, func(id int32) { routed = append(routed, id) })
-		if len(direct) != len(routed) {
-			t.Fatalf("flat query %d: %d routed hits, %d direct", qi, len(routed), len(direct))
-		}
-		for i := range direct {
-			if direct[i] != routed[i] {
-				t.Fatalf("flat query %d: hit %d diverged", qi, i)
-			}
+		slices.Sort(direct)
+		routed, es := doRange(t, eflat, q)
+		if !reflect.DeepEqual(direct, routed) {
+			t.Fatalf("flat query %d: %d routed hits, %d direct (or content differs)", qi, len(routed), len(direct))
 		}
 		if es.PagesRead != ds.PagesRead || es.IndexReads != ds.SeedNodeAccesses ||
 			es.Results != ds.Results {
@@ -362,45 +386,32 @@ func TestEngineRoutedMatchesDirect(t *testing.T) {
 
 		var dtree []int32
 		ts := m.RTree.Query(q, func(it rtree.Item) { dtree = append(dtree, it.ID) })
-		var rtreeRouted []int32
-		rs := ertree.Query(q, func(id int32) { rtreeRouted = append(rtreeRouted, id) })
-		if len(dtree) != len(rtreeRouted) {
-			t.Fatalf("rtree query %d: %d routed hits, %d direct", qi, len(rtreeRouted), len(dtree))
-		}
-		for i := range dtree {
-			if dtree[i] != rtreeRouted[i] {
-				t.Fatalf("rtree query %d: hit %d diverged", qi, i)
-			}
+		slices.Sort(dtree)
+		rtreeRouted, rs := doRange(t, ertree, q)
+		if !reflect.DeepEqual(dtree, rtreeRouted) {
+			t.Fatalf("rtree query %d: %d routed hits, %d direct (or content differs)", qi, len(rtreeRouted), len(dtree))
 		}
 		if rs.PagesRead != ts.NodeAccesses() || rs.Results != ts.Results {
 			t.Errorf("rtree query %d: engine stats %+v vs direct %+v", qi, rs, ts)
 		}
 	}
 
-	// Planner-routed batch == chosen contender's serial loop, per worker count.
-	type hit struct {
-		q  int
-		id int32
+	// Planner-routed batch == chosen contender's serial loop, per worker
+	// count; the plan cache holds the decision across the batches.
+	sess, err := engine.Open(engine.WithPlanner(m.Engine))
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, decision := m.Engine.Run(queries, 1, nil)
-	var want []hit
-	for qi, q := range queries {
-		qi := qi
-		decision.Index.Query(q, func(id int32) { want = append(want, hit{qi, id}) })
-	}
+	_, first := batchRange(t, sess, queries, 1)
+	want, _ := serialRange(t, m.Engine.Index(first[0].Index), queries)
 	for _, w := range []int{1, 3, 6} {
-		var got []hit
-		_, d := m.Engine.Run(queries, w, func(q int, id int32) { got = append(got, hit{q, id}) })
-		if d.Index != decision.Index {
-			t.Fatalf("workers=%d: plan flipped from %s to %s", w, decision.Index.Name(), d.Index.Name())
+		got, results := batchRange(t, sess, queries, w)
+		if results[0].Index != first[0].Index {
+			t.Fatalf("workers=%d: plan flipped from %s to %s", w, first[0].Index, results[0].Index)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d hits, want %d", w, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: hit %d diverged", w, i)
-			}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: routed hits diverged from %s's serial run (%d vs %d)",
+				w, first[0].Index, len(got), len(want))
 		}
 	}
 }

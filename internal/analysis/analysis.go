@@ -34,8 +34,8 @@ type Analyzer struct {
 	Run  func(*Pass) error
 
 	// ExemptTests removes _test.go files from Pass.Files before Run: the
-	// analyzer's contract doesn't apply to test code (regression tests
-	// exercising deprecated APIs, benchmark loops without cancellation).
+	// analyzer's contract doesn't apply to test code (error-mode Opens that
+	// lean on t.Fatal exits, benchmark loops without cancellation).
 	// Scoping the exemption per analyzer keeps every other check live on
 	// test files.
 	ExemptTests bool
@@ -246,4 +246,17 @@ func ignoreRanges(pkg *Package) []ignoreRange {
 		}
 	}
 	return out
+}
+
+// Unparen strips any enclosing parentheses from e. It stands in for
+// ast.Unparen, which needs go1.22 while go.mod pins 1.21 (raising the
+// directive would switch the whole module to per-iteration loop variables).
+func Unparen(e ast.Expr) ast.Expr {
+	for {
+		p, ok := e.(*ast.ParenExpr)
+		if !ok {
+			return e
+		}
+		e = p.X
+	}
 }

@@ -315,7 +315,7 @@ func (m *Module) collectCalls(node *FuncNode) {
 		if !ok {
 			return true
 		}
-		fun := ast.Unparen(call.Fun)
+		fun := Unparen(call.Fun)
 		inCallFun[fun] = true
 		for _, k := range m.Targets(pkg, call) {
 			addKey(k)
@@ -362,7 +362,7 @@ func (m *Module) collectCalls(node *FuncNode) {
 // directly invoked literal. Unresolvable calls (builtins, conversions,
 // function values never assigned in the package) yield no targets.
 func (m *Module) Targets(pkg *Package, call *ast.CallExpr) []FuncKey {
-	switch fun := ast.Unparen(call.Fun).(type) {
+	switch fun := Unparen(call.Fun).(type) {
 	case *ast.FuncLit:
 		return []FuncKey{keyForLit(pkg, fun)}
 	case *ast.Ident:

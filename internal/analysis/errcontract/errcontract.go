@@ -82,7 +82,7 @@ func checkDecoder(pass *analysis.Pass, fn *ast.FuncDecl) {
 		if !ok {
 			return true
 		}
-		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
+		if id, ok := analysis.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
 			pass.Reportf(call.Pos(),
 				"%s panics on bad input: decode paths must return *FormatError/*CorruptError instead",
 				fn.Name.Name)
@@ -107,7 +107,7 @@ func hasRecover(body *ast.BlockStmt) bool {
 		}
 		ast.Inspect(d.Call, func(m ast.Node) bool {
 			if c, ok := m.(*ast.CallExpr); ok {
-				if id, ok := ast.Unparen(c.Fun).(*ast.Ident); ok && id.Name == "recover" {
+				if id, ok := analysis.Unparen(c.Fun).(*ast.Ident); ok && id.Name == "recover" {
 					found = true
 				}
 			}

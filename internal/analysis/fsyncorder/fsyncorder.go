@@ -182,7 +182,7 @@ func isPublish(n ast.Node) bool {
 		return false
 	}
 	for _, lhs := range as.Lhs {
-		if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok && sel.Sel.Name == "cur" {
+		if sel, ok := analysis.Unparen(lhs).(*ast.SelectorExpr); ok && sel.Sel.Name == "cur" {
 			return true
 		}
 	}
@@ -296,7 +296,7 @@ func isSuccessReturn(ret *ast.ReturnStmt) bool {
 	if len(ret.Results) == 0 {
 		return true
 	}
-	last := ast.Unparen(ret.Results[len(ret.Results)-1])
+	last := analysis.Unparen(ret.Results[len(ret.Results)-1])
 	id, ok := last.(*ast.Ident)
 	return ok && id.Name == "nil"
 }

@@ -169,7 +169,7 @@ func (c *checker) visitCalls(n ast.Node, held map[string]bool) {
 
 func (c *checker) acquire(call *ast.CallExpr, info *analysis.LockInfo, held map[string]bool) {
 	rlock := false
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+	if sel, ok := analysis.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		rlock = sel.Sel.Name == "RLock"
 	}
 	if held[info.Name] && !rlock {

@@ -111,7 +111,7 @@ func isMutexType(t types.Type) bool {
 // of the final selector, so any access path (d.mu, gx.probeMu, s.ds.mu)
 // reaches the same LockInfo inside the declaring package.
 func (m *Module) LockOf(pkg *Package, e ast.Expr) *LockInfo {
-	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+	sel, ok := Unparen(e).(*ast.SelectorExpr)
 	if !ok {
 		return nil
 	}
@@ -137,7 +137,7 @@ func (m *Module) Locks() []*LockInfo {
 // LockCall classifies a call expression as a lock or unlock of an annotated
 // mutex. acquired is true for Lock/RLock, false for Unlock/RUnlock.
 func (m *Module) LockCall(pkg *Package, call *ast.CallExpr) (info *LockInfo, acquired, ok bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	sel, isSel := Unparen(call.Fun).(*ast.SelectorExpr)
 	if !isSel {
 		return nil, false, false
 	}

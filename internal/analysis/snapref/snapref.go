@@ -95,13 +95,13 @@ func acquireIn(pass *analysis.Pass, body *ast.BlockStmt, n ast.Node) *acquire {
 		if len(s.Rhs) != 1 {
 			return nil
 		}
-		call, ok := ast.Unparen(s.Rhs[0]).(*ast.CallExpr)
+		call, ok := analysis.Unparen(s.Rhs[0]).(*ast.CallExpr)
 		if !ok || !pass.Module.IsAcquire(pass.Package, call) {
 			return nil
 		}
 		acq := &acquire{call: call, holders: map[types.Object]bool{}}
 		for i, lhs := range s.Lhs {
-			switch l := ast.Unparen(lhs).(type) {
+			switch l := analysis.Unparen(lhs).(type) {
 			case *ast.Ident:
 				if l.Name == "_" {
 					continue
@@ -132,7 +132,7 @@ func acquireIn(pass *analysis.Pass, body *ast.BlockStmt, n ast.Node) *acquire {
 		}
 		return acq
 	case *ast.ExprStmt:
-		call, ok := ast.Unparen(s.X).(*ast.CallExpr)
+		call, ok := analysis.Unparen(s.X).(*ast.CallExpr)
 		if !ok || !pass.Module.IsAcquire(pass.Package, call) {
 			return nil
 		}
@@ -247,11 +247,11 @@ func errCond(pass *analysis.Pass, n ast.Node, errObj types.Object) (neq, ok bool
 		return false, false
 	}
 	isErr := func(e ast.Expr) bool {
-		id, ok := ast.Unparen(e).(*ast.Ident)
+		id, ok := analysis.Unparen(e).(*ast.Ident)
 		return ok && pass.TypesInfo.Uses[id] == errObj
 	}
 	isNil := func(e ast.Expr) bool {
-		id, ok := ast.Unparen(e).(*ast.Ident)
+		id, ok := analysis.Unparen(e).(*ast.Ident)
 		return ok && id.Name == "nil"
 	}
 	if (isErr(be.X) && isNil(be.Y)) || (isErr(be.Y) && isNil(be.X)) {
@@ -268,7 +268,7 @@ func reassignsErr(pass *analysis.Pass, n ast.Node, acq *acquire) bool {
 		return false
 	}
 	for _, lhs := range as.Lhs {
-		if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
+		if id, ok := analysis.Unparen(lhs).(*ast.Ident); ok {
 			if pass.TypesInfo.Uses[id] == acq.errObj || pass.TypesInfo.Defs[id] == acq.errObj {
 				return true
 			}
@@ -316,7 +316,7 @@ func isReleaseCall(pass *analysis.Pass, mod *analysis.Module, pkg *analysis.Pack
 	call *ast.CallExpr, objs map[types.Object]bool) bool {
 
 	merged := mod.MergedCallSummary(pkg, call)
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+	if sel, ok := analysis.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		root := analysis.RootIdentObj(pkg, sel.X)
 		if root != nil && objs[root] {
 			if sel.Sel.Name == "Release" || sel.Sel.Name == "Close" {
@@ -329,7 +329,7 @@ func isReleaseCall(pass *analysis.Pass, mod *analysis.Module, pkg *analysis.Pack
 	}
 	if merged != nil {
 		for i, arg := range call.Args {
-			if id, ok := ast.Unparen(arg).(*ast.Ident); ok && objs[pass.TypesInfo.Uses[id]] {
+			if id, ok := analysis.Unparen(arg).(*ast.Ident); ok && objs[pass.TypesInfo.Uses[id]] {
 				if i < len(merged.ReleasesParam) && merged.ReleasesParam[i] {
 					return true
 				}
@@ -399,7 +399,7 @@ func scan(pass *analysis.Pass, mod *analysis.Module, pkg *analysis.Package,
 		// Method call on the holder (v.DoBatch(...)) that neither releases
 		// nor is known to retain: a borrow — the obligation continues.
 		for i, a := range s.Args {
-			id, ok := ast.Unparen(a).(*ast.Ident)
+			id, ok := analysis.Unparen(a).(*ast.Ident)
 			if !ok || !objs[pass.TypesInfo.Uses[id]] {
 				continue
 			}
@@ -412,7 +412,7 @@ func scan(pass *analysis.Pass, mod *analysis.Module, pkg *analysis.Package,
 			}
 		}
 		for _, a := range s.Args {
-			if _, ok := ast.Unparen(a).(*ast.Ident); ok {
+			if _, ok := analysis.Unparen(a).(*ast.Ident); ok {
 				continue
 			}
 			upgrade(scan(pass, mod, pkg, a, objs, inFuncLit))
@@ -421,13 +421,13 @@ func scan(pass *analysis.Pass, mod *analysis.Module, pkg *analysis.Package,
 		return result
 	case *ast.AssignStmt:
 		for _, rhs := range s.Rhs {
-			if e := ast.Unparen(rhs); isHolderMethodValue(pass, e, objs) {
+			if e := analysis.Unparen(rhs); isHolderMethodValue(pass, e, objs) {
 				// v2 := v.Close (a method value): aliases a release path —
 				// treat as transfer. Plain field reads stay reads.
 				upgrade(useEscape)
 				continue
 			}
-			if id, ok := ast.Unparen(rhs).(*ast.Ident); ok && objs[pass.TypesInfo.Uses[id]] {
+			if id, ok := analysis.Unparen(rhs).(*ast.Ident); ok && objs[pass.TypesInfo.Uses[id]] {
 				upgrade(useEscape)
 			} else {
 				upgrade(scan(pass, mod, pkg, rhs, objs, inFuncLit))
@@ -449,7 +449,7 @@ func scan(pass *analysis.Pass, mod *analysis.Module, pkg *analysis.Package,
 		return useNone
 	case *ast.UnaryExpr:
 		if s.Op.String() == "&" {
-			if id, ok := ast.Unparen(s.X).(*ast.Ident); ok && objs[pass.TypesInfo.Uses[id]] {
+			if id, ok := analysis.Unparen(s.X).(*ast.Ident); ok && objs[pass.TypesInfo.Uses[id]] {
 				return useEscape
 			}
 		}
@@ -497,7 +497,7 @@ func isHolderMethodValue(pass *analysis.Pass, e ast.Expr, objs map[types.Object]
 	}
 	root := analysis.RootIdentObj(pass.Package, sel.X)
 	if root == nil {
-		if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
+		if id, ok := analysis.Unparen(sel.X).(*ast.Ident); ok {
 			root = pass.TypesInfo.Uses[id]
 		}
 	}

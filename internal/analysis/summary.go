@@ -223,7 +223,7 @@ func (m *Module) summarize(node *FuncNode) *Summary {
 			// track the root local so a later `return v` / `return s` marks
 			// the function as Acquires.
 			if len(st.Rhs) == 1 {
-				if call, ok := ast.Unparen(st.Rhs[0]).(*ast.CallExpr); ok && m.isAcquireCall(pkg, call) {
+				if call, ok := Unparen(st.Rhs[0]).(*ast.CallExpr); ok && m.isAcquireCall(pkg, call) {
 					for _, lhs := range st.Lhs {
 						obj := rootIdentObj(pkg, lhs)
 						// The error result of `h, err := acquire()` carries no
@@ -238,14 +238,14 @@ func (m *Module) summarize(node *FuncNode) *Summary {
 			}
 			// Tracked params on an assignment RHS escape into the LHS.
 			for _, rhs := range st.Rhs {
-				if id, ok := ast.Unparen(rhs).(*ast.Ident); ok && tracked(pkg.Info.Uses[id]) {
+				if id, ok := Unparen(rhs).(*ast.Ident); ok && tracked(pkg.Info.Uses[id]) {
 					markRetain(pkg.Info.Uses[id])
 				}
 			}
 
 		case *ast.ReturnStmt:
 			for _, res := range st.Results {
-				e := ast.Unparen(res)
+				e := Unparen(res)
 				if call, ok := e.(*ast.CallExpr); ok && m.isAcquireCall(pkg, call) {
 					s.Acquires = true
 				}
@@ -275,7 +275,7 @@ func (m *Module) summarize(node *FuncNode) *Summary {
 
 		case *ast.UnaryExpr:
 			if st.Op.String() == "&" {
-				if id, ok := ast.Unparen(st.X).(*ast.Ident); ok && tracked(pkg.Info.Uses[id]) {
+				if id, ok := Unparen(st.X).(*ast.Ident); ok && tracked(pkg.Info.Uses[id]) {
 					markRetain(pkg.Info.Uses[id])
 				}
 			}
@@ -311,7 +311,7 @@ func (m *Module) summarize(node *FuncNode) *Summary {
 				return true
 			}
 			for _, res := range ret.Results {
-				if id, ok := ast.Unparen(res).(*ast.Ident); ok {
+				if id, ok := Unparen(res).(*ast.Ident); ok {
 					obj := pkg.Info.Uses[id]
 					for _, h := range holders {
 						if obj == h {
@@ -359,7 +359,7 @@ func (m *Module) summarizeCall(pkg *Package, call *ast.CallExpr, s *Summary,
 
 	// Receiver-rooted release: r.Release(), r.snap.Close(), or a method on
 	// r (or r's field) whose summary releases its receiver.
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+	if sel, ok := Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		root := rootIdentObj(pkg, sel.X)
 		if tracked(root) {
 			releasing := sel.Sel.Name == "Release" || sel.Sel.Name == "Close" ||
@@ -376,7 +376,7 @@ func (m *Module) summarizeCall(pkg *Package, call *ast.CallExpr, s *Summary,
 	// Arguments: tracked objects passed by position pick up the callee's
 	// per-parameter facts; unknown callees retain conservatively.
 	for i, arg := range call.Args {
-		id, ok := ast.Unparen(arg).(*ast.Ident)
+		id, ok := Unparen(arg).(*ast.Ident)
 		if !ok {
 			continue
 		}
@@ -498,7 +498,7 @@ func DirectCtxCheck(pkg *Package, call *ast.CallExpr) bool {
 // result, a call to a function named Open with a WithDataset(...) argument,
 // or a call to a module function whose summary Acquires.
 func (m *Module) isAcquireCall(pkg *Package, call *ast.CallExpr) bool {
-	switch fun := ast.Unparen(call.Fun).(type) {
+	switch fun := Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
 		if fun.Sel.Name == "Acquire" {
 			if fn, ok := pkg.Info.Uses[fun.Sel].(*types.Func); ok {
@@ -510,7 +510,7 @@ func (m *Module) isAcquireCall(pkg *Package, call *ast.CallExpr) bool {
 	}
 	if calleeName(call) == "Open" {
 		for _, arg := range call.Args {
-			if c, ok := ast.Unparen(arg).(*ast.CallExpr); ok && calleeName(c) == "WithDataset" {
+			if c, ok := Unparen(arg).(*ast.CallExpr); ok && calleeName(c) == "WithDataset" {
 				return true
 			}
 		}
@@ -526,7 +526,7 @@ func (m *Module) isAcquireCall(pkg *Package, call *ast.CallExpr) bool {
 // calleeName returns the bare name of a call's target: f(...) -> "f",
 // pkg.F(...) / x.M(...) -> "F"/"M".
 func calleeName(call *ast.CallExpr) string {
-	switch fun := ast.Unparen(call.Fun).(type) {
+	switch fun := Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		return fun.Name
 	case *ast.SelectorExpr:
@@ -539,7 +539,7 @@ func calleeName(call *ast.CallExpr) string {
 // the object of its root identifier.
 func rootIdentObj(pkg *Package, e ast.Expr) types.Object {
 	for {
-		switch v := ast.Unparen(e).(type) {
+		switch v := Unparen(e).(type) {
 		case *ast.Ident:
 			if obj := pkg.Info.Uses[v]; obj != nil {
 				return obj
@@ -562,11 +562,11 @@ func osOpenVars(pkg *Package, body *ast.BlockStmt) map[types.Object]bool {
 		if !ok || len(as.Rhs) != 1 || len(as.Lhs) == 0 {
 			return true
 		}
-		call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
+		call, ok := Unparen(as.Rhs[0]).(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		sel, ok := Unparen(call.Fun).(*ast.SelectorExpr)
 		if !ok || sel.Sel.Name != "Open" {
 			return true
 		}
@@ -592,7 +592,7 @@ func osOpenVars(pkg *Package, body *ast.BlockStmt) map[types.Object]bool {
 // the directory-fsync idiom (you only fsync a read-only handle if it is a
 // directory).
 func DirectCallEffects(pkg *Package, call *ast.CallExpr, openVars map[types.Object]bool) Effect {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return 0
 	}
@@ -662,7 +662,7 @@ func namedTypePath(t types.Type) string {
 // ctx.Err()/ctx.Done() on a context.Context, or the repo's ctxErr/cancelable
 // helpers.
 func directCtxCheck(pkg *Package, call *ast.CallExpr) bool {
-	switch fun := ast.Unparen(call.Fun).(type) {
+	switch fun := Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		return fun.Name == "ctxErr" || fun.Name == "cancelable"
 	case *ast.SelectorExpr:
@@ -679,13 +679,13 @@ func directCtxCheck(pkg *Package, call *ast.CallExpr) bool {
 // isPoolPut matches sync.Pool.Put and same-package put* helpers — the
 // poolcheck release discipline, shared here so summaries can mark PutsParam.
 func isPoolPut(pkg *Package, call *ast.CallExpr) bool {
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Put" {
+	if sel, ok := Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Put" {
 		if tv, ok := pkg.Info.Types[sel.X]; ok && isSyncPoolType(tv.Type) {
 			return true
 		}
 	}
 	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
+	switch fun := Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		id = fun
 	case *ast.SelectorExpr:
@@ -766,7 +766,7 @@ func (m *Module) ClassifyReturns(pkg *Package, body *ast.BlockStmt,
 		if depth > 6 {
 			return false, false, true
 		}
-		e = ast.Unparen(e)
+		e = Unparen(e)
 		switch v := e.(type) {
 		case *ast.Ident:
 			if v.Name == "nil" {
@@ -846,7 +846,7 @@ func classifyErrorf(pkg *Package, call *ast.CallExpr,
 	if len(call.Args) == 0 {
 		return false, false, true
 	}
-	lit, ok := ast.Unparen(call.Args[0]).(*ast.BasicLit)
+	lit, ok := Unparen(call.Args[0]).(*ast.BasicLit)
 	if !ok {
 		return false, false, true
 	}
@@ -866,7 +866,7 @@ func classifyErrorf(pkg *Package, call *ast.CallExpr,
 }
 
 func isPkgCall(pkg *Package, call *ast.CallExpr, path string) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
@@ -889,7 +889,7 @@ func isErrorType(t types.Type) bool {
 // typeExprName extracts the bare type name from a composite literal type
 // expression: T{} / pkg.T{} / &T{}.
 func typeExprName(e ast.Expr) string {
-	switch v := ast.Unparen(e).(type) {
+	switch v := Unparen(e).(type) {
 	case *ast.Ident:
 		return v.Name
 	case *ast.SelectorExpr:

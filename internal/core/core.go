@@ -71,9 +71,11 @@ type Model struct {
 	// Engine is the unified query layer over the circuit as built: the FLAT,
 	// R-tree, grid and sharded contenders behind one engine.SpatialIndex
 	// interface, with the stats-driven planner routing batches between them.
-	// The walkthrough/prefetch harnesses and the legacy experiment tables
-	// query through it; it serves the initial build (epoch 0) and is not
-	// affected by Mutate — mutable reads go through Session/Do/DoBatch.
+	// The walkthrough/prefetch harnesses (PagedQuery needs the raw
+	// contenders' emission order — see engine.Paged) and the fixed-contender
+	// experiment tables query through it; it serves the initial build
+	// (epoch 0) and is not affected by Mutate — mutable reads go through
+	// Session/Do/DoBatch.
 	Engine *engine.Planner
 	// Dataset is the model's mutable ownership layer: the same four
 	// contenders as epoch-0 bases of an engine.Dataset, so batched mutations

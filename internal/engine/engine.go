@@ -21,14 +21,14 @@
 // The public front door is the Request/Session surface: a tagged Request
 // (Range, KNN, Point, WithinDistance) executed through a Session (Open /
 // Do / DoBatch) with context cancellation checked at page-read granularity,
-// routed either to a fixed contender or per-kind through the Planner. The
-// range-only SpatialIndex.Query/BatchQuery methods remain as thin deprecated
-// wrappers for the pre-Request call sites.
+// routed either to a fixed contender or per-kind through the Planner, which
+// picks an index using observed per-(index, kind) cost statistics
+// (internal/stats.Running). SpatialIndex.Do is the only way into a
+// contender's traversals.
 //
-// Every wrapper in this package also satisfies prefetch.Served, so a
-// walkthrough with prefetching can run over any index, and the Planner
-// routes batches or walkthrough sequences to an index using observed
-// per-(index, kind) cost statistics (internal/stats.Running).
+// Every index in this package also satisfies prefetch.Served (PagedQuery), so
+// a walkthrough with prefetching can run over any of them; see Paged for why
+// that one entry point stays beside Do.
 package engine
 
 import (
@@ -36,7 +36,6 @@ import (
 
 	"neurospatial/internal/geom"
 	"neurospatial/internal/pager"
-	"neurospatial/internal/parallel"
 	"neurospatial/internal/rtree"
 )
 
@@ -164,10 +163,9 @@ func Aggregate(sts []QueryStats) QueryStats {
 // identical across contenders, shard counts and worker counts — with
 // cancellation observed at page-read granularity where the kind reads pages.
 //
-// All implementations are deterministic: Do and Query emit hits in a fixed
-// order, and BatchQuery emits exactly the (query, id) pairs a serial loop of
-// Query calls would produce, in the same order, for any worker count (the
-// parallel.Batch guarantee).
+// All implementations are deterministic, and batches (Session.DoBatch) emit
+// exactly what a serial loop of Do calls would produce, in the same order,
+// for any worker count (the parallel.Batch guarantee).
 //
 // Item IDs must be dense in [0, NumItems()); they are the IDs reported by
 // queries — the same contract flat.Build imposes.
@@ -191,22 +189,6 @@ type SpatialIndex interface {
 	// page. Do returns no resume cursor — paging callers go through
 	// Session.Do (which mints one) or Stream + NextCursor.
 	Do(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error)
-	// Query reports the IDs of all items whose boxes intersect q, in the
-	// index's native order.
-	//
-	// Deprecated: Query predates the Request surface; new call sites should
-	// route through Session.Do (or Do directly) with a Range request, which
-	// adds cancellation and canonical ordering. Kept thin so existing call
-	// sites compile.
-	Query(q geom.AABB, visit func(id int32)) QueryStats
-	// BatchQuery executes many queries with the usual Workers semantics
-	// (0 or 1 serial, > 1 that many workers, negative one per CPU).
-	//
-	// Deprecated: BatchQuery predates the Request surface; new call sites
-	// should route through Session.DoBatch, which adds cancellation,
-	// mixed-kind batches and canonical ordering. Kept thin so existing call
-	// sites compile.
-	BatchQuery(qs []geom.AABB, workers int, visit func(qi int, id int32)) []QueryStats
 }
 
 // Paged is the storage capability of the engine indexes: element data lives
@@ -224,24 +206,20 @@ type Paged interface {
 	PageOf(id int32) pager.PageID
 	// PagesInRange returns the pages a query of box q would touch.
 	PagesInRange(q geom.AABB) []pager.PageID
-	// SetSource routes subsequent Query/BatchQuery page reads through src
-	// (nil restores cold reads from the index's own store).
+	// SetSource routes subsequent page reads — Do of every kind, streams —
+	// through src (nil restores cold reads from the index's own store).
 	SetSource(src pager.PageSource)
 	// Source returns the currently attached PageSource (nil when reads go
 	// cold to the index's own store). The planner uses it to route
 	// calibration probes around an attached buffer pool and restore it.
 	Source() pager.PageSource
-	// PagedQuery executes one query reading through the given pool — the
+	// PagedQuery executes one range query reading through the given pool,
+	// emitting IDs in the index's native traversal order — the
 	// prefetch.Served walkthrough path; the pool's counters are the record.
+	// It stays beside Do because walkthroughs consume the *emission* order:
+	// scout.reconstruct and the stable sort in Scout.Predict see the result
+	// as emitted (on a walk's first step every exit scores 0, so order alone
+	// picks the prefetched pages), and Do's canonical ascending-ID order
+	// would change E3/E4 and the simulated stalls.
 	PagedQuery(q geom.AABB, pool *pager.BufferPool, visit func(id int32))
-}
-
-// batchQuery adapts a per-query runner onto the shared generic executor.
-func batchQuery(workers int, qs []geom.AABB,
-	run func(q geom.AABB, emit func(int32)) QueryStats,
-	visit func(qi int, id int32)) []QueryStats {
-
-	return parallel.Batch(workers, len(qs), func(qi int, emit func(int32)) QueryStats {
-		return run(qs[qi], emit)
-	}, visit)
 }

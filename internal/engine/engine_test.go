@@ -1,13 +1,16 @@
 package engine_test
 
 // The engine differential harness: for every index behind
-// engine.SpatialIndex, the engine-routed Query and BatchQuery (at any worker
-// count) must emit exactly the hits, in the same order, with the same
-// per-query stats, as a direct serial call — and all contenders must agree
-// on the result set, with the direct flat/rtree implementations as oracles.
+// engine.SpatialIndex, a Range request through Do — and a batch of them
+// through Session.DoBatch at any worker count — must emit exactly the hits,
+// in the same order, with the same per-query stats, as a direct serial call
+// — and all contenders must agree on the result set, with the direct
+// flat/rtree implementations as oracles.
 
 import (
+	"context"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -88,6 +91,62 @@ type hit struct {
 	id int32
 }
 
+// doRange runs one Range request through ix.Do and returns the hit IDs (in
+// Do's canonical ascending order) with the query's stats.
+func doRange(t testing.TB, ix engine.SpatialIndex, q geom.AABB) ([]int32, engine.QueryStats) {
+	t.Helper()
+	var ids []int32
+	st, err := ix.Do(context.Background(), engine.RangeRequest(q), func(h engine.Hit) { ids = append(ids, h.ID) })
+	if err != nil {
+		t.Fatalf("%s: Do(%v): %v", ix.Name(), q, err)
+	}
+	return ids, st
+}
+
+// rangeRequests lifts query boxes into Range requests.
+func rangeRequests(qs []geom.AABB) []engine.Request {
+	reqs := make([]engine.Request, len(qs))
+	for i, q := range qs {
+		reqs[i] = engine.RangeRequest(q)
+	}
+	return reqs
+}
+
+// serialRange runs the boxes as a serial loop of Do calls on ix: the
+// reference every batched execution must reproduce.
+func serialRange(t testing.TB, ix engine.SpatialIndex, qs []geom.AABB) ([]hit, []engine.QueryStats) {
+	t.Helper()
+	var hits []hit
+	sts := make([]engine.QueryStats, 0, len(qs))
+	for qi, q := range qs {
+		ids, st := doRange(t, ix, q)
+		for _, id := range ids {
+			hits = append(hits, hit{qi, id})
+		}
+		sts = append(sts, st)
+	}
+	return hits, sts
+}
+
+// batchRange runs the boxes as one Session.DoBatch and flattens the results
+// into the (query, id) stream and per-query stats of serialRange.
+func batchRange(t testing.TB, sess *engine.Session, qs []geom.AABB, workers int) ([]hit, []engine.QueryStats, []engine.Result) {
+	t.Helper()
+	results, err := sess.DoBatch(context.Background(), rangeRequests(qs), workers)
+	if err != nil {
+		t.Fatalf("DoBatch workers=%d: %v", workers, err)
+	}
+	var hits []hit
+	sts := make([]engine.QueryStats, len(results))
+	for qi := range results {
+		for _, h := range results[qi].Hits {
+			hits = append(hits, hit{qi, h.ID})
+		}
+		sts[qi] = results[qi].Stats
+	}
+	return hits, sts, results
+}
+
 // TestEngineIndexesAgree asserts all three contenders report the same hit
 // set per query, with direct flat and rtree implementations as oracles.
 func TestEngineIndexesAgree(t *testing.T) {
@@ -109,9 +168,7 @@ func TestEngineIndexesAgree(t *testing.T) {
 			nonEmpty++
 		}
 		for _, ix := range indexes {
-			var got []int32
-			st := ix.Query(q, func(id int32) { got = append(got, id) })
-			sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+			got, st := doRange(t, ix, q)
 			if !reflect.DeepEqual(got, oracle) {
 				t.Errorf("query %d: %s returned %d hits, oracle %d (or content differs)",
 					qi, ix.Name(), len(got), len(oracle))
@@ -127,8 +184,9 @@ func TestEngineIndexesAgree(t *testing.T) {
 }
 
 // TestEngineMatchesDirectCalls asserts the engine wrappers reproduce the
-// direct index calls exactly: same hits, same order, same native stats under
-// the documented mapping.
+// direct index calls exactly: same hits (Do emits them in ascending ID, the
+// direct calls in native order, so the direct side is sorted) and the same
+// native stats under the documented mapping.
 func TestEngineMatchesDirectCalls(t *testing.T) {
 	items := testItems(t, 12, 2002)
 	vol := geom.Box(geom.V(0, 0, 0), geom.V(200, 200, 200))
@@ -143,10 +201,10 @@ func TestEngineMatchesDirectCalls(t *testing.T) {
 		for qi, q := range queries {
 			var want []int32
 			ds := direct.Query(q, nil, func(id int32) { want = append(want, id) })
-			var got []int32
-			es := ix.Query(q, func(id int32) { got = append(got, id) })
+			slices.Sort(want)
+			got, es := doRange(t, ix, q)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("query %d: hit sequence diverged from direct call", qi)
+				t.Fatalf("query %d: hit set diverged from direct call", qi)
 			}
 			if es.IndexReads != ds.SeedNodeAccesses || es.PagesRead != ds.PagesRead ||
 				es.Reseeds != ds.Reseeds || es.EntriesTested != ds.EntriesTested ||
@@ -168,10 +226,10 @@ func TestEngineMatchesDirectCalls(t *testing.T) {
 		for qi, q := range queries {
 			var want []int32
 			ds := direct.Query(q, func(it rtree.Item) { want = append(want, it.ID) })
-			var got []int32
-			es := ix.Query(q, func(id int32) { got = append(got, id) })
+			slices.Sort(want)
+			got, es := doRange(t, ix, q)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("query %d: hit sequence diverged from direct call", qi)
+				t.Fatalf("query %d: hit set diverged from direct call", qi)
 			}
 			if es.PagesRead != ds.NodeAccesses() || es.EntriesTested != ds.EntriesTested ||
 				es.Results != ds.Results || !reflect.DeepEqual(es.NodesPerLevel(), ds.NodesPerLevel()) {
@@ -182,8 +240,8 @@ func TestEngineMatchesDirectCalls(t *testing.T) {
 }
 
 // TestEngineBatchMatchesSerial is the acceptance differential: for each
-// index, BatchQuery at any worker count emits exactly the hits and
-// per-query stats of the serial Query loop — also when reads go through a
+// index, Session.DoBatch at any worker count emits exactly the hits and
+// per-query stats of the serial Do loop — also when reads go through a
 // shared buffer pool.
 func TestEngineBatchMatchesSerial(t *testing.T) {
 	items := testItems(t, 12, 3003)
@@ -192,19 +250,13 @@ func TestEngineBatchMatchesSerial(t *testing.T) {
 
 	for _, ix := range buildIndexes(t, items) {
 		t.Run(ix.Name(), func(t *testing.T) {
-			var want []hit
-			var wantStats []engine.QueryStats
-			for qi, q := range queries {
-				qi := qi
-				wantStats = append(wantStats, ix.Query(q, func(id int32) {
-					want = append(want, hit{qi, id})
-				}))
+			want, wantStats := serialRange(t, ix, queries)
+			sess, err := engine.Open(engine.WithIndex(ix))
+			if err != nil {
+				t.Fatal(err)
 			}
 			for _, w := range []int{1, 2, 4, 7} {
-				var got []hit
-				gotStats := ix.BatchQuery(queries, w, func(q int, id int32) {
-					got = append(got, hit{q, id})
-				})
+				got, gotStats, _ := batchRange(t, sess, queries, w)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("workers=%d: hit sequence diverged from serial (%d vs %d hits)",
 						w, len(got), len(want))
@@ -229,10 +281,7 @@ func TestEngineBatchMatchesSerial(t *testing.T) {
 					t.Fatal(err)
 				}
 				paged.SetSource(pool)
-				var got []hit
-				ix.BatchQuery(queries, w, func(q int, id int32) {
-					got = append(got, hit{q, id})
-				})
+				got, _, _ := batchRange(t, sess, queries, w)
 				paged.SetSource(nil)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("pooled workers=%d: hit sequence diverged", w)
@@ -246,17 +295,18 @@ func TestEngineBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestPlannerRoutesAndMatches asserts the planner's routed execution equals
-// the chosen index's own serial output, that every contender is costed, and
-// that observed history accumulates.
+// TestPlannerRoutesAndMatches asserts the planner-routed batch equals the
+// chosen index's own serial output, that every contender is costed, and
+// that learned history replaces probing.
 func TestPlannerRoutesAndMatches(t *testing.T) {
 	items := testItems(t, 10, 4004)
 	vol := geom.Box(geom.V(0, 0, 0), geom.V(200, 200, 200))
 	queries := testQueries(vol, 16)
+	reqs := rangeRequests(queries)
 	indexes := buildIndexes(t, items)
 	p := engine.NewPlanner(indexes...)
 
-	sts, d := p.Run(queries, 4, nil)
+	d := p.PlanKind(engine.Range, reqs)
 	if d.Index == nil {
 		t.Fatal("no index chosen")
 	}
@@ -272,44 +322,37 @@ func TestPlannerRoutesAndMatches(t *testing.T) {
 		}
 	}
 
-	// Routed output == chosen index direct serial output. The first Run's
-	// Observe may legitimately re-rank the contenders (the probe sample is
-	// only a prefix of the batch), so predict the next choice with Plan —
-	// it reads history without mutating it — and diff against that index.
-	next := p.Plan(queries)
+	// Routed output == chosen index direct serial output. A batch's observed
+	// stats may legitimately re-rank the contenders (the probe sample is
+	// only a prefix of the batch), so run one batch to feed the history,
+	// then predict the next choice with PlanKind — it reads history without
+	// mutating it — and diff the next batch against that index.
+	sess, err := engine.Open(engine.WithPlanner(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batchRange(t, sess, queries, 4)
+	p.SetEpoch(1) // drop the cached decision so the next batch re-plans
+	next := p.PlanKind(engine.Range, reqs)
 	if len(next.Probed) != 0 {
 		t.Fatalf("replan re-probed %v despite learned history", next.Probed)
 	}
-	var want []hit
-	wantStats := make([]engine.QueryStats, 0, len(queries))
-	for qi, q := range queries {
-		qi := qi
-		wantStats = append(wantStats, next.Index.Query(q, func(id int32) {
-			want = append(want, hit{qi, id})
-		}))
-	}
-	var got []hit
-	sts2, d2 := p.Run(queries, 2, func(q int, id int32) { got = append(got, hit{q, id}) })
-	if d2.Index != next.Index {
-		t.Fatalf("replan diverged from Plan: %s then %s", next.Index.Name(), d2.Index.Name())
+	want, wantStats := serialRange(t, next.Index, queries)
+	got, gotStats, results := batchRange(t, sess, queries, 2)
+	if results[0].Index != next.Index.Name() {
+		t.Fatalf("routed batch diverged from PlanKind: %s then %s", next.Index.Name(), results[0].Index)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("planner-routed hits diverged from chosen index's serial run")
 	}
 	for qi := range wantStats {
-		if sts2[qi].Results != wantStats[qi].Results || sts2[qi].PagesRead != wantStats[qi].PagesRead {
+		if gotStats[qi].Results != wantStats[qi].Results || gotStats[qi].PagesRead != wantStats[qi].PagesRead {
 			t.Errorf("query %d: routed stats diverged", qi)
 		}
 	}
-	_ = sts
-
-	if _, ok := p.Selectivity(d.Index.Name()); !ok {
-		t.Error("no selectivity history for the executed index")
-	}
 }
 
-// TestPlannerSequenceRouting exercises PlanSequence over a walkthrough-like
-// box series.
+// TestPlannerSequenceRouting plans a walkthrough-like box series.
 func TestPlannerSequenceRouting(t *testing.T) {
 	items := testItems(t, 8, 5005)
 	indexes := buildIndexes(t, items)
@@ -319,7 +362,7 @@ func TestPlannerSequenceRouting(t *testing.T) {
 	for i := range boxes {
 		boxes[i] = geom.BoxAround(geom.V(40+float64(i)*12, 100, 100), 15)
 	}
-	d := p.Plan(boxes)
+	d := p.PlanKind(engine.Range, rangeRequests(boxes))
 	if d.Index == nil || len(d.CostPerQuery) != len(indexes) {
 		t.Fatalf("bad decision %+v", d)
 	}

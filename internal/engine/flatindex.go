@@ -257,34 +257,6 @@ func (f *Flat) doKNN(ctx context.Context, center geom.Vec, k int, visit func(Hit
 	return st, nil
 }
 
-// queryNative implements nativeQuerier: one range query reading data pages
-// through the configured source (cold store reads by default).
-func (f *Flat) queryNative(q geom.AABB, visit func(int32)) QueryStats {
-	if f.idx == nil {
-		return QueryStats{}
-	}
-	return fromFlat(f.idx.QueryVia(q, f.src, visit))
-}
-
-// Query implements SpatialIndex.
-//
-// Deprecated: route new call sites through Session.Do with a Range request.
-func (f *Flat) Query(q geom.AABB, visit func(int32)) QueryStats {
-	return f.queryNative(q, visit)
-}
-
-// BatchQuery implements SpatialIndex via the shared deterministic executor.
-//
-// Deprecated: route new call sites through Session.DoBatch.
-func (f *Flat) BatchQuery(qs []geom.AABB, workers int, visit func(int, int32)) []QueryStats {
-	if f.idx == nil {
-		return make([]QueryStats, len(qs))
-	}
-	return batchQuery(workers, qs, func(q geom.AABB, emit func(int32)) QueryStats {
-		return fromFlat(f.idx.QueryVia(q, f.src, emit))
-	}, visit)
-}
-
 // Store implements Paged (nil before Build).
 func (f *Flat) Store() *pager.Store {
 	if f.idx == nil {

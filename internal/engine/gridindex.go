@@ -426,28 +426,6 @@ func (gx *Grid) doKNN(ctx context.Context, center geom.Vec, k int, visit func(Hi
 	return st, nil
 }
 
-// queryNative implements nativeQuerier.
-func (gx *Grid) queryNative(q geom.AABB, visit func(int32)) QueryStats {
-	return gx.queryVia(q, gx.source(), visit)
-}
-
-// Query implements SpatialIndex.
-//
-// Deprecated: route new call sites through Session.Do with a Range request.
-func (gx *Grid) Query(q geom.AABB, visit func(int32)) QueryStats {
-	return gx.queryNative(q, visit)
-}
-
-// BatchQuery implements SpatialIndex via the shared deterministic executor.
-//
-// Deprecated: route new call sites through Session.DoBatch.
-func (gx *Grid) BatchQuery(qs []geom.AABB, workers int, visit func(int, int32)) []QueryStats {
-	src := gx.source()
-	return batchQuery(workers, qs, func(q geom.AABB, emit func(int32)) QueryStats {
-		return gx.queryVia(q, src, emit)
-	}, visit)
-}
-
 // Store implements Paged (nil before Build or when empty).
 func (gx *Grid) Store() *pager.Store { return gx.store }
 

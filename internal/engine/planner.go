@@ -8,20 +8,18 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"neurospatial/internal/geom"
-	"neurospatial/internal/query"
 	"neurospatial/internal/stats"
 )
 
-// Planner routes requests, query batches and walkthrough sequences to one of
-// a set of SpatialIndex contenders using per-(index, kind) cost statistics:
+// Planner routes requests and request batches to one of a set of
+// SpatialIndex contenders using per-(index, kind) cost statistics:
 // an index that wins range scans can lose kNN gathers, so every query kind
 // keeps its own history and mixed workloads route per request. Costs come
 // from two sources, both fed through stats.Running accumulators:
 //
 //   - learned: every executed batch reports its observed QueryStats back via
-//     Observe/ObserveKind, so the planner's estimate of an (index, kind)
-//     pair sharpens with use;
+//     ObserveKind, so the planner's estimate of an (index, kind) pair
+//     sharpens with use;
 //   - probed: with no history for a pair, planning calibrates by executing a
 //     small deterministic sample of the batch (the first ProbeQueries
 //     requests, results discarded) on that index and charging its Cost().
@@ -29,8 +27,8 @@ import (
 // Routing is deterministic: the index with the lowest estimated per-query
 // cost wins, ties broken by registration order.
 //
-// Plan, PlanKind, Run, Observe and Selectivity are safe for concurrent use
-// (the indexes themselves are read-only after Build). Paged.SetSource on a
+// PlanKind, PlanKindCached and ObserveKind are safe for concurrent use (the
+// indexes themselves are read-only after Build). Paged.SetSource on a
 // contender is configuration, not execution: call it before sharing the
 // planner across goroutines.
 type Planner struct {
@@ -41,7 +39,6 @@ type Planner struct {
 	indexes []SpatialIndex
 	mu      sync.Mutex                    //neurospatial:lock planner.state
 	learned map[plannerKey]*stats.Running // per-query Cost() history
-	selects map[plannerKey]*stats.Running // per-query selectivity (results/entries)
 	probes  map[plannerKey]chan struct{}  // in-flight probe latches
 	// probeEx serializes probe *execution* for indexes that do not carry
 	// their own instance lock (see probeLocker): the latch above is per
@@ -150,7 +147,6 @@ func NewPlanner(indexes ...SpatialIndex) *Planner {
 		ProbeQueries: 3,
 		indexes:      indexes,
 		learned:      make(map[plannerKey]*stats.Running),
-		selects:      make(map[plannerKey]*stats.Running),
 		probes:       make(map[plannerKey]chan struct{}),
 		probeEx:      make(map[string]*sync.Mutex),
 		plans:        make(map[planCacheKey]SpatialIndex),
@@ -178,10 +174,10 @@ func (p *Planner) SetEpoch(epoch int64) {
 // is exactly as deterministic as PlanKind's: the cache can only replay a
 // decision PlanKind made for the same epoch and shape bucket.
 //
-// Cached decisions intentionally do not chase later Observe updates within an
-// epoch: routing flapping mid-workload would make batch output depend on
-// execution history more than it already does, and the cache resets at every
-// epoch anyway (Commit and Compact both advance it).
+// Cached decisions intentionally do not chase later ObserveKind updates
+// within an epoch: routing flapping mid-workload would make batch output
+// depend on execution history more than it already does, and the cache resets
+// at every epoch anyway (Commit and Compact both advance it).
 func (p *Planner) PlanKindCached(kind Kind, sample []Request) (Decision, bool) {
 	p.mu.Lock()
 	key := planCacheKey{p.epoch, kind, planSig(kind, sample)}
@@ -259,33 +255,21 @@ func (d Decision) String() string {
 	return s + " est. reads/query)"
 }
 
-// Plan estimates the per-query Range cost of each contender for the batch
-// and picks the cheapest — the pre-Request surface, equivalent to PlanKind
-// with Range requests (it shares the (index, Range) history). Probe
-// executions update the learned history, so later plans on similar workloads
-// skip the probe. Concurrent first Plans probe each unprofiled index exactly
-// once: a per-(index, kind) latch makes the learn-or-probe step
-// singleflight, so calibration history is never skewed by duplicate probes.
-//
-// An empty batch cannot be probed, so it gets a deterministic default
-// decision with no side effects: contenders are costed from learned history
-// where any exists, the cheapest profiled contender wins, and with no
-// history at all the first registered index is chosen (registration order is
-// the documented tie-break).
-func (p *Planner) Plan(qs []geom.AABB) Decision {
-	reqs := make([]Request, len(qs))
-	for i, q := range qs {
-		reqs[i] = RangeRequest(q)
-	}
-	return p.PlanKind(Range, reqs)
-}
-
 // PlanKind estimates the per-query cost of each contender for requests of
 // one kind (using the kind's own cost history, probing with the sample's
 // first ProbeQueries requests where history is missing) and picks the
 // cheapest. The sample requests should all be of the given kind; others are
-// ignored by the probe. Empty samples get the deterministic no-probe default
-// of Plan.
+// ignored by the probe. Probe executions update the learned history, so later
+// plans on similar workloads skip the probe. Concurrent first plans probe each
+// unprofiled index exactly once: a per-(index, kind) latch makes the
+// learn-or-probe step singleflight, so calibration history is never skewed by
+// duplicate probes.
+//
+// An empty sample cannot be probed, so it gets a deterministic default
+// decision with no side effects: contenders are costed from learned history
+// where any exists, the cheapest profiled contender wins, and with no
+// history at all the first registered index is chosen (registration order is
+// the documented tie-break).
 func (p *Planner) PlanKind(kind Kind, sample []Request) Decision {
 	d := Decision{Kind: kind, CostPerQuery: make(map[string]float64, len(p.indexes))}
 	if len(sample) == 0 {
@@ -375,10 +359,7 @@ func (p *Planner) probeOnce(ix SpatialIndex, kind Kind, sample []Request) bool {
 // sample is executed against the index's own cold store: an attached
 // PageSource (a shared BufferPool under measurement, say) is detached for
 // the probe and restored after, so planning never perturbs the pool
-// contents or counters the experiments report. Every kind probes through
-// Do — the Request front door — so the deprecated Query/BatchQuery wrappers
-// are exercised only by their own regression tests; per-query stats are
-// identical either way (the wrappers and Do share the index traversals).
+// contents or counters the experiments report.
 func (p *Planner) probe(ix SpatialIndex, kind Kind, sample []Request) {
 	// A snapshot view is not Paged itself, but its page reads are its base
 	// index's: detach at the base so probing a dataset session never warms a
@@ -442,23 +423,6 @@ func (p *Planner) probe(ix SpatialIndex, kind Kind, sample []Request) {
 	p.ObserveKind(ix.Name(), kind, sts)
 }
 
-// PlanSequence routes a walkthrough sequence: the per-step boxes are the
-// batch. A nil or empty sequence gets the deterministic empty-batch default.
-func (p *Planner) PlanSequence(seq *query.Sequence) Decision {
-	if seq == nil {
-		return p.Plan(nil)
-	}
-	boxes := make([]geom.AABB, seq.Len())
-	for i, s := range seq.Steps {
-		boxes[i] = s.Box
-	}
-	return p.Plan(boxes)
-}
-
-// Observe folds executed per-query range stats into the index's learned
-// history — the pre-Request surface, equivalent to ObserveKind with Range.
-func (p *Planner) Observe(name string, sts []QueryStats) { p.ObserveKind(name, Range, sts) }
-
 // ObserveKind folds executed per-query stats of one kind into the
 // (index, kind) pair's learned history.
 func (p *Planner) ObserveKind(name string, kind Kind, sts []QueryStats) {
@@ -470,49 +434,7 @@ func (p *Planner) ObserveKind(name string, kind Kind, sts []QueryStats) {
 		cost = &stats.Running{}
 		p.learned[key] = cost
 	}
-	sel := p.selects[key]
-	if sel == nil {
-		sel = &stats.Running{}
-		p.selects[key] = sel
-	}
 	for i := range sts {
 		cost.Add(sts[i].Cost())
-		if sts[i].EntriesTested > 0 {
-			sel.Add(float64(sts[i].Results) / float64(sts[i].EntriesTested))
-		}
 	}
-}
-
-// Selectivity returns the learned mean range selectivity (results per entry
-// tested) of an index, and whether any history exists. The E-harness tables
-// can report it alongside cost.
-func (p *Planner) Selectivity(name string) (float64, bool) {
-	return p.SelectivityKind(name, Range)
-}
-
-// SelectivityKind is Selectivity for one query kind.
-func (p *Planner) SelectivityKind(name string, kind Kind) (float64, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	acc := p.selects[plannerKey{name, kind}]
-	if acc == nil || acc.N() == 0 {
-		return 0, false
-	}
-	return acc.Mean(), true
-}
-
-// Run plans the batch, executes it on the chosen index with the shared
-// deterministic executor, feeds the observed stats back, and returns both.
-// The emitted hits are exactly those of a direct serial loop of
-// Index.Query calls on the chosen index.
-//
-// Deprecated: Run is the pre-Request batch surface (native hit order, range
-// only); new call sites should route through Session.DoBatch, which adds
-// cancellation, mixed kinds and the canonical order. Kept — with its own
-// regression tests — for external compatibility.
-func (p *Planner) Run(qs []geom.AABB, workers int, visit func(qi int, id int32)) ([]QueryStats, Decision) {
-	d := p.Plan(qs)
-	sts := d.Index.BatchQuery(qs, workers, visit)
-	p.Observe(d.Index.Name(), sts)
-	return sts, d
 }

@@ -2,7 +2,7 @@ package engine_test
 
 // Regression tests for the planner bugfixes: empty-batch routing must be a
 // deterministic default (no fabricated 0.0 costs, no re-probing), concurrent
-// first Plans must probe each index exactly once (the singleflight latch),
+// first plans must probe each index exactly once (the singleflight latch),
 // and calibration probes must not perturb an attached buffer pool.
 
 import (
@@ -43,7 +43,7 @@ func (c *countingIndex) doCalls() int {
 	return c.dos
 }
 
-// TestPlannerEmptyBatchDefault: Plan(nil) and Plan of an empty slice must
+// TestPlannerEmptyBatchDefault: PlanKind of a nil or empty sample must
 // return a deterministic default — the first registered contender when no
 // history exists, the learned-cheapest once history accumulates — with no
 // probes and no fabricated 0.0 costs.
@@ -53,7 +53,7 @@ func TestPlannerEmptyBatchDefault(t *testing.T) {
 	p := engine.NewPlanner(indexes...)
 
 	for i := 0; i < 3; i++ {
-		d := p.Plan(nil)
+		d := p.PlanKind(engine.Range, nil)
 		if d.Index != indexes[0] {
 			t.Fatalf("empty plan %d chose %s, want first registered (%s)",
 				i, d.Index.Name(), indexes[0].Name())
@@ -68,9 +68,9 @@ func TestPlannerEmptyBatchDefault(t *testing.T) {
 
 	// With learned history the empty-batch default routes to the cheapest
 	// profiled contender, still without probing.
-	p.Observe(indexes[1].Name(), []engine.QueryStats{{PagesRead: 2}})
-	p.Observe(indexes[0].Name(), []engine.QueryStats{{PagesRead: 100}})
-	d := p.Plan(nil)
+	p.ObserveKind(indexes[1].Name(), engine.Range, []engine.QueryStats{{PagesRead: 2}})
+	p.ObserveKind(indexes[0].Name(), engine.Range, []engine.QueryStats{{PagesRead: 100}})
+	d := p.PlanKind(engine.Range, []engine.Request{})
 	if d.Index != indexes[1] {
 		t.Fatalf("empty plan with history chose %s, want learned-cheapest %s",
 			d.Index.Name(), indexes[1].Name())
@@ -81,20 +81,15 @@ func TestPlannerEmptyBatchDefault(t *testing.T) {
 	if d.String() == "" {
 		t.Error("empty decision rendering")
 	}
-
-	// PlanSequence shares the guard, including a nil sequence.
-	if d := p.PlanSequence(nil); d.Index != indexes[1] {
-		t.Fatalf("nil sequence chose %s", d.Index.Name())
-	}
 }
 
-// TestPlannerConcurrentPlansProbeOnce: many concurrent first Plans must run
+// TestPlannerConcurrentPlansProbeOnce: many concurrent first plans must run
 // exactly one calibration probe per index (pre-fix, the check-then-act race
 // probed and observed the same index multiple times, skewing its history).
 func TestPlannerConcurrentPlansProbeOnce(t *testing.T) {
 	items := testItems(t, 8, 8002)
 	vol := geom.Box(geom.V(0, 0, 0), geom.V(200, 200, 200))
-	queries := testQueries(vol, 12)
+	reqs := rangeRequests(testQueries(vol, 12))
 
 	inner := engine.NewFlat(flat.DefaultOptions())
 	if err := inner.Build(items); err != nil {
@@ -112,7 +107,7 @@ func TestPlannerConcurrentPlansProbeOnce(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			<-start
-			d := p.Plan(queries)
+			d := p.PlanKind(engine.Range, reqs)
 			probed[g] = len(d.Probed)
 		}(g)
 	}
@@ -121,7 +116,7 @@ func TestPlannerConcurrentPlansProbeOnce(t *testing.T) {
 
 	// One probe executes ProbeQueries (3) sample requests through Do.
 	if got := counting.doCalls(); got != 3 {
-		t.Fatalf("%d concurrent first Plans executed %d probe queries, want exactly 3 (one probe)",
+		t.Fatalf("%d concurrent first plans executed %d probe queries, want exactly 3 (one probe)",
 			goroutines, got)
 	}
 	total := 0
@@ -224,7 +219,7 @@ func TestPlannerProbeLeavesAttachedPoolUntouched(t *testing.T) {
 	ix.SetSource(pool)
 
 	p := engine.NewPlanner(ix)
-	d := p.Plan(queries)
+	d := p.PlanKind(engine.Range, rangeRequests(queries))
 	if len(d.Probed) != 1 {
 		t.Fatalf("first plan probed %v, want the one unprofiled contender", d.Probed)
 	}
@@ -239,7 +234,7 @@ func TestPlannerProbeLeavesAttachedPoolUntouched(t *testing.T) {
 	}
 
 	// The attachment still works: a real query goes through the pool.
-	ix.Query(queries[0], func(int32) {})
+	doRange(t, ix, queries[0])
 	if st := pool.Stats(); st.DemandReads+st.Hits == 0 {
 		t.Fatal("restored source saw no traffic on a real query")
 	}
@@ -261,7 +256,7 @@ func TestPlannerProbeLeavesShardPoolsUntouched(t *testing.T) {
 	}
 
 	p := engine.NewPlanner(sh)
-	if d := p.Plan(queries); len(d.Probed) != 1 {
+	if d := p.PlanKind(engine.Range, rangeRequests(queries)); len(d.Probed) != 1 {
 		t.Fatalf("first plan probed %v", d.Probed)
 	}
 	for i, pool := range sh.ShardPools() {
@@ -274,7 +269,7 @@ func TestPlannerProbeLeavesShardPoolsUntouched(t *testing.T) {
 	}
 
 	// Real execution still runs through the per-shard pools.
-	sh.BatchQuery(queries, 1, nil)
+	serialRange(t, sh, queries)
 	touched := 0
 	for _, pool := range sh.ShardPools() {
 		if st := pool.Stats(); st.DemandReads+st.Hits > 0 {

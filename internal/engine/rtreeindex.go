@@ -144,9 +144,9 @@ func (r *RTree) page() error {
 		return ni
 	}
 	walk(root)
-	// Guarded accessor: WrapRTree tolerates non-dense item IDs on the
-	// Query-only surface; out-of-range IDs get empty (never-intersecting)
-	// sidecar slots instead of panicking the build.
+	// Guarded accessor: WrapRTree tolerates non-dense item IDs;
+	// out-of-range IDs get empty (never-intersecting) sidecar slots instead
+	// of panicking the build.
 	r.coords = pager.BuildCoords(r.paged.Store(), func(id int32) geom.AABB {
 		if int(id) >= len(r.boxes) {
 			return geom.EmptyAABB()
@@ -181,17 +181,6 @@ func fromRTree(s rtree.QueryStats) QueryStats {
 		LevelNodes:    s.LevelNodes,
 		Levels:        s.Levels,
 	}
-}
-
-func (r *RTree) query(q geom.AABB, emit func(int32)) QueryStats {
-	if r.tree == nil {
-		return QueryStats{}
-	}
-	visit := func(it rtree.Item) { emit(it.ID) }
-	if r.src != nil && r.paged != nil {
-		return fromRTree(r.paged.QueryVia(q, r.src, visit))
-	}
-	return fromRTree(r.tree.Query(q, visit))
 }
 
 // rangeIDs runs the native descent collecting ids. With a cancelable
@@ -531,26 +520,6 @@ func (h *nodeHeap) pop(r *RTree) int32 {
 		i = least
 	}
 	return top
-}
-
-// queryNative implements nativeQuerier, reading node pages through the
-// configured source when one is attached.
-func (r *RTree) queryNative(q geom.AABB, visit func(int32)) QueryStats {
-	return r.query(q, visit)
-}
-
-// Query implements SpatialIndex.
-//
-// Deprecated: route new call sites through Session.Do with a Range request.
-func (r *RTree) Query(q geom.AABB, visit func(int32)) QueryStats {
-	return r.queryNative(q, visit)
-}
-
-// BatchQuery implements SpatialIndex via the shared deterministic executor.
-//
-// Deprecated: route new call sites through Session.DoBatch.
-func (r *RTree) BatchQuery(qs []geom.AABB, workers int, visit func(int, int32)) []QueryStats {
-	return batchQuery(workers, qs, r.query, visit)
 }
 
 // Store implements Paged (nil for an empty tree).

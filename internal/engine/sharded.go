@@ -71,9 +71,7 @@ type shardState struct {
 // Gather order: per query, the shards are drained in shard order and the
 // merged hits are emitted in ascending global ID — Sharded's fixed native
 // order, identical for any shard count, worker count, or per-shard index
-// kind, and equal (as a set) to any unsharded contender's result. Batches
-// run on the shared deterministic executor, so BatchQuery emits exactly the
-// serial Query loop's output for any worker count.
+// kind, and equal (as a set) to any unsharded contender's result.
 //
 // Stats mapping: per-shard QueryStats are summed into the unified record
 // (NodesPerLevel element-wise), plus ShardsTouched — the number of shards
@@ -267,37 +265,6 @@ func (s *Sharded) Bounds() geom.AABB { return s.bounds }
 
 // NumItems implements SpatialIndex.
 func (s *Sharded) NumItems() int { return s.n }
-
-// nativeQuerier is the non-deprecated form of the legacy range-query shape.
-// Every contender keeps its real implementation under this unexported method
-// so internal fan-out — the sharded scatter, the paged read path — never
-// routes through the deprecated Query/BatchQuery wrappers, which exist only
-// for external callers mid-migration.
-type nativeQuerier interface {
-	queryNative(q geom.AABB, emit func(int32)) QueryStats
-}
-
-// queryNative is the scatter-gather: fan out to intersecting shards in shard
-// order, sum their stats, merge hits into ascending global ID.
-func (s *Sharded) queryNative(q geom.AABB, emit func(int32)) QueryStats {
-	var subs []QueryStats
-	var hits []int32
-	for i := range s.shards {
-		sh := &s.shards[i]
-		if !sh.bounds.Intersects(q) {
-			continue
-		}
-		nq := sh.sub.(nativeQuerier)
-		subs = append(subs, nq.queryNative(q, func(lid int32) { hits = append(hits, sh.global[lid]) }))
-	}
-	st := Aggregate(subs)
-	st.ShardsTouched = int64(len(subs))
-	slices.Sort(hits)
-	for _, id := range hits {
-		emit(id)
-	}
-	return st
-}
 
 // scatter runs one sub-request on every shard accepted by keep (in shard
 // order), translating local hits to global IDs via toGlobal, and returns the
@@ -500,24 +467,6 @@ func (s *Sharded) iterate(ctx context.Context, req Request, after *Hit) (HitIter
 	return newKWayMerge(its, QueryStats{ShardsTouched: int64(len(its))}), nil
 }
 
-// Query implements SpatialIndex; hits are emitted in ascending global ID.
-//
-// Deprecated: route new call sites through Session.Do with a Range request.
-func (s *Sharded) Query(q geom.AABB, visit func(int32)) QueryStats {
-	if visit == nil {
-		visit = func(int32) {}
-	}
-	return s.queryNative(q, visit)
-}
-
-// BatchQuery implements SpatialIndex via the shared deterministic executor:
-// queries are the slots, each slot scatters over its shards and gathers.
-//
-// Deprecated: route new call sites through Session.DoBatch.
-func (s *Sharded) BatchQuery(qs []geom.AABB, workers int, visit func(int, int32)) []QueryStats {
-	return batchQuery(workers, qs, s.queryNative, visit)
-}
-
 // Store implements Paged: the dense global page space over all shards (nil
 // before Build or when empty).
 func (s *Sharded) Store() *pager.Store { return s.store }
@@ -570,18 +519,18 @@ func (s *Sharded) probeLock() *sync.Mutex { return &s.probeMu }
 // Source implements Paged.
 func (s *Sharded) Source() pager.PageSource { return s.src }
 
-// PagedQuery implements Paged (and prefetch.Served): one query reading
-// through a pool over the global store. Like SetSource, it is configuration
-// of the read path — do not run it concurrently with other queries on the
-// same Sharded.
+// PagedQuery implements Paged (and prefetch.Served): one range query reading
+// through a pool over the global store. The gather is Do's — same shard
+// order, same sub-traversals, ascending global ID out — so only the source
+// swap is particular to it. Like SetSource, it is configuration of the read
+// path — do not run it concurrently with other queries on the same Sharded.
 func (s *Sharded) PagedQuery(q geom.AABB, pool *pager.BufferPool, visit func(int32)) {
-	if s.n == 0 {
-		return
-	}
 	s.pqMu.Lock()
 	defer s.pqMu.Unlock()
 	old := s.src
 	s.src = pool
 	defer func() { s.src = old }()
-	s.queryNative(q, visit)
+	// The context is never canceled, so the only error left is Validate's
+	// for a NaN or empty box — which has no hits to emit.
+	_, _ = s.Do(context.Background(), RangeRequest(q), func(h Hit) { visit(h.ID) })
 }

@@ -2,8 +2,8 @@ package engine_test
 
 // The sharded scatter-gather differential: for shard counts {1, 2, 4, 7} ×
 // worker counts {1, 2, 4}, engine.Sharded must emit exactly the hits of the
-// unsharded contender (Sharded's fixed native order is ascending global ID)
-// with consistent stats — also through per-shard buffer pools, through an
+// unsharded contender (both in Do's canonical ascending-ID order) with
+// consistent stats — also through per-shard buffer pools, through an
 // attached global pool, and under planner-routed execution.
 
 import (
@@ -21,31 +21,6 @@ import (
 
 var shardCounts = []int{1, 2, 4, 7}
 var shardWorkerCounts = []int{1, 2, 4}
-
-// sortedHits runs a serial query loop on ix and returns hits in ascending ID
-// per query — the canonical gather order Sharded must reproduce — plus the
-// per-query stats.
-func sortedHits(ix engine.SpatialIndex, qs []geom.AABB) ([]hit, []engine.QueryStats) {
-	var hits []hit
-	var sts []engine.QueryStats
-	for qi, q := range qs {
-		var ids []int32
-		sts = append(sts, ix.Query(q, func(id int32) { ids = append(ids, id) }))
-		insertionSort(ids)
-		for _, id := range ids {
-			hits = append(hits, hit{qi, id})
-		}
-	}
-	return hits, sts
-}
-
-func insertionSort(ids []int32) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-}
 
 // subIndexOptions returns the Sharded configuration for a sub-index kind.
 func subIndexOptions(kind string, shards int) engine.ShardedOptions {
@@ -84,7 +59,7 @@ func TestShardedMatchesUnshardedDifferential(t *testing.T) {
 	for _, kind := range []string{"flat", "rtree", "grid"} {
 		t.Run(kind, func(t *testing.T) {
 			base := newContender(t, kind, items)
-			want, wantStats := sortedHits(base, queries)
+			want, wantStats := serialRange(t, base, queries)
 
 			for _, k := range shardCounts {
 				sh := engine.NewSharded(subIndexOptions(kind, k))
@@ -95,8 +70,8 @@ func TestShardedMatchesUnshardedDifferential(t *testing.T) {
 					t.Fatalf("shards=%d: built %d shards", k, got)
 				}
 
-				// Serial scatter-gather == sorted unsharded serial loop.
-				got, gotStats := sortedHits(sh, queries)
+				// Serial scatter-gather == unsharded serial loop.
+				got, gotStats := serialRange(t, sh, queries)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("shards=%d: serial hits diverged from unsharded (%d vs %d)",
 						k, len(got), len(want))
@@ -112,13 +87,14 @@ func TestShardedMatchesUnshardedDifferential(t *testing.T) {
 					}
 				}
 
-				// BatchQuery at every worker count == Sharded serial, exact
+				// DoBatch at every worker count == Sharded serial, exact
 				// per-query stats included.
+				sess, err := engine.Open(engine.WithIndex(sh))
+				if err != nil {
+					t.Fatal(err)
+				}
 				for _, w := range shardWorkerCounts {
-					var batch []hit
-					bsts := sh.BatchQuery(queries, w, func(q int, id int32) {
-						batch = append(batch, hit{q, id})
-					})
+					batch, bsts, _ := batchRange(t, sess, queries, w)
 					if !reflect.DeepEqual(batch, want) {
 						t.Fatalf("shards=%d workers=%d: batch hits diverged", k, w)
 					}
@@ -143,7 +119,7 @@ func TestShardedPerShardPools(t *testing.T) {
 	if err := base.Build(items); err != nil {
 		t.Fatal(err)
 	}
-	want, _ := sortedHits(base, queries)
+	want, _ := serialRange(t, base, queries)
 
 	for _, k := range shardCounts {
 		opts := subIndexOptions("flat", k)
@@ -152,9 +128,12 @@ func TestShardedPerShardPools(t *testing.T) {
 		if err := sh.Build(items); err != nil {
 			t.Fatal(err)
 		}
+		sess, err := engine.Open(engine.WithIndex(sh))
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, w := range shardWorkerCounts {
-			var got []hit
-			sh.BatchQuery(queries, w, func(q int, id int32) { got = append(got, hit{q, id}) })
+			got, _, _ := batchRange(t, sess, queries, w)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("shards=%d workers=%d: pooled hits diverged", k, w)
 			}
@@ -187,11 +166,15 @@ func TestShardedThroughGlobalPool(t *testing.T) {
 	if err := base.Build(items); err != nil {
 		t.Fatal(err)
 	}
-	want, _ := sortedHits(base, queries)
+	want, _ := serialRange(t, base, queries)
 
 	for _, k := range shardCounts {
 		sh := engine.NewSharded(subIndexOptions("flat", k))
 		if err := sh.Build(items); err != nil {
+			t.Fatal(err)
+		}
+		sess, err := engine.Open(engine.WithIndex(sh))
+		if err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range shardWorkerCounts {
@@ -200,8 +183,7 @@ func TestShardedThroughGlobalPool(t *testing.T) {
 				t.Fatal(err)
 			}
 			sh.SetSource(pool)
-			var got []hit
-			sh.BatchQuery(queries, w, func(q int, id int32) { got = append(got, hit{q, id}) })
+			got, _, _ := batchRange(t, sess, queries, w)
 			sh.SetSource(nil)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("shards=%d workers=%d: globally pooled hits diverged", k, w)
@@ -231,18 +213,17 @@ func TestShardedPlannerRouted(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := engine.NewPlanner(fl, sh)
+		sess, err := engine.Open(engine.WithPlanner(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := p.PlanKind(engine.Range, rangeRequests(queries))
+		want, _ := serialRange(t, next.Index, queries)
 		for _, w := range shardWorkerCounts {
-			next := p.Plan(queries)
-			var want []hit
-			for qi, q := range queries {
-				qi := qi
-				next.Index.Query(q, func(id int32) { want = append(want, hit{qi, id}) })
-			}
-			var got []hit
-			_, d := p.Run(queries, w, func(q int, id int32) { got = append(got, hit{q, id}) })
-			if d.Index != next.Index {
-				t.Fatalf("shards=%d workers=%d: Run chose %s, Plan predicted %s",
-					k, w, d.Index.Name(), next.Index.Name())
+			got, _, results := batchRange(t, sess, queries, w)
+			if results[0].Index != next.Index.Name() {
+				t.Fatalf("shards=%d workers=%d: batch routed to %s, PlanKind predicted %s",
+					k, w, results[0].Index, next.Index.Name())
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("shards=%d workers=%d: planner-routed hits diverged", k, w)
@@ -292,11 +273,12 @@ func TestShardedStorageGeometry(t *testing.T) {
 		for _, p := range sh.PagesInRange(q) {
 			pages[p] = true
 		}
-		sh.Query(q, func(id int32) {
+		ids, _ := doRange(t, sh, q)
+		for _, id := range ids {
 			if !pages[sh.PageOf(id)] {
 				t.Fatalf("result %d's page %d not in PagesInRange", id, sh.PageOf(id))
 			}
-		})
+		}
 	}
 }
 
@@ -367,7 +349,10 @@ func TestShardedEmptyAndMoreShardsThanItems(t *testing.T) {
 	if sh.NumItems() != 0 || sh.NumShards() != 0 || sh.NumPages() != 0 {
 		t.Fatal("empty build left residue")
 	}
-	st := sh.Query(geom.BoxAround(geom.V(0, 0, 0), 10), func(int32) { t.Fatal("hit on empty index") })
+	ids, st := doRange(t, sh, geom.BoxAround(geom.V(0, 0, 0), 10))
+	if len(ids) != 0 {
+		t.Fatal("hit on empty index")
+	}
 	if st.ShardsTouched != 0 {
 		t.Fatal("empty index touched shards")
 	}
@@ -383,9 +368,59 @@ func TestShardedEmptyAndMoreShardsThanItems(t *testing.T) {
 	if sh.NumShards() != 2 {
 		t.Fatalf("2 items under 8 shards built %d shards, want 2", sh.NumShards())
 	}
-	var got []int32
-	sh.Query(geom.BoxAround(geom.V(25, 0, 0), 30), func(id int32) { got = append(got, id) })
+	got, _ := doRange(t, sh, geom.BoxAround(geom.V(25, 0, 0), 30))
 	if !reflect.DeepEqual(got, []int32{0, 1}) {
 		t.Fatalf("got %v, want [0 1]", got)
+	}
+}
+
+// TestShardedPagedQueryMatchesDo pins the walkthrough entry point to the
+// front door: over a walkthrough-shaped box sequence, PagedQuery through a
+// pool emits the same ID sequence and leaves the same pool counters, step by
+// step, as SetSource(pool) + Do(Range) on a twin pool — so the two cannot
+// drift apart in page-read order. The pools are smaller than the store, so
+// eviction makes the counters order-sensitive.
+func TestShardedPagedQueryMatchesDo(t *testing.T) {
+	items := testItems(t, 10, 7013)
+	boxes := make([]geom.AABB, 14)
+	for i := range boxes {
+		boxes[i] = geom.BoxAround(geom.V(30+float64(i)*10, 100, 90+float64(i%3)*8), 18)
+	}
+	for _, kind := range []string{"flat", "rtree", "grid"} {
+		for _, k := range []int{1, 4} {
+			sh := engine.NewSharded(subIndexOptions(kind, k))
+			if err := sh.Build(items); err != nil {
+				t.Fatal(err)
+			}
+			pagedPool, err := pager.NewBufferPool(sh.Store(), 6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			doPool, err := pager.NewBufferPool(sh.Store(), 6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total := 0
+			for step, q := range boxes {
+				var paged []int32
+				sh.PagedQuery(q, pagedPool, func(id int32) { paged = append(paged, id) })
+				if sh.Source() != nil {
+					t.Fatalf("%s shards=%d step %d: PagedQuery left a source attached", kind, k, step)
+				}
+				sh.SetSource(doPool)
+				viaDo, _ := doRange(t, sh, q)
+				sh.SetSource(nil)
+				if !reflect.DeepEqual(paged, viaDo) {
+					t.Fatalf("%s shards=%d step %d: PagedQuery emitted %v, Do %v", kind, k, step, paged, viaDo)
+				}
+				if a, b := pagedPool.Stats(), doPool.Stats(); a != b {
+					t.Fatalf("%s shards=%d step %d: pool stats diverged: PagedQuery %+v, Do %+v", kind, k, step, a, b)
+				}
+				total += len(paged)
+			}
+			if st := pagedPool.Stats(); total == 0 || st.DemandReads == 0 || st.Evictions == 0 {
+				t.Errorf("%s shards=%d: degenerate walkthrough (%d results, pool %+v)", kind, k, total, st)
+			}
+		}
 	}
 }

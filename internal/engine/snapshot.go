@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -476,40 +475,4 @@ func (v *snapView) doKNN(ctx context.Context, req Request, visit func(Hit)) (Que
 		visit(h)
 	}
 	return st, nil
-}
-
-// Query implements SpatialIndex. Unlike the raw indexes' native orders, a
-// view's fixed order is the canonical ascending-ID order of Do.
-//
-// The legacy surface has no error channel, so only the documented
-// invalid-box case maps to an empty QueryStats; any other failure from Do is
-// a real execution error that must not be silently swallowed into
-// "no results" — it panics instead. (With the background context used here
-// that is unreachable today; the distinction guards future execution paths.)
-//
-// Deprecated: route new call sites through Session.Do with a Range request.
-func (v *snapView) Query(q geom.AABB, visit func(int32)) QueryStats {
-	st, err := v.Do(context.Background(), RangeRequest(q), func(h Hit) {
-		if visit != nil {
-			visit(h.ID)
-		}
-	})
-	if err != nil {
-		var reqErr *RequestError
-		if errors.As(err, &reqErr) {
-			return QueryStats{} // invalid box: the legacy surface reports empty
-		}
-		panic(fmt.Sprintf("engine: snapshot view %s: legacy Query cannot report execution error: %v",
-			v.name, err))
-	}
-	return st
-}
-
-// BatchQuery implements SpatialIndex via the shared deterministic executor.
-//
-// Deprecated: route new call sites through Session.DoBatch.
-func (v *snapView) BatchQuery(qs []geom.AABB, workers int, visit func(int, int32)) []QueryStats {
-	return batchQuery(workers, qs, func(q geom.AABB, emit func(int32)) QueryStats {
-		return v.Query(q, emit)
-	}, visit)
 }

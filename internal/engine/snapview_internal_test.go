@@ -2,8 +2,8 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -13,19 +13,17 @@ import (
 )
 
 // brokenBase is a base index whose Do always fails with a non-request
-// execution error, standing in for a future read path that can actually fail.
+// execution error, standing in for a read path that can actually fail.
 type brokenBase struct{ SpatialIndex }
 
 func (brokenBase) Do(context.Context, Request, func(Hit)) (QueryStats, error) {
 	return QueryStats{}, fmt.Errorf("page checksum mismatch")
 }
 
-// TestLegacyQuerySwallowsOnlyRequestErrors is the regression for the legacy
-// wrapper bugfix: snapView.Query has no error channel, and it used to flatten
-// EVERY Do error — validation and execution alike — into an empty QueryStats,
-// reading as "no results". Post-fix, only the documented invalid-box case maps
-// to empty stats; an execution error panics instead of being swallowed.
-func TestLegacyQuerySwallowsOnlyRequestErrors(t *testing.T) {
+// TestSnapViewDoReportsErrors pins the error channel of a snapshot view: an
+// invalid box is a typed *RequestError, and a base execution error comes back
+// as that error — neither is flattened into "no results".
+func TestSnapViewDoReportsErrors(t *testing.T) {
 	items := make([]rtree.Item, 64)
 	for i := range items {
 		c := geom.Vec{X: float64(i), Y: float64(i % 8), Z: 0}
@@ -40,26 +38,21 @@ func TestLegacyQuerySwallowsOnlyRequestErrors(t *testing.T) {
 		t.Fatalf("snapshot view is not a snapView")
 	}
 
-	// Documented legacy case: an invalid (empty) box reports empty stats.
 	bad := geom.AABB{Min: geom.Vec{X: 1}, Max: geom.Vec{X: -1}}
-	if st := view.Query(bad, nil); !reflect.DeepEqual(st, QueryStats{}) {
-		t.Fatalf("invalid box: stats = %+v, want zero", st)
+	var reqErr *RequestError
+	if _, err := view.Do(context.Background(), RangeRequest(bad), nil); !errors.As(err, &reqErr) {
+		t.Fatalf("invalid box: err = %v, want *RequestError", err)
 	}
 
-	// Execution-error case: a failing base must panic out of Query, not
-	// report empty stats. Pre-fix this returned QueryStats{} silently.
 	broken := &snapView{name: "flat", snap: view.snap, base: brokenBase{view.base}}
-	if st, err := broken.Do(context.Background(), RangeRequest(geom.Box(geom.Vec{}, geom.Vec{X: 64, Y: 8, Z: 1})), nil); err == nil {
+	q := geom.Box(geom.Vec{}, geom.Vec{X: 64, Y: 8, Z: 1})
+	st, err := broken.Do(context.Background(), RangeRequest(q), func(Hit) {
+		t.Error("hit emitted despite a failing base")
+	})
+	if err == nil {
 		t.Fatalf("Do on a broken base returned %+v without error", st)
 	}
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatalf("legacy Query swallowed an execution error into empty stats")
-		}
-		if msg := fmt.Sprint(r); !strings.Contains(msg, "checksum") {
-			t.Fatalf("panic %q does not carry the execution error", msg)
-		}
-	}()
-	broken.Query(geom.Box(geom.Vec{}, geom.Vec{X: 64, Y: 8, Z: 1}), nil)
+	if !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("error %q does not carry the execution error", err)
+	}
 }

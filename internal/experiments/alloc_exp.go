@@ -115,11 +115,14 @@ func e12Requests(cfg E12Config, rng interface{ Float64() float64 }) map[engine.K
 
 // measureCell runs the request set Ops times through ix.Do and reports the
 // cell's allocation and timing profile. The set is executed once unmeasured
-// first, so pools are warm and lazily derived structures exist.
+// first, so pools are warm and lazily derived structures exist. The forced GC
+// precedes that warm-up: a collection between it and the measured loop drains
+// every sync.Pool the warm-up filled and charges the refill to the hot path.
 func measureCell(ix engine.SpatialIndex, reqs []engine.Request, ops int) (E12Row, error) {
 	ctx := context.Background()
 	sink := func(engine.Hit) {}
 	var results int64
+	runtime.GC()
 	for _, r := range reqs {
 		st, err := ix.Do(ctx, r, sink)
 		if err != nil {
@@ -128,7 +131,6 @@ func measureCell(ix engine.SpatialIndex, reqs []engine.Request, ops int) (E12Row
 		results += st.Results
 	}
 	var m0, m1 runtime.MemStats
-	runtime.GC()
 	runtime.ReadMemStats(&m0)
 	t0 := time.Now()
 	for i := 0; i < ops; i++ {

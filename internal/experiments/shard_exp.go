@@ -162,7 +162,7 @@ func RunE8(cfg E8Config) (*E8Result, error) {
 
 	// Routing: the model's planner already carries the sharded contender as
 	// its fourth index; plan the same batch and report the decision.
-	res.Routing = m.Engine.Plan(queries)
+	res.Routing = m.Engine.PlanKind(engine.Range, reqs)
 	if sh, ok := m.Engine.Index("sharded").(*engine.Sharded); ok {
 		res.RoutingShards = sh.NumShards()
 	}

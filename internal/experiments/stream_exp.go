@@ -103,10 +103,11 @@ func hilbertItems(cfg E11Config) []rtree.Item {
 }
 
 // allocDuring reports the heap bytes allocated while fn runs (single-threaded
-// measurement; the experiment harness runs serially).
+// measurement; the experiment harness runs serially). It forces no GC: a
+// collection here would drain the sync.Pools the caller's warm-up filled and
+// charge their refill to fn.
 func allocDuring(fn func()) uint64 {
 	var m0, m1 runtime.MemStats
-	runtime.GC()
 	runtime.ReadMemStats(&m0)
 	fn()
 	runtime.ReadMemStats(&m1)
@@ -165,7 +166,9 @@ func e11Contender(ix engine.SpatialIndex, query engine.Request, cfg E11Config) (
 
 	limited := query
 	limited.Limit = cfg.Limit
-	// Warm-up: derive the lazy zone maps outside the measured runs.
+	// Warm-up: derive the lazy zone maps and fill the scratch pools outside
+	// the measured runs. The forced GC comes first so it cannot empty them.
+	runtime.GC()
 	if _, err := sess.Do(context.Background(), limited); err != nil {
 		return E11Row{}, err
 	}

@@ -46,13 +46,21 @@ type PageGeometry interface {
 // geometry for prediction, the page store to cache, and a query path that
 // reads through a buffer pool (so demand reads, hits and prefetch hits are
 // accounted). flat.Index satisfies it directly; the engine layer's indexes
-// (FLAT, R-tree, grid) all satisfy it too, which is what lets the
+// (FLAT, R-tree, grid, sharded) all satisfy it too, which is what lets the
 // buffer-pool + prefetch/SCOUT stack sit beneath any index.
 type Served interface {
 	PageGeometry
 	// Store returns the page store the simulator wraps in a pool.
 	Store() *pager.Store
-	// PagedQuery executes one range query reading pages through pool.
+	// PagedQuery executes one range query reading pages through pool,
+	// visiting IDs in the index's native traversal order. The order is part
+	// of the contract, which is why this is not engine.SpatialIndex.Do with
+	// the pool attached: content-aware prefetchers consume the result as
+	// emitted (scout.reconstruct builds structures in that order and
+	// Scout.Predict's stable sort breaks score ties by it — on a walk's
+	// first step every exit scores 0, so order alone picks the prefetched
+	// pages), and Do's canonical ascending-ID order would change which
+	// pages are prefetched and so every simulated stall.
 	PagedQuery(q geom.AABB, pool *pager.BufferPool, visit func(id int32))
 }
 
