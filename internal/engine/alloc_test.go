@@ -99,3 +99,43 @@ func TestDoHotPathAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestViewKNNAllocsUnderChurn pins the kNN cell of a snapshot view with a live
+// overlay: base and delta candidates meet in one pooled accumulator, so the
+// request's allocations do not grow with the overlay — what is left is the
+// closure that filters the base's hits and the tombstone counter it captures.
+func TestViewKNNAllocsUnderChurn(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates; alloc gate runs in uninstrumented builds")
+	}
+	items := testItems(t, 24, 4242)
+	vol := geom.Box(geom.V(0, 0, 0), geom.V(200, 200, 200))
+	ds, err := engine.NewDataset(items, engine.DatasetOptions{Contenders: []string{"flat"}, DisableAutoCompact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := ds.Begin()
+	for i := 0; i < 1000; i++ {
+		tx.Update(items[i*3].ID, items[i*3].Box)
+	}
+	snap, err := tx.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, req := snap.Index("flat"), engine.KNNRequest(vol.Center(), 8)
+	run := func() {
+		st, err := view.Do(context.Background(), req, func(engine.Hit) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.DeltaEntries == 0 || st.Tombstones == 0 {
+			t.Fatalf("degenerate cell: the overlay did no work (%+v)", st)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		run() // stock the pools
+	}
+	if got := testing.AllocsPerRun(50, run); got > 2 {
+		t.Errorf("view kNN over a 1000-entry overlay: %.1f allocs/op, budget 2", got)
+	}
+}

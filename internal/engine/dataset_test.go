@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -21,6 +22,7 @@ import (
 	"neurospatial/internal/flat"
 	"neurospatial/internal/geom"
 	"neurospatial/internal/pager"
+	"neurospatial/internal/race"
 	"neurospatial/internal/rtree"
 )
 
@@ -321,7 +323,112 @@ func TestDatasetDifferential(t *testing.T) {
 		if st.Commits != 5 || st.Compactions != 2 {
 			t.Fatalf("%s: stats %+v, want 5 commits / 2 compactions", cell.name, st)
 		}
+		overlayScript(t, cell.name, ds, o, rng, vol, cell.opts)
 	}
+}
+
+// overlayScript drives the chunked overlay through the cases a 12-op random
+// step rarely reaches, re-running the full differential (oracle and
+// from-scratch build, all four kinds) after each: an overlay of several
+// chunks, one ID touched repeatedly inside one Tx, deletes and updates of
+// delta entries, updates of base items (whose small IDs land mid-sequence), a
+// rejected batch, and updates that scatter ID-adjacent entries across the
+// volume so a chunk's ID order says nothing about where its boxes are.
+func overlayScript(t *testing.T, name string, ds *engine.Dataset, o *versionedOracle,
+	rng *rand.Rand, vol geom.AABB, opts engine.DatasetOptions) {
+	t.Helper()
+	nBase := o.ids[len(o.ids)-1] + 1 // every later insert gets an ID at or above this
+	mutateStep(t, rng, ds, o, 300, vol)
+	verifyEpoch(t, name, ds, o, vol, opts)
+
+	var deltaIDs, baseIDs []int32
+	for _, id := range o.ids {
+		if id >= nBase {
+			deltaIDs = append(deltaIDs, id)
+		} else {
+			baseIDs = append(baseIDs, id)
+		}
+	}
+	if len(deltaIDs) < 70 || len(baseIDs) < 10 {
+		t.Fatalf("%s: script setup degenerate: %d delta / %d base items", name, len(deltaIDs), len(baseIDs))
+	}
+	dDel, dUpd := deltaIDs[len(deltaIDs)/2], deltaIDs[len(deltaIDs)/3]
+	bUpd, bGone := baseIDs[1], baseIDs[len(baseIDs)/2]
+
+	tx := ds.Begin()
+	gone := tx.Insert(randBox(rng, vol)) // insert → update → delete: leaves no trace
+	tx.Update(gone, randBox(rng, vol))
+	tx.Delete(gone)
+	kept, keptBox := tx.Insert(randBox(rng, vol)), randBox(rng, vol)
+	tx.Update(kept, keptBox)
+	tx.Delete(dDel)
+	dUpdBox := randBox(rng, vol)
+	tx.Update(dUpd, dUpdBox)
+	tx.Update(bUpd, randBox(rng, vol)) // twice in one Tx: the last box wins
+	bUpdBox := randBox(rng, vol)
+	tx.Update(bUpd, bUpdBox)
+	tx.Update(bGone, randBox(rng, vol))
+	tx.Delete(bGone)
+	snap, err := tx.Commit()
+	if err != nil {
+		t.Fatalf("%s: scripted commit: %v", name, err)
+	}
+	o.insert(kept, keptBox)
+	o.remove(dDel)
+	o.remove(bGone)
+	for id, box := range map[int32]geom.AABB{dUpd: dUpdBox, bUpd: bUpdBox} {
+		o.remove(id)
+		o.insert(id, box)
+	}
+	if snap.NumItems() != len(o.ids) {
+		t.Fatalf("%s: scripted commit left %d items, oracle %d", name, snap.NumItems(), len(o.ids))
+	}
+	if _, ok := snap.ItemBox(gone); ok {
+		t.Fatalf("%s: item inserted and deleted in one Tx is live", name)
+	}
+	for id, want := range map[int32]geom.AABB{kept: keptBox, dUpd: dUpdBox, bUpd: bUpdBox} {
+		if got, ok := snap.ItemBox(id); !ok || got != want {
+			t.Fatalf("%s: ItemBox(%d) = %v, %v; want %v", name, id, got, ok, want)
+		}
+	}
+	verifyEpoch(t, name, ds, o, vol, opts)
+
+	// An invalid op after valid ones of every sort: all or nothing.
+	before, stBefore := ds.Current(), ds.Stats()
+	tx = ds.Begin()
+	tx.Insert(randBox(rng, vol))
+	tx.Delete(dUpd)
+	tx.Update(kept, randBox(rng, vol))
+	tx.Update(baseIDs[2], randBox(rng, vol))
+	tx.Delete(bGone) // already gone
+	if _, err := tx.Commit(); err == nil {
+		t.Fatalf("%s: batch ending in a delete of a dead item committed", name)
+	}
+	if ds.Current() != before || ds.Stats() != stBefore {
+		t.Fatalf("%s: rejected batch changed the dataset: %+v -> %+v", name, stBefore, ds.Stats())
+	}
+	verifyEpoch(t, name, ds, o, vol, opts)
+
+	// Scatter: every third live item, base and delta alike, moves somewhere
+	// unrelated to its neighbours in ID order.
+	tx = ds.Begin()
+	moved := map[int32]geom.AABB{}
+	for i, id := range o.ids {
+		if i%3 == 0 {
+			moved[id] = randBox(rng, vol)
+			tx.Update(id, moved[id])
+		}
+	}
+	if _, err := tx.Commit(); err != nil {
+		t.Fatalf("%s: scatter commit: %v", name, err)
+	}
+	for id, box := range moved {
+		o.boxes[id] = box
+	}
+	verifyEpoch(t, name, ds, o, vol, opts)
+
+	mutateStep(t, rng, ds, o, 300, vol) // rewrite the scattered chunks once more
+	verifyEpoch(t, name, ds, o, vol, opts)
 }
 
 // TestDatasetSnapshotIsolation pins a session at one epoch and proves later
@@ -853,4 +960,269 @@ func TestDatasetCrossPlannerProbeRace(t *testing.T) {
 		}(sess)
 	}
 	wg.Wait()
+}
+
+// growNeuron buffers one neuron-shaped batch: n boxes along a jittered path
+// from a random soma in a random direction — consecutive inserts are spatial
+// neighbours, as when a scientist adds a morphology — and returns the path.
+func growNeuron(rng *rand.Rand, tx *engine.Tx, vol geom.AABB, n int) []geom.Vec {
+	jitter := func() geom.Vec { return geom.V(rng.Float64()*2-1, rng.Float64()*2-1, rng.Float64()*2-1) }
+	size := vol.Size()
+	p := geom.V(vol.Min.X+rng.Float64()*size.X, vol.Min.Y+rng.Float64()*size.Y, vol.Min.Z+rng.Float64()*size.Z)
+	dir := jitter()
+	path := make([]geom.Vec, n)
+	for i := range path {
+		p = p.Add(dir).Add(jitter().Scale(0.5))
+		path[i] = p
+		tx.Insert(geom.BoxAround(p, 0.5))
+	}
+	return path
+}
+
+// TestDatasetPinnedEpochUnderChunkRewrites pins a session on an epoch with a
+// multi-chunk overlay and replays its answers while a writer commits batches
+// that delete and update that epoch's delta entries — rewriting, splitting and
+// dropping chunks the pinned epoch still shares with its successors. Every
+// replay must be bit for bit the first answer; under -race a commit that wrote
+// into a shared chunk, bitset word or layout page is a reported data race.
+func TestDatasetPinnedEpochUnderChunkRewrites(t *testing.T) {
+	items := testItems(t, 8, 7011)
+	vol := geom.Box(geom.V(0, 0, 0), geom.V(200, 200, 200))
+	ds, err := engine.NewDataset(items, engine.DatasetOptions{
+		Contenders: []string{"flat", "rtree"}, Flat: flat.Options{PageSize: 16}, DisableAutoCompact: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := newVersionedOracle(items)
+	rng := rand.New(rand.NewSource(7011))
+	for i := 0; i < 4; i++ {
+		mutateStep(t, rng, ds, o, 150, vol)
+	}
+	pinned, err := engine.Open(engine.WithDataset(ds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pinned.Close()
+	live := o.live()
+	reqs := mixedRequests(live, vol)
+	first, err := pinned.DoBatch(context.Background(), reqs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range reqs {
+		if want := oracleHits(live, r); !hitsEqual(first[i].Hits, want) {
+			t.Fatalf("pinned epoch request %d (%s) wrong before any later commit", i, r)
+		}
+	}
+
+	done := make(chan error, 1)
+	go func() { // the writer owns o and rng from here on
+		for i := 0; i < 12; i++ {
+			if _, err := mutateStepE(rng, ds, o, 150, vol); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for running := true; running; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false // one more replay, after the last commit
+		default:
+		}
+		again, err := pinned.DoBatch(context.Background(), reqs, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range again {
+			if !hitsEqual(again[i].Hits, first[i].Hits) || again[i].Stats.DeltaEntries != first[i].Stats.DeltaEntries {
+				t.Fatalf("request %d (%s): the session pinned at epoch %d changed its answer while epoch %d was current",
+					i, reqs[i], pinned.Snapshot().Epoch(), ds.Current().Epoch())
+			}
+		}
+	}
+	if ds.Current().Epoch()-pinned.Snapshot().Epoch() != 12 {
+		t.Fatalf("pinned %d epochs back, want 12", ds.Current().Epoch()-pinned.Snapshot().Epoch())
+	}
+}
+
+// TestDatasetOverlayWorkBounds states the overlay's two cost bounds as counts:
+// a request tests the delta entries near its answer, not the overlay
+// (QueryStats.DeltaEntries), and a commit allocates for its batch, not for the
+// overlay it lands on.
+func TestDatasetOverlayWorkBounds(t *testing.T) {
+	vol := geom.Box(geom.V(0, 0, 0), geom.V(200, 200, 200))
+	rng := rand.New(rand.NewSource(7012))
+	items := make([]rtree.Item, 20000)
+	for i := range items {
+		items[i] = rtree.Item{ID: int32(i), Box: randBox(rng, vol)}
+	}
+	ds, err := engine.NewDataset(items, engine.DatasetOptions{Contenders: []string{"flat"}, DisableAutoCompact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// regrow is one fixed-size batch: 300 base items deleted (consecutive IDs,
+	// as one neuron's are), 300 inserted along a walk.
+	nextDead := int32(0)
+	regrow := func() (path []geom.Vec, allocated uint64) {
+		tx := ds.Begin()
+		for i := 0; i < 300; i++ {
+			tx.Delete(nextDead)
+			nextDead++
+		}
+		path = growNeuron(rng, tx, vol, 300)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		_, err := tx.Commit()
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return path, m1.TotalAlloc - m0.TotalAlloc
+	}
+
+	var path []geom.Vec
+	var at1k, at8k uint64
+	for commit := 1; commit <= 28; commit++ {
+		p, allocated := regrow()
+		switch commit {
+		case 4: // lands on an overlay of 900 entries and as many tombstones
+			at1k = allocated
+		case 16:
+			path = p
+		case 28: // lands on 8100
+			at8k = allocated
+		}
+		if commit != 16 {
+			continue
+		}
+		snap := ds.Current()
+		if snap.DeltaEntries() != 16*300 {
+			t.Fatalf("overlay holds %d entries after 16 commits, want %d", snap.DeltaEntries(), 16*300)
+		}
+		sess, err := engine.Open(engine.WithDataset(ds))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		c := path[150]
+		for _, req := range []engine.Request{
+			engine.RangeRequest(geom.BoxAround(c, 4)),
+			engine.PointRequest(c),
+			engine.WithinDistanceRequest(c, 4),
+			engine.KNNRequest(c, 8),
+			engine.RangeRequest(vol.Expand(1000)),
+		} {
+			res, err := sess.Do(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Hits) == 0 {
+				t.Fatalf("%s: no hits on the walk it is centred on", req)
+			}
+			tested, all := res.Stats.DeltaEntries, int64(snap.DeltaEntries())
+			switch {
+			case req.Kind == engine.Range && req.Box == vol.Expand(1000):
+				if tested != all {
+					t.Errorf("whole-volume range tested %d delta entries, want all %d", tested, all)
+				}
+			case req.Kind == engine.KNN:
+				if tested >= all {
+					t.Errorf("%s tested %d delta entries of %d — no pruning by the k-th distance", req, tested, all)
+				}
+			case tested > all/8:
+				t.Errorf("%s tested %d delta entries, more than an eighth of %d", req, tested, all)
+			}
+		}
+	}
+	if race.Enabled {
+		return // instrumented allocations are not the commit's
+	}
+	lo, hi := min(at1k, at8k), max(at1k, at8k)
+	if float64(hi) > 1.5*float64(lo) {
+		t.Errorf("a 600-op commit allocated %d B on an overlay of 900 and %d B on one of 8100 — more than 1.5x apart", at1k, at8k)
+	}
+}
+
+// TestDatasetPlanHistoryInheritedAcrossCommits: epochs that share a base share
+// their routing cost inputs, so a commit hands the parent planner's history to
+// the child — the child's first request of a kind misses the plan cache (it is
+// epoch-keyed) but plans from history without probing — and a compaction,
+// which builds new bases, starts history and probing over.
+func TestDatasetPlanHistoryInheritedAcrossCommits(t *testing.T) {
+	items := testItems(t, 8, 7013)
+	vol := geom.Box(geom.V(0, 0, 0), geom.V(200, 200, 200))
+	ds, err := engine.NewDataset(items, engine.DatasetOptions{
+		Contenders: []string{"flat", "rtree", "grid", "sharded"}, DisableAutoCompact: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := vol.Center()
+	reqs := []engine.Request{
+		engine.RangeRequest(geom.BoxAround(c, 20)), engine.KNNRequest(c, 8),
+		engine.PointRequest(c), engine.WithinDistanceRequest(c, 15),
+	}
+	// serve issues every kind on the current epoch and returns its planner.
+	serve := func(wantProbes bool) *engine.Planner {
+		t.Helper()
+		sess, err := engine.Open(engine.WithDataset(ds))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		epoch := sess.Snapshot().Epoch()
+		for _, r := range reqs {
+			// What a fresh PlanKind over the history the epoch starts this
+			// kind with would choose (an empty sample plans without probing).
+			_, profiled := sess.Planner().PlanKind(r.Kind, nil).CostPerQuery["flat"]
+			want := sess.Planner().PlanKind(r.Kind, nil).Index.Name()
+			res, err := sess.Do(context.Background(), r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.PlanCacheMisses != 1 {
+				t.Fatalf("epoch %d %s: first request of its kind was not a plan-cache miss", epoch, r.Kind)
+			}
+			if profiled == wantProbes {
+				t.Fatalf("epoch %d %s: history present = %v, want %v", epoch, r.Kind, profiled, !wantProbes)
+			}
+			if !wantProbes && res.Index != want {
+				t.Fatalf("epoch %d %s: routed to %s, a fresh PlanKind over the inherited history picks %s",
+					epoch, r.Kind, res.Index, want)
+			}
+		}
+		if probed := sess.Planner().ProbesRun() > 0; probed != wantProbes {
+			t.Fatalf("epoch %d: ProbesRun = %d, want probing = %v", epoch, sess.Planner().ProbesRun(), wantProbes)
+		}
+		return sess.Planner()
+	}
+	commit := func() {
+		t.Helper()
+		tx := ds.Begin()
+		growNeuron(rand.New(rand.NewSource(int64(ds.Current().Epoch()))), tx, vol, 40)
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	first := serve(true) // epoch 0: nothing to inherit
+	for i := 0; i < 5; i++ {
+		commit()
+		if p := serve(false); p == first || p.ProbesRun() != 0 {
+			t.Fatalf("epoch %d: planner shared with an earlier epoch or probed (%d)", ds.Current().Epoch(), p.ProbesRun())
+		}
+	}
+	if first.ProbesRun() != int64(len(reqs)*4) {
+		t.Fatalf("epoch 0 ran %d probes, want one per kind and contender (%d)", first.ProbesRun(), len(reqs)*4)
+	}
+	if _, err := ds.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	serve(true) // new bases: new history
 }

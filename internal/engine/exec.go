@@ -236,17 +236,3 @@ func (a *knnAcc) Hits() []Hit {
 	slices.SortFunc(a.h, cmpHit)
 	return a.h
 }
-
-// selectKNN is the one-shot form of the accumulator: the canonical top-k of
-// an already-gathered candidate set. The returned slice is freshly owned by
-// the caller (the accumulator behind it is pooled).
-func selectKNN(cands []Hit, k int) []Hit {
-	acc := getKNNAcc(k)
-	defer putKNNAcc(acc)
-	for _, c := range cands {
-		acc.Offer(c)
-	}
-	out := make([]Hit, len(acc.Hits()))
-	copy(out, acc.h)
-	return out
-}

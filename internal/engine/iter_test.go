@@ -270,6 +270,32 @@ func TestSnapshotPagination(t *testing.T) {
 							res.Stats.PagesRead, full.Stats.PagesRead)
 					}
 				}
+
+				// A resume position anywhere in the delta's ID sequence — the
+				// inserts hold the IDs from len(items) up, eight to a chunk, so
+				// consecutive positions fall on chunk boundaries and inside
+				// chunks alike, on live entries and between them — continues
+				// with exactly the hits that follow it.
+				if req.Kind == engine.KNN {
+					return
+				}
+				for id := int32(len(items)) - 2; id < int32(len(items))+20; id++ {
+					var want []engine.Hit
+					for _, h := range full.Hits {
+						if h.ID > id {
+							want = append(want, h)
+						}
+					}
+					r := req
+					r.Cursor = engine.NextCursor(req.Kind, engine.Hit{ID: id})
+					res, err := sess.Do(context.Background(), r)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !hitsEqual(res.Hits, want) {
+						t.Fatalf("resume after ID %d: %d hits, want the %d that follow it", id, len(res.Hits), len(want))
+					}
+				}
 			})
 		}
 	}
@@ -357,6 +383,63 @@ func TestSnapshotKNNHighChurn(t *testing.T) {
 		if res.Stats.EntriesTested >= int64(tombs) {
 			t.Fatalf("k=%d: EntriesTested = %d with %d tombstones — over-fetch still scales with churn",
 				k, res.Stats.EntriesTested, tombs)
+		}
+	}
+
+	// Ties between the base and the delta: copies of the r-th neighbour's box
+	// tie its Dist2 exactly (r is the first neighbour outside the cluster that
+	// contains the center, so the distance is positive and its own). One copy
+	// arrives as an update of a far, live base item with a smaller ID (a delta
+	// entry that must win the tie and push the old r-th out of a k=r answer),
+	// one as an insert with a fresh, larger ID (a delta entry that must lose
+	// it). The delta scan prunes by the k-th candidate's distance, so a tie
+	// dropped there would show here.
+	res, err := sess.Do(context.Background(), engine.KNNRequest(center, 400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rank, small := 0, int32(-1)
+	for i, h := range res.Hits {
+		if h.Dist2 == 0 || h.Dist2 == res.Hits[i-1].Dist2 {
+			continue
+		}
+		for id := int32(0); id < h.ID && small < 0; id++ {
+			if b, ok := snap.ItemBox(id); ok && b.Dist2Point(center) > 400 {
+				small = id
+			}
+		}
+		if small >= 0 {
+			rank = i + 1
+			break
+		}
+	}
+	if rank == 0 {
+		t.Fatal("no neighbour at a positive distance with a far live item below its ID")
+	}
+	nth := res.Hits[rank-1]
+	tieBox, _ := snap.ItemBox(nth.ID)
+	tx = ds.Begin()
+	tx.Update(small, tieBox)
+	large := tx.Insert(tieBox)
+	if _, err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	tied, err := engine.Open(engine.WithDataset(ds), engine.WithIndexName("flat"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tied.Close()
+	for _, c := range []struct {
+		k    int
+		last int32
+	}{{rank, small}, {rank + 1, nth.ID}, {rank + 2, large}} {
+		res, err := tied.Do(context.Background(), engine.KNNRequest(center, c.k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := res.Hits[len(res.Hits)-1]
+		if len(res.Hits) != c.k || got.ID != c.last || got.Dist2 != nth.Dist2 {
+			t.Fatalf("k=%d: last hit %+v of %d, want ID %d at the tied distance %v", c.k, got, len(res.Hits), c.last, nth.Dist2)
 		}
 	}
 }

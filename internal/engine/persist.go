@@ -320,18 +320,22 @@ func thawSharded(rec *durable.IndexRec, items []rtree.Item, opts ShardedOptions)
 
 // freezeSnapshot captures a compacted snapshot as a durable record.
 func (d *Dataset) freezeSnapshot(snap *Snapshot) (*durable.SnapshotRec, error) {
-	if len(snap.delta) != 0 || len(snap.tombs) != 0 {
+	if snap.nDelta != 0 || snap.nTombs != 0 {
 		return nil, fmt.Errorf("engine: freeze of uncompacted snapshot (epoch %d)", snap.epoch)
 	}
 	blob, err := encodeOptions(d.opts)
 	if err != nil {
 		return nil, err
 	}
+	items := make([]rtree.Item, len(snap.baseIDs))
+	for l, id := range snap.baseIDs {
+		items[l] = rtree.Item{Box: snap.baseBox(int32(l)), ID: id}
+	}
 	rec := &durable.SnapshotRec{
 		Epoch:   uint64(snap.epoch),
 		NextID:  d.nextID.Load(),
 		Options: blob,
-		Items:   snap.baseItems,
+		Items:   items,
 	}
 	if snap.bases != nil {
 		rec.Indexes = make([]durable.IndexRec, len(d.opts.Contenders))
@@ -390,9 +394,7 @@ func thawDataset(rec *durable.SnapshotRec) (*Dataset, error) {
 			}
 		}
 	}
-	layout := d.buildLayout(rec.Items)
-	d.cur = newSnapshot(int(rec.Epoch), d.opts, rec.Items, bases, nil, nil,
-		layout, layout.NumPages(), pager.CowStats{})
+	d.cur = newSnapshot(int(rec.Epoch), d.opts, rec.Items, bases, d.buildLayout(rec.Items))
 	return d, nil
 }
 

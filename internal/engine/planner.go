@@ -167,6 +167,19 @@ func (p *Planner) SetEpoch(epoch int64) {
 	p.mu.Unlock()
 }
 
+// inheritCosts seeds p's cost history with a copy of from's. Dataset commits
+// call it on the child epoch's planner before publishing it: epochs that
+// share a base have the same cost inputs (QueryStats.Cost counts base work
+// only), so the child plans from the parent's history instead of re-probing.
+func (p *Planner) inheritCosts(from *Planner) {
+	from.mu.Lock()
+	defer from.mu.Unlock()
+	for key, acc := range from.learned {
+		cp := *acc
+		p.learned[key] = &cp
+	}
+}
+
 // PlanKindCached is PlanKind behind the per-epoch plan cache: a repeat of an
 // already-planned (epoch, kind, shape bucket) returns the cached decision
 // without consulting cost history or probing; a miss delegates to PlanKind

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -19,24 +20,27 @@ import (
 //	       the Dataset is configured with), built once over the base item set
 //	       and shared read-only by every epoch until a compaction rebuilds
 //	       them;
-//	delta  a small memtable-style overlay of items inserted or updated since
-//	       that build, sorted by ID and scanned brute-force (it is bounded by
-//	       the compaction trigger);
-//	tombs  the IDs of base items deleted or updated since the build — base
-//	       hits matching a tombstone are filtered out at query time.
+//	delta  the items inserted or updated since that build: an ID-ordered
+//	       sequence of small immutable chunks, each carrying its MBR, shared
+//	       between epochs except where a commit touched them (delta.go). A
+//	       request tests only the entries of chunks its predicate admits;
+//	tombs  a bitset over base-local IDs marking the base items deleted or
+//	       updated since the build — base hits whose bit is set are filtered
+//	       out at query time.
 //
 // Queries run through the snapshot's per-contender views (Index/Indexes):
 // each view implements SpatialIndex.Do by executing the request on its base
-// index, translating base-local IDs to the dataset's stable global IDs,
-// dropping tombstoned hits, merging in the delta overlay's hits, and emitting
+// index, dropping tombstoned hits, translating base-local IDs to the dataset's
+// stable global IDs, merging in the delta overlay's hits, and emitting
 // the union in the canonical per-kind order — hit for hit identical to a
 // from-scratch build of the epoch's live item set. QueryStats gain
 // DeltaEntries and Tombstones, the two maintenance counters of the overlay.
 //
-// A Snapshot also carries its own Planner over the views, so routing cost
-// history is per snapshot: an epoch with a heavy delta has genuinely
-// different per-kind costs than a freshly compacted one, and the planner's
-// inputs reflect exactly the epoch a session is pinned to.
+// A Snapshot also carries its own Planner over the views. Its plan cache is
+// the epoch's own, but its per-kind cost history is inherited from the parent
+// epoch when both share a base: QueryStats.Cost() counts base pages and index
+// reads only, which the overlay does not change, so only a compaction (new
+// bases) starts the history — and the calibration probes — over.
 //
 // Snapshots are immutable and safe for concurrent readers. Pinning
 // (Session.Open / Dataset.Acquire) and Release are refcounting for
@@ -47,30 +51,31 @@ type Snapshot struct {
 	epoch int
 	opts  DatasetOptions
 
-	// baseItems is the base build's item set in ascending global-ID order;
-	// base index local ID l corresponds to baseItems[l]. Shared read-only
+	// baseIDs are the base build's global item IDs, ascending: base index
+	// local ID l is the item baseIDs[l], and baseBox(l) is its box — read
+	// from a base contender that keeps the boxes in RAM anyway, so a
+	// generation holds them once less (see baseBoxes). Shared read-only
 	// across epochs until compaction.
-	baseItems []rtree.Item
-	// bases are the contender indexes over baseItems relabeled to dense
+	baseIDs []int32
+	baseBox func(l int32) geom.AABB
+	// bases are the contender indexes over the base items relabeled to dense
 	// local IDs, aligned with opts.Contenders (nil when the base is empty).
 	bases []SpatialIndex
-	// delta holds items inserted or updated since the base build, ascending
-	// global ID.
-	delta []rtree.Item
-	// tombs marks base item IDs dead in this epoch.
-	tombs map[int32]struct{}
-	// baseTombs counts the tombstones that actually name base items — the
-	// only ones that can surface as dead base hits, and therefore the only
-	// slack a kNN base over-fetch can ever need. (Commit only tombstones
-	// live base items today, so this equals len(tombs); counting it per
-	// snapshot keeps the over-fetch bound correct if that ever changes.)
-	baseTombs int
+	// chunks is the delta overlay (see delta.go); nDelta its entry count.
+	chunks []*deltaChunk
+	nDelta int
+	// tombs marks base-local IDs dead in this epoch (nil until the first
+	// tombstone); nTombs counts the set bits. A tombstone can only name a
+	// base item, so nTombs is also the only slack a kNN base over-fetch can
+	// ever need.
+	tombs  []uint64
+	nTombs int
 
 	live   int
 	bounds geom.AABB
 
 	// layout is the epoch's item-page layout (global IDs in base order, dead
-	// entries patched out copy-on-write, delta items on appended pages) —
+	// entries patched out copy-on-write, then one page per delta chunk) —
 	// what a disk-backed implementation would persist. nBasePages is the
 	// fixed base prefix; cow accounts how much of the previous epoch's
 	// layout this one reused.
@@ -84,41 +89,51 @@ type Snapshot struct {
 	pins atomic.Int32
 }
 
-// newSnapshot wires views and the per-snapshot planner. baseItems and delta
-// must be in ascending global-ID order.
+// newSnapshot returns the epoch a fresh base build publishes: baseItems (in
+// ascending global-ID order) laid out on layout, with an empty overlay.
 func newSnapshot(epoch int, opts DatasetOptions, baseItems []rtree.Item,
-	bases []SpatialIndex, delta []rtree.Item, tombs map[int32]struct{},
-	layout *pager.Store, nBasePages int, cow pager.CowStats) *Snapshot {
+	bases []SpatialIndex, layout *pager.Store) *Snapshot {
 
-	if tombs == nil {
-		tombs = map[int32]struct{}{}
-	}
 	sn := &Snapshot{
-		epoch: epoch, opts: opts,
-		baseItems: baseItems, bases: bases, delta: delta, tombs: tombs,
-		live:   len(baseItems) - len(tombs) + len(delta),
-		layout: layout, nBasePages: nBasePages, cow: cow,
+		epoch: epoch, opts: opts, bases: bases,
+		baseIDs: make([]int32, len(baseItems)), baseBox: baseBoxes(bases, baseItems),
+		live: len(baseItems), bounds: geom.EmptyAABB(),
+		layout: layout, nBasePages: layout.NumPages(),
 	}
-	for id := range tombs {
-		if _, ok := sn.baseLocal(id); ok {
-			sn.baseTombs++
-		}
+	for l, it := range baseItems {
+		sn.baseIDs[l] = it.ID
 	}
-	// Bounds: union of the base build's bounds and the delta boxes. Deletes
-	// do not shrink it (exact re-aggregation would cost O(n) per commit);
-	// compaction restores the tight bounds.
-	sn.bounds = geom.EmptyAABB()
 	if len(bases) > 0 {
 		sn.bounds = bases[0].Bounds()
 	}
-	for _, it := range delta {
-		sn.bounds = sn.bounds.Union(it.Box)
+	sn.wire()
+	return sn
+}
+
+// baseBoxes returns the box accessor of a base build by local ID: the RAM
+// geometry of the first contender that exposes one, else the item slice
+// itself (which the accessor then keeps alive).
+func baseBoxes(bases []SpatialIndex, items []rtree.Item) func(int32) geom.AABB {
+	for _, b := range bases {
+		switch ix := b.(type) {
+		case *Flat:
+			return ix.boxOf
+		case *RTree:
+			return ix.boxOf
+		case *Grid:
+			return ix.boxOf
+		}
 	}
-	sn.views = make([]SpatialIndex, len(opts.Contenders))
-	for i, name := range opts.Contenders {
+	return func(l int32) geom.AABB { return items[l].Box }
+}
+
+// wire builds the views and the per-snapshot planner over them.
+func (sn *Snapshot) wire() {
+	sn.views = make([]SpatialIndex, len(sn.opts.Contenders))
+	for i, name := range sn.opts.Contenders {
 		var base SpatialIndex
-		if bases != nil {
-			base = bases[i]
+		if sn.bases != nil {
+			base = sn.bases[i]
 		}
 		sn.views[i] = &snapView{name: name, snap: sn, base: base}
 	}
@@ -127,8 +142,7 @@ func newSnapshot(epoch int, opts DatasetOptions, baseItems []rtree.Item,
 	// cache by the epoch makes a cached decision unable to survive a Commit
 	// or Compact (each builds a new snapshot, planner and epoch), even when
 	// the live item set is identical.
-	sn.planner.SetEpoch(int64(epoch))
-	return sn
+	sn.planner.SetEpoch(int64(sn.epoch))
 }
 
 // Epoch returns the snapshot's commit sequence number (0 for the initial
@@ -142,10 +156,10 @@ func (sn *Snapshot) NumItems() int { return sn.live }
 func (sn *Snapshot) Bounds() geom.AABB { return sn.bounds }
 
 // DeltaEntries returns the size of the delta overlay.
-func (sn *Snapshot) DeltaEntries() int { return len(sn.delta) }
+func (sn *Snapshot) DeltaEntries() int { return sn.nDelta }
 
 // TombstoneCount returns the number of tombstoned base items.
-func (sn *Snapshot) TombstoneCount() int { return len(sn.tombs) }
+func (sn *Snapshot) TombstoneCount() int { return sn.nTombs }
 
 // Indexes returns the snapshot's contender views in configuration order.
 // Every view serves the same live item set with identical canonical-order
@@ -162,9 +176,9 @@ func (sn *Snapshot) Index(name string) SpatialIndex {
 	return nil
 }
 
-// Planner returns the snapshot's own planner over its views — the
-// per-snapshot cost inputs: history observed on this epoch never leaks into
-// another epoch's routing.
+// Planner returns the snapshot's own planner over its views. Its plan cache
+// is this epoch's alone; its cost history starts as a copy of the parent
+// epoch's when the two share a base (see Snapshot).
 func (sn *Snapshot) Planner() *Planner { return sn.planner }
 
 // Store returns the epoch's item-page layout (base pages, dead entries
@@ -192,61 +206,30 @@ func (sn *Snapshot) acquire() { sn.pins.Add(1) }
 // ItemBox returns the live box of global item id, and whether the item is
 // live in this epoch.
 func (sn *Snapshot) ItemBox(id int32) (geom.AABB, bool) {
-	if i, ok := sn.deltaIndex(id); ok {
-		return sn.delta[i].Box, true
+	if ci, i := deltaSeek(sn.chunks, id); ci < len(sn.chunks) && sn.chunks[ci].ids[i] == id {
+		return sn.chunks[ci].boxes[i], true
 	}
-	if l, ok := sn.baseLocal(id); ok {
-		if _, dead := sn.tombs[id]; !dead {
-			return sn.baseItems[l].Box, true
-		}
+	if l, ok := sn.baseLocal(id); ok && !sn.dead(l) {
+		return sn.baseBox(l), true
 	}
 	return geom.AABB{}, false
 }
 
 // baseLocal locates global id in the base item set (ascending by ID).
-func (sn *Snapshot) baseLocal(id int32) (int, bool) {
-	l := sort.Search(len(sn.baseItems), func(i int) bool { return sn.baseItems[i].ID >= id })
-	if l < len(sn.baseItems) && sn.baseItems[l].ID == id {
-		return l, true
+func (sn *Snapshot) baseLocal(id int32) (int32, bool) {
+	if n := len(sn.baseIDs); n == 0 || id > sn.baseIDs[n-1] {
+		return 0, false
 	}
-	return 0, false
+	l, ok := slices.BinarySearch(sn.baseIDs, id)
+	return int32(l), ok
 }
 
-// deltaIndex locates global id in the delta overlay (ascending by ID).
-func (sn *Snapshot) deltaIndex(id int32) (int, bool) {
-	i := sort.Search(len(sn.delta), func(i int) bool { return sn.delta[i].ID >= id })
-	if i < len(sn.delta) && sn.delta[i].ID == id {
-		return i, true
-	}
-	return 0, false
-}
-
-// deltaScan brute-forces the delta overlay for one request, returning hits in
-// ascending global-ID order (KNN hits carry Dist2 and are returned unordered
-// as candidates). It accounts every overlay entry in st.DeltaEntries.
-func (sn *Snapshot) deltaScan(req Request, st *QueryStats) []Hit {
-	var out []Hit
-	r2 := req.Radius * req.Radius
-	for _, it := range sn.delta {
-		st.DeltaEntries++
-		switch req.Kind {
-		case Range:
-			if it.Box.Intersects(req.Box) {
-				out = append(out, Hit{ID: it.ID})
-			}
-		case Point:
-			if it.Box.Contains(req.Center) {
-				out = append(out, Hit{ID: it.ID})
-			}
-		case WithinDistance:
-			if d2 := it.Box.Dist2Point(req.Center); d2 <= r2 {
-				out = append(out, Hit{ID: it.ID, Dist2: d2})
-			}
-		case KNN:
-			out = append(out, Hit{ID: it.ID, Dist2: it.Box.Dist2Point(req.Center)})
-		}
-	}
-	return out
+// dead reports whether base-local ID l is tombstoned in this epoch.
+//
+//neurospatial:hotpath
+func (sn *Snapshot) dead(l int32) bool {
+	w := int(l >> 6)
+	return w < len(sn.tombs) && sn.tombs[w]&(1<<(uint(l)&63)) != 0
 }
 
 // snapView is one contender's face of a snapshot: the base index plus the
@@ -302,6 +285,9 @@ func (v *snapView) Do(ctx context.Context, req Request, visit func(Hit)) (QueryS
 	if req.paginated() {
 		return doPaginated(ctx, v, req, visit)
 	}
+	if req.Kind == KNN {
+		return v.doKNN(ctx, req, visit) // emits only once the top-k is final
+	}
 	it, err := v.iterate(ctx, req, nil)
 	if err != nil {
 		return QueryStats{}, err
@@ -327,8 +313,8 @@ func (v *snapView) Do(ctx context.Context, req Request, visit func(Hit)) (QueryS
 // iterate implements the internal streaming capability: the k-way (here
 // 2-way) base∪delta merge with the tombstone filter inline. The base
 // contender streams lazily in its local-ID order, which translation
-// preserves (baseItems ascend by global ID); the delta overlay streams
-// straight off its sorted slice. Base and delta IDs are disjoint — an
+// preserves (baseIDs ascend); the delta overlay streams off
+// the chunks its MBRs admit (deltaIter). Base and delta IDs are disjoint — an
 // updated item is tombstoned in the base and lives in the delta — so the
 // merge needs no deduplication. The resume position is translated to the
 // base's local ID space so its zone maps prune pages below the cursor.
@@ -344,9 +330,7 @@ func (v *snapView) iterate(ctx context.Context, req Request, after *Hit) (HitIte
 		var baseAfter *Hit
 		if after != nil {
 			// The largest base-local ID whose global ID is <= after.ID.
-			ub := sort.Search(len(sn.baseItems), func(j int) bool {
-				return sn.baseItems[j].ID > after.ID
-			})
+			ub := sort.Search(len(sn.baseIDs), func(j int) bool { return sn.baseIDs[j] > after.ID })
 			if ub > 0 {
 				baseAfter = &Hit{ID: int32(ub - 1)}
 			}
@@ -357,109 +341,58 @@ func (v *snapView) iterate(ctx context.Context, req Request, after *Hit) (HitIte
 		}
 		extra := &QueryStats{}
 		its = append(its, &mapFilterIter{it: bs, extra: extra, fn: func(h Hit) (Hit, bool) {
-			g := sn.baseItems[h.ID].ID
-			if _, dead := sn.tombs[g]; dead {
+			if sn.dead(h.ID) {
 				extra.Tombstones++
 				return Hit{}, false
 			}
-			h.ID = g
+			h.ID = sn.baseIDs[h.ID]
 			return h, true
 		}})
 	}
-	its = append(its, newDeltaIter(sn, req, after))
+	delta := newDeltaIter(sn.chunks, req, after)
+	its = append(its, &delta)
 	return newKWayMerge(its, QueryStats{}), nil
 }
 
-// deltaIter streams the delta overlay's hits for one request in ascending
-// global-ID order, testing entries lazily as the merge pulls them.
-// DeltaEntries counts the entries this execution tested: a full drain tests
-// the whole overlay (the eager scan's accounting); a cursor resume starts
-// past the skipped prefix without re-testing it.
-type deltaIter struct {
-	sn  *Snapshot
-	req Request
-	r2  float64
-	i   int
-	st  QueryStats
-}
-
-func newDeltaIter(sn *Snapshot, req Request, after *Hit) *deltaIter {
-	d := &deltaIter{sn: sn, req: req, r2: req.Radius * req.Radius}
-	if after != nil {
-		d.i = sort.Search(len(sn.delta), func(j int) bool { return sn.delta[j].ID > after.ID })
-	}
-	return d
-}
-
-func (d *deltaIter) Next() (Hit, bool) {
-	for d.i < len(d.sn.delta) {
-		it := d.sn.delta[d.i]
-		d.i++
-		d.st.DeltaEntries++
-		switch d.req.Kind {
-		case Range:
-			if it.Box.Intersects(d.req.Box) {
-				return Hit{ID: it.ID}, true
-			}
-		case Point:
-			if it.Box.Contains(d.req.Center) {
-				return Hit{ID: it.ID}, true
-			}
-		case WithinDistance:
-			if d2 := it.Box.Dist2Point(d.req.Center); d2 <= d.r2 {
-				return Hit{ID: it.ID, Dist2: d2}, true
-			}
-		}
-	}
-	return Hit{}, false
-}
-
-func (d *deltaIter) Err() error        { return nil }
-func (d *deltaIter) Stats() QueryStats { return d.st }
-func (d *deltaIter) Close()            {}
-
-// doKNN merges the base's live top-k with the delta candidates. The base is
-// over-fetched adaptively: dead hits can only come from tombstones naming
-// base items, so the first probe asks for k plus that count capped at k (a
-// tombstone beyond the k-th live hit cannot displace the live top-k), and
-// the probe widens geometrically in the rare case the cap was too tight —
-// the same widening idiom as the R-tree's tie resolution. The previous
-// over-fetch of k + the raw global tombstone count scanned wildly too much
-// at high churn. The stats record is the widest base probe executed.
+// doKNN merges the base's live top-k with the delta's candidates in one
+// pooled accumulator. The base is over-fetched adaptively: dead hits can only
+// come from tombstones, so the first probe asks for k plus the tombstone count
+// capped at k (a tombstone beyond the k-th live hit cannot displace the live
+// top-k), and the probe widens geometrically in the rare case the cap was too
+// tight — the same widening idiom as the R-tree's tie resolution. The delta
+// scan then prunes by the accumulator's tightening bound: a chunk farther than
+// the current k-th best cannot contribute. The stats record is the widest
+// base probe executed.
 func (v *snapView) doKNN(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
 	sn := v.snap
 	var st QueryStats
-	var cands []Hit
+	acc := getKNNAcc(req.K)
+	defer putKNNAcc(acc)
 	if v.base != nil {
 		baseSize := v.base.NumItems()
-		slack := sn.baseTombs
-		if slack > req.K {
-			slack = req.K
-		}
-		kk := req.K + slack
+		kk := req.K + min(sn.nTombs, req.K)
 		if kk > baseSize || kk < req.K { // kk < req.K: overflow on an absurd K
 			kk = baseSize
 		}
 		for {
-			cands = cands[:0]
-			st.Tombstones = 0
+			acc.h = acc.h[:0]
+			var dead int64
 			bst, err := v.base.Do(ctx, Request{Kind: KNN, Center: req.Center, K: kk}, func(h Hit) {
-				g := sn.baseItems[h.ID].ID
-				if _, dead := sn.tombs[g]; dead {
-					st.Tombstones++
+				if sn.dead(h.ID) {
+					dead++
 					return
 				}
-				cands = append(cands, Hit{ID: g, Dist2: h.Dist2})
+				acc.Offer(Hit{ID: sn.baseIDs[h.ID], Dist2: h.Dist2})
 			})
 			if err != nil {
 				return QueryStats{}, err
 			}
-			bst.Tombstones = st.Tombstones
 			st = bst
+			st.Tombstones = dead
 			// Enough live hits — the live top-k is provably contained (any
 			// live item nearer than the k-th live candidate would itself be
 			// among the kk nearest) — or the whole base was fetched.
-			if len(cands) >= req.K || kk >= baseSize {
+			if acc.Full() || kk >= baseSize {
 				break
 			}
 			kk *= 2
@@ -468,8 +401,17 @@ func (v *snapView) doKNN(ctx context.Context, req Request, visit func(Hit)) (Que
 			}
 		}
 	}
-	cands = append(cands, sn.deltaScan(req, &st)...)
-	hits := selectKNN(cands, req.K)
+	delta := newDeltaIter(sn.chunks, req, nil)
+	for {
+		delta.r2 = acc.Bound()
+		h, ok := delta.Next()
+		if !ok {
+			break
+		}
+		acc.Offer(h)
+	}
+	st.DeltaEntries = delta.st.DeltaEntries
+	hits := acc.Hits()
 	st.Results = int64(len(hits))
 	for _, h := range hits {
 		visit(h)

@@ -94,16 +94,17 @@ func (c *CowBuilder) Patch(p PageID, keep func(int32) bool) error {
 	return nil
 }
 
-// Append adds a new page holding ids (copied). The page content must fit the
-// base store's capacity.
+// Append adds ids as a new page. The slice is retained, not copied — like
+// every page of a Store it must not be modified afterwards — so a caller that
+// already holds immutable page-sized ID runs (the engine's delta chunks)
+// shares them with the layout. The page content must fit the base store's
+// capacity.
 func (c *CowBuilder) Append(ids []int32) (PageID, error) {
 	if len(ids) > c.base.Capacity() {
 		return InvalidPage, fmt.Errorf("pager: Append of %d entries exceeds page capacity %d",
 			len(ids), c.base.Capacity())
 	}
-	page := make([]int32, len(ids))
-	copy(page, ids)
-	c.pages = append(c.pages, page)
+	c.pages = append(c.pages, ids)
 	c.copied = append(c.copied, true)
 	c.stats.Appended++
 	return PageID(len(c.pages) - 1), nil
