@@ -1,6 +1,6 @@
 // Command scoutbench drives experiments E3 and E4: the SCOUT reproductions
 // of Figure 5 (candidate-set pruning) and Figure 6 (walk-through speedup per
-// prefetching method). It prints the tables recorded in EXPERIMENTS.md.
+// prefetching method).
 //
 // Usage:
 //
@@ -13,21 +13,8 @@
 //	                                   # 4-shard scatter-gather store
 //	go run ./cmd/scoutbench -all       # both
 //
-//	go run ./cmd/scoutbench -kind knn -k 8  # one-off Session demo: a handful of
-//	                                   # requests of that kind through the
-//	                                   # planner-routed engine front door
-//	go run ./cmd/scoutbench -kind range -limit 16   # paging demo: walk the
-//	                                   # kind's result in cursor pages of 16
-//	                                   # (-cursor resumes a printed token)
-//	go run ./cmd/scoutbench -churn 3   # mutable-dataset demo: 3 mutation
-//	                                   # batches, then the maintenance panel
-//	                                   # and a mixed batch from the churned
-//	                                   # snapshot
-//
-// Contradictory flag combinations (-shards with -index ≠ sharded, -k
-// without -kind knn, -radius with a kind that has no radius, -limit without
-// -kind, -cursor without -limit) are rejected with a one-line usage error
-// instead of being silently ignored.
+// Contradictory flag combinations (-shards with -index ≠ sharded) are
+// rejected with a one-line usage error instead of being silently ignored.
 //
 // The -workers flag follows the repository-wide convention (see README):
 // 0 or 1 run serially, values > 1 use that many workers, negative values
@@ -42,7 +29,6 @@ import (
 	"os"
 
 	"neurospatial/internal/experiments"
-	"neurospatial/internal/stats"
 )
 
 func main() {
@@ -54,12 +40,6 @@ func main() {
 	workers := flag.Int("workers", -1, "circuit-construction workers (0 or 1: serial; negative: one per CPU)")
 	index := flag.String("index", "", "engine contender serving the E4 walkthroughs (flat, rtree, grid, sharded)")
 	shards := flag.Int("shards", 0, "serve E4 walkthroughs from the sharded engine index with this shard count (0: unsharded FLAT)")
-	kind := flag.String("kind", "", "run a one-off Session demo of this query kind (range, knn, point, within) and exit")
-	k := flag.Int("k", 8, "with -kind knn: the neighbor count")
-	radius := flag.Float64("radius", 20, "with -kind range/within: the query radius")
-	limit := flag.Int("limit", 0, "with -kind: page the demo's result in cursor pages of this size")
-	cursor := flag.String("cursor", "", "with -kind and -limit: resume the page walk from this cursor token")
-	churn := flag.Int("churn", 0, "run the mutable-dataset demo with this many mutation batches and exit")
 	flag.Parse()
 
 	set := make(map[string]bool)
@@ -73,51 +53,6 @@ func main() {
 	}
 	if set["index"] && *index != "flat" && *index != "rtree" && *index != "grid" && *index != "sharded" {
 		usageErr("-index must be flat, rtree, grid or sharded (got %q)", *index)
-	}
-	if set["k"] && *kind != "knn" {
-		usageErr("-k applies only to -kind knn (got -kind %q)", *kind)
-	}
-	if set["radius"] && *kind != "range" && *kind != "within" {
-		usageErr("-radius applies only to -kind range or within (got -kind %q)", *kind)
-	}
-	if set["churn"] && *churn <= 0 {
-		usageErr("-churn needs a positive batch count (got %d)", *churn)
-	}
-	if set["limit"] && *kind == "" {
-		usageErr("-limit pages the -kind demo; pass -kind too")
-	}
-	if set["cursor"] && !set["limit"] {
-		usageErr("-cursor resumes a -limit page walk; pass -kind and -limit too")
-	}
-
-	if *churn > 0 {
-		tables, err := experiments.RunChurnDemo(*churn, *workers)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, tb := range tables {
-			if err := tb.Render(os.Stdout); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Println()
-		}
-		return
-	}
-	if *kind != "" {
-		var tb *stats.Table
-		var err error
-		if *limit > 0 {
-			tb, err = experiments.RunPagingDemo(*kind, *k, *radius, *limit, *cursor, *workers)
-		} else {
-			tb, err = experiments.RunSessionDemo(*kind, *k, *radius, *workers)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := tb.Render(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-		return
 	}
 
 	if *all || (!*pruning && !*sweep) {

@@ -1,7 +1,7 @@
 // Command touchbench drives experiment E5: the TOUCH reproduction of
 // Figure 7 and the §4.1 performance claims — the synapse-placement join run
 // with every method, reporting time, memory footprint and pairwise
-// comparisons. It prints the tables recorded in EXPERIMENTS.md.
+// comparisons.
 //
 // Usage:
 //
@@ -10,12 +10,9 @@
 //	go run ./cmd/touchbench -skip-nl        # skip the quadratic baseline
 //	go run ./cmd/touchbench -eps-sweep      # TOUCH vs PBSM across ε
 //	go run ./cmd/touchbench -workers -1     # add parallel PBSM/S3/TOUCH rows
-//	go run ./cmd/touchbench -churn 3        # mutable-dataset demo (3 mutation
-//	                                        # batches + maintenance panel) and
-//	                                        # exit
 //
-// Malformed flag values (-neurons <= 0, -churn <= 0) are rejected with a
-// one-line usage error instead of being silently ignored.
+// A malformed flag value (-neurons <= 0) is rejected with a one-line usage
+// error instead of being silently ignored.
 package main
 
 import (
@@ -34,7 +31,6 @@ func main() {
 	skipNL := flag.Bool("skip-nl", false, "skip the quadratic NestedLoop baseline")
 	epsSweep := flag.Bool("eps-sweep", false, "also run the ε sensitivity sweep")
 	workers := flag.Int("workers", 0, "also run parallel PBSM/S3/TOUCH with this many workers (negative: one per CPU)")
-	churn := flag.Int("churn", 0, "run the mutable-dataset demo with this many mutation batches and exit")
 	flag.Parse()
 
 	set := make(map[string]bool)
@@ -45,22 +41,6 @@ func main() {
 	}
 	if set["neurons"] && *neurons <= 0 {
 		usageErr("-neurons needs a positive model size (got %d)", *neurons)
-	}
-	if set["churn"] && *churn <= 0 {
-		usageErr("-churn needs a positive batch count (got %d)", *churn)
-	}
-	if *churn > 0 {
-		tables, err := experiments.RunChurnDemo(*churn, *workers)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, tb := range tables {
-			if err := tb.Render(os.Stdout); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Println()
-		}
-		return
 	}
 
 	cfg := experiments.DefaultE5()

@@ -29,8 +29,7 @@ func hotPathRequests(vol geom.AABB) []engine.Request {
 }
 
 // BenchmarkDoHotPath covers every (contender × kind) Do cell. Run with
-// -benchmem: allocs/op is the number the E12 harness and the benchgate
-// rolling baseline track.
+// -benchmem: allocs/op is the number TestDoHotPathAllocs puts ceilings on.
 func BenchmarkDoHotPath(b *testing.B) {
 	items := testItems(b, 24, 4242)
 	indexes := buildIndexes(b, items)

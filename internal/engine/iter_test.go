@@ -90,9 +90,9 @@ func walkCursor(t *testing.T, sess *engine.Session, req engine.Request, limit, t
 // TestPaginationReconcatenates is the seeded pagination property: for every
 // contender × kind, (a) Limit/Offset pages and (b) cursor walks re-concatenate
 // to exactly the unpaginated canonical hit sequence, and (c) a Limit-10 page
-// of a large result reads strictly fewer pages than the full scan — verified
-// both by the reported stats and by an independent pager.Counting tap on the
-// real page reads.
+// of a large result, and the page its cursor resumes, read strictly fewer
+// pages than the full scan — verified both by the reported stats and by an
+// independent pager.Counting tap on the real page reads.
 func TestPaginationReconcatenates(t *testing.T) {
 	items := streamItems(4000, 42)
 	for _, ix := range streamContenders(t, items) {
@@ -170,7 +170,8 @@ func TestPaginationReconcatenates(t *testing.T) {
 				tap := pager.NewCounting(pg.Store())
 				pg.SetSource(tap)
 				defer pg.SetSource(nil)
-				if _, err := sess.Do(context.Background(), lim); err != nil {
+				first, err := sess.Do(context.Background(), lim)
+				if err != nil {
 					t.Fatal(err)
 				}
 				limReads := tap.Reads()
@@ -178,9 +179,22 @@ func TestPaginationReconcatenates(t *testing.T) {
 				if _, err := sess.Do(context.Background(), req); err != nil {
 					t.Fatal(err)
 				}
-				if fullReads := tap.Reads(); limReads >= fullReads {
+				fullReads := tap.Reads()
+				if limReads >= fullReads {
 					t.Fatalf("counting tap: limit 10 issued %d reads, full scan %d — no early stop",
 						limReads, fullReads)
+				}
+				// The second page resumes where the first stopped: it must not
+				// pay for the scan again.
+				next := lim
+				next.Cursor = first.Cursor
+				tap.Reset()
+				if _, err := sess.Do(context.Background(), next); err != nil {
+					t.Fatal(err)
+				}
+				if resumeReads := tap.Reads(); resumeReads >= fullReads {
+					t.Fatalf("counting tap: cursor resume issued %d reads, full scan %d — resume restarted the scan",
+						resumeReads, fullReads)
 				}
 			})
 		}

@@ -1,11 +1,11 @@
 package engine
 
 // The no-reindex acceptance test: OpenDataset on a checkpointed million-item
-// dataset must serve queries without re-indexing or scanning the store. Two
-// independent witnesses, neither derived from index stats: the page file's
-// own physical-read counter must be zero through open, and a pager.Counting
-// tap spliced between the index and its on-disk segment must show a first
-// query reading only a sliver of the store.
+// dataset must serve queries without re-indexing or scanning the store. Three
+// witnesses, none derived from index stats: the page file's own physical-read
+// counter must be zero through open, a pager.Counting tap spliced between the
+// index and its on-disk segment must show a first query reading only a sliver
+// of the store, and the same query again must not move the physical counter.
 
 import (
 	"context"
@@ -101,4 +101,18 @@ func TestOpenDatasetMillionNoReindex(t *testing.T) {
 		t.Fatalf("cold query read %d of %d pages — the open path degenerated into a scan", reads, total)
 	}
 	t.Logf("n=%d: cold first query read %d of %d pages", n, reads, total)
+
+	// Witness 3: the frames the cold query faulted in stay resident — the
+	// same query again issues no physical read.
+	cold := pf.Reads()
+	warm, err := sess.Do(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pf.Reads(); got != cold {
+		t.Fatalf("warm query re-read %d pages — the frame cache did not hold", got-cold)
+	}
+	if len(warm.Hits) != len(res.Hits) {
+		t.Fatalf("warm query returned %d hits, cold %d", len(warm.Hits), len(res.Hits))
+	}
 }

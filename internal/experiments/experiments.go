@@ -1,9 +1,8 @@
 // Package experiments implements the reproduction harness: one runner per
-// table/figure of the paper, as indexed in DESIGN.md. Each runner generates
-// its workload, executes every contender, and returns typed rows plus a
-// rendered table; the cmd/ drivers print them and the repository-level
-// benchmarks wrap them in testing.B loops. EXPERIMENTS.md records the
-// paper-vs-measured outcome for every runner.
+// table/figure of the paper. Each runner generates its workload, executes
+// every contender, and returns typed rows plus a rendered table; the cmd/
+// drivers print them and the repository-level benchmarks wrap them in
+// testing.B loops.
 //
 // The experiments:
 //
@@ -94,7 +93,7 @@ type E1Config struct {
 	Workers int
 }
 
-// DefaultE1 returns the configuration used in EXPERIMENTS.md.
+// DefaultE1 returns the configuration cmd/flatbench runs.
 func DefaultE1() E1Config {
 	return E1Config{
 		Densities:   []int{16, 32, 64, 128, 256},
@@ -205,7 +204,7 @@ func RunE1(cfg E1Config) ([]E1Row, error) {
 	return rows, nil
 }
 
-// E1Table renders the rows in the layout of EXPERIMENTS.md.
+// E1Table renders the rows.
 func E1Table(rows []E1Row) *stats.Table {
 	tb := stats.NewTable("E1 (Fig. 2+3): range-query disk reads vs density, fixed 50 µm queries"+
 		"\n(FLAT seed accesses hit the RAM-resident page tree and are listed separately)",
@@ -244,7 +243,7 @@ type E2Config struct {
 	Workers int
 }
 
-// DefaultE2 returns the configuration used in EXPERIMENTS.md.
+// DefaultE2 returns the configuration cmd/flatbench runs.
 func DefaultE2() E2Config {
 	return E2Config{Neurons: 128, Edge: 300, Radii: []float64{5, 10, 20, 40, 80}, Seed: 2, Workers: -1}
 }

@@ -203,96 +203,6 @@ func TestRunE6ScalesSubquadratically(t *testing.T) {
 	}
 }
 
-// TestRunE8ShardDifferential runs the sharded sweep at test scale: every
-// (shard, worker) row must report identical results and page accounting to
-// its serial sibling, the fan-out must stay within [1, K], and the routing
-// decision must cost all four contenders.
-func TestRunE8ShardDifferential(t *testing.T) {
-	cfg := E8Config{
-		Neurons: 24, Edge: 250, Queries: 12, QueryRadius: 25,
-		ShardCounts:  []int{1, 2, 4, 7},
-		WorkerCounts: []int{1, 2, 4},
-		Seed:         19,
-	}
-	res, err := RunE8(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != len(cfg.ShardCounts)*len(cfg.WorkerCounts) {
-		t.Fatalf("rows = %d, want %d", len(res.Rows), len(cfg.ShardCounts)*len(cfg.WorkerCounts))
-	}
-	for _, r := range res.Rows {
-		if r.Results != res.Rows[0].Results {
-			t.Errorf("shards=%d workers=%d: results %d differ from first row %d",
-				r.Shards, r.Workers, r.Results, res.Rows[0].Results)
-		}
-		perQ := float64(r.ShardsTouched) / float64(r.Queries)
-		if perQ < 1 || perQ > float64(r.Shards) {
-			t.Errorf("shards=%d: fan-out/query %.2f outside [1,%d]", r.Shards, perQ, r.Shards)
-		}
-	}
-	if len(res.Routing.CostPerQuery) != 4 {
-		t.Errorf("routing costed %d contenders, want 4 (%v)", len(res.Routing.CostPerQuery), res.Routing.CostPerQuery)
-	}
-	if res.Routing.Index == nil {
-		t.Fatal("no routing decision")
-	}
-	if !strings.Contains(E8Table(res.Rows).String(), "shard fan-out") {
-		t.Error("E8 table malformed")
-	}
-	if !strings.Contains(E8RoutingTable(res).String(), "sharded") {
-		t.Error("E8 routing table malformed")
-	}
-}
-
-// TestRunE9SessionMixedWorkload pins the mixed-workload runner: the Session
-// front door serves all four kinds, rows are worker-count invariant (the
-// runner itself fails otherwise), every kind appears in the per-kind summary
-// with a routing decision, and the tables render.
-func TestRunE9SessionMixedWorkload(t *testing.T) {
-	cfg := E9Config{
-		Neurons: 24, Edge: 250, Requests: 16, QueryRadius: 25, K: 4, WithinRadius: 15,
-		WorkerCounts: []int{1, 2, 4},
-		Seed:         29,
-	}
-	res, err := RunE9(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != len(cfg.WorkerCounts) {
-		t.Fatalf("rows = %d, want %d", len(res.Rows), len(cfg.WorkerCounts))
-	}
-	for _, r := range res.Rows {
-		// Hit-for-hit equality per row is enforced by the runner itself;
-		// totals must agree too. (PagesRead may drift between rows: the
-		// planner keeps learning and may re-route a kind mid-sweep.)
-		if r.Results != res.Rows[0].Results {
-			t.Errorf("workers=%d: %d results differ from serial %d",
-				r.Workers, r.Results, res.Rows[0].Results)
-		}
-	}
-	if len(res.Kinds) != 4 || len(res.Decisions) != 4 {
-		t.Fatalf("per-kind summary covered %d kinds / %d decisions, want 4", len(res.Kinds), len(res.Decisions))
-	}
-	for i, k := range res.Kinds {
-		if k.Requests != cfg.Requests/4 {
-			t.Errorf("kind %s: %d requests, want %d", k.Kind, k.Requests, cfg.Requests/4)
-		}
-		if k.Index == "" || res.Decisions[i].Index == nil {
-			t.Errorf("kind %s: missing routing decision", k.Kind)
-		}
-	}
-	if !strings.Contains(E9Table(res.Rows).String(), "workers") {
-		t.Error("E9 table malformed")
-	}
-	if !strings.Contains(E9KindTable(res).String(), "routed to") {
-		t.Error("E9 kind table malformed")
-	}
-	if !strings.Contains(E9RoutingTable(res).String(), "knn") {
-		t.Error("E9 routing table malformed")
-	}
-}
-
 // TestRunE4OverShardedIndex pins the E4 walkthrough harness over the sharded
 // store: per method, the element totals must equal the flat-served run — the
 // prefetchers see the same pages through the global shard remap.
@@ -335,176 +245,5 @@ func TestRunE4OverShardedIndex(t *testing.T) {
 	}
 	if shardRows[0].DemandReads == 0 {
 		t.Error("sharded-served walkthrough issued no demand reads")
-	}
-}
-
-// TestRunE10ChurnSweep pins the interleaved update/query runner: the runner
-// itself enforces worker invariance and snapshot isolation per round (it
-// errors otherwise); here we additionally check the sweep's shape — churn
-// applies ops, overlay work surfaces in the stats, the rate-0 baseline stays
-// clean, and the routing table covers every (rate, kind) cell.
-func TestRunE10ChurnSweep(t *testing.T) {
-	cfg := E10Config{
-		Neurons: 24, Edge: 250, Rounds: 3, Ops: 24, Requests: 16,
-		QueryRadius: 25, K: 4, WithinRadius: 15,
-		UpdateRates: []float64{0, 1},
-		CompactMin:  24, CompactRatio: 0.01,
-		Seed: 41,
-	}
-	res, err := RunE10(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(res.Rows))
-	}
-	baseline, churned := res.Rows[0], res.Rows[1]
-	if baseline.Rate != 0 || baseline.OpsApplied != 0 || baseline.Epoch != 0 {
-		t.Fatalf("rate-0 baseline mutated: %+v", baseline)
-	}
-	if baseline.DeltaEntries != 0 || baseline.Tombstones != 0 {
-		t.Fatalf("rate-0 baseline paid overlay work: %+v", baseline)
-	}
-	if churned.OpsApplied == 0 || churned.Epoch == 0 {
-		t.Fatalf("churned run applied nothing: %+v", churned)
-	}
-	if churned.Compactions == 0 {
-		t.Errorf("churned run never compacted (CompactMin %d, %d ops)", cfg.CompactMin, churned.OpsApplied)
-	}
-	if churned.Cow.Shared == 0 {
-		t.Errorf("no layout pages shared across commits: %+v", churned.Cow)
-	}
-	if len(res.Routing) != 2*4 {
-		t.Fatalf("routing rows = %d, want 8", len(res.Routing))
-	}
-	for _, r := range res.Routing {
-		if r.Index == "" {
-			t.Errorf("rate %.2f kind %s: no routing decision", r.Rate, r.Kind)
-		}
-	}
-	if !strings.Contains(E10Table(res.Rows).String(), "compactions") {
-		t.Error("E10 table malformed")
-	}
-	if !strings.Contains(E10RoutingTable(res).String(), "knn") {
-		t.Error("E10 routing table malformed")
-	}
-}
-
-// TestRunChurnDemo smoke-tests the drivers' -churn panel.
-func TestRunChurnDemo(t *testing.T) {
-	tables, err := RunChurnDemo(2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 2 {
-		t.Fatalf("tables = %d", len(tables))
-	}
-	if !strings.Contains(tables[0].String(), "epoch") || !strings.Contains(tables[1].String(), "routed to") {
-		t.Error("churn demo tables malformed")
-	}
-}
-
-// TestRunE11StreamingFirstPage runs the streaming sweep at test scale: the
-// runner itself enforces the early-stop and cursor-resume guarantees per
-// contender (it errors out otherwise), so the test mostly pins the shape and
-// the allocation asymmetry.
-func TestRunE11StreamingFirstPage(t *testing.T) {
-	cfg := DefaultE11()
-	cfg.Items = 20_000
-	cfg.Edge = 300
-	rows, err := RunE11(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(rows))
-	}
-	for _, r := range rows {
-		if r.Hits < int64(cfg.Items)*9/10 {
-			t.Errorf("%s: full drain hit %d of %d items — query not in the large-result regime",
-				r.Contender, r.Hits, cfg.Items)
-		}
-		// The limited page must allocate far less than the full drain
-		// buffers: O(Limit) + index metadata, not O(result size).
-		if limMB := r.LimitAllocKB / 1024; limMB*20 > r.FullAllocMB {
-			t.Errorf("%s: limited page allocated %.2f MB vs %.2f MB full — not O(Limit)",
-				r.Contender, limMB, r.FullAllocMB)
-		}
-	}
-	if !strings.Contains(E11Table(rows).String(), "limit pages") {
-		t.Error("E11 table malformed")
-	}
-}
-
-// TestRunE12HotPathAllocs runs the allocation sweep at test scale. The runner
-// self-enforces the guarantees in uninstrumented builds (zero-alloc flat/grid
-// cells, >=10x flat Range reduction, >=90% plan-cache hit rate), so the test
-// mostly pins the shape: every (contender x kind x churn) cell present, real
-// result counts, and well-formed tables.
-func TestRunE12HotPathAllocs(t *testing.T) {
-	cfg := DefaultE12()
-	cfg.Items = 10_000
-	cfg.Ops = 16
-	cfg.ChurnOps = []int{0, 64}
-	cfg.Rounds = 10
-	res, err := RunE12(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 4 * 4 * len(cfg.ChurnOps)
-	if len(res.Rows) != want {
-		t.Fatalf("rows = %d, want %d (contender x kind x churn)", len(res.Rows), want)
-	}
-	var touched int
-	for _, r := range res.Rows {
-		if r.Results > 0 {
-			touched++
-		}
-	}
-	if touched < want/2 {
-		t.Errorf("only %d/%d cells reported results — requests not hitting the tissue", touched, want)
-	}
-	if res.CacheHits+res.CacheMisses != int64(cfg.Rounds)*4 {
-		t.Errorf("plan-cache consultations = %d, want %d", res.CacheHits+res.CacheMisses, cfg.Rounds*4)
-	}
-	if !strings.Contains(E12Table(res).String(), "allocs/op") ||
-		!strings.Contains(E12Summary(res).String(), "hit rate") {
-		t.Error("E12 tables malformed")
-	}
-}
-
-// TestRunE13DurableReopen runs the reopen experiment at test scale. The
-// runner self-enforces the durability guarantees (zero page reads through
-// open, cold queries faulting in a sliver of the segment, zero warm re-reads,
-// contender agreement), so the test mostly pins the shape: all four
-// contenders present, a sane speedup figure, and a well-formed table.
-func TestRunE13DurableReopen(t *testing.T) {
-	cfg := DefaultE13()
-	cfg.Items = 20_000
-	cfg.Edge = 300
-	res, err := RunE13(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(res.Rows))
-	}
-	if res.OpenReads != 0 {
-		t.Errorf("open reads = %d, want 0", res.OpenReads)
-	}
-	if res.DiskBytes <= 0 {
-		t.Errorf("disk bytes = %d, want > 0", res.DiskBytes)
-	}
-	if res.OpenSpeedup() <= 0 {
-		t.Errorf("open speedup = %g, want > 0", res.OpenSpeedup())
-	}
-	for _, row := range res.Rows {
-		if row.Hits != res.Rows[0].Hits {
-			t.Errorf("%s hit %d, %s hit %d — contenders disagree",
-				row.Contender, row.Hits, res.Rows[0].Contender, res.Rows[0].Hits)
-		}
-	}
-	if !strings.Contains(E13Table(res).String(), "cold pages") {
-		t.Error("E13 table malformed")
 	}
 }

@@ -33,7 +33,7 @@ type E5Config struct {
 	Seed int64
 }
 
-// DefaultE5 returns the configuration used in EXPERIMENTS.md. The circuit
+// DefaultE5 returns the configuration cmd/touchbench runs. The circuit
 // uses the cortical layer profile: synapse placement runs on layered tissue,
 // and density skew is exactly where data-oriented partitioning differs from
 // space-oriented grids.
@@ -192,7 +192,7 @@ type E6Config struct {
 	Workers int
 }
 
-// DefaultE6 returns the configuration used in EXPERIMENTS.md.
+// DefaultE6 returns the configuration cmd/flatbench runs.
 func DefaultE6() E6Config {
 	return E6Config{
 		Sizes:       []int{32, 64, 128, 256, 512},

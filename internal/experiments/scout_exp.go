@@ -32,7 +32,7 @@ type E3Config struct {
 	Workers int
 }
 
-// DefaultE3 returns the configuration used in EXPERIMENTS.md.
+// DefaultE3 returns the configuration cmd/scoutbench runs.
 func DefaultE3() E3Config {
 	return E3Config{Neurons: 64, Edge: 300, Stride: 8, Radius: 15, Walkthroughs: 5, Seed: 3, Workers: -1}
 }
@@ -234,7 +234,7 @@ type E4Config struct {
 	Shards int
 }
 
-// DefaultE4 returns the configuration used in EXPERIMENTS.md.
+// DefaultE4 returns the configuration cmd/scoutbench runs.
 func DefaultE4() E4Config {
 	return E4Config{
 		Neurons: 64, Edge: 300,
