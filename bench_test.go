@@ -1,9 +1,9 @@
 // Package bench is the repository-level benchmark harness: one testing.B
-// benchmark per experiment of DESIGN.md's index (E1-E6, each reproducing a
-// figure or claim of the paper) plus the ablation benches for the design
-// choices DESIGN.md calls out. Custom metrics expose the *shape* quantities
-// (page reads, speedups, comparisons) next to Go's ns/op, so
-// `go test -bench=. -benchmem` regenerates every series of EXPERIMENTS.md.
+// benchmark per experiment (E1-E6, each reproducing a figure or claim of the
+// paper; README "Quickstart" lists their drivers) plus the ablation benches
+// for the design choices behind them. Custom metrics expose the *shape*
+// quantities (page reads, speedups, comparisons) next to Go's ns/op, so
+// `go test -bench=. -benchmem` regenerates every series the drivers print.
 package bench
 
 import (
@@ -261,8 +261,8 @@ func BenchmarkE6Scale(b *testing.B) {
 }
 
 // BenchmarkAblationFLATGranularity ablates FLAT's page size (the page-level
-// vs element-level neighborhood trade-off of DESIGN.md: page size 1 is an
-// element-level graph).
+// vs element-level neighborhood trade-off: page size 1 is an element-level
+// graph).
 func BenchmarkAblationFLATGranularity(b *testing.B) {
 	m := benchModel(b, modelKey{neurons: 64, edge: 300, seed: 7})
 	items := make([]rtree.Item, len(m.Circuit.Elements))

@@ -1,8 +1,8 @@
 // Command datagen generates synthetic tissue circuits and serializes their
 // element arrays to disk — the repository's stand-in for the Blue Brain
-// Project's model-building pipeline (see the substitution table in
-// DESIGN.md). The written files are consumed by anything that wants a
-// reproducible dataset without regenerating morphologies.
+// Project's model-building pipeline (README "Package map"). The written files
+// are consumed by anything that wants a reproducible dataset without
+// regenerating morphologies.
 //
 // Usage:
 //

@@ -1,7 +1,6 @@
 // Command neurodemo is the terminal rendition of the SIGMOD'13 demonstration
 // itself: three "stations", one per technique, with ASCII visualizations
-// standing in for the tool's 3-D views (per the substitution table in
-// DESIGN.md).
+// standing in for the tool's 3-D views.
 //
 //	Station 1 (§2.2, Figures 2-4): a range query is placed on the model;
 //	FLAT and the R-tree execute it side by side; FLAT's crawl order is

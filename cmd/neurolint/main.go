@@ -9,16 +9,17 @@
 //
 //	go run ./cmd/neurolint            # whole repo, all analyzers
 //	go run ./cmd/neurolint -json      # machine-readable findings
-//	go run ./cmd/neurolint -analyzers poolcheck,ctxpage
+//	go run ./cmd/neurolint -analyzers poolcheck,lockorder
 //	go run ./cmd/neurolint ./internal/engine
 //
 // Analyzer scopes: poolcheck and detorder cover internal/engine and
 // internal/parallel (where the pooling and determinism contracts live);
-// ctxpage covers internal/engine (the cancellation contract); snapref covers
-// the snapshot-lifecycle surface (engine, core, experiments, cmd); lockorder
-// covers the annotated mutexes in engine and core; fsyncorder and errcontract
-// cover the durability layer; hotpath covers the whole module — it is
-// annotation-driven.
+// snapref covers the snapshot-lifecycle surface (engine, core, experiments,
+// cmd); lockorder covers the annotated mutexes in engine and core; fsyncorder
+// and errcontract cover the durability layer; hotpath covers the whole module
+// — it is annotation-driven. The cancellation contract has no analyzer: it is
+// an error return the compiler makes callers handle, and the behavioural sweep
+// in internal/engine (TestCancellationSweep) checks it on every path.
 //
 // A full run (no -analyzers filter, no package arguments) also audits
 // //lint:ignore directives: a directive that suppressed nothing, and whose
@@ -34,7 +35,6 @@ import (
 	"strings"
 
 	"neurospatial/internal/analysis"
-	"neurospatial/internal/analysis/ctxpage"
 	"neurospatial/internal/analysis/detorder"
 	"neurospatial/internal/analysis/errcontract"
 	"neurospatial/internal/analysis/fsyncorder"
@@ -54,7 +54,6 @@ type scoped struct {
 var suite = []scoped{
 	{poolcheck.Analyzer, []string{"neurospatial/internal/engine", "neurospatial/internal/parallel"}},
 	{hotpath.Analyzer, nil},
-	{ctxpage.Analyzer, []string{"neurospatial/internal/engine"}},
 	{detorder.Analyzer, []string{"neurospatial/internal/engine", "neurospatial/internal/parallel"}},
 	{snapref.Analyzer, []string{"neurospatial/internal/engine", "neurospatial/internal/core", "neurospatial/internal/experiments", "neurospatial/cmd"}},
 	{lockorder.Analyzer, []string{"neurospatial/internal/engine", "neurospatial/internal/core"}},

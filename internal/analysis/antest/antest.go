@@ -73,7 +73,7 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 //	// want-summary acquires=1 err=format
 //	func openPinned(d *Dataset) (*Snapshot, error) { ... }
 //
-// Supported keys: acquires, releases-recv, checks-ctx, panics (0/1);
+// Supported keys: acquires, releases-recv, panics (0/1);
 // releases-param, puts-param, retains-param (comma-separated true indices,
 // or "none"); effects (io, write, fsync, dirfsync, rename, walappend, or
 // "none"); err (format, corrupt, opaque, or "none"); locks (lock names, or
@@ -186,10 +186,6 @@ func checkSummary(t *testing.T, fname, spec string, s *analysis.Summary) {
 		case "releases-recv":
 			if s.ReleasesRecv != boolOf(val) {
 				t.Errorf("%s: summary releases-recv = %v, want %v", fname, s.ReleasesRecv, boolOf(val))
-			}
-		case "checks-ctx":
-			if s.ChecksCtx != boolOf(val) {
-				t.Errorf("%s: summary checks-ctx = %v, want %v", fname, s.ChecksCtx, boolOf(val))
 			}
 		case "panics":
 			if s.Panics != boolOf(val) {

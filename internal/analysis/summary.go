@@ -67,10 +67,6 @@ type Summary struct {
 	// Locks: names of annotated mutexes the function may acquire,
 	// directly or transitively.
 	Locks map[string]bool
-	// ChecksCtx: the function checks a context for cancellation —
-	// ctx.Err/ctx.Done or the repo's ctxErr/cancelable helpers — on some
-	// path, directly or in a callee.
-	ChecksCtx bool
 	// Error classification of the function's error result, unioned over
 	// return paths: typed *FormatError / *CorruptError values (or %w-wraps
 	// of them) vs opaque errors (bare fmt.Errorf, errors.New, unknown
@@ -85,7 +81,7 @@ type Summary struct {
 
 func (s *Summary) equal(o *Summary) bool {
 	if s.Acquires != o.Acquires || s.ReleasesRecv != o.ReleasesRecv ||
-		s.Effects != o.Effects || s.ChecksCtx != o.ChecksCtx ||
+		s.Effects != o.Effects ||
 		s.ErrFormat != o.ErrFormat || s.ErrCorrupt != o.ErrCorrupt ||
 		s.ErrOpaque != o.ErrOpaque || s.Panics != o.Panics ||
 		len(s.Locks) != len(o.Locks) {
@@ -332,7 +328,7 @@ func (m *Module) summarize(node *FuncNode) *Summary {
 }
 
 // summarizeCall folds one call's contribution into s: direct effects,
-// lock acquisitions, context checks, callee-propagated facts, and what the
+// lock acquisitions, callee-propagated facts, and what the
 // call does to tracked (receiver/param) objects.
 func (m *Module) summarizeCall(pkg *Package, call *ast.CallExpr, s *Summary,
 	openVars map[types.Object]bool, tracked func(types.Object) bool,
@@ -343,9 +339,6 @@ func (m *Module) summarizeCall(pkg *Package, call *ast.CallExpr, s *Summary,
 	if info, acquired, ok := m.LockCall(pkg, call); ok && acquired {
 		s.Locks[info.Name] = true
 	}
-	if directCtxCheck(pkg, call) {
-		s.ChecksCtx = true
-	}
 
 	merged := m.MergedCallSummary(pkg, call)
 	if merged != nil {
@@ -353,7 +346,6 @@ func (m *Module) summarizeCall(pkg *Package, call *ast.CallExpr, s *Summary,
 		for l := range merged.Locks {
 			s.Locks[l] = true
 		}
-		s.ChecksCtx = s.ChecksCtx || merged.ChecksCtx
 		s.Panics = s.Panics || merged.Panics
 	}
 
@@ -458,7 +450,6 @@ func (m *Module) MergedCallSummary(pkg *Package, call *ast.CallExpr) *Summary {
 		for l := range ts.Locks {
 			merged.Locks[l] = true
 		}
-		merged.ChecksCtx = merged.ChecksCtx || ts.ChecksCtx
 		merged.ReleasesRecv = merged.ReleasesRecv || ts.ReleasesRecv
 		merged.Panics = merged.Panics || ts.Panics
 		merged.ErrFormat = merged.ErrFormat || ts.ErrFormat
@@ -488,11 +479,6 @@ func CalleeName(call *ast.CallExpr) string { return calleeName(call) }
 
 // RootIdentObj exposes selector-root resolution: s.snap.ref -> object of s.
 func RootIdentObj(pkg *Package, e ast.Expr) types.Object { return rootIdentObj(pkg, e) }
-
-// DirectCtxCheck reports whether call is itself a cancellation check.
-func DirectCtxCheck(pkg *Package, call *ast.CallExpr) bool {
-	return directCtxCheck(pkg, call)
-}
 
 // isAcquireCall recognizes acquiring calls: a method named Acquire with one
 // result, a call to a function named Open with a WithDataset(...) argument,
@@ -656,24 +642,6 @@ func namedTypePath(t types.Type) string {
 		return n.Obj().Pkg().Path() + "." + n.Obj().Name()
 	}
 	return ""
-}
-
-// directCtxCheck reports whether call is itself a cancellation check:
-// ctx.Err()/ctx.Done() on a context.Context, or the repo's ctxErr/cancelable
-// helpers.
-func directCtxCheck(pkg *Package, call *ast.CallExpr) bool {
-	switch fun := Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return fun.Name == "ctxErr" || fun.Name == "cancelable"
-	case *ast.SelectorExpr:
-		if fun.Sel.Name != "Err" && fun.Sel.Name != "Done" {
-			return false
-		}
-		if tv, ok := pkg.Info.Types[fun.X]; ok {
-			return namedTypePath(tv.Type) == "context.Context"
-		}
-	}
-	return false
 }
 
 // isPoolPut matches sync.Pool.Put and same-package put* helpers — the

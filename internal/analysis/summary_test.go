@@ -9,7 +9,7 @@ import (
 // TestSummaries pins the interprocedural summaries of the fixture package:
 // acquire/release flow (including the error-result holder regression),
 // pool puts, parameter retention, file-effect classification and
-// propagation, context checks, recover-neutralized panics, and the error
+// propagation, recover-neutralized panics, and the error
 // taxonomy with its recursion fixpoint.
 func TestSummaries(t *testing.T) {
 	antest.RunSummaries(t, "testdata/summaries")

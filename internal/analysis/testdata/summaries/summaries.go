@@ -3,7 +3,6 @@
 package sum
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -133,14 +132,6 @@ func (w *WAL) Append(rec []byte) error {
 // want-summary effects=io,fsync,walappend err=opaque
 func logRecord(w *WAL, rec []byte) error {
 	return w.Append(rec)
-}
-
-// want-summary checks-ctx=1
-func poll(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return nil
 }
 
 // want-summary panics=1

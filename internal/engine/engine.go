@@ -20,15 +20,20 @@
 //
 // The public front door is the Request/Session surface: a tagged Request
 // (Range, KNN, Point, WithinDistance) executed through a Session (Open /
-// Do / DoBatch) with context cancellation checked at page-read granularity,
-// routed either to a fixed contender or per-kind through the Planner, which
-// picks an index using observed per-(index, kind) cost statistics
-// (internal/stats.Running). SpatialIndex.Do is the only way into a
-// contender's traversals.
+// Do / DoBatch) with context cancellation checked before every page read and
+// returned as an ordinary error, routed either to a fixed contender or
+// per-kind through the Planner, which picks an index using observed
+// per-(index, kind) cost statistics (internal/stats.Running).
 //
-// Every index in this package also satisfies prefetch.Served (PagedQuery), so
-// a walkthrough with prefetching can run over any of them; see Paged for why
-// that one entry point stays beside Do.
+// Beneath it every contender has three traversals (see contender in
+// exec.go): scan, the native range traversal with the page source an
+// argument; doKNN, the bounded best-first scan; and iterate, the lazy
+// ascending-ID stream behind pagination and snapshot views. One executor
+// serves Do for all four contenders: Do is scan plus the canonical sort (and
+// the exact refinement of WithinDistance), or doKNN. Every index also
+// satisfies prefetch.Served: PagedQuery is scan reading through the given
+// pool, IDs in emission order — so a walkthrough with prefetching can run
+// over any of them.
 package engine
 
 import (
@@ -137,24 +142,31 @@ func (s QueryStats) Cost() float64 {
 func Aggregate(sts []QueryStats) QueryStats {
 	var out QueryStats
 	for i := range sts {
-		out.IndexReads += sts[i].IndexReads
-		out.PagesRead += sts[i].PagesRead
-		out.EntriesTested += sts[i].EntriesTested
-		out.Results += sts[i].Results
-		out.Reseeds += sts[i].Reseeds
-		out.ShardsTouched += sts[i].ShardsTouched
-		out.DeltaEntries += sts[i].DeltaEntries
-		out.Tombstones += sts[i].Tombstones
-		out.PlanCacheHits += sts[i].PlanCacheHits
-		out.PlanCacheMisses += sts[i].PlanCacheMisses
-		for l, c := range sts[i].LevelNodes[:sts[i].Levels] {
-			out.LevelNodes[l] += c
-		}
-		if sts[i].Levels > out.Levels {
-			out.Levels = sts[i].Levels
-		}
+		out.add(&sts[i])
 	}
 	return out
+}
+
+// add folds one record into s (every counter summed, the per-level breakdown
+// element-wise) — Aggregate's step, which the sharded gathers also take one
+// shard at a time.
+func (s *QueryStats) add(o *QueryStats) {
+	s.IndexReads += o.IndexReads
+	s.PagesRead += o.PagesRead
+	s.EntriesTested += o.EntriesTested
+	s.Results += o.Results
+	s.Reseeds += o.Reseeds
+	s.ShardsTouched += o.ShardsTouched
+	s.DeltaEntries += o.DeltaEntries
+	s.Tombstones += o.Tombstones
+	s.PlanCacheHits += o.PlanCacheHits
+	s.PlanCacheMisses += o.PlanCacheMisses
+	for l, c := range o.LevelNodes[:o.Levels] {
+		s.LevelNodes[l] += c
+	}
+	if o.Levels > s.Levels {
+		s.Levels = o.Levels
+	}
 }
 
 // SpatialIndex is the uniform query interface of the engine layer. Do is the
@@ -210,16 +222,18 @@ type Paged interface {
 	// through src (nil restores cold reads from the index's own store).
 	SetSource(src pager.PageSource)
 	// Source returns the currently attached PageSource (nil when reads go
-	// cold to the index's own store). The planner uses it to route
-	// calibration probes around an attached buffer pool and restore it.
+	// cold to the index's own store). Planner calibration probes read the
+	// store whatever is attached, and leave the attachment alone.
 	Source() pager.PageSource
 	// PagedQuery executes one range query reading through the given pool,
 	// emitting IDs in the index's native traversal order — the
 	// prefetch.Served walkthrough path; the pool's counters are the record.
-	// It stays beside Do because walkthroughs consume the *emission* order:
-	// scout.reconstruct and the stable sort in Scout.Predict see the result
-	// as emitted (on a walk's first step every exit scores 0, so order alone
-	// picks the prefetched pages), and Do's canonical ascending-ID order
-	// would change E3/E4 and the simulated stalls.
+	// It is the contender's scan with the pool as the page source: the same
+	// traversal Do(Range) runs, minus Do's canonical sort. The sort is what
+	// walkthroughs must not see: scout.reconstruct and the stable sort in
+	// Scout.Predict consume the result as emitted (on a walk's first step
+	// every exit scores 0, so order alone picks the prefetched pages).
+	// Nothing on the index is rewired, so it is safe beside concurrent
+	// queries.
 	PagedQuery(q geom.AABB, pool *pager.BufferPool, visit func(id int32))
 }

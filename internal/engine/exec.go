@@ -9,13 +9,54 @@ import (
 	"neurospatial/internal/pager"
 )
 
-// This file holds the shared execution machinery of the Request surface:
-// page-read-granular context cancellation, the canonical hit-ordering
-// helpers, and the bound-tightening top-k accumulator every kNN
+// This file holds the shared execution machinery of the Request surface: the
+// contender interface and the one eager executor above it, the canonical
+// hit-ordering helpers, and the bound-tightening top-k accumulator every kNN
 // implementation gathers through.
 
-// cancelable reports whether ctx can ever be canceled; background and nil
-// contexts skip the per-page check entirely.
+// contender is the engine-internal face of the four index contenders (Flat,
+// RTree, Grid, Sharded): the three traversals everything above them is built
+// from. Each resolves its page source per call (see pickSource) and checks
+// ctx before every page read, returning its error — cancellation is an
+// ordinary error on every path, never a panic.
+//
+//   - scan is the native range traversal: it appends to out the ID of every
+//     item whose box intersects queryBox(req), in the contender's emission
+//     order (FLAT's crawl order, the R-tree's descent order, the grid's
+//     cell-major order, ascending global ID for Sharded), reading pages
+//     through src when it is non-nil. Exact refinement of WithinDistance and
+//     the canonical sort are the executor's. PagedQuery is scan with the
+//     pool as src; Do is scan plus the canonical sort.
+//   - doKNN is the bounded best-first k-nearest-neighbors scan.
+//   - iterate (streamer) is the lazy ascending-ID stream behind pagination
+//     and snapshot views.
+type contender interface {
+	Paged
+	streamer
+	scan(ctx context.Context, req Request, src pager.PageSource, out *idCollector) (QueryStats, error)
+	doKNN(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error)
+	// itemBoxes returns the exact-geometry accessor by item ID (RAM-resident).
+	itemBoxes() func(int32) geom.AABB
+}
+
+// pickSource resolves where one traversal reads its pages: the source passed
+// for this call (PagedQuery's pool), else the attached one — unless the
+// request reads cold, as a planner's calibration probe does so that planning
+// never warms or counts against a pool under measurement. nil means the
+// index's own store. The choice is a property of the call, so nothing on the
+// index is rewired and concurrent calls cannot observe each other's.
+func pickSource(req Request, passed, attached pager.PageSource) pager.PageSource {
+	if passed != nil {
+		return passed
+	}
+	if req.cold {
+		return nil
+	}
+	return attached
+}
+
+// cancelable reports whether ctx can ever be canceled; the R-tree's range
+// scan takes its RAM descent when it cannot (and no source is attached).
 func cancelable(ctx context.Context) bool { return ctx != nil && ctx.Done() != nil }
 
 // ctxErr is ctx.Err() tolerating a nil context.
@@ -26,66 +67,81 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// canceledRead aborts an in-flight index traversal from inside a page read:
-// the deep recursive query paths (FLAT's crawl, the R-tree descent) have no
-// error channel, so ctxSource panics with this sentinel and catchCancel —
-// always on the same goroutine, installed by the Do implementation — turns
-// it back into the context's error.
-type canceledRead struct{ err error }
-
-// ctxSource wraps a PageSource with a cancellation check on every page read —
-// the promised page-read granularity: a canceled batch stops at the next
-// page, not the next query.
-type ctxSource struct {
-	ctx context.Context
-	src pager.PageSource
-}
-
-// ReadPage implements pager.PageSource.
-func (c *ctxSource) ReadPage(p pager.PageID) []int32 {
-	if err := c.ctx.Err(); err != nil {
-		panic(canceledRead{err})
+// admit is the front every Do shares: a malformed request is refused with its
+// *RequestError and a dead context with its error before any work is done; a
+// nil ctx reads as context.Background and a nil visit discards hits.
+func admit(ctx context.Context, req Request, visit func(Hit)) (context.Context, func(Hit), error) {
+	if err := req.Validate(); err != nil {
+		return nil, nil, err
 	}
-	return c.src.ReadPage(p)
-}
-
-// wrapCtxSource routes src through a per-page cancellation check when ctx is
-// cancelable; otherwise src is returned unwrapped (no per-read overhead on
-// background contexts).
-func wrapCtxSource(ctx context.Context, src pager.PageSource) pager.PageSource {
-	if !cancelable(ctx) {
-		return src
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	return &ctxSource{ctx: ctx, src: src}
+	if visit == nil {
+		visit = discardHit
+	}
+	return ctx, visit, ctx.Err()
 }
 
-// catchCancel runs fn, converting a canceledRead panic from a ctxSource
-// below it into the context's error. Any other panic propagates.
+func discardHit(Hit) {}
+
+// execute is the eager executor behind every contender's Do: serve a
+// paginated request through the lazy pipeline, and otherwise run the kind's
+// traversal and emit its hits in canonical order — all or nothing: an error
+// from the traversal means visit was never called.
 //
-// Invariant (audited): a canceledRead panic is only recoverable on the
-// goroutine that raised it, so every ctxSource read must happen under a
-// catchCancel installed on the same goroutine. The engine upholds this in
-// two ways: each Do implementation wraps its own traversal (rangeIDs in the
-// flat/rtree/grid wrappers — the worker goroutine running a batch slot runs
-// both the traversal and its catchCancel), and Session.DoBatch installs a
-// second, defense-in-depth catchCancel around each slot's whole execution on
-// the worker goroutine. The kNN scans and the lazy iterators use explicit
-// ctxErr checks before each page read instead of the panic machinery —
-// pull-based Next calls cannot sit under one catchCancel frame. No Do path
-// spawns goroutines of its own (the sharded scatter is serial), so a panic
-// never crosses a goroutine boundary.
-func catchCancel(fn func()) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			c, ok := r.(canceledRead)
-			if !ok {
-				panic(r)
-			}
-			err = c.err
-		}
-	}()
-	fn()
-	return nil
+//neurospatial:hotpath
+func execute(ctx context.Context, ix contender, req Request, visit func(Hit)) (QueryStats, error) {
+	ctx, visit, err := admit(ctx, req, visit)
+	if err != nil {
+		return QueryStats{}, err
+	}
+	if ix.NumItems() == 0 {
+		return QueryStats{}, nil
+	}
+	if req.paginated() {
+		return doPaginated(ctx, ix, req, visit)
+	}
+	if req.Kind == KNN {
+		return ix.doKNN(ctx, req, visit)
+	}
+	col := getIDCollector()
+	defer putIDCollector(col)
+	st, err := ix.scan(ctx, req, nil, col)
+	if err != nil {
+		return QueryStats{}, err
+	}
+	if req.Kind == WithinDistance {
+		results, tested := withinRefine(col.ids, ix.itemBoxes(), req.Center, req.Radius, visit)
+		st.Results = results
+		st.EntriesTested += tested
+		return st, nil
+	}
+	emitIDHits(col.ids, visit)
+	return st, nil
+}
+
+// pagedQuery is every contender's PagedQuery: the native scan of q reading
+// through pool, IDs visited in emission order. A walkthrough's context is
+// never canceled and a box that fails validation has no hits, so there is no
+// error to report; the pool's counters are the record.
+func pagedQuery(ix contender, q geom.AABB, pool *pager.BufferPool, visit func(int32)) {
+	req := RangeRequest(q)
+	if ix.NumItems() == 0 || req.Validate() != nil {
+		return
+	}
+	var src pager.PageSource // stays nil for a nil pool: the attached source, else the store
+	if pool != nil {
+		src = pool
+	}
+	col := getIDCollector()
+	defer putIDCollector(col)
+	if _, err := ix.scan(context.Background(), req, src, col); err != nil {
+		return
+	}
+	for _, id := range col.ids {
+		visit(id)
+	}
 }
 
 // emitIDHits sorts ids ascending in place and emits them as zero-distance

@@ -23,10 +23,6 @@ type Flat struct {
 	// method value would be a hot-path allocation).
 	boxOf func(int32) geom.AABB
 	src   pager.PageSource
-	// probeMu is the per-instance probe-execution lock (see planner.go):
-	// planners sharing this instance serialize their calibration probes on
-	// it, since a probe detaches and restores src.
-	probeMu sync.Mutex //neurospatial:lock flat.probe
 	// zoneMu guards the lazily derived zone map of the current build.
 	zoneMu sync.Mutex //neurospatial:lock flat.zone
 	zones  []idZone
@@ -88,11 +84,11 @@ func (f *Flat) iterate(ctx context.Context, req Request, after *Hit) (HitIterato
 	}
 	if req.Kind == KNN {
 		return knnEager(func(visit func(Hit)) (QueryStats, error) {
-			return f.doKNN(ctx, req.Center, req.K, visit)
+			return f.doKNN(ctx, req, visit)
 		}, KNN, after)
 	}
 	pages := f.idx.PagesInRange(queryBox(req))
-	ps := newPageStream(ctx, f.srcOrStore(), pages, f.zoneMap(), after,
+	ps := newPageStream(ctx, f.source(req, nil), pages, f.zoneMap(), after,
 		acceptFor(req, f.boxOf))
 	if req.Kind == Range || req.Kind == Point {
 		ps.useCoords(f.idx.Coords(), queryBox(req))
@@ -127,102 +123,45 @@ func fromFlat(s flat.QueryStats) QueryStats {
 	}
 }
 
-// srcOrStore resolves the attached PageSource, falling back to cold reads
-// from the index's own store.
-func (f *Flat) srcOrStore() pager.PageSource {
-	if f.src != nil {
-		return f.src
+// source resolves the PageSource of one call (see pickSource), falling back
+// to cold reads from the index's own store.
+func (f *Flat) source(req Request, passed pager.PageSource) pager.PageSource {
+	if src := pickSource(req, passed, f.src); src != nil {
+		return src
 	}
 	return f.idx.Store()
 }
 
-// rangeIDs runs the native range traversal (seed + crawl), gathering ids into
-// the pooled collector, with cancellation checked at every data-page read.
-// The caller owns releasing col regardless of error. The background-context
-// path skips the catchCancel/ctxSource machinery entirely — no panic is
-// possible without a ctx-wrapped source, and the skipped closure is itself a
-// per-call allocation the zero-alloc path cannot afford.
+// scan implements contender: the seed-and-crawl traversal, IDs in crawl order.
 //
 //neurospatial:hotpath
-func (f *Flat) rangeIDs(ctx context.Context, q geom.AABB, col *idCollector) (QueryStats, error) {
-	if !cancelable(ctx) {
-		return fromFlat(f.idx.QueryVia(q, f.srcOrStore(), col.visit)), nil
-	}
-	src := &ctxSource{ctx: ctx, src: f.srcOrStore()}
-	var st QueryStats
-	//lint:ignore hotpath the catchCancel closure is the cancelable path's one per-call allocation; the background path above skips it
-	err := catchCancel(func() {
-		st = fromFlat(f.idx.QueryVia(q, src, col.visit))
-	})
-	if err != nil {
-		return QueryStats{}, err
-	}
-	return st, nil
+func (f *Flat) scan(ctx context.Context, req Request, src pager.PageSource, out *idCollector) (QueryStats, error) {
+	st, err := f.idx.QueryVia(ctx, queryBox(req), f.source(req, src), out.visit)
+	return fromFlat(st), err
 }
 
-// Do implements SpatialIndex. Range, Point and WithinDistance execute as
-// seed-and-crawl traversals (Point stabs with a degenerate box,
-// WithinDistance crawls the sphere's bounding box and refines with the exact
-// Dist2Point test); KNN runs a best-first scan over the page directory:
-// page MBRs are ordered by squared distance to the center (those bound
-// evaluations are the RAM-resident IndexReads of the record), pages are read
-// through the configured source nearest-first, and the scan stops as soon as
-// the next page's lower bound exceeds the current k-th distance.
-//
-//neurospatial:hotpath
+// itemBoxes implements contender.
+func (f *Flat) itemBoxes() func(int32) geom.AABB { return f.boxOf }
+
+// Do implements SpatialIndex through the shared executor. Range, Point and
+// WithinDistance execute as seed-and-crawl traversals (Point stabs with a
+// degenerate box, WithinDistance crawls the sphere's bounding box and refines
+// with the exact Dist2Point test); KNN runs a best-first scan over the page
+// directory: page MBRs are ordered by squared distance to the center (those
+// bound evaluations are the RAM-resident IndexReads of the record), pages are
+// read through the configured source nearest-first, and the scan stops as
+// soon as the next page's lower bound exceeds the current k-th distance.
 func (f *Flat) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
-	if err := req.Validate(); err != nil {
-		return QueryStats{}, err
-	}
-	if visit == nil {
-		visit = func(Hit) {}
-	}
-	if f.idx == nil {
-		return QueryStats{}, ctxErr(ctx)
-	}
-	if err := ctxErr(ctx); err != nil {
-		return QueryStats{}, err
-	}
-	if req.paginated() {
-		return doPaginated(ctx, f, req, visit)
-	}
-	switch req.Kind {
-	case Range, Point:
-		q := req.Box
-		if req.Kind == Point {
-			q = geom.Box(req.Center, req.Center)
-		}
-		col := getIDCollector()
-		defer putIDCollector(col)
-		st, err := f.rangeIDs(ctx, q, col)
-		if err != nil {
-			return QueryStats{}, err
-		}
-		emitIDHits(col.ids, visit)
-		return st, nil
-	case WithinDistance:
-		col := getIDCollector()
-		defer putIDCollector(col)
-		st, err := f.rangeIDs(ctx, geom.BoxAround(req.Center, req.Radius), col)
-		if err != nil {
-			return QueryStats{}, err
-		}
-		results, tested := withinRefine(col.ids, f.boxOf, req.Center, req.Radius, visit)
-		st.Results = results
-		st.EntriesTested += tested
-		return st, nil
-	case KNN:
-		return f.doKNN(ctx, req.Center, req.K, visit)
-	}
-	return QueryStats{}, &RequestError{Kind: req.Kind, Field: "Kind", Reason: "is not a known query kind"}
+	return execute(ctx, f, req, visit)
 }
 
 // doKNN is the FLAT k-nearest-neighbors execution. The order buffer and the
 // top-k accumulator are pooled; hits are emitted by value before release.
 //
 //neurospatial:hotpath
-func (f *Flat) doKNN(ctx context.Context, center geom.Vec, k int, visit func(Hit)) (QueryStats, error) {
+func (f *Flat) doKNN(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
 	var st QueryStats
+	center := req.Center
 	np := f.idx.NumPages()
 	orderBuf := getPageBounds()
 	defer putPageBounds(orderBuf)
@@ -233,8 +172,8 @@ func (f *Flat) doKNN(ctx context.Context, center geom.Vec, k int, visit func(Hit
 	*orderBuf = order
 	slices.SortFunc(order, cmpPageBound)
 	st.IndexReads = int64(np)
-	src := f.srcOrStore()
-	acc := getKNNAcc(k)
+	src := f.source(req, nil)
+	acc := getKNNAcc(req.K)
 	defer putKNNAcc(acc)
 	for _, pb := range order {
 		if acc.Full() && pb.d2 > acc.Bound() {
@@ -292,16 +231,10 @@ func (f *Flat) PagesInRange(q geom.AABB) []pager.PageID {
 // SetSource implements Paged.
 func (f *Flat) SetSource(src pager.PageSource) { f.src = src }
 
-// probeLock implements the planner's probeLocker hook.
-func (f *Flat) probeLock() *sync.Mutex { return &f.probeMu }
-
 // Source implements Paged.
 func (f *Flat) Source() pager.PageSource { return f.src }
 
 // PagedQuery implements Paged (and prefetch.Served).
 func (f *Flat) PagedQuery(q geom.AABB, pool *pager.BufferPool, visit func(int32)) {
-	if f.idx == nil {
-		return
-	}
-	f.idx.Query(q, pool, visit)
+	pagedQuery(f, q, pool, visit)
 }

@@ -60,8 +60,6 @@ type Grid struct {
 	// closure would be a hot-path allocation).
 	boxOf func(int32) geom.AABB
 	src   pager.PageSource
-	// probeMu is the per-instance probe-execution lock (see planner.go).
-	probeMu sync.Mutex //neurospatial:lock grid.probe
 	// zoneMu guards the lazily derived zone map of the current build.
 	zoneMu sync.Mutex //neurospatial:lock grid.zone
 	zones  []idZone
@@ -158,9 +156,11 @@ func (gx *Grid) Bounds() geom.AABB { return gx.bounds }
 // NumItems implements SpatialIndex.
 func (gx *Grid) NumItems() int { return len(gx.boxes) }
 
-func (gx *Grid) source() pager.PageSource {
-	if gx.src != nil {
-		return gx.src
+// source resolves the PageSource of one call (see pickSource), falling back
+// to cold reads from the index's own store.
+func (gx *Grid) source(req Request, passed pager.PageSource) pager.PageSource {
+	if src := pickSource(req, passed, gx.src); src != nil {
+		return src
 	}
 	return gx.store
 }
@@ -168,13 +168,17 @@ func (gx *Grid) source() pager.PageSource {
 // gridRangeScratch is the pooled per-query state of the grid range
 // traversal. The cell visitor closure is bound once per pooled object (a
 // per-query closure literal is a heap allocation); the read-page set is a
-// stamped slice reset in O(1) instead of a fresh map.
+// stamped slice reset in O(1) instead of a fresh map. The cell directory has
+// no early exit, so once ctx is canceled the visitor records the error and
+// the remaining cells are skipped unread.
 type gridRangeScratch struct {
 	gx    *Grid
+	ctx   context.Context
 	q     geom.AABB
 	src   pager.PageSource
-	emit  func(int32)
+	out   *idCollector
 	stats QueryStats
+	err   error
 	seen  []uint32
 	stamp uint32
 	cell  func(int, []int32)
@@ -183,9 +187,15 @@ type gridRangeScratch struct {
 var gridRangePool = sync.Pool{New: func() any {
 	s := &gridRangeScratch{}
 	s.cell = func(_ int, ids []int32) {
+		if s.err != nil {
+			return
+		}
 		s.stats.IndexReads++
 		for _, id := range ids {
 			if pg := s.gx.pageOf[id]; s.seen[pg] != s.stamp {
+				if s.err = s.ctx.Err(); s.err != nil {
+					return
+				}
 				s.seen[pg] = s.stamp
 				s.src.ReadPage(pg)
 				s.stats.PagesRead++
@@ -194,17 +204,17 @@ var gridRangePool = sync.Pool{New: func() any {
 			// Cell-major sweep ⇒ itemOff ascends ⇒ sequential SoA loads.
 			if s.gx.coords.IntersectsAt(int(s.gx.itemOff[id]), s.q) {
 				s.stats.Results++
-				s.emit(id)
+				s.out.ids = append(s.out.ids, id)
 			}
 		}
 	}
 	return s
 }}
 
-func getGridRange(gx *Grid, q geom.AABB, src pager.PageSource, emit func(int32)) *gridRangeScratch {
+func getGridRange(ctx context.Context, gx *Grid, q geom.AABB, src pager.PageSource, out *idCollector) *gridRangeScratch {
 	s := gridRangePool.Get().(*gridRangeScratch)
-	s.gx, s.q, s.src, s.emit = gx, q, src, emit
-	s.stats = QueryStats{}
+	s.gx, s.ctx, s.q, s.src, s.out = gx, ctx, q, src, out
+	s.stats, s.err = QueryStats{}, nil
 	if n := gx.store.NumPages(); cap(s.seen) < n {
 		s.seen = make([]uint32, n)
 	} else {
@@ -218,25 +228,30 @@ func getGridRange(gx *Grid, q geom.AABB, src pager.PageSource, emit func(int32))
 	return s
 }
 
-// putGridRange drops the references that would pin a source or visitor alive
-// and recycles the scratch.
+// putGridRange drops the references that would pin a context, source or
+// collector alive and recycles the scratch.
 func putGridRange(s *gridRangeScratch) {
-	s.gx, s.src, s.emit = nil, nil, nil
+	s.gx, s.ctx, s.src, s.out = nil, nil, nil, nil
 	gridRangePool.Put(s)
 }
 
+// scan implements contender: the filtered cell traversal, IDs in cell-major
+// order (ascending within a cell).
+//
 //neurospatial:hotpath
-func (gx *Grid) queryVia(q geom.AABB, src pager.PageSource, emit func(int32)) QueryStats {
-	if gx.g == nil {
-		return QueryStats{}
-	}
-	s := getGridRange(gx, q, src, emit)
-	// Deferred so a cancellation panic from a ctx-wrapped source still
-	// recycles the scratch while unwinding toward catchCancel.
+func (gx *Grid) scan(ctx context.Context, req Request, src pager.PageSource, out *idCollector) (QueryStats, error) {
+	q := queryBox(req)
+	s := getGridRange(ctx, gx, q, gx.source(req, src), out)
 	defer putGridRange(s)
 	gx.g.ForEachInRange(q.Expand(gx.maxHalf), s.cell)
-	return s.stats
+	if s.err != nil {
+		return QueryStats{}, s.err
+	}
+	return s.stats, nil
 }
+
+// itemBoxes implements contender.
+func (gx *Grid) itemBoxes() func(int32) geom.AABB { return gx.boxOf }
 
 // zoneMap returns the per-page (min, max) item-ID zones of the current
 // build, derived once from the RAM-resident page layout (not page I/O).
@@ -264,11 +279,11 @@ func (gx *Grid) iterate(ctx context.Context, req Request, after *Hit) (HitIterat
 	}
 	if req.Kind == KNN {
 		return knnEager(func(visit func(Hit)) (QueryStats, error) {
-			return gx.doKNN(ctx, req.Center, req.K, visit)
+			return gx.doKNN(ctx, req, visit)
 		}, KNN, after)
 	}
 	pages := gx.PagesInRange(queryBox(req))
-	ps := newPageStream(ctx, gx.source(), pages, gx.zoneMap(), after,
+	ps := newPageStream(ctx, gx.source(req, nil), pages, gx.zoneMap(), after,
 		acceptFor(req, gx.boxOf))
 	if req.Kind == Range || req.Kind == Point {
 		ps.useCoords(gx.coords, queryBox(req))
@@ -276,84 +291,17 @@ func (gx *Grid) iterate(ctx context.Context, req Request, after *Hit) (HitIterat
 	return ps, nil
 }
 
-// rangeIDs runs the native cell traversal gathering ids into the pooled
-// collector, with cancellation checked at every data-page read. The caller
-// owns releasing col regardless of error; the background-context path skips
-// the catchCancel closure (itself a per-call allocation).
-//
-//neurospatial:hotpath
-func (gx *Grid) rangeIDs(ctx context.Context, q geom.AABB, col *idCollector) (QueryStats, error) {
-	if !cancelable(ctx) {
-		return gx.queryVia(q, gx.source(), col.visit), nil
-	}
-	src := &ctxSource{ctx: ctx, src: gx.source()}
-	var st QueryStats
-	//lint:ignore hotpath the catchCancel closure is the cancelable path's one per-call allocation; the background path above skips it
-	err := catchCancel(func() {
-		st = gx.queryVia(q, src, col.visit)
-	})
-	if err != nil {
-		return QueryStats{}, err
-	}
-	return st, nil
-}
-
-// Do implements SpatialIndex. Range, Point and WithinDistance run as
-// filtered cell traversals (with the exact Dist2Point refinement for the
-// sphere kind); KNN runs a best-first scan over the cell directory: each
-// non-empty cell's lower bound is the distance to the cell box expanded by
-// the largest item half-extent (items are registered by center, so an
-// item's box never escapes that expansion), cells are visited
+// Do implements SpatialIndex through the shared executor. Range, Point and
+// WithinDistance run as filtered cell traversals (with the exact Dist2Point
+// refinement for the sphere kind); KNN runs a best-first scan over the cell
+// directory: each non-empty cell's lower bound is the distance to the cell
+// box expanded by the largest item half-extent (items are registered by
+// center, so an item's box never escapes that expansion), cells are visited
 // nearest-first, their candidates read through the configured source (one
 // read per distinct page, as in the range path), and the scan stops when the
 // next cell's bound exceeds the current k-th distance.
-//
-//neurospatial:hotpath
 func (gx *Grid) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
-	if err := req.Validate(); err != nil {
-		return QueryStats{}, err
-	}
-	if visit == nil {
-		visit = func(Hit) {}
-	}
-	if gx.g == nil {
-		return QueryStats{}, ctxErr(ctx)
-	}
-	if err := ctxErr(ctx); err != nil {
-		return QueryStats{}, err
-	}
-	if req.paginated() {
-		return doPaginated(ctx, gx, req, visit)
-	}
-	switch req.Kind {
-	case Range, Point:
-		q := req.Box
-		if req.Kind == Point {
-			q = geom.Box(req.Center, req.Center)
-		}
-		col := getIDCollector()
-		defer putIDCollector(col)
-		st, err := gx.rangeIDs(ctx, q, col)
-		if err != nil {
-			return QueryStats{}, err
-		}
-		emitIDHits(col.ids, visit)
-		return st, nil
-	case WithinDistance:
-		col := getIDCollector()
-		defer putIDCollector(col)
-		st, err := gx.rangeIDs(ctx, geom.BoxAround(req.Center, req.Radius), col)
-		if err != nil {
-			return QueryStats{}, err
-		}
-		results, tested := withinRefine(col.ids, gx.boxOf, req.Center, req.Radius, visit)
-		st.Results = results
-		st.EntriesTested += tested
-		return st, nil
-	case KNN:
-		return gx.doKNN(ctx, req.Center, req.K, visit)
-	}
-	return QueryStats{}, &RequestError{Kind: req.Kind, Field: "Kind", Reason: "is not a known query kind"}
+	return execute(ctx, gx, req, visit)
 }
 
 // cellBound is a (lower bound, cell) pair of the grid's nearest-first scan.
@@ -382,8 +330,9 @@ var cellBoundPool = sync.Pool{New: func() any { s := make([]cellBound, 0, 64); r
 // read-page set and the top-k accumulator are pooled.
 //
 //neurospatial:hotpath
-func (gx *Grid) doKNN(ctx context.Context, center geom.Vec, k int, visit func(Hit)) (QueryStats, error) {
+func (gx *Grid) doKNN(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
 	var st QueryStats
+	center := req.Center
 	orderBuf := cellBoundPool.Get().(*[]cellBound)
 	defer func() { *orderBuf = (*orderBuf)[:0]; cellBoundPool.Put(orderBuf) }()
 	order := (*orderBuf)[:0]
@@ -397,8 +346,8 @@ func (gx *Grid) doKNN(ctx context.Context, center geom.Vec, k int, visit func(Hi
 	*orderBuf = order
 	slices.SortFunc(order, cmpCellBound)
 	st.IndexReads = int64(len(order))
-	src := gx.source()
-	acc := getKNNAcc(k)
+	src := gx.source(req, nil)
+	acc := getKNNAcc(req.K)
 	defer putKNNAcc(acc)
 	read := getPageIDScratch(gx.store.NumPages())
 	defer putPageIDScratch(read)
@@ -467,13 +416,10 @@ func (gx *Grid) PagesInRange(q geom.AABB) []pager.PageID {
 // SetSource implements Paged.
 func (gx *Grid) SetSource(src pager.PageSource) { gx.src = src }
 
-// probeLock implements the planner's probeLocker hook.
-func (gx *Grid) probeLock() *sync.Mutex { return &gx.probeMu }
-
 // Source implements Paged.
 func (gx *Grid) Source() pager.PageSource { return gx.src }
 
 // PagedQuery implements Paged (and prefetch.Served).
 func (gx *Grid) PagedQuery(q geom.AABB, pool *pager.BufferPool, visit func(int32)) {
-	gx.queryVia(q, pool, visit)
+	pagedQuery(gx, q, pool, visit)
 }

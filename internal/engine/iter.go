@@ -24,8 +24,8 @@ import (
 // pages are consumed in ascending min-ID order and a buffered hit is emitted
 // only once its ID precedes every unread page's zone, so a consumer that
 // stops pulling (Limit satisfied) leaves the remaining pages unread: early
-// termination at page-read granularity, without the panic machinery of
-// ctxSource — pull-based iterators check ctxErr before every read instead.
+// termination at page-read granularity. Like the eager traversals, the
+// iterators check ctxErr before every read.
 
 // HitIterator is a lazy stream of hits in the canonical per-kind order.
 // Obtain one with Stream; drain it with Next until it reports false, then
@@ -175,6 +175,12 @@ func doPaginated(ctx context.Context, ix SpatialIndex, req Request, visit func(H
 	if err != nil {
 		return QueryStats{}, err
 	}
+	return emitDrained(it, visit)
+}
+
+// emitDrained drains it, emits what it yielded only once it has finished
+// cleanly (Do's all-or-nothing contract), and closes it.
+func emitDrained(it HitIterator, visit func(Hit)) (QueryStats, error) {
 	defer it.Close()
 	var hits []Hit
 	for {

@@ -459,10 +459,10 @@ func TestSnapshotKNNHighChurn(t *testing.T) {
 }
 
 // TestDoBatchCancelUnderLoad is the cancellation audit's regression: cancel
-// mid-DoBatch at high worker counts, repeatedly, under -race. A canceledRead
-// panic raised on a worker goroutine must be recovered on that worker (never
-// escape to kill the process), and DoBatch must return either a clean success
-// or the context's error — nothing else.
+// mid-DoBatch at high worker counts, repeatedly, under -race. Cancellation
+// observed on a worker goroutine must come back as that slot's error, and
+// DoBatch must return either a clean success or the context's error —
+// nothing else.
 func TestDoBatchCancelUnderLoad(t *testing.T) {
 	items := streamItems(3000, 21)
 	reqs := make([]engine.Request, 0, 64)

@@ -194,7 +194,7 @@ func thawGrid(rec *durable.IndexRec, items []rtree.Item, gridOpts GridOptions) (
 }
 
 // thawSub reconstructs one shard's sub-index from its record.
-func thawSub(rec *durable.IndexRec, items []rtree.Item, so ShardedOptions) (Paged, error) {
+func thawSub(rec *durable.IndexRec, items []rtree.Item, so ShardedOptions) (contender, error) {
 	if rec.Name != so.Index {
 		return nil, fmt.Errorf("engine: thaw shard sub-index is %q, want %q", rec.Name, so.Index)
 	}
@@ -272,13 +272,6 @@ func thawSharded(rec *durable.IndexRec, items []rtree.Item, opts ShardedOptions)
 		}
 		s.shards[i] = shardState{sub: sub, bounds: bounds, global: gcopy}
 		s.bounds = s.bounds.Union(bounds)
-		if s.opts.PoolPages > 0 {
-			pool, err := pager.NewBufferPool(sub.Store(), s.opts.PoolPages)
-			if err != nil {
-				return nil, fmt.Errorf("engine: thaw sharded: shard %d pool: %w", i, err)
-			}
-			s.shards[i].pool = pool
-		}
 		sub.SetSource(&shardSource{owner: s, shard: i})
 	}
 

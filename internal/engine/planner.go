@@ -28,9 +28,11 @@ import (
 // cost wins, ties broken by registration order.
 //
 // PlanKind, PlanKindCached and ObserveKind are safe for concurrent use (the
-// indexes themselves are read-only after Build). Paged.SetSource on a
-// contender is configuration, not execution: call it before sharing the
-// planner across goroutines.
+// indexes themselves are read-only after Build), with each other and with
+// queries on the same contenders: a calibration probe is an ordinary request
+// that reads cold, and rewires nothing. Paged.SetSource on a contender is
+// configuration, not execution: call it before sharing the index across
+// goroutines.
 type Planner struct {
 	// ProbeQueries is the calibration sample size per unprofiled
 	// (index, kind) pair. Default 3.
@@ -40,15 +42,6 @@ type Planner struct {
 	mu      sync.Mutex                    //neurospatial:lock planner.state
 	learned map[plannerKey]*stats.Running // per-query Cost() history
 	probes  map[plannerKey]chan struct{}  // in-flight probe latches
-	// probeEx serializes probe *execution* for indexes that do not carry
-	// their own instance lock (see probeLocker): the latch above is per
-	// (index, kind), but a probe temporarily rewires the index's read path
-	// (SetSource detach, Sharded.probeCold), so two kinds probing the same
-	// contender concurrently would race on that configuration and leak
-	// probe traffic into an attached pool. Engine-owned contenders use
-	// their per-instance lock instead, which also serializes probes from
-	// *different* planners sharing the instance.
-	probeEx map[string]*sync.Mutex
 
 	// epoch is the dataset epoch this planner serves (0 for free-standing
 	// planners); it is part of every plan-cache key, so entries cached for
@@ -123,23 +116,6 @@ type plannerKey struct {
 	kind Kind
 }
 
-// baseProber lets an index wrapper expose the underlying index whose read
-// path a calibration probe must detach (snapshot views implement it).
-type baseProber interface {
-	probeBase() SpatialIndex
-}
-
-// probeLocker exposes an index instance's probe-execution lock. The probe's
-// source detach/restore mutates the instance's read-path configuration, so
-// exclusion must be per *instance*, not per Planner: distinct planners share
-// index instances (every Dataset snapshot's planner shares its epoch's
-// bases, and core.Model shares the epoch-0 bases with Model.Engine). All
-// engine contenders implement it; foreign SpatialIndex implementations fall
-// back to the planner-local lock.
-type probeLocker interface {
-	probeLock() *sync.Mutex
-}
-
 // NewPlanner returns a planner over the given contenders, in priority order
 // (earlier indexes win cost ties).
 func NewPlanner(indexes ...SpatialIndex) *Planner {
@@ -148,7 +124,6 @@ func NewPlanner(indexes ...SpatialIndex) *Planner {
 		indexes:      indexes,
 		learned:      make(map[plannerKey]*stats.Running),
 		probes:       make(map[plannerKey]chan struct{}),
-		probeEx:      make(map[string]*sync.Mutex),
 		plans:        make(map[planCacheKey]SpatialIndex),
 	}
 }
@@ -369,52 +344,14 @@ func (p *Planner) probeOnce(ix SpatialIndex, kind Kind, sample []Request) bool {
 }
 
 // probe runs the calibration sample on one index, discarding hits. The
-// sample is executed against the index's own cold store: an attached
-// PageSource (a shared BufferPool under measurement, say) is detached for
-// the probe and restored after, so planning never perturbs the pool
-// contents or counters the experiments report.
+// sample reads cold (Request.cold): the engine contenders — and snapshot
+// views and shards, which hand the flag to their bases — resolve each call's
+// page source from the request, so an attached PageSource (a shared
+// BufferPool under measurement, say) sees none of the probe's reads, and
+// planning never perturbs the pool contents or counters the experiments
+// report. Nothing on the index is touched, so probes need no exclusion from
+// each other or from concurrent queries.
 func (p *Planner) probe(ix SpatialIndex, kind Kind, sample []Request) {
-	// A snapshot view is not Paged itself, but its page reads are its base
-	// index's: detach at the base so probing a dataset session never warms a
-	// pool the base shares with other surfaces.
-	target := ix
-	if bp, ok := target.(baseProber); ok {
-		if base := bp.probeBase(); base != nil {
-			target = base
-		}
-	}
-	// One probe at a time per index *instance*: the source detach/restore
-	// below is configuration of the index's read path, not concurrent-safe
-	// state — and several planners can share one instance (per-snapshot
-	// planners, Model.Engine), so the lock lives on the instance where the
-	// contender provides one, with a planner-local fallback otherwise.
-	var ex *sync.Mutex
-	if pl, ok := target.(probeLocker); ok {
-		ex = pl.probeLock()
-	} else {
-		p.mu.Lock()
-		ex = p.probeEx[ix.Name()]
-		if ex == nil {
-			ex = &sync.Mutex{}
-			p.probeEx[ix.Name()] = ex
-		}
-		p.mu.Unlock()
-	}
-	ex.Lock()
-	defer ex.Unlock()
-
-	if pg, ok := target.(Paged); ok {
-		if src := pg.Source(); src != nil {
-			pg.SetSource(nil)
-			defer pg.SetSource(src)
-		}
-	}
-	// The sharded index additionally carries internal per-shard pools;
-	// route the probe around those too.
-	if sh, ok := target.(*Sharded); ok {
-		sh.setProbeCold(true)
-		defer sh.setProbeCold(false)
-	}
 	n := p.ProbeQueries
 	if n <= 0 {
 		n = 3
@@ -424,6 +361,7 @@ func (p *Planner) probe(ix SpatialIndex, kind Kind, sample []Request) {
 		if r.Kind != kind {
 			continue
 		}
+		r.cold = true
 		st, err := ix.Do(context.Background(), r, nil)
 		if err != nil {
 			continue // invalid sample requests contribute no history

@@ -239,44 +239,3 @@ func TestPlannerProbeLeavesAttachedPoolUntouched(t *testing.T) {
 		t.Fatal("restored source saw no traffic on a real query")
 	}
 }
-
-// TestPlannerProbeLeavesShardPoolsUntouched extends the cold-probe guarantee
-// to the sharded index's internal per-shard pools: planning must not warm
-// them or skew their counters either.
-func TestPlannerProbeLeavesShardPoolsUntouched(t *testing.T) {
-	items := testItems(t, 8, 8004)
-	vol := geom.Box(geom.V(0, 0, 0), geom.V(200, 200, 200))
-	queries := testQueries(vol, 12)
-
-	opts := subIndexOptions("flat", 3)
-	opts.PoolPages = 8
-	sh := engine.NewSharded(opts)
-	if err := sh.Build(items); err != nil {
-		t.Fatal(err)
-	}
-
-	p := engine.NewPlanner(sh)
-	if d := p.PlanKind(engine.Range, rangeRequests(queries)); len(d.Probed) != 1 {
-		t.Fatalf("first plan probed %v", d.Probed)
-	}
-	for i, pool := range sh.ShardPools() {
-		if st := pool.Stats(); st != (pager.Stats{}) {
-			t.Fatalf("probe perturbed shard %d's pool: %+v", i, st)
-		}
-		if pool.Len() != 0 {
-			t.Fatalf("probe populated shard %d's pool with %d pages", i, pool.Len())
-		}
-	}
-
-	// Real execution still runs through the per-shard pools.
-	serialRange(t, sh, queries)
-	touched := 0
-	for _, pool := range sh.ShardPools() {
-		if st := pool.Stats(); st.DemandReads+st.Hits > 0 {
-			touched++
-		}
-	}
-	if touched == 0 {
-		t.Fatal("per-shard pools saw no traffic on real execution")
-	}
-}

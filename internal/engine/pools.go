@@ -12,8 +12,8 @@ import (
 //
 //   - get* returns a reset object (len 0 / zeroed fields), put* recycles it;
 //     callers release with defer immediately after acquiring, so every exit
-//     path — normal return, request error, cancellation panic unwinding
-//     through catchCancel — returns the object exactly once.
+//     path — normal return, request error, cancellation — returns the object
+//     exactly once.
 //   - Pooled memory never escapes into results. Hits are emitted by value
 //     through visit callbacks and Result.Hits/iterator buffers are always
 //     freshly owned by the caller, so recycling cannot alias live data.

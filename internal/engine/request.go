@@ -69,6 +69,13 @@ func ParseKind(name string) (Kind, error) {
 type Request struct {
 	// Kind selects the query semantics.
 	Kind Kind
+	// cold makes the traversals read the index's own store even when a
+	// PageSource is attached (see pickSource). Only the planner's calibration
+	// probe sets it; views and the sharded index hand it down to their bases.
+	// It sits in Kind's alignment padding: a Request stays 128 bytes, the
+	// largest value a closure still captures by copy instead of moving it to
+	// the heap.
+	cold bool
 	// Box is the query range (Range only).
 	Box geom.AABB
 	// Center is the query point (KNN, Point, WithinDistance).

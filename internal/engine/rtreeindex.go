@@ -34,8 +34,6 @@ type RTree struct {
 	// node its page, MBR, level and (min, max) item-ID zone — what the
 	// streaming descent orders subtrees by. nodes[0] is the root.
 	nodes []rnode
-	// probeMu is the per-instance probe-execution lock (see planner.go).
-	probeMu sync.Mutex //neurospatial:lock rtree.probe
 }
 
 // rnode is one node of the RAM directory (see RTree.nodes).
@@ -183,97 +181,49 @@ func fromRTree(s rtree.QueryStats) QueryStats {
 	}
 }
 
-// rangeIDs runs the native descent collecting ids. With a cancelable
-// context the descent reads node pages through the paged layout (the
-// traversal — and therefore the stats record — is identical to the unpaged
-// one), so cancellation is checked at every node-page read.
+// scan implements contender: the filtered descent, IDs in descent order.
+// With no source to read through and a context that cannot be canceled it
+// descends the RAM tree — the same nodes in the same order as the paged
+// descent, so the same record, with no page reads to check a context at.
 //
 //neurospatial:hotpath
-func (r *RTree) rangeIDs(ctx context.Context, q geom.AABB, col *idCollector) (QueryStats, error) {
-	if r.paged != nil && (r.src != nil || cancelable(ctx)) {
-		base := r.src
-		if base == nil {
-			base = r.paged.Store()
+func (r *RTree) scan(ctx context.Context, req Request, src pager.PageSource, out *idCollector) (QueryStats, error) {
+	q := queryBox(req)
+	src = pickSource(req, src, r.src)
+	if src == nil {
+		if !cancelable(ctx) {
+			return fromRTree(r.tree.Query(q, out.visitItem)), nil
 		}
-		src := wrapCtxSource(ctx, base)
-		var st QueryStats
-		//lint:ignore hotpath the catchCancel closure is the cancelable path's one per-call allocation; the unpaged path below skips it
-		err := catchCancel(func() {
-			st = fromRTree(r.paged.QueryVia(q, src, col.visitItem))
-		})
-		if err != nil {
-			return QueryStats{}, err
-		}
-		return st, nil
+		src = r.paged.Store()
 	}
-	return fromRTree(r.tree.Query(q, col.visitItem)), nil
+	st, err := r.paged.QueryVia(ctx, q, src, out.visitItem)
+	return fromRTree(st), err
 }
 
-// Do implements SpatialIndex. Range, Point and WithinDistance run as
-// filtered descents (Point stabs with a degenerate box, WithinDistance
-// descends the sphere's bounding box and refines with the exact Dist2Point
-// test). KNN wraps the tree's native best-first search (rtree.Tree.KNN) and
-// surfaces its native statistics in the unified record — NodesPerLevel
-// carries the per-level access breakdown and PagesRead its total under the
-// one-node-per-page convention. Boundary ties are resolved to the canonical
-// (Dist2, ID) order by widening the native search until the (k+1)-st
-// distance strictly exceeds the k-th (ties are measure-zero on real
+// itemBoxes implements contender.
+func (r *RTree) itemBoxes() func(int32) geom.AABB { return r.boxOf }
+
+// Do implements SpatialIndex through the shared executor. Range, Point and
+// WithinDistance run as filtered descents (Point stabs with a degenerate box,
+// WithinDistance descends the sphere's bounding box and refines with the
+// exact Dist2Point test). KNN wraps the tree's native best-first search
+// (rtree.Tree.KNN) and surfaces its native statistics in the unified record —
+// NodesPerLevel carries the per-level access breakdown and PagesRead its
+// total under the one-node-per-page convention. Boundary ties are resolved to
+// the canonical (Dist2, ID) order by widening the native search until the
+// (k+1)-st distance strictly exceeds the k-th (ties are measure-zero on real
 // coordinates, so the first probe almost always suffices); the record is the
 // widest search executed. Cancellation is checked between native calls (the
 // KNN traversal is RAM-resident — it performs no page reads to check at).
-//
-//neurospatial:hotpath
 func (r *RTree) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
-	if err := req.Validate(); err != nil {
-		return QueryStats{}, err
-	}
-	if visit == nil {
-		visit = func(Hit) {}
-	}
-	if r.tree == nil || r.tree.Size() == 0 {
-		return QueryStats{}, ctxErr(ctx)
-	}
-	if err := ctxErr(ctx); err != nil {
-		return QueryStats{}, err
-	}
-	if req.paginated() {
-		return doPaginated(ctx, r, req, visit)
-	}
-	switch req.Kind {
-	case Range, Point:
-		q := req.Box
-		if req.Kind == Point {
-			q = geom.Box(req.Center, req.Center)
-		}
-		col := getIDCollector()
-		defer putIDCollector(col)
-		st, err := r.rangeIDs(ctx, q, col)
-		if err != nil {
-			return QueryStats{}, err
-		}
-		emitIDHits(col.ids, visit)
-		return st, nil
-	case WithinDistance:
-		col := getIDCollector()
-		defer putIDCollector(col)
-		st, err := r.rangeIDs(ctx, geom.BoxAround(req.Center, req.Radius), col)
-		if err != nil {
-			return QueryStats{}, err
-		}
-		results, tested := withinRefine(col.ids, r.boxOf, req.Center, req.Radius, visit)
-		st.Results = results
-		st.EntriesTested += tested
-		return st, nil
-	case KNN:
-		return r.doKNN(ctx, req.Center, req.K, visit)
-	}
-	return QueryStats{}, &RequestError{Kind: req.Kind, Field: "Kind", Reason: "is not a known query kind"}
+	return execute(ctx, r, req, visit)
 }
 
 // doKNN wraps rtree.Tree.KNN with the canonical tie resolution.
 //
 //neurospatial:hotpath
-func (r *RTree) doKNN(ctx context.Context, center geom.Vec, k int, visit func(Hit)) (QueryStats, error) {
+func (r *RTree) doKNN(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
+	center, k := req.Center, req.K
 	size := r.tree.Size()
 	// Probe one past k: when the (k+1)-st distance strictly exceeds the k-th,
 	// the candidate set provably contains every item tied with the k-th and
@@ -331,10 +281,10 @@ func (r *RTree) iterate(ctx context.Context, req Request, after *Hit) (HitIterat
 	}
 	if req.Kind == KNN {
 		return knnEager(func(visit func(Hit)) (QueryStats, error) {
-			return r.doKNN(ctx, req.Center, req.K, visit)
+			return r.doKNN(ctx, req, visit)
 		}, KNN, after)
 	}
-	src := r.src
+	src := pickSource(req, nil, r.src)
 	if src == nil {
 		src = r.paged.Store()
 	}
@@ -558,16 +508,10 @@ func (r *RTree) PagesInRange(q geom.AABB) []pager.PageID {
 // SetSource implements Paged.
 func (r *RTree) SetSource(src pager.PageSource) { r.src = src }
 
-// probeLock implements the planner's probeLocker hook.
-func (r *RTree) probeLock() *sync.Mutex { return &r.probeMu }
-
 // Source implements Paged.
 func (r *RTree) Source() pager.PageSource { return r.src }
 
 // PagedQuery implements Paged (and prefetch.Served).
 func (r *RTree) PagedQuery(q geom.AABB, pool *pager.BufferPool, visit func(int32)) {
-	if r.paged == nil {
-		return
-	}
-	r.paged.QueryVia(q, pool, func(it rtree.Item) { visit(it.ID) })
+	pagedQuery(r, q, pool, visit)
 }

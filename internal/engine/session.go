@@ -313,22 +313,9 @@ func (s *Session) DoBatch(ctx context.Context, reqs []Request, workers int) ([]R
 	// after BatchCtx joins — distinct elements, no sharing.
 	cursors := sc.cursors
 	sts, err := parallel.BatchCtx(ctx, workers, len(reqs),
-		func(qi int, emit func(Hit)) (QueryStats, error) {
-			// Defense in depth for the cancellation machinery: a canceledRead
-			// panic must be recovered on the goroutine that raised it (the
-			// worker running this slot), and every Do implementation installs
-			// its own catchCancel around its ctxSource reads. This outer
-			// catch guards any future read path that forgets to — without
-			// it, an escaped panic on a worker goroutine would kill the
-			// process, since the caller's recover cannot see it.
-			var st QueryStats
-			var doErr error
-			if cerr := catchCancel(func() {
-				st, cursors[qi], doErr = execRequest(ctx, routed[reqs[qi].Kind], reqs[qi], emit)
-			}); cerr != nil {
-				return QueryStats{}, cerr
-			}
-			return st, doErr
+		func(qi int, emit func(Hit)) (st QueryStats, err error) {
+			st, cursors[qi], err = execRequest(ctx, routed[reqs[qi].Kind], reqs[qi], emit)
+			return st, err
 		},
 		func(qi int, h Hit) { results[qi].Hits = append(results[qi].Hits, h) })
 	if err != nil {

@@ -11,13 +11,11 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"testing"
 
 	"neurospatial/internal/engine"
 	"neurospatial/internal/flat"
 	"neurospatial/internal/geom"
-	"neurospatial/internal/pager"
 	"neurospatial/internal/rtree"
 )
 
@@ -260,32 +258,6 @@ func TestSessionPlannerRoutedMatchesOracle(t *testing.T) {
 		}
 		kindIndex[reqs[i].Kind] = got[i].Index
 	}
-}
-
-// cancelSource counts page reads and fires a cancel func at the N-th — the
-// mid-flight abort trigger of the cancellation tests.
-type cancelSource struct {
-	src    pager.PageSource
-	mu     sync.Mutex
-	reads  int
-	after  int
-	cancel context.CancelFunc
-}
-
-func (c *cancelSource) ReadPage(p pager.PageID) []int32 {
-	c.mu.Lock()
-	c.reads++
-	if c.reads == c.after {
-		c.cancel()
-	}
-	c.mu.Unlock()
-	return c.src.ReadPage(p)
-}
-
-func (c *cancelSource) count() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.reads
 }
 
 // TestDoBatchCancellation: a DoBatch canceled mid-flight stops before

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"neurospatial/internal/flat"
 	"neurospatial/internal/geom"
@@ -30,12 +28,6 @@ type ShardedOptions struct {
 	RTreeFanout int
 	// Grid configures the per-shard grid indexes (Index == "grid").
 	Grid GridOptions
-	// PoolPages, when > 0, gives every shard its own pager.BufferPool of
-	// that capacity over its local store — the per-shard caching regime of a
-	// partitioned serving tier. Zero reads cold. An externally attached
-	// PageSource (SetSource / PagedQuery) bypasses the per-shard pools, since
-	// it owns the global page space.
-	PoolPages int
 }
 
 func (o ShardedOptions) sanitize() ShardedOptions {
@@ -51,22 +43,20 @@ func (o ShardedOptions) sanitize() ShardedOptions {
 // shardState is one spatial shard: a sub-index over the shard's items
 // re-labelled with dense local IDs, plus the maps back to global space.
 type shardState struct {
-	sub    Paged
+	sub    contender
 	bounds geom.AABB
 	// global[l] is the global ID of the shard's local item l (ascending —
 	// local IDs are assigned in ascending global-ID order).
 	global []int32
 	// pageBase is the shard's first page in the global page space.
 	pageBase pager.PageID
-	// pool is the shard's own buffer pool (nil when PoolPages == 0).
-	pool *pager.BufferPool
 }
 
 // Sharded is the scatter-gather engine index: the item set is split into K
 // spatial shards (shard.Partition, STR-style longest-axis recursion over
 // item centers), each shard builds its own contender index with its own
-// pager.Store (and optional per-shard BufferPool), and queries fan out only
-// to the shards whose bounds intersect the range.
+// pager.Store, and queries fan out only to the shards whose bounds intersect
+// the range.
 //
 // Gather order: per query, the shards are drained in shard order and the
 // merged hits are emitted in ascending global ID — Sharded's fixed native
@@ -96,21 +86,17 @@ type Sharded struct {
 	store *pager.Store
 	// src is the externally attached global-space PageSource (SetSource).
 	src pager.PageSource
-	// probeCold routes reads around the per-shard pools (planner
-	// calibration must not warm or count against internal caches). Atomic
-	// because the query read path observes it without holding probeMu:
-	// queries may run concurrently with a planner probe toggling it.
-	probeCold atomic.Bool
-	// pqMu serializes PagedQuery's temporary source swap.
-	pqMu sync.Mutex //neurospatial:lock sharded.pq
-	// probeMu is the per-instance probe-execution lock (see planner.go);
-	// it serializes probe runs (and so probeCold toggles) across planners
-	// sharing the instance.
-	probeMu sync.Mutex //neurospatial:lock sharded.probe
+	// boxOf resolves a global item's exact box through its shard (bound once
+	// in NewSharded; a per-query closure would be a hot-path allocation).
+	boxOf func(int32) geom.AABB
 }
 
 // NewSharded returns an unbuilt sharded index.
-func NewSharded(opts ShardedOptions) *Sharded { return &Sharded{opts: opts.sanitize()} }
+func NewSharded(opts ShardedOptions) *Sharded {
+	s := &Sharded{opts: opts.sanitize()}
+	s.boxOf = func(g int32) geom.AABB { return s.shards[s.shardOf[g]].sub.itemBoxes()(s.local[g]) }
+	return s
+}
 
 // Name implements SpatialIndex.
 func (s *Sharded) Name() string { return "sharded" }
@@ -121,18 +107,8 @@ func (s *Sharded) NumShards() int { return len(s.shards) }
 // ShardBounds returns the MBR of shard i's items.
 func (s *Sharded) ShardBounds(i int) geom.AABB { return s.shards[i].bounds }
 
-// ShardPools returns the per-shard buffer pools, nil entries when
-// ShardedOptions.PoolPages was 0. The slice is indexed by shard.
-func (s *Sharded) ShardPools() []*pager.BufferPool {
-	pools := make([]*pager.BufferPool, len(s.shards))
-	for i := range s.shards {
-		pools[i] = s.shards[i].pool
-	}
-	return pools
-}
-
 // newSubIndex constructs one shard's contender.
-func (o ShardedOptions) newSubIndex() (Paged, error) {
+func (o ShardedOptions) newSubIndex() (contender, error) {
 	switch o.Index {
 	case "flat":
 		return NewFlat(o.Flat), nil
@@ -183,15 +159,8 @@ func (s *Sharded) Build(items []rtree.Item) error {
 		}
 		s.shards[i] = shardState{sub: sub, bounds: part.Bounds, global: globals}
 		s.bounds = s.bounds.Union(part.Bounds)
-		if s.opts.PoolPages > 0 {
-			pool, err := pager.NewBufferPool(sub.Store(), s.opts.PoolPages)
-			if err != nil {
-				return fmt.Errorf("engine: shard %d pool: %w", i, err)
-			}
-			s.shards[i].pool = pool
-		}
-		// All page reads of the shard dispatch through the owner: attached
-		// global source first, then the per-shard pool, then cold.
+		// The shard's page reads dispatch through the owner, so a source
+		// attached to the Sharded later is seen by every sub-index.
 		sub.SetSource(&shardSource{owner: s, shard: i})
 	}
 
@@ -233,32 +202,28 @@ func (s *Sharded) Build(items []rtree.Item) error {
 	return nil
 }
 
-// shardSource is the PageSource installed on every sub-index: it accounts
-// the read in the global page space (against the attached source or the
-// shard's own pool) and returns the shard-local page content the sub-index's
-// refinement expects.
+// shardSource is the PageSource a sub-index reads through: it accounts the
+// read in the global page space against the source passed for the call (src,
+// PagedQuery's pool) or else the one attached to the owner, and returns the
+// shard-local page content the sub-index's refinement expects. One is
+// installed on every sub-index at build time with src nil.
 type shardSource struct {
 	owner *Sharded
 	shard int
+	src   pager.PageSource
 }
 
 func (ss *shardSource) ReadPage(p pager.PageID) []int32 {
 	sh := &ss.owner.shards[ss.shard]
-	if src := ss.owner.src; src != nil {
-		src.ReadPage(sh.pageBase + p)
-		return sh.sub.Store().Page(p)
+	src := ss.src
+	if src == nil {
+		src = ss.owner.src
 	}
-	if sh.pool != nil && !ss.owner.probeCold.Load() {
-		return sh.pool.Get(p)
+	if src != nil {
+		src.ReadPage(sh.pageBase + p)
 	}
 	return sh.sub.Store().Page(p)
 }
-
-// setProbeCold implements the planner's internal cold-probe hook: while on,
-// reads bypass the per-shard pools (cold store), so a calibration probe
-// neither warms nor counts against them. Like SetSource, it is configuration
-// of the read path, not concurrent-execution state.
-func (s *Sharded) setProbeCold(on bool) { s.probeCold.Store(on) }
 
 // Bounds implements SpatialIndex.
 func (s *Sharded) Bounds() geom.AABB { return s.bounds }
@@ -266,94 +231,67 @@ func (s *Sharded) Bounds() geom.AABB { return s.bounds }
 // NumItems implements SpatialIndex.
 func (s *Sharded) NumItems() int { return s.n }
 
-// scatter runs one sub-request on every shard accepted by keep (in shard
-// order), translating local hits to global IDs via toGlobal, and returns the
-// summed stats with ShardsTouched set. The sub-indexes observe ctx at their
-// own page-read granularity.
-func (s *Sharded) scatter(ctx context.Context, sub Request, keep func(sh *shardState) bool,
-	emit func(shardIdx int, h Hit)) (QueryStats, error) {
+// admits reports whether the shard can hold a hit of an ascending-ID request:
+// its bounds intersect the box (Range, Point) or pass the exact Dist2Point
+// sphere test (WithinDistance — tighter than the sphere's bounding box, which
+// clips shards at its corners).
+func (sh *shardState) admits(req Request) bool {
+	if req.Kind == WithinDistance {
+		return sh.bounds.Dist2Point(req.Center) <= req.Radius*req.Radius
+	}
+	return sh.bounds.Intersects(queryBox(req))
+}
 
-	var subs []QueryStats
+// scan implements contender: the admitting shards scan in shard order, their
+// local IDs are translated to global ones, and the gather is sorted —
+// ascending global ID is Sharded's native order. A source passed for the
+// call addresses the global page space; each shard reads it through its own
+// shardSource. Per-shard stats are summed, with ShardsTouched the fan-out.
+//
+//neurospatial:hotpath
+func (s *Sharded) scan(ctx context.Context, req Request, src pager.PageSource, out *idCollector) (QueryStats, error) {
+	var st QueryStats
+	first := len(out.ids)
 	for i := range s.shards {
 		sh := &s.shards[i]
-		if !keep(sh) {
+		if !sh.admits(req) {
 			continue
 		}
-		st, err := sh.sub.Do(ctx, sub, func(h Hit) { emit(i, h) })
+		var subSrc pager.PageSource
+		if src != nil {
+			// Only PagedQuery passes a source; Do's scans read through the
+			// shardSource installed at build, and allocate nothing here.
+			subSrc = &shardSource{owner: s, shard: i, src: src}
+		}
+		mark := len(out.ids)
+		sst, err := sh.sub.scan(ctx, req, subSrc, out)
 		if err != nil {
 			return QueryStats{}, err
 		}
-		subs = append(subs, st)
+		for j, l := range out.ids[mark:] {
+			out.ids[mark+j] = sh.global[l]
+		}
+		st.add(&sst)
+		st.ShardsTouched++
 	}
-	st := Aggregate(subs)
-	st.ShardsTouched = int64(len(subs))
+	slices.Sort(out.ids[first:])
 	return st, nil
 }
 
-// Do implements SpatialIndex: every kind scatters to the shards that can
-// contribute and gathers into the canonical order. Range and Point fan out
-// to the shards whose bounds intersect the box; WithinDistance to the shards
-// whose bounds pass the exact Dist2Point sphere test. KNN is a
-// bound-tightening gather: shards are visited in ascending distance from the
-// query point, each contributes its local top-k through the shared (Dist2,
-// ID) accumulator, and the fan-out stops as soon as the next shard's bound
-// exceeds the current k-th distance — ShardsTouched records how many shards
-// the gather actually consulted.
-//
-//neurospatial:hotpath
+// itemBoxes implements contender.
+func (s *Sharded) itemBoxes() func(int32) geom.AABB { return s.boxOf }
+
+// Do implements SpatialIndex through the shared executor: every kind scatters
+// to the shards that can contribute and gathers into the canonical order.
+// Range and Point fan out to the shards whose bounds intersect the box;
+// WithinDistance to the shards whose bounds pass the exact Dist2Point sphere
+// test. KNN is a bound-tightening gather: shards are visited in ascending
+// distance from the query point, each contributes its local top-k through the
+// shared (Dist2, ID) accumulator, and the fan-out stops as soon as the next
+// shard's bound exceeds the current k-th distance — ShardsTouched records how
+// many shards the gather actually consulted.
 func (s *Sharded) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
-	if err := req.Validate(); err != nil {
-		return QueryStats{}, err
-	}
-	if visit == nil {
-		visit = func(Hit) {}
-	}
-	if s.n == 0 {
-		return QueryStats{}, ctxErr(ctx)
-	}
-	if err := ctxErr(ctx); err != nil {
-		return QueryStats{}, err
-	}
-	if req.paginated() {
-		return doPaginated(ctx, s, req, visit)
-	}
-	switch req.Kind {
-	case Range, Point:
-		q := req.Box
-		if req.Kind == Point {
-			q = geom.Box(req.Center, req.Center)
-		}
-		var hits []Hit
-		//lint:ignore hotpath the sharded gather buffers hits per query by design; ceilinged by TestDoHotPathAllocs
-		st, err := s.scatter(ctx, req, func(sh *shardState) bool { return sh.bounds.Intersects(q) },
-			func(i int, h Hit) { hits = append(hits, Hit{ID: s.shards[i].global[h.ID]}) })
-		if err != nil {
-			return QueryStats{}, err
-		}
-		slices.SortFunc(hits, cmpHitID)
-		for _, h := range hits {
-			visit(h)
-		}
-		return st, nil
-	case WithinDistance:
-		r2 := req.Radius * req.Radius
-		var hits []Hit
-		//lint:ignore hotpath the sharded gather buffers hits per query by design; ceilinged by TestDoHotPathAllocs
-		st, err := s.scatter(ctx, req,
-			func(sh *shardState) bool { return sh.bounds.Dist2Point(req.Center) <= r2 },
-			func(i int, h Hit) { hits = append(hits, Hit{ID: s.shards[i].global[h.ID], Dist2: h.Dist2}) })
-		if err != nil {
-			return QueryStats{}, err
-		}
-		slices.SortFunc(hits, cmpHitID)
-		for _, h := range hits {
-			visit(h)
-		}
-		return st, nil
-	case KNN:
-		return s.doKNN(ctx, req, visit)
-	}
-	return QueryStats{}, &RequestError{Kind: req.Kind, Field: "Kind", Reason: "is not a known query kind"}
+	return execute(ctx, s, req, visit)
 }
 
 // doKNN is the sharded bound-tightening kNN gather.
@@ -380,7 +318,7 @@ func (s *Sharded) doKNN(ctx context.Context, req Request, visit func(Hit)) (Quer
 	})
 	acc := getKNNAcc(req.K)
 	defer putKNNAcc(acc)
-	var subs []QueryStats
+	var st QueryStats
 	for _, sb := range order {
 		if acc.Full() && sb.d2 > acc.Bound() {
 			break
@@ -391,17 +329,15 @@ func (s *Sharded) doKNN(ctx context.Context, req Request, visit func(Hit)) (Quer
 		// global (Dist2, ID) order and the union provably contains the
 		// canonical top-k.
 		//lint:ignore hotpath one translation closure per consulted shard by design; ceilinged by TestDoHotPathAllocs
-		st, err := sh.sub.Do(ctx, req, func(h Hit) {
+		sst, err := sh.sub.doKNN(ctx, req, func(h Hit) {
 			acc.Offer(Hit{ID: sh.global[h.ID], Dist2: h.Dist2})
 		})
 		if err != nil {
 			return QueryStats{}, err
 		}
-		//lint:ignore hotpath per-shard stats gather is O(shards) per query by design; ceilinged by TestDoHotPathAllocs
-		subs = append(subs, st)
+		st.add(&sst)
+		st.ShardsTouched++
 	}
-	st := Aggregate(subs)
-	st.ShardsTouched = int64(len(subs))
 	hits := acc.Hits()
 	st.Results = int64(len(hits))
 	for _, h := range hits {
@@ -428,19 +364,10 @@ func (s *Sharded) iterate(ctx context.Context, req Request, after *Hit) (HitIter
 			return s.doKNN(ctx, req, visit)
 		}, KNN, after)
 	}
-	keep := func(sh *shardState) bool { return sh.bounds.Intersects(queryBox(req)) }
-	if req.Kind == WithinDistance {
-		r2 := req.Radius * req.Radius
-		keep = func(sh *shardState) bool { return sh.bounds.Dist2Point(req.Center) <= r2 }
-	}
 	var its []HitIterator
 	for i := range s.shards {
 		sh := &s.shards[i]
-		if !keep(sh) {
-			continue
-		}
-		sub, ok := sh.sub.(streamer)
-		if !ok { // defensive: every engine contender streams
+		if !sh.admits(req) {
 			continue
 		}
 		var localAfter *Hit
@@ -452,7 +379,7 @@ func (s *Sharded) iterate(ctx context.Context, req Request, after *Hit) (HitIter
 				localAfter = &Hit{ID: int32(ub - 1)}
 			}
 		}
-		it, err := sub.iterate(ctx, req, localAfter)
+		it, err := sh.sub.iterate(ctx, req, localAfter)
 		if err != nil {
 			for _, open := range its {
 				open.Close()
@@ -509,28 +436,13 @@ func (s *Sharded) PagesInRange(q geom.AABB) []pager.PageID {
 	return out
 }
 
-// SetSource implements Paged: src addresses the global page space and
-// overrides the per-shard pools while attached.
+// SetSource implements Paged: src addresses the global page space.
 func (s *Sharded) SetSource(src pager.PageSource) { s.src = src }
-
-// probeLock implements the planner's probeLocker hook.
-func (s *Sharded) probeLock() *sync.Mutex { return &s.probeMu }
 
 // Source implements Paged.
 func (s *Sharded) Source() pager.PageSource { return s.src }
 
-// PagedQuery implements Paged (and prefetch.Served): one range query reading
-// through a pool over the global store. The gather is Do's — same shard
-// order, same sub-traversals, ascending global ID out — so only the source
-// swap is particular to it. Like SetSource, it is configuration of the read
-// path — do not run it concurrently with other queries on the same Sharded.
+// PagedQuery implements Paged (and prefetch.Served).
 func (s *Sharded) PagedQuery(q geom.AABB, pool *pager.BufferPool, visit func(int32)) {
-	s.pqMu.Lock()
-	defer s.pqMu.Unlock()
-	old := s.src
-	s.src = pool
-	defer func() { s.src = old }()
-	// The context is never canceled, so the only error left is Validate's
-	// for a NaN or empty box — which has no hits to emit.
-	_, _ = s.Do(context.Background(), RangeRequest(q), func(h Hit) { visit(h.ID) })
+	pagedQuery(s, q, pool, visit)
 }

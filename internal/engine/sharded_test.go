@@ -107,53 +107,6 @@ func TestShardedMatchesUnshardedDifferential(t *testing.T) {
 	}
 }
 
-// TestShardedPerShardPools runs the differential through per-shard buffer
-// pools: same hits, and every shard's pool must have seen its own traffic
-// with the accounting identity intact.
-func TestShardedPerShardPools(t *testing.T) {
-	items := testItems(t, 12, 7008)
-	vol := geom.Box(geom.V(0, 0, 0), geom.V(200, 200, 200))
-	queries := testQueries(vol, 24)
-
-	base := engine.NewFlat(flat.DefaultOptions())
-	if err := base.Build(items); err != nil {
-		t.Fatal(err)
-	}
-	want, _ := serialRange(t, base, queries)
-
-	for _, k := range shardCounts {
-		opts := subIndexOptions("flat", k)
-		opts.PoolPages = 8
-		sh := engine.NewSharded(opts)
-		if err := sh.Build(items); err != nil {
-			t.Fatal(err)
-		}
-		sess, err := engine.Open(engine.WithIndex(sh))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range shardWorkerCounts {
-			got, _, _ := batchRange(t, sess, queries, w)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("shards=%d workers=%d: pooled hits diverged", k, w)
-			}
-		}
-		touched := 0
-		for i, pool := range sh.ShardPools() {
-			if pool == nil {
-				t.Fatalf("shards=%d: shard %d has no pool", k, i)
-			}
-			st := pool.Stats()
-			if st.Hits+st.DemandReads > 0 {
-				touched++
-			}
-		}
-		if touched == 0 {
-			t.Errorf("shards=%d: no shard pool saw traffic", k)
-		}
-	}
-}
-
 // TestShardedThroughGlobalPool attaches one buffer pool over the global page
 // space (SetSource): hits must be unchanged and the pool must account reads
 // in global page IDs.

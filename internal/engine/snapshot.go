@@ -245,13 +245,6 @@ type snapView struct {
 // per-kind routing decisions read the same as on raw indexes.
 func (v *snapView) Name() string { return v.name }
 
-// probeBase implements the planner's baseProber hook: calibration probes
-// executed through a view must detach the *base* index's attached
-// PageSource (the view itself is not Paged, but its page reads are the
-// base's), so probing never perturbs a pool the base shares with other
-// surfaces.
-func (v *snapView) probeBase() SpatialIndex { return v.base }
-
 // Build implements SpatialIndex. Snapshots are immutable: mutations go
 // through Dataset.Begin/Commit, rebuilds through Dataset.Compact.
 func (v *snapView) Build([]rtree.Item) error {
@@ -273,13 +266,8 @@ func (v *snapView) NumItems() int { return v.snap.live }
 // filter inline, never buffered whole. Only the merged output is buffered,
 // to honor Do's all-or-nothing emission contract under cancellation.
 func (v *snapView) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
-	if err := req.Validate(); err != nil {
-		return QueryStats{}, err
-	}
-	if visit == nil {
-		visit = func(Hit) {}
-	}
-	if err := ctxErr(ctx); err != nil {
+	ctx, visit, err := admit(ctx, req, visit)
+	if err != nil {
 		return QueryStats{}, err
 	}
 	if req.paginated() {
@@ -292,22 +280,7 @@ func (v *snapView) Do(ctx context.Context, req Request, visit func(Hit)) (QueryS
 	if err != nil {
 		return QueryStats{}, err
 	}
-	defer it.Close()
-	var hits []Hit
-	for {
-		h, ok := it.Next()
-		if !ok {
-			break
-		}
-		hits = append(hits, h)
-	}
-	if err := it.Err(); err != nil {
-		return QueryStats{}, err
-	}
-	for _, h := range hits {
-		visit(h)
-	}
-	return it.Stats(), nil
+	return emitDrained(it, visit)
 }
 
 // iterate implements the internal streaming capability: the k-way (here
@@ -377,7 +350,9 @@ func (v *snapView) doKNN(ctx context.Context, req Request, visit func(Hit)) (Que
 		for {
 			acc.h = acc.h[:0]
 			var dead int64
-			bst, err := v.base.Do(ctx, Request{Kind: KNN, Center: req.Center, K: kk}, func(h Hit) {
+			// cold rides along: a planner probe through the view reads the
+			// base's own store, whatever source is attached to it.
+			bst, err := v.base.Do(ctx, Request{Kind: KNN, Center: req.Center, K: kk, cold: req.cold}, func(h Hit) {
 				if sn.dead(h.ID) {
 					dead++
 					return

@@ -28,6 +28,7 @@
 package flat
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sync"
@@ -293,18 +294,21 @@ func (s QueryStats) TotalReads() int64 { return s.SeedNodeAccesses + s.PagesRead
 // non-nil, data pages are read through it (so buffer hits and prefetches are
 // accounted); a nil pool models a cold read per page.
 func (idx *Index) Query(q geom.AABB, pool *pager.BufferPool, visit func(int32)) QueryStats {
-	return idx.query(q, poolSource(idx, pool), visit, false)
+	st, _ := idx.query(context.Background(), q, poolSource(idx, pool), visit, false) // never canceled
+	return st
 }
 
-// QueryVia is Query reading data pages through an arbitrary PageSource; a nil
-// source reads the index's own store cold. It is the execution path the
-// engine layer routes through, so the same buffer-pool + prefetch stack can
-// sit beneath FLAT as beneath any other index.
-func (idx *Index) QueryVia(q geom.AABB, src pager.PageSource, visit func(int32)) QueryStats {
+// QueryVia is Query reading data pages through an arbitrary PageSource (a nil
+// source reads the index's own store cold) and observing ctx before every
+// page read: a canceled query stops at the next page and returns ctx.Err(),
+// with zero stats (visit may already have seen some IDs). It is the execution path
+// the engine layer routes through, so the same buffer-pool + prefetch stack
+// can sit beneath FLAT as beneath any other index.
+func (idx *Index) QueryVia(ctx context.Context, q geom.AABB, src pager.PageSource, visit func(int32)) (QueryStats, error) {
 	if src == nil {
 		src = idx.store
 	}
-	return idx.query(q, src, visit, false)
+	return idx.query(ctx, q, src, visit, false)
 }
 
 // PagedQuery implements the prefetch.Served query path: Query through a pool
@@ -316,7 +320,8 @@ func (idx *Index) PagedQuery(q geom.AABB, pool *pager.BufferPool, visit func(int
 // QueryTraced is Query but additionally records the crawl order for
 // visualization.
 func (idx *Index) QueryTraced(q geom.AABB, pool *pager.BufferPool, visit func(int32)) QueryStats {
-	return idx.query(q, poolSource(idx, pool), visit, true)
+	st, _ := idx.query(context.Background(), q, poolSource(idx, pool), visit, true) // never canceled
+	return st
 }
 
 // poolSource resolves the legacy nil-pool convention onto a PageSource.
@@ -370,14 +375,14 @@ func getCrawl(n int) *crawlScratch {
 	return s
 }
 
-func (idx *Index) query(q geom.AABB, src pager.PageSource, visit func(int32), trace bool) QueryStats {
+func (idx *Index) query(ctx context.Context, q geom.AABB, src pager.PageSource,
+	visit func(int32), trace bool) (QueryStats, error) {
+
 	var stats QueryStats
 	if len(idx.pageBox) == 0 {
-		return stats
+		return stats, nil
 	}
 	sc := getCrawl(len(idx.pageBox))
-	// Deferred so the scratch is returned on every exit path, including a
-	// cancellation panic unwinding from a ctx-wrapped PageSource.
 	defer crawlPool.Put(sc)
 
 	// Phase 1: seed (the allocation-free counter form of SeedInRange —
@@ -385,7 +390,7 @@ func (idx *Index) query(q geom.AABB, src pager.PageSource, visit func(int32), tr
 	seedItem, seedNodes, _, ok := idx.seedTree.SeedInRangeCount(q)
 	stats.SeedNodeAccesses += seedNodes
 	if !ok {
-		return stats
+		return stats, nil
 	}
 
 	for {
@@ -397,6 +402,9 @@ func (idx *Index) query(q geom.AABB, src pager.PageSource, visit func(int32), tr
 		sc.visited[seedItem.ID] = sc.stamp
 		for qi := 0; qi < len(sc.queue); qi++ {
 			p := sc.queue[qi]
+			if err := ctx.Err(); err != nil {
+				return QueryStats{}, err
+			}
 			idx.readPage(p, q, src, visit, &stats, trace)
 			for _, nb := range idx.neighbors[p] {
 				if sc.visited[nb] != sc.stamp && idx.pageBox[nb].Intersects(q) {
@@ -411,7 +419,7 @@ func (idx *Index) query(q geom.AABB, src pager.PageSource, visit func(int32), tr
 		next, reseedStats, found := idx.seedExcluding(q, sc)
 		stats.SeedNodeAccesses += reseedStats
 		if !found {
-			return stats
+			return stats, nil
 		}
 		stats.Reseeds++
 		seedItem = next

@@ -1,11 +1,10 @@
 // Package morphology generates synthetic neuron morphologies.
 //
 // The Blue Brain Project datasets the paper demonstrates on are proprietary,
-// so this package is the substitution substrate called out in DESIGN.md: it
-// produces branching capsule-chain morphologies whose geometric statistics
-// (elongated, tortuous, bifurcating branches of tapering thickness densely
-// interleaved in tissue) match the properties the three demonstrated
-// techniques depend on:
+// so this package is the substitution substrate: it produces branching
+// capsule-chain morphologies whose geometric statistics (elongated, tortuous,
+// bifurcating branches of tapering thickness densely interleaved in tissue)
+// match the properties the three demonstrated techniques depend on:
 //
 //   - dense, overlapping elongated elements defeat R-tree MBRs (what FLAT
 //     addresses),

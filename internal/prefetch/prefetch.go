@@ -54,13 +54,14 @@ type Served interface {
 	Store() *pager.Store
 	// PagedQuery executes one range query reading pages through pool,
 	// visiting IDs in the index's native traversal order. The order is part
-	// of the contract, which is why this is not engine.SpatialIndex.Do with
-	// the pool attached: content-aware prefetchers consume the result as
+	// of the contract: content-aware prefetchers consume the result as
 	// emitted (scout.reconstruct builds structures in that order and
 	// Scout.Predict's stable sort breaks score ties by it — on a walk's
 	// first step every exit scores 0, so order alone picks the prefetched
-	// pages), and Do's canonical ascending-ID order would change which
-	// pages are prefetched and so every simulated stall.
+	// pages). On the engine indexes this is the traversal behind
+	// SpatialIndex.Do(Range) before Do sorts its hits into canonical
+	// ascending-ID order — sorting here would change which pages are
+	// prefetched and so every simulated stall.
 	PagedQuery(q geom.AABB, pool *pager.BufferPool, visit func(id int32))
 }
 

@@ -3,11 +3,10 @@
 // an airway) through the model, issuing a range query around each successive
 // point of interest, inspecting the result, then moving on.
 //
-// The demo's "user" walking through the model is replaced here (per the
-// substitution table in DESIGN.md) by scripted walkthroughs along
-// ground-truth branch paths from the circuit generator: the trajectory is an
-// actual jagged neurite path, which is precisely the input that defeats
-// location-only prefetchers and motivates SCOUT.
+// The demo's "user" walking through the model is replaced here by scripted
+// walkthroughs along ground-truth branch paths from the circuit generator: the
+// trajectory is an actual jagged neurite path, which is precisely the input
+// that defeats location-only prefetchers and motivates SCOUT.
 package query
 
 import (

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"context"
 	"fmt"
 
 	"neurospatial/internal/geom"
@@ -81,24 +82,29 @@ func (p *PagedTree) Query(q geom.AABB, pool *pager.BufferPool, visit func(Item))
 	if pool == nil {
 		return p.tree.Query(q, visit)
 	}
-	return p.QueryVia(q, pool, visit)
+	st, _ := p.QueryVia(context.Background(), q, pool, visit) // never canceled
+	return st
 }
 
-// QueryVia is Query reading node pages through an arbitrary PageSource; a
-// nil source degenerates to the unpaged Query. It is the execution path the
-// engine layer routes through so the buffer-pool + prefetch stack can sit
-// beneath the R-tree exactly as it does beneath FLAT.
-func (p *PagedTree) QueryVia(q geom.AABB, src pager.PageSource, visit func(Item)) QueryStats {
-	if src == nil {
-		return p.tree.Query(q, visit)
-	}
+// QueryVia is Query reading node pages through an arbitrary PageSource and
+// observing ctx before every node-page read: a canceled query stops at the
+// next node and returns ctx.Err() with zero stats (visit may already have
+// seen some items). It is the execution path the engine layer routes through
+// so the buffer-pool + prefetch stack can sit beneath the R-tree exactly as
+// it does beneath FLAT. It visits the nodes the unpaged Query visits, in the
+// same order, so the two report identical stats.
+func (p *PagedTree) QueryVia(ctx context.Context, q geom.AABB, src pager.PageSource,
+	visit func(Item)) (QueryStats, error) {
+
 	var stats QueryStats
 	root, ok := p.tree.Root()
 	if !ok {
-		return stats
+		return stats, nil
 	}
-	p.query(root, q, src, visit, &stats)
-	return stats
+	if err := p.query(ctx, root, q, src, visit, &stats); err != nil {
+		return QueryStats{}, err
+	}
+	return stats, nil
 }
 
 // PagesInRange returns the pages of every node a query of box q would visit,
@@ -129,8 +135,12 @@ func (p *PagedTree) PagesInRange(q geom.AABB) []pager.PageID {
 	return out
 }
 
-func (p *PagedTree) query(v NodeView, q geom.AABB, src pager.PageSource,
-	visit func(Item), stats *QueryStats) {
+func (p *PagedTree) query(ctx context.Context, v NodeView, q geom.AABB, src pager.PageSource,
+	visit func(Item), stats *QueryStats) error {
+
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	stats.visit(v.Level())
 	src.ReadPage(p.pageOf[v])
 	if v.IsLeaf() {
@@ -141,14 +151,17 @@ func (p *PagedTree) query(v NodeView, q geom.AABB, src pager.PageSource,
 				visit(it)
 			}
 		}
-		return
+		return nil
 	}
 	for i := 0; i < v.NumChildren(); i++ {
 		c := v.Child(i)
 		if c.Box().Intersects(q) {
-			p.query(c, q, src, visit, stats)
+			if err := p.query(ctx, c, q, src, visit, stats); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
 }
 
 func maxInt(a, b int) int {

@@ -2,7 +2,7 @@
 // harnesses share: fixed-width tables rendered to plain text (the repository
 // equivalent of the demo's live statistics panels) and numeric helpers for
 // formatting counts, byte sizes and speedup factors consistently across
-// every table in EXPERIMENTS.md.
+// every table the cmd drivers print.
 package stats
 
 import (

@@ -1,9 +1,9 @@
 // Package viz renders 2-D projections of circuits, queries and crawl orders
 // as ASCII frames — the terminal substitute for the demo tool's interactive
-// 3-D visualization (Figures 2, 4, 6 and 7 of the paper), per the
-// substitution table in DESIGN.md. The mechanisms the figures illustrate
-// (query selection on the model, FLAT's crawl order coloring, synapse
-// highlighting) survive the projection; only the eye candy is gone.
+// 3-D visualization (Figures 2, 4, 6 and 7 of the paper). The mechanisms the
+// figures illustrate (query selection on the model, FLAT's crawl order
+// coloring, synapse highlighting) survive the projection; only the eye candy
+// is gone.
 package viz
 
 import (
