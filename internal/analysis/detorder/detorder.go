@@ -3,10 +3,10 @@
 // counts, so no function that can reach an emission or aggregation call may
 // range over a map — Go randomizes map iteration order per run.
 //
-// Emission is detected two ways: calls to the known sinks (emitIDHits,
-// withinRefine, Aggregate) and dynamic calls through function values whose
-// signature is a visitor shape — func(Hit), func(int32), func(int, int32),
-// or func(int, Hit) — since those are the callbacks hits flow through.
+// Emission is detected two ways: calls to the known sink (Aggregate) and
+// dynamic calls through function values whose signature is a visitor shape —
+// func(Hit), func(int32), func(int, int32), or func(int, Hit) — since those
+// are the callbacks hits flow through.
 // Reachability is the transitive closure over the package-local static call
 // graph; a map range anywhere in a reaching function is reported.
 package detorder
@@ -24,11 +24,10 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// sinkNames are the package-local functions hits and stats funnel through.
+// sinkNames are the package-local functions stats funnel through (hits are
+// caught at the visitor call itself: the eager executor emits inline).
 var sinkNames = map[string]bool{
-	"emitIDHits":   true,
-	"withinRefine": true,
-	"Aggregate":    true,
+	"Aggregate": true,
 }
 
 func run(pass *analysis.Pass) error {

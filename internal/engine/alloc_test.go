@@ -2,12 +2,13 @@ package engine_test
 
 // The zero-alloc hot-path gate: BenchmarkDoHotPath measures allocs/op and
 // ns/op for every (contender × kind) Do cell, and TestDoHotPathAllocs pins
-// the cells the pooled-scratch rework made allocation-free — raw-contender
-// Do only. A dataset session serves the same requests through snapshot views,
-// whose Do drains the lazy base∪delta stream and allocates per request; those
-// cells carry measured ceilings, not zeros. The assertions are skipped under
-// the race detector (its instrumentation allocates) — CI runs this package
-// both ways, so the gate still runs on every push.
+// the cells the pooled-scratch rework made allocation-free: Do on a raw
+// contender and Do on a dataset's snapshot view, which is the same executor
+// with the overlay as an argument — Range, Point and WithinDistance at zero on
+// both, kNN at its measured handful. Session.Do on top of a view allocates
+// the Result it returns; those cells carry measured ceilings. The assertions
+// are skipped under the race detector (its instrumentation allocates) — CI
+// runs this package both ways, so the gate still runs on every push.
 
 import (
 	"context"
@@ -60,15 +61,20 @@ func BenchmarkDoHotPath(b *testing.B) {
 // TestDoHotPathAllocs asserts the zero-alloc cells stay at zero — every
 // Range/KNN/Point/WithinDistance execution on a raw flat, grid, rtree or
 // sharded contender, bar the two kNN cells with irreducible allocations: the
-// rtree's candidate set and the sharded gather's shard order and per-shard
+// rtree's result slice and the sharded gather's shard order and per-shard
 // translation closures.
 //
-// The zero-alloc guarantee covers raw-contender Do, not dataset sessions:
-// every WithDataset session (all the bench/ workloads) reaches a contender
-// through a snapshot view, whose Range/Point/WithinDistance drain the
-// streaming pipeline (iterators, merge state, the buffered page of hits). The
-// view/… cells put a ceiling on that path as measured, at epoch 0 and over a
-// 1000-entry overlay — the overlay adds nothing. All ceilings can only shrink.
+// The view/… cells are the same requests through a dataset's snapshot views,
+// at epoch 0 and over 1,000- and 10,000-entry overlays. A view's Range, Point
+// and WithinDistance run the executor the raw contenders run, with the
+// overlay's tombstone filter and delta merge in its one emission pass, so
+// they carry the raw ceilings — zero — whatever the overlay's size. A view's
+// kNN adds the closure that filters the base's hits and the counter it
+// captures. The session/… cells are Session.Do on a WithDataset session, the
+// call users make: what is left there is the Result's own hit slice (grown by
+// append, so it scales with log(hits)), the emit closure and its captured
+// slice header, and the one-element stats slice handed to the planner. All
+// ceilings are as measured and can only shrink.
 func TestDoHotPathAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates; alloc gate runs in uninstrumented builds")
@@ -79,56 +85,87 @@ func TestDoHotPathAllocs(t *testing.T) {
 	sink := func(engine.Hit) {}
 	// ceilings["name/kind"] is the per-op allocation budget; absent means 0.
 	ceilings := map[string]float64{
-		"rtree/knn":   9,
+		"rtree/knn":   1,
 		"sharded/knn": 3,
 
-		"view/flat/range": 27, "view/flat/knn": 2, "view/flat/point": 14, "view/flat/within": 26,
-		"view/rtree/range": 22, "view/rtree/knn": 11, "view/rtree/point": 13, "view/rtree/within": 21,
-		"view/grid/range": 35, "view/grid/knn": 2, "view/grid/point": 16, "view/grid/within": 34,
-		"view/sharded/range": 54, "view/sharded/knn": 7, "view/sharded/point": 21, "view/sharded/within": 52,
+		"view/flat/knn": 2, "view/rtree/knn": 3, "view/grid/knn": 2, "view/sharded/knn": 7,
+
+		"session/range": 13, "session/knn": 9, "session/point": 4, "session/within": 12,
+	}
+	measure := func(cell string, do func() error) {
+		// Warm the pools: first executions stock them.
+		for i := 0; i < 3; i++ {
+			if err := do(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := testing.AllocsPerRun(50, func() {
+			if err := do(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.1f allocs/op", cell, got)
+		if got > ceilings[cell] {
+			t.Errorf("%s: %.1f allocs/op, budget %.0f", cell, got, ceilings[cell])
+		}
 	}
 	check := func(prefix string, ix engine.SpatialIndex) {
 		for _, req := range hotPathRequests(vol) {
-			req := req
-			// Warm the pools: first executions stock them.
-			for i := 0; i < 3; i++ {
-				if _, err := ix.Do(ctx, req, sink); err != nil {
-					t.Fatal(err)
-				}
-			}
-			got := testing.AllocsPerRun(50, func() {
-				if _, err := ix.Do(ctx, req, sink); err != nil {
-					t.Fatal(err)
-				}
+			measure(fmt.Sprintf("%s%s/%s", prefix, ix.Name(), req.Kind), func() error {
+				_, err := ix.Do(ctx, req, sink)
+				return err
 			})
-			cell := fmt.Sprintf("%s%s/%s", prefix, ix.Name(), req.Kind)
-			if got > ceilings[cell] {
-				t.Errorf("%s: %.1f allocs/op, budget %.0f", cell, got, ceilings[cell])
-			}
 		}
 	}
 	for _, ix := range buildIndexes(t, items) {
 		check("", ix)
 	}
 
-	ds, err := engine.NewDataset(items, engine.DatasetOptions{
-		Contenders: []string{"flat", "rtree", "grid", "sharded"}, DisableAutoCompact: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	epoch0 := ds.Current()
-	tx := ds.Begin()
-	for i := 0; i < 1000; i++ {
-		tx.Update(items[i*3].ID, items[i*3].Box)
-	}
-	churned, err := tx.Commit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, snap := range []*engine.Snapshot{epoch0, churned} {
+	// One dataset per overlay size: none (epoch 0), then n delta entries —
+	// updates of every stride-th item, which also tombstone its base version,
+	// topped up with inserts once half the items are updated.
+	var ds *engine.Dataset
+	for _, n := range []int{0, 1000, 10000} {
+		var err error
+		ds, err = engine.NewDataset(items, engine.DatasetOptions{
+			Contenders: []string{"flat", "rtree", "grid", "sharded"}, DisableAutoCompact: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n > 0 {
+			updates := min(n, len(items)/2)
+			tx := ds.Begin()
+			for i := 0; i < updates; i++ {
+				it := items[i*(len(items)/updates)]
+				tx.Update(it.ID, it.Box)
+			}
+			for i := updates; i < n; i++ {
+				tx.Insert(items[i%len(items)].Box)
+			}
+			if _, err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap := ds.Current()
+		if snap.DeltaEntries() != n || snap.TombstoneCount() != min(n, len(items)/2) {
+			t.Fatalf("overlay holds %d entries and %d tombstones, want %d entries",
+				snap.DeltaEntries(), snap.TombstoneCount(), n)
+		}
 		for _, view := range snap.Indexes() {
 			check("view/", view)
 		}
+	}
+
+	sess, err := engine.Open(engine.WithDataset(ds)) // over the 10,000-entry overlay
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	for _, req := range hotPathRequests(vol) {
+		measure(fmt.Sprintf("session/%s", req.Kind), func() error {
+			_, err := sess.Do(ctx, req)
+			return err
+		})
 	}
 }
 

@@ -50,8 +50,9 @@ type DatasetOptions struct {
 	Workers int
 
 	// Bases, when non-nil, provides pre-built contender wrappers for the
-	// initial snapshot, aligned 1:1 with Contenders and built over exactly
-	// the initial item set (dense IDs). NewModel uses it to share the
+	// initial snapshot — the engine's own *Flat, *RTree, *Grid, *Sharded —
+	// aligned 1:1 with Contenders and built over exactly the initial item
+	// set (dense IDs). NewModel uses it to share the
 	// model's contender instances instead of building them twice.
 	// Compactions always build fresh instances from the options above.
 	Bases []SpatialIndex
@@ -204,6 +205,11 @@ func NewDataset(items []rtree.Item, opts DatasetOptions) (*Dataset, error) {
 			}
 			if b.NumItems() != len(items) {
 				return nil, fmt.Errorf("engine: pre-built base %q holds %d items, want %d", b.Name(), b.NumItems(), len(items))
+			}
+			// A view runs its base's native scan, which only the engine's
+			// own contenders have.
+			if _, ok := b.(contender); !ok {
+				return nil, fmt.Errorf("engine: pre-built base %q is a %T, not one of the engine's contenders", b.Name(), b)
 			}
 		}
 	}

@@ -855,6 +855,47 @@ func TestDatasetValidation(t *testing.T) {
 	}
 }
 
+// TestViewIsBaseAtEmptyOverlay pins what "the overlay is an argument of the
+// one executor" means at its fixed point: over a fresh dataset — dense IDs, no
+// delta, no tombstones — a view's Do is its base contender's Do, hit for hit
+// and counter for counter, for every kind on every contender (the sharded one
+// at 1 and 4 shards over each sub-index).
+func TestViewIsBaseAtEmptyOverlay(t *testing.T) {
+	items := testItems(t, 10, 7010)
+	vol := geom.Box(geom.V(0, 0, 0), geom.V(200, 200, 200))
+	reqs := mixedRequests(items, vol)
+	for _, cell := range sessionCells(t, items) {
+		ds, err := engine.NewDataset(items, engine.DatasetOptions{
+			Contenders: []string{cell.ix.Name()}, Bases: []engine.SpatialIndex{cell.ix}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		view := ds.Current().Index(cell.ix.Name())
+		var total int
+		for _, req := range reqs {
+			var want, got []engine.Hit
+			wantSt, err := cell.ix.Do(context.Background(), req, func(h engine.Hit) { want = append(want, h) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotSt, err := view.Do(context.Background(), req, func(h engine.Hit) { got = append(got, h) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !hitsEqual(got, want) {
+				t.Errorf("%s %s: view emitted %d hits, base %d (or in another order)", cell.name, req.Kind, len(got), len(want))
+			}
+			if gotSt != wantSt {
+				t.Errorf("%s %s: view stats %+v, base stats %+v", cell.name, req.Kind, gotSt, wantSt)
+			}
+			total += len(want)
+		}
+		if total == 0 {
+			t.Fatalf("%s: degenerate stream, no request had a hit", cell.name)
+		}
+	}
+}
+
 // TestDatasetProbeLeavesAttachedPoolUntouched extends the planner's
 // cold-probe guarantee to snapshot views: a dataset session's calibration
 // probes read the base index's pages, so they must detach a PageSource

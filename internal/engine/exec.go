@@ -14,11 +14,13 @@ import (
 // hit-ordering helpers, and the bound-tightening top-k accumulator every kNN
 // implementation gathers through.
 
-// contender is the engine-internal face of the four index contenders (Flat,
-// RTree, Grid, Sharded): the three traversals everything above them is built
-// from. Each resolves its page source per call (see pickSource) and checks
-// ctx before every page read, returning its error — cancellation is an
-// ordinary error on every path, never a panic.
+// traverser is what the eager executor runs: the two eager traversals of one
+// item set, under the SpatialIndex face pagination streams through. The four
+// contenders implement it over their own pages; a snapshot view implements it
+// over its base contender (snapshot.go), and execute lays the snapshot's
+// overlay on top. Each traversal resolves its page source per call (see
+// pickSource) and checks ctx before every page read, returning its error —
+// cancellation is an ordinary error on every path, never a panic.
 //
 //   - scan is the native range traversal: it appends to out the ID of every
 //     item whose box intersects queryBox(req), in the contender's emission
@@ -28,15 +30,23 @@ import (
 //     the canonical sort are the executor's. PagedQuery is scan with the
 //     pool as src; Do is scan plus the canonical sort.
 //   - doKNN is the bounded best-first k-nearest-neighbors scan.
-//   - iterate (streamer) is the lazy ascending-ID stream behind pagination
-//     and snapshot views.
+type traverser interface {
+	SpatialIndex
+	scan(ctx context.Context, req Request, src pager.PageSource, out *idCollector) (QueryStats, error)
+	doKNN(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error)
+	// itemBoxes returns the exact-geometry accessor by the IDs scan emits
+	// (RAM-resident).
+	itemBoxes() func(int32) geom.AABB
+}
+
+// contender is the engine-internal face of the four index contenders (Flat,
+// RTree, Grid, Sharded): the eager traversals, the storage surface, and
+// iterate (streamer) — the lazy ascending-ID stream behind Stream and
+// paginated Do.
 type contender interface {
 	Paged
 	streamer
-	scan(ctx context.Context, req Request, src pager.PageSource, out *idCollector) (QueryStats, error)
-	doKNN(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error)
-	// itemBoxes returns the exact-geometry accessor by item ID (RAM-resident).
-	itemBoxes() func(int32) geom.AABB
+	traverser
 }
 
 // pickSource resolves where one traversal reads its pages: the source passed
@@ -85,13 +95,25 @@ func admit(ctx context.Context, req Request, visit func(Hit)) (context.Context, 
 
 func discardHit(Hit) {}
 
-// execute is the eager executor behind every contender's Do: serve a
+// execute is the eager executor behind every Do — a raw contender's (ov nil)
+// and a snapshot view's (ov the snapshot, ix the view over its base): serve a
 // paginated request through the lazy pipeline, and otherwise run the kind's
 // traversal and emit its hits in canonical order — all or nothing: an error
 // from the traversal means visit was never called.
 //
+// The scan arm (Range, Point, WithinDistance) is collect → sort → refine →
+// emit, once: scan gathers into the pooled collector, the IDs are sorted, and
+// one pass refines WithinDistance exactly and emits. Under an overlay that
+// same pass first drops the IDs the snapshot's bitset marks dead, refines
+// against the base's own boxes while the IDs are still base-local, translates
+// through baseIDs (ascending, so the order survives), and two-way merges with
+// the hits of the delta chunks whose MBRs admit the request (deltaIter) — base
+// and delta IDs are disjoint, an updated item being dead in the base. The
+// overlay's share is O(answer + touched delta): at an empty overlay over
+// identity baseIDs a view's Do is its base's, hit for hit and stat for stat.
+//
 //neurospatial:hotpath
-func execute(ctx context.Context, ix contender, req Request, visit func(Hit)) (QueryStats, error) {
+func execute(ctx context.Context, ix traverser, ov *Snapshot, req Request, visit func(Hit)) (QueryStats, error) {
 	ctx, visit, err := admit(ctx, req, visit)
 	if err != nil {
 		return QueryStats{}, err
@@ -111,13 +133,47 @@ func execute(ctx context.Context, ix contender, req Request, visit func(Hit)) (Q
 	if err != nil {
 		return QueryStats{}, err
 	}
-	if req.Kind == WithinDistance {
-		results, tested := withinRefine(col.ids, ix.itemBoxes(), req.Center, req.Radius, visit)
-		st.Results = results
-		st.EntriesTested += tested
-		return st, nil
+	// Nothing below can fail, so emission may begin.
+	slices.Sort(col.ids)
+	var delta []Hit
+	if ov != nil && len(ov.chunks) > 0 {
+		buf := getHits()
+		defer putHits(buf)
+		d := newDeltaIter(ov.chunks, req, nil)
+		for h, ok := d.Next(); ok; h, ok = d.Next() {
+			*buf = append(*buf, h)
+		}
+		st.DeltaEntries = d.st.DeltaEntries
+		delta = *buf
 	}
-	emitIDHits(col.ids, visit)
+	within, r2 := req.Kind == WithinDistance, req.Radius*req.Radius
+	boxOf := ix.itemBoxes()
+	st.Results = int64(len(delta))
+	for _, id := range col.ids {
+		if ov != nil && ov.dead(id) {
+			st.Tombstones++
+			continue
+		}
+		h := Hit{ID: id}
+		if within {
+			st.EntriesTested++
+			if h.Dist2 = boxOf(id).Dist2Point(req.Center); h.Dist2 > r2 {
+				continue
+			}
+		}
+		if ov != nil {
+			h.ID = ov.baseIDs[id]
+			for len(delta) > 0 && delta[0].ID < h.ID {
+				visit(delta[0])
+				delta = delta[1:]
+			}
+		}
+		st.Results++
+		visit(h)
+	}
+	for _, h := range delta {
+		visit(h)
+	}
 	return st, nil
 }
 
@@ -142,38 +198,6 @@ func pagedQuery(ix contender, q geom.AABB, pool *pager.BufferPool, visit func(in
 	for _, id := range col.ids {
 		visit(id)
 	}
-}
-
-// emitIDHits sorts ids ascending in place and emits them as zero-distance
-// hits — the canonical order of the boolean kinds (Range, Point).
-//
-//neurospatial:hotpath
-func emitIDHits(ids []int32, visit func(Hit)) {
-	slices.Sort(ids)
-	for _, id := range ids {
-		visit(Hit{ID: id})
-	}
-}
-
-// withinRefine sorts the candidate ids ascending, applies the exact
-// Dist2Point sphere test, and emits the surviving hits with their distances —
-// the shared refinement of every WithinDistance implementation. It returns
-// the number of hits emitted and the number of exact tests performed.
-//
-//neurospatial:hotpath
-func withinRefine(ids []int32, boxOf func(int32) geom.AABB, center geom.Vec,
-	radius float64, visit func(Hit)) (results, tested int64) {
-
-	slices.Sort(ids)
-	r2 := radius * radius
-	for _, id := range ids {
-		tested++
-		if d2 := boxOf(id).Dist2Point(center); d2 <= r2 {
-			results++
-			visit(Hit{ID: id, Dist2: d2})
-		}
-	}
-	return results, tested
 }
 
 // hitWorse is the shared kNN total order: x is worse than y when it is

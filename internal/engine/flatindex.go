@@ -76,8 +76,11 @@ func (f *Flat) zoneMap() []idZone {
 // box). The stats mapping differs from the eager path in the RAM-side
 // counters only: IndexReads counts candidate pages rather than seed-tree
 // node accesses, and Reseeds stays 0 (the zone-map order replaces the
-// crawl); PagesRead accounting is identical on a full drain. KNN serves the
-// bounded best-first scan eagerly.
+// crawl); PagesRead accounting is identical on a full drain. Only Stream and
+// paginated Do report this mapping — an unpaginated Do, on the raw index or
+// through a snapshot view, is scan's and reports the crawl's — and a page's
+// record never feeds a planner. KNN serves the bounded best-first scan
+// eagerly.
 func (f *Flat) iterate(ctx context.Context, req Request, after *Hit) (HitIterator, error) {
 	if f.idx == nil {
 		return &sliceIter{}, ctxErr(ctx)
@@ -152,7 +155,7 @@ func (f *Flat) itemBoxes() func(int32) geom.AABB { return f.boxOf }
 // read through the configured source nearest-first, and the scan stops as
 // soon as the next page's lower bound exceeds the current k-th distance.
 func (f *Flat) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
-	return execute(ctx, f, req, visit)
+	return execute(ctx, f, nil, req, visit)
 }
 
 // doKNN is the FLAT k-nearest-neighbors execution. The order buffer and the

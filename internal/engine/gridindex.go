@@ -301,7 +301,7 @@ func (gx *Grid) iterate(ctx context.Context, req Request, after *Hit) (HitIterat
 // read per distinct page, as in the range path), and the scan stops when the
 // next cell's bound exceeds the current k-th distance.
 func (gx *Grid) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
-	return execute(ctx, gx, req, visit)
+	return execute(ctx, gx, nil, req, visit)
 }
 
 // cellBound is a (lower bound, cell) pair of the grid's nearest-first scan.

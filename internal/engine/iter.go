@@ -15,8 +15,9 @@ import (
 )
 
 // This file is the streaming result path: the lazy HitIterator pipeline that
-// replaces collect-then-return execution for paginated requests (and for
-// snapshot views, whose base∪delta merge is built from it). The design
+// replaces collect-then-return execution for Stream and paginated requests —
+// on raw contenders and on snapshot views, whose paginated base∪delta merge is
+// built from it (an unpaginated Do is the eager executor's, exec.go). The design
 // constraint is the canonical hit order (see Hit): ascending ID for the
 // boolean kinds, ascending (Dist2, ID) for KNN. Laziness under that order
 // comes from zone maps — per-page (min, max) item-ID ranges derived from the

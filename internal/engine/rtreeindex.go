@@ -216,7 +216,7 @@ func (r *RTree) itemBoxes() func(int32) geom.AABB { return r.boxOf }
 // widest search executed. Cancellation is checked between native calls (the
 // KNN traversal is RAM-resident — it performs no page reads to check at).
 func (r *RTree) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
-	return execute(ctx, r, req, visit)
+	return execute(ctx, r, nil, req, visit)
 }
 
 // doKNN wraps rtree.Tree.KNN with the canonical tie resolution.

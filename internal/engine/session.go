@@ -223,20 +223,20 @@ func (s *Session) Do(ctx context.Context, req Request) (Result, error) {
 	sample := [1]Request{req}
 	stripPagination(&sample[0])
 	ix, cached, consulted := s.route(req.Kind, sample[:])
-	res := Result{Request: req, Index: ix.Name()}
-	st, cursor, err := execRequest(ctx, ix, req, func(h Hit) { res.Hits = append(res.Hits, h) })
+	// The emit closure captures the hit slice alone: capturing the Result
+	// would move all of it to the heap on every request.
+	var hits []Hit
+	st, cursor, err := execRequest(ctx, ix, req, func(h Hit) { hits = append(hits, h) })
 	if err != nil {
 		return Result{}, err
 	}
 	planCacheStamp(&st, cached, consulted)
-	res.Stats = st
-	res.Cursor = cursor
 	if !req.paginated() {
 		// A page's partial-scan cost is not a routing signal (see
 		// stripPagination); only full executions feed the planner.
-		s.observe(res.Index, req.Kind, []QueryStats{st})
+		s.observe(ix.Name(), req.Kind, []QueryStats{st})
 	}
-	return res, nil
+	return Result{Request: req, Index: ix.Name(), Hits: hits, Stats: st, Cursor: cursor}, nil
 }
 
 // DoBatch executes a batch of requests — kinds may be mixed freely — on the

@@ -291,7 +291,7 @@ func (s *Sharded) itemBoxes() func(int32) geom.AABB { return s.boxOf }
 // shard's bound exceeds the current k-th distance — ShardsTouched records how
 // many shards the gather actually consulted.
 func (s *Sharded) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
-	return execute(ctx, s, req, visit)
+	return execute(ctx, s, nil, req, visit)
 }
 
 // doKNN is the sharded bound-tightening kNN gather.

@@ -33,8 +33,15 @@ import (
 // index, dropping tombstoned hits, translating base-local IDs to the dataset's
 // stable global IDs, merging in the delta overlay's hits, and emitting
 // the union in the canonical per-kind order — hit for hit identical to a
-// from-scratch build of the epoch's live item set. QueryStats gain
+// from-scratch build of the epoch's live item set. That is the contenders'
+// own eager executor (execute, exec.go) with the snapshot as its overlay
+// argument: the base's native scan into the pooled collector, one sort, and
+// one pass that filters, refines, translates and merges — so a request costs
+// what it costs on the raw contender plus O(answer + touched delta), and at an
+// empty overlay the view's Do is its base's, stats included. QueryStats gain
 // DeltaEntries and Tombstones, the two maintenance counters of the overlay.
+// Only Stream and paginated Do take the lazy pipeline (iterate), where
+// stopping early is worth its per-stage cost.
 //
 // A Snapshot also carries its own Planner over the views. Its plan cache is
 // the epoch's own, but its per-kind cost history is inherited from the parent
@@ -131,9 +138,9 @@ func baseBoxes(bases []SpatialIndex, items []rtree.Item) func(int32) geom.AABB {
 func (sn *Snapshot) wire() {
 	sn.views = make([]SpatialIndex, len(sn.opts.Contenders))
 	for i, name := range sn.opts.Contenders {
-		var base SpatialIndex
+		var base contender
 		if sn.bases != nil {
-			base = sn.bases[i]
+			base = sn.bases[i].(contender) // NewDataset admits nothing else
 		}
 		sn.views[i] = &snapView{name: name, snap: sn, base: base}
 	}
@@ -234,11 +241,12 @@ func (sn *Snapshot) dead(l int32) bool {
 
 // snapView is one contender's face of a snapshot: the base index plus the
 // overlay merge. It implements the full SpatialIndex surface so sessions and
-// planners treat a snapshot exactly like a raw contender.
+// planners treat a snapshot exactly like a raw contender, and the traverser
+// surface so the eager executor runs it like one.
 type snapView struct {
 	name string
 	snap *Snapshot
-	base SpatialIndex // nil when the epoch's base item set is empty
+	base contender // nil when the epoch's base item set is empty
 }
 
 // Name implements SpatialIndex; views keep their contender's name, so
@@ -261,33 +269,35 @@ func (v *snapView) NumItems() int { return v.snap.live }
 
 // Do implements SpatialIndex: base execution, tombstone filtering, delta
 // merge, canonical order — identical output to a from-scratch build of the
-// epoch's live items. The merge is the lazy streaming pipeline (iterate):
-// base and delta are consumed as ascending-ID streams with the tombstone
-// filter inline, never buffered whole. Only the merged output is buffered,
-// to honor Do's all-or-nothing emission contract under cancellation.
+// epoch's live items. It is the shared eager executor over the view's scan
+// and doKNN with the snapshot as the overlay; emission starts only after the
+// base traversal has returned, so Do stays all-or-nothing under cancellation.
 func (v *snapView) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
-	ctx, visit, err := admit(ctx, req, visit)
-	if err != nil {
-		return QueryStats{}, err
-	}
-	if req.paginated() {
-		return doPaginated(ctx, v, req, visit)
-	}
-	if req.Kind == KNN {
-		return v.doKNN(ctx, req, visit) // emits only once the top-k is final
-	}
-	it, err := v.iterate(ctx, req, nil)
-	if err != nil {
-		return QueryStats{}, err
-	}
-	return emitDrained(it, visit)
+	return execute(ctx, v, v.snap, req, visit)
 }
 
-// iterate implements the internal streaming capability: the k-way (here
-// 2-way) base∪delta merge with the tombstone filter inline. The base
-// contender streams lazily in its local-ID order, which translation
-// preserves (baseIDs ascend); the delta overlay streams off
-// the chunks its MBRs admit (deltaIter). Base and delta IDs are disjoint — an
+// scan implements traverser: the base contender's native scan — base-local
+// IDs in its emission order, pages read through src when one is passed (else
+// the base's attached source, or its store for a cold request). The overlay
+// is not applied here: execute applies it to the sorted IDs, and a
+// walkthrough over a snapshot would apply it in emission order.
+func (v *snapView) scan(ctx context.Context, req Request, src pager.PageSource, out *idCollector) (QueryStats, error) {
+	if v.base == nil {
+		return QueryStats{}, nil
+	}
+	return v.base.scan(ctx, req, src, out)
+}
+
+// itemBoxes implements traverser: exact geometry by base-local ID, the IDs
+// scan emits.
+func (v *snapView) itemBoxes() func(int32) geom.AABB { return v.snap.baseBox }
+
+// iterate implements the internal streaming capability — Stream and
+// paginated Do, which stop early; an unpaginated Do never comes here — as the
+// k-way (here 2-way) base∪delta merge with the tombstone filter inline. The
+// base contender streams lazily in its local-ID order, which translation
+// preserves (baseIDs ascend); the delta overlay streams off the chunks its
+// MBRs admit (deltaIter). Base and delta IDs are disjoint — an
 // updated item is tombstoned in the base and lives in the delta — so the
 // merge needs no deduplication. The resume position is translated to the
 // base's local ID space so its zone maps prune pages below the cursor.
@@ -308,7 +318,7 @@ func (v *snapView) iterate(ctx context.Context, req Request, after *Hit) (HitIte
 				baseAfter = &Hit{ID: int32(ub - 1)}
 			}
 		}
-		bs, err := rawStream(ctx, v.base, req, baseAfter)
+		bs, err := v.base.iterate(ctx, req, baseAfter)
 		if err != nil {
 			return nil, err
 		}

@@ -9,14 +9,15 @@ import (
 
 	"neurospatial/internal/flat"
 	"neurospatial/internal/geom"
+	"neurospatial/internal/pager"
 	"neurospatial/internal/rtree"
 )
 
-// brokenBase is a base index whose Do always fails with a non-request
+// brokenBase is a base contender whose scan always fails with a non-request
 // execution error, standing in for a read path that can actually fail.
-type brokenBase struct{ SpatialIndex }
+type brokenBase struct{ contender }
 
-func (brokenBase) Do(context.Context, Request, func(Hit)) (QueryStats, error) {
+func (brokenBase) scan(context.Context, Request, pager.PageSource, *idCollector) (QueryStats, error) {
 	return QueryStats{}, fmt.Errorf("page checksum mismatch")
 }
 

@@ -1,6 +1,8 @@
 package rtree
 
 import (
+	"sync"
+
 	"neurospatial/internal/geom"
 )
 
@@ -306,6 +308,23 @@ func (h *knnHeap) pop() knnEntry {
 	return top
 }
 
+// knnHeapPool recycles the search frontier's backing array: every item of
+// every visited leaf is pushed, so a fresh heap per call is tens of kilobytes
+// of garbage.
+var knnHeapPool = sync.Pool{New: func() any { h := make(knnHeap, 0, 256); return &h }}
+
+// getKNNHeap returns a pooled, empty frontier.
+func getKNNHeap() *knnHeap { return knnHeapPool.Get().(*knnHeap) }
+
+// putKNNHeap recycles a frontier whose array held at most used entries. They
+// are cleared first: a pooled array must not pin the nodes and items of a
+// tree that has since been replaced.
+func putKNNHeap(h *knnHeap, used int) {
+	clear((*h)[:used])
+	*h = (*h)[:0]
+	knnHeapPool.Put(h)
+}
+
 // KNN returns the k items whose boxes are nearest to p (by box distance),
 // closest first, using best-first search (Hjaltason & Samet). Fewer than k
 // items are returned when the tree is smaller than k.
@@ -314,7 +333,9 @@ func (t *Tree) KNN(p geom.Vec, k int) ([]Item, QueryStats) {
 	if t.size == 0 || k <= 0 {
 		return nil, stats
 	}
-	h := knnHeap{{dist2: t.root.box.Dist2Point(p), node: t.root}}
+	hp := getKNNHeap()
+	h := append(*hp, knnEntry{dist2: t.root.box.Dist2Point(p), node: t.root})
+	used := 1 // high-water mark of len(h): pops leave stale entries behind
 	out := make([]Item, 0, k)
 	for len(h) > 0 && len(out) < k {
 		e := h.pop()
@@ -335,7 +356,10 @@ func (t *Tree) KNN(p geom.Vec, k int) ([]Item, QueryStats) {
 				h.push(knnEntry{dist2: c.box.Dist2Point(p), node: c})
 			}
 		}
+		used = max(used, len(h))
 	}
+	*hp = h
+	putKNNHeap(hp, used)
 	return out, stats
 }
 
