@@ -12,14 +12,15 @@
 //	go run ./cmd/neurolint -analyzers poolcheck,lockorder
 //	go run ./cmd/neurolint ./internal/engine
 //
-// Analyzer scopes: poolcheck and detorder cover internal/engine and
-// internal/parallel (where the pooling and determinism contracts live);
+// Analyzer scopes: poolcheck covers internal/engine and internal/parallel
+// (where the pooling contract lives);
 // snapref covers the snapshot-lifecycle surface (engine, core, experiments,
 // cmd); lockorder covers the annotated mutexes in engine and core; fsyncorder
-// and errcontract cover the durability layer; hotpath covers the whole module
-// — it is annotation-driven. The cancellation contract has no analyzer: it is
-// an error return the compiler makes callers handle, and the behavioural sweep
-// in internal/engine (TestCancellationSweep) checks it on every path.
+// covers the durability layer. A property has one gate, the cheapest one that
+// fails on the mutation: hot-path allocation (TestDoHotPathAllocs), emission
+// order (the differential suites), the decode error contract (the fuzz targets
+// in internal/durable) and cancellation (an error return, swept by
+// TestCancellationSweep) are tests, so none of them has an analyzer.
 //
 // A full run (no -analyzers filter, no package arguments) also audits
 // //lint:ignore directives: a directive that suppressed nothing, and whose
@@ -35,17 +36,13 @@ import (
 	"strings"
 
 	"neurospatial/internal/analysis"
-	"neurospatial/internal/analysis/detorder"
-	"neurospatial/internal/analysis/errcontract"
 	"neurospatial/internal/analysis/fsyncorder"
-	"neurospatial/internal/analysis/hotpath"
 	"neurospatial/internal/analysis/lockorder"
 	"neurospatial/internal/analysis/poolcheck"
 	"neurospatial/internal/analysis/snapref"
 )
 
-// scoped pairs an analyzer with the import-path prefixes it applies to;
-// empty means the whole module.
+// scoped pairs an analyzer with the import-path prefixes it applies to.
 type scoped struct {
 	analyzer *analysis.Analyzer
 	prefixes []string
@@ -53,12 +50,9 @@ type scoped struct {
 
 var suite = []scoped{
 	{poolcheck.Analyzer, []string{"neurospatial/internal/engine", "neurospatial/internal/parallel"}},
-	{hotpath.Analyzer, nil},
-	{detorder.Analyzer, []string{"neurospatial/internal/engine", "neurospatial/internal/parallel"}},
 	{snapref.Analyzer, []string{"neurospatial/internal/engine", "neurospatial/internal/core", "neurospatial/internal/experiments", "neurospatial/cmd"}},
 	{lockorder.Analyzer, []string{"neurospatial/internal/engine", "neurospatial/internal/core"}},
 	{fsyncorder.Analyzer, []string{"neurospatial/internal/engine", "neurospatial/internal/durable"}},
-	{errcontract.Analyzer, []string{"neurospatial/internal/durable"}},
 }
 
 // finding is one reported diagnostic in -json output.
@@ -78,11 +72,7 @@ func main() {
 
 	if *list {
 		for _, s := range suite {
-			scope := "whole module"
-			if len(s.prefixes) > 0 {
-				scope = strings.Join(s.prefixes, ", ")
-			}
-			fmt.Printf("%-14s %s\n               scope: %s\n", s.analyzer.Name, s.analyzer.Doc, scope)
+			fmt.Printf("%-14s %s\n               scope: %s\n", s.analyzer.Name, s.analyzer.Doc, strings.Join(s.prefixes, ", "))
 		}
 		return
 	}
@@ -205,9 +195,6 @@ func knownAnalyzer(name string) bool {
 }
 
 func inScope(path string, prefixes []string) bool {
-	if len(prefixes) == 0 {
-		return true
-	}
 	for _, p := range prefixes {
 		if path == p || strings.HasPrefix(path, p+"/") {
 			return true

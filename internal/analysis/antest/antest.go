@@ -70,15 +70,14 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 // diffs each function's computed interprocedural summary against
 // "// want-summary" comments written above or trailing the declaration:
 //
-//	// want-summary acquires=1 err=format
+//	// want-summary acquires=1 locks=none
 //	func openPinned(d *Dataset) (*Snapshot, error) { ... }
 //
-// Supported keys: acquires, releases-recv, panics (0/1);
+// Supported keys: acquires, releases-recv (0/1);
 // releases-param, puts-param, retains-param (comma-separated true indices,
 // or "none"); effects (io, write, fsync, dirfsync, rename, walappend, or
-// "none"); err (format, corrupt, opaque, or "none"); locks (lock names, or
-// "none"). Set-valued keys assert exact equality, so a fixture pins the
-// whole fact sheet, not a lower bound.
+// "none"); locks (lock names, or "none"). Set-valued keys assert exact
+// equality, so a fixture pins the whole fact sheet, not a lower bound.
 func RunSummaries(t *testing.T, dir string) {
 	t.Helper()
 	pkg, err := loadFixture(dir)
@@ -187,10 +186,6 @@ func checkSummary(t *testing.T, fname, spec string, s *analysis.Summary) {
 			if s.ReleasesRecv != boolOf(val) {
 				t.Errorf("%s: summary releases-recv = %v, want %v", fname, s.ReleasesRecv, boolOf(val))
 			}
-		case "panics":
-			if s.Panics != boolOf(val) {
-				t.Errorf("%s: summary panics = %v, want %v", fname, s.Panics, boolOf(val))
-			}
 		case "releases-param":
 			eqSet("releases-param", paramSet(s.ReleasesParam), setOf(val))
 		case "puts-param":
@@ -205,18 +200,6 @@ func checkSummary(t *testing.T, fname, spec string, s *analysis.Summary) {
 				}
 			}
 			eqSet("effects", got, setOf(val))
-		case "err":
-			got := map[string]bool{}
-			if s.ErrFormat {
-				got["format"] = true
-			}
-			if s.ErrCorrupt {
-				got["corrupt"] = true
-			}
-			if s.ErrOpaque {
-				got["opaque"] = true
-			}
-			eqSet("err", got, setOf(val))
 		case "locks":
 			got := map[string]bool{}
 			for l := range s.Locks {

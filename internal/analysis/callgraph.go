@@ -38,23 +38,6 @@ func (n *FuncNode) Body() *ast.BlockStmt {
 	return n.Lit.Body
 }
 
-// Sig returns the function's type signature, or nil when unresolvable.
-func (n *FuncNode) Sig() *types.Signature {
-	info := n.Pkg.Info
-	if n.Decl != nil {
-		if fn, ok := info.Defs[n.Decl.Name].(*types.Func); ok {
-			return fn.Type().(*types.Signature)
-		}
-		return nil
-	}
-	if tv, ok := info.Types[n.Lit]; ok {
-		if sig, ok := tv.Type.(*types.Signature); ok {
-			return sig
-		}
-	}
-	return nil
-}
-
 // Module is the interprocedural context shared by the analyzers: every loaded
 // package, the call graph over them, and one bottom-up Summary per function.
 // Build it once per neurolint run and hand it to every analysis.Run call.

@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strconv"
 	"strings"
 )
 
@@ -67,24 +66,11 @@ type Summary struct {
 	// Locks: names of annotated mutexes the function may acquire,
 	// directly or transitively.
 	Locks map[string]bool
-	// Error classification of the function's error result, unioned over
-	// return paths: typed *FormatError / *CorruptError values (or %w-wraps
-	// of them) vs opaque errors (bare fmt.Errorf, errors.New, unknown
-	// callees).
-	ErrFormat  bool
-	ErrCorrupt bool
-	ErrOpaque  bool
-	// Panics: a reachable explicit panic, directly or via a module callee,
-	// with no recover guard in this function.
-	Panics bool
 }
 
 func (s *Summary) equal(o *Summary) bool {
 	if s.Acquires != o.Acquires || s.ReleasesRecv != o.ReleasesRecv ||
-		s.Effects != o.Effects ||
-		s.ErrFormat != o.ErrFormat || s.ErrCorrupt != o.ErrCorrupt ||
-		s.ErrOpaque != o.ErrOpaque || s.Panics != o.Panics ||
-		len(s.Locks) != len(o.Locks) {
+		s.Effects != o.Effects || len(s.Locks) != len(o.Locks) {
 		return false
 	}
 	for k := range s.Locks {
@@ -186,33 +172,11 @@ func (m *Module) summarize(node *FuncNode) *Summary {
 
 	openVars := osOpenVars(pkg, body)
 	var holders []types.Object // locals holding an acquired handle
-	recovered := false
 
 	walkBody(body, func(n ast.Node) bool {
 		switch st := n.(type) {
-		case *ast.DeferStmt:
-			// A deferred recover guard neutralizes Panics. Look inside the
-			// deferred literal explicitly (walkBody skips literals).
-			ast.Inspect(st.Call, func(d ast.Node) bool {
-				if c, ok := d.(*ast.CallExpr); ok {
-					if id, ok := c.Fun.(*ast.Ident); ok && id.Name == "recover" {
-						recovered = true
-					}
-				}
-				return true
-			})
-			// The deferred call itself is still a call: fall through via
-			// the CallExpr visit below (Inspect reaches it).
-
 		case *ast.CallExpr:
 			m.summarizeCall(pkg, st, s, openVars, tracked, markRelease, markPut, markRetain)
-
-		case *ast.ExprStmt:
-			if c, ok := st.X.(*ast.CallExpr); ok {
-				if id, ok := c.Fun.(*ast.Ident); ok && id.Name == "panic" {
-					s.Panics = true
-				}
-			}
 
 		case *ast.AssignStmt:
 			// Acquired-handle holders: `v := acquire()`, `s.snap = acquire()`
@@ -320,10 +284,6 @@ func (m *Module) summarize(node *FuncNode) *Summary {
 		})
 	}
 
-	if recovered {
-		s.Panics = false
-	}
-	m.summarizeErrors(node, s)
 	return s
 }
 
@@ -346,7 +306,6 @@ func (m *Module) summarizeCall(pkg *Package, call *ast.CallExpr, s *Summary,
 		for l := range merged.Locks {
 			s.Locks[l] = true
 		}
-		s.Panics = s.Panics || merged.Panics
 	}
 
 	// Receiver-rooted release: r.Release(), r.snap.Close(), or a method on
@@ -433,7 +392,7 @@ func (n *FuncNode) bindings() (recv types.Object, params []types.Object) {
 
 // MergedCallSummary unions the summaries of every resolved target of call —
 // what a flow-sensitive analyzer knows about a call site. May-facts (release,
-// retain, effects, panics) union across CHA targets. Nil when no target has
+// retain, effects) union across CHA targets. Nil when no target has
 // a summary: the callee lives outside the module and nothing is known.
 func (m *Module) MergedCallSummary(pkg *Package, call *ast.CallExpr) *Summary {
 	var merged *Summary
@@ -451,10 +410,6 @@ func (m *Module) MergedCallSummary(pkg *Package, call *ast.CallExpr) *Summary {
 			merged.Locks[l] = true
 		}
 		merged.ReleasesRecv = merged.ReleasesRecv || ts.ReleasesRecv
-		merged.Panics = merged.Panics || ts.Panics
-		merged.ErrFormat = merged.ErrFormat || ts.ErrFormat
-		merged.ErrCorrupt = merged.ErrCorrupt || ts.ErrCorrupt
-		merged.ErrOpaque = merged.ErrOpaque || ts.ErrOpaque
 		growBools(&merged.ReleasesParam, ts.ReleasesParam)
 		growBools(&merged.PutsParam, ts.PutsParam)
 		growBools(&merged.RetainsParam, ts.RetainsParam)
@@ -466,12 +421,6 @@ func (m *Module) MergedCallSummary(pkg *Package, call *ast.CallExpr) *Summary {
 // the snapref acquire intrinsics plus Acquires summaries.
 func (m *Module) IsAcquire(pkg *Package, call *ast.CallExpr) bool {
 	return m.isAcquireCall(pkg, call)
-}
-
-// IsPoolPut reports whether call is a pooled-scratch release: sync.Pool.Put
-// or a same-package put* helper.
-func IsPoolPut(pkg *Package, call *ast.CallExpr) bool {
-	return isPoolPut(pkg, call)
 }
 
 // CalleeName exposes the bare callee name of a call expression.
@@ -676,192 +625,7 @@ func isSyncPoolType(t types.Type) bool {
 	return namedTypePath(t) == "sync.Pool"
 }
 
-// summarizeErrors classifies the error result of node's returns.
-func (m *Module) summarizeErrors(node *FuncNode, s *Summary) {
-	sig := node.Sig()
-	if sig == nil || sig.Results().Len() == 0 {
-		return
-	}
-	last := sig.Results().At(sig.Results().Len() - 1).Type()
-	if !isErrorType(last) {
-		return
-	}
-	m.ClassifyReturns(node.Pkg, node.Body(), func(ret *ast.ReturnStmt, f, c, o bool) {
-		s.ErrFormat = s.ErrFormat || f
-		s.ErrCorrupt = s.ErrCorrupt || c
-		s.ErrOpaque = s.ErrOpaque || o
-	})
-}
-
-// ClassifyReturns classifies the error result of every return statement in
-// body and calls visit once per return with the (format, corrupt, opaque)
-// verdict. Idents trace through the union of everything assigned to them;
-// callee results use function summaries. A naked return (named results) is
-// untraceable and reports opaque.
-func (m *Module) ClassifyReturns(pkg *Package, body *ast.BlockStmt,
-	visit func(ret *ast.ReturnStmt, format, corrupt, opaque bool)) {
-	// Pre-index assignments to locals so `return err` can be traced to the
-	// union of everything assigned into err.
-	assigns := map[types.Object][]ast.Expr{}
-	walkBody(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		if len(as.Lhs) == len(as.Rhs) {
-			for i, lhs := range as.Lhs {
-				if id, ok := lhs.(*ast.Ident); ok {
-					if obj := identObj(pkg, id); obj != nil {
-						assigns[obj] = append(assigns[obj], as.Rhs[i])
-					}
-				}
-			}
-		} else if len(as.Rhs) == 1 {
-			// v, err := call(): the multi-value source stands for each LHS.
-			for _, lhs := range as.Lhs {
-				if id, ok := lhs.(*ast.Ident); ok {
-					if obj := identObj(pkg, id); obj != nil {
-						assigns[obj] = append(assigns[obj], as.Rhs[0])
-					}
-				}
-			}
-		}
-		return true
-	})
-
-	var classify func(e ast.Expr, depth int) (format, corrupt, opaque bool)
-	classify = func(e ast.Expr, depth int) (bool, bool, bool) {
-		if depth > 6 {
-			return false, false, true
-		}
-		e = Unparen(e)
-		switch v := e.(type) {
-		case *ast.Ident:
-			if v.Name == "nil" {
-				return false, false, false
-			}
-			obj := identObj(pkg, v)
-			srcs := assigns[obj]
-			if len(srcs) == 0 {
-				return false, false, true // parameter or untraceable
-			}
-			var f, c, o bool
-			for _, src := range srcs {
-				sf, sc, so := classify(src, depth+1)
-				f, c, o = f || sf, c || sc, o || so
-			}
-			return f, c, o
-		case *ast.UnaryExpr:
-			if v.Op.String() == "&" {
-				return classify(v.X, depth+1)
-			}
-		case *ast.CompositeLit:
-			switch typeExprName(v.Type) {
-			case "FormatError":
-				return true, false, false
-			case "CorruptError":
-				return false, true, false
-			}
-			return false, false, true
-		case *ast.CallExpr:
-			name := calleeName(v)
-			if name == "Errorf" && isPkgCall(pkg, v, "fmt") {
-				return classifyErrorf(pkg, v, classify)
-			}
-			if name == "New" && isPkgCall(pkg, v, "errors") {
-				return false, false, true
-			}
-			var f, c, o bool
-			found := false
-			for _, t := range m.Targets(pkg, v) {
-				if ts := m.Summaries[t]; ts != nil {
-					found = true
-					f, c, o = f || ts.ErrFormat, c || ts.ErrCorrupt, o || ts.ErrOpaque
-				} else if m.Funcs[t] != nil {
-					// Same-SCC callee still converging (recursion): optimistic
-					// bottom. The SCC fixpoint re-runs classification until
-					// its kinds stabilize; seeding opaque here would stick.
-					found = true
-				}
-			}
-			if !found {
-				return false, false, true
-			}
-			return f, c, o
-		}
-		return false, false, true
-	}
-
-	walkBody(body, func(n ast.Node) bool {
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok {
-			return true
-		}
-		if len(ret.Results) == 0 {
-			visit(ret, false, false, true) // naked return: untraceable named result
-			return true
-		}
-		f, c, o := classify(ret.Results[len(ret.Results)-1], 0)
-		visit(ret, f, c, o)
-		return true
-	})
-}
-
-// classifyErrorf handles fmt.Errorf: a %w wrap keeps the kinds of its
-// wrapped arguments; without %w the result is opaque.
-func classifyErrorf(pkg *Package, call *ast.CallExpr,
-	classify func(ast.Expr, int) (bool, bool, bool)) (bool, bool, bool) {
-	if len(call.Args) == 0 {
-		return false, false, true
-	}
-	lit, ok := Unparen(call.Args[0]).(*ast.BasicLit)
-	if !ok {
-		return false, false, true
-	}
-	format, err := strconv.Unquote(lit.Value)
-	if err != nil || !strings.Contains(format, "%w") {
-		return false, false, true
-	}
-	var f, c, o bool
-	for _, arg := range call.Args[1:] {
-		af, ac, ao := classify(arg, 1)
-		f, c, o = f || af, c || ac, o || ao
-	}
-	if !f && !c {
-		return false, false, true // %w of something untyped
-	}
-	return f, c, o
-}
-
-func isPkgCall(pkg *Package, call *ast.CallExpr, path string) bool {
-	sel, ok := Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
-	return ok && fn.Pkg() != nil && fn.Pkg().Path() == path
-}
-
-func identObj(pkg *Package, id *ast.Ident) types.Object {
-	if obj := pkg.Info.Defs[id]; obj != nil {
-		return obj
-	}
-	return pkg.Info.Uses[id]
-}
-
 func isErrorType(t types.Type) bool {
 	named, ok := t.(*types.Named)
 	return ok && named.Obj().Pkg() == nil && named.Obj().Name() == "error"
-}
-
-// typeExprName extracts the bare type name from a composite literal type
-// expression: T{} / pkg.T{} / &T{}.
-func typeExprName(e ast.Expr) string {
-	switch v := Unparen(e).(type) {
-	case *ast.Ident:
-		return v.Name
-	case *ast.SelectorExpr:
-		return v.Sel.Name
-	}
-	return ""
 }

@@ -8,9 +8,8 @@ import (
 
 // TestSummaries pins the interprocedural summaries of the fixture package:
 // acquire/release flow (including the error-result holder regression),
-// pool puts, parameter retention, file-effect classification and
-// propagation, recover-neutralized panics, and the error
-// taxonomy with its recursion fixpoint.
+// pool puts, parameter retention, lock sets, and file-effect classification
+// and propagation.
 func TestSummaries(t *testing.T) {
 	antest.RunSummaries(t, "testdata/summaries")
 }

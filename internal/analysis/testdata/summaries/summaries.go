@@ -3,19 +3,9 @@
 package sum
 
 import (
-	"errors"
-	"fmt"
 	"os"
 	"sync"
 )
-
-type FormatError struct{ Reason string }
-
-func (e *FormatError) Error() string { return e.Reason }
-
-type CorruptError struct{ Reason string }
-
-func (e *CorruptError) Error() string { return e.Reason }
 
 type Snapshot struct{ refs int }
 
@@ -47,7 +37,7 @@ func (d *Dataset) Acquire() *Snapshot {
 }
 
 // openPinned hands its caller a pin obligation: the Acquire result flows out.
-// want-summary acquires=1 err=none
+// want-summary acquires=1
 func openPinned(d *Dataset) (*Snapshot, error) {
 	snap := d.Acquire()
 	return snap, nil
@@ -55,7 +45,7 @@ func openPinned(d *Dataset) (*Snapshot, error) {
 
 // openChecked settles its own pin. Returning err must not read as returning
 // the handle (the error-result holder regression).
-// want-summary acquires=0 err=none
+// want-summary acquires=0
 func openChecked(d *Dataset) error {
 	snap, err := openPinned(d)
 	if err != nil {
@@ -81,7 +71,7 @@ var sink *Snapshot
 // want-summary retains-param=0
 func stash(s *Snapshot) { sink = s }
 
-// want-summary effects=io,write,fsync,rename err=opaque
+// want-summary effects=io,write,fsync,rename
 func spill(path string, data []byte) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -103,7 +93,7 @@ func spill(path string, data []byte) error {
 
 // syncDir exercises the read-only-handle heuristic: Sync on an os.Open
 // handle is the directory-fsync idiom.
-// want-summary effects=io,dirfsync err=opaque
+// want-summary effects=io,dirfsync
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
@@ -119,7 +109,7 @@ func syncDir(dir string) error {
 type WAL struct{ f *os.File }
 
 // The WAL method's own summary carries its file-level effects…
-// want-summary effects=io,write,fsync err=opaque
+// want-summary effects=io,write,fsync
 func (w *WAL) Append(rec []byte) error {
 	if _, err := w.f.Write(rec); err != nil {
 		return err
@@ -129,76 +119,7 @@ func (w *WAL) Append(rec []byte) error {
 
 // …while a caller sees the call-site intrinsic (walappend) plus the
 // propagated subset (io, fsync — write and rename stay local).
-// want-summary effects=io,fsync,walappend err=opaque
+// want-summary effects=io,fsync,walappend
 func logRecord(w *WAL, rec []byte) error {
 	return w.Append(rec)
-}
-
-// want-summary panics=1
-func mustLen(b []byte) int {
-	if len(b) == 0 {
-		panic("empty")
-	}
-	return len(b)
-}
-
-// want-summary panics=0
-func safeLen(b []byte) (n int) {
-	defer func() {
-		if recover() != nil {
-			n = 0
-		}
-	}()
-	return mustLen(b)
-}
-
-// want-summary err=format
-func checkMagic(b []byte) error {
-	if len(b) < 4 {
-		return &FormatError{Reason: "short header"}
-	}
-	return nil
-}
-
-// want-summary err=format,corrupt
-func validate(b []byte) error {
-	if err := checkMagic(b); err != nil {
-		return err
-	}
-	if b[0] == 0xff {
-		return &CorruptError{Reason: "reserved tag"}
-	}
-	return nil
-}
-
-// want-summary err=opaque
-func slurp(b []byte) error {
-	if len(b) == 0 {
-		return errors.New("empty input")
-	}
-	return nil
-}
-
-// A %w wrap keeps the wrapped kind.
-// want-summary err=format
-func wrapped(b []byte) error {
-	if err := checkMagic(b); err != nil {
-		return fmt.Errorf("header: %w", err)
-	}
-	return nil
-}
-
-// nested recurses; the SCC fixpoint must converge on format, not opaque.
-// want-summary err=format
-func nested(b []byte, depth int) error {
-	if depth > 4 {
-		return &FormatError{Reason: "nesting too deep"}
-	}
-	if len(b) == 0 {
-		return nil
-	}
-	if err := nested(b[1:], depth+1); err != nil {
-		return err
-	}
-	return nil
 }

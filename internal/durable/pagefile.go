@@ -263,8 +263,6 @@ func (s *SegmentSource) NumPages() int { return int(s.meta.numPages) }
 // must not be modified. A checksum mismatch on the cold read panics with a
 // *CorruptError: the PageSource contract has no error channel, and a page
 // that fails its CRC means the storage under a live dataset is damaged.
-//
-//neurospatial:hotpath
 func (s *SegmentSource) ReadPage(id pager.PageID) []int32 {
 	if f := s.frames[id].Load(); f != nil {
 		return f.ids

@@ -1,14 +1,20 @@
 package engine_test
 
-// The zero-alloc hot-path gate: BenchmarkDoHotPath measures allocs/op and
-// ns/op for every (contender × kind) Do cell, and TestDoHotPathAllocs pins
-// the cells the pooled-scratch rework made allocation-free: Do on a raw
-// contender and Do on a dataset's snapshot view, which is the same executor
-// with the overlay as an argument — Range, Point and WithinDistance at zero on
-// both, kNN at its measured handful. Session.Do on top of a view allocates
-// the Result it returns; those cells carry measured ceilings. The assertions
-// are skipped under the race detector (its instrumentation allocates) — CI
-// runs this package both ways, so the gate still runs on every push.
+// The allocation contract of the hot path, measured: BenchmarkDoHotPath
+// reports allocs/op and ns/op for every (contender × kind) Do cell, and
+// TestDoHotPathAllocs is the one gate on it — no annotation, AST pattern or
+// compiler diagnostic stands beside it; a function is on the hot path because
+// a cell executes it. The cells: Do on a raw contender and Do on a dataset's
+// snapshot view, which is the same executor with the overlay as an argument —
+// Range, Point and WithinDistance at zero on both, kNN at its measured
+// handful; the same at zero reading through an attached pager.BufferPool
+// (pooled/…) and through the page segments of a reopened durable dataset
+// (durable/…). Session.Do on top of a view allocates the Result it returns,
+// a paginated Do (page/…) builds the lazy iterator pipeline, and
+// Session.DoBatch (batch/…) buffers per worker; those cells carry measured
+// ceilings. The assertions are skipped under the race detector (its
+// instrumentation allocates) — CI runs this package both ways, so the gate
+// still runs on every push.
 
 import (
 	"context"
@@ -17,6 +23,7 @@ import (
 
 	"neurospatial/internal/engine"
 	"neurospatial/internal/geom"
+	"neurospatial/internal/pager"
 	"neurospatial/internal/race"
 )
 
@@ -73,7 +80,18 @@ func BenchmarkDoHotPath(b *testing.B) {
 // captures. The session/… cells are Session.Do on a WithDataset session, the
 // call users make: what is left there is the Result's own hit slice (grown by
 // append, so it scales with log(hits)), the emit closure and its captured
-// slice header, and the one-element stats slice handed to the planner. All
+// slice header, and the one-element stats slice handed to the planner.
+//
+// The remaining cells execute what the raw and view cells do not. pooled/…
+// is Range with a pager.BufferPool holding the whole store attached
+// (BufferPool.ReadPage, and the shards' shardSource above it): zero.
+// durable/… is every kind through the views of a dataset created, closed and
+// reopened from its directory, so pages come from durable.SegmentSource's
+// frame cache: the view ceilings. page/… is Do with Limit 10 — the lazy
+// pipeline (pageStream or rtreeStream, the sharded k-way merge, clipIter)
+// drained into Do's all-or-nothing buffer. batch/… is Session.DoBatch of 16
+// mixed requests on the dataset session at one and four workers
+// (parallel.BatchCtx, ForEach, the pooled segment and error tables). All
 // ceilings are as measured and can only shrink.
 func TestDoHotPathAllocs(t *testing.T) {
 	if race.Enabled {
@@ -91,6 +109,15 @@ func TestDoHotPathAllocs(t *testing.T) {
 		"view/flat/knn": 2, "view/rtree/knn": 3, "view/grid/knn": 2, "view/sharded/knn": 7,
 
 		"session/range": 13, "session/knn": 9, "session/point": 4, "session/within": 12,
+
+		"durable/flat/knn": 2, "durable/rtree/knn": 3, "durable/grid/knn": 2, "durable/sharded/knn": 7,
+
+		"page/flat/range": 13, "page/flat/point": 5, "page/flat/within": 13,
+		"page/rtree/range": 8, "page/rtree/point": 4, "page/rtree/within": 8,
+		"page/grid/range": 21, "page/grid/point": 7, "page/grid/within": 21,
+		"page/sharded/range": 34, "page/sharded/point": 11, "page/sharded/within": 33,
+
+		"batch/workers=1": 156, "batch/workers=4": 170,
 	}
 	measure := func(cell string, do func() error) {
 		// Warm the pools: first executions stock them.
@@ -119,16 +146,44 @@ func TestDoHotPathAllocs(t *testing.T) {
 	}
 	for _, ix := range buildIndexes(t, items) {
 		check("", ix)
+
+		paged := ix.(engine.Paged)
+		pool, err := pager.NewBufferPool(paged.Store(), paged.Store().NumPages())
+		if err != nil {
+			t.Fatal(err)
+		}
+		paged.SetSource(pool)
+		rangeReq := hotPathRequests(vol)[0]
+		measure(fmt.Sprintf("pooled/%s/range", ix.Name()), func() error {
+			_, err := ix.Do(ctx, rangeReq, sink)
+			return err
+		})
+		paged.SetSource(nil)
+		if st := pool.Stats(); st.Hits == 0 {
+			t.Errorf("pooled/%s/range: the pool saw no hits (%+v)", ix.Name(), st)
+		}
+
+		for _, req := range hotPathRequests(vol) {
+			if req.Kind == engine.KNN {
+				continue // bounded by K: served by the buffered drain the raw kNN cells measure
+			}
+			req.Limit = 10
+			measure(fmt.Sprintf("page/%s/%s", ix.Name(), req.Kind), func() error {
+				_, err := ix.Do(ctx, req, sink)
+				return err
+			})
+		}
 	}
 
 	// One dataset per overlay size: none (epoch 0), then n delta entries —
 	// updates of every stride-th item, which also tombstone its base version,
 	// topped up with inserts once half the items are updated.
+	opts := engine.DatasetOptions{
+		Contenders: []string{"flat", "rtree", "grid", "sharded"}, DisableAutoCompact: true}
 	var ds *engine.Dataset
 	for _, n := range []int{0, 1000, 10000} {
 		var err error
-		ds, err = engine.NewDataset(items, engine.DatasetOptions{
-			Contenders: []string{"flat", "rtree", "grid", "sharded"}, DisableAutoCompact: true})
+		ds, err = engine.NewDataset(items, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,6 +221,32 @@ func TestDoHotPathAllocs(t *testing.T) {
 			_, err := sess.Do(ctx, req)
 			return err
 		})
+	}
+	var batch []engine.Request
+	for len(batch) < 16 {
+		batch = append(batch, hotPathRequests(vol)...)
+	}
+	for _, workers := range []int{1, 4} {
+		measure(fmt.Sprintf("batch/workers=%d", workers), func() error {
+			_, err := sess.DoBatch(ctx, batch, workers)
+			return err
+		})
+	}
+
+	dir := t.TempDir()
+	dd, err := engine.CreateDataset(dir, items, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dd.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if dd, err = engine.OpenDataset(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer dd.Close()
+	for _, view := range dd.Current().Indexes() {
+		check("durable/", view)
 	}
 }
 

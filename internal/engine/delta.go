@@ -152,7 +152,6 @@ func newDeltaIter(chunks []*deltaChunk, req Request, after *Hit) deltaIter {
 	return d
 }
 
-//neurospatial:hotpath
 func (d *deltaIter) Next() (Hit, bool) {
 	for {
 		if d.cur == nil {

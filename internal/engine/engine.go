@@ -13,7 +13,7 @@
 //	storage   pager.Store / pager.BufferPool via pager.PageSource — every
 //	          index reads data pages through a PageSource, so the buffer
 //	          pool + prefetch/SCOUT stack sits beneath any of them
-//	execution parallel.Batch / parallel.BatchCtx — one generic deterministic
+//	execution parallel.BatchCtx — one generic deterministic
 //	          batch executor (slot-ordered visits, identical-to-serial
 //	          guarantee, context cancellation)
 //	harness   experiments E1–E9, cmd drivers, prefetch.Simulator
@@ -137,8 +137,6 @@ func (s QueryStats) Cost() float64 {
 // breakdown is summed element-wise. Allocation-free: the level counters are
 // inline arrays on both sides, so aggregating a batch performs no heap work
 // at all (the former []int64 form allocated the output slice).
-//
-//neurospatial:hotpath
 func Aggregate(sts []QueryStats) QueryStats {
 	var out QueryStats
 	for i := range sts {
@@ -177,7 +175,7 @@ func (s *QueryStats) add(o *QueryStats) {
 //
 // All implementations are deterministic, and batches (Session.DoBatch) emit
 // exactly what a serial loop of Do calls would produce, in the same order,
-// for any worker count (the parallel.Batch guarantee).
+// for any worker count (the parallel.BatchCtx guarantee).
 //
 // Item IDs must be dense in [0, NumItems()); they are the IDs reported by
 // queries — the same contract flat.Build imposes.

@@ -111,8 +111,6 @@ func discardHit(Hit) {}
 // and delta IDs are disjoint, an updated item being dead in the base. The
 // overlay's share is O(answer + touched delta): at an empty overlay over
 // identity baseIDs a view's Do is its base's, hit for hit and stat for stat.
-//
-//neurospatial:hotpath
 func execute(ctx context.Context, ix traverser, ov *Snapshot, req Request, visit func(Hit)) (QueryStats, error) {
 	ctx, visit, err := admit(ctx, req, visit)
 	if err != nil {
@@ -233,8 +231,6 @@ func (a *knnAcc) Bound() float64 {
 }
 
 // Offer considers one candidate.
-//
-//neurospatial:hotpath
 func (a *knnAcc) Offer(h Hit) {
 	if len(a.h) < a.k {
 		a.h = append(a.h, h)
@@ -310,8 +306,6 @@ func cmpHitID(x, y Hit) int {
 // ascending ID). The accumulator must not be offered to afterwards; when the
 // accumulator is pooled, callers must copy the hits out (visit emits by
 // value) before releasing it.
-//
-//neurospatial:hotpath
 func (a *knnAcc) Hits() []Hit {
 	slices.SortFunc(a.h, cmpHit)
 	return a.h

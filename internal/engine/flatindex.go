@@ -79,16 +79,10 @@ func (f *Flat) zoneMap() []idZone {
 // crawl); PagesRead accounting is identical on a full drain. Only Stream and
 // paginated Do report this mapping — an unpaginated Do, on the raw index or
 // through a snapshot view, is scan's and reports the crawl's — and a page's
-// record never feeds a planner. KNN serves the bounded best-first scan
-// eagerly.
+// record never feeds a planner.
 func (f *Flat) iterate(ctx context.Context, req Request, after *Hit) (HitIterator, error) {
 	if f.idx == nil {
 		return &sliceIter{}, ctxErr(ctx)
-	}
-	if req.Kind == KNN {
-		return knnEager(func(visit func(Hit)) (QueryStats, error) {
-			return f.doKNN(ctx, req, visit)
-		}, KNN, after)
 	}
 	pages := f.idx.PagesInRange(queryBox(req))
 	ps := newPageStream(ctx, f.source(req, nil), pages, f.zoneMap(), after,
@@ -136,8 +130,6 @@ func (f *Flat) source(req Request, passed pager.PageSource) pager.PageSource {
 }
 
 // scan implements contender: the seed-and-crawl traversal, IDs in crawl order.
-//
-//neurospatial:hotpath
 func (f *Flat) scan(ctx context.Context, req Request, src pager.PageSource, out *idCollector) (QueryStats, error) {
 	st, err := f.idx.QueryVia(ctx, queryBox(req), f.source(req, src), out.visit)
 	return fromFlat(st), err
@@ -160,8 +152,6 @@ func (f *Flat) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStats
 
 // doKNN is the FLAT k-nearest-neighbors execution. The order buffer and the
 // top-k accumulator are pooled; hits are emitted by value before release.
-//
-//neurospatial:hotpath
 func (f *Flat) doKNN(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
 	var st QueryStats
 	center := req.Center

@@ -237,8 +237,6 @@ func putGridRange(s *gridRangeScratch) {
 
 // scan implements contender: the filtered cell traversal, IDs in cell-major
 // order (ascending within a cell).
-//
-//neurospatial:hotpath
 func (gx *Grid) scan(ctx context.Context, req Request, src pager.PageSource, out *idCollector) (QueryStats, error) {
 	q := queryBox(req)
 	s := getGridRange(ctx, gx, q, gx.source(req, src), out)
@@ -271,16 +269,10 @@ func (gx *Grid) zoneMap() []idZone {
 // page residents outside the candidate cells are tested and rejected — the
 // streaming path's EntriesTested can exceed the eager traversal's, while
 // PagesRead is identical on a full drain. IndexReads counts candidate pages
-// rather than cells inspected. KNN serves the bounded best-first cell scan
-// eagerly.
+// rather than cells inspected.
 func (gx *Grid) iterate(ctx context.Context, req Request, after *Hit) (HitIterator, error) {
 	if gx.g == nil {
 		return &sliceIter{}, ctxErr(ctx)
-	}
-	if req.Kind == KNN {
-		return knnEager(func(visit func(Hit)) (QueryStats, error) {
-			return gx.doKNN(ctx, req, visit)
-		}, KNN, after)
 	}
 	pages := gx.PagesInRange(queryBox(req))
 	ps := newPageStream(ctx, gx.source(req, nil), pages, gx.zoneMap(), after,
@@ -328,8 +320,6 @@ var cellBoundPool = sync.Pool{New: func() any { s := make([]cellBound, 0, 64); r
 
 // doKNN is the grid k-nearest-neighbors execution. The cell order, the
 // read-page set and the top-k accumulator are pooled.
-//
-//neurospatial:hotpath
 func (gx *Grid) doKNN(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
 	var st QueryStats
 	center := req.Center

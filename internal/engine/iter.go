@@ -54,8 +54,9 @@ type HitIterator interface {
 // streamer is the internal lazy-execution capability of the engine indexes:
 // iterate returns a HitIterator over req's hits strictly after the resume
 // position (nil = from the start). req carries no pagination fields — Stream
-// strips them; after is the decoded cursor. Implementations must emit the
-// canonical per-kind order and must not emit hits at or before after.
+// strips them; after is the decoded cursor. iterate serves the ascending-ID
+// kinds only (rawStream keeps KNN away from it); implementations must emit
+// ascending IDs and must not emit hits at or before after.
 type streamer interface {
 	iterate(ctx context.Context, req Request, after *Hit) (HitIterator, error)
 }
@@ -149,10 +150,12 @@ func Stream(ctx context.Context, ix SpatialIndex, req Request) (HitIterator, err
 }
 
 // rawStream opens the unclipped stream: the index's own lazy iterator when
-// it has one, a buffered fallback otherwise. req must carry no pagination
+// it has one, a buffered fallback otherwise — and for KNN always: its result
+// set is bounded by K, so laziness buys nothing, and an unpaginated Do is the
+// contender's bound-tightening doKNN. req must carry no pagination
 // fields.
 func rawStream(ctx context.Context, ix SpatialIndex, req Request, after *Hit) (HitIterator, error) {
-	if s, ok := ix.(streamer); ok {
+	if s, ok := ix.(streamer); ok && req.Kind != KNN {
 		return s.iterate(ctx, req, after)
 	}
 	var hits []Hit
@@ -461,7 +464,6 @@ func (ps *pageStream) useCoords(c *pager.Coords, boxQ geom.AABB) {
 	ps.boxQ = boxQ
 }
 
-//neurospatial:hotpath
 func (ps *pageStream) Next() (Hit, bool) {
 	for {
 		if ps.err != nil {
@@ -628,12 +630,11 @@ func (m *kwayMerge) Next() (Hit, bool) {
 func (m *kwayMerge) Err() error { return m.err }
 
 func (m *kwayMerge) Stats() QueryStats {
-	sts := make([]QueryStats, 0, len(m.its)+1)
+	st := m.extra
 	for _, it := range m.its {
-		sts = append(sts, it.Stats())
+		sub := it.Stats()
+		st.add(&sub)
 	}
-	sts = append(sts, m.extra)
-	st := Aggregate(sts)
 	st.Results = m.emitted
 	return st
 }
@@ -642,23 +643,6 @@ func (m *kwayMerge) Close() {
 	for _, it := range m.its {
 		it.Close()
 	}
-}
-
-// knnEager adapts the bounded (O(K) memory) kNN executions onto the iterator
-// surface: the top-k is computed eagerly by the contender's bound-tightening
-// accumulator, then served as a slice, skipping past the resume position.
-// kNN result sets are bounded by K, so laziness buys nothing there; the
-// kinds that page million-hit results are the ascending-ID ones.
-func knnEager(run func(visit func(Hit)) (QueryStats, error), kind Kind, after *Hit) (HitIterator, error) {
-	var hits []Hit
-	st, err := run(func(h Hit) { hits = append(hits, h) })
-	if err != nil {
-		return nil, err
-	}
-	if after != nil {
-		hits = skipThrough(hits, kind, *after)
-	}
-	return &sliceIter{hits: hits, st: st}, nil
 }
 
 // queryBox is the traversal box of an ascending-ID kind: the range box

@@ -185,8 +185,6 @@ func fromRTree(s rtree.QueryStats) QueryStats {
 // With no source to read through and a context that cannot be canceled it
 // descends the RAM tree — the same nodes in the same order as the paged
 // descent, so the same record, with no page reads to check a context at.
-//
-//neurospatial:hotpath
 func (r *RTree) scan(ctx context.Context, req Request, src pager.PageSource, out *idCollector) (QueryStats, error) {
 	q := queryBox(req)
 	src = pickSource(req, src, r.src)
@@ -220,8 +218,6 @@ func (r *RTree) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStat
 }
 
 // doKNN wraps rtree.Tree.KNN with the canonical tie resolution.
-//
-//neurospatial:hotpath
 func (r *RTree) doKNN(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
 	center, k := req.Center, req.K
 	size := r.tree.Size()
@@ -273,16 +269,10 @@ func (r *RTree) doKNN(ctx context.Context, req Request, visit func(Hit)) (QueryS
 // no unread subtree can precede them. A full drain visits exactly the nodes
 // the eager descent visits; under a Limit the remaining subtrees are never
 // read. Subtrees wholly at or before the resume position are pruned by
-// their ID zone without reading. KNN serves the bounded native best-first
-// search eagerly.
+// their ID zone without reading.
 func (r *RTree) iterate(ctx context.Context, req Request, after *Hit) (HitIterator, error) {
 	if r.tree == nil || r.tree.Size() == 0 {
 		return &sliceIter{}, ctxErr(ctx)
-	}
-	if req.Kind == KNN {
-		return knnEager(func(visit func(Hit)) (QueryStats, error) {
-			return r.doKNN(ctx, req, visit)
-		}, KNN, after)
 	}
 	src := pickSource(req, nil, r.src)
 	if src == nil {
@@ -327,7 +317,6 @@ type rtreeStream struct {
 	err         error
 }
 
-//neurospatial:hotpath
 func (s *rtreeStream) Next() (Hit, bool) {
 	for {
 		if s.err != nil {

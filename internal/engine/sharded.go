@@ -247,8 +247,6 @@ func (sh *shardState) admits(req Request) bool {
 // ascending global ID is Sharded's native order. A source passed for the
 // call addresses the global page space; each shard reads it through its own
 // shardSource. Per-shard stats are summed, with ShardsTouched the fan-out.
-//
-//neurospatial:hotpath
 func (s *Sharded) scan(ctx context.Context, req Request, src pager.PageSource, out *idCollector) (QueryStats, error) {
 	var st QueryStats
 	first := len(out.ids)
@@ -295,14 +293,11 @@ func (s *Sharded) Do(ctx context.Context, req Request, visit func(Hit)) (QuerySt
 }
 
 // doKNN is the sharded bound-tightening kNN gather.
-//
-//neurospatial:hotpath
 func (s *Sharded) doKNN(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
 	type shardBound struct {
 		d2 float64
 		i  int
 	}
-	//lint:ignore hotpath the shard-order buffer is O(shards) per query by design; ceilinged by TestDoHotPathAllocs
 	order := make([]shardBound, len(s.shards))
 	for i := range s.shards {
 		order[i] = shardBound{s.shards[i].bounds.Dist2Point(req.Center), i}
@@ -328,7 +323,6 @@ func (s *Sharded) doKNN(ctx context.Context, req Request, visit func(Hit)) (Quer
 		// global IDs within a shard, so the local tie-break agrees with the
 		// global (Dist2, ID) order and the union provably contains the
 		// canonical top-k.
-		//lint:ignore hotpath one translation closure per consulted shard by design; ceilinged by TestDoHotPathAllocs
 		sst, err := sh.sub.doKNN(ctx, req, func(h Hit) {
 			acc.Offer(Hit{ID: sh.global[h.ID], Dist2: h.Dist2})
 		})
@@ -353,16 +347,10 @@ func (s *Sharded) doKNN(ctx context.Context, req Request, visit func(Hit)) (Quer
 // are primed lazily as the merge is pulled; a consumer that stops early
 // leaves every stream's remaining pages unread. The resume position is
 // translated into each shard's local ID space, so the per-shard zone maps
-// prune pages below the cursor without reading them. KNN serves the bounded
-// bound-tightening gather eagerly.
+// prune pages below the cursor without reading them.
 func (s *Sharded) iterate(ctx context.Context, req Request, after *Hit) (HitIterator, error) {
 	if s.n == 0 {
 		return &sliceIter{}, ctxErr(ctx)
-	}
-	if req.Kind == KNN {
-		return knnEager(func(visit func(Hit)) (QueryStats, error) {
-			return s.doKNN(ctx, req, visit)
-		}, KNN, after)
 	}
 	var its []HitIterator
 	for i := range s.shards {

@@ -232,8 +232,6 @@ func (sn *Snapshot) baseLocal(id int32) (int32, bool) {
 }
 
 // dead reports whether base-local ID l is tombstoned in this epoch.
-//
-//neurospatial:hotpath
 func (sn *Snapshot) dead(l int32) bool {
 	w := int(l >> 6)
 	return w < len(sn.tombs) && sn.tombs[w]&(1<<(uint(l)&63)) != 0
@@ -302,11 +300,6 @@ func (v *snapView) itemBoxes() func(int32) geom.AABB { return v.snap.baseBox }
 // merge needs no deduplication. The resume position is translated to the
 // base's local ID space so its zone maps prune pages below the cursor.
 func (v *snapView) iterate(ctx context.Context, req Request, after *Hit) (HitIterator, error) {
-	if req.Kind == KNN {
-		return knnEager(func(visit func(Hit)) (QueryStats, error) {
-			return v.doKNN(ctx, req, visit)
-		}, KNN, after)
-	}
 	sn := v.snap
 	var its []HitIterator
 	if v.base != nil {

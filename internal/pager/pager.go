@@ -58,8 +58,6 @@ type PageSource interface {
 
 // ReadPage implements PageSource: a direct store read, modelling one cold
 // physical read with no caching or accounting.
-//
-//neurospatial:hotpath
 func (s *Store) ReadPage(id PageID) []int32 { return s.Page(id) }
 
 // Counting wraps a PageSource with an independent read counter — the proof
@@ -273,8 +271,6 @@ func (p *BufferPool) Get(id PageID) []int32 {
 }
 
 // ReadPage implements PageSource via the demand-read path (Get).
-//
-//neurospatial:hotpath
 func (p *BufferPool) ReadPage(id PageID) []int32 { return p.Get(id) }
 
 // Prefetch brings page id into the pool without a demand request. Cached

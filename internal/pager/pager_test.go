@@ -2,9 +2,12 @@ package pager
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"neurospatial/internal/geom"
 )
 
 func buildStore(t *testing.T, capacity, elems int) *Store {
@@ -251,5 +254,52 @@ func TestQuickStatsAlgebra(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCoordsFilterPage pins the SoA page filter against the strided test it
+// stands in for — same residents emitted, one box test per non-negative
+// resident — and at zero allocations per page. Its only caller is the
+// benchmark's traced replay (pager.filter_ns_per_page), so no engine alloc
+// cell executes it.
+func TestCoordsFilterPage(t *testing.T) {
+	b, err := NewBuilder(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int32{0, 1, -1, 2, 3, 4, 5, -1, 6, 7} {
+		b.Add(id)
+	}
+	s := b.Build()
+	boxOf := func(id int32) geom.AABB { return geom.BoxAround(geom.V(float64(id), 0, 0), 0.25) }
+	c := BuildCoords(s, boxOf)
+	q := geom.Box(geom.V(1.5, -1, -1), geom.V(5.5, 1, 1))
+
+	var got, want []int32
+	tested, residents := 0, 0
+	for p := 0; p < s.NumPages(); p++ {
+		ids := s.Page(PageID(p))
+		tested += c.FilterPage(PageID(p), ids, q, func(id int32) { got = append(got, id) })
+		for _, id := range ids {
+			if id < 0 {
+				continue
+			}
+			residents++
+			if boxOf(id).Intersects(q) {
+				want = append(want, id)
+			}
+		}
+	}
+	if !slices.Equal(got, want) || len(want) == 0 {
+		t.Fatalf("FilterPage emitted %v, strided filter %v", got, want)
+	}
+	if tested != residents {
+		t.Errorf("FilterPage tested %d boxes, want one per non-negative resident (%d)", tested, residents)
+	}
+	matched := 0
+	if allocs := testing.AllocsPerRun(20, func() {
+		c.FilterPage(1, s.Page(1), q, func(int32) { matched++ })
+	}); allocs != 0 {
+		t.Errorf("FilterPage allocated %v times per page, want 0", allocs)
 	}
 }

@@ -67,8 +67,6 @@ func (c *Coords) PageOffset(p PageID) int { return int(c.off[p]) }
 
 // IntersectsAt reports whether the box in slot i intersects q — the
 // sequential-load form of geom.AABB.Intersects.
-//
-//neurospatial:hotpath
 func (c *Coords) IntersectsAt(i int, q geom.AABB) bool {
 	return c.minX[i] <= q.Max.X && c.maxX[i] >= q.Min.X &&
 		c.minY[i] <= q.Max.Y && c.maxY[i] >= q.Min.Y &&
@@ -80,8 +78,6 @@ func (c *Coords) IntersectsAt(i int, q geom.AABB) bool {
 // as returned by ReadPage (position-aligned with the sidecar); the return
 // value is the number of box tests performed (the EntriesTested accounting of
 // the strided filter it replaces).
-//
-//neurospatial:hotpath
 func (c *Coords) FilterPage(p PageID, ids []int32, q geom.AABB, emit func(int32)) int {
 	base := int(c.off[p])
 	tested := 0

@@ -90,8 +90,6 @@ func Split(n, parts int) []Range {
 //
 // When the resolved worker count is 1 (or n <= 1), fn runs on the calling
 // goroutine with worker == 0 and no goroutines are spawned.
-//
-//neurospatial:hotpath
 func ForEach(workers, n int, fn func(worker, slot int)) {
 	if n <= 0 {
 		return
@@ -117,7 +115,6 @@ func ForEach(workers, n int, fn func(worker, slot int)) {
 	var wg sync.WaitGroup
 	for wk := 0; wk < w; wk++ {
 		wg.Add(1)
-		//lint:ignore hotpath w goroutine closures per call — worker count, not slot count
 		go func(wk int) {
 			defer wg.Done()
 			for {
@@ -158,13 +155,10 @@ var segPool = sync.Pool{New: func() any {
 
 // getSegs returns a pooled slot→segment table of length n (zeroed by
 // construction: every slot writes its entry before it is read).
-//
-//neurospatial:hotpath
 func getSegs(n int) (*[]seg, []seg) {
 	box := segPool.Get().(*[]seg)
 	b := *box
 	if cap(b) < n {
-		//lint:ignore hotpath pool refill when the table first grows to n slots; amortized across the pool
 		b = make([]seg, n)
 	} else {
 		b = b[:n]
@@ -173,8 +167,6 @@ func getSegs(n int) (*[]seg, []seg) {
 }
 
 // putSegs recycles a table obtained from getSegs.
-//
-//neurospatial:hotpath
 func putSegs(box *[]seg, b []seg) {
 	*box = b[:0]
 	segPool.Put(box)
@@ -242,73 +234,19 @@ func Collect[T any](workers, n int, work func(worker, slot int, emit func(T)), s
 	putSegs(segBox, segs)
 }
 
-// Batch is the deterministic batch-query executor shared by every index in
-// the repository (flat, rtree, and the engine layer): run executes slot qi,
-// emitting hits of type H and returning that slot's summary of type S; visit
-// receives exactly the (slot, hit) pairs a serial loop would produce, in the
-// same order, for any worker count.
-//
-// The worker contract matches every Workers knob in the repository: 0 or 1
-// executes serially on the calling goroutine (hits are delivered to visit as
-// they are found, with no buffering), values > 1 use that many workers, and
-// negative values use one worker per CPU. Under parallel execution each
-// slot's hits are buffered and replayed in slot order after the pool drains;
-// visit runs on the calling goroutine only. A nil visit skips result
-// buffering entirely (summaries only).
-func Batch[S, H any](workers, n int, run func(qi int, emit func(H)) S,
-	visit func(qi int, h H)) []S {
-
-	out := make([]S, n)
-	w := 1
-	if workers != 0 && workers != 1 {
-		w = Workers(workers)
-	}
-	if w > n {
-		w = n
-	}
-	if w <= 1 || n <= 1 {
-		for qi := 0; qi < n; qi++ {
-			qi := qi
-			out[qi] = run(qi, func(h H) {
-				if visit != nil {
-					visit(qi, h)
-				}
-			})
-		}
-		return out
-	}
-	if visit == nil {
-		ForEach(w, n, func(_, qi int) {
-			out[qi] = run(qi, discard[H])
-		})
-		return out
-	}
-	wbs := newWorkerBufs[H](w)
-	segBox, segs := getSegs(n)
-	ForEach(w, n, func(worker, qi int) {
-		wb := &wbs[worker]
-		start := len(wb.buf)
-		out[qi] = run(qi, wb.emit)
-		segs[qi] = seg{worker, start, len(wb.buf)}
-	})
-	for qi, sg := range segs {
-		for _, h := range wbs[sg.worker].buf[sg.start:sg.end] {
-			visit(qi, h)
-		}
-	}
-	putSegs(segBox, segs)
-	return out
-}
-
 // discard is the no-op emit handed to slot runners when the caller asked for
 // summaries only. A named function (rather than a literal) so the buffered
 // executors do not allocate a closure per slot for it.
 func discard[H any](H) {}
 
-// BatchCtx is Batch with context cancellation and per-slot errors — the
-// executor under the engine's Session.DoBatch. The determinism contract is
+// BatchCtx is the deterministic batch executor under the engine's
+// Session.DoBatch: run executes slot qi, emitting hits of type H and returning
+// that slot's summary of type S or its error. workers follows the Workers
+// convention (0 or 1 runs on the calling goroutine, negative is one per CPU);
+// visit runs on the calling goroutine only, and a nil visit skips result
+// buffering (summaries only). The determinism contract is
 // all-or-nothing: on success the visits are exactly the serial loop's output
-// in slot order (the Batch guarantee); on failure nothing is visited and the
+// in slot order, for any worker count; on failure nothing is visited and the
 // error is deterministic.
 //
 // Cancellation is checked before every slot in every worker (and the slot

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -158,19 +159,27 @@ func TestDo(t *testing.T) {
 // sequence of a serial loop, and the per-slot summaries are identical.
 func TestBatchMatchesSerial(t *testing.T) {
 	const n = 37
-	run := func(qi int, emit func(int)) int {
+	run := func(qi int, emit func(int)) (int, error) {
 		// Slot qi emits qi%5 hits: deterministic, skewed sizes.
 		for k := 0; k < qi%5; k++ {
 			emit(qi*100 + k)
 		}
-		return qi * 7
+		return qi * 7, nil
+	}
+	batch := func(workers, n int, visit func(q, h int)) []int {
+		t.Helper()
+		sums, err := BatchCtx(context.Background(), workers, n, run, visit)
+		if err != nil {
+			t.Fatalf("workers=%d n=%d: %v", workers, n, err)
+		}
+		return sums
 	}
 	type pair struct{ q, h int }
 	var want []pair
-	wantSums := Batch(1, n, run, func(q, h int) { want = append(want, pair{q, h}) })
+	wantSums := batch(1, n, func(q, h int) { want = append(want, pair{q, h}) })
 	for _, w := range []int{0, 2, 3, 8, -1} {
 		var got []pair
-		sums := Batch(w, n, run, func(q, h int) { got = append(got, pair{q, h}) })
+		sums := batch(w, n, func(q, h int) { got = append(got, pair{q, h}) })
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d hits, want %d", w, len(got), len(want))
 		}
@@ -186,20 +195,20 @@ func TestBatchMatchesSerial(t *testing.T) {
 		}
 	}
 	// nil visit: summaries only, no panic.
-	sums := Batch(4, n, run, nil)
+	sums := batch(4, n, nil)
 	for i := range sums {
 		if sums[i] != i*7 {
 			t.Errorf("nil-visit summary %d = %d", i, sums[i])
 		}
 	}
-	if got := Batch(4, 0, run, nil); len(got) != 0 {
+	if got := batch(4, 0, nil); len(got) != 0 {
 		t.Errorf("empty batch returned %d summaries", len(got))
 	}
 }
 
 // TestWorkerCountInvariance pins the determinism contract of the per-worker
 // buffered executors after the segment-table rework: for every worker count,
-// Collect, Batch and BatchCtx must deliver byte-for-byte the serial loop's
+// Collect and BatchCtx must deliver byte-for-byte the serial loop's
 // output, including under heavy emission skew (slot i emits i%5 values, so
 // worker buffers interleave segments from many slots).
 func TestWorkerCountInvariance(t *testing.T) {
