@@ -541,12 +541,24 @@ func BenchmarkRTreeOps(b *testing.B) {
 			tr.SeedInRange(q)
 		}
 	})
-	b.Run("KNN16", func(b *testing.B) {
-		p := m.Circuit.Params.Volume.Center()
-		for i := 0; i < b.N; i++ {
-			tr.KNN(p, 16)
-		}
-	})
+}
+
+// BenchmarkKNN16 measures a 16-nearest-neighbors request on each engine
+// contender through Do — the path requests take.
+func BenchmarkKNN16(b *testing.B) {
+	m := benchModel(b, modelKey{neurons: 64, edge: 300, seed: 8})
+	req := engine.KNNRequest(m.Circuit.Params.Volume.Center(), 16)
+	for _, name := range []string{"flat", "rtree", "grid", "sharded"} {
+		ix := m.Engine.Index(name)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ix.Do(context.Background(), req, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkCircuitGeneration measures the synthetic-data substrate itself.

@@ -67,17 +67,15 @@ func BenchmarkDoHotPath(b *testing.B) {
 
 // TestDoHotPathAllocs asserts the zero-alloc cells stay at zero — every
 // Range/KNN/Point/WithinDistance execution on a raw flat, grid, rtree or
-// sharded contender, bar the two kNN cells with irreducible allocations: the
-// rtree's result slice and the sharded gather's shard order and per-shard
-// translation closures.
+// sharded contender.
 //
 // The view/… cells are the same requests through a dataset's snapshot views,
-// at epoch 0 and over 1,000- and 10,000-entry overlays. A view's Range, Point
-// and WithinDistance run the executor the raw contenders run, with the
-// overlay's tombstone filter and delta merge in its one emission pass, so
-// they carry the raw ceilings — zero — whatever the overlay's size. A view's
-// kNN adds the closure that filters the base's hits and the counter it
-// captures. The session/… cells are Session.Do on a WithDataset session, the
+// at epoch 0 and over 1,000- and 10,000-entry overlays. A view runs the
+// executor the raw contenders run, with the overlay an argument of it — the
+// tombstone filter and delta merge in the scan arm's one emission pass, the
+// tombstone filter in the kNN search's offer and the delta offered last — so
+// every kind carries the raw ceiling, zero, whatever the overlay's size. The
+// session/… cells are Session.Do on a WithDataset session, the
 // call users make: what is left there is the Result's own hit slice (grown by
 // append, so it scales with log(hits)), the emit closure and its captured
 // slice header, and the one-element stats slice handed to the planner.
@@ -103,21 +101,14 @@ func TestDoHotPathAllocs(t *testing.T) {
 	sink := func(engine.Hit) {}
 	// ceilings["name/kind"] is the per-op allocation budget; absent means 0.
 	ceilings := map[string]float64{
-		"rtree/knn":   1,
-		"sharded/knn": 3,
-
-		"view/flat/knn": 2, "view/rtree/knn": 3, "view/grid/knn": 2, "view/sharded/knn": 7,
-
-		"session/range": 13, "session/knn": 9, "session/point": 4, "session/within": 12,
-
-		"durable/flat/knn": 2, "durable/rtree/knn": 3, "durable/grid/knn": 2, "durable/sharded/knn": 7,
+		"session/range": 13, "session/knn": 6, "session/point": 4, "session/within": 12,
 
 		"page/flat/range": 13, "page/flat/point": 5, "page/flat/within": 13,
 		"page/rtree/range": 8, "page/rtree/point": 4, "page/rtree/within": 8,
 		"page/grid/range": 21, "page/grid/point": 7, "page/grid/within": 21,
 		"page/sharded/range": 34, "page/sharded/point": 11, "page/sharded/within": 33,
 
-		"batch/workers=1": 156, "batch/workers=4": 170,
+		"batch/workers=1": 144, "batch/workers=4": 158,
 	}
 	measure := func(cell string, do func() error) {
 		// Warm the pools: first executions stock them.
@@ -251,9 +242,9 @@ func TestDoHotPathAllocs(t *testing.T) {
 }
 
 // TestViewKNNAllocsUnderChurn pins the kNN cell of a snapshot view with a live
-// overlay: base and delta candidates meet in one pooled accumulator, so the
-// request's allocations do not grow with the overlay — what is left is the
-// closure that filters the base's hits and the tombstone counter it captures.
+// overlay that does work for the request: base residents, tombstoned ones
+// among them, and delta candidates meet in the one pooled search, so the
+// request allocates nothing.
 func TestViewKNNAllocsUnderChurn(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates; alloc gate runs in uninstrumented builds")
@@ -285,7 +276,7 @@ func TestViewKNNAllocsUnderChurn(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		run() // stock the pools
 	}
-	if got := testing.AllocsPerRun(50, run); got > 2 {
-		t.Errorf("view kNN over a 1000-entry overlay: %.1f allocs/op, budget 2", got)
+	if got := testing.AllocsPerRun(50, run); got > 0 {
+		t.Errorf("view kNN over a 1000-entry overlay: %.1f allocs/op, budget 0", got)
 	}
 }

@@ -131,10 +131,6 @@ func churnedView(t *testing.T, base engine.SpatialIndex, items []rtree.Item) (vi
 // error is context.Canceled, no hit was emitted, at most n+1 reads happened,
 // and the same request on a fresh context equals the oracle again — the
 // pooled scratch the aborted run held came back clean.
-//
-// One exemption: the R-tree's kNN searches its RAM nodes and reads nothing
-// through the PageSource (ROADMAP, storage-boundary item), so there is no
-// n-th read to cancel it from.
 func TestCancellationSweep(t *testing.T) {
 	items := streamItems(3000, 77)
 	for _, c := range sweepContenders(t, items) {
@@ -154,9 +150,6 @@ func TestCancellationSweep(t *testing.T) {
 		}
 		for _, sf := range surfaces {
 			for _, req := range streamRequests() {
-				if name == "rtree" && req.Kind == engine.KNN {
-					continue
-				}
 				want := oracleHits(sf.oracle, req)
 				req.Limit = sf.limit
 				t.Run(fmt.Sprintf("%s/%s/%s", name, sf.name, req.Kind), func(t *testing.T) {

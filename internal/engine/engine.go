@@ -25,12 +25,13 @@
 // per-kind through the Planner, which picks an index using observed
 // per-(index, kind) cost statistics (internal/stats.Running).
 //
-// Beneath it every contender has three traversals (see contender in
-// exec.go): scan, the native range traversal with the page source an
-// argument; doKNN, the bounded best-first scan; and iterate, the lazy
-// ascending-ID stream behind pagination and snapshot views. One executor
+// Beneath it every contender has two traversals and one hierarchy (see
+// contender in exec.go): scan, the native range traversal with the page source
+// an argument; iterate, the lazy ascending-ID stream behind pagination and
+// snapshot views; and knnExpand, the adapter that lets the executor's one
+// best-first kNN search descend the contender's own directory. One executor
 // serves Do for all four contenders: Do is scan plus the canonical sort (and
-// the exact refinement of WithinDistance), or doKNN. Every index also
+// the exact refinement of WithinDistance), or that search. Every index also
 // satisfies prefetch.Served: PagedQuery is scan reading through the given
 // pool, IDs in emission order — so a walkthrough with prefetching can run
 // over any of them.
@@ -52,9 +53,10 @@ import (
 //   - IndexReads counts accesses to RAM-resident index structure (FLAT's
 //     page-level seed tree, the grid's cell directory). They are reported
 //     but are not disk I/O.
-//   - PagesRead counts data-page reads — the disk I/O of the query. For the
-//     R-tree every node is a disk page (the classic one-node-per-page
-//     layout), so its node accesses are page reads.
+//   - PagesRead counts data-page reads — the disk I/O of the query, every one
+//     a real read through the page source. For the R-tree every node is a
+//     disk page (the classic one-node-per-page layout), so its node accesses
+//     are page reads, kNN's included.
 type QueryStats struct {
 	// IndexReads counts RAM-resident index-structure reads.
 	IndexReads int64
@@ -74,8 +76,9 @@ type QueryStats struct {
 	// snapshots). Delta entries are RAM-resident, so they are reported
 	// separately from EntriesTested and carry no page cost.
 	DeltaEntries int64
-	// Tombstones counts base-index hits the snapshot overlay discarded as
-	// deleted (0 on raw indexes) — the read-side price of deferred deletes.
+	// Tombstones counts base-index hits — for kNN, base items tested — the
+	// snapshot overlay discarded as deleted (0 on raw indexes): the read-side
+	// price of deferred deletes.
 	Tombstones int64
 	// PlanCacheHits / PlanCacheMisses count plan-cache consultations made to
 	// route this query (both 0 when no planner routed it — fixed-index and

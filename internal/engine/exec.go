@@ -10,17 +10,18 @@ import (
 )
 
 // This file holds the shared execution machinery of the Request surface: the
-// contender interface and the one eager executor above it, the canonical
-// hit-ordering helpers, and the bound-tightening top-k accumulator every kNN
-// implementation gathers through.
+// contender interface and the one eager executor above it — its scan arm and
+// its best-first kNN search — the canonical hit-ordering helpers, and the
+// bound-tightening top-k accumulator the search gathers into.
 
-// traverser is what the eager executor runs: the two eager traversals of one
-// item set, under the SpatialIndex face pagination streams through. The four
-// contenders implement it over their own pages; a snapshot view implements it
-// over its base contender (snapshot.go), and execute lays the snapshot's
-// overlay on top. Each traversal resolves its page source per call (see
-// pickSource) and checks ctx before every page read, returning its error —
-// cancellation is an ordinary error on every path, never a panic.
+// traverser is what the eager executor runs: the native range traversal of
+// one item set and the hierarchy its kNN search descends, under the
+// SpatialIndex face pagination streams through. The four contenders implement
+// it over their own pages; a snapshot view implements it over its base
+// contender (snapshot.go), and execute lays the snapshot's overlay on top.
+// Both resolve their page source per call (see pickSource) and check ctx
+// before every page read, returning its error — cancellation is an ordinary
+// error on every path, never a panic.
 //
 //   - scan is the native range traversal: it appends to out the ID of every
 //     item whose box intersects queryBox(req), in the contender's emission
@@ -29,11 +30,16 @@ import (
 //     through src when it is non-nil. Exact refinement of WithinDistance and
 //     the canonical sort are the executor's. PagedQuery is scan with the
 //     pool as src; Do is scan plus the canonical sort.
-//   - doKNN is the bounded best-first k-nearest-neighbors scan.
+//   - knnExpand is the hierarchy adapter of the one kNN search (executeKNN):
+//     it expands frontier entry e of search s — pushes what lies beneath it
+//     with lower distance bounds (s.push), or reads its page (s.read) and
+//     offers the residents (s.offer). e.ref == knnRoot asks for the
+//     contender's top-level entries; every other ref is one the contender
+//     pushed itself. The search, the pruning and the overlay are execute's.
 type traverser interface {
 	SpatialIndex
 	scan(ctx context.Context, req Request, src pager.PageSource, out *idCollector) (QueryStats, error)
-	doKNN(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error)
+	knnExpand(s *knnSearch, e knnEntry) error
 	// itemBoxes returns the exact-geometry accessor by the IDs scan emits
 	// (RAM-resident).
 	itemBoxes() func(int32) geom.AABB
@@ -101,7 +107,8 @@ func discardHit(Hit) {}
 // traversal and emit its hits in canonical order — all or nothing: an error
 // from the traversal means visit was never called.
 //
-// The scan arm (Range, Point, WithinDistance) is collect → sort → refine →
+// KNN is executeKNN's best-first search over the contender's hierarchy. The
+// scan arm (Range, Point, WithinDistance) is collect → sort → refine →
 // emit, once: scan gathers into the pooled collector, the IDs are sorted, and
 // one pass refines WithinDistance exactly and emits. Under an overlay that
 // same pass first drops the IDs the snapshot's bitset marks dead, refines
@@ -123,7 +130,7 @@ func execute(ctx context.Context, ix traverser, ov *Snapshot, req Request, visit
 		return doPaginated(ctx, ix, req, visit)
 	}
 	if req.Kind == KNN {
-		return ix.doKNN(ctx, req, visit)
+		return executeKNN(ctx, ix, ov, req, visit)
 	}
 	col := getIDCollector()
 	defer putIDCollector(col)
@@ -198,6 +205,166 @@ func pagedQuery(ix contender, q geom.AABB, pool *pager.BufferPool, visit func(in
 	}
 }
 
+// knnRoot is the frontier reference the search starts from: expanding it
+// pushes a contender's top-level entries. It is ^0 so that a contender whose
+// directory nodes are refs ^i can let its node 0 be the root.
+const knnRoot = ^0
+
+// knnEntry is one element of the kNN frontier: d2 is a lower bound on the
+// squared distance of every item beneath it; ref names what to expand, in the
+// contender's own encoding (a directory node, a ring, a cell, a page); shard is
+// the shard that pushed it (-1 when the index is not sharded).
+type knnEntry struct {
+	d2    float64
+	ref   int32
+	shard int32
+}
+
+// knnSearch is the pooled state of one kNN execution: the frontier (a min-heap
+// by lower bound), the top-k accumulator, the record, and what the contenders'
+// knnExpand needs from the call — the context, the request, the overlay.
+type knnSearch struct {
+	ctx      context.Context
+	req      Request
+	ov       *Snapshot // nil on a raw contender
+	st       QueryStats
+	acc      knnAcc
+	frontier []knnEntry
+	// seen is the set of pages read so far, for a contender whose entries
+	// share pages (the grid's cells).
+	seen pageSet
+	// shard, global and pageBase are Sharded's: the shard whose sub-index is
+	// expanding (stamped on what it pushes), its local → global ID map, and
+	// its first page in the global page space (which keys seen).
+	shard    int32
+	global   []int32
+	pageBase pager.PageID
+}
+
+// executeKNN is the kNN arm of execute, the one best-first search (Hjaltason
+// & Samet) every contender and view answers through: pop the frontier entry
+// with the least lower bound, let the contender expand it, and stop once that
+// bound is strictly greater than the k-th best distance so far — an entry
+// *at* the k-th distance is still expanded, so (Dist2, ID) ties are decided in
+// this one pass. Work is bounded by the answer's neighbourhood, not the item
+// count. Under an overlay, offer drops tombstoned residents before they reach
+// the accumulator and translates the live ones, and the delta chunks the
+// accumulator's bound still admits are offered last.
+func executeKNN(ctx context.Context, ix traverser, ov *Snapshot, req Request, visit func(Hit)) (QueryStats, error) {
+	s := getKNNSearch(ctx, req, ov)
+	defer putKNNSearch(s)
+	e, ok := knnEntry{ref: knnRoot, shard: -1}, true
+	for ; ok; e, ok = s.pop() {
+		if err := ix.knnExpand(s, e); err != nil {
+			return QueryStats{}, err
+		}
+	}
+	if ov != nil {
+		d := newDeltaIter(ov.chunks, req, nil)
+		for {
+			d.r2 = s.acc.Bound() // ties are kept; the accumulator breaks them by ID
+			h, ok := d.Next()
+			if !ok {
+				break
+			}
+			s.acc.Offer(h)
+		}
+		s.st.DeltaEntries = d.st.DeltaEntries
+	}
+	// Nothing above can fail any more, so emission may begin.
+	hits := s.acc.Hits()
+	s.st.Results = int64(len(hits))
+	for _, h := range hits {
+		visit(h)
+	}
+	return s.st, nil
+}
+
+// push adds an entry to the frontier unless the accumulator's bound already
+// rules it out (the bound only tightens).
+func (s *knnSearch) push(d2 float64, ref int32) {
+	if d2 > s.acc.Bound() {
+		return
+	}
+	h := append(s.frontier, knnEntry{d2, ref, s.shard})
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p].d2 <= h[i].d2 {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	s.frontier = h
+}
+
+// pop removes the nearest frontier entry; ok is false when the frontier is
+// empty or nothing on it can still improve the answer.
+func (s *knnSearch) pop() (top knnEntry, ok bool) {
+	h := s.frontier
+	if len(h) == 0 || h[0].d2 > s.acc.Bound() {
+		return knnEntry{}, false
+	}
+	top = h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < n && h[l].d2 < h[least].d2 {
+			least = l
+		}
+		if r := 2*i + 2; r < n && h[r].d2 < h[least].d2 {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+	s.frontier = h
+	return top, true
+}
+
+// read is the search's one page read: ctx is checked first, and the read is
+// counted once as PagesRead.
+func (s *knnSearch) read(src pager.PageSource, p pager.PageID) ([]int32, error) {
+	if err := s.ctx.Err(); err != nil {
+		return nil, err
+	}
+	s.st.PagesRead++
+	return src.ReadPage(p), nil
+}
+
+// offerPage offers every resident of page p, as read, with its box from the
+// page's coordinate sidecar.
+func (s *knnSearch) offerPage(coords *pager.Coords, p pager.PageID, ids []int32) {
+	base := coords.PageOffset(p)
+	for i, id := range ids {
+		s.offer(id, coords.BoxAt(base+i))
+	}
+}
+
+// offer considers one resident of a page just read: id in the expanding
+// contender's ID space, box its exact geometry. A shard's local ID becomes the
+// index's; under an overlay a tombstoned item is dropped and a live one takes
+// its dataset ID.
+func (s *knnSearch) offer(id int32, box geom.AABB) {
+	s.st.EntriesTested++
+	if s.global != nil {
+		id = s.global[id]
+	}
+	if s.ov != nil {
+		if s.ov.dead(id) {
+			s.st.Tombstones++
+			return
+		}
+		id = s.ov.baseIDs[id]
+	}
+	s.acc.Offer(Hit{ID: id, Dist2: box.Dist2Point(s.req.Center)})
+}
+
 // hitWorse is the shared kNN total order: x is worse than y when it is
 // farther, ties broken by larger ID. Every contender selects and emits by
 // this order, which is what makes kNN results identical across indexes,
@@ -211,8 +378,8 @@ func hitWorse(x, y Hit) bool {
 
 // knnAcc maintains the k best (Dist2, ID) hits offered so far: a bounded
 // max-heap whose root is the current worst kept hit. Bound() exposes the
-// tightening pruning bound the best-first scans (and the sharded gather)
-// compare page/cell/shard lower bounds against.
+// tightening pruning bound the best-first search compares its frontier's
+// lower bounds against.
 type knnAcc struct {
 	k int
 	h []Hit // max-heap by hitWorse; h[0] is the worst kept hit
@@ -303,9 +470,9 @@ func cmpHitID(x, y Hit) int {
 }
 
 // Hits returns the kept hits in canonical order (ascending Dist2, ties by
-// ascending ID). The accumulator must not be offered to afterwards; when the
-// accumulator is pooled, callers must copy the hits out (visit emits by
-// value) before releasing it.
+// ascending ID). The accumulator must not be offered to afterwards; it is
+// pooled with its search, so the hits are copied out (visit emits by value)
+// before release.
 func (a *knnAcc) Hits() []Hit {
 	slices.SortFunc(a.h, cmpHit)
 	return a.h

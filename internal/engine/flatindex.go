@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 
 	"neurospatial/internal/flat"
@@ -22,10 +21,45 @@ type Flat struct {
 	// boxOf is the exact-geometry accessor bound once per build (a per-query
 	// method value would be a hot-path allocation).
 	boxOf func(int32) geom.AABB
-	src   pager.PageSource
+	// seed is the seed tree flattened into a RAM directory (seed[0] the
+	// root): what kNN descends to the pages near its center.
+	seed []seedNode
+	src  pager.PageSource
 	// zoneMu guards the lazily derived zone map of the current build.
 	zoneMu sync.Mutex //neurospatial:lock flat.zone
 	zones  []idZone
+}
+
+// seedNode is one node of FLAT's seed tree: its MBR and its kids — indexes
+// into Flat.seed, or the data pages themselves under a leaf.
+type seedNode struct {
+	box  geom.AABB
+	leaf bool
+	kids []int32
+}
+
+// flattenSeed appends the subtree under v to dir in pre-order.
+func flattenSeed(dir []seedNode, v rtree.NodeView) []seedNode {
+	i := len(dir)
+	dir = append(dir, seedNode{box: v.Box(), leaf: v.IsLeaf()})
+	kids := make([]int32, 0, max(v.NumChildren(), len(v.Items())))
+	for _, it := range v.Items() {
+		kids = append(kids, it.ID) // a seed-tree item is a page
+	}
+	for c := 0; c < v.NumChildren(); c++ {
+		kids = append(kids, int32(len(dir)))
+		dir = flattenSeed(dir, v.Child(c))
+	}
+	dir[i].kids = kids
+	return dir
+}
+
+// adopt installs a built flat.Index.
+func (f *Flat) adopt(idx *flat.Index) {
+	f.idx, f.boxOf, f.seed = idx, idx.ItemBox, nil
+	if root, ok := idx.SeedRoot(); ok {
+		f.seed = flattenSeed(nil, root)
+	}
 }
 
 // NewFlat returns an unbuilt FLAT engine index with the given options.
@@ -33,7 +67,9 @@ func NewFlat(opts flat.Options) *Flat { return &Flat{opts: opts} }
 
 // WrapFlat adapts an already-built flat.Index.
 func WrapFlat(idx *flat.Index) *Flat {
-	return &Flat{opts: idx.Options(), idx: idx, boxOf: idx.ItemBox}
+	f := &Flat{opts: idx.Options()}
+	f.adopt(idx)
+	return f
 }
 
 // Inner returns the wrapped flat.Index (nil before Build).
@@ -50,7 +86,8 @@ func (f *Flat) Build(items []rtree.Item) error {
 	if err != nil {
 		return fmt.Errorf("engine: %w", err)
 	}
-	f.idx, f.src, f.boxOf = idx, nil, idx.ItemBox
+	f.adopt(idx)
+	f.src = nil
 	f.zoneMu.Lock()
 	f.zones = nil
 	f.zoneMu.Unlock()
@@ -141,52 +178,35 @@ func (f *Flat) itemBoxes() func(int32) geom.AABB { return f.boxOf }
 // Do implements SpatialIndex through the shared executor. Range, Point and
 // WithinDistance execute as seed-and-crawl traversals (Point stabs with a
 // degenerate box, WithinDistance crawls the sphere's bounding box and refines
-// with the exact Dist2Point test); KNN runs a best-first scan over the page
-// directory: page MBRs are ordered by squared distance to the center (those
-// bound evaluations are the RAM-resident IndexReads of the record), pages are
-// read through the configured source nearest-first, and the scan stops as
-// soon as the next page's lower bound exceeds the current k-th distance.
+// with the exact Dist2Point test); KNN is the executor's best-first search
+// down the seed tree to the pages nearest the center (knnExpand).
 func (f *Flat) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
 	return execute(ctx, f, nil, req, visit)
 }
 
-// doKNN is the FLAT k-nearest-neighbors execution. The order buffer and the
-// top-k accumulator are pooled; hits are emitted by value before release.
-func (f *Flat) doKNN(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
-	var st QueryStats
-	center := req.Center
-	np := f.idx.NumPages()
-	orderBuf := getPageBounds()
-	defer putPageBounds(orderBuf)
-	order := *orderBuf
-	for p := 0; p < np; p++ {
-		order = append(order, pageBound{f.idx.PageBox(pager.PageID(p)).Dist2Point(center), pager.PageID(p)})
+// knnExpand implements traverser. The hierarchy is the seed tree, then the
+// data pages: a seed node (ref ^i for seed[i], the root seed[0]; a RAM step,
+// one IndexRead) pushes its kids by their MBRs' distance; a page (ref >= 0) is
+// read through the call's source and its residents offered.
+func (f *Flat) knnExpand(s *knnSearch, e knnEntry) error {
+	if e.ref >= 0 {
+		p := pager.PageID(e.ref)
+		ids, err := s.read(f.source(s.req, nil), p)
+		if err == nil {
+			s.offerPage(f.idx.Coords(), p, ids)
+		}
+		return err
 	}
-	*orderBuf = order
-	slices.SortFunc(order, cmpPageBound)
-	st.IndexReads = int64(np)
-	src := f.source(req, nil)
-	acc := getKNNAcc(req.K)
-	defer putKNNAcc(acc)
-	for _, pb := range order {
-		if acc.Full() && pb.d2 > acc.Bound() {
-			break
-		}
-		if err := ctxErr(ctx); err != nil {
-			return QueryStats{}, err
-		}
-		st.PagesRead++
-		for _, id := range src.ReadPage(pb.p) {
-			st.EntriesTested++
-			acc.Offer(Hit{ID: id, Dist2: f.idx.ItemBox(id).Dist2Point(center)})
+	s.st.IndexReads++
+	n := &f.seed[^e.ref]
+	for _, k := range n.kids {
+		if n.leaf {
+			s.push(f.idx.PageBox(pager.PageID(k)).Dist2Point(s.req.Center), k)
+		} else {
+			s.push(f.seed[k].box.Dist2Point(s.req.Center), ^k)
 		}
 	}
-	hits := acc.Hits()
-	st.Results = int64(len(hits))
-	for _, h := range hits {
-		visit(h)
-	}
-	return st, nil
+	return nil
 }
 
 // Store implements Paged (nil before Build).

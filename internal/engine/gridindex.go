@@ -3,7 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
-	"slices"
+	"math"
 	"sync"
 
 	"neurospatial/internal/geom"
@@ -49,8 +49,12 @@ type Grid struct {
 	bounds  geom.AABB
 	boxes   []geom.AABB
 	maxHalf float64
-	store   *pager.Store
-	pageOf  []pager.PageID
+	// pad is what kNN expands a cell by to bound its residents' boxes:
+	// maxHalf, plus a billionth of the grid's extent so that a center which
+	// rounding put one cell past a face it sits on is still inside the bound.
+	pad    float64
+	store  *pager.Store
+	pageOf []pager.PageID
 	// coords is the struct-of-arrays sidecar of store; itemOff[id] is item
 	// id's slot in it (cell-major layout position), so the cell-major
 	// refinement sweep reads the coordinate runs sequentially.
@@ -109,6 +113,8 @@ func (gx *Grid) build(items []rtree.Item, nx, ny, nz int) error {
 	if len(items) == 0 {
 		return nil
 	}
+	size := gx.bounds.Size()
+	gx.pad = gx.maxHalf + 1e-9*max(size.X, size.Y, size.Z)
 
 	// Cell directory over item centers: point boxes land in exactly one
 	// cell, so candidates need no per-query deduplication.
@@ -285,84 +291,89 @@ func (gx *Grid) iterate(ctx context.Context, req Request, after *Hit) (HitIterat
 
 // Do implements SpatialIndex through the shared executor. Range, Point and
 // WithinDistance run as filtered cell traversals (with the exact Dist2Point
-// refinement for the sphere kind); KNN runs a best-first scan over the cell
-// directory: each non-empty cell's lower bound is the distance to the cell
-// box expanded by the largest item half-extent (items are registered by
-// center, so an item's box never escapes that expansion), cells are visited
-// nearest-first, their candidates read through the configured source (one
-// read per distinct page, as in the range path), and the scan stops when the
-// next cell's bound exceeds the current k-th distance.
+// refinement for the sphere kind); KNN is the executor's best-first search
+// over the rings of cells around the center's cell (knnExpand).
 func (gx *Grid) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
 	return execute(ctx, gx, nil, req, visit)
 }
 
-// cellBound is a (lower bound, cell) pair of the grid's nearest-first scan.
-type cellBound struct {
-	d2 float64
-	c  int
-}
-
-func cmpCellBound(a, b cellBound) int {
-	switch {
-	case a.d2 < b.d2:
-		return -1
-	case a.d2 > b.d2:
-		return 1
-	case a.c < b.c:
-		return -1
-	case a.c > b.c:
-		return 1
-	}
-	return 0
-}
-
-var cellBoundPool = sync.Pool{New: func() any { s := make([]cellBound, 0, 64); return &s }}
-
-// doKNN is the grid k-nearest-neighbors execution. The cell order, the
-// read-page set and the top-k accumulator are pooled.
-func (gx *Grid) doKNN(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
-	var st QueryStats
-	center := req.Center
-	orderBuf := cellBoundPool.Get().(*[]cellBound)
-	defer func() { *orderBuf = (*orderBuf)[:0]; cellBoundPool.Put(orderBuf) }()
-	order := (*orderBuf)[:0]
-	for c := 0; c < gx.g.NumCells(); c++ {
-		if len(gx.g.CellBoxes(c)) == 0 {
-			continue
-		}
-		bound := gx.g.CellBounds(c).Expand(gx.maxHalf).Dist2Point(center)
-		order = append(order, cellBound{bound, c})
-	}
-	*orderBuf = order
-	slices.SortFunc(order, cmpCellBound)
-	st.IndexReads = int64(len(order))
-	src := gx.source(req, nil)
-	acc := getKNNAcc(req.K)
-	defer putKNNAcc(acc)
-	read := getPageIDScratch(gx.store.NumPages())
-	defer putPageIDScratch(read)
-	for _, cb := range order {
-		if acc.Full() && cb.d2 > acc.Bound() {
-			break
-		}
-		for _, id := range gx.g.CellBoxes(cb.c) {
-			if pg := gx.pageOf[id]; !read.visited(int(pg)) {
-				if err := ctxErr(ctx); err != nil {
-					return QueryStats{}, err
+// knnExpand implements traverser. The hierarchy is rings, then cells: ring r
+// (ref ^r; ring 0 is the root) is the shell of cells at Chebyshev distance r
+// from the center's cell. Expanding it inspects the shell (RAM steps, one
+// IndexRead per cell), pushes each non-empty cell by the distance to its box
+// expanded by pad — items are registered by center, so an item's box never
+// escapes that expansion — and pushes ring r+1 by ringBound. A cell (ref >= 0)
+// reads its residents' pages through the call's source, once per distinct page
+// in the search as in the range path, and offers them.
+func (gx *Grid) knnExpand(s *knnSearch, e knnEntry) error {
+	c := s.req.Center
+	if e.ref >= 0 {
+		src := gx.source(s.req, nil)
+		for _, id := range gx.g.CellBoxes(int(e.ref)) {
+			if pg := gx.pageOf[id]; !s.seen.visited(int(s.pageBase + pg)) {
+				if _, err := s.read(src, pg); err != nil {
+					return err
 				}
-				src.ReadPage(pg)
-				st.PagesRead++
 			}
-			st.EntriesTested++
-			acc.Offer(Hit{ID: id, Dist2: gx.boxes[id].Dist2Point(center)})
+			s.offer(id, gx.coords.BoxAt(int(gx.itemOff[id]))) // cell-major: sequential slots
+		}
+		return nil
+	}
+	r := int(^e.ref)
+	cx, _, cy, _, cz, _ := gx.g.CellRange(geom.AABB{Min: c, Max: c})
+	nx, ny, nz := gx.g.Dims()
+	// Once k candidates are held, only cells a center within reach of c can
+	// register in still matter: the shell is clipped to their range.
+	x0, x1, y0, y1, z0, z1 := 0, nx-1, 0, ny-1, 0, nz-1
+	if s.acc.Full() {
+		x0, x1, y0, y1, z0, z1 = gx.g.CellRange(geom.BoxAround(c, math.Sqrt(s.acc.Bound())+gx.pad))
+	}
+	for iz := max(cz-r, z0); iz <= min(cz+r, z1); iz++ {
+		for iy := max(cy-r, y0); iy <= min(cy+r, y1); iy++ {
+			step := 1
+			if r > 0 && iz != cz-r && iz != cz+r && iy != cy-r && iy != cy+r {
+				step = 2 * r // inside the shell's z and y extent: its two x faces only
+			}
+			for ix := cx - r; ix <= cx+r; ix += step {
+				if ix < x0 || ix > x1 {
+					continue
+				}
+				s.st.IndexReads++
+				if cell := gx.g.CellIndex(ix, iy, iz); len(gx.g.CellBoxes(cell)) > 0 {
+					s.push(gx.g.CellBounds(cell).Expand(gx.pad).Dist2Point(c), int32(cell))
+				}
+			}
 		}
 	}
-	hits := acc.Hits()
-	st.Results = int64(len(hits))
-	for _, h := range hits {
-		visit(h)
+	if d2, ok := gx.ringBound(c, [3]int{cx, cy, cz}, [3]int{nx, ny, nz}, r+1); ok {
+		s.push(d2, ^int32(r+1))
 	}
-	return st, nil
+	return nil
+}
+
+// ringBound is a lower bound on the squared distance from c to any item
+// registered in ring r or beyond. Such an item's cell lies, on some axis, at
+// least r cells from c's cell, so its center is past the far face of the cell
+// r-1 out on that side, and its box reaches at most pad back towards c. The
+// nearest such face over the sides that still have cells that far gives the
+// bound; ok is false when no side has.
+func (gx *Grid) ringBound(c geom.Vec, cell, dims [3]int, r int) (d2 float64, ok bool) {
+	gap := math.Inf(1)
+	lo, size := gx.bounds.Min, gx.bounds.Size()
+	for a := 0; a < 3; a++ {
+		w := size.Axis(a) / float64(dims[a])
+		if i := cell[a] - r; i >= 0 {
+			gap = min(gap, c.Axis(a)-(lo.Axis(a)+float64(i+1)*w))
+		}
+		if i := cell[a] + r; i < dims[a] {
+			gap = min(gap, lo.Axis(a)+float64(i)*w-c.Axis(a))
+		}
+	}
+	if math.IsInf(gap, 1) {
+		return 0, false
+	}
+	gap = max(0, gap-gx.pad)
+	return gap * gap, true
 }
 
 // Store implements Paged (nil before Build or when empty).

@@ -152,8 +152,7 @@ func Stream(ctx context.Context, ix SpatialIndex, req Request) (HitIterator, err
 // rawStream opens the unclipped stream: the index's own lazy iterator when
 // it has one, a buffered fallback otherwise — and for KNN always: its result
 // set is bounded by K, so laziness buys nothing, and an unpaginated Do is the
-// contender's bound-tightening doKNN. req must carry no pagination
-// fields.
+// executor's bound-tightening search. req must carry no pagination fields.
 func rawStream(ctx context.Context, ix SpatialIndex, req Request, after *Hit) (HitIterator, error) {
 	if s, ok := ix.(streamer); ok && req.Kind != KNN {
 		return s.iterate(ctx, req, after)

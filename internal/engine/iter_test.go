@@ -456,6 +456,55 @@ func TestSnapshotKNNHighChurn(t *testing.T) {
 			t.Fatalf("k=%d: last hit %+v of %d, want ID %d at the tied distance %v", c.k, got, len(res.Hits), c.last, nth.Dist2)
 		}
 	}
+
+	// The same on every contender, with whole tie classes split between base
+	// and delta: over the lattice, a fifth of the items are re-committed with
+	// their own box (a delta entry tying its twin copy in the base), a fifth
+	// deleted (tombstones inside every class), and each deleted one re-inserted
+	// under a fresh, larger ID.
+	for _, shards := range []int{1, 4} {
+		lattice := latticeItems(10, 2)
+		ds, err := engine.NewDataset(lattice, engine.DatasetOptions{
+			Contenders: []string{"flat", "rtree", "grid", "sharded"}, Shards: shards,
+			Flat: flat.Options{PageSize: 8}, RTreeFanout: 8, Grid: engine.GridOptions{PageSize: 8},
+			DisableAutoCompact: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var live []rtree.Item
+		tx := ds.Begin()
+		for _, it := range lattice {
+			switch it.ID % 5 {
+			case 0:
+				tx.Update(it.ID, it.Box)
+			case 1:
+				tx.Delete(it.ID)
+				it.ID = tx.Insert(it.Box)
+			}
+			live = append(live, it)
+		}
+		snap, err := tx.Commit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, req := range tieRequests(t, live, geom.V(4.5, 4.5, 4.5)) {
+			want := oracleHits(live, req)
+			for _, view := range snap.Indexes() {
+				var got []engine.Hit
+				st, err := view.Do(context.Background(), req, func(h engine.Hit) { got = append(got, h) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !hitsEqual(got, want) {
+					t.Errorf("lattice shards=%d %s k=%d: hits %v, oracle %v", shards, view.Name(), req.K, got, want)
+				}
+				if st.DeltaEntries == 0 || st.Tombstones == 0 {
+					t.Errorf("lattice shards=%d %s k=%d: the overlay did no work (%+v)", shards, view.Name(), req.K, st)
+				}
+			}
+		}
+	}
 }
 
 // TestDoBatchCancelUnderLoad is the cancellation audit's regression: cancel

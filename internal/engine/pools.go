@@ -1,9 +1,9 @@
 package engine
 
 import (
+	"context"
 	"sync"
 
-	"neurospatial/internal/pager"
 	"neurospatial/internal/rtree"
 )
 
@@ -49,50 +49,27 @@ func getIDCollector() *idCollector {
 // steady state alloc-free).
 func putIDCollector(c *idCollector) { idCollectorPool.Put(c) }
 
-// pageBound is a (squared distance, page) pair — the element of the ordered
-// page scans every contender's doKNN builds.
-type pageBound struct {
-	d2 float64
-	p  pager.PageID
+var knnSearchPool = sync.Pool{New: func() any { return &knnSearch{} }}
+
+// getKNNSearch returns a pooled kNN search reset for one execution: empty
+// frontier, accumulator and page set, a zero record, no shard expanding.
+func getKNNSearch(ctx context.Context, req Request, ov *Snapshot) *knnSearch {
+	s := knnSearchPool.Get().(*knnSearch)
+	s.ctx, s.req, s.ov, s.st = ctx, req, ov, QueryStats{}
+	s.acc.k, s.acc.h = req.K, s.acc.h[:0]
+	s.frontier = s.frontier[:0]
+	s.seen.reset()
+	s.shard, s.global, s.pageBase = -1, nil, 0
+	return s
 }
 
-// cmpPageBound orders by ascending (distance, page) — the deterministic
-// nearest-first page order.
-func cmpPageBound(a, b pageBound) int {
-	switch {
-	case a.d2 < b.d2:
-		return -1
-	case a.d2 > b.d2:
-		return 1
-	case a.p < b.p:
-		return -1
-	case a.p > b.p:
-		return 1
-	}
-	return 0
-}
-
-var pageBoundPool = sync.Pool{New: func() any { s := make([]pageBound, 0, 64); return &s }}
-
-// getPageBounds returns an empty pooled order buffer.
-func getPageBounds() *[]pageBound { return pageBoundPool.Get().(*[]pageBound) }
-
-// putPageBounds recycles an order buffer.
-func putPageBounds(p *[]pageBound) { *p = (*p)[:0]; pageBoundPool.Put(p) }
-
-var knnAccPool = sync.Pool{New: func() any { return &knnAcc{} }}
-
-// getKNNAcc returns a pooled top-k accumulator reset for k.
-func getKNNAcc(k int) *knnAcc {
-	a := knnAccPool.Get().(*knnAcc)
-	a.k = k
-	a.h = a.h[:0]
-	return a
-}
-
-// putKNNAcc recycles an accumulator. Safe after Hits(): hits are copied out
+// putKNNSearch recycles a search, dropping what would pin a context, a
+// snapshot or a shard's ID map alive. Safe after Hits(): hits are copied out
 // by value before release.
-func putKNNAcc(a *knnAcc) { knnAccPool.Put(a) }
+func putKNNSearch(s *knnSearch) {
+	s.ctx, s.ov, s.global = nil, nil, nil
+	knnSearchPool.Put(s)
+}
 
 var hitsPool = sync.Pool{New: func() any { s := make([]Hit, 0, 256); return &s }}
 
@@ -102,42 +79,32 @@ func getHits() *[]Hit { return hitsPool.Get().(*[]Hit) }
 // putHits recycles a gather buffer.
 func putHits(p *[]Hit) { *p = (*p)[:0]; hitsPool.Put(p) }
 
-var pageIDScratchPool = sync.Pool{New: func() any { return new(pageIDScratch) }}
-
-// pageIDScratch is the pooled per-traversal page working set of the
-// contenders' scans: a stamped seen-set replacing the per-call
-// map[PageID]bool allocations of the grid read paths.
-type pageIDScratch struct {
-	// seen[p] == stamp marks page p visited this traversal; bumping stamp
-	// clears the set in O(1). Zero value (stamp 0 vs zeroed slots) would
-	// false-positive, so stamp starts at 1 and re-zeroes on wraparound.
+// pageSet is a stamped set of page IDs that grows to the largest page it is
+// asked about, so a search need not know its page space up front.
+type pageSet struct {
+	// seen[p] == stamp marks page p visited since the last reset; bumping
+	// stamp clears the set in O(1). A zeroed slot must not read as marked, so
+	// stamp starts at 1 and the slots are re-zeroed on wraparound.
 	seen  []uint32
 	stamp uint32
 }
 
-// getPageIDScratch returns a scratch with a cleared seen-set covering at
-// least n pages.
-func getPageIDScratch(n int) *pageIDScratch {
-	s := pageIDScratchPool.Get().(*pageIDScratch)
-	if cap(s.seen) < n {
-		s.seen = make([]uint32, n)
-	}
-	s.seen = s.seen[:n]
+func (s *pageSet) reset() {
 	s.stamp++
 	if s.stamp == 0 { // wrapped: stale slots may hold any value; re-zero once
 		clear(s.seen)
 		s.stamp = 1
 	}
-	return s
 }
 
 // visited marks page p and reports whether it was already marked.
-func (s *pageIDScratch) visited(p int) bool {
+func (s *pageSet) visited(p int) bool {
+	if p >= len(s.seen) {
+		s.seen = append(s.seen, make([]uint32, p+1-len(s.seen))...)
+	}
 	if s.seen[p] == s.stamp {
 		return true
 	}
 	s.seen[p] = s.stamp
 	return false
 }
-
-func putPageIDScratch(s *pageIDScratch) { pageIDScratchPool.Put(s) }

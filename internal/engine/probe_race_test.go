@@ -50,11 +50,7 @@ func TestProbeVsQueryRace(t *testing.T) {
 					t.Error(err)
 					return false
 				}
-				// The R-tree's kNN counts RAM node visits as PagesRead without
-				// reading through the source (ROADMAP: storage-boundary item).
-				if !(ix.Name() == "rtree" && req.Kind == engine.KNN) {
-					counted.Add(res.Stats.PagesRead)
-				}
+				counted.Add(res.Stats.PagesRead)
 				return true
 			}
 			var wg sync.WaitGroup

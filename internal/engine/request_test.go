@@ -1,9 +1,9 @@
 package engine_test
 
 // Satellite regression coverage of the Request surface: typed validation,
-// the rtree KNN native-stats mapping (NodesPerLevel + PagesRead under the
-// one-node-per-page convention), and the Aggregate NodesPerLevel sizing fix
-// with its micro-benchmark.
+// kNN's page accounting against an independent read tap (NodesPerLevel +
+// PagesRead under the R-tree's one-node-per-page convention), and the
+// Aggregate NodesPerLevel sizing fix with its micro-benchmark.
 
 import (
 	"context"
@@ -13,6 +13,7 @@ import (
 
 	"neurospatial/internal/engine"
 	"neurospatial/internal/geom"
+	"neurospatial/internal/pager"
 )
 
 func TestRequestValidate(t *testing.T) {
@@ -59,64 +60,78 @@ func TestRequestValidate(t *testing.T) {
 	}
 }
 
-// TestRTreeKNNNativeStats: the engine's KNN record must surface the tree's
-// native counters — the per-level node-access breakdown in NodesPerLevel and
-// its total as PagesRead (one node per page) — which were dropped on the
-// floor before the Request surface because nothing above rtree called KNN.
-func TestRTreeKNNNativeStats(t *testing.T) {
+// TestKNNReadsThroughSource: every page a kNN counts is a read through the
+// attached source — tap reads == QueryStats.PagesRead on every contender (the
+// sharded one at 1 and 4 shards over each sub-index), raw and through a
+// snapshot view over a live overlay. For the R-tree, whose nodes are its
+// pages, that is every node access: IndexReads stays 0 and NodesPerLevel sums
+// to PagesRead.
+func TestKNNReadsThroughSource(t *testing.T) {
 	items := testItems(t, 10, 9101)
-	ix := engine.NewRTree(0)
-	if err := ix.Build(items); err != nil {
-		t.Fatal(err)
-	}
-	tree := ix.Inner()
-
-	for i, k := range []int{1, 5, 16} {
-		p := items[(i*41)%len(items)].Box.Center()
-		// The engine's executed native search probes one past k (the
-		// documented boundary-tie resolution; real coordinates make wider
-		// probes measure-zero), so that call's stats are the record.
-		kk := k + 1
-		if kk > tree.Size() {
-			kk = tree.Size()
-		}
-		nativeItems, native := tree.KNN(p, kk)
-
-		var hits []engine.Hit
-		st, err := ix.Do(context.Background(), engine.KNNRequest(p, k), func(h engine.Hit) {
-			hits = append(hits, h)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(st.NodesPerLevel(), native.NodesPerLevel()) {
-			t.Fatalf("k=%d: NodesPerLevel %v, native %v", k, st.NodesPerLevel(), native.NodesPerLevel())
-		}
-		if st.PagesRead != native.NodeAccesses() {
-			t.Fatalf("k=%d: PagesRead %d, native node accesses %d", k, st.PagesRead, native.NodeAccesses())
-		}
-		if st.EntriesTested != native.EntriesTested {
-			t.Fatalf("k=%d: EntriesTested %d, native %d", k, st.EntriesTested, native.EntriesTested)
-		}
-		if st.IndexReads != 0 {
-			t.Fatalf("k=%d: IndexReads %d, want 0 (every R-tree node is a page)", k, st.IndexReads)
-		}
-		want := k
-		if want > tree.Size() {
-			want = tree.Size()
-		}
-		if int(st.Results) != len(hits) || len(hits) != want {
-			t.Fatalf("k=%d: Results=%d, %d hits, want %d", k, st.Results, len(hits), want)
-		}
-		// Every emitted hit is among the native search's items.
-		nativeIDs := make(map[int32]bool, len(nativeItems))
-		for _, it := range nativeItems {
-			nativeIDs[it.ID] = true
-		}
-		for _, h := range hits {
-			if !nativeIDs[h.ID] {
-				t.Fatalf("k=%d: hit %d not among native KNN items", k, h.ID)
+	for _, cell := range sessionCells(t, items) {
+		ix := cell.ix.(engine.Paged)
+		tap := pager.NewCounting(ix.Store())
+		ix.SetSource(tap)
+		view, _ := churnedView(t, ix, items)
+		for _, sf := range []struct {
+			name string
+			ix   engine.SpatialIndex
+		}{{"raw", ix}, {"view", view}} {
+			for i, k := range []int{1, 5, 16} {
+				p := items[(i*41)%len(items)].Box.Center()
+				tap.Reset()
+				st, err := sf.ix.Do(context.Background(), engine.KNNRequest(p, k), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.PagesRead == 0 || tap.Reads() != st.PagesRead {
+					t.Errorf("%s/%s k=%d: the source saw %d reads, PagesRead says %d",
+						cell.name, sf.name, k, tap.Reads(), st.PagesRead)
+				}
+				if int(st.Results) != k {
+					t.Errorf("%s/%s k=%d: Results=%d", cell.name, sf.name, k, st.Results)
+				}
+				if cell.name != "rtree" {
+					continue
+				}
+				var nodes int64
+				for _, n := range st.NodesPerLevel() {
+					nodes += n
+				}
+				if st.IndexReads != 0 || nodes != st.PagesRead {
+					t.Errorf("rtree/%s k=%d: IndexReads %d, NodesPerLevel %v, PagesRead %d (every R-tree node is a page)",
+						sf.name, k, st.IndexReads, st.NodesPerLevel(), st.PagesRead)
+				}
 			}
+		}
+	}
+}
+
+// TestKNNWorkTracksAnswer: what a kNN touches — directory steps plus page
+// reads — follows the answer's neighbourhood, not the item count: ten times
+// the items, under three times the work, on every contender. k = 8 from eight
+// centres away from streamItems' cluster, where every clustered item ties at
+// distance zero and the tie class itself grows with the item count.
+func TestKNNWorkTracksAnswer(t *testing.T) {
+	work := map[string][2]int64{}
+	for i, n := range []int{3000, 30000} {
+		for _, ix := range streamContenders(t, streamItems(n, 5)) {
+			w := work[ix.Name()]
+			for j := 0; j < 8; j++ {
+				c := geom.V(25+50*float64(j&1), 25+50*float64(j>>1&1), 25+50*float64(j>>2))
+				st, err := ix.Do(context.Background(), engine.KNNRequest(c, 8), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w[i] += st.IndexReads + st.PagesRead
+			}
+			work[ix.Name()] = w
+		}
+	}
+	for name, w := range work {
+		t.Logf("%s: %d reads over 3,000 items, %d over 30,000", name, w[0], w[1])
+		if w[0] == 0 || w[1] >= 3*w[0] {
+			t.Errorf("%s: IndexReads+PagesRead went %d → %d for 10× the items", name, w[0], w[1])
 		}
 	}
 }

@@ -13,8 +13,9 @@ import (
 // RTree adapts an STR-bulk-loaded rtree.Tree to the engine layer, with its
 // nodes laid onto simulated disk pages (rtree.PagedTree, one node per page —
 // the classic disk R-tree layout). Stats mapping: every node access is a
-// page read, so PagesRead is the tree's total node accesses, IndexReads is 0
-// and NodesPerLevel carries the per-level breakdown the demo's panel shows.
+// page read — a real read through the source for every kind, kNN included —
+// so PagesRead is the total node accesses, IndexReads is 0 and NodesPerLevel
+// carries the per-level breakdown the demo's panel shows.
 type RTree struct {
 	fanout   int
 	tree     *rtree.Tree
@@ -204,61 +205,45 @@ func (r *RTree) itemBoxes() func(int32) geom.AABB { return r.boxOf }
 // Do implements SpatialIndex through the shared executor. Range, Point and
 // WithinDistance run as filtered descents (Point stabs with a degenerate box,
 // WithinDistance descends the sphere's bounding box and refines with the
-// exact Dist2Point test). KNN wraps the tree's native best-first search
-// (rtree.Tree.KNN) and surfaces its native statistics in the unified record —
-// NodesPerLevel carries the per-level access breakdown and PagesRead its
-// total under the one-node-per-page convention. Boundary ties are resolved to
-// the canonical (Dist2, ID) order by widening the native search until the
-// (k+1)-st distance strictly exceeds the k-th (ties are measure-zero on real
-// coordinates, so the first probe almost always suffices); the record is the
-// widest search executed. Cancellation is checked between native calls (the
-// KNN traversal is RAM-resident — it performs no page reads to check at).
+// exact Dist2Point test). KNN is the executor's best-first search over the
+// node directory (knnExpand), every node a page read through the source:
+// NodesPerLevel carries the per-level access breakdown and PagesRead its total.
 func (r *RTree) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
 	return execute(ctx, r, nil, req, visit)
 }
 
-// doKNN wraps rtree.Tree.KNN with the canonical tie resolution.
-func (r *RTree) doKNN(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
-	center, k := req.Center, req.K
-	size := r.tree.Size()
-	// Probe one past k: when the (k+1)-st distance strictly exceeds the k-th,
-	// the candidate set provably contains every item tied with the k-th and
-	// the canonical top-k is decided. Otherwise widen geometrically.
-	kk := k + 1
-	if kk > size || kk < 0 { // kk < 0: k+1 overflowed on an absurd K
-		kk = size
+// knnExpand implements traverser. The hierarchy is the node directory (ref i
+// is nodes[i]): expanding a node reads its page through the call's source —
+// one node per page, as in the range descent — then pushes an internal node's
+// kids by their MBRs' distance, or offers a leaf's residents.
+func (r *RTree) knnExpand(s *knnSearch, e knnEntry) error {
+	c := s.req.Center
+	if e.ref == knnRoot {
+		s.push(r.nodes[0].box.Dist2Point(c), 0)
+		return nil
 	}
-	items, nst := r.tree.KNN(center, kk)
-	for len(items) == kk && kk < size && kk > k {
-		lastD := items[len(items)-1].Box.Dist2Point(center)
-		kthD := items[k-1].Box.Dist2Point(center)
-		if lastD > kthD {
-			break
-		}
-		if err := ctxErr(ctx); err != nil {
-			return QueryStats{}, err
-		}
-		kk *= 2
-		if kk > size || kk < 0 {
-			kk = size
-		}
-		items, nst = r.tree.KNN(center, kk)
+	n := &r.nodes[e.ref]
+	ids, err := s.read(r.source(s.req), n.page)
+	if err != nil {
+		return err
 	}
-	if err := ctxErr(ctx); err != nil {
-		return QueryStats{}, err
+	s.st.addNode(n.level)
+	if n.leaf {
+		s.offerPage(r.coords, n.page, ids)
 	}
-	acc := getKNNAcc(k)
-	defer putKNNAcc(acc)
-	for _, it := range items {
-		acc.Offer(Hit{ID: it.ID, Dist2: it.Box.Dist2Point(center)})
+	for _, ci := range n.kids {
+		s.push(r.nodes[ci].box.Dist2Point(c), ci)
 	}
-	hits := acc.Hits()
-	st := fromRTree(nst)
-	st.Results = int64(len(hits))
-	for _, h := range hits {
-		visit(h)
+	return nil
+}
+
+// source resolves the PageSource of one call that reads every node it visits
+// (see pickSource), falling back to cold reads from the node-page store.
+func (r *RTree) source(req Request) pager.PageSource {
+	if src := pickSource(req, nil, r.src); src != nil {
+		return src
 	}
-	return st, nil
+	return r.paged.Store()
 }
 
 // iterate implements the internal streaming capability: a best-first
@@ -274,11 +259,7 @@ func (r *RTree) iterate(ctx context.Context, req Request, after *Hit) (HitIterat
 	if r.tree == nil || r.tree.Size() == 0 {
 		return &sliceIter{}, ctxErr(ctx)
 	}
-	src := pickSource(req, nil, r.src)
-	if src == nil {
-		src = r.paged.Store()
-	}
-	it := &rtreeStream{r: r, ctx: ctx, src: src,
+	it := &rtreeStream{r: r, ctx: ctx, src: r.source(req),
 		accept: acceptFor(req, r.boxOf), q: queryBox(req),
 		frontierBox: getNodeHeapBox(), pendingBox: getHitHeapBox()}
 	it.frontier = *it.frontierBox

@@ -99,6 +99,43 @@ func mixedRequests(items []rtree.Item, vol geom.AABB) []engine.Request {
 	return reqs
 }
 
+// latticeItems is the tie workload: the points of an m×m×m unit lattice, each
+// carrying dup copies of one box, so a request from the lattice's centre of
+// symmetry meets distance classes of 8·dup, 24·dup, … items that straddle
+// every median plane — where page, leaf, cell and shard boundaries fall.
+// Integer centres, half-extent 0.25 and a half-integer query point keep every
+// distance exact in floating point; IDs are dealt by a stride coprime to the
+// count, so a class's smallest IDs sit anywhere in it.
+func latticeItems(m, dup int) []rtree.Item {
+	n := m * m * m * dup
+	items := make([]rtree.Item, n)
+	for i := range items {
+		p, id := i/dup, int32(i*7919%n)
+		items[id] = rtree.Item{ID: id,
+			Box: geom.BoxAround(geom.V(float64(p%m), float64(p/m%m), float64(p/(m*m))), 0.25)}
+	}
+	return items
+}
+
+// tieRequests returns kNN requests from center whose k cuts the canonical
+// order inside a tie class: k ∈ {1, r−1, r, r+1, n+5} for a rank r past the
+// nearest class whose neighbours r−1 … r+2 all share one positive distance.
+func tieRequests(t testing.TB, items []rtree.Item, center geom.Vec) []engine.Request {
+	t.Helper()
+	all := oracleHits(items, engine.KNNRequest(center, len(items)))
+	for r := 20; r+1 < len(all); r++ {
+		if d := all[r-2].Dist2; d > all[0].Dist2 && d == all[r+1].Dist2 {
+			var reqs []engine.Request
+			for _, k := range []int{1, r - 1, r, r + 1, len(items) + 5} {
+				reqs = append(reqs, engine.KNNRequest(center, k))
+			}
+			return reqs
+		}
+	}
+	t.Fatal("no tie class of four or more items past rank 20")
+	return nil
+}
+
 // sessionCells returns the (name, index) differential cells: every
 // contender, with the sharded one at shard counts 1 and 4 over each
 // sub-index kind.
@@ -147,51 +184,62 @@ func hitsEqual(a, b []engine.Hit) bool {
 // TestSessionDifferential pins every (kind × index × shards{1,4} ×
 // workers{1,4}) cell against the serial brute-force oracle: identical hit
 // sets, identical emission order, and per-request stats identical across
-// worker counts.
+// worker counts — over the tissue's mixed stream, and over the lattice's kNN
+// requests whose k-th distance is tied.
 func TestSessionDifferential(t *testing.T) {
-	items := testItems(t, 10, 9001)
-	vol := geom.Box(geom.V(0, 0, 0), geom.V(200, 200, 200))
-	reqs := mixedRequests(items, vol)
-
-	want := make([][]engine.Hit, len(reqs))
-	for i, r := range reqs {
-		want[i] = oracleHits(items, r)
-	}
-
-	for _, cell := range sessionCells(t, items) {
-		sess, err := engine.Open(engine.WithIndex(cell.ix))
-		if err != nil {
-			t.Fatal(err)
+	tissue := testItems(t, 10, 9001)
+	lattice := latticeItems(10, 2)
+	for _, in := range []struct {
+		name  string
+		items []rtree.Item
+		reqs  []engine.Request
+	}{
+		{"tissue", tissue, mixedRequests(tissue, geom.Box(geom.V(0, 0, 0), geom.V(200, 200, 200)))},
+		// The k-th distance tied across page, leaf, cell and shard boundaries.
+		{"lattice", lattice, tieRequests(t, lattice, geom.V(4.5, 4.5, 4.5))},
+	} {
+		items, reqs := in.items, in.reqs
+		want := make([][]engine.Hit, len(reqs))
+		for i, r := range reqs {
+			want[i] = oracleHits(items, r)
 		}
-		var serial []engine.Result
-		for _, w := range []int{1, 4} {
-			got, err := sess.DoBatch(context.Background(), reqs, w)
+
+		for _, cell := range sessionCells(t, items) {
+			name := in.name + "/" + cell.name
+			sess, err := engine.Open(engine.WithIndex(cell.ix))
 			if err != nil {
-				t.Fatalf("%s workers=%d: %v", cell.name, w, err)
+				t.Fatal(err)
 			}
-			for i := range got {
-				if !hitsEqual(got[i].Hits, want[i]) {
-					t.Fatalf("%s workers=%d request %d (%s): hits %v, oracle %v",
-						cell.name, w, i, reqs[i], got[i].Hits, want[i])
+			var serial []engine.Result
+			for _, w := range []int{1, 4} {
+				got, err := sess.DoBatch(context.Background(), reqs, w)
+				if err != nil {
+					t.Fatalf("%s workers=%d: %v", name, w, err)
 				}
-				if got[i].Stats.Results != int64(len(got[i].Hits)) {
-					t.Fatalf("%s workers=%d request %d: Results=%d, %d hits emitted",
-						cell.name, w, i, got[i].Stats.Results, len(got[i].Hits))
+				for i := range got {
+					if !hitsEqual(got[i].Hits, want[i]) {
+						t.Fatalf("%s workers=%d request %d (%s): hits %v, oracle %v",
+							name, w, i, reqs[i], got[i].Hits, want[i])
+					}
+					if got[i].Stats.Results != int64(len(got[i].Hits)) {
+						t.Fatalf("%s workers=%d request %d: Results=%d, %d hits emitted",
+							name, w, i, got[i].Stats.Results, len(got[i].Hits))
+					}
 				}
-			}
-			if serial == nil {
-				serial = got
-				continue
-			}
-			// Stat consistency: the parallel run's record is identical to
-			// the serial one's, per request.
-			for i := range got {
-				a, b := serial[i].Stats, got[i].Stats
-				if a.IndexReads != b.IndexReads || a.PagesRead != b.PagesRead ||
-					a.EntriesTested != b.EntriesTested || a.Results != b.Results ||
-					a.Reseeds != b.Reseeds || a.ShardsTouched != b.ShardsTouched {
-					t.Fatalf("%s request %d: stats diverged across worker counts:\nserial %+v\nworkers=4 %+v",
-						cell.name, i, a, b)
+				if serial == nil {
+					serial = got
+					continue
+				}
+				// Stat consistency: the parallel run's record is identical to
+				// the serial one's, per request.
+				for i := range got {
+					a, b := serial[i].Stats, got[i].Stats
+					if a.IndexReads != b.IndexReads || a.PagesRead != b.PagesRead ||
+						a.EntriesTested != b.EntriesTested || a.Results != b.Results ||
+						a.Reseeds != b.Reseeds || a.ShardsTouched != b.ShardsTouched {
+						t.Fatalf("%s request %d: stats diverged across worker counts:\nserial %+v\nworkers=4 %+v",
+							name, i, a, b)
+					}
 				}
 			}
 		}

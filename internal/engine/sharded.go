@@ -279,65 +279,35 @@ func (s *Sharded) scan(ctx context.Context, req Request, src pager.PageSource, o
 // itemBoxes implements contender.
 func (s *Sharded) itemBoxes() func(int32) geom.AABB { return s.boxOf }
 
-// Do implements SpatialIndex through the shared executor: every kind scatters
-// to the shards that can contribute and gathers into the canonical order.
-// Range and Point fan out to the shards whose bounds intersect the box;
-// WithinDistance to the shards whose bounds pass the exact Dist2Point sphere
-// test. KNN is a bound-tightening gather: shards are visited in ascending
-// distance from the query point, each contributes its local top-k through the
-// shared (Dist2, ID) accumulator, and the fan-out stops as soon as the next
-// shard's bound exceeds the current k-th distance — ShardsTouched records how
-// many shards the gather actually consulted.
+// Do implements SpatialIndex through the shared executor. Range and Point fan
+// out to the shards whose bounds intersect the box, WithinDistance to the
+// shards whose bounds pass the exact Dist2Point sphere test, and gather into
+// the canonical order. KNN is the executor's one best-first search with the
+// shards' hierarchies on one frontier (knnExpand) — ShardsTouched records how
+// many shards it actually descended into.
 func (s *Sharded) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
 	return execute(ctx, s, nil, req, visit)
 }
 
-// doKNN is the sharded bound-tightening kNN gather.
-func (s *Sharded) doKNN(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
-	type shardBound struct {
-		d2 float64
-		i  int
-	}
-	order := make([]shardBound, len(s.shards))
-	for i := range s.shards {
-		order[i] = shardBound{s.shards[i].bounds.Dist2Point(req.Center), i}
-	}
-	slices.SortFunc(order, func(a, b shardBound) int {
-		switch {
-		case a.d2 < b.d2:
-			return -1
-		case a.d2 > b.d2:
-			return 1
+// knnExpand implements traverser. The hierarchy is the shard MBRs, then each
+// sub-index's own: the root pushes every shard's root by its bounds' distance;
+// any other entry is its shard's sub-index's to expand, with the search told
+// whose local IDs and pages it is seeing. Local IDs ascend with global IDs
+// within a shard, and the accumulator orders by global (Dist2, ID) anyway.
+func (s *Sharded) knnExpand(ks *knnSearch, e knnEntry) error {
+	if e.shard < 0 {
+		for i := range s.shards {
+			ks.shard = int32(i)
+			ks.push(s.shards[i].bounds.Dist2Point(ks.req.Center), knnRoot)
 		}
-		return a.i - b.i
-	})
-	acc := getKNNAcc(req.K)
-	defer putKNNAcc(acc)
-	var st QueryStats
-	for _, sb := range order {
-		if acc.Full() && sb.d2 > acc.Bound() {
-			break
-		}
-		sh := &s.shards[sb.i]
-		// Each shard contributes its local top-k; local IDs ascend with
-		// global IDs within a shard, so the local tie-break agrees with the
-		// global (Dist2, ID) order and the union provably contains the
-		// canonical top-k.
-		sst, err := sh.sub.doKNN(ctx, req, func(h Hit) {
-			acc.Offer(Hit{ID: sh.global[h.ID], Dist2: h.Dist2})
-		})
-		if err != nil {
-			return QueryStats{}, err
-		}
-		st.add(&sst)
-		st.ShardsTouched++
+		return nil
 	}
-	hits := acc.Hits()
-	st.Results = int64(len(hits))
-	for _, h := range hits {
-		visit(h)
+	sh := &s.shards[e.shard]
+	if e.ref == knnRoot {
+		ks.st.ShardsTouched++
 	}
-	return st, nil
+	ks.shard, ks.global, ks.pageBase = e.shard, sh.global, sh.pageBase
+	return sh.sub.knnExpand(ks, e)
 }
 
 // iterate implements the internal streaming capability: a lazy k-way merge

@@ -72,9 +72,7 @@ type Snapshot struct {
 	chunks []*deltaChunk
 	nDelta int
 	// tombs marks base-local IDs dead in this epoch (nil until the first
-	// tombstone); nTombs counts the set bits. A tombstone can only name a
-	// base item, so nTombs is also the only slack a kNN base over-fetch can
-	// ever need.
+	// tombstone); nTombs counts the set bits.
 	tombs  []uint64
 	nTombs int
 
@@ -268,8 +266,9 @@ func (v *snapView) NumItems() int { return v.snap.live }
 // Do implements SpatialIndex: base execution, tombstone filtering, delta
 // merge, canonical order — identical output to a from-scratch build of the
 // epoch's live items. It is the shared eager executor over the view's scan
-// and doKNN with the snapshot as the overlay; emission starts only after the
-// base traversal has returned, so Do stays all-or-nothing under cancellation.
+// and kNN hierarchy with the snapshot as the overlay; emission starts only
+// after the base traversal has returned, so Do stays all-or-nothing under
+// cancellation.
 func (v *snapView) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
 	return execute(ctx, v, v.snap, req, visit)
 }
@@ -289,6 +288,16 @@ func (v *snapView) scan(ctx context.Context, req Request, src pager.PageSource, 
 // itemBoxes implements traverser: exact geometry by base-local ID, the IDs
 // scan emits.
 func (v *snapView) itemBoxes() func(int32) geom.AABB { return v.snap.baseBox }
+
+// knnExpand implements traverser: the base contender's hierarchy (none when
+// the base is empty). Like scan it does not apply the overlay: the search's
+// offer drops tombstoned residents and execute offers the delta.
+func (v *snapView) knnExpand(s *knnSearch, e knnEntry) error {
+	if v.base == nil {
+		return nil
+	}
+	return v.base.knnExpand(s, e)
+}
 
 // iterate implements the internal streaming capability — Stream and
 // paginated Do, which stop early; an unpaginated Do never comes here — as the
@@ -328,71 +337,4 @@ func (v *snapView) iterate(ctx context.Context, req Request, after *Hit) (HitIte
 	delta := newDeltaIter(sn.chunks, req, after)
 	its = append(its, &delta)
 	return newKWayMerge(its, QueryStats{}), nil
-}
-
-// doKNN merges the base's live top-k with the delta's candidates in one
-// pooled accumulator. The base is over-fetched adaptively: dead hits can only
-// come from tombstones, so the first probe asks for k plus the tombstone count
-// capped at k (a tombstone beyond the k-th live hit cannot displace the live
-// top-k), and the probe widens geometrically in the rare case the cap was too
-// tight — the same widening idiom as the R-tree's tie resolution. The delta
-// scan then prunes by the accumulator's tightening bound: a chunk farther than
-// the current k-th best cannot contribute. The stats record is the widest
-// base probe executed.
-func (v *snapView) doKNN(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
-	sn := v.snap
-	var st QueryStats
-	acc := getKNNAcc(req.K)
-	defer putKNNAcc(acc)
-	if v.base != nil {
-		baseSize := v.base.NumItems()
-		kk := req.K + min(sn.nTombs, req.K)
-		if kk > baseSize || kk < req.K { // kk < req.K: overflow on an absurd K
-			kk = baseSize
-		}
-		for {
-			acc.h = acc.h[:0]
-			var dead int64
-			// cold rides along: a planner probe through the view reads the
-			// base's own store, whatever source is attached to it.
-			bst, err := v.base.Do(ctx, Request{Kind: KNN, Center: req.Center, K: kk, cold: req.cold}, func(h Hit) {
-				if sn.dead(h.ID) {
-					dead++
-					return
-				}
-				acc.Offer(Hit{ID: sn.baseIDs[h.ID], Dist2: h.Dist2})
-			})
-			if err != nil {
-				return QueryStats{}, err
-			}
-			st = bst
-			st.Tombstones = dead
-			// Enough live hits — the live top-k is provably contained (any
-			// live item nearer than the k-th live candidate would itself be
-			// among the kk nearest) — or the whole base was fetched.
-			if acc.Full() || kk >= baseSize {
-				break
-			}
-			kk *= 2
-			if kk > baseSize || kk < 0 {
-				kk = baseSize
-			}
-		}
-	}
-	delta := newDeltaIter(sn.chunks, req, nil)
-	for {
-		delta.r2 = acc.Bound()
-		h, ok := delta.Next()
-		if !ok {
-			break
-		}
-		acc.Offer(h)
-	}
-	st.DeltaEntries = delta.st.DeltaEntries
-	hits := acc.Hits()
-	st.Results = int64(len(hits))
-	for _, h := range hits {
-		visit(h)
-	}
-	return st, nil
 }

@@ -210,6 +210,10 @@ func (idx *Index) Coords() *pager.Coords { return idx.coords }
 // be modified.
 func (idx *Index) Neighbors(p pager.PageID) []pager.PageID { return idx.neighbors[p] }
 
+// SeedRoot returns the root of the page R-tree (its items are pages: an item's
+// ID is a page ID, its box the page's MBR); ok is false for an empty index.
+func (idx *Index) SeedRoot() (rtree.NodeView, bool) { return idx.seedTree.Root() }
+
 // SeedTreeHeight returns the height of the page R-tree (for reporting).
 func (idx *Index) SeedTreeHeight() int { return idx.seedTree.Height() }
 

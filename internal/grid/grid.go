@@ -102,13 +102,15 @@ func (g *Grid) CellBounds(c int) geom.AABB {
 	return geom.AABB{Min: min, Max: min.Add(g.cell)}
 }
 
-// cellIndex maps integer cell coordinates to the flat index.
-func (g *Grid) cellIndex(ix, iy, iz int) int {
+// CellIndex maps integer cell coordinates to the flat index.
+func (g *Grid) CellIndex(ix, iy, iz int) int {
 	return ix + g.nx*(iy+g.ny*iz)
 }
 
-// cellRange returns the clamped integer coordinate range covered by box b.
-func (g *Grid) cellRange(b geom.AABB) (x0, x1, y0, y1, z0, z1 int) {
+// CellRange returns the clamped integer coordinate range covered by box b
+// (finite corners): every box registered from a point inside b is in a cell of
+// that range.
+func (g *Grid) CellRange(b geom.AABB) (x0, x1, y0, y1, z0, z1 int) {
 	x0 = g.coord(b.Min.X, g.bounds.Min.X, g.cell.X, g.nx)
 	x1 = g.coord(b.Max.X, g.bounds.Min.X, g.cell.X, g.nx)
 	y0 = g.coord(b.Min.Y, g.bounds.Min.Y, g.cell.Y, g.ny)
@@ -134,11 +136,11 @@ func (g *Grid) coord(v, min, cell float64, n int) int {
 
 // forEachCell invokes fn for every cell overlapping box b.
 func (g *Grid) forEachCell(b geom.AABB, fn func(cell int)) {
-	x0, x1, y0, y1, z0, z1 := g.cellRange(b)
+	x0, x1, y0, y1, z0, z1 := g.CellRange(b)
 	for iz := z0; iz <= z1; iz++ {
 		for iy := y0; iy <= y1; iy++ {
 			for ix := x0; ix <= x1; ix++ {
-				fn(g.cellIndex(ix, iy, iz))
+				fn(g.CellIndex(ix, iy, iz))
 			}
 		}
 	}
@@ -186,7 +188,7 @@ func (g *Grid) ReportCell(c int, a, b geom.AABB) bool {
 	ix := g.coord(p.X, g.bounds.Min.X, g.cell.X, g.nx)
 	iy := g.coord(p.Y, g.bounds.Min.Y, g.cell.Y, g.ny)
 	iz := g.coord(p.Z, g.bounds.Min.Z, g.cell.Z, g.nz)
-	return g.cellIndex(ix, iy, iz) == c
+	return g.CellIndex(ix, iy, iz) == c
 }
 
 // ForEachCandidatePair enumerates every unordered pair (i, j), i < j, of

@@ -65,6 +65,13 @@ func BuildCoords(s *Store, boxOf func(id int32) geom.AABB) *Coords {
 // within the page to address its slot).
 func (c *Coords) PageOffset(p PageID) int { return int(c.off[p]) }
 
+// BoxAt returns the box in slot i: a page's boxes as sequential loads, where
+// an ID-indexed box array is a cache miss per resident.
+func (c *Coords) BoxAt(i int) geom.AABB {
+	return geom.AABB{Min: geom.Vec{X: c.minX[i], Y: c.minY[i], Z: c.minZ[i]},
+		Max: geom.Vec{X: c.maxX[i], Y: c.maxY[i], Z: c.maxZ[i]}}
+}
+
 // IntersectsAt reports whether the box in slot i intersects q — the
 // sequential-load form of geom.AABB.Intersects.
 func (c *Coords) IntersectsAt(i int, q geom.AABB) bool {

@@ -1,10 +1,6 @@
 package rtree
 
-import (
-	"sync"
-
-	"neurospatial/internal/geom"
-)
+import "neurospatial/internal/geom"
 
 // QueryStats describes the work one query performed. The demo's statistics
 // panel (Figure 3 of the paper) shows exactly these numbers for the R-tree:
@@ -253,114 +249,6 @@ func (t *Tree) queryCount(n *node, q geom.AABB, visit func(Item), nodes, tested,
 			t.queryCount(c, q, visit, nodes, tested, results)
 		}
 	}
-}
-
-// knnEntry is a priority-queue element for best-first KNN search.
-type knnEntry struct {
-	dist2 float64
-	node  *node // nil when this entry is an item
-	item  Item
-}
-
-// knnHeap is a concrete-typed min-heap by dist2. The sift operations
-// replicate container/heap's algorithm exactly (same comparisons, same swap
-// order), so equal-distance entries pop in the order the previous
-// container/heap-backed implementation produced — but without boxing every
-// entry into an interface value on each push.
-type knnHeap []knnEntry
-
-func (h *knnHeap) push(e knnEntry) {
-	s := append(*h, e)
-	*h = s
-	j := len(s) - 1
-	for j > 0 {
-		i := (j - 1) / 2
-		if !(s[j].dist2 < s[i].dist2) {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-		j = i
-	}
-}
-
-func (h *knnHeap) pop() knnEntry {
-	s := *h
-	n := len(s) - 1
-	s[0], s[n] = s[n], s[0]
-	i := 0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n {
-			break
-		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && s[j2].dist2 < s[j1].dist2 {
-			j = j2
-		}
-		if !(s[j].dist2 < s[i].dist2) {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-		i = j
-	}
-	top := s[n]
-	*h = s[:n]
-	return top
-}
-
-// knnHeapPool recycles the search frontier's backing array: every item of
-// every visited leaf is pushed, so a fresh heap per call is tens of kilobytes
-// of garbage.
-var knnHeapPool = sync.Pool{New: func() any { h := make(knnHeap, 0, 256); return &h }}
-
-// getKNNHeap returns a pooled, empty frontier.
-func getKNNHeap() *knnHeap { return knnHeapPool.Get().(*knnHeap) }
-
-// putKNNHeap recycles a frontier whose array held at most used entries. They
-// are cleared first: a pooled array must not pin the nodes and items of a
-// tree that has since been replaced.
-func putKNNHeap(h *knnHeap, used int) {
-	clear((*h)[:used])
-	*h = (*h)[:0]
-	knnHeapPool.Put(h)
-}
-
-// KNN returns the k items whose boxes are nearest to p (by box distance),
-// closest first, using best-first search (Hjaltason & Samet). Fewer than k
-// items are returned when the tree is smaller than k.
-func (t *Tree) KNN(p geom.Vec, k int) ([]Item, QueryStats) {
-	var stats QueryStats
-	if t.size == 0 || k <= 0 {
-		return nil, stats
-	}
-	hp := getKNNHeap()
-	h := append(*hp, knnEntry{dist2: t.root.box.Dist2Point(p), node: t.root})
-	used := 1 // high-water mark of len(h): pops leave stale entries behind
-	out := make([]Item, 0, k)
-	for len(h) > 0 && len(out) < k {
-		e := h.pop()
-		if e.node == nil {
-			out = append(out, e.item)
-			stats.Results++
-			continue
-		}
-		n := e.node
-		stats.visit(n.level)
-		if n.isLeaf() {
-			for i := range n.items {
-				stats.EntriesTested++
-				h.push(knnEntry{dist2: n.items[i].Box.Dist2Point(p), item: n.items[i]})
-			}
-		} else {
-			for _, c := range n.children {
-				h.push(knnEntry{dist2: c.box.Dist2Point(p), node: c})
-			}
-		}
-		used = max(used, len(h))
-	}
-	*hp = h
-	putKNNHeap(hp, used)
-	return out, stats
 }
 
 // NodeView is a read-only handle on a tree node, exposed so other packages

@@ -3,7 +3,6 @@ package rtree
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -271,42 +270,6 @@ func TestSeedCheapInDenseRegion(t *testing.T) {
 	}
 	if stats.NodeAccesses() > int64(3*tr.Height()) {
 		t.Errorf("seed touched %d nodes for height %d", stats.NodeAccesses(), tr.Height())
-	}
-}
-
-func TestKNN(t *testing.T) {
-	rng := rand.New(rand.NewSource(38))
-	items := randItems(rng, 1500, 80)
-	tr, _ := STR(items, 16)
-	for trial := 0; trial < 20; trial++ {
-		p := geom.V(rng.Float64()*80, rng.Float64()*80, rng.Float64()*80)
-		k := 1 + rng.Intn(20)
-		got, _ := tr.KNN(p, k)
-		if len(got) != k {
-			t.Fatalf("KNN returned %d of %d", len(got), k)
-		}
-		// Oracle: sort all items by box distance.
-		dists := make([]float64, len(items))
-		for i, it := range items {
-			dists[i] = it.Box.Dist2Point(p)
-		}
-		sort.Float64s(dists)
-		for i, it := range got {
-			d := it.Box.Dist2Point(p)
-			if d < dists[i]-1e-12 || d > dists[i]+1e-12 {
-				// Allow ties: distance must equal the i-th oracle distance.
-				t.Fatalf("KNN[%d] dist %v, oracle %v", i, d, dists[i])
-			}
-			if i > 0 && d+1e-12 < got[i-1].Box.Dist2Point(p) {
-				t.Fatal("KNN not sorted")
-			}
-		}
-	}
-	if got, _ := tr.KNN(geom.V(0, 0, 0), 0); got != nil {
-		t.Error("KNN(0) returned items")
-	}
-	if got, _ := tr.KNN(geom.V(0, 0, 0), 5000); len(got) != 1500 {
-		t.Errorf("KNN(k>n) returned %d", len(got))
 	}
 }
 
