@@ -526,6 +526,16 @@ func BenchmarkRTreeOps(b *testing.B) {
 		}
 		b.ReportMetric(float64(len(items)), "items")
 	})
+	// The same kernel at FLAT's page size, without the tree above the tiles.
+	b.Run("PackSTR", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if tiles := rtree.PackSTR(items, 64); len(tiles) == 0 {
+				b.Fatal("no tiles")
+			}
+		}
+		b.ReportMetric(float64(len(items)), "items")
+	})
 	tr, err := rtree.STR(items, 16)
 	if err != nil {
 		b.Fatal(err)

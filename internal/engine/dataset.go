@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"neurospatial/internal/flat"
 	"neurospatial/internal/geom"
@@ -45,8 +47,10 @@ type DatasetOptions struct {
 	// DisableAutoCompact turns the size/ratio trigger off; Compact can still
 	// be called explicitly.
 	DisableAutoCompact bool
-	// Workers is the contender-rebuild pool size used by compaction
-	// (repository-wide semantics; 0 selects one worker per CPU).
+	// Workers bounds each level of a rebuild's parallelism — the contenders
+	// NewDataset and a compaction build at once, and the shards the sharded
+	// contender builds at once inside its own Build (repository-wide
+	// semantics; 0 selects one worker per CPU).
 	Workers int
 
 	// Bases, when non-nil, provides pre-built contender wrappers for the
@@ -77,6 +81,10 @@ func (o DatasetOptions) sanitize() DatasetOptions {
 	return o
 }
 
+// maxContenders is the number of kinds newIndex knows, and so — NewDataset
+// rejecting duplicates — the most a Dataset is configured with.
+const maxContenders = 4
+
 // newIndex constructs one fresh contender of the named kind.
 func (o DatasetOptions) newIndex(name string) (SpatialIndex, error) {
 	switch name {
@@ -87,10 +95,12 @@ func (o DatasetOptions) newIndex(name string) (SpatialIndex, error) {
 	case "grid":
 		return NewGrid(o.Grid), nil
 	case "sharded":
-		return NewSharded(ShardedOptions{
+		s := NewSharded(ShardedOptions{
 			Shards: o.Shards, Index: o.ShardIndex,
 			Flat: o.Flat, RTreeFanout: o.RTreeFanout, Grid: o.Grid,
-		}), nil
+		})
+		s.workers = o.Workers
+		return s, nil
 	}
 	return nil, fmt.Errorf("engine: unknown dataset contender %q (have flat, rtree, grid, sharded)", name)
 }
@@ -117,6 +127,15 @@ type DatasetStats struct {
 	// many layout pages were shared versus patched/appended — the
 	// incremental-maintenance win.
 	Cow pager.CowStats
+	// BuildTimes[i] is how long Contenders[i]'s Build took the last time the
+	// bases were built (NewDataset or a compaction); entries past
+	// len(Contenders), and all of them while this process has built no base,
+	// are 0. An array, so that DatasetStats stays comparable.
+	BuildTimes [maxContenders]time.Duration
+	// LastCompaction is the wall time of the most recent compaction — merge,
+	// rebuilds, layout and publish, the stall its committer saw; 0 before the
+	// first.
+	LastCompaction time.Duration
 }
 
 // Dataset is the engine's mutable ownership model: writers apply batched
@@ -160,6 +179,12 @@ type Dataset struct {
 	commits, compactions, autoCompactions int64
 	inserts, deletes, updates             int64
 	cowTotal                              pager.CowStats
+	// lastBuild[i] is how long Contenders[i] took in the last buildBases (nil
+	// before the first): the next one's start order, and Stats' answer to
+	// where a rebuild's time went. Written under writeMu and mu, so either
+	// lock suffices to read it.
+	lastBuild   []time.Duration
+	lastCompact time.Duration
 
 	// onCommit, when set, is called under writeMu after a batch validates
 	// (and before the new epoch publishes) with the epoch the batch will
@@ -232,7 +257,8 @@ func NewDataset(items []rtree.Item, opts DatasetOptions) (*Dataset, error) {
 // buildBases constructs and builds every configured contender over items
 // (ascending global-ID order), relabeled to dense local IDs, on the parallel
 // pool. Returns nil for an empty item set — every contender requires at
-// least one item, and the overlay serves empty bases fine.
+// least one item, and the overlay serves empty bases fine. The caller holds
+// writeMu, or owns a Dataset nobody else has seen yet.
 func (d *Dataset) buildBases(items []rtree.Item) ([]SpatialIndex, error) {
 	if len(items) == 0 {
 		return nil, nil
@@ -241,20 +267,38 @@ func (d *Dataset) buildBases(items []rtree.Item) ([]SpatialIndex, error) {
 	for l, it := range items {
 		local[l] = rtree.Item{Box: it.Box, ID: int32(l)}
 	}
-	bases := make([]SpatialIndex, len(d.opts.Contenders))
-	errs := make([]error, len(d.opts.Contenders))
-	parallel.ForEach(d.opts.Workers, len(d.opts.Contenders), func(_, i int) {
+	n := len(d.opts.Contenders)
+	bases := make([]SpatialIndex, n)
+	errs := make([]error, n)
+	took := make([]time.Duration, n)
+	// The pool hands slots out in ascending order, so the slot order is the
+	// start order: the contender that took longest last time goes first and
+	// the short ones fill in beside it, instead of the longest starting last
+	// and finishing alone. Results are indexed by contender, not by slot.
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	if last := d.lastBuild; last != nil { // the first build keeps configuration order
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(last[b], last[a]) })
+	}
+	parallel.ForEach(d.opts.Workers, n, func(_, slot int) {
+		i := order[slot]
+		start := time.Now()
 		ix, err := d.opts.newIndex(d.opts.Contenders[i])
 		if err == nil {
 			err = ix.Build(local)
 		}
-		bases[i], errs[i] = ix, err
+		bases[i], errs[i], took[i] = ix, err, time.Since(start)
 	})
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("engine: building %s base: %w", d.opts.Contenders[i], err)
 		}
 	}
+	d.mu.Lock()
+	d.lastBuild = took
+	d.mu.Unlock()
 	return bases, nil
 }
 
@@ -290,7 +334,7 @@ func (d *Dataset) Acquire() *Snapshot {
 func (d *Dataset) Stats() DatasetStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return DatasetStats{
+	st := DatasetStats{
 		Epoch:           d.cur.epoch,
 		Live:            d.cur.live,
 		DeltaEntries:    d.cur.nDelta,
@@ -304,7 +348,10 @@ func (d *Dataset) Stats() DatasetStats {
 		Updates:         d.updates,
 		LayoutPages:     d.cur.layout.NumPages(),
 		Cow:             d.cowTotal,
+		LastCompaction:  d.lastCompact,
 	}
+	copy(st.BuildTimes[:], d.lastBuild)
+	return st
 }
 
 // opKind tags one buffered mutation.
@@ -553,6 +600,7 @@ func (d *Dataset) compactUnderWrite() (*Snapshot, error) {
 	if prev.nDelta == 0 && prev.nTombs == 0 {
 		return prev, nil
 	}
+	start := time.Now()
 	// Merge live base items with the delta, ascending global ID (both inputs
 	// are sorted, IDs disjoint).
 	merged := make([]rtree.Item, 0, prev.live)
@@ -581,6 +629,7 @@ func (d *Dataset) compactUnderWrite() (*Snapshot, error) {
 	d.mu.Lock()
 	d.cur = snap
 	d.compactions++
+	d.lastCompact = time.Since(start)
 	d.mu.Unlock()
 	return snap, nil
 }

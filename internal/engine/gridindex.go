@@ -133,6 +133,10 @@ func (gx *Grid) build(items []rtree.Item, nx, ny, nz int) error {
 	if err != nil {
 		return fmt.Errorf("engine: %w", err)
 	}
+	// The centers were only for binning: refinement reads gx.boxes and the
+	// SoA sidecar, and 48 bytes an item per generation is what a compaction
+	// would otherwise keep alive beside them.
+	g.DropBoxes()
 	gx.g = g
 
 	// Page layout: fill pages in cell-major order (ascending ID within a

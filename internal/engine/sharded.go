@@ -9,6 +9,7 @@ import (
 	"neurospatial/internal/flat"
 	"neurospatial/internal/geom"
 	"neurospatial/internal/pager"
+	"neurospatial/internal/parallel"
 	"neurospatial/internal/rtree"
 	"neurospatial/internal/shard"
 )
@@ -74,10 +75,13 @@ type shardState struct {
 // like unsharded storage, which is what lets prefetch.Served walkthroughs
 // (SCOUT included) run over a sharded store unchanged.
 type Sharded struct {
-	opts   ShardedOptions
-	shards []shardState
-	bounds geom.AABB
-	n      int
+	opts ShardedOptions
+	// workers bounds Build's per-shard sub-builds (repository-wide semantics:
+	// 0 is one per CPU). A Dataset passes its own Workers down.
+	workers int
+	shards  []shardState
+	bounds  geom.AABB
+	n       int
 	// shardOf[g] / local[g] locate global item g in its shard.
 	shardOf []int32
 	local   []int32
@@ -141,10 +145,17 @@ func (s *Sharded) Build(items []rtree.Item) error {
 	s.shards = make([]shardState, len(parts))
 	s.shardOf = make([]int32, len(items))
 	s.local = make([]int32, len(items))
-	for i, part := range parts {
+	// The sub-builds run on the pool: each writes its own shards[i] and the
+	// shardOf/local entries of its own items, and nothing else. What reads
+	// across shards — bounds, the global page space — is assembled after the
+	// join, in shard order.
+	errs := make([]error, len(parts))
+	parallel.ForEach(s.workers, len(parts), func(_, i int) {
+		part := parts[i]
 		sub, err := s.opts.newSubIndex()
 		if err != nil {
-			return err
+			errs[i] = err
+			return
 		}
 		localItems := make([]rtree.Item, len(part.Items))
 		globals := make([]int32, len(part.Items))
@@ -155,13 +166,21 @@ func (s *Sharded) Build(items []rtree.Item) error {
 			s.local[it.ID] = int32(l)
 		}
 		if err := sub.Build(localItems); err != nil {
-			return fmt.Errorf("engine: building shard %d: %w", i, err)
+			errs[i] = fmt.Errorf("engine: building shard %d: %w", i, err)
+			return
 		}
 		s.shards[i] = shardState{sub: sub, bounds: part.Bounds, global: globals}
-		s.bounds = s.bounds.Union(part.Bounds)
 		// The shard's page reads dispatch through the owner, so a source
 		// attached to the Sharded later is seen by every sub-index.
 		sub.SetSource(&shardSource{owner: s, shard: i})
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	for i := range s.shards {
+		s.bounds = s.bounds.Union(s.shards[i].bounds)
 	}
 
 	// The global page space: per-shard pages concatenated densely, contents

@@ -8,6 +8,8 @@ package engine_test
 
 import (
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"neurospatial/internal/engine"
@@ -232,6 +234,63 @@ func TestShardedStorageGeometry(t *testing.T) {
 				t.Fatalf("result %d's page %d not in PagesInRange", id, sh.PageOf(id))
 			}
 		}
+	}
+
+	// Build runs its sub-builds on the pool: the geometry above is the same
+	// build whether they ran one at a time or side by side (under -race, a
+	// sub-build writing outside its own shard is a reported race).
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		again := engine.NewSharded(subIndexOptions("flat", 4))
+		err := again.Build(items)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.NumShards() != sh.NumShards() || again.NumPages() != sh.NumPages() {
+			t.Fatalf("GOMAXPROCS %d: %d shards / %d pages, want %d / %d",
+				procs, again.NumShards(), again.NumPages(), sh.NumShards(), sh.NumPages())
+		}
+		for i := 0; i < sh.NumShards(); i++ {
+			if again.ShardBounds(i) != sh.ShardBounds(i) {
+				t.Fatalf("GOMAXPROCS %d: shard %d bounds differ", procs, i)
+			}
+		}
+		for p := 0; p < store.NumPages(); p++ {
+			if !reflect.DeepEqual(again.Store().Page(pager.PageID(p)), store.Page(pager.PageID(p))) {
+				t.Fatalf("GOMAXPROCS %d: global page %d differs", procs, p)
+			}
+		}
+		for id := range items { // PageOf reads shardOf and local
+			if again.PageOf(int32(id)) != sh.PageOf(int32(id)) {
+				t.Fatalf("GOMAXPROCS %d: item %d on page %d, want %d", procs, id, again.PageOf(int32(id)), sh.PageOf(int32(id)))
+			}
+		}
+		for _, q := range testQueries(vol, 8) {
+			got, gotSt := doRange(t, again, q)
+			want, wantSt := doRange(t, sh, q)
+			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotSt, wantSt) {
+				t.Fatalf("GOMAXPROCS %d: Do(%v) differs", procs, q)
+			}
+		}
+	}
+}
+
+// TestShardedBuildErrorIsTheFirstShards pins which error a failing build
+// reports now that the sub-builds run concurrently: every shard's R-tree
+// rejects the fanout, and the one reported is shard 0's, every time.
+func TestShardedBuildErrorIsTheFirstShards(t *testing.T) {
+	items := testItems(t, 4, 7013)
+	for i := 0; i < 8; i++ {
+		sh := engine.NewSharded(engine.ShardedOptions{Shards: 4, Index: "rtree", RTreeFanout: 2})
+		err := sh.Build(items)
+		if err == nil || !strings.HasPrefix(err.Error(), "engine: building shard 0: ") {
+			t.Fatalf("Build error %v, want shard 0's", err)
+		}
+	}
+	if err := engine.NewSharded(engine.ShardedOptions{Index: "bogus"}).Build(items); err == nil ||
+		!strings.HasPrefix(err.Error(), "engine: unknown sharded sub-index") {
+		t.Fatalf("unknown sub-index: %v", err)
 	}
 }
 

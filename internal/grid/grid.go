@@ -76,6 +76,13 @@ func NewAuto(bounds geom.AABB, boxes []geom.AABB, perCell float64) (*Grid, error
 	return New(bounds, k, k, k, boxes)
 }
 
+// DropBoxes releases the registered boxes, for a caller that keeps the
+// geometry itself and wants the cell directory only: the cell arithmetic,
+// CellBoxes and ForEachInRange keep working; Query, ReportCell and
+// ForEachCandidatePair, which refine against the boxes, must not be called
+// afterwards.
+func (g *Grid) DropBoxes() { g.boxes = nil }
+
 // Bounds returns the grid's covered region.
 func (g *Grid) Bounds() geom.AABB { return g.bounds }
 

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"neurospatial/internal/geom"
@@ -231,5 +232,30 @@ func TestReportCellUniqueness(t *testing.T) {
 		if g.ReportCell(c, d, e) {
 			t.Fatal("disjoint pair claimed")
 		}
+	}
+}
+
+// TestDropBoxesKeepsTheDirectory: a grid used as a cell directory only keeps
+// its cells, and what walks them, after the boxes are released.
+func TestDropBoxesKeepsTheDirectory(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	bounds := geom.Box(geom.V(0, 0, 0), geom.V(50, 50, 50))
+	g, err := NewAuto(bounds, randBoxes(rng, 400, 50, 1), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := geom.BoxAround(geom.V(25, 25, 25), 10)
+	collect := func() (cells []int, ids [][]int32) {
+		g.ForEachInRange(q, func(c int, in []int32) { cells, ids = append(cells, c), append(ids, in) })
+		return
+	}
+	cellsBefore, idsBefore := collect()
+	g.DropBoxes()
+	cellsAfter, idsAfter := collect()
+	if !reflect.DeepEqual(cellsAfter, cellsBefore) || !reflect.DeepEqual(idsAfter, idsBefore) {
+		t.Fatal("ForEachInRange changed after DropBoxes")
+	}
+	if g.boxes != nil {
+		t.Fatal("boxes still referenced")
 	}
 }

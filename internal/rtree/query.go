@@ -305,7 +305,7 @@ func walkLeaves(n *node, fn func(geom.AABB, []Item)) {
 // PackSTR partitions items into STR tiles of at most fanout entries and
 // returns the tiles in packing order. FLAT uses it to lay elements out on
 // disk pages; TOUCH uses it to data-orient its partitions. The input slice is
-// not modified.
+// not modified, and its order does not matter (see STR).
 func PackSTR(items []Item, fanout int) [][]Item {
 	if fanout <= 0 {
 		fanout = DefaultFanout
@@ -313,14 +313,7 @@ func PackSTR(items []Item, fanout int) [][]Item {
 	if len(items) == 0 {
 		return nil
 	}
-	own := make([]Item, len(items))
-	copy(own, items)
-	leaves := strPackItems(own, fanout)
-	out := make([][]Item, len(leaves))
-	for i, l := range leaves {
-		out[i] = l.items
-	}
-	return out
+	return strPack(items, fanout)
 }
 
 // CheckInvariants verifies structural invariants (MBR containment, level

@@ -18,7 +18,6 @@ package rtree
 
 import (
 	"fmt"
-	"sort"
 
 	"neurospatial/internal/geom"
 )
@@ -113,7 +112,8 @@ func (t *Tree) Bounds() geom.AABB { return t.root.box }
 // X center, slice into vertical slabs, sort each slab by Y, tile into runs,
 // sort runs by Z and pack consecutive items into leaves. The resulting leaves
 // are near-full and spatially compact, which is why both FLAT and TOUCH use
-// STR for their partitioning phases.
+// STR for their partitioning phases. Equal centers order by ID, so the tree is
+// a function of the item set, not of the order items arrive in.
 func STR(items []Item, fanout int) (*Tree, error) {
 	t, err := New(fanout)
 	if err != nil {
@@ -122,48 +122,15 @@ func STR(items []Item, fanout int) (*Tree, error) {
 	if len(items) == 0 {
 		return t, nil
 	}
-	own := make([]Item, len(items))
-	copy(own, items)
-
-	leaves := strPackItems(own, t.fanout)
-	t.size = len(own)
+	tiles := strPack(items, t.fanout)
+	leaves := make([]*node, len(tiles))
+	for i, tile := range tiles {
+		leaves[i] = &node{level: 0, items: tile}
+		leaves[i].recomputeBox()
+	}
+	t.size = len(items)
 	t.root = buildUp(leaves, t.fanout)
 	return t, nil
-}
-
-// strPackItems tiles items into leaf nodes of at most fanout entries.
-func strPackItems(items []Item, fanout int) []*node {
-	nLeaves := (len(items) + fanout - 1) / fanout
-	// S = number of slabs per axis ~ cube root of leaf count.
-	s := int(cbrtCeil(nLeaves))
-	sliceX := s * s * fanout // items per X slab
-	sliceY := s * fanout     // items per Y run
-
-	sort.Slice(items, func(i, j int) bool {
-		return items[i].Box.Center().X < items[j].Box.Center().X
-	})
-	var leaves []*node
-	for x := 0; x < len(items); x += sliceX {
-		xe := minInt(x+sliceX, len(items))
-		slab := items[x:xe]
-		sort.Slice(slab, func(i, j int) bool {
-			return slab[i].Box.Center().Y < slab[j].Box.Center().Y
-		})
-		for y := 0; y < len(slab); y += sliceY {
-			ye := minInt(y+sliceY, len(slab))
-			run := slab[y:ye]
-			sort.Slice(run, func(i, j int) bool {
-				return run[i].Box.Center().Z < run[j].Box.Center().Z
-			})
-			for z := 0; z < len(run); z += fanout {
-				ze := minInt(z+fanout, len(run))
-				leaf := &node{level: 0, items: append([]Item(nil), run[z:ze]...)}
-				leaf.recomputeBox()
-				leaves = append(leaves, leaf)
-			}
-		}
-	}
-	return leaves
 }
 
 // buildUp packs nodes level by level until a single root remains. Nodes are

@@ -15,7 +15,8 @@
 package shard
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"neurospatial/internal/geom"
 	"neurospatial/internal/rtree"
@@ -45,14 +46,17 @@ func Partition(items []rtree.Item, k int) []Part {
 	if k < 1 {
 		k = 1
 	}
-	work := make([]rtree.Item, len(items))
-	copy(work, items)
-	parts := make([]Part, 0, k)
-	split(work, k, &parts)
-	for i := range parts {
-		sort.Slice(parts[i].Items, func(a, b int) bool {
-			return parts[i].Items[a].ID < parts[i].Items[b].ID
-		})
+	// The recursion sorts 16-byte center keys, not the items; the items are
+	// gathered once, part by part, into one array the parts slice.
+	cut := make([][]rtree.CenterKey, 0, k)
+	split(rtree.CenterKeys(items), items, k, &cut)
+	gathered := make([]rtree.Item, 0, len(items))
+	parts := make([]Part, len(cut))
+	for i, part := range cut {
+		slices.SortFunc(part, func(a, b rtree.CenterKey) int { return cmp.Compare(a.ID, b.ID) })
+		lo := len(gathered)
+		gathered = rtree.Gather(gathered, part, items)
+		parts[i].Items = gathered[lo:len(gathered):len(gathered)]
 		b := geom.EmptyAABB()
 		for _, it := range parts[i].Items {
 			b = b.Union(it.Box)
@@ -62,41 +66,35 @@ func Partition(items []rtree.Item, k int) []Part {
 	return parts
 }
 
-// split recursively cuts work into k parts, appending them to out.
-func split(work []rtree.Item, k int, out *[]Part) {
-	if k <= 1 || len(work) <= 1 {
-		*out = append(*out, Part{Items: work})
+// split recursively cuts keys into k parts, appending them to out.
+func split(keys []rtree.CenterKey, items []rtree.Item, k int, out *[][]rtree.CenterKey) {
+	if k <= 1 || len(keys) <= 1 {
+		*out = append(*out, keys)
 		return
 	}
-	axis := longestCenterAxis(work)
-	sort.Slice(work, func(a, b int) bool {
-		ca, cb := work[a].Box.Center().Axis(axis), work[b].Box.Center().Axis(axis)
-		if ca != cb {
-			return ca < cb
-		}
-		return work[a].ID < work[b].ID
-	})
+	rtree.FillAxis(keys, items, longestCenterAxis(keys, items))
+	rtree.SortKeys(keys)
 	kl := k / 2
 	// Proportional cut: the left side carries kl of the k shards, so it gets
 	// the matching share of the items (rounded), clamped so both sides stay
 	// large enough to fill their shard counts.
-	cut := (len(work)*kl + k/2) / k
+	cut := (len(keys)*kl + k/2) / k
 	if cut < kl {
 		cut = kl
 	}
-	if max := len(work) - (k - kl); cut > max {
+	if max := len(keys) - (k - kl); cut > max {
 		cut = max
 	}
-	split(work[:cut], kl, out)
-	split(work[cut:], k-kl, out)
+	split(keys[:cut], items, kl, out)
+	split(keys[cut:], items, k-kl, out)
 }
 
 // longestCenterAxis returns the axis (0=X, 1=Y, 2=Z) with the widest spread
-// of item centers.
-func longestCenterAxis(items []rtree.Item) int {
+// of the keys' item centers.
+func longestCenterAxis(keys []rtree.CenterKey, items []rtree.Item) int {
 	b := geom.EmptyAABB()
-	for _, it := range items {
-		b = b.ExtendPoint(it.Box.Center())
+	for _, k := range keys {
+		b = b.ExtendPoint(items[k.Index].Box.Center())
 	}
 	s := b.Size()
 	axis := 0
