@@ -108,7 +108,7 @@ func isMutexType(t types.Type) bool {
 
 // LockOf resolves a mutex expression (the X of X.Lock()) to its annotation,
 // or nil for unannotated mutexes. Resolution goes through the field object
-// of the final selector, so any access path (d.mu, gx.zoneMu, s.ds.mu)
+// of the final selector, so any access path (d.mu, p.mu, s.ds.mu)
 // reaches the same LockInfo inside the declaring package.
 func (m *Module) LockOf(pkg *Package, e ast.Expr) *LockInfo {
 	sel, ok := Unparen(e).(*ast.SelectorExpr)

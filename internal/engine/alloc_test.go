@@ -10,7 +10,7 @@ package engine_test
 // handful; the same at zero reading through an attached pager.BufferPool
 // (pooled/…) and through the page segments of a reopened durable dataset
 // (durable/…). Session.Do on top of a view allocates the Result it returns,
-// a paginated Do (page/…) builds the lazy iterator pipeline, and
+// a paginated Do (page/…) opens the lazy stream, and
 // Session.DoBatch (batch/…) buffers per worker; those cells carry measured
 // ceilings. The assertions are skipped under the race detector (its
 // instrumentation allocates) — CI runs this package both ways, so the gate
@@ -39,7 +39,8 @@ func hotPathRequests(vol geom.AABB) []engine.Request {
 	}
 }
 
-// BenchmarkDoHotPath covers every (contender × kind) Do cell. Run with
+// BenchmarkDoHotPath covers every (contender × kind) Do cell, and the page/…
+// cells of TestDoHotPathAllocs: Do with Limit 10, the lazy stream. Run with
 // -benchmem: allocs/op is the number TestDoHotPathAllocs puts ceilings on.
 func BenchmarkDoHotPath(b *testing.B) {
 	items := testItems(b, 24, 4242)
@@ -47,20 +48,32 @@ func BenchmarkDoHotPath(b *testing.B) {
 	vol := geom.Box(geom.V(0, 0, 0), geom.V(200, 200, 200))
 	ctx := context.Background()
 	sink := func(engine.Hit) {}
-	for _, ix := range indexes {
-		for _, req := range hotPathRequests(vol) {
-			b.Run(fmt.Sprintf("%s/%s", ix.Name(), req.Kind), func(b *testing.B) {
+	bench := func(name string, ix engine.SpatialIndex, req engine.Request) {
+		b.Run(name, func(b *testing.B) {
+			if _, err := ix.Do(ctx, req, sink); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				if _, err := ix.Do(ctx, req, sink); err != nil {
 					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := ix.Do(ctx, req, sink); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+			}
+		})
+	}
+	for _, ix := range indexes {
+		for _, req := range hotPathRequests(vol) {
+			bench(fmt.Sprintf("%s/%s", ix.Name(), req.Kind), ix, req)
+		}
+	}
+	for _, ix := range indexes {
+		for _, req := range hotPathRequests(vol) {
+			if req.Kind == engine.KNN {
+				continue // bounded by K: the raw kNN cell's buffered drain
+			}
+			req.Limit = 10
+			bench(fmt.Sprintf("page/%s/%s", ix.Name(), req.Kind), ix, req)
 		}
 	}
 }
@@ -85,9 +98,11 @@ func BenchmarkDoHotPath(b *testing.B) {
 // (BufferPool.ReadPage, and the shards' shardSource above it): zero.
 // durable/… is every kind through the views of a dataset created, closed and
 // reopened from its directory, so pages come from durable.SegmentSource's
-// frame cache: the view ceilings. page/… is Do with Limit 10 — the lazy
-// pipeline (pageStream or rtreeStream, the sharded k-way merge, clipIter)
-// drained into Do's all-or-nothing buffer. batch/… is Session.DoBatch of 16
+// frame cache: the view ceilings. page/… is Do with Limit 10 — the one lazy
+// stream every contender feeds its candidate pages into (pageStream, its
+// scratch pooled) under clipIter, drained into Do's all-or-nothing buffer:
+// the stream and the clip are one allocation each, the rest is that buffer
+// growing to ten hits. batch/… is Session.DoBatch of 16
 // mixed requests on the dataset session at one and four workers
 // (parallel.BatchCtx, ForEach, the pooled segment and error tables). All
 // ceilings are as measured and can only shrink.
@@ -103,10 +118,10 @@ func TestDoHotPathAllocs(t *testing.T) {
 	ceilings := map[string]float64{
 		"session/range": 13, "session/knn": 6, "session/point": 4, "session/within": 12,
 
-		"page/flat/range": 13, "page/flat/point": 5, "page/flat/within": 13,
-		"page/rtree/range": 8, "page/rtree/point": 4, "page/rtree/within": 8,
-		"page/grid/range": 21, "page/grid/point": 7, "page/grid/within": 21,
-		"page/sharded/range": 34, "page/sharded/point": 11, "page/sharded/within": 33,
+		"page/flat/range": 7, "page/flat/point": 3, "page/flat/within": 7,
+		"page/rtree/range": 7, "page/rtree/point": 3, "page/rtree/within": 7,
+		"page/grid/range": 7, "page/grid/point": 3, "page/grid/within": 7,
+		"page/sharded/range": 7, "page/sharded/point": 3, "page/sharded/within": 7,
 
 		"batch/workers=1": 144, "batch/workers=4": 158,
 	}

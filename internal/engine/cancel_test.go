@@ -66,23 +66,27 @@ type sweepContender struct {
 // shards.
 func sweepContenders(t *testing.T, items []rtree.Item) []sweepContender {
 	t.Helper()
-	var cs []sweepContender
-	add := func(name string, ix engine.Paged) {
-		if err := ix.Build(items); err != nil {
-			t.Fatalf("building %s: %v", name, err)
-		}
-		tap := &cancelSource{src: ix.Store()}
-		ix.SetSource(tap)
-		cs = append(cs, sweepContender{name, ix, tap})
+	cs := []sweepContender{
+		newSweepContender(t, "flat", engine.NewFlat(flat.Options{PageSize: 8}), items),
+		newSweepContender(t, "rtree", engine.NewRTree(8), items),
+		newSweepContender(t, "grid", engine.NewGrid(engine.GridOptions{PageSize: 8}), items),
 	}
-	add("flat", engine.NewFlat(flat.Options{PageSize: 8}))
-	add("rtree", engine.NewRTree(8))
-	add("grid", engine.NewGrid(engine.GridOptions{PageSize: 8}))
 	for _, k := range []int{1, 4} {
-		add(fmt.Sprintf("sharded%d", k), engine.NewSharded(engine.ShardedOptions{
-			Shards: k, Index: "flat", Flat: flat.Options{PageSize: 8}}))
+		cs = append(cs, newSweepContender(t, fmt.Sprintf("sharded%d", k), engine.NewSharded(engine.ShardedOptions{
+			Shards: k, Index: "flat", Flat: flat.Options{PageSize: 8}}), items))
 	}
 	return cs
+}
+
+// newSweepContender builds ix over items and attaches its cancelSource.
+func newSweepContender(t *testing.T, name string, ix engine.Paged, items []rtree.Item) sweepContender {
+	t.Helper()
+	if err := ix.Build(items); err != nil {
+		t.Fatalf("building %s: %v", name, err)
+	}
+	tap := &cancelSource{src: ix.Store()}
+	ix.SetSource(tap)
+	return sweepContender{name, ix, tap}
 }
 
 // churnedView wraps base (already built over items) in a Dataset and commits
@@ -125,7 +129,8 @@ func churnedView(t *testing.T, base engine.SpatialIndex, items []rtree.Item) (vi
 
 // TestCancellationSweep is the table: kind {Range, KNN, Point, WithinDistance}
 // × contender {flat, rtree, grid, sharded at 1 and 4 shards} × surface {raw
-// Do, snapshot view over a live overlay, paginated Do — the Stream pipeline}.
+// Do, snapshot view over a live overlay, paginated Do — the Stream pipeline —
+// on the raw contender and on the view, where the stream carries the overlay}.
 // Each cell first runs to completion (R reads, oracle-equal hits), then is
 // canceled from inside read n for n early, mid-way and last-but-one: the
 // error is context.Canceled, no hit was emitted, at most n+1 reads happened,
@@ -147,6 +152,7 @@ func TestCancellationSweep(t *testing.T) {
 			// A limit past the result size: the page is the whole result, served
 			// by the lazy stream and buffered by Do.
 			{"page", ix, items, len(items) + 1},
+			{"viewpage", view, live, len(live) + 1},
 		}
 		for _, sf := range surfaces {
 			for _, req := range streamRequests() {

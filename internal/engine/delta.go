@@ -11,7 +11,8 @@ import (
 // since the base build, kept as an ID-ordered sequence of small immutable
 // chunks that consecutive epochs share structurally. A commit rewrites only
 // the chunks its batch touches (mergeDelta); a request tests only the entries
-// of chunks whose MBR its predicate admits (deltaIter).
+// of chunks whose MBR its predicate admits (deltaIter, and the stream's
+// delta candidates).
 
 // deltaChunkCap bounds a chunk's entry count: one default layout page. A
 // dataset configured with smaller layout pages uses that size instead, so a
@@ -120,75 +121,47 @@ func appendMerged(out []*deltaChunk, c *deltaChunk, ids []int32, stg map[int32]s
 	return out
 }
 
-// deltaIter is the one scan of the delta overlay: it streams a request's
-// delta hits in ascending global-ID order, skipping every chunk whose MBR the
-// request's predicate rejects — Range and Point: the MBR misses the query box;
-// WithinDistance and KNN: the MBR lies farther than r2 from the center. For
-// KNN the caller lowers r2 to its k-th best distance as candidates arrive
-// (ties are kept; the accumulator breaks them by ID). DeltaEntries counts the
-// entries tested, so it tracks the answer's neighbourhood, not the overlay.
+// deltaIter is the eager executor's scan of the delta overlay: it yields a
+// request's delta hits in ascending global-ID order, skipping every chunk whose
+// MBR the request's predicate rejects — Range and Point: the MBR misses the
+// query box; WithinDistance and KNN: the MBR lies farther than r2 from the
+// center. For KNN the caller lowers pred.r2 to its k-th best distance as
+// candidates arrive (ties are kept; the accumulator breaks them by ID).
+// entries counts the entries tested, so it tracks the answer's neighbourhood,
+// not the overlay. The lazy stream takes the same chunks as candidates of its
+// own (pageStream.takeChunk).
 type deltaIter struct {
-	chunks []*deltaChunk
-	byDist bool      // WithinDistance, KNN: test center and r2, not box
-	box    geom.AABB // Range, Point: the query box
-	center geom.Vec
-	r2     float64 // WithinDistance: radius²; KNN: the caller's pruning bound
-	cur    *deltaChunk
-	ci, i  int // next chunk to consider; next slot of cur (or of a resumed chunk)
-	st     QueryStats
+	chunks  []*deltaChunk // chunks not yet considered
+	pred    predicate
+	cur     *deltaChunk
+	i       int // next slot of cur
+	entries int64
 }
 
-// newDeltaIter opens the scan strictly after the resume position (nil = from
-// the start), which may fall inside a chunk.
-func newDeltaIter(chunks []*deltaChunk, req Request, after *Hit) deltaIter {
-	d := deltaIter{chunks: chunks, byDist: req.Kind == WithinDistance || req.Kind == KNN, box: queryBox(req),
-		center: req.Center, r2: req.Radius * req.Radius}
-	if after != nil {
-		d.ci, d.i = deltaSeek(chunks, after.ID)
-		if d.ci < len(chunks) && chunks[d.ci].ids[d.i] == after.ID {
-			d.i++
-		}
-	}
-	return d
+func newDeltaIter(chunks []*deltaChunk, req Request) deltaIter {
+	return deltaIter{chunks: chunks, pred: newPredicate(req)}
 }
 
 func (d *deltaIter) Next() (Hit, bool) {
 	for {
 		if d.cur == nil {
-			if d.ci >= len(d.chunks) {
+			if len(d.chunks) == 0 {
 				return Hit{}, false
 			}
-			c := d.chunks[d.ci]
-			d.ci++
-			var admit bool
-			if d.byDist {
-				admit = c.mbr.Dist2Point(d.center) <= d.r2
-			} else {
-				admit = c.mbr.Intersects(d.box)
+			if c := d.chunks[0]; d.pred.admits(c.mbr) {
+				d.cur, d.i = c, 0
 			}
-			if admit {
-				d.cur = c
-			} else {
-				d.i = 0
-			}
+			d.chunks = d.chunks[1:]
 			continue
 		}
 		for d.i < len(d.cur.ids) {
-			id, b := d.cur.ids[d.i], &d.cur.boxes[d.i]
+			id, b := d.cur.ids[d.i], d.cur.boxes[d.i]
 			d.i++
-			d.st.DeltaEntries++
-			if d.byDist {
-				if d2 := b.Dist2Point(d.center); d2 <= d.r2 {
-					return Hit{ID: id, Dist2: d2}, true
-				}
-			} else if b.Intersects(d.box) {
-				return Hit{ID: id}, true
+			d.entries++
+			if h, ok := d.pred.match(id, b); ok {
+				return h, true
 			}
 		}
-		d.cur, d.i = nil, 0
+		d.cur = nil
 	}
 }
-
-func (d *deltaIter) Err() error        { return nil }
-func (d *deltaIter) Stats() QueryStats { return d.st }
-func (d *deltaIter) Close()            {}

@@ -25,16 +25,18 @@
 // per-kind through the Planner, which picks an index using observed
 // per-(index, kind) cost statistics (internal/stats.Running).
 //
-// Beneath it every contender has two traversals and one hierarchy (see
-// contender in exec.go): scan, the native range traversal with the page source
-// an argument; iterate, the lazy ascending-ID stream behind pagination and
-// snapshot views; and knnExpand, the adapter that lets the executor's one
-// best-first kNN search descend the contender's own directory. One executor
-// serves Do for all four contenders: Do is scan plus the canonical sort (and
-// the exact refinement of WithinDistance), or that search. Every index also
-// satisfies prefetch.Served: PagedQuery is scan reading through the given
-// pool, IDs in emission order — so a walkthrough with prefetching can run
-// over any of them.
+// Beneath it every contender has one traversal and two adapters (see
+// traverser in exec.go): scan, the native range traversal with the page
+// source an argument; knnExpand, which lets the executor's one best-first kNN
+// search descend the contender's own directory; and zonePages, which names
+// the candidate pages, with their ID zones, that the one lazy stream behind
+// Stream and pagination reads (iter.go). One executor serves Do for all four
+// contenders and every snapshot view: Do is scan plus the canonical sort (and
+// the exact refinement of WithinDistance), or that search, with a view's
+// overlay an argument — as it is of the stream. Every index also satisfies
+// prefetch.Served: PagedQuery is scan reading through the given pool, IDs in
+// emission order — so a walkthrough with prefetching can run over any of
+// them.
 package engine
 
 import (
@@ -115,7 +117,7 @@ func (s QueryStats) NodesPerLevel() []int64 {
 }
 
 // addNode records one node access at level — the allocation-free bump the
-// streaming descent shares with the rtree-native record.
+// R-tree's kNN expansion shares with the rtree-native record.
 func (s *QueryStats) addNode(level int) {
 	if level >= MaxLevels {
 		level = MaxLevels - 1

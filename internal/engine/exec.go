@@ -14,13 +14,13 @@ import (
 // its best-first kNN search — the canonical hit-ordering helpers, and the
 // bound-tightening top-k accumulator the search gathers into.
 
-// traverser is what the eager executor runs: the native range traversal of
-// one item set and the hierarchy its kNN search descends, under the
-// SpatialIndex face pagination streams through. The four contenders implement
-// it over their own pages; a snapshot view implements it over its base
-// contender (snapshot.go), and execute lays the snapshot's overlay on top.
-// Both resolve their page source per call (see pickSource) and check ctx
-// before every page read, returning its error — cancellation is an ordinary
+// traverser is what the executors run: the native range traversal of one
+// item set, the hierarchy its kNN search descends, and the candidate pages
+// its lazy stream reads, under the SpatialIndex face. The four contenders
+// implement it over their own pages; a snapshot view implements it over its
+// base contender (snapshot.go), and execute and stream lay the snapshot's
+// overlay on top. Page reads resolve their source per call (see pickSource)
+// and check ctx first, returning its error — cancellation is an ordinary
 // error on every path, never a panic.
 //
 //   - scan is the native range traversal: it appends to out the ID of every
@@ -36,22 +36,25 @@ import (
 //     offers the residents (s.offer). e.ref == knnRoot asks for the
 //     contender's top-level entries; every other ref is one the contender
 //     pushed itself. The search, the pruning and the overlay are execute's.
+//   - zonePages is the lazy stream's (iter.go) whole traversal: it adds to ps
+//     every page a scan of queryBox(req) could find a hit on, each with its
+//     (min, max) ID zone and SoA sidecar (ps.add), and returns the source the
+//     pages are read through. Reading, refining, ordering and the overlay
+//     are the stream's.
 type traverser interface {
 	SpatialIndex
 	scan(ctx context.Context, req Request, src pager.PageSource, out *idCollector) (QueryStats, error)
 	knnExpand(s *knnSearch, e knnEntry) error
+	zonePages(req Request, ps *pageStream) pager.PageSource
 	// itemBoxes returns the exact-geometry accessor by the IDs scan emits
 	// (RAM-resident).
 	itemBoxes() func(int32) geom.AABB
 }
 
 // contender is the engine-internal face of the four index contenders (Flat,
-// RTree, Grid, Sharded): the eager traversals, the storage surface, and
-// iterate (streamer) — the lazy ascending-ID stream behind Stream and
-// paginated Do.
+// RTree, Grid, Sharded): the traversals and the storage surface.
 type contender interface {
 	Paged
-	streamer
 	traverser
 }
 
@@ -103,7 +106,8 @@ func discardHit(Hit) {}
 
 // execute is the eager executor behind every Do — a raw contender's (ov nil)
 // and a snapshot view's (ov the snapshot, ix the view over its base): serve a
-// paginated request through the lazy pipeline, and otherwise run the kind's
+// paginated request through the lazy stream (stream, its twin with the same
+// overlay argument), and otherwise run the kind's
 // traversal and emit its hits in canonical order — all or nothing: an error
 // from the traversal means visit was never called.
 //
@@ -144,11 +148,11 @@ func execute(ctx context.Context, ix traverser, ov *Snapshot, req Request, visit
 	if ov != nil && len(ov.chunks) > 0 {
 		buf := getHits()
 		defer putHits(buf)
-		d := newDeltaIter(ov.chunks, req, nil)
+		d := newDeltaIter(ov.chunks, req)
 		for h, ok := d.Next(); ok; h, ok = d.Next() {
 			*buf = append(*buf, h)
 		}
-		st.DeltaEntries = d.st.DeltaEntries
+		st.DeltaEntries = d.entries
 		delta = *buf
 	}
 	within, r2 := req.Kind == WithinDistance, req.Radius*req.Radius
@@ -260,16 +264,16 @@ func executeKNN(ctx context.Context, ix traverser, ov *Snapshot, req Request, vi
 		}
 	}
 	if ov != nil {
-		d := newDeltaIter(ov.chunks, req, nil)
+		d := newDeltaIter(ov.chunks, req)
 		for {
-			d.r2 = s.acc.Bound() // ties are kept; the accumulator breaks them by ID
+			d.pred.r2 = s.acc.Bound() // ties are kept; the accumulator breaks them by ID
 			h, ok := d.Next()
 			if !ok {
 				break
 			}
 			s.acc.Offer(h)
 		}
-		s.st.DeltaEntries = d.st.DeltaEntries
+		s.st.DeltaEntries = d.entries
 	}
 	// Nothing above can fail any more, so emission may begin.
 	hits := s.acc.Hits()

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"neurospatial/internal/flat"
 	"neurospatial/internal/geom"
@@ -24,10 +23,10 @@ type Flat struct {
 	// seed is the seed tree flattened into a RAM directory (seed[0] the
 	// root): what kNN descends to the pages near its center.
 	seed []seedNode
-	src  pager.PageSource
-	// zoneMu guards the lazily derived zone map of the current build.
-	zoneMu sync.Mutex //neurospatial:lock flat.zone
-	zones  []idZone
+	// zones is the per-page (min, max) item-ID zone map of the build, what
+	// the lazy stream orders pages by.
+	zones []idZone
+	src   pager.PageSource
 }
 
 // seedNode is one node of FLAT's seed tree: its MBR and its kids — indexes
@@ -60,6 +59,7 @@ func (f *Flat) adopt(idx *flat.Index) {
 	if root, ok := idx.SeedRoot(); ok {
 		f.seed = flattenSeed(nil, root)
 	}
+	f.zones = storeZones(idx.Store())
 }
 
 // NewFlat returns an unbuilt FLAT engine index with the given options.
@@ -88,46 +88,7 @@ func (f *Flat) Build(items []rtree.Item) error {
 	}
 	f.adopt(idx)
 	f.src = nil
-	f.zoneMu.Lock()
-	f.zones = nil
-	f.zoneMu.Unlock()
 	return nil
-}
-
-// zoneMap returns the per-page (min, max) item-ID zones of the current
-// build, derived once from the RAM-resident page layout (like the page
-// MBRs; not page I/O).
-func (f *Flat) zoneMap() []idZone {
-	f.zoneMu.Lock()
-	defer f.zoneMu.Unlock()
-	if f.zones == nil {
-		f.zones = storeZones(f.idx.Store())
-	}
-	return f.zones
-}
-
-// iterate implements the internal streaming capability. The ascending-ID
-// kinds run the zone-map merge over the seed tree's candidate pages (every
-// true hit lies on a page whose MBR intersects the query box, so the
-// candidate set is complete; the exact refinement is the RAM-resident item
-// box). The stats mapping differs from the eager path in the RAM-side
-// counters only: IndexReads counts candidate pages rather than seed-tree
-// node accesses, and Reseeds stays 0 (the zone-map order replaces the
-// crawl); PagesRead accounting is identical on a full drain. Only Stream and
-// paginated Do report this mapping — an unpaginated Do, on the raw index or
-// through a snapshot view, is scan's and reports the crawl's — and a page's
-// record never feeds a planner.
-func (f *Flat) iterate(ctx context.Context, req Request, after *Hit) (HitIterator, error) {
-	if f.idx == nil {
-		return &sliceIter{}, ctxErr(ctx)
-	}
-	pages := f.idx.PagesInRange(queryBox(req))
-	ps := newPageStream(ctx, f.source(req, nil), pages, f.zoneMap(), after,
-		acceptFor(req, f.boxOf))
-	if req.Kind == Range || req.Kind == Point {
-		ps.useCoords(f.idx.Coords(), queryBox(req))
-	}
-	return ps, nil
 }
 
 // Bounds implements SpatialIndex.
@@ -207,6 +168,31 @@ func (f *Flat) knnExpand(s *knnSearch, e knnEntry) error {
 		}
 	}
 	return nil
+}
+
+// zonePages implements traverser: the pages whose MBRs intersect the query
+// box, found down the seed tree (the set PagesInRange returns), each with its
+// zone. Every true hit lies on such a page, so the candidate set is complete.
+func (f *Flat) zonePages(req Request, ps *pageStream) pager.PageSource {
+	if len(f.seed) == 0 {
+		return nil
+	}
+	f.addSeed(0, queryBox(req), ps)
+	return f.source(req, nil)
+}
+
+// addSeed adds the pages under seed node i that intersect q.
+func (f *Flat) addSeed(i int32, q geom.AABB, ps *pageStream) {
+	n := &f.seed[i]
+	for _, k := range n.kids {
+		if !n.leaf {
+			if f.seed[k].box.Intersects(q) {
+				f.addSeed(k, q, ps)
+			}
+		} else if p := pager.PageID(k); f.idx.PageBox(p).Intersects(q) {
+			ps.add(p, f.zones[p], f.idx.Coords())
+		}
+	}
 }
 
 // Store implements Paged (nil before Build).

@@ -63,10 +63,10 @@ type Grid struct {
 	// boxOf is the exact-geometry accessor bound once per build (a per-query
 	// closure would be a hot-path allocation).
 	boxOf func(int32) geom.AABB
+	// zones is the per-page (min, max) item-ID zone map of the build, what
+	// the lazy stream orders pages by.
+	zones []idZone
 	src   pager.PageSource
-	// zoneMu guards the lazily derived zone map of the current build.
-	zoneMu sync.Mutex //neurospatial:lock grid.zone
-	zones  []idZone
 }
 
 // NewGrid returns an unbuilt grid engine index.
@@ -89,10 +89,7 @@ func (gx *Grid) buildFixed(items []rtree.Item, nx, ny, nz int) error {
 
 func (gx *Grid) build(items []rtree.Item, nx, ny, nz int) error {
 	gx.g, gx.store, gx.pageOf, gx.src = nil, nil, nil, nil
-	gx.coords, gx.itemOff = nil, nil
-	gx.zoneMu.Lock()
-	gx.zones = nil
-	gx.zoneMu.Unlock()
+	gx.coords, gx.itemOff, gx.zones = nil, nil, nil
 	gx.boxes = make([]geom.AABB, len(items))
 	gx.boxOf = func(id int32) geom.AABB { return gx.boxes[id] }
 	gx.bounds = geom.EmptyAABB()
@@ -157,6 +154,7 @@ func (gx *Grid) build(items []rtree.Item, nx, ny, nz int) error {
 	}
 	gx.store = builder.Build()
 	gx.coords = pager.BuildCoords(gx.store, gx.boxOf)
+	gx.zones = storeZones(gx.store)
 	return nil
 }
 
@@ -177,10 +175,11 @@ func (gx *Grid) source(req Request, passed pager.PageSource) pager.PageSource {
 
 // gridRangeScratch is the pooled per-query state of the grid range
 // traversal. The cell visitor closure is bound once per pooled object (a
-// per-query closure literal is a heap allocation); the read-page set is a
-// stamped slice reset in O(1) instead of a fresh map. The cell directory has
-// no early exit, so once ctx is canceled the visitor records the error and
-// the remaining cells are skipped unread.
+// per-query closure literal is a heap allocation). Cells are visited in
+// ascending order and pages are filled in cell order, so the pages met never
+// go back: next, the first page not yet read, is the whole read-page set. The
+// cell directory has no early exit, so once ctx is canceled the visitor
+// records the error and the remaining cells are skipped unread.
 type gridRangeScratch struct {
 	gx    *Grid
 	ctx   context.Context
@@ -189,8 +188,7 @@ type gridRangeScratch struct {
 	out   *idCollector
 	stats QueryStats
 	err   error
-	seen  []uint32
-	stamp uint32
+	next  pager.PageID
 	cell  func(int, []int32)
 }
 
@@ -202,11 +200,11 @@ var gridRangePool = sync.Pool{New: func() any {
 		}
 		s.stats.IndexReads++
 		for _, id := range ids {
-			if pg := s.gx.pageOf[id]; s.seen[pg] != s.stamp {
+			if pg := s.gx.pageOf[id]; pg >= s.next {
 				if s.err = s.ctx.Err(); s.err != nil {
 					return
 				}
-				s.seen[pg] = s.stamp
+				s.next = pg + 1
 				s.src.ReadPage(pg)
 				s.stats.PagesRead++
 			}
@@ -224,17 +222,7 @@ var gridRangePool = sync.Pool{New: func() any {
 func getGridRange(ctx context.Context, gx *Grid, q geom.AABB, src pager.PageSource, out *idCollector) *gridRangeScratch {
 	s := gridRangePool.Get().(*gridRangeScratch)
 	s.gx, s.ctx, s.q, s.src, s.out = gx, ctx, q, src, out
-	s.stats, s.err = QueryStats{}, nil
-	if n := gx.store.NumPages(); cap(s.seen) < n {
-		s.seen = make([]uint32, n)
-	} else {
-		s.seen = s.seen[:n]
-	}
-	s.stamp++
-	if s.stamp == 0 {
-		clear(s.seen)
-		s.stamp = 1
-	}
+	s.stats, s.err, s.next = QueryStats{}, nil, 0
 	return s
 }
 
@@ -261,36 +249,35 @@ func (gx *Grid) scan(ctx context.Context, req Request, src pager.PageSource, out
 // itemBoxes implements contender.
 func (gx *Grid) itemBoxes() func(int32) geom.AABB { return gx.boxOf }
 
-// zoneMap returns the per-page (min, max) item-ID zones of the current
-// build, derived once from the RAM-resident page layout (not page I/O).
-func (gx *Grid) zoneMap() []idZone {
-	gx.zoneMu.Lock()
-	defer gx.zoneMu.Unlock()
-	if gx.zones == nil {
-		gx.zones = storeZones(gx.store)
+// zonePages implements traverser: the pages scan reads (pageRuns), each with
+// its zone.
+func (gx *Grid) zonePages(req Request, ps *pageStream) pager.PageSource {
+	if gx.g == nil {
+		return nil
 	}
-	return gx.zones
+	gx.pageRuns(queryBox(req), func(p pager.PageID) { ps.add(p, gx.zones[p], gx.coords) })
+	return gx.source(req, nil)
 }
 
-// iterate implements the internal streaming capability. The ascending-ID
-// kinds run the zone-map merge over the candidate pages of the expanded
-// range (an item's cell is determined by its box center, so every true hit's
-// page is among them); the exact refinement is the RAM-resident item box, so
-// page residents outside the candidate cells are tested and rejected — the
-// streaming path's EntriesTested can exceed the eager traversal's, while
-// PagesRead is identical on a full drain. IndexReads counts candidate pages
-// rather than cells inspected.
-func (gx *Grid) iterate(ctx context.Context, req Request, after *Hit) (HitIterator, error) {
-	if gx.g == nil {
-		return &sliceIter{}, ctxErr(ctx)
-	}
-	pages := gx.PagesInRange(queryBox(req))
-	ps := newPageStream(ctx, gx.source(req, nil), pages, gx.zoneMap(), after,
-		acceptFor(req, gx.boxOf))
-	if req.Kind == Range || req.Kind == Point {
-		ps.useCoords(gx.coords, queryBox(req))
-	}
-	return ps, nil
+// pageRuns calls fn, in ascending order, on every page a scan of q reads:
+// those of the items registered in the cells q expanded by the largest
+// half-extent overlaps (an item's cell is determined by its box center, so
+// every true hit's page is among them). A cell's items are consecutive in the
+// layout, so a cell covers the run of pages from its first item's to its
+// last's; as in scan, the runs of ascending cells never go back, so a page is
+// reported once by skipping what the previous cell reached.
+func (gx *Grid) pageRuns(q geom.AABB, fn func(pager.PageID)) {
+	next := pager.PageID(0)
+	gx.g.ForEachInRange(q.Expand(gx.maxHalf), func(_ int, ids []int32) {
+		if len(ids) == 0 {
+			return
+		}
+		last := gx.pageOf[ids[len(ids)-1]]
+		for p := max(next, gx.pageOf[ids[0]]); p <= last; p++ {
+			fn(p)
+		}
+		next = last + 1
+	})
 }
 
 // Do implements SpatialIndex through the shared executor. Range, Point and
@@ -400,21 +387,13 @@ func (gx *Grid) PageOf(id int32) pager.PageID {
 }
 
 // PagesInRange implements Paged: the distinct pages of candidates in the
-// range, in first-touch (cell-major) order.
+// range, in first-touch (cell-major, so ascending) order.
 func (gx *Grid) PagesInRange(q geom.AABB) []pager.PageID {
 	if gx.g == nil {
 		return nil
 	}
 	var out []pager.PageID
-	seen := make(map[pager.PageID]bool)
-	gx.g.ForEachInRange(q.Expand(gx.maxHalf), func(_ int, ids []int32) {
-		for _, id := range ids {
-			if pg := gx.pageOf[id]; !seen[pg] {
-				seen[pg] = true
-				out = append(out, pg)
-			}
-		}
-	})
+	gx.pageRuns(q, func(p pager.PageID) { out = append(out, p) })
 	return out
 }
 

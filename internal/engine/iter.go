@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -14,51 +13,39 @@ import (
 	"neurospatial/internal/pager"
 )
 
-// This file is the streaming result path: the lazy HitIterator pipeline that
-// replaces collect-then-return execution for Stream and paginated requests —
-// on raw contenders and on snapshot views, whose paginated base∪delta merge is
-// built from it (an unpaginated Do is the eager executor's, exec.go). The design
-// constraint is the canonical hit order (see Hit): ascending ID for the
-// boolean kinds, ascending (Dist2, ID) for KNN. Laziness under that order
-// comes from zone maps — per-page (min, max) item-ID ranges derived from the
-// RAM-resident page layout at build time, like the page MBRs. Candidate
-// pages are consumed in ascending min-ID order and a buffered hit is emitted
-// only once its ID precedes every unread page's zone, so a consumer that
-// stops pulling (Limit satisfied) leaves the remaining pages unread: early
-// termination at page-read granularity. Like the eager traversals, the
-// iterators check ctxErr before every read.
+// This file is the streaming result path: the lazy HitIterator behind Stream
+// and paginated requests, on raw contenders and on snapshot views alike (an
+// unpaginated Do is the eager executor's, exec.go). The design constraint is
+// the canonical hit order (see Hit): ascending ID for the boolean kinds,
+// ascending (Dist2, ID) for KNN. Laziness under that order comes from zone
+// maps — per-page (min, max) item-ID ranges derived from the RAM-resident
+// page layout at build time, like the page MBRs. A contender only names its
+// candidate pages with their zones (traverser.zonePages); the one pageStream
+// reads them in ascending zone-min order and emits a buffered hit only once
+// its ID precedes every unread zone, so a consumer that stops pulling (Limit
+// satisfied) leaves the remaining pages unread: early termination at
+// page-read granularity. Like the eager traversals, the stream checks ctxErr
+// before every read.
 
 // HitIterator is a lazy stream of hits in the canonical per-kind order.
 // Obtain one with Stream; drain it with Next until it reports false, then
 // check Err (a false Next means either exhaustion or failure). Stats reports
 // the execution record of the work performed so far — under a Limit it
-// reflects only the pages actually read, which is what the early-stop proofs
-// in the tests and E11 measure. Close releases the iterator's resources;
-// callers must Close every iterator they obtain, drained or not (dropping
-// one early without Close leaks nothing today, but the obligation is part of
-// the contract so composed stages — shard merges, snapshot overlays — can
-// rely on it).
+// reflects only the pages actually read. Close releases the iterator's
+// pooled scratch; callers must Close every iterator they obtain, drained or
+// not (one dropped without Close is garbage-collected, but its scratch does
+// not return to the pool).
 type HitIterator interface {
 	// Next returns the next hit in canonical order. ok == false means the
 	// stream is exhausted or failed; check Err to distinguish.
 	Next() (h Hit, ok bool)
-	// Err returns the first error the stream hit (context cancellation, a
-	// failing sub-stream), or nil.
+	// Err returns the first error the stream hit (context cancellation), or
+	// nil.
 	Err() error
 	// Stats returns the execution record of the work performed so far.
 	Stats() QueryStats
 	// Close releases the iterator. It is idempotent.
 	Close()
-}
-
-// streamer is the internal lazy-execution capability of the engine indexes:
-// iterate returns a HitIterator over req's hits strictly after the resume
-// position (nil = from the start). req carries no pagination fields — Stream
-// strips them; after is the decoded cursor. iterate serves the ascending-ID
-// kinds only (rawStream keeps KNN away from it); implementations must emit
-// ascending IDs and must not emit hits at or before after.
-type streamer interface {
-	iterate(ctx context.Context, req Request, after *Hit) (HitIterator, error)
 }
 
 // Cursor is an opaque resume token for paginated requests. A Result whose
@@ -117,11 +104,23 @@ func hitAfter(kind Kind, h, after Hit) bool {
 // Stream opens a lazy iterator over req's hits on ix. It validates the
 // request (pagination fields included), applies the cursor and Offset/Limit
 // stages, and returns the composed pipeline; the caller must Close it.
-// Indexes implementing the internal streaming capability (every engine
-// contender and snapshot view) execute lazily — under a Limit, pages beyond
-// the last emitted hit are never read; other SpatialIndex implementations
-// fall back to a buffered drain of Do (correct, but without the early-stop
-// I/O savings).
+// Every engine contender and snapshot view runs Range, Point and
+// WithinDistance through the zone-map pageStream — under a Limit, pages
+// beyond the last emitted hit are never read; KNN, and every kind on other
+// SpatialIndex implementations, fall back to a buffered drain of Do (correct,
+// but without the early-stop I/O savings).
+//
+// A page's record counts what the stream did, which is not always what Do's
+// traversal counts. Drained to the end, the stream reads exactly Do's pages
+// (PagesRead), emits Do's hits (Results) and tests Do's delta entries
+// (DeltaEntries); ShardsTouched is the number of shards admitted, as in Do,
+// though under a Limit some may never be read. The rest differ: IndexReads
+// counts candidate pages (R-tree directory nodes included), not seed-tree
+// nodes or grid cells; EntriesTested counts every resident of a page read,
+// and no R-tree child box; Reseeds stays 0 and the R-tree's LevelNodes and
+// Levels stay empty; and a WithinDistance Tombstone is a deleted item inside
+// the sphere, where Do counts those inside its bounding box. No page's
+// record feeds a planner.
 func Stream(ctx context.Context, ix SpatialIndex, req Request) (HitIterator, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -149,13 +148,19 @@ func Stream(ctx context.Context, ix SpatialIndex, req Request) (HitIterator, err
 	return it, nil
 }
 
-// rawStream opens the unclipped stream: the index's own lazy iterator when
-// it has one, a buffered fallback otherwise — and for KNN always: its result
-// set is bounded by K, so laziness buys nothing, and an unpaginated Do is the
-// executor's bound-tightening search. req must carry no pagination fields.
+// rawStream opens the unclipped stream: the zone-map stream on an engine
+// contender (a snapshot view's with its overlay), a buffered fallback
+// otherwise — and for KNN always: its result set is bounded by K, so
+// laziness buys nothing, and an unpaginated Do is the executor's
+// bound-tightening search. req must carry no pagination fields.
 func rawStream(ctx context.Context, ix SpatialIndex, req Request, after *Hit) (HitIterator, error) {
-	if s, ok := ix.(streamer); ok && req.Kind != KNN {
-		return s.iterate(ctx, req, after)
+	if req.Kind != KNN {
+		switch t := ix.(type) {
+		case *snapView:
+			return stream(ctx, t, t.snap, req, after), nil
+		case traverser:
+			return stream(ctx, t, nil, req, after), nil
+		}
 	}
 	var hits []Hit
 	st, err := ix.Do(ctx, req, func(h Hit) { hits = append(hits, h) })
@@ -168,7 +173,7 @@ func rawStream(ctx context.Context, ix SpatialIndex, req Request, after *Hit) (H
 	return &sliceIter{hits: hits, st: st}, nil
 }
 
-// doPaginated serves a paginated request through the lazy pipeline on behalf
+// doPaginated serves a paginated request through the lazy stream on behalf
 // of an index's Do method, so a Limit/Offset/Cursor request means the same
 // thing on every execution surface. Do's all-or-nothing emission contract is
 // preserved: the page — at most the Offset+Limit window — is buffered and
@@ -276,10 +281,10 @@ func (c *clipIter) Stats() QueryStats {
 
 func (c *clipIter) Close() { c.it.Close() }
 
-// idZone is the (min, max) item-ID range of one data page — the zone map
-// entry the streaming merge orders and prunes pages by. Like the page MBRs,
-// zones are RAM-resident metadata derived from the layout at build time;
-// consulting them is not page I/O.
+// idZone is the (min, max) item-ID range of one page — the zone map entry
+// the stream orders and prunes pages by. Like the page MBRs, zones are
+// RAM-resident metadata computed with the layout at build time; consulting
+// them is not page I/O.
 type idZone struct {
 	min, max int32
 }
@@ -295,34 +300,16 @@ func storeZones(s *pager.Store) []idZone {
 			if id < 0 {
 				continue
 			}
-			if id < z.min {
-				z.min = id
-			}
-			if id > z.max {
-				z.max = id
-			}
+			z.min, z.max = min(z.min, id), max(z.max, id)
 		}
 		zones[p] = z
 	}
 	return zones
 }
 
-// hitHeap is a min-heap of hits by ID — the pending buffer of the zone-map
-// merge (page contents are laid out spatially, not by ID).
+// hitHeap is a min-heap of hits by ID — the stream's pending buffer (page
+// contents are laid out spatially, not by ID).
 type hitHeap []Hit
-
-var hitHeapPool = sync.Pool{New: func() any {
-	h := hitHeap(make([]Hit, 0, 64))
-	return &h
-}}
-
-// getHitHeapBox returns a pool box holding an empty heap slice; iterators
-// keep the box and write the grown slice back on Close.
-func getHitHeapBox() *hitHeap {
-	p := hitHeapPool.Get().(*hitHeap)
-	*p = (*p)[:0]
-	return p
-}
 
 func (h *hitHeap) push(x Hit) {
 	*h = append(*h, x)
@@ -364,148 +351,192 @@ func (h *hitHeap) pop() Hit {
 	return top
 }
 
-// pageZone is one candidate page of a zone-map stream.
-type pageZone struct {
-	p   pager.PageID
-	min int32
+// zonePage is one candidate of the stream: page p with the (min, max) ID
+// zone of its residents — of its subtree, for an R-tree directory node —
+// refined against the coordinate sidecar coords from slot off on. coords nil
+// marks a delta chunk of the overlay (p its index in the snapshot's chunks):
+// RAM-resident, so taking it reads no page.
+type zonePage struct {
+	min, max int32
+	p        pager.PageID
+	off      int32
+	coords   *pager.Coords
 }
 
-// pageStream is the zone-map merge over a set of candidate data pages: pages
-// are read on demand in ascending zone-min order, every resident ID is
-// refined by accept (an exact RAM-geometry test), and a buffered hit is
-// emitted only once no unread page can precede it. Stopping early leaves the
-// remaining pages unread.
+func (a *zonePage) before(b *zonePage) bool {
+	return a.min < b.min || a.min == b.min && a.p < b.p
+}
+
+// pageStream is the one lazy stream under every contender and view: a
+// min-heap of candidate pages by zone min (ties by page, so an R-tree
+// directory node precedes the children it shares a min with) and a min-heap
+// of pending hits. Next takes the least unread candidate — reads the page and
+// refines its residents, or tests a delta chunk's entries — until the least
+// pending hit precedes every unread zone. Under an overlay it drops the
+// residents the snapshot tombstoned and translates the rest through baseIDs;
+// zones were translated when the stream was opened (both ascend).
 type pageStream struct {
 	ctx     context.Context
 	src     pager.PageSource
-	pages   []pageZone // ascending zone min
-	next    int
+	ov      *Snapshot // nil on a raw contender
+	pred    predicate
+	after   int32 // resume position; -1 = from the start
+	sc      *streamScratch
+	cands   []zonePage // min-heap by before
 	pending hitHeap
-	accept  func(id int32, st *QueryStats) (Hit, bool)
-	// pagesBox/pendingBox are the pool boxes the slices came from; Close
-	// writes the (possibly grown) slices back and recycles them.
-	pagesBox   *[]pageZone
-	pendingBox *hitHeap
-	// coords, when non-nil, short-circuits accept for the box kinds: the
-	// page's residents are refined with a sequential scan of the SoA
-	// coordinate sidecar (same tests and counters as the accept closure,
-	// without the per-element strided boxOf load).
-	coords *pager.Coords
-	boxQ   geom.AABB
-	// hasAfter/afterID mirror the resume filter for the coords path.
-	hasAfter bool
-	afterID  int32
-	st       QueryStats
-	err      error
+	st      QueryStats
+	err     error
 }
 
-var pageZonePool = sync.Pool{New: func() any {
-	s := make([]pageZone, 0, 64)
-	return &s
+// streamScratch is a stream's pooled candidate and pending buffers; cands
+// keeps the full candidate list so Close can clear the sidecar pointers.
+type streamScratch struct {
+	cands   []zonePage
+	pending hitHeap
+}
+
+var streamScratchPool = sync.Pool{New: func() any {
+	return &streamScratch{cands: make([]zonePage, 0, 64), pending: make(hitHeap, 0, 64)}
 }}
 
-func cmpPageZone(a, b pageZone) int {
-	switch {
-	case a.min < b.min:
-		return -1
-	case a.min > b.min:
-		return 1
-	case a.p < b.p:
-		return -1
-	case a.p > b.p:
-		return 1
-	}
-	return 0
-}
-
-// newPageStream builds the stream over the candidate pages, pruning pages
-// entirely at or before the resume position via their zone max.
-func newPageStream(ctx context.Context, src pager.PageSource, candidates []pager.PageID,
-	zones []idZone, after *Hit, accept func(id int32, st *QueryStats) (Hit, bool)) *pageStream {
-
-	ps := &pageStream{ctx: ctx, src: src, accept: accept,
-		pagesBox: pageZonePool.Get().(*[]pageZone), pendingBox: getHitHeapBox()}
-	ps.pending = *ps.pendingBox
-	ps.st.IndexReads = int64(len(candidates))
-	pages := (*ps.pagesBox)[:0]
-	for _, p := range candidates {
-		z := zones[p]
-		if z.max < z.min {
-			continue // no element payload
-		}
-		if after != nil && z.max <= after.ID {
-			continue // cursor pushdown: the whole page precedes the resume point
-		}
-		pages = append(pages, pageZone{p: p, min: z.min})
-	}
-	*ps.pagesBox = pages
-	slices.SortFunc(pages, cmpPageZone)
-	ps.pages = pages
+// stream is the lazy twin of execute: req's hits on ix strictly after the
+// resume position (nil = from the start), with the overlay ov (nil on a raw
+// contender) applied inside the one loop. The contender appends its candidate
+// pages; under an overlay their zones are translated to dataset IDs and every
+// delta chunk the request admits joins them as one more candidate. req is an
+// ascending-ID kind and carries no pagination fields.
+func stream(ctx context.Context, ix traverser, ov *Snapshot, req Request, after *Hit) HitIterator {
+	sc := streamScratchPool.Get().(*streamScratch)
+	ps := &pageStream{ctx: ctx, ov: ov, pred: newPredicate(req), after: -1,
+		sc: sc, cands: sc.cands[:0], pending: sc.pending[:0]}
 	if after != nil {
-		ps.hasAfter, ps.afterID = true, after.ID
-		inner := ps.accept
-		lo := after.ID
-		ps.accept = func(id int32, st *QueryStats) (Hit, bool) {
-			if id <= lo {
-				return Hit{}, false
+		ps.after = after.ID
+	}
+	ps.src = ix.zonePages(req, ps)
+	ps.st.IndexReads = int64(len(ps.cands))
+	if ov != nil {
+		for i := range ps.cands {
+			z := &ps.cands[i]
+			z.min, z.max = ov.baseIDs[z.min], ov.baseIDs[z.max]
+		}
+		for i, c := range ov.chunks {
+			if ps.pred.admits(c.mbr) {
+				ps.cands = append(ps.cands, zonePage{min: c.ids[0], max: c.last(), p: pager.PageID(i)})
 			}
-			return inner(id, st)
 		}
 	}
+	for i := len(ps.cands)/2 - 1; i >= 0; i-- {
+		ps.down(i)
+	}
+	sc.cands = ps.cands
 	return ps
 }
 
-// useCoords switches the box-kind refinement onto the SoA sidecar (see the
-// coords field). Only valid when the accept stage is the plain
-// box-intersection test against boxQ — the caller asserts that by kind.
-func (ps *pageStream) useCoords(c *pager.Coords, boxQ geom.AABB) {
-	ps.coords = c
-	ps.boxQ = boxQ
+// add appends page p, with zone z and sidecar coords, to the candidates — a
+// contender's one obligation to the stream. A zone without element payload
+// is dropped.
+func (ps *pageStream) add(p pager.PageID, z idZone, coords *pager.Coords) {
+	if z.max < z.min {
+		return
+	}
+	ps.cands = append(ps.cands, zonePage{min: z.min, max: z.max, p: p,
+		off: int32(coords.PageOffset(p)), coords: coords})
 }
 
 func (ps *pageStream) Next() (Hit, bool) {
-	for {
-		if ps.err != nil {
-			return Hit{}, false
-		}
-		// Emit the least pending hit once no unread page can precede it.
-		if len(ps.pending) > 0 &&
-			(ps.next >= len(ps.pages) || ps.pending[0].ID < ps.pages[ps.next].min) {
+	for ps.err == nil {
+		if len(ps.pending) > 0 && (len(ps.cands) == 0 || ps.pending[0].ID < ps.cands[0].min) {
 			return ps.pending.pop(), true
 		}
-		if ps.next >= len(ps.pages) {
-			return Hit{}, false
+		if len(ps.cands) == 0 {
+			break
 		}
-		if err := ctxErr(ps.ctx); err != nil {
-			ps.err = err
-			return Hit{}, false
+		z := ps.cands[0]
+		n := len(ps.cands) - 1
+		ps.cands[0] = ps.cands[n]
+		ps.cands = ps.cands[:n]
+		ps.down(0)
+		if z.max <= ps.after {
+			continue // cursor pushdown: the whole zone precedes the resume point
 		}
-		pz := ps.pages[ps.next]
-		ps.next++
-		ps.st.PagesRead++
-		ids := ps.src.ReadPage(pz.p)
-		if ps.coords != nil {
-			base := ps.coords.PageOffset(pz.p)
-			for i, id := range ids {
-				if id < 0 || (ps.hasAfter && id <= ps.afterID) {
-					continue
-				}
-				ps.st.EntriesTested++
-				if ps.coords.IntersectsAt(base+i, ps.boxQ) {
-					ps.st.Results++
-					ps.pending.push(Hit{ID: id})
-				}
-			}
+		if ps.err = ctxErr(ps.ctx); ps.err != nil {
+			break
+		}
+		if z.coords == nil {
+			ps.takeChunk(ps.ov.chunks[z.p])
+		} else {
+			ps.takePage(&z)
+		}
+	}
+	return Hit{}, false
+}
+
+// down restores the candidate heap below slot i.
+func (ps *pageStream) down(i int) {
+	h := ps.cands
+	for {
+		least := i
+		if l := 2*i + 1; l < len(h) && h[l].before(&h[least]) {
+			least = l
+		}
+		if r := 2*i + 2; r < len(h) && h[r].before(&h[least]) {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+}
+
+// takePage reads candidate page z and buffers its residents that follow the
+// resume position and pass the request's test against the sidecar — a
+// tombstoned one is dropped after the test, a live one takes its dataset ID.
+func (ps *pageStream) takePage(z *zonePage) {
+	ps.st.PagesRead++
+	for i, id := range ps.src.ReadPage(z.p) {
+		if id < 0 {
+			continue // an R-tree directory node's placeholder
+		}
+		g := id
+		if ps.ov != nil {
+			g = ps.ov.baseIDs[id]
+		}
+		if g <= ps.after {
 			continue
 		}
-		for _, id := range ids {
-			if id < 0 {
-				continue
-			}
-			if h, ok := ps.accept(id, &ps.st); ok {
-				ps.st.Results++
-				ps.pending.push(h)
-			}
+		ps.st.EntriesTested++
+		slot := int(z.off) + i
+		h, ok := Hit{ID: g}, false
+		if ps.pred.byDist {
+			h, ok = ps.pred.match(g, z.coords.BoxAt(slot))
+		} else {
+			ok = z.coords.IntersectsAt(slot, ps.pred.box)
+		}
+		if !ok {
+			continue
+		}
+		if ps.ov != nil && ps.ov.dead(id) {
+			ps.st.Tombstones++
+			continue
+		}
+		ps.st.Results++
+		ps.pending.push(h)
+	}
+}
+
+// takeChunk tests the entries of delta chunk c that follow the resume
+// position and buffers the matches.
+func (ps *pageStream) takeChunk(c *deltaChunk) {
+	for i, id := range c.ids {
+		if id <= ps.after {
+			continue
+		}
+		ps.st.DeltaEntries++
+		if h, ok := ps.pred.match(id, c.boxes[i]); ok {
+			ps.st.Results++
+			ps.pending.push(h)
 		}
 	}
 }
@@ -513,135 +544,18 @@ func (ps *pageStream) Next() (Hit, bool) {
 func (ps *pageStream) Err() error        { return ps.err }
 func (ps *pageStream) Stats() QueryStats { return ps.st }
 
-// Close recycles the pooled page list and pending heap. Idempotent; Stats
-// stays valid, and a Next after Close sees an empty page list and empty heap
-// and reports exhaustion.
+// Close recycles the pooled buffers, clearing the candidates' sidecar
+// pointers first so the pool pins no retired build. Idempotent; Stats stays
+// valid, and a Next after Close sees no candidates and no pending hits and
+// reports exhaustion.
 func (ps *pageStream) Close() {
-	if ps.pagesBox != nil {
-		*ps.pagesBox = ps.pages[:0]
-		pageZonePool.Put(ps.pagesBox)
-		ps.pagesBox, ps.pages, ps.next = nil, nil, 0
+	if ps.sc == nil {
+		return
 	}
-	if ps.pendingBox != nil {
-		*ps.pendingBox = ps.pending[:0]
-		hitHeapPool.Put(ps.pendingBox)
-		ps.pendingBox, ps.pending = nil, nil
-	}
-}
-
-// mapFilterIter translates and filters an inner stream: fn maps each inner
-// hit to the outer space or drops it. extra, when non-nil, is a counter
-// record fn mutates (e.g. the snapshot overlay's tombstone count) that
-// Stats folds into the reported record.
-type mapFilterIter struct {
-	it    HitIterator
-	fn    func(Hit) (Hit, bool)
-	extra *QueryStats
-}
-
-func (m *mapFilterIter) Next() (Hit, bool) {
-	for {
-		h, ok := m.it.Next()
-		if !ok {
-			return Hit{}, false
-		}
-		if out, keep := m.fn(h); keep {
-			return out, true
-		}
-	}
-}
-
-func (m *mapFilterIter) Err() error { return m.it.Err() }
-
-func (m *mapFilterIter) Stats() QueryStats {
-	st := m.it.Stats()
-	if m.extra != nil {
-		st.IndexReads += m.extra.IndexReads
-		st.PagesRead += m.extra.PagesRead
-		st.EntriesTested += m.extra.EntriesTested
-		st.Reseeds += m.extra.Reseeds
-		st.ShardsTouched += m.extra.ShardsTouched
-		st.DeltaEntries += m.extra.DeltaEntries
-		st.Tombstones += m.extra.Tombstones
-	}
-	return st
-}
-
-func (m *mapFilterIter) Close() { m.it.Close() }
-
-// kwayMerge merges ascending-ID streams into one ascending-ID stream — the
-// sharded gather and the snapshot base∪delta merge. Input streams must have
-// pairwise-disjoint ID sets (shard partitions; base and delta, where an
-// updated item is tombstoned out of the base). Stats sums the inputs' records
-// plus extra, with Results rewritten to the merged emission count.
-type kwayMerge struct {
-	its     []HitIterator
-	cur     []Hit
-	ok      []bool
-	primed  bool
-	extra   QueryStats
-	emitted int64
-	err     error
-}
-
-func newKWayMerge(its []HitIterator, extra QueryStats) *kwayMerge {
-	return &kwayMerge{its: its, cur: make([]Hit, len(its)), ok: make([]bool, len(its)), extra: extra}
-}
-
-// advance pulls the next hit of stream i, recording a sub-stream failure.
-func (m *kwayMerge) advance(i int) {
-	m.cur[i], m.ok[i] = m.its[i].Next()
-	if !m.ok[i] {
-		if err := m.its[i].Err(); err != nil && m.err == nil {
-			m.err = err
-		}
-	}
-}
-
-func (m *kwayMerge) Next() (Hit, bool) {
-	if !m.primed {
-		m.primed = true
-		for i := range m.its {
-			m.advance(i)
-		}
-	}
-	if m.err != nil {
-		return Hit{}, false
-	}
-	best := -1
-	for i := range m.its {
-		if m.ok[i] && (best < 0 || m.cur[i].ID < m.cur[best].ID) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return Hit{}, false
-	}
-	h := m.cur[best]
-	m.advance(best)
-	if m.err != nil {
-		return Hit{}, false
-	}
-	m.emitted++
-	return h, true
-}
-
-func (m *kwayMerge) Err() error { return m.err }
-
-func (m *kwayMerge) Stats() QueryStats {
-	st := m.extra
-	for _, it := range m.its {
-		sub := it.Stats()
-		st.add(&sub)
-	}
-	st.Results = m.emitted
-	return st
-}
-
-func (m *kwayMerge) Close() {
-	for _, it := range m.its {
-		it.Close()
-	}
+	clear(ps.sc.cands)
+	ps.sc.cands, ps.sc.pending = ps.sc.cands[:0], ps.pending[:0]
+	streamScratchPool.Put(ps.sc)
+	ps.sc, ps.cands, ps.pending = nil, nil, nil
 }
 
 // queryBox is the traversal box of an ascending-ID kind: the range box
@@ -657,26 +571,35 @@ func queryBox(req Request) geom.AABB {
 	return req.Box
 }
 
-// acceptFor builds the exact-geometry refine stage of an ascending-ID kind:
-// the box-intersection test for Range/Point, the exact Dist2Point sphere
-// test for WithinDistance. boxOf must resolve IDs from RAM metadata.
-func acceptFor(req Request, boxOf func(int32) geom.AABB) func(id int32, st *QueryStats) (Hit, bool) {
-	if req.Kind == WithinDistance {
-		r2 := req.Radius * req.Radius
-		return func(id int32, st *QueryStats) (Hit, bool) {
-			st.EntriesTested++
-			if d2 := boxOf(id).Dist2Point(req.Center); d2 <= r2 {
-				return Hit{ID: id, Dist2: d2}, true
-			}
-			return Hit{}, false
-		}
+// predicate is the exact test of a request, shared by the stream and the
+// delta scan: a box meets the query box (Range, Point), or lies within r2 of
+// the center (WithinDistance; KNN's delta pass lowers r2 to its k-th best
+// distance as candidates arrive).
+type predicate struct {
+	byDist bool
+	box    geom.AABB
+	center geom.Vec
+	r2     float64
+}
+
+func newPredicate(req Request) predicate {
+	return predicate{byDist: req.Kind == WithinDistance || req.Kind == KNN, box: queryBox(req),
+		center: req.Center, r2: req.Radius * req.Radius}
+}
+
+// admits reports whether a region bounded by mbr can hold a match.
+func (p *predicate) admits(mbr geom.AABB) bool {
+	if p.byDist {
+		return mbr.Dist2Point(p.center) <= p.r2
 	}
-	q := queryBox(req)
-	return func(id int32, st *QueryStats) (Hit, bool) {
-		st.EntriesTested++
-		if boxOf(id).Intersects(q) {
-			return Hit{ID: id}, true
-		}
-		return Hit{}, false
+	return mbr.Intersects(p.box)
+}
+
+// match tests item id with box b, returning its hit when it passes.
+func (p *predicate) match(id int32, b geom.AABB) (Hit, bool) {
+	if p.byDist {
+		d2 := b.Dist2Point(p.center)
+		return Hit{ID: id, Dist2: d2}, d2 <= p.r2
 	}
+	return Hit{ID: id}, b.Intersects(p.box)
 }

@@ -201,6 +201,65 @@ func TestPaginationReconcatenates(t *testing.T) {
 	}
 }
 
+// TestStreamDrainReadsLikeDo pins what the lazy stream must keep from the
+// eager executor: a Do whose Limit lies past the result — the stream drained
+// to the end — emits exactly the unpaginated Do's hits and reads exactly its
+// pages, counted both by the request's PagesRead and by a tap on the real
+// reads; through a churned snapshot view it also tests exactly as many delta
+// entries. Every contender is covered, the sharded one over each sub-index
+// kind, so a stream that stops reading R-tree directory nodes or a shard's
+// pages where the eager traversal reads them shows up here.
+func TestStreamDrainReadsLikeDo(t *testing.T) {
+	items := streamItems(3000, 79)
+	cs := sweepContenders(t, items)
+	for _, sub := range []string{"rtree", "grid"} {
+		cs = append(cs, newSweepContender(t, "sharded4"+sub, engine.NewSharded(engine.ShardedOptions{
+			Shards: 4, Index: sub, RTreeFanout: 8, Grid: engine.GridOptions{PageSize: 8}}), items))
+	}
+	for _, c := range cs {
+		view, live := churnedView(t, c.ix, items)
+		for _, sf := range []struct {
+			name string
+			ix   engine.SpatialIndex
+			n    int
+		}{{"raw", c.ix, len(items)}, {"view", view, len(live)}} {
+			for _, req := range streamRequests() {
+				if req.Kind == engine.KNN {
+					continue // served by a buffered drain of Do, not the stream
+				}
+				t.Run(fmt.Sprintf("%s/%s/%s", c.name, sf.name, req.Kind), func(t *testing.T) {
+					run := func(req engine.Request) ([]engine.Hit, engine.QueryStats, int) {
+						c.tap.arm(0, nil)
+						var hits []engine.Hit
+						st, err := sf.ix.Do(context.Background(), req, func(h engine.Hit) { hits = append(hits, h) })
+						if err != nil {
+							t.Fatal(err)
+						}
+						return hits, st, c.tap.count()
+					}
+					want, wantSt, wantReads := run(req)
+					if len(want) == 0 || wantReads == 0 {
+						t.Fatalf("degenerate cell: %d hits, %d reads", len(want), wantReads)
+					}
+					page := req
+					page.Limit = sf.n + 1
+					got, st, reads := run(page)
+					if !hitsEqual(got, want) {
+						t.Fatalf("drained stream emitted %d hits, Do %d", len(got), len(want))
+					}
+					if reads != wantReads || st.PagesRead != wantSt.PagesRead {
+						t.Fatalf("drained stream read %d pages (PagesRead %d), Do %d (PagesRead %d)",
+							reads, st.PagesRead, wantReads, wantSt.PagesRead)
+					}
+					if st.DeltaEntries != wantSt.DeltaEntries {
+						t.Fatalf("drained stream tested %d delta entries, Do %d", st.DeltaEntries, wantSt.DeltaEntries)
+					}
+				})
+			}
+		}
+	}
+}
+
 // churnedDataset builds a Dataset over the items and commits a batch of
 // updates, deletes and inserts, returning it with the overlay still live
 // (auto-compaction off) for the snapshot-side pagination properties.

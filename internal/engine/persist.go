@@ -248,9 +248,9 @@ func thawSharded(rec *durable.IndexRec, items []rtree.Item, opts ShardedOptions)
 		bounds := geom.EmptyAABB()
 		prev := int32(-1)
 		for l, g := range globals {
-			// Ascending order within a shard is load-bearing (the stream
-			// resume search and the kNN tie-break rely on local IDs ascending
-			// with global IDs); it also rejects negatives and in-shard
+			// Ascending order within a shard is load-bearing (the stream's
+			// zone translation and the kNN tie-break rely on local IDs
+			// ascending with global IDs); it also rejects negatives and in-shard
 			// duplicates, and seen catches cross-shard ones.
 			if g <= prev || int(g) >= len(items) || seen[g] {
 				return nil, fmt.Errorf("engine: thaw sharded: shard %d entry %d names invalid, duplicate or out-of-order item %d", i, l, g)

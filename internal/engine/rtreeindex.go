@@ -3,7 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sync"
+	"math"
 
 	"neurospatial/internal/geom"
 	"neurospatial/internal/pager"
@@ -28,12 +28,12 @@ type RTree struct {
 	boxOf func(int32) geom.AABB
 	// coords is the struct-of-arrays sidecar of the node-page store: leaf
 	// pages' item coordinates as contiguous per-axis runs (internal-node
-	// placeholder entries get empty boxes), scanned sequentially by the
-	// streaming leaf refinement.
+	// placeholder entries get empty boxes), scanned sequentially by the kNN
+	// search and the lazy stream.
 	coords *pager.Coords
 	// nodes is the RAM-resident node directory built at paging time: per
-	// node its page, MBR, level and (min, max) item-ID zone — what the
-	// streaming descent orders subtrees by. nodes[0] is the root.
+	// node its page, MBR, level and the (min, max) item-ID zone of its
+	// subtree — what the lazy stream orders nodes by. nodes[0] is the root.
 	nodes []rnode
 }
 
@@ -43,8 +43,7 @@ type rnode struct {
 	box   geom.AABB
 	level int
 	leaf  bool
-	minID int32
-	maxID int32
+	zone  idZone
 	kids  []int32 // indexes into RTree.nodes
 }
 
@@ -110,33 +109,22 @@ func (r *RTree) page() error {
 		ni := int32(len(r.nodes))
 		r.nodes = append(r.nodes, rnode{})
 		n := rnode{page: p.PageOf(v), box: v.Box(), level: v.Level(), leaf: v.IsLeaf(),
-			minID: int32(len(r.elemPage)), maxID: -1}
+			zone: idZone{min: math.MaxInt32, max: -1}}
 		if v.IsLeaf() {
 			for _, it := range v.Items() {
 				if int(it.ID) < len(r.elemPage) {
 					r.elemPage[it.ID] = n.page
 					r.boxes[it.ID] = it.Box
 				}
-				if it.ID < n.minID {
-					n.minID = it.ID
-				}
-				if it.ID > n.maxID {
-					n.maxID = it.ID
-				}
+				n.zone.min, n.zone.max = min(n.zone.min, it.ID), max(n.zone.max, it.ID)
 			}
 		} else {
 			n.kids = make([]int32, 0, v.NumChildren())
 			for i := 0; i < v.NumChildren(); i++ {
 				ci := walk(v.Child(i))
 				n.kids = append(n.kids, ci)
-				if c := r.nodes[ci]; c.maxID >= c.minID {
-					if c.minID < n.minID {
-						n.minID = c.minID
-					}
-					if c.maxID > n.maxID {
-						n.maxID = c.maxID
-					}
-				}
+				c := r.nodes[ci].zone
+				n.zone.min, n.zone.max = min(n.zone.min, c.min), max(n.zone.max, c.max)
 			}
 		}
 		r.nodes[ni] = n
@@ -246,200 +234,32 @@ func (r *RTree) source(req Request) pager.PageSource {
 	return r.paged.Store()
 }
 
-// iterate implements the internal streaming capability: a best-first
-// descent over the RAM node directory ordered by subtree min-ID. A node's
-// page is read (one node per page — the same accounting as the eager
-// descent) when it becomes the unvisited subtree with the least possible ID;
-// leaf residents are refined against the RAM item boxes and buffered until
-// no unread subtree can precede them. A full drain visits exactly the nodes
-// the eager descent visits; under a Limit the remaining subtrees are never
-// read. Subtrees wholly at or before the resume position are pruned by
-// their ID zone without reading.
-func (r *RTree) iterate(ctx context.Context, req Request, after *Hit) (HitIterator, error) {
-	if r.tree == nil || r.tree.Size() == 0 {
-		return &sliceIter{}, ctxErr(ctx)
+// zonePages implements traverser: every directory node the range descent
+// visits — each node whose box, and whose ancestors' boxes, intersect the
+// query box — at its page, with its subtree's zone. An internal node's page
+// holds no element, so the stream reads it, one page read as in the descent,
+// when it becomes the least unread zone: never before its parent (pages are
+// assigned in pre-order, so a tie on the zone min goes to the parent) and
+// never past the point a Limit stops the stream.
+func (r *RTree) zonePages(req Request, ps *pageStream) pager.PageSource {
+	if len(r.nodes) == 0 {
+		return nil
 	}
-	it := &rtreeStream{r: r, ctx: ctx, src: r.source(req),
-		accept: acceptFor(req, r.boxOf), q: queryBox(req),
-		frontierBox: getNodeHeapBox(), pendingBox: getHitHeapBox()}
-	it.frontier = *it.frontierBox
-	it.pending = *it.pendingBox
-	// The box kinds refine leaf residents against the SoA sidecar
-	// sequentially; WithinDistance needs the exact-distance accept stage.
-	it.boxKind = req.Kind == Range || req.Kind == Point
-	if after != nil {
-		it.after = after.ID
-	} else {
-		it.after = -1
+	if q := queryBox(req); r.nodes[0].box.Intersects(q) {
+		r.addNode(0, q, ps)
 	}
-	root := r.nodes[0]
-	if root.box.Intersects(it.q) && root.maxID > it.after {
-		it.frontier.push(r, 0)
-	}
-	return it, nil
+	return r.source(req)
 }
 
-// rtreeStream is the lazy min-ID best-first descent (see RTree.iterate).
-type rtreeStream struct {
-	r        *RTree
-	ctx      context.Context
-	src      pager.PageSource
-	q        geom.AABB
-	accept   func(id int32, st *QueryStats) (Hit, bool)
-	after    int32 // resume position; -1 = none
-	boxKind  bool  // Range/Point: leaf refinement scans the SoA sidecar
-	frontier nodeHeap
-	pending  hitHeap
-	// frontierBox/pendingBox are the pool boxes the heap slices came from;
-	// Close writes the (possibly grown) slices back and recycles them.
-	frontierBox *nodeHeap
-	pendingBox  *hitHeap
-	st          QueryStats
-	err         error
-}
-
-func (s *rtreeStream) Next() (Hit, bool) {
-	for {
-		if s.err != nil {
-			return Hit{}, false
-		}
-		if len(s.pending) > 0 &&
-			(len(s.frontier) == 0 || s.pending[0].ID < s.r.nodes[s.frontier[0]].minID) {
-			return s.pending.pop(), true
-		}
-		if len(s.frontier) == 0 {
-			return Hit{}, false
-		}
-		if err := ctxErr(s.ctx); err != nil {
-			s.err = err
-			return Hit{}, false
-		}
-		ni := s.frontier.pop(s.r)
-		n := s.r.nodes[ni]
-		// Reading the node is one page read, internal or leaf — the
-		// one-node-per-page convention of the eager descent.
-		ids := s.src.ReadPage(n.page)
-		s.st.PagesRead++
-		s.st.addNode(n.level)
-		if n.leaf {
-			if s.boxKind {
-				base := s.r.coords.PageOffset(n.page)
-				for i, id := range ids {
-					if id < 0 || id <= s.after {
-						continue
-					}
-					s.st.EntriesTested++
-					if s.r.coords.IntersectsAt(base+i, s.q) {
-						s.st.Results++
-						s.pending.push(Hit{ID: id})
-					}
-				}
-				continue
-			}
-			for _, id := range ids {
-				if id < 0 || id <= s.after {
-					continue
-				}
-				if h, ok := s.accept(id, &s.st); ok {
-					s.st.Results++
-					s.pending.push(h)
-				}
-			}
-			continue
-		}
-		for _, ci := range n.kids {
-			c := s.r.nodes[ci]
-			s.st.EntriesTested++
-			if c.maxID < c.minID || c.maxID <= s.after {
-				continue
-			}
-			if c.box.Intersects(s.q) {
-				s.frontier.push(s.r, ci)
-			}
+// addNode adds node ni and the nodes beneath it that intersect q.
+func (r *RTree) addNode(ni int32, q geom.AABB, ps *pageStream) {
+	n := &r.nodes[ni]
+	ps.add(n.page, n.zone, r.coords)
+	for _, ci := range n.kids {
+		if r.nodes[ci].box.Intersects(q) {
+			r.addNode(ci, q, ps)
 		}
 	}
-}
-
-func (s *rtreeStream) Err() error        { return s.err }
-func (s *rtreeStream) Stats() QueryStats { return s.st }
-
-// Close recycles the pooled heap slices. Idempotent; Stats stays valid, and
-// a Next after Close sees two empty heaps and reports exhaustion.
-func (s *rtreeStream) Close() {
-	if s.frontierBox != nil {
-		*s.frontierBox = s.frontier[:0]
-		nodeHeapPool.Put(s.frontierBox)
-		s.frontierBox, s.frontier = nil, nil
-	}
-	if s.pendingBox != nil {
-		*s.pendingBox = s.pending[:0]
-		hitHeapPool.Put(s.pendingBox)
-		s.pendingBox, s.pending = nil, nil
-	}
-}
-
-// nodeHeap is a min-heap of RTree.nodes indexes ordered by subtree min-ID
-// (ties by page for determinism).
-type nodeHeap []int32
-
-var nodeHeapPool = sync.Pool{New: func() any {
-	h := nodeHeap(make([]int32, 0, 64))
-	return &h
-}}
-
-// getNodeHeapBox returns a pool box holding an empty heap slice.
-func getNodeHeapBox() *nodeHeap {
-	p := nodeHeapPool.Get().(*nodeHeap)
-	*p = (*p)[:0]
-	return p
-}
-
-func (h *nodeHeap) less(r *RTree, a, b int32) bool {
-	na, nb := r.nodes[a], r.nodes[b]
-	if na.minID != nb.minID {
-		return na.minID < nb.minID
-	}
-	return na.page < nb.page
-}
-
-func (h *nodeHeap) push(r *RTree, x int32) {
-	*h = append(*h, x)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.less(r, s[i], s[p]) {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
-	}
-}
-
-func (h *nodeHeap) pop(r *RTree) int32 {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	*h = s[:n]
-	s = s[:n]
-	i := 0
-	for {
-		l, rr := 2*i+1, 2*i+2
-		least := i
-		if l < len(s) && h.less(r, s[l], s[least]) {
-			least = l
-		}
-		if rr < len(s) && h.less(r, s[rr], s[least]) {
-			least = rr
-		}
-		if least == i {
-			break
-		}
-		s[i], s[least] = s[least], s[i]
-		i = least
-	}
-	return top
 }
 
 // Store implements Paged (nil for an empty tree).

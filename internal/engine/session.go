@@ -135,38 +135,29 @@ func stripPagination(r *Request) {
 }
 
 // execRequest runs one request on its routed index: the index's native Do
-// for a full result, the lazy streaming pipeline for a paginated one (the
-// stream stops reading pages once the limit is filled; the returned cursor
-// resumes the next page).
+// for a full result, doPaginated for a paginated one (the stream stops
+// reading pages once the limit is filled; the returned cursor resumes after
+// the last hit of a full page).
 func execRequest(ctx context.Context, ix SpatialIndex, req Request, emit func(Hit)) (QueryStats, Cursor, error) {
 	if !req.paginated() {
 		st, err := ix.Do(ctx, req, emit)
 		return st, "", err
 	}
-	it, err := Stream(ctx, ix, req)
-	if err != nil {
-		return QueryStats{}, "", err
-	}
-	defer it.Close()
 	var n int
 	var last Hit
-	for {
-		h, ok := it.Next()
-		if !ok {
-			break
-		}
+	st, err := doPaginated(ctx, ix, req, func(h Hit) {
 		n++
 		last = h
 		emit(h)
-	}
-	if err := it.Err(); err != nil {
+	})
+	if err != nil {
 		return QueryStats{}, "", err
 	}
 	var next Cursor
 	if req.Limit > 0 && n == req.Limit {
 		next = NextCursor(req.Kind, last)
 	}
-	return it.Stats(), next, nil
+	return st, next, nil
 }
 
 // route picks the serving index for requests of one kind, using the given

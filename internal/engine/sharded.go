@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 
 	"neurospatial/internal/flat"
 	"neurospatial/internal/geom"
@@ -329,46 +328,31 @@ func (s *Sharded) knnExpand(ks *knnSearch, e knnEntry) error {
 	return sh.sub.knnExpand(ks, e)
 }
 
-// iterate implements the internal streaming capability: a lazy k-way merge
-// of the kept shards' streams by global ID. Within a shard, local IDs ascend
-// with global IDs, so translating each shard's ascending-ID stream yields
-// ascending global IDs and the merge preserves the canonical order. Shards
-// are primed lazily as the merge is pulled; a consumer that stops early
-// leaves every stream's remaining pages unread. The resume position is
-// translated into each shard's local ID space, so the per-shard zone maps
-// prune pages below the cursor without reading them.
-func (s *Sharded) iterate(ctx context.Context, req Request, after *Hit) (HitIterator, error) {
-	if s.n == 0 {
-		return &sliceIter{}, ctxErr(ctx)
-	}
-	var its []HitIterator
+// zonePages implements traverser: the candidates of the shards the request
+// admits, each sub-index's own, moved into the global page space (pageBase+p)
+// with their zones translated to global IDs — local IDs ascend with global
+// ones within a shard, so a zone stays a zone. The pages are read through the
+// index's global source, whose content is already in global IDs and mirrors
+// the shard's page slot for slot, so the shard's sidecar still refines it.
+func (s *Sharded) zonePages(req Request, ps *pageStream) pager.PageSource {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		if !sh.admits(req) {
 			continue
 		}
-		var localAfter *Hit
-		if after != nil {
-			// The largest local ID whose global ID is <= after.ID (resume
-			// strictly after it); none mapped means no skip in this shard.
-			ub := sort.Search(len(sh.global), func(j int) bool { return sh.global[j] > after.ID })
-			if ub > 0 {
-				localAfter = &Hit{ID: int32(ub - 1)}
-			}
+		ps.st.ShardsTouched++
+		mark := len(ps.cands)
+		sh.sub.zonePages(req, ps)
+		for j := range ps.cands[mark:] {
+			z := &ps.cands[mark+j]
+			z.p += sh.pageBase
+			z.min, z.max = sh.global[z.min], sh.global[z.max]
 		}
-		it, err := sh.sub.iterate(ctx, req, localAfter)
-		if err != nil {
-			for _, open := range its {
-				open.Close()
-			}
-			return nil, err
-		}
-		its = append(its, &mapFilterIter{it: it, fn: func(h Hit) (Hit, bool) {
-			h.ID = sh.global[h.ID]
-			return h, true
-		}})
 	}
-	return newKWayMerge(its, QueryStats{ShardsTouched: int64(len(its))}), nil
+	if src := pickSource(req, nil, s.src); src != nil {
+		return src
+	}
+	return s.store
 }
 
 // Store implements Paged: the dense global page space over all shards (nil

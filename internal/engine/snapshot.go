@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"neurospatial/internal/geom"
@@ -40,8 +39,10 @@ import (
 // what it costs on the raw contender plus O(answer + touched delta), and at an
 // empty overlay the view's Do is its base's, stats included. QueryStats gain
 // DeltaEntries and Tombstones, the two maintenance counters of the overlay.
-// Only Stream and paginated Do take the lazy pipeline (iterate), where
-// stopping early is worth its per-stage cost.
+// Stream and paginated Do take the lazy twin of that executor (stream,
+// iter.go) with the same overlay argument: the base's candidate pages and the
+// admitted delta chunks in one zone-ordered loop that filters and translates
+// as it reads, so stopping early leaves the rest unread.
 //
 // A Snapshot also carries its own Planner over the views. Its plan cache is
 // the epoch's own, but its per-kind cost history is inherited from the parent
@@ -299,42 +300,12 @@ func (v *snapView) knnExpand(s *knnSearch, e knnEntry) error {
 	return v.base.knnExpand(s, e)
 }
 
-// iterate implements the internal streaming capability — Stream and
-// paginated Do, which stop early; an unpaginated Do never comes here — as the
-// k-way (here 2-way) base∪delta merge with the tombstone filter inline. The
-// base contender streams lazily in its local-ID order, which translation
-// preserves (baseIDs ascend); the delta overlay streams off the chunks its
-// MBRs admit (deltaIter). Base and delta IDs are disjoint — an
-// updated item is tombstoned in the base and lives in the delta — so the
-// merge needs no deduplication. The resume position is translated to the
-// base's local ID space so its zone maps prune pages below the cursor.
-func (v *snapView) iterate(ctx context.Context, req Request, after *Hit) (HitIterator, error) {
-	sn := v.snap
-	var its []HitIterator
-	if v.base != nil {
-		var baseAfter *Hit
-		if after != nil {
-			// The largest base-local ID whose global ID is <= after.ID.
-			ub := sort.Search(len(sn.baseIDs), func(j int) bool { return sn.baseIDs[j] > after.ID })
-			if ub > 0 {
-				baseAfter = &Hit{ID: int32(ub - 1)}
-			}
-		}
-		bs, err := v.base.iterate(ctx, req, baseAfter)
-		if err != nil {
-			return nil, err
-		}
-		extra := &QueryStats{}
-		its = append(its, &mapFilterIter{it: bs, extra: extra, fn: func(h Hit) (Hit, bool) {
-			if sn.dead(h.ID) {
-				extra.Tombstones++
-				return Hit{}, false
-			}
-			h.ID = sn.baseIDs[h.ID]
-			return h, true
-		}})
+// zonePages implements traverser: the base contender's candidates (none when
+// the base is empty). Like scan it does not apply the overlay: stream
+// translates the zones, drops tombstoned residents and adds the delta chunks.
+func (v *snapView) zonePages(req Request, ps *pageStream) pager.PageSource {
+	if v.base == nil {
+		return nil
 	}
-	delta := newDeltaIter(sn.chunks, req, after)
-	its = append(its, &delta)
-	return newKWayMerge(its, QueryStats{}), nil
+	return v.base.zonePages(req, ps)
 }
