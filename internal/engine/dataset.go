@@ -195,7 +195,8 @@ type Dataset struct {
 }
 
 // NewDataset builds the initial snapshot (epoch 0) over items, which must
-// have dense IDs in [0, len(items)) — the same contract as SpatialIndex.Build.
+// have dense IDs in [0, len(items)) — the same contract as SpatialIndex.Build —
+// and boxes Tx.Commit would accept: no NaN coordinate, not empty.
 func NewDataset(items []rtree.Item, opts DatasetOptions) (*Dataset, error) {
 	opts = opts.sanitize()
 	seen := make(map[string]bool, len(opts.Contenders))
@@ -216,6 +217,9 @@ func NewDataset(items []rtree.Item, opts DatasetOptions) (*Dataset, error) {
 		}
 		if taken[it.ID] {
 			return nil, fmt.Errorf("engine: duplicate dataset item ID %d", it.ID)
+		}
+		if err := badBox(it.Box); err != nil {
+			return nil, fmt.Errorf("engine: dataset item %d: %v", it.ID, err)
 		}
 		taken[it.ID] = true
 		base[it.ID] = it

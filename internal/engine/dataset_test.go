@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -593,6 +595,27 @@ func TestDatasetInvalidOps(t *testing.T) {
 	after := ds.Stats()
 	if after.Epoch != before.Epoch || after.Live != before.Live || after.Commits != 0 {
 		t.Fatalf("failed commits mutated the dataset: %+v -> %+v", before, after)
+	}
+
+	// The boxes Commit rejects are rejected in the initial items too, by ID,
+	// and CreateDataset writes nothing for them.
+	for name, box := range map[string]geom.AABB{
+		"NaN initial item":   geom.Box(geom.V(math.NaN(), 0, 0), geom.V(1, 1, 1)),
+		"empty initial item": geom.EmptyAABB(),
+	} {
+		bad := append([]rtree.Item(nil), items...)
+		bad[3].Box = box
+		_, err := engine.NewDataset(bad, engine.DatasetOptions{Contenders: []string{"flat"}})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("item %d:", bad[3].ID)) {
+			t.Fatalf("%s: NewDataset error %v, want one naming item %d", name, err, bad[3].ID)
+		}
+		dir := filepath.Join(t.TempDir(), "ds")
+		if _, err := engine.CreateDataset(dir, bad, engine.DatasetOptions{Contenders: []string{"flat"}}); err == nil {
+			t.Fatalf("%s: CreateDataset accepted it", name)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Fatalf("%s: CreateDataset left %s behind (%v)", name, dir, err)
+		}
 	}
 
 	// A finished Tx cannot commit again.

@@ -305,7 +305,7 @@ func walkLeaves(n *node, fn func(geom.AABB, []Item)) {
 // PackSTR partitions items into STR tiles of at most fanout entries and
 // returns the tiles in packing order. FLAT uses it to lay elements out on
 // disk pages; TOUCH uses it to data-orient its partitions. The input slice is
-// not modified, and its order does not matter (see STR).
+// not modified, and its order does not matter (see STR; NaN centers excepted).
 func PackSTR(items []Item, fanout int) [][]Item {
 	if fanout <= 0 {
 		fanout = DefaultFanout

@@ -113,7 +113,8 @@ func (t *Tree) Bounds() geom.AABB { return t.root.box }
 // sort runs by Z and pack consecutive items into leaves. The resulting leaves
 // are near-full and spatially compact, which is why both FLAT and TOUCH use
 // STR for their partitioning phases. Equal centers order by ID, so the tree is
-// a function of the item set, not of the order items arrive in.
+// a function of the item set, not of the order items arrive in. Items with a
+// NaN center are outside that contract: where they land is unspecified.
 func STR(items []Item, fanout int) (*Tree, error) {
 	t, err := New(fanout)
 	if err != nil {

@@ -76,7 +76,7 @@ func refSplit(work []rtree.Item, k int, out *[]shard.Part) {
 	refSplit(work[cut:], k-kl, out)
 }
 
-func tissueItems(t *testing.T, neurons int) []rtree.Item {
+func tissueItems(t testing.TB, neurons int) []rtree.Item {
 	t.Helper()
 	p := circuit.DefaultParams()
 	p.Neurons = neurons
@@ -129,8 +129,11 @@ func TestPartitionMatchesReference(t *testing.T) {
 	if !testing.Short() {
 		sets["tissue-256"] = tissueItems(t, 256)
 	}
+	// Fewer items than shards at k = 7, 8: Partition clamps k to n, one item
+	// per part.
+	sets["five-items"] = gridItems(5)
 	for name, items := range sets {
-		for _, k := range []int{1, 4, 7} {
+		for _, k := range []int{1, 2, 3, 4, 7, 8} {
 			if got, want := shard.Partition(items, k), refPartition(items, k); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s k=%d: parts differ from the reference", name, k)
 			}
@@ -161,5 +164,19 @@ func TestPartitionPartsDoNotAlias(t *testing.T) {
 	_ = append(parts[0].Items, rtree.Item{ID: -1})
 	if parts[1].Items[0] != next {
 		t.Fatal("append to one part overwrote its neighbour")
+	}
+}
+
+// BenchmarkPartition is the sharded contender's split of a tissue-S rebuild:
+// 256 neurons (≈76k items) in ID order, as Sharded.Build passes them, into 4
+// parts.
+func BenchmarkPartition(b *testing.B) {
+	items := tissueItems(b, 256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if parts := shard.Partition(items, 4); len(parts) != 4 {
+			b.Fatalf("%d parts", len(parts))
+		}
 	}
 }

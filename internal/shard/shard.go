@@ -36,6 +36,8 @@ type Part struct {
 // Partition splits items into at most k spatial parts (fewer only when there
 // are fewer items than shards — every returned part is non-empty). Item
 // counts per part differ by at most one. The input slice is not modified.
+// Items with a NaN center are outside the contract: which part they land in
+// is unspecified.
 func Partition(items []rtree.Item, k int) []Part {
 	if len(items) == 0 {
 		return nil
@@ -46,17 +48,36 @@ func Partition(items []rtree.Item, k int) []Part {
 	if k < 1 {
 		k = 1
 	}
-	// The recursion sorts 16-byte center keys, not the items; the items are
-	// gathered once, part by part, into one array the parts slice.
+	// The recursion sorts 16-byte center keys, not the items. Each key then
+	// labels its item with its part, and one pass in input order distributes
+	// the items into one array the parts slice: a part is ID-ordered whenever
+	// the input is (Sharded.Build's is), and is sorted by ID only otherwise.
 	cut := make([][]rtree.CenterKey, 0, k)
 	split(rtree.CenterKeys(items), items, k, &cut)
-	gathered := make([]rtree.Item, 0, len(items))
+	label := make([]int32, len(items))
+	next := make([]int, len(cut)+1) // next[p]: where part p's next item goes
+	for p, part := range cut {
+		for _, key := range part {
+			label[key.Index] = int32(p)
+		}
+		next[p+1] = next[p] + len(part)
+	}
+	gathered := make([]rtree.Item, len(items))
+	for i, it := range items {
+		p := label[i]
+		gathered[next[p]] = it
+		next[p]++
+	}
+	byID := func(a, b rtree.Item) int { return cmp.Compare(a.ID, b.ID) }
 	parts := make([]Part, len(cut))
-	for i, part := range cut {
-		slices.SortFunc(part, func(a, b rtree.CenterKey) int { return cmp.Compare(a.ID, b.ID) })
-		lo := len(gathered)
-		gathered = rtree.Gather(gathered, part, items)
-		parts[i].Items = gathered[lo:len(gathered):len(gathered)]
+	lo := 0
+	for i := range parts {
+		hi := next[i] // the distribution advanced next[i] to part i's end
+		parts[i].Items = gathered[lo:hi:hi]
+		lo = hi
+		if !slices.IsSortedFunc(parts[i].Items, byID) {
+			slices.SortFunc(parts[i].Items, byID)
+		}
 		b := geom.EmptyAABB()
 		for _, it := range parts[i].Items {
 			b = b.Union(it.Box)
