@@ -47,7 +47,7 @@ type traverser interface {
 	knnExpand(s *knnSearch, e knnEntry) error
 	zonePages(req Request, ps *pageStream) pager.PageSource
 	// itemBoxes returns the exact-geometry accessor by the IDs scan emits
-	// (RAM-resident).
+	// (read from the contender's coordinate sidecar).
 	itemBoxes() func(int32) geom.AABB
 }
 
@@ -341,20 +341,20 @@ func (s *knnSearch) read(src pager.PageSource, p pager.PageID) ([]int32, error) 
 	return src.ReadPage(p), nil
 }
 
-// offerPage offers every resident of page p, as read, with its box from the
-// page's coordinate sidecar.
+// offerPage offers every resident of page p, as read, at its distance read
+// from the page's coordinate sidecar.
 func (s *knnSearch) offerPage(coords *pager.Coords, p pager.PageID, ids []int32) {
 	base := coords.PageOffset(p)
 	for i, id := range ids {
-		s.offer(id, coords.BoxAt(base+i))
+		s.offer(id, coords.Dist2At(base+i, s.req.Center))
 	}
 }
 
 // offer considers one resident of a page just read: id in the expanding
-// contender's ID space, box its exact geometry. A shard's local ID becomes the
-// index's; under an overlay a tombstoned item is dropped and a live one takes
-// its dataset ID.
-func (s *knnSearch) offer(id int32, box geom.AABB) {
+// contender's ID space, d2 its exact squared distance from the center. A
+// shard's local ID becomes the index's; under an overlay a tombstoned item is
+// dropped and a live one takes its dataset ID.
+func (s *knnSearch) offer(id int32, d2 float64) {
 	s.st.EntriesTested++
 	if s.global != nil {
 		id = s.global[id]
@@ -366,7 +366,7 @@ func (s *knnSearch) offer(id int32, box geom.AABB) {
 		}
 		id = s.ov.baseIDs[id]
 	}
-	s.acc.Offer(Hit{ID: id, Dist2: box.Dist2Point(s.req.Center)})
+	s.acc.Offer(Hit{ID: id, Dist2: d2})
 }
 
 // hitWorse is the shared kNN total order: x is worse than y when it is

@@ -47,7 +47,6 @@ type Grid struct {
 	opts    GridOptions
 	g       *grid.Grid
 	bounds  geom.AABB
-	boxes   []geom.AABB
 	maxHalf float64
 	// pad is what kNN expands a cell by to bound its residents' boxes:
 	// maxHalf, plus a billionth of the grid's extent so that a center which
@@ -55,9 +54,10 @@ type Grid struct {
 	pad    float64
 	store  *pager.Store
 	pageOf []pager.PageID
-	// coords is the struct-of-arrays sidecar of store; itemOff[id] is item
-	// id's slot in it (cell-major layout position), so the cell-major
-	// refinement sweep reads the coordinate runs sequentially.
+	// coords is the struct-of-arrays sidecar of store, the index's only copy
+	// of the item boxes; itemOff[id] is item id's slot in it (cell-major
+	// layout position), so the cell-major refinement sweep reads the
+	// coordinate runs sequentially.
 	coords  *pager.Coords
 	itemOff []int32
 	// boxOf is the exact-geometry accessor bound once per build (a per-query
@@ -88,53 +88,51 @@ func (gx *Grid) buildFixed(items []rtree.Item, nx, ny, nz int) error {
 }
 
 func (gx *Grid) build(items []rtree.Item, nx, ny, nz int) error {
-	gx.g, gx.store, gx.pageOf, gx.src = nil, nil, nil, nil
-	gx.coords, gx.itemOff, gx.zones = nil, nil, nil
-	gx.boxes = make([]geom.AABB, len(items))
-	gx.boxOf = func(id int32) geom.AABB { return gx.boxes[id] }
-	gx.bounds = geom.EmptyAABB()
-	gx.maxHalf = 0
+	*gx = Grid{opts: gx.opts, bounds: geom.EmptyAABB()}
+	// boxes is transient — the centers, the bounds and BuildCoords read it;
+	// the sidecar is the only copy of the boxes the index keeps. Nothing is
+	// installed until the build has succeeded, so a failed build leaves the
+	// index empty.
+	boxes := make([]geom.AABB, len(items))
+	bounds, maxHalf := geom.EmptyAABB(), 0.0
 	for _, it := range items {
 		if it.ID < 0 || int(it.ID) >= len(items) {
 			return fmt.Errorf("engine: grid item ID %d not dense in [0,%d)", it.ID, len(items))
 		}
-		gx.boxes[it.ID] = it.Box
-		gx.bounds = gx.bounds.Union(it.Box)
+		boxes[it.ID] = it.Box
+		bounds = bounds.Union(it.Box)
 		half := it.Box.Size().Scale(0.5)
 		for _, h := range []float64{half.X, half.Y, half.Z} {
-			if h > gx.maxHalf {
-				gx.maxHalf = h
+			if h > maxHalf {
+				maxHalf = h
 			}
 		}
 	}
 	if len(items) == 0 {
 		return nil
 	}
-	size := gx.bounds.Size()
-	gx.pad = gx.maxHalf + 1e-9*max(size.X, size.Y, size.Z)
 
 	// Cell directory over item centers: point boxes land in exactly one
 	// cell, so candidates need no per-query deduplication.
 	centers := make([]geom.AABB, len(items))
-	for id, b := range gx.boxes {
+	for id, b := range boxes {
 		c := b.Center()
 		centers[id] = geom.Box(c, c)
 	}
 	var g *grid.Grid
 	var err error
 	if nx > 0 && ny > 0 && nz > 0 {
-		g, err = grid.New(gx.bounds, nx, ny, nz, centers)
+		g, err = grid.New(bounds, nx, ny, nz, centers)
 	} else {
-		g, err = grid.NewAuto(gx.bounds, centers, gx.opts.PerCell)
+		g, err = grid.NewAuto(bounds, centers, gx.opts.PerCell)
 	}
 	if err != nil {
 		return fmt.Errorf("engine: %w", err)
 	}
-	// The centers were only for binning: refinement reads gx.boxes and the
-	// SoA sidecar, and 48 bytes an item per generation is what a compaction
-	// would otherwise keep alive beside them.
+	// The centers were only for binning: refinement reads the SoA sidecar,
+	// and 48 bytes an item per generation is what a compaction would
+	// otherwise keep alive beside it.
 	g.DropBoxes()
-	gx.g = g
 
 	// Page layout: fill pages in cell-major order (ascending ID within a
 	// cell), continuously across cell boundaries so pages stay near-full.
@@ -142,18 +140,22 @@ func (gx *Grid) build(items []rtree.Item, nx, ny, nz int) error {
 	if err != nil {
 		return fmt.Errorf("engine: %w", err)
 	}
-	gx.pageOf = make([]pager.PageID, len(items))
-	gx.itemOff = make([]int32, len(items))
+	pageOf := make([]pager.PageID, len(items))
+	itemOff := make([]int32, len(items))
 	slot := int32(0)
 	for c := 0; c < g.NumCells(); c++ {
 		for _, id := range g.CellBoxes(c) {
-			gx.pageOf[id] = builder.Add(id)
-			gx.itemOff[id] = slot
+			pageOf[id] = builder.Add(id)
+			itemOff[id] = slot
 			slot++
 		}
 	}
-	gx.store = builder.Build()
-	gx.coords = pager.BuildCoords(gx.store, gx.boxOf)
+	size := bounds.Size()
+	gx.g, gx.bounds, gx.maxHalf = g, bounds, maxHalf
+	gx.pad = maxHalf + 1e-9*max(size.X, size.Y, size.Z)
+	gx.store, gx.pageOf, gx.itemOff = builder.Build(), pageOf, itemOff
+	gx.coords = pager.BuildCoords(gx.store, func(id int32) geom.AABB { return boxes[id] })
+	gx.boxOf = func(id int32) geom.AABB { return gx.coords.BoxAt(int(gx.itemOff[id])) }
 	gx.zones = storeZones(gx.store)
 	return nil
 }
@@ -162,7 +164,7 @@ func (gx *Grid) build(items []rtree.Item, nx, ny, nz int) error {
 func (gx *Grid) Bounds() geom.AABB { return gx.bounds }
 
 // NumItems implements SpatialIndex.
-func (gx *Grid) NumItems() int { return len(gx.boxes) }
+func (gx *Grid) NumItems() int { return len(gx.itemOff) }
 
 // source resolves the PageSource of one call (see pickSource), falling back
 // to cold reads from the index's own store.
@@ -306,7 +308,7 @@ func (gx *Grid) knnExpand(s *knnSearch, e knnEntry) error {
 					return err
 				}
 			}
-			s.offer(id, gx.coords.BoxAt(int(gx.itemOff[id]))) // cell-major: sequential slots
+			s.offer(id, gx.coords.Dist2At(int(gx.itemOff[id]), c)) // cell-major: sequential slots
 		}
 		return nil
 	}

@@ -22,7 +22,9 @@ type RTree struct {
 	paged    *rtree.PagedTree
 	src      pager.PageSource
 	elemPage []pager.PageID // item ID -> leaf page
-	boxes    []geom.AABB    // item ID -> MBR (exact-distance refinement)
+	// slot[id] is item id's slot in coords, the index's only RAM copy of the
+	// item boxes outside the tree's own leaves.
+	slot []int32
 	// boxOf is the exact-geometry accessor bound once per paging (a
 	// per-query closure would be a hot-path allocation).
 	boxOf func(int32) geom.AABB
@@ -88,21 +90,24 @@ func (r *RTree) Build(items []rtree.Item) error {
 }
 
 // page lays the tree's nodes onto pages and indexes each item's leaf page
-// and MBR.
+// and sidecar slot. A failure leaves the index empty.
 func (r *RTree) page() error {
-	r.paged, r.elemPage, r.boxes, r.nodes = nil, nil, nil, nil
+	r.paged, r.elemPage, r.slot, r.coords, r.nodes = nil, nil, nil, nil, nil
 	if r.tree.Size() == 0 {
 		return nil
 	}
 	p, err := rtree.NewPaged(r.tree)
 	if err != nil {
+		r.tree = nil
 		return fmt.Errorf("engine: %w", err)
 	}
 	r.paged = p
 	r.elemPage = make([]pager.PageID, r.tree.Size())
-	r.boxes = make([]geom.AABB, r.tree.Size())
-	r.boxOf = func(id int32) geom.AABB { return r.boxes[id] }
-	r.nodes = nil
+	// slot holds each item's position on its leaf page until the sidecar
+	// exists; boxes is the transient input of BuildCoords.
+	r.slot = make([]int32, r.tree.Size())
+	boxes := make([]geom.AABB, r.tree.Size())
+	r.boxOf = func(id int32) geom.AABB { return r.coords.BoxAt(int(r.slot[id])) }
 	root, _ := r.tree.Root()
 	var walk func(v rtree.NodeView) int32
 	walk = func(v rtree.NodeView) int32 {
@@ -111,10 +116,11 @@ func (r *RTree) page() error {
 		n := rnode{page: p.PageOf(v), box: v.Box(), level: v.Level(), leaf: v.IsLeaf(),
 			zone: idZone{min: math.MaxInt32, max: -1}}
 		if v.IsLeaf() {
-			for _, it := range v.Items() {
+			for i, it := range v.Items() {
 				if int(it.ID) < len(r.elemPage) {
 					r.elemPage[it.ID] = n.page
-					r.boxes[it.ID] = it.Box
+					r.slot[it.ID] = int32(i)
+					boxes[it.ID] = it.Box
 				}
 				n.zone.min, n.zone.max = min(n.zone.min, it.ID), max(n.zone.max, it.ID)
 			}
@@ -135,11 +141,14 @@ func (r *RTree) page() error {
 	// out-of-range IDs get empty (never-intersecting) sidecar slots instead
 	// of panicking the build.
 	r.coords = pager.BuildCoords(r.paged.Store(), func(id int32) geom.AABB {
-		if int(id) >= len(r.boxes) {
+		if int(id) >= len(boxes) {
 			return geom.EmptyAABB()
 		}
-		return r.boxes[id]
+		return boxes[id]
 	})
+	for id, pg := range r.elemPage {
+		r.slot[id] += int32(r.coords.PageOffset(pg))
+	}
 	return nil
 }
 

@@ -125,12 +125,18 @@ func (o ShardedOptions) newSubIndex() (contender, error) {
 
 // Build implements SpatialIndex. Rebuilding drops an attached PageSource,
 // like every other engine index: a pool wrapping the previous global store
-// would serve stale pages.
-func (s *Sharded) Build(items []rtree.Item) error {
+// would serve stale pages. A failed build leaves the index empty.
+func (s *Sharded) Build(items []rtree.Item) (err error) {
 	s.shards, s.store, s.src = nil, nil, nil
 	s.shardOf, s.local = nil, nil
 	s.bounds = geom.EmptyAABB()
 	s.n = len(items)
+	defer func() {
+		if err != nil {
+			s.shards, s.store, s.shardOf, s.local, s.n = nil, nil, nil, nil, 0
+			s.bounds = geom.EmptyAABB()
+		}
+	}()
 	for _, it := range items {
 		if it.ID < 0 || int(it.ID) >= len(items) {
 			return fmt.Errorf("engine: sharded item ID %d not dense in [0,%d)", it.ID, len(items))

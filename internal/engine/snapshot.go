@@ -61,8 +61,8 @@ type Snapshot struct {
 
 	// baseIDs are the base build's global item IDs, ascending: base index
 	// local ID l is the item baseIDs[l], and baseBox(l) is its box — read
-	// from a base contender that keeps the boxes in RAM anyway, so a
-	// generation holds them once less (see baseBoxes). Shared read-only
+	// from a base contender's coordinate sidecar, so a generation holds no
+	// other copy of them (see baseBoxes). Shared read-only
 	// across epochs until compaction.
 	baseIDs []int32
 	baseBox func(l int32) geom.AABB
@@ -116,18 +116,13 @@ func newSnapshot(epoch int, opts DatasetOptions, baseItems []rtree.Item,
 	return sn
 }
 
-// baseBoxes returns the box accessor of a base build by local ID: the RAM
-// geometry of the first contender that exposes one, else the item slice
-// itself (which the accessor then keeps alive).
+// baseBoxes returns the box accessor of a base build by local ID: the
+// sidecar of the first contender, which every contender keeps anyway, else
+// the item slice itself (which the accessor then keeps alive).
 func baseBoxes(bases []SpatialIndex, items []rtree.Item) func(int32) geom.AABB {
 	for _, b := range bases {
-		switch ix := b.(type) {
-		case *Flat:
-			return ix.boxOf
-		case *RTree:
-			return ix.boxOf
-		case *Grid:
-			return ix.boxOf
+		if ix, ok := b.(traverser); ok {
+			return ix.itemBoxes()
 		}
 	}
 	return func(l int32) geom.AABB { return items[l].Box }

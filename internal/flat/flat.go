@@ -74,8 +74,9 @@ func (o Options) sanitize() Options {
 // Index is a built FLAT index over a set of items.
 type Index struct {
 	opts Options
-	// boxes[i] is the MBR of item with dense ID i.
-	boxes []geom.AABB
+	// slot[i] is the coords slot of the item with dense ID i: the sidecar is
+	// the index's only copy of the item boxes (ItemBox reads it).
+	slot []int32
 	// store holds the page layout: page -> element IDs.
 	store *pager.Store
 	// pageBox[p] is the MBR of page p.
@@ -88,7 +89,7 @@ type Index struct {
 	seedTree *rtree.Tree
 	// coords is the struct-of-arrays sidecar of store: per-page contiguous
 	// min/max coordinate runs, so the crawl's range filter scans each loaded
-	// page with sequential loads instead of strided idx.boxes decodes.
+	// page with sequential loads.
 	coords *pager.Coords
 }
 
@@ -96,12 +97,9 @@ type Index struct {
 // they are the IDs reported by queries.
 func Build(items []rtree.Item, opts Options) (*Index, error) {
 	o := opts.sanitize()
-	idx := &Index{opts: o, boxes: make([]geom.AABB, len(items))}
-	for _, it := range items {
-		if it.ID < 0 || int(it.ID) >= len(items) {
-			return nil, fmt.Errorf("flat: item ID %d not dense in [0,%d)", it.ID, len(items))
-		}
-		idx.boxes[it.ID] = it.Box
+	boxes, err := denseBoxes(items)
+	if err != nil {
+		return nil, err
 	}
 
 	// Phase 1: STR-pack items onto pages.
@@ -110,29 +108,60 @@ func Build(items []rtree.Item, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx.pageOf = make([]pager.PageID, len(items))
-	idx.pageBox = make([]geom.AABB, 0, len(tiles))
+	idx := &Index{opts: o, pageBox: make([]geom.AABB, 0, len(tiles))}
 	for _, tile := range tiles {
 		box := geom.EmptyAABB()
 		for _, it := range tile {
-			pid := builder.Add(it.ID)
-			idx.pageOf[it.ID] = pid
+			builder.Add(it.ID)
 			box = box.Union(it.Box)
 		}
 		builder.FlushPage()
 		idx.pageBox = append(idx.pageBox, box)
 	}
+	if err := idx.finish(builder, boxes); err != nil {
+		return nil, err
+	}
+	return idx, nil
+}
+
+// denseBoxes returns the items' boxes indexed by ID, rejecting IDs outside
+// [0, len(items)). The slice is transient: the sidecar is the only copy of
+// the boxes the index keeps.
+func denseBoxes(items []rtree.Item) ([]geom.AABB, error) {
+	boxes := make([]geom.AABB, len(items))
+	for _, it := range items {
+		if it.ID < 0 || int(it.ID) >= len(items) {
+			return nil, fmt.Errorf("flat: item ID %d not dense in [0,%d)", it.ID, len(items))
+		}
+		boxes[it.ID] = it.Box
+	}
+	return boxes, nil
+}
+
+// finish derives everything else from a page layout — builder holds one page
+// per pageBox entry, every entry an item: the store, its SoA sidecar copied
+// from boxes (the transient ID-indexed boxes), each item's page and sidecar
+// slot, then the neighborhood graph and the seed tree.
+func (idx *Index) finish(builder *pager.Builder, boxes []geom.AABB) error {
 	idx.store = builder.Build()
 	if idx.store.NumPages() != len(idx.pageBox) {
-		return nil, fmt.Errorf("flat: page bookkeeping diverged: %d pages, %d boxes",
+		return fmt.Errorf("flat: page bookkeeping diverged: %d pages, %d boxes",
 			idx.store.NumPages(), len(idx.pageBox))
 	}
-	idx.coords = pager.BuildCoords(idx.store, func(id int32) geom.AABB { return idx.boxes[id] })
+	idx.coords = pager.BuildCoords(idx.store, func(id int32) geom.AABB { return boxes[id] })
+	idx.pageOf = make([]pager.PageID, len(boxes))
+	idx.slot = make([]int32, len(boxes))
+	for p := range idx.pageBox {
+		base := idx.coords.PageOffset(pager.PageID(p))
+		for i, id := range idx.store.Page(pager.PageID(p)) {
+			idx.pageOf[id], idx.slot[id] = pager.PageID(p), int32(base+i)
+		}
+	}
 
 	// Phase 2: derive the page neighborhood graph with a uniform grid over
 	// the page MBRs expanded by tol/2 each (so pages within tol link).
 	if err := idx.buildNeighborhood(); err != nil {
-		return nil, err
+		return err
 	}
 
 	// Phase 3: the seed R-tree over page MBRs.
@@ -140,11 +169,9 @@ func Build(items []rtree.Item, opts Options) (*Index, error) {
 	for p, b := range idx.pageBox {
 		pageItems[p] = rtree.Item{Box: b, ID: int32(p)}
 	}
-	idx.seedTree, err = rtree.STR(pageItems, o.SeedFanout)
-	if err != nil {
-		return nil, err
-	}
-	return idx, nil
+	var err error
+	idx.seedTree, err = rtree.STR(pageItems, idx.opts.SeedFanout)
+	return err
 }
 
 func (idx *Index) buildNeighborhood() error {
@@ -182,7 +209,7 @@ func (idx *Index) Store() *pager.Store { return idx.store }
 func (idx *Index) NumPages() int { return idx.store.NumPages() }
 
 // NumItems returns the number of indexed items.
-func (idx *Index) NumItems() int { return len(idx.boxes) }
+func (idx *Index) NumItems() int { return len(idx.slot) }
 
 // Bounds returns the MBR of the indexed data (empty when the index is
 // empty).
@@ -195,8 +222,9 @@ func (idx *Index) Options() Options { return idx.opts }
 func (idx *Index) PageBox(p pager.PageID) geom.AABB { return idx.pageBox[p] }
 
 // ItemBox returns the MBR of item id — the exact-geometry handle the
-// engine's distance-based query kinds (kNN, within-distance) refine against.
-func (idx *Index) ItemBox(id int32) geom.AABB { return idx.boxes[id] }
+// engine's distance-based query kinds (kNN, within-distance) refine against,
+// read from the item's sidecar slot.
+func (idx *Index) ItemBox(id int32) geom.AABB { return idx.coords.BoxAt(int(idx.slot[id])) }
 
 // PageOf returns the page an item is laid out on.
 func (idx *Index) PageOf(id int32) pager.PageID { return idx.pageOf[id] }
@@ -432,7 +460,7 @@ func (idx *Index) query(ctx context.Context, q geom.AABB, src pager.PageSource,
 
 // readPage loads page p and tests its items against the range, scanning the
 // SoA coordinate sidecar sequentially (position-aligned with the page's
-// resident IDs) instead of strided idx.boxes loads.
+// resident IDs).
 func (idx *Index) readPage(p pager.PageID, q geom.AABB, src pager.PageSource,
 	visit func(int32), stats *QueryStats, trace bool) {
 	stats.PagesRead++

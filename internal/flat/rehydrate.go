@@ -18,20 +18,16 @@ import (
 // appear on exactly one page.
 func Rehydrate(items []rtree.Item, pages [][]int32, opts Options) (*Index, error) {
 	o := opts.sanitize()
-	idx := &Index{opts: o, boxes: make([]geom.AABB, len(items))}
-	for _, it := range items {
-		if it.ID < 0 || int(it.ID) >= len(items) {
-			return nil, fmt.Errorf("flat: item ID %d not dense in [0,%d)", it.ID, len(items))
-		}
-		idx.boxes[it.ID] = it.Box
+	boxes, err := denseBoxes(items)
+	if err != nil {
+		return nil, err
 	}
 
 	builder, err := pager.NewBuilder(o.PageSize)
 	if err != nil {
 		return nil, err
 	}
-	idx.pageOf = make([]pager.PageID, len(items))
-	idx.pageBox = make([]geom.AABB, 0, len(pages))
+	idx := &Index{opts: o, pageBox: make([]geom.AABB, 0, len(pages))}
 	placed := make([]bool, len(items))
 	total := 0
 	for p, page := range pages {
@@ -44,9 +40,8 @@ func Rehydrate(items []rtree.Item, pages [][]int32, opts Options) (*Index, error
 				return nil, fmt.Errorf("flat: recorded page %d places invalid or duplicate item %d", p, id)
 			}
 			placed[id] = true
-			pid := builder.Add(id)
-			idx.pageOf[id] = pid
-			box = box.Union(idx.boxes[id])
+			builder.Add(id)
+			box = box.Union(boxes[id])
 		}
 		builder.FlushPage()
 		idx.pageBox = append(idx.pageBox, box)
@@ -55,23 +50,7 @@ func Rehydrate(items []rtree.Item, pages [][]int32, opts Options) (*Index, error
 	if total != len(items) {
 		return nil, fmt.Errorf("flat: recorded layout places %d of %d items", total, len(items))
 	}
-	idx.store = builder.Build()
-	if idx.store.NumPages() != len(idx.pageBox) {
-		return nil, fmt.Errorf("flat: page bookkeeping diverged: %d pages, %d boxes",
-			idx.store.NumPages(), len(idx.pageBox))
-	}
-	idx.coords = pager.BuildCoords(idx.store, func(id int32) geom.AABB { return idx.boxes[id] })
-
-	if err := idx.buildNeighborhood(); err != nil {
-		return nil, err
-	}
-
-	pageItems := make([]rtree.Item, len(idx.pageBox))
-	for p, b := range idx.pageBox {
-		pageItems[p] = rtree.Item{Box: b, ID: int32(p)}
-	}
-	idx.seedTree, err = rtree.STR(pageItems, o.SeedFanout)
-	if err != nil {
+	if err := idx.finish(builder, boxes); err != nil {
 		return nil, err
 	}
 	return idx, nil

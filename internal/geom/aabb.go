@@ -135,36 +135,54 @@ func (b AABB) Translate(d Vec) AABB {
 }
 
 // Dist2Point returns the squared distance from p to the closest point of b
-// (zero when p is inside). This is the pruning bound KNN search uses.
+// (zero when p is inside). This is the pruning bound KNN search uses, and the
+// distance every kNN candidate is ranked by: it is written per named field so
+// that it inlines into the search's inner loop. Its result is bit-identical to
+// summing the per-axis terms in X, Y, Z order, an axis the point is within
+// adding nothing (an unbounded box therefore reports 0 for an infinite point
+// inside it, never NaN).
 func (b AABB) Dist2Point(p Vec) float64 {
-	var d2 float64
-	for i := 0; i < 3; i++ {
-		lo, hi, x := b.Min.Axis(i), b.Max.Axis(i), p.Axis(i)
-		if x < lo {
-			d := lo - x
-			d2 += d * d
-		} else if x > hi {
-			d := x - hi
-			d2 += d * d
-		}
+	dx := AxisGap(b.Min.X, b.Max.X, p.X)
+	dy := AxisGap(b.Min.Y, b.Max.Y, p.Y)
+	dz := AxisGap(b.Min.Z, b.Max.Z, p.Z)
+	return dx*dx + dy*dy + dz*dz
+}
+
+// AxisGap is the distance from x to the interval [lo, hi] on one axis (zero
+// inside it; lo is tested first, as Dist2Point does). It inlines, so a
+// struct-of-arrays store can rank its slots by Dist2Point's exact arithmetic
+// without materializing an AABB.
+func AxisGap(lo, hi, x float64) float64 {
+	if x < lo {
+		return lo - x
 	}
-	return d2
+	if x > hi {
+		return x - hi
+	}
+	return 0
 }
 
 // Dist2Box returns the squared distance between the closest points of b and o
 // (zero when they intersect). The distance join uses it as its filter bound.
+// Like Dist2Point it is written per named field and bit-identical to the
+// per-axis sum.
 func (b AABB) Dist2Box(o AABB) float64 {
-	var d2 float64
-	for i := 0; i < 3; i++ {
-		lo := b.Min.Axis(i) - o.Max.Axis(i)
-		hi := o.Min.Axis(i) - b.Max.Axis(i)
-		if lo > 0 {
-			d2 += lo * lo
-		} else if hi > 0 {
-			d2 += hi * hi
-		}
+	dx := boxGap(b.Min.X-o.Max.X, o.Min.X-b.Max.X)
+	dy := boxGap(b.Min.Y-o.Max.Y, o.Min.Y-b.Max.Y)
+	dz := boxGap(b.Min.Z-o.Max.Z, o.Min.Z-b.Max.Z)
+	return dx*dx + dy*dy + dz*dz
+}
+
+// boxGap is the gap between two intervals on one axis given the two
+// differences that can be positive (zero when the intervals overlap).
+func boxGap(lo, hi float64) float64 {
+	if lo > 0 {
+		return lo
 	}
-	return d2
+	if hi > 0 {
+		return hi
+	}
+	return 0
 }
 
 // Clamp returns p moved to the closest point inside b.

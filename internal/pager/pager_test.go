@@ -1,6 +1,7 @@
 package pager
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -301,5 +302,45 @@ func TestCoordsFilterPage(t *testing.T) {
 		c.FilterPage(1, s.Page(1), q, func(int32) { matched++ })
 	}); allocs != 0 {
 		t.Errorf("FilterPage allocated %v times per page, want 0", allocs)
+	}
+}
+
+// TestCoordsDist2At pins the kNN search's sidecar distance to
+// geom.AABB.Dist2Point of the slot's box, bit for bit, for every slot —
+// placeholder (empty-box) slots and unbounded boxes included — from finite,
+// infinite and NaN centers.
+func TestCoordsDist2At(t *testing.T) {
+	b, err := NewBuilder(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int32{-1, 0, 1, 2, -1, 3, 4} {
+		b.Add(id)
+	}
+	s := b.Build()
+	inf := math.Inf(1)
+	boxes := []geom.AABB{
+		geom.BoxAround(geom.V(1, 2, 3), 0.5),
+		geom.Box(geom.V(4, 4, 4), geom.V(4, 4, 4)),
+		{Min: geom.V(-inf, -inf, -inf), Max: geom.V(inf, inf, inf)},
+		{Min: geom.V(0, -inf, 2), Max: geom.V(1, 0, inf)},
+		geom.Box(geom.V(-7, 0, math.Copysign(0, -1)), geom.V(-6, 1, 0)),
+	}
+	c := BuildCoords(s, func(id int32) geom.AABB { return boxes[id] })
+	centers := []geom.Vec{
+		geom.V(0, 0, 0), geom.V(1, 2, 3), geom.V(inf, -inf, inf), geom.V(-inf, 0.5, 4),
+		geom.V(math.NaN(), 1, 1), geom.V(math.Copysign(0, -1), -100, 1e300),
+	}
+	slots := 0
+	for p := 0; p < s.NumPages(); p++ {
+		slots += len(s.Page(PageID(p)))
+	}
+	for i := 0; i < slots; i++ {
+		for _, p := range centers {
+			got, want := c.Dist2At(i, p), c.BoxAt(i).Dist2Point(p)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("slot %d, center %v: Dist2At %v, BoxAt(i).Dist2Point %v", i, p, got, want)
+			}
+		}
 	}
 }

@@ -12,9 +12,9 @@ import "neurospatial/internal/geom"
 // Coords is metadata *beside* the page bytes, keyed by PageID and slice
 // position: reads still go through PageSource.ReadPage, so buffer pools,
 // Counting taps, snapshots and CoW remaps observe exactly the accounting they
-// did before (see the README migration note — code that only consumed
-// ReadPage's ID payload is unaffected; code that re-derived geometry from RAM
-// AABB slices can switch to the sidecar or keep its own arrays).
+// did before (see the README migration note). The engine's contenders keep
+// no other per-item geometry: an item's box is BoxAt of its slot, and kNN
+// ranks a page's residents by Dist2At without materializing a box.
 //
 // A Coords is immutable after BuildCoords and safe for concurrent readers.
 type Coords struct {
@@ -30,9 +30,9 @@ type Coords struct {
 }
 
 // BuildCoords derives the SoA sidecar of a built store. boxOf resolves the
-// MBR of a non-negative element ID (the same RAM geometry the strided filters
-// read); negative placeholder entries (R-tree internal-node pages) get an
-// empty never-intersecting slot.
+// MBR of a non-negative element ID (a builder's transient input — the sidecar
+// is a copy and keeps no reference to it); negative placeholder entries
+// (R-tree internal-node pages) get an empty never-intersecting slot.
 func BuildCoords(s *Store, boxOf func(id int32) geom.AABB) *Coords {
 	total := 0
 	for p := 0; p < s.NumPages(); p++ {
@@ -70,6 +70,17 @@ func (c *Coords) PageOffset(p PageID) int { return int(c.off[p]) }
 func (c *Coords) BoxAt(i int) geom.AABB {
 	return geom.AABB{Min: geom.Vec{X: c.minX[i], Y: c.minY[i], Z: c.minZ[i]},
 		Max: geom.Vec{X: c.maxX[i], Y: c.maxY[i], Z: c.maxZ[i]}}
+}
+
+// Dist2At returns the squared distance from p to the box in slot i — what the
+// kNN search ranks a page's residents by, read from the six runs with no
+// AABB materialized: geom.AABB.Dist2Point's arithmetic, bit for bit, in one
+// call with the per-axis kernel inlined.
+func (c *Coords) Dist2At(i int, p geom.Vec) float64 {
+	dx := geom.AxisGap(c.minX[i], c.maxX[i], p.X)
+	dy := geom.AxisGap(c.minY[i], c.maxY[i], p.Y)
+	dz := geom.AxisGap(c.minZ[i], c.maxZ[i], p.Z)
+	return dx*dx + dy*dy + dz*dz
 }
 
 // IntersectsAt reports whether the box in slot i intersects q — the
