@@ -77,9 +77,11 @@ func BenchmarkE1FLATvsRTreeDensity(b *testing.B) {
 			b.ReportMetric(float64(results)/float64(b.N), "results/op")
 		})
 		b.Run(sub("RTree/neurons", neurons), func(b *testing.B) {
+			tree := modelTree(b, m)
+			b.ResetTimer()
 			var pages, results int64
 			for i := 0; i < b.N; i++ {
-				st := m.RTree.Query(queries[i%len(queries)], func(rtree.Item) {})
+				st := tree.Query(queries[i%len(queries)], func(rtree.Item) {})
 				pages += st.NodeAccesses()
 				results += st.Results
 			}
@@ -265,10 +267,7 @@ func BenchmarkE6Scale(b *testing.B) {
 // graph).
 func BenchmarkAblationFLATGranularity(b *testing.B) {
 	m := benchModel(b, modelKey{neurons: 64, edge: 300, seed: 7})
-	items := make([]rtree.Item, len(m.Circuit.Elements))
-	for i := range m.Circuit.Elements {
-		items[i] = rtree.Item{Box: m.Circuit.Elements[i].Bounds(), ID: m.Circuit.Elements[i].ID}
-	}
+	items := modelItems(m)
 	q := geom.BoxAround(m.Circuit.Params.Volume.Center(), 40)
 	for _, pageSize := range []int{4, 16, 64, 256} {
 		pageSize := pageSize
@@ -514,10 +513,7 @@ func BenchmarkCircuitBuildWorkers(b *testing.B) {
 // packages lean on.
 func BenchmarkRTreeOps(b *testing.B) {
 	m := benchModel(b, modelKey{neurons: 64, edge: 300, seed: 8})
-	items := make([]rtree.Item, len(m.Circuit.Elements))
-	for i := range m.Circuit.Elements {
-		items[i] = rtree.Item{Box: m.Circuit.Elements[i].Bounds(), ID: m.Circuit.Elements[i].ID}
-	}
+	items := modelItems(m)
 	b.Run("STRBulkLoad", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := rtree.STR(items, 16); err != nil {
@@ -547,6 +543,7 @@ func BenchmarkRTreeOps(b *testing.B) {
 		}
 	})
 	b.Run("SeedInRange", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			tr.SeedInRange(q)
 		}
@@ -615,19 +612,25 @@ func BenchmarkAblationWarmCache(b *testing.B) {
 		b.ReportMetric(float64(pool.Stats().DemandReads-cold), "warm-misses")
 	})
 	b.Run("PagedRTree", func(b *testing.B) {
-		pt, err := rtree.NewPaged(m.RTree)
+		// The engine's R-tree contender, every node a page read through the
+		// attached pool.
+		rt := m.Engine.Index("rtree").(engine.Paged)
+		pool, err := pager.NewBufferPool(rt.Store(), rt.NumPages())
 		if err != nil {
 			b.Fatal(err)
 		}
-		pool, err := pager.NewBufferPool(pt.Store(), pt.NumPages())
-		if err != nil {
+		rt.SetSource(pool)
+		defer rt.SetSource(nil)
+		req := engine.RangeRequest(q)
+		if _, err := rt.Do(context.Background(), req, nil); err != nil { // warm
 			b.Fatal(err)
 		}
-		pt.Query(q, pool, func(rtree.Item) {}) // warm
 		cold := pool.Stats().DemandReads
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			pt.Query(q, pool, func(rtree.Item) {})
+			if _, err := rt.Do(context.Background(), req, nil); err != nil {
+				b.Fatal(err)
+			}
 		}
 		b.ReportMetric(float64(cold), "cold-pages")
 		b.ReportMetric(float64(pool.Stats().DemandReads-cold), "warm-misses")

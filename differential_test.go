@@ -45,6 +45,27 @@ func diffModel(t testing.TB, neurons int, layered bool, seed int64) *core.Model 
 	return m
 }
 
+// modelItems returns the circuit's elements as index items.
+func modelItems(m *core.Model) []rtree.Item {
+	items := make([]rtree.Item, len(m.Circuit.Elements))
+	for i := range m.Circuit.Elements {
+		items[i] = rtree.Item{Box: m.Circuit.Elements[i].Bounds(), ID: m.Circuit.Elements[i].ID}
+	}
+	return items
+}
+
+// modelTree is the direct-call oracle of a model's R-tree contender: the same
+// STR build over the circuit's items, at the fanout the model gives the
+// contender by default (FLAT's page size).
+func modelTree(t testing.TB, m *core.Model) *rtree.Tree {
+	t.Helper()
+	tr, err := rtree.STR(modelItems(m), m.Flat.Store().Capacity())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 func collectPairs(alg join.Algorithm, a, b []join.Object, eps float64) []join.Pair {
 	var out []join.Pair
 	alg.Join(a, b, eps, func(p join.Pair) { out = append(out, p) })
@@ -371,6 +392,7 @@ func TestEngineRoutedMatchesDirect(t *testing.T) {
 	}
 
 	eflat, ertree := m.Engine.Index("flat"), m.Engine.Index("rtree")
+	tree := modelTree(t, m)
 	for qi, q := range queries {
 		var direct []int32
 		ds := m.Flat.Query(q, nil, func(id int32) { direct = append(direct, id) })
@@ -385,7 +407,7 @@ func TestEngineRoutedMatchesDirect(t *testing.T) {
 		}
 
 		var dtree []int32
-		ts := m.RTree.Query(q, func(it rtree.Item) { dtree = append(dtree, it.ID) })
+		ts := tree.Query(q, func(it rtree.Item) { dtree = append(dtree, it.ID) })
 		slices.Sort(dtree)
 		rtreeRouted, rs := doRange(t, ertree, q)
 		if !reflect.DeepEqual(dtree, rtreeRouted) {

@@ -53,11 +53,12 @@ func TestIntegrationQueryEnginesAgree(t *testing.T) {
 		geom.BoxAround(geom.V(125, 10, 125), 60), // dense bottom layer
 		geom.BoxAround(geom.V(-40, -40, -40), 40),
 	}
+	tree := modelTree(t, m)
 	for qi, q := range queries {
 		flatIDs := map[int32]bool{}
 		m.Flat.Query(q, nil, func(id int32) { flatIDs[id] = true })
 		treeIDs := map[int32]bool{}
-		m.RTree.Query(q, func(it rtree.Item) { treeIDs[it.ID] = true })
+		tree.Query(q, func(it rtree.Item) { treeIDs[it.ID] = true })
 		gridIDs := map[int32]bool{}
 		g.Query(q, func(i int32) { gridIDs[m.Circuit.Elements[i].ID] = true })
 

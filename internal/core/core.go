@@ -65,9 +65,6 @@ type Model struct {
 	Circuit *circuit.Circuit
 	// Flat is the FLAT index over the circuit's elements.
 	Flat *flat.Index
-	// RTree is the element-level R-tree baseline, with fanout equal to the
-	// FLAT page size so node reads and page reads are comparable.
-	RTree *rtree.Tree
 	// Engine is the unified query layer over the circuit as built: the FLAT,
 	// R-tree, grid and sharded contenders behind one engine.SpatialIndex
 	// interface, with the stats-driven planner routing batches between them.
@@ -80,8 +77,8 @@ type Model struct {
 	// Dataset is the model's mutable ownership layer: the same four
 	// contenders as epoch-0 bases of an engine.Dataset, so batched mutations
 	// (Mutate) publish new snapshot epochs and sessions pin consistent
-	// views. Compaction rebuilds fresh contender instances; Engine, Flat and
-	// RTree above keep serving the initial build.
+	// views. Compaction rebuilds fresh contender instances; Engine and Flat
+	// above keep serving the initial build.
 	Dataset *engine.Dataset
 	// session is the model's query front door: a Session pinned to the
 	// Dataset's latest snapshot, re-pinned (under sessMu) after every
@@ -234,13 +231,9 @@ func NewModel(c *circuit.Circuit, opts Options) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: building FLAT: %w", err)
 	}
-	rt, err := rtree.STR(items, opts.RTreeFanout)
-	if err != nil {
+	ert := engine.NewRTree(opts.RTreeFanout)
+	if err := ert.Build(items); err != nil {
 		return nil, fmt.Errorf("core: building R-tree: %w", err)
-	}
-	ert, err := engine.WrapRTree(rt)
-	if err != nil {
-		return nil, fmt.Errorf("core: paging R-tree: %w", err)
 	}
 	eg := engine.NewGrid(engine.GridOptions{PageSize: opts.Flat.PageSize})
 	if err := eg.Build(items); err != nil {
@@ -268,7 +261,7 @@ func NewModel(c *circuit.Circuit, opts Options) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: building dataset: %w", err)
 	}
-	m := &Model{Circuit: c, Flat: f, RTree: rt, Engine: planner, Dataset: ds, opts: opts}
+	m := &Model{Circuit: c, Flat: f, Engine: planner, Dataset: ds, opts: opts}
 	if err := m.repin(); err != nil {
 		return nil, err
 	}

@@ -541,7 +541,7 @@ func (t *Tx) Commit() (*Snapshot, error) {
 	if !d.opts.DisableAutoCompact {
 		pending := snap.nDelta + snap.nTombs
 		if pending >= d.opts.CompactMin &&
-			float64(pending) > d.opts.CompactRatio*float64(maxInt(snap.live, 1)) {
+			float64(pending) > d.opts.CompactRatio*float64(max(snap.live, 1)) {
 			compacted, err := d.compactUnderWrite()
 			if err != nil {
 				// The batch is committed and stays committed; only the fold
@@ -636,11 +636,4 @@ func (d *Dataset) compactUnderWrite() (*Snapshot, error) {
 	d.lastCompact = time.Since(start)
 	d.mu.Unlock()
 	return snap, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -7,7 +7,7 @@
 //
 // The layering (bottom to top):
 //
-//	index     flat.Index, rtree.Tree(+PagedTree), grid.Grid  — structures;
+//	index     flat.Index, the R-tree's node directory, grid.Grid — structures;
 //	          Sharded composes any of them into K spatial shards with
 //	          scatter-gather execution (shard.Partition)
 //	storage   pager.Store / pager.BufferPool via pager.PageSource — every
@@ -101,7 +101,7 @@ type QueryStats struct {
 }
 
 // MaxLevels bounds the per-level breakdown, matching the rtree record so the
-// native array copies straight across.
+// two breakdowns compare level for level.
 const MaxLevels = rtree.MaxLevels
 
 // NodesPerLevel renders the per-level breakdown (leaves first) as a freshly
@@ -116,8 +116,8 @@ func (s QueryStats) NodesPerLevel() []int64 {
 	return out
 }
 
-// addNode records one node access at level — the allocation-free bump the
-// R-tree's kNN expansion shares with the rtree-native record.
+// addNode records one node access at level — the allocation-free bump of the
+// R-tree's range descent and kNN expansion, as rtree.QueryStats counts it.
 func (s *QueryStats) addNode(level int) {
 	if level >= MaxLevels {
 		level = MaxLevels - 1

@@ -74,10 +74,6 @@ func pickSource(req Request, passed, attached pager.PageSource) pager.PageSource
 	return attached
 }
 
-// cancelable reports whether ctx can ever be canceled; the R-tree's range
-// scan takes its RAM descent when it cannot (and no source is attached).
-func cancelable(ctx context.Context) bool { return ctx != nil && ctx.Done() != nil }
-
 // ctxErr is ctx.Err() tolerating a nil context.
 func ctxErr(ctx context.Context) error {
 	if ctx == nil {

@@ -70,17 +70,17 @@ func freezeIndex(name string, ix SpatialIndex) (durable.IndexRec, error) {
 			rec.GroupLens = append(rec.GroupLens, int32(len(ids)))
 		}
 	case *RTree:
-		t := v.Inner()
-		if t == nil {
-			return rec, fmt.Errorf("engine: freeze of unbuilt rtree index")
+		// The directory is in pre-order, so its leaf nodes in index order are
+		// the tree's leaves left to right: the runs FromLeafRuns rebuilds
+		// the tree from.
+		for i := range v.nodes {
+			if n := &v.nodes[i]; n.leaf {
+				ids := v.store.Page(n.page)
+				rec.Order = append(rec.Order, ids...)
+				rec.GroupLens = append(rec.GroupLens, int32(len(ids)))
+			}
 		}
-		items, runs := t.LeafRuns()
-		rec.Order = make([]int32, len(items))
-		for i, it := range items {
-			rec.Order[i] = it.ID
-		}
-		rec.GroupLens = runs
-		rec.Meta = []int64{int64(t.Fanout())}
+		rec.Meta = []int64{int64(v.fanout)}
 	case *Grid:
 		if v.g == nil {
 			return rec, fmt.Errorf("engine: freeze of unbuilt grid index")

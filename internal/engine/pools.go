@@ -3,8 +3,6 @@ package engine
 import (
 	"context"
 	"sync"
-
-	"neurospatial/internal/rtree"
 )
 
 // This file holds the sync.Pool-backed scratch of the Do hot path. The
@@ -26,15 +24,13 @@ import (
 // closure per query is itself a heap allocation, so the closure is built once
 // per pooled object and appends into the object's (growing, reused) slice.
 type idCollector struct {
-	ids       []int32
-	visit     func(int32)
-	visitItem func(rtree.Item) // the rtree-native visitor form
+	ids   []int32
+	visit func(int32)
 }
 
 var idCollectorPool = sync.Pool{New: func() any {
 	c := &idCollector{ids: make([]int32, 0, 256)}
 	c.visit = func(id int32) { c.ids = append(c.ids, id) }
-	c.visitItem = func(it rtree.Item) { c.ids = append(c.ids, it.ID) }
 	return c
 }}
 

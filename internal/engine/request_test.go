@@ -1,8 +1,8 @@
 package engine_test
 
 // Satellite regression coverage of the Request surface: typed validation,
-// kNN's page accounting against an independent read tap (NodesPerLevel +
-// PagesRead under the R-tree's one-node-per-page convention), and the
+// every kind's page accounting against an independent read tap (NodesPerLevel
+// + PagesRead under the R-tree's one-node-per-page convention), and the
 // Aggregate NodesPerLevel sizing fix with its micro-benchmark.
 
 import (
@@ -60,12 +60,12 @@ func TestRequestValidate(t *testing.T) {
 	}
 }
 
-// TestKNNReadsThroughSource: every page a kNN counts is a read through the
-// attached source — tap reads == QueryStats.PagesRead on every contender (the
-// sharded one at 1 and 4 shards over each sub-index), raw and through a
-// snapshot view over a live overlay. For the R-tree, whose nodes are its
-// pages, that is every node access: IndexReads stays 0 and NodesPerLevel sums
-// to PagesRead.
+// TestKNNReadsThroughSource: every page a request counts is a read through
+// the attached source — tap reads == QueryStats.PagesRead for kNN, Range,
+// Point and WithinDistance on every contender (the sharded one at 1 and 4
+// shards over each sub-index), raw and through a snapshot view over a live
+// overlay. For the R-tree, whose nodes are its pages, that is every node
+// access: IndexReads stays 0 and NodesPerLevel sums to PagesRead.
 func TestKNNReadsThroughSource(t *testing.T) {
 	items := testItems(t, 10, 9101)
 	for _, cell := range sessionCells(t, items) {
@@ -79,28 +79,35 @@ func TestKNNReadsThroughSource(t *testing.T) {
 		}{{"raw", ix}, {"view", view}} {
 			for i, k := range []int{1, 5, 16} {
 				p := items[(i*41)%len(items)].Box.Center()
-				tap.Reset()
-				st, err := sf.ix.Do(context.Background(), engine.KNNRequest(p, k), nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if st.PagesRead == 0 || tap.Reads() != st.PagesRead {
-					t.Errorf("%s/%s k=%d: the source saw %d reads, PagesRead says %d",
-						cell.name, sf.name, k, tap.Reads(), st.PagesRead)
-				}
-				if int(st.Results) != k {
-					t.Errorf("%s/%s k=%d: Results=%d", cell.name, sf.name, k, st.Results)
-				}
-				if cell.name != "rtree" {
-					continue
-				}
-				var nodes int64
-				for _, n := range st.NodesPerLevel() {
-					nodes += n
-				}
-				if st.IndexReads != 0 || nodes != st.PagesRead {
-					t.Errorf("rtree/%s k=%d: IndexReads %d, NodesPerLevel %v, PagesRead %d (every R-tree node is a page)",
-						sf.name, k, st.IndexReads, st.NodesPerLevel(), st.PagesRead)
+				for _, req := range []engine.Request{
+					engine.KNNRequest(p, k),
+					engine.RangeRequest(geom.BoxAround(p, float64(k))),
+					engine.PointRequest(p),
+					engine.WithinDistanceRequest(p, float64(k)),
+				} {
+					tap.Reset()
+					st, err := sf.ix.Do(context.Background(), req, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if st.PagesRead == 0 || tap.Reads() != st.PagesRead {
+						t.Errorf("%s/%s %s: the source saw %d reads, PagesRead says %d",
+							cell.name, sf.name, req, tap.Reads(), st.PagesRead)
+					}
+					if req.Kind == engine.KNN && int(st.Results) != k {
+						t.Errorf("%s/%s k=%d: Results=%d", cell.name, sf.name, k, st.Results)
+					}
+					if cell.name != "rtree" {
+						continue
+					}
+					var nodes int64
+					for _, n := range st.NodesPerLevel() {
+						nodes += n
+					}
+					if st.IndexReads != 0 || nodes != st.PagesRead {
+						t.Errorf("rtree/%s %s: IndexReads %d, NodesPerLevel %v, PagesRead %d (every R-tree node is a page)",
+							sf.name, req, st.IndexReads, st.NodesPerLevel(), st.PagesRead)
+					}
 				}
 			}
 		}

@@ -10,36 +10,38 @@ import (
 	"neurospatial/internal/rtree"
 )
 
-// RTree adapts an STR-bulk-loaded rtree.Tree to the engine layer, with its
-// nodes laid onto simulated disk pages (rtree.PagedTree, one node per page —
-// the classic disk R-tree layout). Stats mapping: every node access is a
-// page read — a real read through the source for every kind, kNN included —
-// so PagesRead is the total node accesses, IndexReads is 0 and NodesPerLevel
-// carries the per-level breakdown the demo's panel shows.
+// RTree adapts an R-tree to the engine layer as its node directory: each node
+// of the tree is one page (the classic disk R-tree layout) whose MBR, level,
+// children and item-ID zone stay in RAM, and the items' boxes live in the
+// pages' coordinate sidecar. The tree itself — STR-built by Build, rebuilt
+// from its leaf runs by a durable thaw, or any tree handed to WrapRTree — is
+// lowered onto these once and not retained. Stats mapping: every node access
+// is a page read through the source, for every kind, so PagesRead is the total
+// node accesses, IndexReads is 0 and NodesPerLevel carries the per-level
+// breakdown the demo's panel shows.
 type RTree struct {
 	fanout   int
-	tree     *rtree.Tree
-	paged    *rtree.PagedTree
+	store    *pager.Store // one page per node: a leaf's item IDs, or a -1 placeholder
 	src      pager.PageSource
 	elemPage []pager.PageID // item ID -> leaf page
 	// slot[id] is item id's slot in coords, the index's only RAM copy of the
-	// item boxes outside the tree's own leaves.
+	// item boxes.
 	slot []int32
-	// boxOf is the exact-geometry accessor bound once per paging (a
+	// boxOf is the exact-geometry accessor bound once per lowering (a
 	// per-query closure would be a hot-path allocation).
 	boxOf func(int32) geom.AABB
 	// coords is the struct-of-arrays sidecar of the node-page store: leaf
 	// pages' item coordinates as contiguous per-axis runs (internal-node
-	// placeholder entries get empty boxes), scanned sequentially by the kNN
-	// search and the lazy stream.
+	// placeholder entries get empty boxes), read by every traversal.
 	coords *pager.Coords
-	// nodes is the RAM-resident node directory built at paging time: per
-	// node its page, MBR, level and the (min, max) item-ID zone of its
-	// subtree — what the lazy stream orders nodes by. nodes[0] is the root.
+	// nodes is the node directory in pre-order: nodes[i] is laid out on page
+	// i, and nodes[0] is the root.
 	nodes []rnode
 }
 
-// rnode is one node of the RAM directory (see RTree.nodes).
+// rnode is one node of the directory (see RTree.nodes): its page, MBR, level
+// and the (min, max) item-ID zone of its subtree — what the lazy stream
+// orders nodes by.
 type rnode struct {
 	page  pager.PageID
 	box   geom.AABB
@@ -59,20 +61,16 @@ func NewRTree(fanout int) *RTree {
 }
 
 // WrapRTree adapts an already-built tree (STR- or insertion-built). The tree
-// is paged at wrap time and must not be mutated afterwards.
+// is lowered onto the node directory at wrap time and not retained, so the
+// caller may go on mutating it; the index keeps answering for the tree as it
+// was wrapped.
 func WrapRTree(t *rtree.Tree) (*RTree, error) {
-	r := &RTree{fanout: t.Fanout(), tree: t}
-	if err := r.page(); err != nil {
+	r := &RTree{fanout: t.Fanout()}
+	if err := r.page(t); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
-
-// Inner returns the wrapped rtree.Tree (nil before Build).
-func (r *RTree) Inner() *rtree.Tree { return r.tree }
-
-// PagedTree returns the node-per-page layout (nil for an empty tree).
-func (r *RTree) PagedTree() *rtree.PagedTree { return r.paged }
 
 // Name implements SpatialIndex.
 func (r *RTree) Name() string { return "rtree" }
@@ -85,62 +83,34 @@ func (r *RTree) Build(items []rtree.Item) error {
 	if err != nil {
 		return fmt.Errorf("engine: %w", err)
 	}
-	r.tree, r.src = t, nil
-	return r.page()
+	r.src = nil
+	return r.page(t)
 }
 
-// page lays the tree's nodes onto pages and indexes each item's leaf page
-// and sidecar slot. A failure leaves the index empty.
-func (r *RTree) page() error {
-	r.paged, r.elemPage, r.slot, r.coords, r.nodes = nil, nil, nil, nil, nil
-	if r.tree.Size() == 0 {
+// page lowers t in one pre-order walk: node i of the directory is page i of
+// the store, and each item's leaf page, sidecar slot and box are recorded on
+// the way. A failure leaves the index empty.
+func (r *RTree) page(t *rtree.Tree) error {
+	r.store, r.elemPage, r.slot, r.coords, r.nodes = nil, nil, nil, nil, nil
+	root, ok := t.Root()
+	if !ok {
 		return nil
 	}
-	p, err := rtree.NewPaged(r.tree)
+	b, err := pager.NewBuilder(t.Fanout())
 	if err != nil {
-		r.tree = nil
 		return fmt.Errorf("engine: %w", err)
 	}
-	r.paged = p
-	r.elemPage = make([]pager.PageID, r.tree.Size())
+	r.elemPage = make([]pager.PageID, t.Size())
 	// slot holds each item's position on its leaf page until the sidecar
 	// exists; boxes is the transient input of BuildCoords.
-	r.slot = make([]int32, r.tree.Size())
-	boxes := make([]geom.AABB, r.tree.Size())
-	r.boxOf = func(id int32) geom.AABB { return r.coords.BoxAt(int(r.slot[id])) }
-	root, _ := r.tree.Root()
-	var walk func(v rtree.NodeView) int32
-	walk = func(v rtree.NodeView) int32 {
-		ni := int32(len(r.nodes))
-		r.nodes = append(r.nodes, rnode{})
-		n := rnode{page: p.PageOf(v), box: v.Box(), level: v.Level(), leaf: v.IsLeaf(),
-			zone: idZone{min: math.MaxInt32, max: -1}}
-		if v.IsLeaf() {
-			for i, it := range v.Items() {
-				if int(it.ID) < len(r.elemPage) {
-					r.elemPage[it.ID] = n.page
-					r.slot[it.ID] = int32(i)
-					boxes[it.ID] = it.Box
-				}
-				n.zone.min, n.zone.max = min(n.zone.min, it.ID), max(n.zone.max, it.ID)
-			}
-		} else {
-			n.kids = make([]int32, 0, v.NumChildren())
-			for i := 0; i < v.NumChildren(); i++ {
-				ci := walk(v.Child(i))
-				n.kids = append(n.kids, ci)
-				c := r.nodes[ci].zone
-				n.zone.min, n.zone.max = min(n.zone.min, c.min), max(n.zone.max, c.max)
-			}
-		}
-		r.nodes[ni] = n
-		return ni
-	}
-	walk(root)
-	// Guarded accessor: WrapRTree tolerates non-dense item IDs;
-	// out-of-range IDs get empty (never-intersecting) sidecar slots instead
-	// of panicking the build.
-	r.coords = pager.BuildCoords(r.paged.Store(), func(id int32) geom.AABB {
+	r.slot = make([]int32, t.Size())
+	boxes := make([]geom.AABB, t.Size())
+	r.lower(root, b, boxes)
+	st := b.Build()
+	// Guarded accessor: WrapRTree tolerates non-dense item IDs; out-of-range
+	// IDs get empty (never-intersecting) sidecar slots, so no query reports
+	// them, instead of panicking the build.
+	r.store, r.coords = st, pager.BuildCoords(st, func(id int32) geom.AABB {
 		if int(id) >= len(boxes) {
 			return geom.EmptyAABB()
 		}
@@ -149,51 +119,95 @@ func (r *RTree) page() error {
 	for id, pg := range r.elemPage {
 		r.slot[id] += int32(r.coords.PageOffset(pg))
 	}
+	r.boxOf = func(id int32) geom.AABB { return r.coords.BoxAt(int(r.slot[id])) }
 	return nil
+}
+
+// lower appends the subtree under v to the directory in pre-order and its
+// nodes' pages to b — a leaf's item IDs in item order, one -1 placeholder for
+// an internal node — and returns the subtree root's index. A node of a
+// non-empty tree holds between one and fanout entries, so it fills exactly
+// one page.
+func (r *RTree) lower(v rtree.NodeView, b *pager.Builder, boxes []geom.AABB) int32 {
+	ni := int32(len(r.nodes))
+	n := rnode{page: pager.PageID(ni), box: v.Box(), level: v.Level(), leaf: v.IsLeaf(),
+		zone: idZone{min: math.MaxInt32, max: -1}}
+	r.nodes = append(r.nodes, rnode{})
+	for i, it := range v.Items() {
+		b.Add(it.ID)
+		if int(it.ID) < len(boxes) {
+			r.elemPage[it.ID], r.slot[it.ID], boxes[it.ID] = n.page, int32(i), it.Box
+		}
+		n.zone.min, n.zone.max = min(n.zone.min, it.ID), max(n.zone.max, it.ID)
+	}
+	if !n.leaf {
+		b.Add(-1)
+		n.kids = make([]int32, 0, v.NumChildren())
+	}
+	b.FlushPage()
+	for c := 0; c < v.NumChildren(); c++ {
+		ci := r.lower(v.Child(c), b, boxes)
+		n.kids = append(n.kids, ci)
+		z := r.nodes[ci].zone
+		n.zone.min, n.zone.max = min(n.zone.min, z.min), max(n.zone.max, z.max)
+	}
+	r.nodes[ni] = n
+	return ni
 }
 
 // Bounds implements SpatialIndex.
 func (r *RTree) Bounds() geom.AABB {
-	if r.tree == nil {
+	if len(r.nodes) == 0 {
 		return geom.EmptyAABB()
 	}
-	return r.tree.Bounds()
+	return r.nodes[0].box
 }
 
 // NumItems implements SpatialIndex.
-func (r *RTree) NumItems() int {
-	if r.tree == nil {
-		return 0
-	}
-	return r.tree.Size()
-}
+func (r *RTree) NumItems() int { return len(r.elemPage) }
 
-// fromRTree maps the tree's native stats onto the unified record.
-func fromRTree(s rtree.QueryStats) QueryStats {
-	return QueryStats{
-		PagesRead:     s.NodeAccesses(),
-		EntriesTested: s.EntriesTested,
-		Results:       s.Results,
-		LevelNodes:    s.LevelNodes,
-		Levels:        s.Levels,
-	}
-}
-
-// scan implements contender: the filtered descent, IDs in descent order.
-// With no source to read through and a context that cannot be canceled it
-// descends the RAM tree — the same nodes in the same order as the paged
-// descent, so the same record, with no page reads to check a context at.
+// scan implements contender: the filtered descent of the directory from the
+// root, IDs in descent order.
 func (r *RTree) scan(ctx context.Context, req Request, src pager.PageSource, out *idCollector) (QueryStats, error) {
-	q := queryBox(req)
-	src = pickSource(req, src, r.src)
-	if src == nil {
-		if !cancelable(ctx) {
-			return fromRTree(r.tree.Query(q, out.visitItem)), nil
-		}
-		src = r.paged.Store()
+	var st QueryStats
+	if len(r.nodes) == 0 {
+		return st, nil
 	}
-	st, err := r.paged.QueryVia(ctx, q, src, out.visitItem)
-	return fromRTree(st), err
+	if err := r.descend(ctx, 0, queryBox(req), r.source(req, src), out, &st); err != nil {
+		return QueryStats{}, err
+	}
+	return st, nil
+}
+
+// descend reads node ni's page through src (ctx checked first), emits the
+// residents of a leaf whose sidecar boxes intersect q, and descends into the
+// children whose MBRs intersect q.
+func (r *RTree) descend(ctx context.Context, ni int32, q geom.AABB, src pager.PageSource, out *idCollector, st *QueryStats) error {
+	if err := ctxErr(ctx); err != nil {
+		return err
+	}
+	n := &r.nodes[ni]
+	ids := src.ReadPage(n.page)
+	st.PagesRead++
+	st.addNode(n.level)
+	if n.leaf {
+		base := r.coords.PageOffset(n.page)
+		for i, id := range ids {
+			st.EntriesTested++
+			if r.coords.IntersectsAt(base+i, q) {
+				st.Results++
+				out.visit(id)
+			}
+		}
+	}
+	for _, ci := range n.kids {
+		if r.nodes[ci].box.Intersects(q) {
+			if err := r.descend(ctx, ci, q, src, out, st); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // itemBoxes implements contender.
@@ -220,7 +234,7 @@ func (r *RTree) knnExpand(s *knnSearch, e knnEntry) error {
 		return nil
 	}
 	n := &r.nodes[e.ref]
-	ids, err := s.read(r.source(s.req), n.page)
+	ids, err := s.read(r.source(s.req, nil), n.page)
 	if err != nil {
 		return err
 	}
@@ -234,58 +248,52 @@ func (r *RTree) knnExpand(s *knnSearch, e knnEntry) error {
 	return nil
 }
 
-// source resolves the PageSource of one call that reads every node it visits
-// (see pickSource), falling back to cold reads from the node-page store.
-func (r *RTree) source(req Request) pager.PageSource {
-	if src := pickSource(req, nil, r.src); src != nil {
+// source resolves the PageSource of one call (see pickSource), falling back
+// to cold reads from the node-page store.
+func (r *RTree) source(req Request, passed pager.PageSource) pager.PageSource {
+	if src := pickSource(req, passed, r.src); src != nil {
 		return src
 	}
-	return r.paged.Store()
+	return r.store
 }
 
 // zonePages implements traverser: every directory node the range descent
-// visits — each node whose box, and whose ancestors' boxes, intersect the
-// query box — at its page, with its subtree's zone. An internal node's page
-// holds no element, so the stream reads it, one page read as in the descent,
-// when it becomes the least unread zone: never before its parent (pages are
-// assigned in pre-order, so a tie on the zone min goes to the parent) and
-// never past the point a Limit stops the stream.
+// visits (inRange) at its page, with its subtree's zone. An internal node's
+// page holds no element, so the stream reads it, one page read as in the
+// descent, when it becomes the least unread zone: never before its parent
+// (pages are assigned in pre-order, so a tie on the zone min goes to the
+// parent) and never past the point a Limit stops the stream.
 func (r *RTree) zonePages(req Request, ps *pageStream) pager.PageSource {
 	if len(r.nodes) == 0 {
 		return nil
 	}
-	if q := queryBox(req); r.nodes[0].box.Intersects(q) {
-		r.addNode(0, q, ps)
-	}
-	return r.source(req)
+	r.inRange(queryBox(req), func(n *rnode) { ps.add(n.page, n.zone, r.coords) })
+	return r.source(req, nil)
 }
 
-// addNode adds node ni and the nodes beneath it that intersect q.
-func (r *RTree) addNode(ni int32, q geom.AABB, ps *pageStream) {
+// inRange calls fn, in pre-order, on every directory node whose box — and
+// whose ancestors' boxes — intersect q.
+func (r *RTree) inRange(q geom.AABB, fn func(*rnode)) {
+	if len(r.nodes) > 0 && r.nodes[0].box.Intersects(q) {
+		r.walkRange(0, q, fn)
+	}
+}
+
+func (r *RTree) walkRange(ni int32, q geom.AABB, fn func(*rnode)) {
 	n := &r.nodes[ni]
-	ps.add(n.page, n.zone, r.coords)
+	fn(n)
 	for _, ci := range n.kids {
 		if r.nodes[ci].box.Intersects(q) {
-			r.addNode(ci, q, ps)
+			r.walkRange(ci, q, fn)
 		}
 	}
 }
 
 // Store implements Paged (nil for an empty tree).
-func (r *RTree) Store() *pager.Store {
-	if r.paged == nil {
-		return nil
-	}
-	return r.paged.Store()
-}
+func (r *RTree) Store() *pager.Store { return r.store }
 
-// NumPages implements Paged.
-func (r *RTree) NumPages() int {
-	if r.paged == nil {
-		return 0
-	}
-	return r.paged.NumPages()
-}
+// NumPages implements Paged: one page per directory node.
+func (r *RTree) NumPages() int { return len(r.nodes) }
 
 // PageOf implements Paged: the page of the leaf holding item id.
 func (r *RTree) PageOf(id int32) pager.PageID {
@@ -296,12 +304,11 @@ func (r *RTree) PageOf(id int32) pager.PageID {
 }
 
 // PagesInRange implements Paged: the pages of every node a query of box q
-// would visit.
+// would visit, in pre-order.
 func (r *RTree) PagesInRange(q geom.AABB) []pager.PageID {
-	if r.paged == nil {
-		return nil
-	}
-	return r.paged.PagesInRange(q)
+	var out []pager.PageID
+	r.inRange(q, func(n *rnode) { out = append(out, n.page) })
+	return out
 }
 
 // SetSource implements Paged.

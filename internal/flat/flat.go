@@ -417,10 +417,9 @@ func (idx *Index) query(ctx context.Context, q geom.AABB, src pager.PageSource,
 	sc := getCrawl(len(idx.pageBox))
 	defer crawlPool.Put(sc)
 
-	// Phase 1: seed (the allocation-free counter form of SeedInRange —
-	// identical descent, identical node-access count).
-	seedItem, seedNodes, _, ok := idx.seedTree.SeedInRangeCount(q)
-	stats.SeedNodeAccesses += seedNodes
+	// Phase 1: seed.
+	seedItem, seedStats, ok := idx.seedTree.SeedInRange(q)
+	stats.SeedNodeAccesses += seedStats.NodeAccesses()
 	if !ok {
 		return stats, nil
 	}
@@ -478,14 +477,14 @@ func (idx *Index) readPage(p pager.PageID, q geom.AABB, src pager.PageSource,
 }
 
 // seedExcluding finds a page intersecting q that the scratch has not visited.
-// It reuses the seed tree's range traversal (counter form) but keeps only the
-// first unvisited hit via the scratch's pre-bound exclusion visitor.
+// It reuses the seed tree's range traversal but keeps only the first
+// unvisited hit via the scratch's pre-bound exclusion visitor.
 func (idx *Index) seedExcluding(q geom.AABB, sc *crawlScratch) (rtree.Item, int64, bool) {
 	sc.ok = false
 	// The tree API has no early exit, but the extra accesses are counted
 	// honestly and occur only in the rare re-seed path.
-	nodes, _, _ := idx.seedTree.QueryCount(q, sc.excl)
-	return sc.found, nodes, sc.ok
+	st := idx.seedTree.Query(q, sc.excl)
+	return sc.found, st.NodeAccesses(), sc.ok
 }
 
 // PagesInRange returns the pages whose MBRs intersect q, via the seed tree.

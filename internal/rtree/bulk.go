@@ -129,16 +129,16 @@ func strPack(items []Item, fanout int) [][]Item {
 	FillAxis(keys, items, 0)
 	SortKeys(keys)
 	for x := 0; x < len(keys); x += sliceX {
-		slab := keys[x:minInt(x+sliceX, len(keys))]
+		slab := keys[x:min(x+sliceX, len(keys))]
 		FillAxis(slab, items, 1)
 		SortKeys(slab)
 		for y := 0; y < len(slab); y += sliceY {
-			run := slab[y:minInt(y+sliceY, len(slab))]
+			run := slab[y:min(y+sliceY, len(slab))]
 			FillAxis(run, items, 2)
 			SortKeys(run)
 			for z := 0; z < len(run); z += fanout {
 				lo := len(packed)
-				packed = gather(packed, run[z:minInt(z+fanout, len(run))], items)
+				packed = gather(packed, run[z:min(z+fanout, len(run))], items)
 				tiles = append(tiles, packed[lo:len(packed):len(packed)])
 			}
 		}

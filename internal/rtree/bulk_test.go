@@ -41,13 +41,13 @@ func refPackSTR(items []Item, fanout int) [][]Item {
 	byAxis(own, 0)
 	var tiles [][]Item
 	for x := 0; x < len(own); x += sliceX {
-		slab := own[x:minInt(x+sliceX, len(own))]
+		slab := own[x:min(x+sliceX, len(own))]
 		byAxis(slab, 1)
 		for y := 0; y < len(slab); y += sliceY {
-			run := slab[y:minInt(y+sliceY, len(slab))]
+			run := slab[y:min(y+sliceY, len(slab))]
 			byAxis(run, 2)
 			for z := 0; z < len(run); z += fanout {
-				tiles = append(tiles, append([]Item(nil), run[z:minInt(z+fanout, len(run))]...))
+				tiles = append(tiles, append([]Item(nil), run[z:min(z+fanout, len(run))]...))
 			}
 		}
 	}

@@ -1,22 +1,25 @@
 package rtree
 
-import "neurospatial/internal/geom"
+import (
+	"fmt"
 
-// QueryStats describes the work one query performed. The demo's statistics
-// panel (Figure 3 of the paper) shows exactly these numbers for the R-tree:
-// node accesses broken down by level, which exposes how MBR overlap forces an
-// R-tree to read several nodes per level in dense regions.
+	"neurospatial/internal/geom"
+)
+
 // MaxLevels bounds the per-level node-access breakdown. An STR tree of
 // height 32 holds at least 2^32 items even at fanout 2, far past anything the
 // engine indexes; deeper accesses (unreachable in practice) fold into the
 // top bucket rather than growing the record.
 const MaxLevels = 32
 
+// QueryStats describes the work one query performed. The demo's statistics
+// panel (Figure 3 of the paper) shows exactly these numbers for the R-tree:
+// node accesses broken down by level, which exposes how MBR overlap forces an
+// R-tree to read several nodes per level in dense regions.
 type QueryStats struct {
 	// LevelNodes[l] counts node accesses at level l (0 = leaves); entries at
-	// Levels and beyond are zero. An inline array rather than a slice so a
-	// stats record never allocates — the caller-retained per-level slice was
-	// the rtree Do path's only remaining per-query heap allocation.
+	// Levels and beyond are zero. An inline array rather than a slice, so a
+	// stats record never allocates.
 	LevelNodes [MaxLevels]int64
 	// Levels is the number of meaningful LevelNodes entries — the height of
 	// the deepest access recorded.
@@ -59,8 +62,8 @@ func (s *QueryStats) visit(level int) {
 	}
 }
 
-// Query reports every item whose box intersects q to visit, in unspecified
-// order, and returns the access statistics.
+// Query reports every item whose box intersects q to visit, in depth-first
+// order, and returns the access statistics. It allocates nothing itself.
 func (t *Tree) Query(q geom.AABB, visit func(Item)) QueryStats {
 	var stats QueryStats
 	if t.size == 0 {
@@ -102,19 +105,25 @@ func (t *Tree) Count(q geom.AABB) int {
 // strategy: finding *any* element in the range needs only one root-to-leaf
 // descent in the common case (§2.1 of the paper: "typically only depends on
 // the height of the R-Tree"), after which FLAT's crawl takes over. The
-// returned stats record the nodes the descent touched.
-func (t *Tree) SeedInRange(q geom.AABB) (Item, QueryStats, bool) {
-	var stats QueryStats
-	if t.size == 0 {
-		return Item{}, stats, false
+// returned stats record the nodes the descent touched. It allocates nothing,
+// and it is small enough to inline, so the stats record is built in the
+// caller's frame rather than copied out of this one.
+func (t *Tree) SeedInRange(q geom.AABB) (it Item, stats QueryStats, ok bool) {
+	if t.size > 0 {
+		it, ok = t.seed(t.root, q, &stats)
 	}
-	c := q.Center()
-	it, ok := t.seed(t.root, q, c, &stats)
 	return it, stats, ok
 }
 
-func (t *Tree) seed(n *node, q geom.AABB, center geom.Vec, stats *QueryStats) (Item, bool) {
+// seed descends into the intersecting children of n nearest q's center first,
+// in ascending (Dist2Point(center), child index) order — a stable sort's
+// order, produced without an order slice by a (lastD, lastI) cursor that
+// selects the next child on each pass: O(fanout²) selection in the worst case,
+// no allocation. The center is recomputed per node (six flops) to keep
+// SeedInRange within the inlining budget.
+func (t *Tree) seed(n *node, q geom.AABB, stats *QueryStats) (Item, bool) {
 	stats.visit(n.level)
+	center := q.Center()
 	if n.isLeaf() {
 		bestIdx := -1
 		bestD := 0.0
@@ -128,78 +137,16 @@ func (t *Tree) seed(n *node, q geom.AABB, center geom.Vec, stats *QueryStats) (I
 				bestIdx, bestD = i, d
 			}
 		}
-		if bestIdx >= 0 {
-			stats.Results++
-			return n.items[bestIdx], true
+		if bestIdx < 0 {
+			return Item{}, false
 		}
-		return Item{}, false
-	}
-	// Visit intersecting children closest to the query center first: in a
-	// dense region the first descent succeeds immediately.
-	order := make([]int, 0, len(n.children))
-	for i, c := range n.children {
-		if c.box.Intersects(q) {
-			order = append(order, i)
-		}
-	}
-	for k := 1; k < len(order); k++ {
-		for j := k; j > 0 && n.children[order[j]].box.Dist2Point(center) <
-			n.children[order[j-1]].box.Dist2Point(center); j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	for _, i := range order {
-		if it, ok := t.seed(n.children[i], q, center, stats); ok {
-			return it, true
-		}
-	}
-	return Item{}, false
-}
-
-// SeedInRangeCount is the allocation-free form of SeedInRange: identical
-// traversal (so identical node-access and entries-tested counts and the
-// identical returned item), but reporting plain counters instead of a
-// QueryStats whose per-level slice would allocate. It is the seed call of
-// FLAT's zero-alloc Do path.
-func (t *Tree) SeedInRangeCount(q geom.AABB) (it Item, nodes, tested int64, ok bool) {
-	if t.size == 0 {
-		return Item{}, 0, 0, false
-	}
-	it, ok = t.seedCount(t.root, q, q.Center(), &nodes, &tested)
-	return it, nodes, tested, ok
-}
-
-// seedCount mirrors seed's descent order without materializing the sorted
-// child order: instead of building an order slice, it repeatedly selects the
-// next intersecting child in ascending (Dist2Point(center), child index) —
-// exactly the order seed's stable insertion sort produces — using a
-// (lastD, lastI) cursor. O(fanout²) selection in the worst case, zero
-// allocations always.
-func (t *Tree) seedCount(n *node, q geom.AABB, center geom.Vec, nodes, tested *int64) (Item, bool) {
-	*nodes++
-	if n.isLeaf() {
-		bestIdx := -1
-		bestD := 0.0
-		for i := range n.items {
-			*tested++
-			if !n.items[i].Box.Intersects(q) {
-				continue
-			}
-			d := n.items[i].Box.Dist2Point(center)
-			if bestIdx < 0 || d < bestD {
-				bestIdx, bestD = i, d
-			}
-		}
-		if bestIdx >= 0 {
-			return n.items[bestIdx], true
-		}
-		return Item{}, false
+		stats.Results++
+		return n.items[bestIdx], true
 	}
 	lastD, lastI := -1.0, -1 // Dist2Point is >= 0, so (-1, -1) precedes all
 	for {
 		bestI, bestD := -1, 0.0
-		for i := range n.children {
-			c := n.children[i]
+		for i, c := range n.children {
 			if !c.box.Intersects(q) {
 				continue
 			}
@@ -207,7 +154,7 @@ func (t *Tree) seedCount(n *node, q geom.AABB, center geom.Vec, nodes, tested *i
 			if d < lastD || (d == lastD && i <= lastI) {
 				continue // already descended into
 			}
-			if bestI < 0 || d < bestD || (d == bestD && i < bestI) {
+			if bestI < 0 || d < bestD {
 				bestI, bestD = i, d
 			}
 		}
@@ -215,45 +162,15 @@ func (t *Tree) seedCount(n *node, q geom.AABB, center geom.Vec, nodes, tested *i
 			return Item{}, false
 		}
 		lastD, lastI = bestD, bestI
-		if it, ok := t.seedCount(n.children[bestI], q, center, nodes, tested); ok {
+		if it, ok := t.seed(n.children[bestI], q, stats); ok {
 			return it, true
 		}
 	}
 }
 
-// QueryCount is the allocation-free form of Query: the same traversal and
-// visit order, reporting plain counters instead of a QueryStats whose
-// per-level slice would allocate.
-func (t *Tree) QueryCount(q geom.AABB, visit func(Item)) (nodes, tested, results int64) {
-	if t.size == 0 {
-		return 0, 0, 0
-	}
-	t.queryCount(t.root, q, visit, &nodes, &tested, &results)
-	return nodes, tested, results
-}
-
-func (t *Tree) queryCount(n *node, q geom.AABB, visit func(Item), nodes, tested, results *int64) {
-	*nodes++
-	if n.isLeaf() {
-		for i := range n.items {
-			*tested++
-			if n.items[i].Box.Intersects(q) {
-				*results++
-				visit(n.items[i])
-			}
-		}
-		return
-	}
-	for _, c := range n.children {
-		if c.box.Intersects(q) {
-			t.queryCount(c, q, visit, nodes, tested, results)
-		}
-	}
-}
-
 // NodeView is a read-only handle on a tree node, exposed so other packages
-// (the S3 synchronized traversal, TOUCH's hierarchy walk, the paged layout)
-// can traverse the structure without mutating it.
+// (the S3 synchronized traversal, TOUCH's hierarchy walk, the engine's node
+// directory) can traverse the structure without mutating it.
 type NodeView struct{ n *node }
 
 // Root returns a view of the root node; ok is false for an empty tree.
@@ -283,8 +200,9 @@ func (v NodeView) Child(i int) NodeView { return NodeView{v.n.children[i]} }
 // modified.
 func (v NodeView) Items() []Item { return v.n.items }
 
-// WalkLeaves calls fn for every leaf in left-to-right order. For STR-built
-// trees this order follows the packing order and is spatially coherent.
+// WalkLeaves calls fn for every leaf in left-to-right (pre-)order. For
+// STR-built trees this order follows the packing order and is spatially
+// coherent; FromLeafRuns rebuilds a tree from it.
 func (t *Tree) WalkLeaves(fn func(box geom.AABB, items []Item)) {
 	if t.size == 0 {
 		return
@@ -361,13 +279,18 @@ func checkNode(n *node, fanout int, isRoot bool) (int, error) {
 	return total, nil
 }
 
-type invariantError string
-
-func (e invariantError) Error() string { return string(e) }
-
 func errOverfull(level, n, fanout int) error {
-	return invariantError("rtree: overfull node")
+	return fmt.Errorf("rtree: overfull node at level %d: %d entries, fanout %d", level, n, fanout)
 }
-func errEscape(level int) error        { return invariantError("rtree: child escapes parent MBR") }
-func errLevel(p, c int) error          { return invariantError("rtree: level mismatch") }
-func errEmptyInternal(level int) error { return invariantError("rtree: empty internal node") }
+
+func errEscape(level int) error {
+	return fmt.Errorf("rtree: an entry of a level-%d node escapes its MBR", level)
+}
+
+func errLevel(p, c int) error {
+	return fmt.Errorf("rtree: level mismatch: a level-%d node has a level-%d child", p, c)
+}
+
+func errEmptyInternal(level int) error {
+	return fmt.Errorf("rtree: empty internal node at level %d", level)
+}

@@ -39,28 +39,3 @@ func FromLeafRuns(items []Item, runLens []int32, fanout int) (*Tree, error) {
 	t.root = buildUp(leaves, t.fanout)
 	return t, nil
 }
-
-// LeafRuns records the tree's leaf packing in pre-order: the items of every
-// leaf concatenated, plus each leaf's length. It is the inverse of
-// FromLeafRuns for any tree built by consecutive-run packing (STR or a prior
-// FromLeafRuns).
-func (t *Tree) LeafRuns() (items []Item, runLens []int32) {
-	root, ok := t.Root()
-	if !ok || t.size == 0 {
-		return nil, nil
-	}
-	items = make([]Item, 0, t.size)
-	var walk func(v NodeView)
-	walk = func(v NodeView) {
-		if v.IsLeaf() {
-			items = append(items, v.Items()...)
-			runLens = append(runLens, int32(len(v.Items())))
-			return
-		}
-		for i := 0; i < v.NumChildren(); i++ {
-			walk(v.Child(i))
-		}
-	}
-	walk(root)
-	return items, runLens
-}

@@ -9,11 +9,10 @@
 //
 // The tree supports STR bulk loading (Leutenegger et al., ICDE'97), dynamic
 // insertion with quadratic node splitting (Guttman, SIGMOD'84), deletion with
-// subtree reinsertion, range queries, seed queries (first match), and
-// best-first k-nearest-neighbor search. Range queries report the per-level
-// node-access counts that the demo's statistics panel displays: under MBR
-// overlap an R-tree touches several nodes per level, which is exactly the
-// effect FLAT's density-independent execution avoids.
+// subtree reinsertion, range queries and seed queries (first match). Range
+// queries report the per-level node-access counts that the demo's statistics
+// panel displays: under MBR overlap an R-tree touches several nodes per level,
+// which is exactly the effect FLAT's density-independent execution avoids.
 package rtree
 
 import (
@@ -140,7 +139,7 @@ func buildUp(nodes []*node, fanout int) *node {
 	for len(nodes) > 1 {
 		var parents []*node
 		for i := 0; i < len(nodes); i += fanout {
-			e := minInt(i+fanout, len(nodes))
+			e := min(i+fanout, len(nodes))
 			p := &node{level: nodes[i].level + 1, children: append([]*node(nil), nodes[i:e]...)}
 			p.recomputeBox()
 			parents = append(parents, p)
@@ -440,13 +439,6 @@ func (t *Tree) condense(leaf *node, path []*node) {
 		t.size-- // Insert will re-increment
 		t.Insert(it)
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func cbrtCeil(n int) int {
