@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"reflect"
 	"slices"
 	"testing"
@@ -109,8 +108,8 @@ func TestFrozenRTreeRecordIsLeafOrder(t *testing.T) {
 // TestRTreeLayoutOneNodePerPage: the lowering lays each node of the tree on a
 // page of its own, in pre-order — directory node i is page i, with the node's
 // MBR and level; a leaf's page holds exactly its items' IDs in item order and
-// an internal node's one placeholder — and an empty tree lowers to an empty
-// index with no pages.
+// an internal node's one placeholder. The rtree package's paging tests hold
+// the same form to the tree through the exported surface.
 func TestRTreeLayoutOneNodePerPage(t *testing.T) {
 	tr, err := rtree.STR(scatteredItems(500, 40, 93), 8)
 	if err != nil {
@@ -146,22 +145,5 @@ func TestRTreeLayoutOneNodePerPage(t *testing.T) {
 	walk(root)
 	if r.NumPages() != nodes || len(r.nodes) != nodes {
 		t.Fatalf("%d pages and %d directory nodes for a tree of %d nodes", r.NumPages(), len(r.nodes), nodes)
-	}
-
-	empty, err := rtree.New(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := WrapRTree(empty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.NumItems() != 0 || e.NumPages() != 0 || e.Store() != nil {
-		t.Fatalf("an empty tree lowered to %d items on %d pages", e.NumItems(), e.NumPages())
-	}
-	if _, err := e.Do(context.Background(), RangeRequest(geom.BoxAround(geom.V(0, 0, 0), 1)), func(Hit) {
-		t.Error("hit on an empty index")
-	}); err != nil {
-		t.Fatal(err)
 	}
 }
