@@ -140,6 +140,7 @@ func BenchmarkE3ScoutPruning(b *testing.B) {
 	for i, q := range boxes {
 		m.Flat.Query(q, nil, func(id int32) { results[i] = append(results[i], id) })
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	var finalCandidates int
 	for i := 0; i < b.N; i++ {

@@ -75,6 +75,9 @@ func (m *Markov) TrainFromWalkthrough(ctx *Context, boxes []geom.AABB) {
 func (m *Markov) Predict(ctx *Context, q geom.AABB, _ []int32, budget int) []pager.PageID {
 	cur := ctx.Index.PagesInRange(q)
 	m.prev = cur
+	if budget <= 0 {
+		return nil
+	}
 	inCur := make(map[pager.PageID]bool, len(cur))
 	for _, p := range cur {
 		inCur[p] = true

@@ -55,10 +55,12 @@ type Served interface {
 	// PagedQuery executes one range query reading pages through pool,
 	// visiting IDs in the index's native traversal order. The order is part
 	// of the contract: content-aware prefetchers consume the result as
-	// emitted (scout.reconstruct builds structures in that order and
+	// emitted (scout.reconstruct numbers structures in that order and
 	// Scout.Predict's stable sort breaks score ties by it — on a walk's
 	// first step every exit scores 0, so order alone picks the prefetched
-	// pages). On the engine indexes this is the traversal behind
+	// pages). The Simulator collects the visited IDs into one buffer per
+	// run and hands it to Predict, which may read it only during the call.
+	// On the engine indexes this is the traversal behind
 	// SpatialIndex.Do(Range) before Do sorts its hits into canonical
 	// ascending-ID order — sorting here would change which pages are
 	// prefetched and so every simulated stall.
@@ -89,8 +91,10 @@ type Prefetcher interface {
 	Reset()
 	// Predict is called after a query completes, with the query's box, its
 	// result (element IDs), and the budget: the maximum number of pages the
-	// think time can hide. It returns the pages to prefetch, most valuable
-	// first; the simulator truncates to the budget.
+	// think time can hide. It returns at most budget pages to prefetch
+	// (none when budget <= 0), most valuable first. result is valid only
+	// during the call — the Simulator reuses its buffer for the next
+	// query — so a prefetcher copies whatever of it it keeps.
 	Predict(ctx *Context, q geom.AABB, result []int32, budget int) []pager.PageID
 }
 
@@ -121,6 +125,9 @@ func (Hilbert) Reset() {}
 
 // Predict implements Prefetcher.
 func (Hilbert) Predict(ctx *Context, q geom.AABB, _ []int32, budget int) []pager.PageID {
+	if budget <= 0 {
+		return nil
+	}
 	pages := ctx.Index.PagesInRange(q)
 	if len(pages) == 0 {
 		return nil
@@ -169,7 +176,7 @@ func (Extrapolation) Reset() {}
 // Predict implements Prefetcher.
 func (Extrapolation) Predict(ctx *Context, q geom.AABB, _ []int32, budget int) []pager.PageID {
 	h := ctx.History
-	if len(h) < 2 {
+	if len(h) < 2 || budget <= 0 {
 		return nil
 	}
 	cur := h[len(h)-1].Center()
@@ -270,12 +277,15 @@ func (s *Simulator) Run(p Prefetcher, boxes []geom.AABB) (RunStats, error) {
 	ctx := &Context{Index: s.Index, Segment: s.Segment}
 	run := RunStats{Method: p.Name()}
 	budget := s.Budget()
+	// One result buffer serves every query of the run.
+	var result []int32
+	visit := func(id int32) { result = append(result, id) }
 
 	for _, q := range boxes {
 		ctx.History = append(ctx.History, q)
 		before := pool.Stats()
-		var result []int32
-		s.Index.PagedQuery(q, pool, func(id int32) { result = append(result, id) })
+		result = result[:0]
+		s.Index.PagedQuery(q, pool, visit)
 		delta := pool.Stats().Sub(before)
 
 		step := StepResult{

@@ -20,11 +20,18 @@
 //     where its edges exit q. At the exit locations, the edges exiting are
 //     extrapolated linearly to predict the next query locations", and the
 //     pages of those predicted ranges are prefetched.
+//
+// All of this runs between two interactive steps, so a Scout keeps its
+// working set — the union-find, the joints map, the per-position structure
+// labels, the ranked predictions and a page stamp array — and reuses it
+// across steps and walkthroughs: in steady state Predict allocates only the
+// slice it returns. One Scout serves one walkthrough goroutine at a time,
+// which its candidate state between steps already required.
 package scout
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"neurospatial/internal/geom"
 	"neurospatial/internal/pager"
@@ -44,9 +51,9 @@ type Options struct {
 	// lookahead boxes).
 	MaxPredictions int
 	// PredictRadiusFactor inflates the predicted range relative to the
-	// query's half-extent, absorbing the bend deviation of jagged branches
-	// between the exit point and the user's actual next position. Default
-	// 1.3.
+	// query's per-axis half-extents, absorbing the bend deviation of jagged
+	// branches between the exit point and the user's actual next position.
+	// Default 1.3.
 	PredictRadiusFactor float64
 }
 
@@ -54,14 +61,27 @@ type Options struct {
 // the candidate set between the steps of one walkthrough; Reset clears it.
 type Scout struct {
 	opts Options
-	// prevCandidates holds the element sets of the structures that were
-	// candidates after the previous query.
-	prevCandidates []map[int32]struct{}
+	// cand is the sorted, de-duplicated union of the elements of the
+	// structures that were candidates after the latest step: the next
+	// step's pruning set and LastCandidateContains' answer. next is built
+	// beside it and the two are swapped.
+	cand, next []int32
 	// lastCandidates is the candidate count after the latest Predict call,
 	// exposed for the E3 pruning experiment.
 	lastCandidates int
-	// lastCandidateElems unions the elements of the current candidates.
-	lastCandidateElems map[int32]struct{}
+
+	// Per-step scratch, indexed by result position unless noted.
+	segs   []geom.Segment
+	parent []int32 // union-find forest
+	label  []int32 // structure number, in order of first appearance
+	joints map[[3]int64]int32
+	kept   []bool  // by structure number: a candidate this step
+	off    []int32 // by structure number: first slot of its exits in preds
+	exits  []exitEdge
+	preds  []ranked
+	pages  []pager.PageID
+	seen   []uint32 // by page: the gen of the step that took it
+	gen    uint32
 }
 
 // New returns a Scout with the given options.
@@ -75,7 +95,7 @@ func New(opts Options) *Scout {
 	if opts.PredictRadiusFactor <= 0 {
 		opts.PredictRadiusFactor = 1.3
 	}
-	return &Scout{opts: opts}
+	return &Scout{opts: opts, joints: make(map[[3]int64]int32)}
 }
 
 // Name implements prefetch.Prefetcher.
@@ -83,9 +103,8 @@ func (s *Scout) Name() string { return "scout" }
 
 // Reset implements prefetch.Prefetcher.
 func (s *Scout) Reset() {
-	s.prevCandidates = nil
+	s.cand = s.cand[:0]
 	s.lastCandidates = 0
-	s.lastCandidateElems = nil
 }
 
 // LastCandidateCount returns the number of structures that remained
@@ -97,188 +116,224 @@ func (s *Scout) LastCandidateCount() int { return s.lastCandidates }
 // current candidate structure. The E3 experiment uses it with morphology
 // ground truth to verify the followed branch is never pruned away.
 func (s *Scout) LastCandidateContains(id int32) bool {
-	_, ok := s.lastCandidateElems[id]
+	_, ok := slices.BinarySearch(s.cand, id)
 	return ok
-}
-
-// structure is one reconstructed component of the skeleton graph.
-type structure struct {
-	elems map[int32]struct{}
-	exits []exitEdge
 }
 
 // exitEdge is a place where a structure's edge leaves the query box.
 type exitEdge struct {
 	point geom.Vec // boundary crossing
 	dir   geom.Vec // unit direction of travel out of the box
+	st    int32    // structure number
 }
 
-// Predict implements prefetch.Prefetcher.
-func (s *Scout) Predict(ctx *prefetch.Context, q geom.AABB, result []int32, budget int) []pager.PageID {
-	structures := s.reconstruct(ctx, q, result)
+// ranked is one predicted range and the score that orders it.
+type ranked struct {
+	box   geom.AABB
+	score float64
+}
 
-	// Candidate pruning against the previous step.
-	candidates := structures
-	if len(s.prevCandidates) > 0 {
-		var kept []structure
-		for _, st := range structures {
-			if s.sharesElement(st.elems) {
-				kept = append(kept, st)
+// byScore orders predictions best first. Only its sign for "a before b"
+// matters to the stable sort, which makes the same comparisons as
+// sort.SliceStable with the less function a.score > b.score.
+func byScore(a, b ranked) int {
+	if a.score > b.score {
+		return -1
+	}
+	if b.score > a.score {
+		return 1
+	}
+	return 0
+}
+
+// Predict implements prefetch.Prefetcher. It reads result only during the
+// call: the candidate set it keeps is a copy.
+func (s *Scout) Predict(ctx *prefetch.Context, q geom.AABB, result []int32, budget int) []pager.PageID {
+	n := s.reconstruct(ctx, result)
+
+	// Candidate pruning against the previous step: a structure stays if it
+	// shares an element with a previous candidate. An empty intersection
+	// means the user jumped; fall back to all structures rather than
+	// prefetching nothing forever.
+	s.kept = grow(s.kept, n)
+	clear(s.kept)
+	kept := 0
+	if len(s.cand) > 0 {
+		for i, id := range result {
+			if st := s.label[i]; !s.kept[st] {
+				if _, ok := slices.BinarySearch(s.cand, id); ok {
+					s.kept[st] = true
+					kept++
+				}
 			}
 		}
-		if len(kept) > 0 {
-			candidates = kept
-		}
-		// An empty intersection means the user jumped; fall back to all
-		// structures rather than prefetching nothing forever.
 	}
-	s.prevCandidates = s.prevCandidates[:0]
-	s.lastCandidateElems = make(map[int32]struct{})
-	for _, st := range candidates {
-		s.prevCandidates = append(s.prevCandidates, st.elems)
-		for id := range st.elems {
-			s.lastCandidateElems[id] = struct{}{}
+	if kept == 0 {
+		for st := range s.kept {
+			s.kept[st] = true
+		}
+		kept = n
+	}
+	s.lastCandidates = kept
+	s.next = s.next[:0]
+	for i, id := range result {
+		if s.kept[s.label[i]] {
+			s.next = append(s.next, id)
 		}
 	}
-	s.lastCandidates = len(candidates)
+	slices.Sort(s.next)
+	s.cand, s.next = slices.Compact(s.next), s.cand
+	if budget <= 0 {
+		return nil
+	}
 
-	// Exit extrapolation. The advance distance is the observed stride of
-	// the sequence (falling back to the query half-extent on step one).
-	radius := q.Size().X / 2
-	advance := radius
-	if n := len(ctx.History); n >= 2 {
-		advance = ctx.History[n-1].Center().Dist(ctx.History[n-2].Center())
-		if advance == 0 {
-			advance = radius
+	// Exit extrapolation. The predicted ranges keep the query's per-axis
+	// half-extents; the advance distance is the observed stride of the
+	// sequence (falling back to the largest half-extent on step one).
+	half := q.Size().Scale(0.5)
+	r := half.Scale(s.opts.PredictRadiusFactor)
+	advance := max(half.X, half.Y, half.Z)
+	if h := len(ctx.History); h >= 2 {
+		if stride := ctx.History[h-1].Center().Dist(ctx.History[h-2].Center()); stride != 0 {
+			advance = stride
 		}
 	}
 	// Direction of recent travel, used to rank exits: the exit most aligned
 	// with how the user has been moving is the most likely continuation.
 	var travel geom.Vec
-	if n := len(ctx.History); n >= 2 {
-		travel = ctx.History[n-1].Center().Sub(ctx.History[n-2].Center()).Normalize()
+	if h := len(ctx.History); h >= 2 {
+		travel = ctx.History[h-1].Center().Sub(ctx.History[h-2].Center()).Normalize()
 	}
 
-	type ranked struct {
-		box   geom.AABB
-		score float64
-	}
-	var preds []ranked
-	for _, st := range candidates {
-		for _, ex := range st.exits {
-			score := ex.dir.Dot(travel)
-			// Extrapolate one and two strides out: the second box covers
-			// the query after next, so by the time the user arrives its
-			// pages have had a full think time to load.
-			r := radius * s.opts.PredictRadiusFactor
-			one := ex.point.Add(ex.dir.Scale(advance))
-			preds = append(preds, ranked{box: geom.BoxAround(one, r), score: score})
-			two := ex.point.Add(ex.dir.Scale(2 * advance))
-			preds = append(preds, ranked{box: geom.BoxAround(two, r), score: score - 0.01})
+	// The candidates' exits, grouped by structure number and in result
+	// order within a structure: the order the stable sort breaks ties by.
+	s.exits = s.exits[:0]
+	s.off = grow(s.off, n+1)
+	clear(s.off)
+	for i := range result {
+		if st := s.label[i]; s.kept[st] {
+			if ex, ok := exitOf(s.segs[i], q); ok {
+				ex.st = st
+				s.exits = append(s.exits, ex)
+				s.off[st+1]++
+			}
 		}
 	}
-	sort.SliceStable(preds, func(i, j int) bool { return preds[i].score > preds[j].score })
+	for st := 1; st <= n; st++ {
+		s.off[st] += s.off[st-1]
+	}
+	s.preds = grow(s.preds, 2*len(s.exits))
+	for _, ex := range s.exits {
+		score := ex.dir.Dot(travel)
+		j := 2 * s.off[ex.st]
+		s.off[ex.st]++
+		// Extrapolate one and two strides out: the second box covers the
+		// query after next, so by the time the user arrives its pages have
+		// had a full think time to load.
+		one := ex.point.Add(ex.dir.Scale(advance))
+		s.preds[j] = ranked{box: geom.AABB{Min: one.Sub(r), Max: one.Add(r)}, score: score}
+		two := ex.point.Add(ex.dir.Scale(2 * advance))
+		s.preds[j+1] = ranked{box: geom.AABB{Min: two.Sub(r), Max: two.Add(r)}, score: score - 0.01}
+	}
+	slices.SortStableFunc(s.preds, byScore)
+	preds := s.preds
 	if len(preds) > s.opts.MaxPredictions {
 		preds = preds[:s.opts.MaxPredictions]
 	}
 
-	// Convert predicted ranges to pages, best prediction first.
-	var out []pager.PageID
-	seen := make(map[pager.PageID]bool)
+	// Convert predicted ranges to pages, best prediction first, each page
+	// once: a page is taken when its stamp is not this step's generation.
+	if np := ctx.Index.NumPages(); len(s.seen) < np {
+		s.seen = make([]uint32, np)
+	}
+	if s.gen++; s.gen == 0 {
+		clear(s.seen)
+		s.gen = 1
+	}
+	s.pages = s.pages[:0]
+fill:
 	for _, pr := range preds {
 		for _, pg := range ctx.Index.PagesInRange(pr.box) {
-			if !seen[pg] {
-				seen[pg] = true
-				out = append(out, pg)
-			}
-			if len(out) >= budget {
-				return out
-			}
-		}
-	}
-	return out
-}
-
-// sharesElement reports whether elems intersects any previous candidate.
-func (s *Scout) sharesElement(elems map[int32]struct{}) bool {
-	for _, prev := range s.prevCandidates {
-		// Iterate over the smaller set.
-		small, large := prev, elems
-		if len(elems) < len(prev) {
-			small, large = elems, prev
-		}
-		for id := range small {
-			if _, ok := large[id]; ok {
-				return true
+			if s.seen[pg] != s.gen {
+				s.seen[pg] = s.gen
+				s.pages = append(s.pages, pg)
+				if len(s.pages) >= budget {
+					break fill
+				}
 			}
 		}
 	}
-	return false
-}
-
-// reconstruct stitches the result segments into skeleton structures.
-func (s *Scout) reconstruct(ctx *prefetch.Context, q geom.AABB, result []int32) []structure {
-	if len(result) == 0 {
+	if len(s.pages) == 0 {
 		return nil
 	}
-	// Union-find over segments, keyed by quantized endpoints.
-	parent := make([]int, len(result))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
+	return slices.Clone(s.pages)
+}
 
-	joints := make(map[[3]int64]int, len(result)*2)
-	register := func(i int, p geom.Vec) {
-		k := s.quantize(p)
-		if j, ok := joints[k]; ok {
-			union(i, j)
-		} else {
-			joints[k] = i
-		}
-	}
-	segs := make([]geom.Segment, len(result))
+// reconstruct stitches the result segments into skeleton structures: it
+// labels every result position with its structure's number, numbering
+// structures in the order their first element appears in result, and
+// returns how many there are.
+func (s *Scout) reconstruct(ctx *prefetch.Context, result []int32) int {
+	n := len(result)
+	s.segs = grow(s.segs, n)
+	s.parent = grow(s.parent, n)
+	s.label = grow(s.label, n)
+	// Union-find over result positions, keyed by quantized endpoints.
+	clear(s.joints)
 	for i, id := range result {
 		seg := ctx.Segment(id)
-		segs[i] = seg
-		register(i, seg.A)
-		register(i, seg.B)
+		s.segs[i] = seg
+		s.parent[i] = int32(i)
+		s.register(int32(i), seg.A)
+		s.register(int32(i), seg.B)
 	}
+	// Every position's root first; then the roots are numbered in order of
+	// first appearance, the number stored in the root's parent slot as its
+	// complement (a root's slot is free once every position knows it).
+	for i := range result {
+		s.label[i] = s.find(int32(i))
+	}
+	structures := int32(0)
+	for i := range result {
+		r := s.label[i]
+		if s.parent[r] >= 0 {
+			s.parent[r] = ^structures
+			structures++
+		}
+		s.label[i] = ^s.parent[r]
+	}
+	return int(structures)
+}
 
-	// Group components and find exits.
-	byRoot := make(map[int]*structure)
-	var order []int
-	for i, id := range result {
-		r := find(i)
-		st, ok := byRoot[r]
-		if !ok {
-			st = &structure{elems: make(map[int32]struct{})}
-			byRoot[r] = st
-			order = append(order, r)
+// register joins position i to the first position that registered the
+// joint at p, or registers it.
+func (s *Scout) register(i int32, p geom.Vec) {
+	k := s.quantize(p)
+	if j, ok := s.joints[k]; ok {
+		if ri, rj := s.find(i), s.find(j); ri != rj {
+			s.parent[ri] = rj
 		}
-		st.elems[id] = struct{}{}
-		if ex, ok := exitOf(segs[i], q); ok {
-			st.exits = append(st.exits, ex)
-		}
+	} else {
+		s.joints[k] = i
 	}
-	out := make([]structure, 0, len(order))
-	for _, r := range order {
-		out = append(out, *byRoot[r])
+}
+
+// find returns x's root, halving the path on the way.
+func (s *Scout) find(x int32) int32 {
+	for s.parent[x] != x {
+		s.parent[x] = s.parent[s.parent[x]]
+		x = s.parent[x]
 	}
-	return out
+	return x
+}
+
+// grow returns buf resized to n, reallocating only when its capacity is
+// short. The contents are not preserved.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // quantize maps a point to its joint key. Tolerance zero keys on exact

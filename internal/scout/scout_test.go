@@ -1,6 +1,9 @@
 package scout
 
 import (
+	"fmt"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -10,6 +13,7 @@ import (
 	"neurospatial/internal/pager"
 	"neurospatial/internal/prefetch"
 	"neurospatial/internal/query"
+	"neurospatial/internal/race"
 	"neurospatial/internal/rtree"
 )
 
@@ -91,24 +95,30 @@ func TestSkeletonReconstructionFindsStructures(t *testing.T) {
 	if len(result) == 0 {
 		t.Fatal("mid-walkthrough query empty")
 	}
-	structures := s.reconstruct(ctx, q, result)
-	if len(structures) == 0 {
+	n := s.reconstruct(ctx, result)
+	if n == 0 {
 		t.Fatal("no structures reconstructed")
 	}
-	// Structures partition the result.
-	seen := make(map[int32]bool)
-	total := 0
-	for _, st := range structures {
-		total += len(st.elems)
-		for id := range st.elems {
-			if seen[id] {
-				t.Fatal("element in two structures")
-			}
-			seen[id] = true
+	// The labels partition the result: every position carries a structure
+	// number below n, numbers appear in order of first appearance (so every
+	// one of them is used), and an element never carries two.
+	structOf := make(map[int32]int32)
+	next := int32(0)
+	for i, id := range result {
+		st := s.label[i]
+		if st < 0 || st > next {
+			t.Fatalf("position %d labelled %d before structure %d appeared", i, st, next)
 		}
+		if st == next {
+			next++
+		}
+		if prev, ok := structOf[id]; ok && prev != st {
+			t.Fatal("element in two structures")
+		}
+		structOf[id] = st
 	}
-	if total != len(result) {
-		t.Fatalf("structures hold %d of %d elements", total, len(result))
+	if int(next) != n {
+		t.Fatalf("%d structures labelled, %d reported", next, n)
 	}
 	// Elements of one branch never split across structures: every pair of
 	// consecutive segments shares an endpoint.
@@ -120,19 +130,11 @@ func TestSkeletonReconstructionFindsStructures(t *testing.T) {
 			byBranch[k] = append(byBranch[k], id)
 		}
 	}
-	structOf := func(id int32) int {
-		for i, st := range structures {
-			if _, ok := st.elems[id]; ok {
-				return i
-			}
-		}
-		return -1
-	}
 	for k, ids := range byBranch {
 		// Only consecutive segments are guaranteed connected inside q.
 		for i := 0; i+1 < len(ids); i++ {
 			a, b := f.circ.Elements[ids[i]], f.circ.Elements[ids[i+1]]
-			if b.Seg == a.Seg+1 && structOf(ids[i]) != structOf(ids[i+1]) {
+			if b.Seg == a.Seg+1 && structOf[ids[i]] != structOf[ids[i+1]] {
 				t.Fatalf("branch %v consecutive segments split across structures", k)
 			}
 		}
@@ -304,5 +306,394 @@ func TestScoutBeatsBaselines(t *testing.T) {
 	if sc.Elements != none.Elements || extrap.Elements != none.Elements {
 		t.Errorf("element counts differ: none=%d extrap=%d scout=%d",
 			none.Elements, extrap.Elements, sc.Elements)
+	}
+}
+
+// mapScout is SCOUT as it was before its per-step state became reused flat
+// scratch: an element map per structure, a map union of the candidates, a
+// map of seen pages and sort.SliceStable, all rebuilt on every step. It is
+// kept only here, as the oracle TestPredictMatchesMapOracle holds Predict to.
+// It sizes its predicted boxes as cubes from the query's X extent (Predict
+// uses the per-axis extents, the same arithmetic on a cube) and has the
+// budget-0 defect, so the oracle is driven on walkthrough boxes at a
+// positive budget only.
+type mapScout struct {
+	opts               Options
+	prevCandidates     []map[int32]struct{}
+	lastCandidates     int
+	lastCandidateElems map[int32]struct{}
+}
+
+type mapStructure struct {
+	elems map[int32]struct{}
+	exits []exitEdge
+}
+
+func newMapScout(opts Options) *mapScout { return &mapScout{opts: New(opts).opts} }
+
+func (s *mapScout) Reset() {
+	s.prevCandidates = nil
+	s.lastCandidates = 0
+	s.lastCandidateElems = nil
+}
+
+func (s *mapScout) LastCandidateContains(id int32) bool {
+	_, ok := s.lastCandidateElems[id]
+	return ok
+}
+
+func (s *mapScout) Predict(ctx *prefetch.Context, q geom.AABB, result []int32, budget int) []pager.PageID {
+	structures := s.reconstruct(ctx, q, result)
+	candidates := structures
+	if len(s.prevCandidates) > 0 {
+		var kept []mapStructure
+		for _, st := range structures {
+			if s.sharesElement(st.elems) {
+				kept = append(kept, st)
+			}
+		}
+		if len(kept) > 0 {
+			candidates = kept
+		}
+	}
+	s.prevCandidates = s.prevCandidates[:0]
+	s.lastCandidateElems = make(map[int32]struct{})
+	for _, st := range candidates {
+		s.prevCandidates = append(s.prevCandidates, st.elems)
+		for id := range st.elems {
+			s.lastCandidateElems[id] = struct{}{}
+		}
+	}
+	s.lastCandidates = len(candidates)
+
+	radius := q.Size().X / 2
+	advance := radius
+	if n := len(ctx.History); n >= 2 {
+		advance = ctx.History[n-1].Center().Dist(ctx.History[n-2].Center())
+		if advance == 0 {
+			advance = radius
+		}
+	}
+	var travel geom.Vec
+	if n := len(ctx.History); n >= 2 {
+		travel = ctx.History[n-1].Center().Sub(ctx.History[n-2].Center()).Normalize()
+	}
+	var preds []ranked
+	for _, st := range candidates {
+		for _, ex := range st.exits {
+			score := ex.dir.Dot(travel)
+			r := radius * s.opts.PredictRadiusFactor
+			one := ex.point.Add(ex.dir.Scale(advance))
+			preds = append(preds, ranked{box: geom.BoxAround(one, r), score: score})
+			two := ex.point.Add(ex.dir.Scale(2 * advance))
+			preds = append(preds, ranked{box: geom.BoxAround(two, r), score: score - 0.01})
+		}
+	}
+	sort.SliceStable(preds, func(i, j int) bool { return preds[i].score > preds[j].score })
+	if len(preds) > s.opts.MaxPredictions {
+		preds = preds[:s.opts.MaxPredictions]
+	}
+	var out []pager.PageID
+	seen := make(map[pager.PageID]bool)
+	for _, pr := range preds {
+		for _, pg := range ctx.Index.PagesInRange(pr.box) {
+			if !seen[pg] {
+				seen[pg] = true
+				out = append(out, pg)
+			}
+			if len(out) >= budget {
+				return out
+			}
+		}
+	}
+	return out
+}
+
+func (s *mapScout) sharesElement(elems map[int32]struct{}) bool {
+	for _, prev := range s.prevCandidates {
+		small, large := prev, elems
+		if len(elems) < len(prev) {
+			small, large = elems, prev
+		}
+		for id := range small {
+			if _, ok := large[id]; ok {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func (s *mapScout) reconstruct(ctx *prefetch.Context, q geom.AABB, result []int32) []mapStructure {
+	if len(result) == 0 {
+		return nil
+	}
+	parent := make([]int, len(result))
+	for i := range parent {
+		parent[i] = i
+	}
+	find := func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	union := func(a, b int) {
+		ra, rb := find(a), find(b)
+		if ra != rb {
+			parent[ra] = rb
+		}
+	}
+	joints := make(map[[3]int64]int, len(result)*2)
+	register := func(i int, p geom.Vec) {
+		k := (&Scout{opts: s.opts}).quantize(p)
+		if j, ok := joints[k]; ok {
+			union(i, j)
+		} else {
+			joints[k] = i
+		}
+	}
+	segs := make([]geom.Segment, len(result))
+	for i, id := range result {
+		seg := ctx.Segment(id)
+		segs[i] = seg
+		register(i, seg.A)
+		register(i, seg.B)
+	}
+	byRoot := make(map[int]*mapStructure)
+	var order []int
+	for i, id := range result {
+		r := find(i)
+		st, ok := byRoot[r]
+		if !ok {
+			st = &mapStructure{elems: make(map[int32]struct{})}
+			byRoot[r] = st
+			order = append(order, r)
+		}
+		st.elems[id] = struct{}{}
+		if ex, ok := exitOf(segs[i], q); ok {
+			st.exits = append(st.exits, ex)
+		}
+	}
+	out := make([]mapStructure, 0, len(order))
+	for _, r := range order {
+		out = append(out, *byRoot[r])
+	}
+	return out
+}
+
+// TestPredictMatchesMapOracle walks every branch of a 64-neuron circuit —
+// stem to each branch's end, with one empty-result step mid-walk — through
+// one Scout (Reset between walks, so its scratch carries over) and through
+// the map-based oracle. Results arrive in FLAT's crawl order (PagedQuery's)
+// and in ascending ID order (Do's), at Tolerance 0 and 0.5. Every step must
+// yield the same pages in the same order, the same candidate count and the
+// same candidate membership for every result ID.
+func TestPredictMatchesMapOracle(t *testing.T) {
+	f := buildFixture(t, 64)
+	seg := func(id int32) geom.Segment { return f.circ.Elements[id].Shape }
+	far := geom.BoxAround(geom.V(1e5, 1e5, 1e5), 15)
+
+	// The walks and their results, in crawl order.
+	type walk struct {
+		boxes   []geom.AABB
+		results [][]int32
+	}
+	var walks []walk
+	for n, m := range f.circ.Morphologies {
+		for b := range m.Branches {
+			path, err := f.circ.BranchPath(int32(n), b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq, err := query.Walkthrough(path, 8, 15)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var w walk
+			for i, st := range seq.Steps {
+				if i == seq.Len()/2 {
+					w.boxes = append(w.boxes, far)
+					w.results = append(w.results, nil)
+				}
+				var result []int32
+				f.index.Query(st.Box, nil, func(id int32) { result = append(result, id) })
+				w.boxes = append(w.boxes, st.Box)
+				w.results = append(w.results, result)
+			}
+			walks = append(walks, w)
+		}
+	}
+	if testing.Short() || race.Enabled {
+		walks = walks[:len(walks)/8]
+	}
+
+	steps := 0
+	for _, tol := range []float64{0, 0.5} {
+		for _, idOrder := range []bool{false, true} {
+			s, o := New(Options{Tolerance: tol}), newMapScout(Options{Tolerance: tol})
+			ctx := &prefetch.Context{Index: f.index, Segment: seg}
+			for wi, w := range walks {
+				s.Reset()
+				o.Reset()
+				ctx.History = ctx.History[:0]
+				budget := 64
+				if wi%3 == 2 {
+					budget = 3
+				}
+				for i, q := range w.boxes {
+					ctx.History = append(ctx.History, q)
+					result := w.results[i]
+					if idOrder {
+						result = slices.Clone(result)
+						slices.Sort(result)
+					}
+					want := o.Predict(ctx, q, result, budget)
+					got := s.Predict(ctx, q, result, budget)
+					where := func() string {
+						return fmt.Sprintf("tolerance %g, ID order %v, walk %d, step %d", tol, idOrder, wi, i)
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s: pages %v, oracle %v", where(), got, want)
+					}
+					if s.LastCandidateCount() != o.lastCandidates {
+						t.Fatalf("%s: %d candidates, oracle %d", where(), s.LastCandidateCount(), o.lastCandidates)
+					}
+					for _, id := range result {
+						if s.LastCandidateContains(id) != o.LastCandidateContains(id) {
+							t.Fatalf("%s: candidate membership of %d differs", where(), id)
+						}
+					}
+					steps++
+				}
+			}
+		}
+	}
+	t.Logf("%d walks, %d steps compared", len(walks), steps)
+}
+
+// fixedPages is a PageGeometry whose PagesInRange returns one preallocated
+// slice, so an allocation count sees only the prefetcher's own.
+type fixedPages struct {
+	pages []pager.PageID
+	calls *int
+}
+
+func (g fixedPages) PagesInRange(geom.AABB) []pager.PageID {
+	if g.calls != nil {
+		*g.calls++
+	}
+	return g.pages
+}
+func (g fixedPages) PageOf(int32) pager.PageID { return 0 }
+func (g fixedPages) NumPages() int             { return 64 }
+
+// TestPrefetchersRespectBudget: every prefetcher returns at most budget
+// pages, and none at all for a budget of zero or below.
+func TestPrefetchersRespectBudget(t *testing.T) {
+	f := buildFixture(t, 10)
+	boxes := f.boxes()
+	markov := prefetch.NewMarkov()
+	markov.TrainFromWalkthrough(&prefetch.Context{Index: f.index}, boxes)
+	results := make([][]int32, len(boxes))
+	for i, q := range boxes {
+		f.index.Query(q, nil, func(id int32) { results[i] = append(results[i], id) })
+	}
+	walk := func(p prefetch.Prefetcher, budget int, step func(i int, pages []pager.PageID)) {
+		p.Reset()
+		ctx := &prefetch.Context{
+			Index:   f.index,
+			Segment: func(id int32) geom.Segment { return f.circ.Elements[id].Shape },
+		}
+		for i, q := range boxes {
+			ctx.History = append(ctx.History, q)
+			step(i, p.Predict(ctx, q, results[i], budget))
+		}
+	}
+	for _, p := range []prefetch.Prefetcher{
+		prefetch.None{}, prefetch.Hilbert{}, prefetch.Extrapolation{}, New(Options{}), markov,
+	} {
+		for _, budget := range []int{-1, 0, 1, 3, 64} {
+			walk(p, budget, func(i int, pages []pager.PageID) {
+				if len(pages) > max(budget, 0) {
+					t.Errorf("%s, budget %d, step %d: %d pages", p.Name(), budget, i, len(pages))
+				}
+			})
+		}
+	}
+
+	// SCOUT at budget 0 reads no page geometry but still prunes: its
+	// candidates follow the same series as at a positive budget.
+	s := New(Options{})
+	var want []int
+	walk(s, 64, func(int, []pager.PageID) { want = append(want, s.LastCandidateCount()) })
+	calls := 0
+	s.Reset()
+	ctx := &prefetch.Context{
+		Index:   fixedPages{calls: &calls},
+		Segment: func(id int32) geom.Segment { return f.circ.Elements[id].Shape },
+	}
+	for i, q := range boxes {
+		ctx.History = boxes[:i+1]
+		s.Predict(ctx, q, results[i], 0)
+		if s.LastCandidateCount() != want[i] {
+			t.Fatalf("budget 0, step %d: %d candidates, %d at budget 64", i, s.LastCandidateCount(), want[i])
+		}
+	}
+	if calls != 0 {
+		t.Errorf("budget 0 called PagesInRange %d times", calls)
+	}
+}
+
+// boxRecorder is a PageGeometry that records the ranges it is asked for and
+// answers each with one page.
+type boxRecorder struct{ boxes *[]geom.AABB }
+
+func (g boxRecorder) PagesInRange(q geom.AABB) []pager.PageID {
+	*g.boxes = append(*g.boxes, q)
+	return []pager.PageID{pager.PageID(len(*g.boxes) - 1)}
+}
+func (g boxRecorder) PageOf(int32) pager.PageID { return 0 }
+func (g boxRecorder) NumPages() int             { return 64 }
+
+// TestPredictedBoxesKeepQueryAspect: an anisotropic query's predicted ranges
+// keep its per-axis half-extents (inflated by PredictRadiusFactor), not a
+// cube sized from the X axis; on step one the advance is the largest
+// half-extent.
+func TestPredictedBoxesKeepQueryAspect(t *testing.T) {
+	half := geom.V(2, 10, 4)
+	box := func(c geom.Vec) geom.AABB { return geom.AABB{Min: c.Sub(half), Max: c.Add(half)} }
+	// One segment leaves the query through its +X face at (4, 10, 4).
+	q := box(geom.V(2, 10, 4))
+	seg := geom.Seg(geom.V(2, 10, 4), geom.V(6, 10, 4), 0.1)
+	for _, tc := range []struct {
+		name    string
+		history []geom.AABB
+		advance float64
+	}{
+		{"stride", []geom.AABB{box(geom.V(-6, 10, 4)), q}, 8},
+		{"step one", []geom.AABB{q}, 10},
+	} {
+		var boxes []geom.AABB
+		ctx := &prefetch.Context{
+			Index:   boxRecorder{&boxes},
+			Segment: func(int32) geom.Segment { return seg },
+			History: tc.history,
+		}
+		New(Options{}).Predict(ctx, q, []int32{0}, 10)
+		if len(boxes) != 2 {
+			t.Fatalf("%s: %d predicted ranges, want 2 (one exit, two strides)", tc.name, len(boxes))
+		}
+		wantSize := half.Scale(2 * 1.3)
+		for k, b := range boxes {
+			if b.Size().Dist(wantSize) > 1e-9 {
+				t.Errorf("%s: range %d is %v, want the query's aspect %v", tc.name, k, b.Size(), wantSize)
+			}
+			wantCenter := geom.V(4+float64(k+1)*tc.advance, 10, 4)
+			if b.Center().Dist(wantCenter) > 1e-9 {
+				t.Errorf("%s: range %d centered at %v, want %v", tc.name, k, b.Center(), wantCenter)
+			}
+		}
 	}
 }
