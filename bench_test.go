@@ -221,6 +221,7 @@ func BenchmarkE5JoinMethods(b *testing.B) {
 			a, d = smallA, smallD
 		}
 		b.Run(alg.Name(), func(b *testing.B) {
+			b.ReportAllocs()
 			var st join.Stats
 			for i := 0; i < b.N; i++ {
 				st = alg.Join(a, d, 2.0, func(join.Pair) {})

@@ -55,11 +55,18 @@ func (s Segment) DistPoint(p Vec) float64 {
 }
 
 // AxisDist2 returns the squared minimum distance between the axes (center
-// lines) of s and o, the core primitive of the distance join. The
-// implementation is the standard clamped closest-point computation between two
-// segments (Ericson, "Real-Time Collision Detection", §5.1.9), written out so
-// it allocates nothing.
+// lines) of s and o, the core primitive of the distance join: the squared
+// distance between ClosestPoints' two points.
 func (s Segment) AxisDist2(o Segment) float64 {
+	p, q := s.ClosestPoints(o)
+	return p.Dist2(q)
+}
+
+// ClosestPoints returns the points p on the axis of s and q on the axis of o
+// that are closest to each other. The implementation is the standard clamped
+// closest-point computation between two segments (Ericson, "Real-Time
+// Collision Detection", §5.1.9), written out so it allocates nothing.
+func (s Segment) ClosestPoints(o Segment) (p, q Vec) {
 	d1 := s.B.Sub(s.A) // direction of s
 	d2 := o.B.Sub(o.A) // direction of o
 	r := s.A.Sub(o.A)
@@ -71,7 +78,7 @@ func (s Segment) AxisDist2(o Segment) float64 {
 	switch {
 	case a == 0 && e == 0:
 		// Both degenerate to points.
-		return s.A.Dist2(o.A)
+		return s.A, o.A
 	case a == 0:
 		// s is a point: clamp projection onto o.
 		t2 = clamp01(f / e)
@@ -95,9 +102,7 @@ func (s Segment) AxisDist2(o Segment) float64 {
 			t1 = clamp01((b - c) / a)
 		}
 	}
-	p1 := s.A.Add(d1.Scale(t1))
-	p2 := o.A.Add(d2.Scale(t2))
-	return p1.Dist2(p2)
+	return s.A.Add(d1.Scale(t1)), o.A.Add(d2.Scale(t2))
 }
 
 // Dist returns the minimum distance between the capsule surfaces of s and o;

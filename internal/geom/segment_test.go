@@ -233,3 +233,74 @@ func TestQuickClipParamRange(t *testing.T) {
 		}
 	}
 }
+
+// refAxisDist2 is AxisDist2 as it was written before ClosestPoints: the same
+// clamped computation, returning the squared distance directly.
+func refAxisDist2(s, o Segment) float64 {
+	d1 := s.B.Sub(s.A)
+	d2 := o.B.Sub(o.A)
+	r := s.A.Sub(o.A)
+	a := d1.Len2()
+	e := d2.Len2()
+	f := d2.Dot(r)
+	var t1, t2 float64
+	switch {
+	case a == 0 && e == 0:
+		return s.A.Dist2(o.A)
+	case a == 0:
+		t2 = clamp01(f / e)
+	case e == 0:
+		t1 = clamp01(-d1.Dot(r) / a)
+	default:
+		c := d1.Dot(r)
+		b := d1.Dot(d2)
+		den := a*e - b*b
+		if den != 0 {
+			t1 = clamp01((b*f - c*e) / den)
+		}
+		t2 = (b*t1 + f) / e
+		if t2 < 0 {
+			t2 = 0
+			t1 = clamp01(-c / a)
+		} else if t2 > 1 {
+			t2 = 1
+			t1 = clamp01((b - c) / a)
+		}
+	}
+	p1 := s.A.Add(d1.Scale(t1))
+	p2 := o.A.Add(d2.Scale(t2))
+	return p1.Dist2(p2)
+}
+
+// TestClosestPoints: AxisDist2 through ClosestPoints equals the direct form
+// bit for bit, p and q lie on their axes, and no sampled pair of axis points
+// is closer — over random, parallel, degenerate and point-like segments.
+func TestClosestPoints(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var pairs [][2]Segment
+	for i := 0; i < 400; i++ {
+		s, o := randSeg(rng, 10), randSeg(rng, 10)
+		d := s.B.Sub(s.A).Scale(rng.Float64()*2 - 1)
+		par := Seg(o.A, o.A.Add(d), o.Radius)        // parallel to s
+		col := Seg(s.A.Add(d), s.B.Add(d), s.Radius) // collinear with s
+		pt := Sphere(o.A, o.Radius)                  // point-like
+		pairs = append(pairs, [2]Segment{s, o}, [2]Segment{s, par}, [2]Segment{s, col},
+			[2]Segment{s, pt}, [2]Segment{pt, s}, [2]Segment{pt, Sphere(s.A, 0)}, [2]Segment{s, s})
+	}
+	for _, sp := range pairs {
+		s, o := sp[0], sp[1]
+		if got, want := s.AxisDist2(o), refAxisDist2(s, o); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("AxisDist2 = %v, direct form %v for %v %v", got, want, s, o)
+		}
+		p, q := s.ClosestPoints(o)
+		if d := s.PointAt(s.ClosestPointParam(p)).Dist(p); d > 1e-9 {
+			t.Fatalf("p %v off the axis of %v by %v", p, s, d)
+		}
+		if d := o.PointAt(o.ClosestPointParam(q)).Dist(q); d > 1e-9 {
+			t.Fatalf("q %v off the axis of %v by %v", q, o, d)
+		}
+		if brute := bruteAxisDist2(s, o, 40); p.Dist2(q) > brute+1e-9 {
+			t.Fatalf("closest points %v %v at %v, sampled %v", p, q, p.Dist2(q), brute)
+		}
+	}
+}
