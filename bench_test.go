@@ -538,16 +538,27 @@ func BenchmarkRTreeOps(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Run("Lower", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if d := rtree.Lower(tr); len(d.Nodes) == 0 {
+				b.Fatal("no nodes")
+			}
+		}
+	})
+	// The queries run on the lowered directory, the form production reads.
+	d := rtree.Lower(tr)
 	q := geom.BoxAround(m.Circuit.Params.Volume.Center(), 30)
 	b.Run("RangeQuery", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			tr.Query(q, func(rtree.Item) {})
+			d.Query(q, func(rtree.Item) {})
 		}
 	})
 	b.Run("SeedInRange", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			tr.SeedInRange(q)
+			d.SeedInRange(q)
 		}
 	})
 }

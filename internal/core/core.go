@@ -241,7 +241,7 @@ func NewModel(c *circuit.Circuit, opts Options) (*Model, error) {
 	if err := eg.Build(items); err != nil {
 		return nil, fmt.Errorf("core: building grid index: %w", err)
 	}
-	es := engine.NewSharded(engine.ShardedOptions{Shards: opts.Shards, Index: "flat", Flat: opts.Flat})
+	es := engine.NewSharded(engine.ShardedOptions{Shards: opts.Shards, Flat: opts.Flat})
 	if err := es.Build(items); err != nil {
 		return nil, fmt.Errorf("core: building sharded index: %w", err)
 	}

@@ -73,7 +73,7 @@ func sweepContenders(t *testing.T, items []rtree.Item) []sweepContender {
 	}
 	for _, k := range []int{1, 4} {
 		cs = append(cs, newSweepContender(t, fmt.Sprintf("sharded%d", k), engine.NewSharded(engine.ShardedOptions{
-			Shards: k, Index: "flat", Flat: flat.Options{PageSize: 8}}), items))
+			Shards: k, Flat: flat.Options{PageSize: 8}}), items))
 	}
 	return cs
 }

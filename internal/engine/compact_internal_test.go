@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"neurospatial/internal/flat"
 	"neurospatial/internal/geom"
 	"neurospatial/internal/pager"
 	"neurospatial/internal/rtree"
@@ -95,10 +96,13 @@ func TestBuildBasesStartOrderInvariant(t *testing.T) {
 
 // TestBuildBasesErrorIsTheFirstContenders: with two contenders failing, the
 // error is the one earliest in configuration order, whichever started first.
+// Fanout 2 fails both the R-tree and the sharded contender's per-shard seed
+// trees.
 func TestBuildBasesErrorIsTheFirstContenders(t *testing.T) {
 	items := scatteredItems(500, 50, 12)
 	opts := DatasetOptions{
-		Contenders: []string{"flat", "rtree", "sharded"}, RTreeFanout: 2, ShardIndex: "rtree",
+		Contenders: []string{"grid", "rtree", "sharded"}, RTreeFanout: 2,
+		Flat: flat.Options{PageSize: 64, SeedFanout: 2},
 	}.sanitize()
 	for _, last := range [][]time.Duration{nil, {1, 2, 3}, {3, 2, 1}} {
 		d := &Dataset{opts: opts}

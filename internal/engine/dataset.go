@@ -30,9 +30,6 @@ type DatasetOptions struct {
 	Grid GridOptions
 	// Shards is the shard count of the sharded contender; <= 0 selects 4.
 	Shards int
-	// ShardIndex names the sharded contender's per-shard sub-index; empty
-	// selects "flat".
-	ShardIndex string
 	// PageSize is the snapshot layout's page capacity; <= 0 selects the FLAT
 	// page size (so layout page counts are comparable to FLAT's).
 	PageSize int
@@ -95,10 +92,7 @@ func (o DatasetOptions) newIndex(name string) (SpatialIndex, error) {
 	case "grid":
 		return NewGrid(o.Grid), nil
 	case "sharded":
-		s := NewSharded(ShardedOptions{
-			Shards: o.Shards, Index: o.ShardIndex,
-			Flat: o.Flat, RTreeFanout: o.RTreeFanout, Grid: o.Grid,
-		})
+		s := NewSharded(ShardedOptions{Shards: o.Shards, Flat: o.Flat})
 		s.workers = o.Workers
 		return s, nil
 	}

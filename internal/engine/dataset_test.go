@@ -882,7 +882,7 @@ func TestDatasetValidation(t *testing.T) {
 // one executor" means at its fixed point: over a fresh dataset — dense IDs, no
 // delta, no tombstones — a view's Do is its base contender's Do, hit for hit
 // and counter for counter, for every kind on every contender (the sharded one
-// at 1 and 4 shards over each sub-index).
+// at 1 and 4 shards).
 func TestViewIsBaseAtEmptyOverlay(t *testing.T) {
 	items := testItems(t, 10, 7010)
 	vol := geom.Box(geom.V(0, 0, 0), geom.V(200, 200, 200))

@@ -11,7 +11,7 @@ import (
 )
 
 // Flat adapts flat.Index to the engine layer. Stats mapping: IndexReads are
-// the seed-tree node accesses (the page-level R-tree is RAM-resident),
+// the seed-directory node accesses (the page-level R-tree is RAM-resident),
 // PagesRead are the crawl's data-page reads — exactly the split the demo's
 // statistics panel reports for FLAT.
 type Flat struct {
@@ -20,45 +20,15 @@ type Flat struct {
 	// boxOf is the exact-geometry accessor bound once per build (a per-query
 	// method value would be a hot-path allocation).
 	boxOf func(int32) geom.AABB
-	// seed is the seed tree flattened into a RAM directory (seed[0] the
-	// root): what kNN descends to the pages near its center.
-	seed []seedNode
 	// zones is the per-page (min, max) item-ID zone map of the build, what
 	// the lazy stream orders pages by.
 	zones []idZone
 	src   pager.PageSource
 }
 
-// seedNode is one node of FLAT's seed tree: its MBR and its kids — indexes
-// into Flat.seed, or the data pages themselves under a leaf.
-type seedNode struct {
-	box  geom.AABB
-	leaf bool
-	kids []int32
-}
-
-// flattenSeed appends the subtree under v to dir in pre-order.
-func flattenSeed(dir []seedNode, v rtree.NodeView) []seedNode {
-	i := len(dir)
-	dir = append(dir, seedNode{box: v.Box(), leaf: v.IsLeaf()})
-	kids := make([]int32, 0, max(v.NumChildren(), len(v.Items())))
-	for _, it := range v.Items() {
-		kids = append(kids, it.ID) // a seed-tree item is a page
-	}
-	for c := 0; c < v.NumChildren(); c++ {
-		kids = append(kids, int32(len(dir)))
-		dir = flattenSeed(dir, v.Child(c))
-	}
-	dir[i].kids = kids
-	return dir
-}
-
 // adopt installs a built flat.Index.
 func (f *Flat) adopt(idx *flat.Index) {
-	f.idx, f.boxOf, f.seed = idx, idx.ItemBox, nil
-	if root, ok := idx.SeedRoot(); ok {
-		f.seed = flattenSeed(nil, root)
-	}
+	f.idx, f.boxOf = idx, idx.ItemBox
 	f.zones = storeZones(idx.Store())
 }
 
@@ -140,15 +110,16 @@ func (f *Flat) itemBoxes() func(int32) geom.AABB { return f.boxOf }
 // WithinDistance execute as seed-and-crawl traversals (Point stabs with a
 // degenerate box, WithinDistance crawls the sphere's bounding box and refines
 // with the exact Dist2Point test); KNN is the executor's best-first search
-// down the seed tree to the pages nearest the center (knnExpand).
+// down the seed directory to the pages nearest the center (knnExpand).
 func (f *Flat) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {
 	return execute(ctx, f, nil, req, visit)
 }
 
-// knnExpand implements traverser. The hierarchy is the seed tree, then the
-// data pages: a seed node (ref ^i for seed[i], the root seed[0]; a RAM step,
-// one IndexRead) pushes its kids by their MBRs' distance; a page (ref >= 0) is
-// read through the call's source and its residents offered.
+// knnExpand implements traverser. The hierarchy is the seed directory, then
+// the data pages: a seed node (ref ^i for node i, the root node 0; a RAM step,
+// one IndexRead) pushes its kids by their MBRs' distance — a leaf's kids are
+// the pages themselves; a page (ref >= 0) is read through the call's source
+// and its residents offered.
 func (f *Flat) knnExpand(s *knnSearch, e knnEntry) error {
 	if e.ref >= 0 {
 		p := pager.PageID(e.ref)
@@ -159,40 +130,33 @@ func (f *Flat) knnExpand(s *knnSearch, e knnEntry) error {
 		return err
 	}
 	s.st.IndexReads++
-	n := &f.seed[^e.ref]
-	for _, k := range n.kids {
-		if n.leaf {
-			s.push(f.idx.PageBox(pager.PageID(k)).Dist2Point(s.req.Center), k)
-		} else {
-			s.push(f.seed[k].box.Dist2Point(s.req.Center), ^k)
+	d := f.idx.Seed()
+	n := &d.Nodes[^e.ref]
+	if n.Leaf() {
+		for _, it := range d.ItemsOf(n) {
+			s.push(it.Box.Dist2Point(s.req.Center), it.ID)
 		}
+		return nil
+	}
+	for _, k := range d.KidsOf(n) {
+		s.push(d.Nodes[k].Box.Dist2Point(s.req.Center), ^k)
 	}
 	return nil
 }
 
 // zonePages implements traverser: the pages whose MBRs intersect the query
-// box, found down the seed tree (the set PagesInRange returns), each with its
-// zone. Every true hit lies on such a page, so the candidate set is complete.
+// box, found by a range query of the seed directory (the set PagesInRange
+// returns), each with its zone. Every true hit lies on such a page, so the
+// candidate set is complete.
 func (f *Flat) zonePages(req Request, ps *pageStream) pager.PageSource {
-	if len(f.seed) == 0 {
+	if f.NumPages() == 0 {
 		return nil
 	}
-	f.addSeed(0, queryBox(req), ps)
+	coords := f.idx.Coords()
+	f.idx.Seed().Query(queryBox(req), func(it rtree.Item) {
+		ps.add(pager.PageID(it.ID), f.zones[it.ID], coords)
+	})
 	return f.source(req, nil)
-}
-
-// addSeed adds the pages under seed node i that intersect q.
-func (f *Flat) addSeed(i int32, q geom.AABB, ps *pageStream) {
-	n := &f.seed[i]
-	for _, k := range n.kids {
-		if !n.leaf {
-			if f.seed[k].box.Intersects(q) {
-				f.addSeed(k, q, ps)
-			}
-		} else if p := pager.PageID(k); f.idx.PageBox(p).Intersects(q) {
-			ps.add(p, f.zones[p], f.idx.Coords())
-		}
-	}
 }
 
 // Store implements Paged (nil before Build).
@@ -219,7 +183,7 @@ func (f *Flat) PageOf(id int32) pager.PageID {
 	return f.idx.PageOf(id)
 }
 
-// PagesInRange implements Paged via the seed tree.
+// PagesInRange implements Paged via the seed directory.
 func (f *Flat) PagesInRange(q geom.AABB) []pager.PageID {
 	if f.idx == nil {
 		return nil

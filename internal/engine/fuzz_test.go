@@ -44,7 +44,6 @@ func fuzzTargets(t testing.TB) []engine.SpatialIndex {
 			build(engine.NewFlat(flat.DefaultOptions())),
 			build(engine.NewRTree(0)),
 			build(engine.NewGrid(engine.GridOptions{})),
-			build(engine.NewSharded(engine.ShardedOptions{Shards: 3, Index: "grid"})),
 		}
 	})
 	return fuzzIndexes

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -51,14 +50,11 @@ func checkItemBoxes(t *testing.T, name string, boxOf func(int32) geom.AABB, item
 	}
 }
 
-// allContenders returns one unbuilt contender of every kind, the sharded one
-// over each sub-index kind.
+// allContenders returns one unbuilt contender of every kind.
 func allContenders() []contender {
 	return []contender{
 		NewFlat(flat.DefaultOptions()), NewRTree(0), NewGrid(GridOptions{}),
-		NewSharded(ShardedOptions{Shards: 4, Index: "flat"}),
-		NewSharded(ShardedOptions{Shards: 4, Index: "rtree"}),
-		NewSharded(ShardedOptions{Shards: 4, Index: "grid"}),
+		NewSharded(ShardedOptions{Shards: 4}),
 	}
 }
 
@@ -70,11 +66,7 @@ func TestItemBoxesMatchInput(t *testing.T) {
 			if err := ix.Build(items); err != nil {
 				t.Fatal(err)
 			}
-			name := ix.Name()
-			if s, ok := ix.(*Sharded); ok {
-				name += "/" + s.opts.Index
-			}
-			checkItemBoxes(t, name, ix.itemBoxes(), items)
+			checkItemBoxes(t, ix.Name(), ix.itemBoxes(), items)
 		}
 		fx, err := flat.Build(items, flat.DefaultOptions())
 		if err != nil {
@@ -84,34 +76,32 @@ func TestItemBoxesMatchInput(t *testing.T) {
 	})
 
 	t.Run("durable-thaw", func(t *testing.T) {
-		for _, sub := range []string{"flat", "rtree", "grid"} {
-			dir := t.TempDir()
-			opts := DatasetOptions{Contenders: []string{"flat", "rtree", "grid", "sharded"}, ShardIndex: sub}
-			dd, err := CreateDataset(dir, items, opts)
-			if err != nil {
-				t.Fatal(err)
+		dir := t.TempDir()
+		opts := DatasetOptions{Contenders: []string{"flat", "rtree", "grid", "sharded"}}
+		dd, err := CreateDataset(dir, items, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dd.Close(); err != nil {
+			t.Fatal(err)
+		}
+		re, err := OpenDataset(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := re.Current()
+		for _, b := range snap.bases {
+			checkItemBoxes(t, "thawed "+b.Name(), b.(contender).itemBoxes(), items)
+		}
+		checkItemBoxes(t, "thawed snapshot", func(id int32) geom.AABB {
+			box, ok := snap.ItemBox(id)
+			if !ok {
+				t.Fatalf("thawed snapshot: item %d not live", id)
 			}
-			if err := dd.Close(); err != nil {
-				t.Fatal(err)
-			}
-			re, err := OpenDataset(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			snap := re.Current()
-			for _, b := range snap.bases {
-				checkItemBoxes(t, fmt.Sprintf("thawed %s (shards of %s)", b.Name(), sub), b.(contender).itemBoxes(), items)
-			}
-			checkItemBoxes(t, "thawed snapshot", func(id int32) geom.AABB {
-				box, ok := snap.ItemBox(id)
-				if !ok {
-					t.Fatalf("thawed snapshot: item %d not live", id)
-				}
-				return box
-			}, items)
-			if err := re.Close(); err != nil {
-				t.Fatal(err)
-			}
+			return box
+		}, items)
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
 		}
 	})
 
@@ -158,8 +148,7 @@ func TestFailedBuildLeavesIndexUsable(t *testing.T) {
 		{"rtree/fanout", func() SpatialIndex { return NewRTree(2) }, items, false},
 		{"grid/non-dense", func() SpatialIndex { return NewGrid(GridOptions{}) }, nonDense, true},
 		{"sharded/non-dense", func() SpatialIndex { return NewSharded(ShardedOptions{}) }, nonDense, true},
-		{"sharded/unknown-sub", func() SpatialIndex { return NewSharded(ShardedOptions{Index: "bogus"}) }, items, false},
-		{"sharded/sub-fails", func() SpatialIndex { return NewSharded(ShardedOptions{Index: "rtree", RTreeFanout: 2}) }, items, false},
+		{"sharded/sub-fails", func() SpatialIndex { return NewSharded(ShardedOptions{Flat: flat.Options{SeedFanout: 2}}) }, items, false},
 	}
 	do := func(name string, ix SpatialIndex, req Request) (hits []Hit) {
 		t.Helper()

@@ -43,8 +43,7 @@ func streamContenders(t *testing.T, items []rtree.Item) []engine.SpatialIndex {
 		engine.NewFlat(flat.Options{PageSize: 8}),
 		engine.NewRTree(8),
 		engine.NewGrid(engine.GridOptions{PageSize: 8}),
-		engine.NewSharded(engine.ShardedOptions{Shards: 4, Index: "flat",
-			Flat: flat.Options{PageSize: 8}}),
+		engine.NewSharded(engine.ShardedOptions{Shards: 4, Flat: flat.Options{PageSize: 8}}),
 	}
 	for _, ix := range ixs {
 		if err := ix.Build(items); err != nil {
@@ -206,16 +205,12 @@ func TestPaginationReconcatenates(t *testing.T) {
 // to the end — emits exactly the unpaginated Do's hits and reads exactly its
 // pages, counted both by the request's PagesRead and by a tap on the real
 // reads; through a churned snapshot view it also tests exactly as many delta
-// entries. Every contender is covered, the sharded one over each sub-index
-// kind, so a stream that stops reading R-tree directory nodes or a shard's
-// pages where the eager traversal reads them shows up here.
+// entries. Every contender is covered, so a stream that stops reading R-tree
+// directory nodes or a shard's pages where the eager traversal reads them
+// shows up here.
 func TestStreamDrainReadsLikeDo(t *testing.T) {
 	items := streamItems(3000, 79)
 	cs := sweepContenders(t, items)
-	for _, sub := range []string{"rtree", "grid"} {
-		cs = append(cs, newSweepContender(t, "sharded4"+sub, engine.NewSharded(engine.ShardedOptions{
-			Shards: 4, Index: sub, RTreeFanout: 8, Grid: engine.GridOptions{PageSize: 8}}), items))
-	}
 	for _, c := range cs {
 		view, live := churnedView(t, c.ix, items)
 		for _, sf := range []struct {
@@ -271,7 +266,6 @@ func churnedDataset(t *testing.T, items []rtree.Item, seed int64) *engine.Datase
 		RTreeFanout:        8,
 		Grid:               engine.GridOptions{PageSize: 8},
 		Shards:             4,
-		ShardIndex:         "flat",
 		DisableAutoCompact: true,
 	})
 	if err != nil {

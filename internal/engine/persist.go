@@ -73,9 +73,9 @@ func freezeIndex(name string, ix SpatialIndex) (durable.IndexRec, error) {
 		// The directory is in pre-order, so its leaf nodes in index order are
 		// the tree's leaves left to right: the runs FromLeafRuns rebuilds
 		// the tree from.
-		for i := range v.nodes {
-			if n := &v.nodes[i]; n.leaf {
-				ids := v.store.Page(n.page)
+		for i := range v.dir.Nodes {
+			if v.dir.Nodes[i].Leaf() {
+				ids := v.store.Page(pager.PageID(i))
 				rec.Order = append(rec.Order, ids...)
 				rec.GroupLens = append(rec.GroupLens, int32(len(ids)))
 			}
@@ -93,7 +93,7 @@ func freezeIndex(name string, ix SpatialIndex) (durable.IndexRec, error) {
 			rec.GroupLens = append(rec.GroupLens, int32(len(sh.global)))
 			rec.Order = append(rec.Order, sh.global...)
 			rec.Bounds = append(rec.Bounds, sh.bounds)
-			sub, err := freezeIndex(v.opts.Index, sh.sub)
+			sub, err := freezeIndex("flat", sh.sub)
 			if err != nil {
 				return rec, fmt.Errorf("engine: freeze shard %d: %w", i, err)
 			}
@@ -135,10 +135,7 @@ func thawIndex(rec *durable.IndexRec, items []rtree.Item, o DatasetOptions) (Spa
 	case "grid":
 		return thawGrid(rec, items, o.Grid)
 	case "sharded":
-		return thawSharded(rec, items, ShardedOptions{
-			Shards: o.Shards, Index: o.ShardIndex,
-			Flat: o.Flat, RTreeFanout: o.RTreeFanout, Grid: o.Grid,
-		})
+		return thawSharded(rec, items, ShardedOptions{Shards: o.Shards, Flat: o.Flat})
 	}
 	return nil, fmt.Errorf("engine: thaw of unknown index kind %q", rec.Name)
 }
@@ -193,24 +190,8 @@ func thawGrid(rec *durable.IndexRec, items []rtree.Item, gridOpts GridOptions) (
 	return gx, nil
 }
 
-// thawSub reconstructs one shard's sub-index from its record.
-func thawSub(rec *durable.IndexRec, items []rtree.Item, so ShardedOptions) (contender, error) {
-	if rec.Name != so.Index {
-		return nil, fmt.Errorf("engine: thaw shard sub-index is %q, want %q", rec.Name, so.Index)
-	}
-	switch so.Index {
-	case "flat":
-		return thawFlat(rec, items, so.Flat)
-	case "rtree":
-		return thawRTree(rec, items)
-	case "grid":
-		return thawGrid(rec, items, so.Grid)
-	}
-	return nil, fmt.Errorf("engine: thaw of unknown sharded sub-index %q", so.Index)
-}
-
 // thawSharded mirrors Sharded.Build over the recorded partition: the shard
-// membership, per-shard sub-indexes and the global page space are
+// membership, per-shard FLAT indexes and the global page space are
 // reconstructed exactly as the original build wired them, without re-running
 // shard.Partition.
 func thawSharded(rec *durable.IndexRec, items []rtree.Item, opts ShardedOptions) (*Sharded, error) {
@@ -266,7 +247,10 @@ func thawSharded(rec *durable.IndexRec, items []rtree.Item, opts ShardedOptions)
 		if bounds != rec.Bounds[i] {
 			return nil, fmt.Errorf("engine: thaw sharded: shard %d bounds diverge from the recorded partition", i)
 		}
-		sub, err := thawSub(&rec.Subs[i], localItems, s.opts)
+		if name := rec.Subs[i].Name; name != "flat" {
+			return nil, fmt.Errorf("engine: thaw sharded: shard %d sub-index is %q, want \"flat\"", i, name)
+		}
+		sub, err := thawFlat(&rec.Subs[i], localItems, s.opts.Flat)
 		if err != nil {
 			return nil, fmt.Errorf("engine: thaw sharded: shard %d: %w", i, err)
 		}
@@ -276,37 +260,8 @@ func thawSharded(rec *durable.IndexRec, items []rtree.Item, opts ShardedOptions)
 	}
 
 	// The global page space, wired exactly as Build wires it.
-	capacity := 1
-	for i := range s.shards {
-		if c := s.shards[i].sub.Store().Capacity(); c > capacity {
-			capacity = c
-		}
-	}
-	builder, err := pager.NewBuilder(capacity)
-	if err != nil {
-		return nil, err
-	}
-	var base pager.PageID
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.pageBase = base
-		local := sh.sub.Store()
-		for p := 0; p < local.NumPages(); p++ {
-			for _, id := range local.Page(pager.PageID(p)) {
-				if id >= 0 {
-					builder.Add(sh.global[id])
-				} else {
-					builder.Add(id) // internal-node placeholder (rtree pages)
-				}
-			}
-			builder.FlushPage()
-		}
-		base += pager.PageID(local.NumPages())
-	}
-	s.store = builder.Build()
-	if s.store.NumPages() != int(base) {
-		return nil, fmt.Errorf("engine: thaw sharded: page bookkeeping diverged: %d global pages, %d shard pages",
-			s.store.NumPages(), base)
+	if err := s.globalStore(); err != nil {
+		return nil, fmt.Errorf("engine: thaw sharded: %w", err)
 	}
 	return s, nil
 }

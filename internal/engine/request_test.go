@@ -63,8 +63,7 @@ func TestRequestValidate(t *testing.T) {
 // TestKNNReadsThroughSource: every page a request counts is a read through
 // the attached source — tap reads == QueryStats.PagesRead for kNN, Range,
 // Point and WithinDistance on every contender (the sharded one at 1 and 4
-// shards over each sub-index), raw and through a snapshot view over a live
-// overlay. For the R-tree, whose nodes are its pages, that is every node
+// shards), raw and through a snapshot view over a live overlay. For the R-tree, whose nodes are its pages, that is every node
 // access: IndexReads stays 0 and NodesPerLevel sums to PagesRead.
 func TestKNNReadsThroughSource(t *testing.T) {
 	items := testItems(t, 10, 9101)

@@ -15,10 +15,10 @@ import (
 // children and item-ID zone stay in RAM, and the items' boxes live in the
 // pages' coordinate sidecar. The tree itself — STR-built by Build, rebuilt
 // from its leaf runs by a durable thaw, or any tree handed to WrapRTree — is
-// lowered onto these once and not retained. Stats mapping: every node access
-// is a page read through the source, for every kind, so PagesRead is the total
-// node accesses, IndexReads is 0 and NodesPerLevel carries the per-level
-// breakdown the demo's panel shows.
+// lowered onto an rtree.Dir once and not retained. Stats mapping: every node
+// access is a page read through the source, for every kind, so PagesRead is
+// the total node accesses, IndexReads is 0 and NodesPerLevel carries the
+// per-level breakdown the demo's panel shows.
 type RTree struct {
 	fanout   int
 	store    *pager.Store // one page per node: a leaf's item IDs, or a -1 placeholder
@@ -34,21 +34,12 @@ type RTree struct {
 	// pages' item coordinates as contiguous per-axis runs (internal-node
 	// placeholder entries get empty boxes), read by every traversal.
 	coords *pager.Coords
-	// nodes is the node directory in pre-order: nodes[i] is laid out on page
-	// i, and nodes[0] is the root.
-	nodes []rnode
-}
-
-// rnode is one node of the directory (see RTree.nodes): its page, MBR, level
-// and the (min, max) item-ID zone of its subtree — what the lazy stream
-// orders nodes by.
-type rnode struct {
-	page  pager.PageID
-	box   geom.AABB
-	level int
-	leaf  bool
-	zone  idZone
-	kids  []int32 // indexes into RTree.nodes
+	// dir is the lowered tree without its entries (the store and coords hold
+	// them): dir.Nodes[i] is laid out on page i, and node 0 is the root.
+	dir rtree.Dir
+	// zones[i] is the (min, max) item-ID zone of node i's subtree — what the
+	// lazy stream orders nodes by.
+	zones []idZone
 }
 
 // NewRTree returns an unbuilt R-tree engine index with the given fanout
@@ -87,80 +78,77 @@ func (r *RTree) Build(items []rtree.Item) error {
 	return r.page(t)
 }
 
-// page lowers t in one pre-order walk: node i of the directory is page i of
-// the store, and each item's leaf page, sidecar slot and box are recorded on
-// the way. A failure leaves the index empty.
+// page lowers t onto the directory and lays it out: node i of the directory
+// is page i of the store — a leaf's item IDs in item order, one -1
+// placeholder for an internal node — and each item's leaf page and sidecar
+// slot are recorded on the way. A node of a non-empty tree holds between one
+// and fanout entries, so it fills exactly one page. A failure leaves the index
+// empty.
 func (r *RTree) page(t *rtree.Tree) error {
-	r.store, r.elemPage, r.slot, r.coords, r.nodes = nil, nil, nil, nil, nil
-	root, ok := t.Root()
-	if !ok {
+	r.store, r.elemPage, r.slot, r.coords, r.dir, r.zones = nil, nil, nil, nil, rtree.Dir{}, nil
+	if t.Size() == 0 {
 		return nil
 	}
 	b, err := pager.NewBuilder(t.Fanout())
 	if err != nil {
 		return fmt.Errorf("engine: %w", err)
 	}
-	r.elemPage = make([]pager.PageID, t.Size())
+	d := rtree.Lower(t)
+	n := t.Size()
+	r.elemPage = make([]pager.PageID, n)
 	// slot holds each item's position on its leaf page until the sidecar
-	// exists; boxes is the transient input of BuildCoords.
-	r.slot = make([]int32, t.Size())
-	boxes := make([]geom.AABB, t.Size())
-	r.lower(root, b, boxes)
+	// exists.
+	r.slot = make([]int32, n)
+	r.zones = make([]idZone, len(d.Nodes))
+	for i := range d.Nodes {
+		nd, z := &d.Nodes[i], idZone{min: math.MaxInt32, max: -1}
+		if nd.Leaf() {
+			for j, it := range d.ItemsOf(nd) {
+				b.Add(it.ID)
+				if int(it.ID) < n {
+					r.elemPage[it.ID], r.slot[it.ID] = pager.PageID(i), int32(j)
+				}
+				z.min, z.max = min(z.min, it.ID), max(z.max, it.ID)
+			}
+		} else {
+			b.Add(-1)
+		}
+		b.FlushPage()
+		r.zones[i] = z
+	}
+	// Children follow their parent in pre-order, so a reverse pass meets
+	// every node's kids before the node: its zone is theirs, merged.
+	for i := len(d.Nodes) - 1; i >= 0; i-- {
+		if nd := &d.Nodes[i]; !nd.Leaf() {
+			z := &r.zones[i]
+			for _, k := range d.KidsOf(nd) {
+				z.min, z.max = min(z.min, r.zones[k].min), max(z.max, r.zones[k].max)
+			}
+		}
+	}
 	st := b.Build()
 	// Guarded accessor: WrapRTree tolerates non-dense item IDs; out-of-range
 	// IDs get empty (never-intersecting) sidecar slots, so no query reports
-	// them, instead of panicking the build.
+	// them, instead of panicking the build. An in-range ID reads its box
+	// back from the entry its page and position name.
 	r.store, r.coords = st, pager.BuildCoords(st, func(id int32) geom.AABB {
-		if int(id) >= len(boxes) {
+		if int(id) >= n {
 			return geom.EmptyAABB()
 		}
-		return boxes[id]
+		return d.Items[d.Nodes[r.elemPage[id]].Off+r.slot[id]].Box
 	})
 	for id, pg := range r.elemPage {
 		r.slot[id] += int32(r.coords.PageOffset(pg))
 	}
+	d.Items = nil // the store and coords hold the entries
+	r.dir = d
 	r.boxOf = func(id int32) geom.AABB { return r.coords.BoxAt(int(r.slot[id])) }
 	return nil
 }
 
-// lower appends the subtree under v to the directory in pre-order and its
-// nodes' pages to b — a leaf's item IDs in item order, one -1 placeholder for
-// an internal node — and returns the subtree root's index. A node of a
-// non-empty tree holds between one and fanout entries, so it fills exactly
-// one page.
-func (r *RTree) lower(v rtree.NodeView, b *pager.Builder, boxes []geom.AABB) int32 {
-	ni := int32(len(r.nodes))
-	n := rnode{page: pager.PageID(ni), box: v.Box(), level: v.Level(), leaf: v.IsLeaf(),
-		zone: idZone{min: math.MaxInt32, max: -1}}
-	r.nodes = append(r.nodes, rnode{})
-	for i, it := range v.Items() {
-		b.Add(it.ID)
-		if int(it.ID) < len(boxes) {
-			r.elemPage[it.ID], r.slot[it.ID], boxes[it.ID] = n.page, int32(i), it.Box
-		}
-		n.zone.min, n.zone.max = min(n.zone.min, it.ID), max(n.zone.max, it.ID)
-	}
-	if !n.leaf {
-		b.Add(-1)
-		n.kids = make([]int32, 0, v.NumChildren())
-	}
-	b.FlushPage()
-	for c := 0; c < v.NumChildren(); c++ {
-		ci := r.lower(v.Child(c), b, boxes)
-		n.kids = append(n.kids, ci)
-		z := r.nodes[ci].zone
-		n.zone.min, n.zone.max = min(n.zone.min, z.min), max(n.zone.max, z.max)
-	}
-	r.nodes[ni] = n
-	return ni
-}
-
 // Bounds implements SpatialIndex.
 func (r *RTree) Bounds() geom.AABB {
-	if len(r.nodes) == 0 {
-		return geom.EmptyAABB()
-	}
-	return r.nodes[0].box
+	return r.dir.Bounds()
 }
 
 // NumItems implements SpatialIndex.
@@ -170,7 +158,7 @@ func (r *RTree) NumItems() int { return len(r.elemPage) }
 // root, IDs in descent order.
 func (r *RTree) scan(ctx context.Context, req Request, src pager.PageSource, out *idCollector) (QueryStats, error) {
 	var st QueryStats
-	if len(r.nodes) == 0 {
+	if len(r.dir.Nodes) == 0 {
 		return st, nil
 	}
 	if err := r.descend(ctx, 0, queryBox(req), r.source(req, src), out, &st); err != nil {
@@ -186,12 +174,12 @@ func (r *RTree) descend(ctx context.Context, ni int32, q geom.AABB, src pager.Pa
 	if err := ctxErr(ctx); err != nil {
 		return err
 	}
-	n := &r.nodes[ni]
-	ids := src.ReadPage(n.page)
+	n := &r.dir.Nodes[ni]
+	ids := src.ReadPage(pager.PageID(ni))
 	st.PagesRead++
-	st.addNode(n.level)
-	if n.leaf {
-		base := r.coords.PageOffset(n.page)
+	st.addNode(int(n.Level))
+	if n.Leaf() {
+		base := r.coords.PageOffset(pager.PageID(ni))
 		for i, id := range ids {
 			st.EntriesTested++
 			if r.coords.IntersectsAt(base+i, q) {
@@ -199,9 +187,10 @@ func (r *RTree) descend(ctx context.Context, ni int32, q geom.AABB, src pager.Pa
 				out.visit(id)
 			}
 		}
+		return nil
 	}
-	for _, ci := range n.kids {
-		if r.nodes[ci].box.Intersects(q) {
+	for _, ci := range r.dir.KidsOf(n) {
+		if r.dir.Nodes[ci].Box.Intersects(q) {
 			if err := r.descend(ctx, ci, q, src, out, st); err != nil {
 				return err
 			}
@@ -224,26 +213,27 @@ func (r *RTree) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStat
 }
 
 // knnExpand implements traverser. The hierarchy is the node directory (ref i
-// is nodes[i]): expanding a node reads its page through the call's source —
+// is node i, on page i): expanding a node reads its page through the call's source —
 // one node per page, as in the range descent — then pushes an internal node's
 // kids by their MBRs' distance, or offers a leaf's residents.
 func (r *RTree) knnExpand(s *knnSearch, e knnEntry) error {
 	c := s.req.Center
 	if e.ref == knnRoot {
-		s.push(r.nodes[0].box.Dist2Point(c), 0)
+		s.push(r.dir.Nodes[0].Box.Dist2Point(c), 0)
 		return nil
 	}
-	n := &r.nodes[e.ref]
-	ids, err := s.read(r.source(s.req, nil), n.page)
+	n := &r.dir.Nodes[e.ref]
+	ids, err := s.read(r.source(s.req, nil), pager.PageID(e.ref))
 	if err != nil {
 		return err
 	}
-	s.st.addNode(n.level)
-	if n.leaf {
-		s.offerPage(r.coords, n.page, ids)
+	s.st.addNode(int(n.Level))
+	if n.Leaf() {
+		s.offerPage(r.coords, pager.PageID(e.ref), ids)
+		return nil
 	}
-	for _, ci := range n.kids {
-		s.push(r.nodes[ci].box.Dist2Point(c), ci)
+	for _, ci := range r.dir.KidsOf(n) {
+		s.push(r.dir.Nodes[ci].Box.Dist2Point(c), ci)
 	}
 	return nil
 }
@@ -264,26 +254,29 @@ func (r *RTree) source(req Request, passed pager.PageSource) pager.PageSource {
 // (pages are assigned in pre-order, so a tie on the zone min goes to the
 // parent) and never past the point a Limit stops the stream.
 func (r *RTree) zonePages(req Request, ps *pageStream) pager.PageSource {
-	if len(r.nodes) == 0 {
+	if len(r.dir.Nodes) == 0 {
 		return nil
 	}
-	r.inRange(queryBox(req), func(n *rnode) { ps.add(n.page, n.zone, r.coords) })
+	r.inRange(queryBox(req), func(ni int32) { ps.add(pager.PageID(ni), r.zones[ni], r.coords) })
 	return r.source(req, nil)
 }
 
-// inRange calls fn, in pre-order, on every directory node whose box — and
-// whose ancestors' boxes — intersect q.
-func (r *RTree) inRange(q geom.AABB, fn func(*rnode)) {
-	if len(r.nodes) > 0 && r.nodes[0].box.Intersects(q) {
+// inRange calls fn, in pre-order, on the index of every directory node whose
+// box — and whose ancestors' boxes — intersect q.
+func (r *RTree) inRange(q geom.AABB, fn func(int32)) {
+	if len(r.dir.Nodes) > 0 && r.dir.Nodes[0].Box.Intersects(q) {
 		r.walkRange(0, q, fn)
 	}
 }
 
-func (r *RTree) walkRange(ni int32, q geom.AABB, fn func(*rnode)) {
-	n := &r.nodes[ni]
-	fn(n)
-	for _, ci := range n.kids {
-		if r.nodes[ci].box.Intersects(q) {
+func (r *RTree) walkRange(ni int32, q geom.AABB, fn func(int32)) {
+	fn(ni)
+	n := &r.dir.Nodes[ni]
+	if n.Leaf() {
+		return
+	}
+	for _, ci := range r.dir.KidsOf(n) {
+		if r.dir.Nodes[ci].Box.Intersects(q) {
 			r.walkRange(ci, q, fn)
 		}
 	}
@@ -293,7 +286,7 @@ func (r *RTree) walkRange(ni int32, q geom.AABB, fn func(*rnode)) {
 func (r *RTree) Store() *pager.Store { return r.store }
 
 // NumPages implements Paged: one page per directory node.
-func (r *RTree) NumPages() int { return len(r.nodes) }
+func (r *RTree) NumPages() int { return len(r.dir.Nodes) }
 
 // PageOf implements Paged: the page of the leaf holding item id.
 func (r *RTree) PageOf(id int32) pager.PageID {
@@ -307,7 +300,7 @@ func (r *RTree) PageOf(id int32) pager.PageID {
 // would visit, in pre-order.
 func (r *RTree) PagesInRange(q geom.AABB) []pager.PageID {
 	var out []pager.PageID
-	r.inRange(q, func(n *rnode) { out = append(out, n.page) })
+	r.inRange(q, func(ni int32) { out = append(out, pager.PageID(ni)) })
 	return out
 }
 

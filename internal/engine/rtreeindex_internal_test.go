@@ -76,7 +76,7 @@ func TestFrozenRTreeRecordIsLeafOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, it := range items[:500] {
-		dyn.Delete(it)
+		dyn.Insert(it)
 	}
 
 	for _, tc := range []struct {
@@ -134,7 +134,7 @@ func TestRTreeLayoutOneNodePerPage(t *testing.T) {
 		if got := r.store.Page(p); !slices.Equal(got, want) {
 			t.Fatalf("page %d holds %v, want %v", p, got, want)
 		}
-		if n := &r.nodes[p]; n.page != p || n.box != v.Box() || n.level != v.Level() || n.leaf != v.IsLeaf() {
+		if n := &r.dir.Nodes[p]; n.Box != v.Box() || int(n.Level) != v.Level() || n.Leaf() != v.IsLeaf() {
 			t.Fatalf("directory node %d is %+v, the tree's node has box %v, level %d", p, *n, v.Box(), v.Level())
 		}
 		for c := 0; c < v.NumChildren(); c++ {
@@ -143,7 +143,7 @@ func TestRTreeLayoutOneNodePerPage(t *testing.T) {
 	}
 	root, _ := tr.Root()
 	walk(root)
-	if r.NumPages() != nodes || len(r.nodes) != nodes {
-		t.Fatalf("%d pages and %d directory nodes for a tree of %d nodes", r.NumPages(), len(r.nodes), nodes)
+	if r.NumPages() != nodes || len(r.dir.Nodes) != nodes {
+		t.Fatalf("%d pages and %d directory nodes for a tree of %d nodes", r.NumPages(), len(r.dir.Nodes), nodes)
 	}
 }

@@ -137,8 +137,7 @@ func tieRequests(t testing.TB, items []rtree.Item, center geom.Vec) []engine.Req
 }
 
 // sessionCells returns the (name, index) differential cells: every
-// contender, with the sharded one at shard counts 1 and 4 over each
-// sub-index kind.
+// contender, with the sharded one at shard counts 1 and 4.
 func sessionCells(t testing.TB, items []rtree.Item) []struct {
 	name string
 	ix   engine.SpatialIndex
@@ -161,10 +160,7 @@ func sessionCells(t testing.TB, items []rtree.Item) []struct {
 	add("rtree", engine.NewRTree(0))
 	add("grid", engine.NewGrid(engine.GridOptions{}))
 	for _, shards := range []int{1, 4} {
-		for _, sub := range []string{"flat", "rtree", "grid"} {
-			add(fmt.Sprintf("sharded%d-%s", shards, sub),
-				engine.NewSharded(engine.ShardedOptions{Shards: shards, Index: sub}))
-		}
+		add(fmt.Sprintf("sharded%d", shards), engine.NewSharded(engine.ShardedOptions{Shards: shards}))
 	}
 	return cells
 }

@@ -18,32 +18,21 @@ type ShardedOptions struct {
 	// Shards is the spatial shard count K; <= 0 selects 4. The effective
 	// count is min(K, item count) — every built shard is non-empty.
 	Shards int
-	// Index names the contender built per shard: "flat" (default), "rtree"
-	// or "grid".
-	Index string
-	// Flat configures the per-shard FLAT indexes (Index == "flat").
+	// Flat configures the per-shard FLAT indexes.
 	Flat flat.Options
-	// RTreeFanout configures the per-shard R-trees (Index == "rtree");
-	// <= 0 selects the default fanout.
-	RTreeFanout int
-	// Grid configures the per-shard grid indexes (Index == "grid").
-	Grid GridOptions
 }
 
 func (o ShardedOptions) sanitize() ShardedOptions {
 	if o.Shards <= 0 {
 		o.Shards = 4
 	}
-	if o.Index == "" {
-		o.Index = "flat"
-	}
 	return o
 }
 
-// shardState is one spatial shard: a sub-index over the shard's items
+// shardState is one spatial shard: a FLAT index over the shard's items
 // re-labelled with dense local IDs, plus the maps back to global space.
 type shardState struct {
-	sub    contender
+	sub    *Flat
 	bounds geom.AABB
 	// global[l] is the global ID of the shard's local item l (ascending —
 	// local IDs are assigned in ascending global-ID order).
@@ -54,14 +43,14 @@ type shardState struct {
 
 // Sharded is the scatter-gather engine index: the item set is split into K
 // spatial shards (shard.Partition, STR-style longest-axis recursion over
-// item centers), each shard builds its own contender index with its own
+// item centers), each shard builds its own FLAT index with its own
 // pager.Store, and queries fan out only to the shards whose bounds intersect
 // the range.
 //
 // Gather order: per query, the shards are drained in shard order and the
 // merged hits are emitted in ascending global ID — Sharded's fixed native
-// order, identical for any shard count, worker count, or per-shard index
-// kind, and equal (as a set) to any unsharded contender's result.
+// order, identical for any shard count or worker count, and equal (as a set)
+// to any unsharded contender's result.
 //
 // Stats mapping: per-shard QueryStats are summed into the unified record
 // (NodesPerLevel element-wise), plus ShardsTouched — the number of shards
@@ -110,19 +99,6 @@ func (s *Sharded) NumShards() int { return len(s.shards) }
 // ShardBounds returns the MBR of shard i's items.
 func (s *Sharded) ShardBounds(i int) geom.AABB { return s.shards[i].bounds }
 
-// newSubIndex constructs one shard's contender.
-func (o ShardedOptions) newSubIndex() (contender, error) {
-	switch o.Index {
-	case "flat":
-		return NewFlat(o.Flat), nil
-	case "rtree":
-		return NewRTree(o.RTreeFanout), nil
-	case "grid":
-		return NewGrid(o.Grid), nil
-	}
-	return nil, fmt.Errorf("engine: unknown sharded sub-index %q (have flat, rtree, grid)", o.Index)
-}
-
 // Build implements SpatialIndex. Rebuilding drops an attached PageSource,
 // like every other engine index: a pool wrapping the previous global store
 // would serve stale pages. A failed build leaves the index empty.
@@ -157,11 +133,7 @@ func (s *Sharded) Build(items []rtree.Item) (err error) {
 	errs := make([]error, len(parts))
 	parallel.ForEach(s.workers, len(parts), func(_, i int) {
 		part := parts[i]
-		sub, err := s.opts.newSubIndex()
-		if err != nil {
-			errs[i] = err
-			return
-		}
+		sub := NewFlat(s.opts.Flat)
 		localItems := make([]rtree.Item, len(part.Items))
 		globals := make([]int32, len(part.Items))
 		for l, it := range part.Items {
@@ -188,9 +160,14 @@ func (s *Sharded) Build(items []rtree.Item) (err error) {
 		s.bounds = s.bounds.Union(s.shards[i].bounds)
 	}
 
-	// The global page space: per-shard pages concatenated densely, contents
-	// translated from local to global IDs (sub-page boundaries preserved
-	// exactly, so global page base+p mirrors shard page p).
+	return s.globalStore()
+}
+
+// globalStore wires the global page space over the built shards: per-shard
+// pages concatenated densely, contents translated from local to global IDs
+// (sub-page boundaries preserved exactly, so global page base+p mirrors shard
+// page p).
+func (s *Sharded) globalStore() error {
 	capacity := 1
 	for i := range s.shards {
 		if c := s.shards[i].sub.Store().Capacity(); c > capacity {
@@ -208,11 +185,7 @@ func (s *Sharded) Build(items []rtree.Item) (err error) {
 		local := sh.sub.Store()
 		for p := 0; p < local.NumPages(); p++ {
 			for _, id := range local.Page(pager.PageID(p)) {
-				if id >= 0 {
-					builder.Add(sh.global[id])
-				} else {
-					builder.Add(id) // internal-node placeholder (rtree pages)
-				}
+				builder.Add(sh.global[id])
 			}
 			builder.FlushPage()
 		}
@@ -379,11 +352,7 @@ func (s *Sharded) PageOf(id int32) pager.PageID {
 		return pager.InvalidPage
 	}
 	sh := &s.shards[s.shardOf[id]]
-	p := sh.sub.PageOf(s.local[id])
-	if p == pager.InvalidPage {
-		return pager.InvalidPage
-	}
-	return sh.pageBase + p
+	return sh.pageBase + sh.sub.PageOf(s.local[id])
 }
 
 // PagesInRange implements Paged: the global pages a query of box q would

@@ -24,88 +24,61 @@ import (
 var shardCounts = []int{1, 2, 4, 7}
 var shardWorkerCounts = []int{1, 2, 4}
 
-// subIndexOptions returns the Sharded configuration for a sub-index kind.
-func subIndexOptions(kind string, shards int) engine.ShardedOptions {
-	return engine.ShardedOptions{Shards: shards, Index: kind}
-}
-
-// newContender builds the raw unsharded contender of a sub-index kind, the
-// oracle of the sharded differential.
-func newContender(t *testing.T, kind string, items []rtree.Item) engine.SpatialIndex {
-	t.Helper()
-	var ix engine.SpatialIndex
-	switch kind {
-	case "flat":
-		ix = engine.NewFlat(flat.DefaultOptions())
-	case "rtree":
-		ix = engine.NewRTree(0)
-	case "grid":
-		ix = engine.NewGrid(engine.GridOptions{})
-	default:
-		t.Fatalf("unknown contender %q", kind)
-	}
-	if err := ix.Build(items); err != nil {
-		t.Fatal(err)
-	}
-	return ix
-}
-
 // TestShardedMatchesUnshardedDifferential is the acceptance differential:
-// hit-for-hit agreement with the unsharded contender across shard counts ×
-// worker counts, for every sub-index kind.
+// hit-for-hit agreement with the unsharded FLAT index across shard counts ×
+// worker counts.
 func TestShardedMatchesUnshardedDifferential(t *testing.T) {
 	items := testItems(t, 12, 7007)
 	vol := geom.Box(geom.V(0, 0, 0), geom.V(200, 200, 200))
 	queries := testQueries(vol, 24)
 
-	for _, kind := range []string{"flat", "rtree", "grid"} {
-		t.Run(kind, func(t *testing.T) {
-			base := newContender(t, kind, items)
-			want, wantStats := serialRange(t, base, queries)
+	base := engine.NewFlat(flat.DefaultOptions())
+	if err := base.Build(items); err != nil {
+		t.Fatal(err)
+	}
+	want, wantStats := serialRange(t, base, queries)
 
-			for _, k := range shardCounts {
-				sh := engine.NewSharded(subIndexOptions(kind, k))
-				if err := sh.Build(items); err != nil {
-					t.Fatalf("shards=%d: %v", k, err)
-				}
-				if got := sh.NumShards(); got != k {
-					t.Fatalf("shards=%d: built %d shards", k, got)
-				}
+	for _, k := range shardCounts {
+		sh := engine.NewSharded(engine.ShardedOptions{Shards: k})
+		if err := sh.Build(items); err != nil {
+			t.Fatalf("shards=%d: %v", k, err)
+		}
+		if got := sh.NumShards(); got != k {
+			t.Fatalf("shards=%d: built %d shards", k, got)
+		}
 
-				// Serial scatter-gather == unsharded serial loop.
-				got, gotStats := serialRange(t, sh, queries)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("shards=%d: serial hits diverged from unsharded (%d vs %d)",
-						k, len(got), len(want))
-				}
-				for qi := range gotStats {
-					if gotStats[qi].Results != wantStats[qi].Results {
-						t.Errorf("shards=%d query %d: Results %d, unsharded %d",
-							k, qi, gotStats[qi].Results, wantStats[qi].Results)
-					}
-					if st := gotStats[qi].ShardsTouched; st < 1 || st > int64(k) {
-						t.Errorf("shards=%d query %d: ShardsTouched %d outside [1,%d]",
-							k, qi, st, k)
-					}
-				}
-
-				// DoBatch at every worker count == Sharded serial, exact
-				// per-query stats included.
-				sess, err := engine.Open(engine.WithIndex(sh))
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, w := range shardWorkerCounts {
-					batch, bsts, _ := batchRange(t, sess, queries, w)
-					if !reflect.DeepEqual(batch, want) {
-						t.Fatalf("shards=%d workers=%d: batch hits diverged", k, w)
-					}
-					if !reflect.DeepEqual(bsts, gotStats) {
-						t.Fatalf("shards=%d workers=%d: batch stats diverged", k, w)
-					}
-				}
+		// Serial scatter-gather == unsharded serial loop.
+		got, gotStats := serialRange(t, sh, queries)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("shards=%d: serial hits diverged from unsharded (%d vs %d)",
+				k, len(got), len(want))
+		}
+		for qi := range gotStats {
+			if gotStats[qi].Results != wantStats[qi].Results {
+				t.Errorf("shards=%d query %d: Results %d, unsharded %d",
+					k, qi, gotStats[qi].Results, wantStats[qi].Results)
 			}
-		})
+			if st := gotStats[qi].ShardsTouched; st < 1 || st > int64(k) {
+				t.Errorf("shards=%d query %d: ShardsTouched %d outside [1,%d]",
+					k, qi, st, k)
+			}
+		}
+
+		// DoBatch at every worker count == Sharded serial, exact
+		// per-query stats included.
+		sess, err := engine.Open(engine.WithIndex(sh))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range shardWorkerCounts {
+			batch, bsts, _ := batchRange(t, sess, queries, w)
+			if !reflect.DeepEqual(batch, want) {
+				t.Fatalf("shards=%d workers=%d: batch hits diverged", k, w)
+			}
+			if !reflect.DeepEqual(bsts, gotStats) {
+				t.Fatalf("shards=%d workers=%d: batch stats diverged", k, w)
+			}
+		}
 	}
 }
 
@@ -124,7 +97,7 @@ func TestShardedThroughGlobalPool(t *testing.T) {
 	want, _ := serialRange(t, base, queries)
 
 	for _, k := range shardCounts {
-		sh := engine.NewSharded(subIndexOptions("flat", k))
+		sh := engine.NewSharded(shardOpts(k))
 		if err := sh.Build(items); err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +132,7 @@ func TestShardedPlannerRouted(t *testing.T) {
 	queries := testQueries(vol, 16)
 
 	for _, k := range shardCounts {
-		sh := engine.NewSharded(subIndexOptions("flat", k))
+		sh := engine.NewSharded(shardOpts(k))
 		if err := sh.Build(items); err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +165,7 @@ func TestShardedPlannerRouted(t *testing.T) {
 // the per-shard page ranges are disjoint and dense.
 func TestShardedStorageGeometry(t *testing.T) {
 	items := testItems(t, 12, 7011)
-	sh := engine.NewSharded(subIndexOptions("flat", 4))
+	sh := engine.NewSharded(shardOpts(4))
 	if err := sh.Build(items); err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +214,7 @@ func TestShardedStorageGeometry(t *testing.T) {
 	// sub-build writing outside its own shard is a reported race).
 	for _, procs := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(procs)
-		again := engine.NewSharded(subIndexOptions("flat", 4))
+		again := engine.NewSharded(shardOpts(4))
 		err := again.Build(items)
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
@@ -277,20 +250,16 @@ func TestShardedStorageGeometry(t *testing.T) {
 }
 
 // TestShardedBuildErrorIsTheFirstShards pins which error a failing build
-// reports now that the sub-builds run concurrently: every shard's R-tree
+// reports now that the sub-builds run concurrently: every shard's seed tree
 // rejects the fanout, and the one reported is shard 0's, every time.
 func TestShardedBuildErrorIsTheFirstShards(t *testing.T) {
 	items := testItems(t, 4, 7013)
 	for i := 0; i < 8; i++ {
-		sh := engine.NewSharded(engine.ShardedOptions{Shards: 4, Index: "rtree", RTreeFanout: 2})
+		sh := engine.NewSharded(engine.ShardedOptions{Shards: 4, Flat: flat.Options{SeedFanout: 2}})
 		err := sh.Build(items)
 		if err == nil || !strings.HasPrefix(err.Error(), "engine: building shard 0: ") {
 			t.Fatalf("Build error %v, want shard 0's", err)
 		}
-	}
-	if err := engine.NewSharded(engine.ShardedOptions{Index: "bogus"}).Build(items); err == nil ||
-		!strings.HasPrefix(err.Error(), "engine: unknown sharded sub-index") {
-		t.Fatalf("unknown sub-index: %v", err)
 	}
 }
 
@@ -320,7 +289,7 @@ func TestShardedWalkthroughWithPrefetchers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sh := engine.NewSharded(subIndexOptions("flat", 4))
+	sh := engine.NewSharded(shardOpts(4))
 	if err := sh.Build(items); err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +323,7 @@ func TestShardedWalkthroughWithPrefetchers(t *testing.T) {
 
 // TestShardedEmptyAndMoreShardsThanItems covers the degenerate builds.
 func TestShardedEmptyAndMoreShardsThanItems(t *testing.T) {
-	sh := engine.NewSharded(subIndexOptions("flat", 4))
+	sh := engine.NewSharded(shardOpts(4))
 	if err := sh.Build(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +342,7 @@ func TestShardedEmptyAndMoreShardsThanItems(t *testing.T) {
 		{Box: geom.BoxAround(geom.V(0, 0, 0), 1), ID: 0},
 		{Box: geom.BoxAround(geom.V(50, 0, 0), 1), ID: 1},
 	}
-	sh = engine.NewSharded(subIndexOptions("flat", 8))
+	sh = engine.NewSharded(shardOpts(8))
 	if err := sh.Build(items); err != nil {
 		t.Fatal(err)
 	}
@@ -398,41 +367,43 @@ func TestShardedPagedQueryMatchesDo(t *testing.T) {
 	for i := range boxes {
 		boxes[i] = geom.BoxAround(geom.V(30+float64(i)*10, 100, 90+float64(i%3)*8), 18)
 	}
-	for _, kind := range []string{"flat", "rtree", "grid"} {
-		for _, k := range []int{1, 4} {
-			sh := engine.NewSharded(subIndexOptions(kind, k))
-			if err := sh.Build(items); err != nil {
-				t.Fatal(err)
+	for _, k := range []int{1, 4} {
+		sh := engine.NewSharded(shardOpts(k))
+		if err := sh.Build(items); err != nil {
+			t.Fatal(err)
+		}
+		pagedPool, err := pager.NewBufferPool(sh.Store(), 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doPool, err := pager.NewBufferPool(sh.Store(), 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		for step, q := range boxes {
+			var paged []int32
+			sh.PagedQuery(q, pagedPool, func(id int32) { paged = append(paged, id) })
+			if sh.Source() != nil {
+				t.Fatalf("shards=%d step %d: PagedQuery left a source attached", k, step)
 			}
-			pagedPool, err := pager.NewBufferPool(sh.Store(), 6)
-			if err != nil {
-				t.Fatal(err)
+			sh.SetSource(doPool)
+			viaDo, _ := doRange(t, sh, q)
+			sh.SetSource(nil)
+			if !reflect.DeepEqual(paged, viaDo) {
+				t.Fatalf("shards=%d step %d: PagedQuery emitted %v, Do %v", k, step, paged, viaDo)
 			}
-			doPool, err := pager.NewBufferPool(sh.Store(), 6)
-			if err != nil {
-				t.Fatal(err)
+			if a, b := pagedPool.Stats(), doPool.Stats(); a != b {
+				t.Fatalf("shards=%d step %d: pool stats diverged: PagedQuery %+v, Do %+v", k, step, a, b)
 			}
-			total := 0
-			for step, q := range boxes {
-				var paged []int32
-				sh.PagedQuery(q, pagedPool, func(id int32) { paged = append(paged, id) })
-				if sh.Source() != nil {
-					t.Fatalf("%s shards=%d step %d: PagedQuery left a source attached", kind, k, step)
-				}
-				sh.SetSource(doPool)
-				viaDo, _ := doRange(t, sh, q)
-				sh.SetSource(nil)
-				if !reflect.DeepEqual(paged, viaDo) {
-					t.Fatalf("%s shards=%d step %d: PagedQuery emitted %v, Do %v", kind, k, step, paged, viaDo)
-				}
-				if a, b := pagedPool.Stats(), doPool.Stats(); a != b {
-					t.Fatalf("%s shards=%d step %d: pool stats diverged: PagedQuery %+v, Do %+v", kind, k, step, a, b)
-				}
-				total += len(paged)
-			}
-			if st := pagedPool.Stats(); total == 0 || st.DemandReads == 0 || st.Evictions == 0 {
-				t.Errorf("%s shards=%d: degenerate walkthrough (%d results, pool %+v)", kind, k, total, st)
-			}
+			total += len(paged)
+		}
+		if st := pagedPool.Stats(); total == 0 || st.DemandReads == 0 || st.Evictions == 0 {
+			t.Errorf("shards=%d: degenerate walkthrough (%d results, pool %+v)", k, total, st)
 		}
 	}
 }
+
+// shardOpts returns the Sharded configuration with k shards and default FLAT
+// options.
+func shardOpts(k int) engine.ShardedOptions { return engine.ShardedOptions{Shards: k} }

@@ -20,10 +20,14 @@
 // page MBRs overlap heavily, so the graph is strongly connected wherever
 // there is data.
 //
+// The seed is an STR tree over the page MBRs lowered into an rtree.Dir, the
+// one directory the seed descent, re-seeding, PagesInRange and the engine's
+// kNN and page stream all walk.
+//
 // Degenerate sparse regions can still split the query range across several
 // graph components; FLAT remains exact by re-seeding: after a crawl
-// exhausts a component, the seed tree is probed for unvisited pages in the
-// range. Every re-seed is reported in the query statistics, and the E1/E6
+// exhausts a component, the seed directory is probed for unvisited pages in
+// the range. Every re-seed is reported in the query statistics, and the E1/E6
 // experiments confirm re-seeds are rare on real densities.
 package flat
 
@@ -65,7 +69,7 @@ func (o Options) sanitize() Options {
 	if o.SeedFanout <= 0 {
 		o.SeedFanout = rtree.DefaultFanout
 	}
-	if o.Tolerance < 0 {
+	if !(o.Tolerance >= 0) { // negative or NaN
 		o.Tolerance = 0
 	}
 	return o
@@ -85,8 +89,9 @@ type Index struct {
 	pageOf []pager.PageID
 	// neighbors[p] lists the pages adjacent to page p.
 	neighbors [][]pager.PageID
-	// seedTree indexes page MBRs; item IDs are page IDs.
-	seedTree *rtree.Tree
+	// seed is the seed tree over page MBRs, lowered; its items are pages
+	// (an item's ID is a page ID, its box the page's MBR).
+	seed rtree.Dir
 	// coords is the struct-of-arrays sidecar of store: per-page contiguous
 	// min/max coordinate runs, so the crawl's range filter scans each loaded
 	// page with sequential loads.
@@ -141,7 +146,7 @@ func denseBoxes(items []rtree.Item) ([]geom.AABB, error) {
 // finish derives everything else from a page layout — builder holds one page
 // per pageBox entry, every entry an item: the store, its SoA sidecar copied
 // from boxes (the transient ID-indexed boxes), each item's page and sidecar
-// slot, then the neighborhood graph and the seed tree.
+// slot, then the neighborhood graph and the seed directory.
 func (idx *Index) finish(builder *pager.Builder, boxes []geom.AABB) error {
 	idx.store = builder.Build()
 	if idx.store.NumPages() != len(idx.pageBox) {
@@ -164,14 +169,17 @@ func (idx *Index) finish(builder *pager.Builder, boxes []geom.AABB) error {
 		return err
 	}
 
-	// Phase 3: the seed R-tree over page MBRs.
+	// Phase 3: the seed R-tree over page MBRs, lowered.
 	pageItems := make([]rtree.Item, len(idx.pageBox))
 	for p, b := range idx.pageBox {
 		pageItems[p] = rtree.Item{Box: b, ID: int32(p)}
 	}
-	var err error
-	idx.seedTree, err = rtree.STR(pageItems, idx.opts.SeedFanout)
-	return err
+	t, err := rtree.STR(pageItems, idx.opts.SeedFanout)
+	if err != nil {
+		return err
+	}
+	idx.seed = rtree.Lower(t)
+	return nil
 }
 
 func (idx *Index) buildNeighborhood() error {
@@ -213,7 +221,7 @@ func (idx *Index) NumItems() int { return len(idx.slot) }
 
 // Bounds returns the MBR of the indexed data (empty when the index is
 // empty).
-func (idx *Index) Bounds() geom.AABB { return idx.seedTree.Bounds() }
+func (idx *Index) Bounds() geom.AABB { return idx.seed.Bounds() }
 
 // Options returns the configuration the index was built with.
 func (idx *Index) Options() Options { return idx.opts }
@@ -238,12 +246,13 @@ func (idx *Index) Coords() *pager.Coords { return idx.coords }
 // be modified.
 func (idx *Index) Neighbors(p pager.PageID) []pager.PageID { return idx.neighbors[p] }
 
-// SeedRoot returns the root of the page R-tree (its items are pages: an item's
-// ID is a page ID, its box the page's MBR); ok is false for an empty index.
-func (idx *Index) SeedRoot() (rtree.NodeView, bool) { return idx.seedTree.Root() }
+// Seed returns the seed directory over the page MBRs: its items are pages (an
+// item's ID is a page ID, its box the page's MBR), and it has no nodes when
+// the index is empty. It is shared and must not be modified.
+func (idx *Index) Seed() *rtree.Dir { return &idx.seed }
 
-// SeedTreeHeight returns the height of the page R-tree (for reporting).
-func (idx *Index) SeedTreeHeight() int { return idx.seedTree.Height() }
+// SeedTreeHeight returns the height of the seed tree (for reporting).
+func (idx *Index) SeedTreeHeight() int { return idx.seed.Height() }
 
 // GraphStats summarizes the neighborhood graph.
 type GraphStats struct {
@@ -300,7 +309,7 @@ func (idx *Index) GraphStats() GraphStats {
 // the paper describes. PagesRead is the number FLAT's row of the demo's
 // statistics panel reports.
 type QueryStats struct {
-	// SeedNodeAccesses counts seed-tree node reads (the small R-tree over
+	// SeedNodeAccesses counts seed-directory node reads (the small R-tree over
 	// page MBRs), including any re-seed probes.
 	SeedNodeAccesses int64
 	// PagesRead counts data pages loaded by the crawl.
@@ -418,7 +427,7 @@ func (idx *Index) query(ctx context.Context, q geom.AABB, src pager.PageSource,
 	defer crawlPool.Put(sc)
 
 	// Phase 1: seed.
-	seedItem, seedStats, ok := idx.seedTree.SeedInRange(q)
+	seedItem, seedStats, ok := idx.seed.SeedInRange(q)
 	stats.SeedNodeAccesses += seedStats.NodeAccesses()
 	if !ok {
 		return stats, nil
@@ -446,7 +455,7 @@ func (idx *Index) query(ctx context.Context, q geom.AABB, src pager.PageSource,
 		}
 		// Completeness: re-seed if an unvisited page still intersects the
 		// range (possible only across graph components; never on dense
-		// data). The probe is one more cheap descent of the page tree.
+		// data). The probe is one more cheap walk of the seed directory.
 		next, reseedStats, found := idx.seedExcluding(q, sc)
 		stats.SeedNodeAccesses += reseedStats
 		if !found {
@@ -477,21 +486,21 @@ func (idx *Index) readPage(p pager.PageID, q geom.AABB, src pager.PageSource,
 }
 
 // seedExcluding finds a page intersecting q that the scratch has not visited.
-// It reuses the seed tree's range traversal but keeps only the first
+// It reuses the seed directory's range traversal but keeps only the first
 // unvisited hit via the scratch's pre-bound exclusion visitor.
 func (idx *Index) seedExcluding(q geom.AABB, sc *crawlScratch) (rtree.Item, int64, bool) {
 	sc.ok = false
-	// The tree API has no early exit, but the extra accesses are counted
+	// The range query has no early exit, but the extra accesses are counted
 	// honestly and occur only in the rare re-seed path.
-	st := idx.seedTree.Query(q, sc.excl)
+	st := idx.seed.Query(q, sc.excl)
 	return sc.found, st.NodeAccesses(), sc.ok
 }
 
-// PagesInRange returns the pages whose MBRs intersect q, via the seed tree.
-// Prefetchers use it to turn a predicted range into page requests.
+// PagesInRange returns the pages whose MBRs intersect q, via the seed
+// directory. Prefetchers use it to turn a predicted range into page requests.
 func (idx *Index) PagesInRange(q geom.AABB) []pager.PageID {
 	var out []pager.PageID
-	idx.seedTree.Query(q, func(it rtree.Item) {
+	idx.seed.Query(q, func(it rtree.Item) {
 		out = append(out, pager.PageID(it.ID))
 	})
 	return out

@@ -1,7 +1,9 @@
 package flat
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"neurospatial/internal/circuit"
@@ -418,5 +420,19 @@ func TestToleranceBridgesGaps(t *testing.T) {
 	loose.Query(q, nil, func(id int32) { b[id] = true })
 	if len(a) != len(b) {
 		t.Fatalf("tolerance changed results: %d vs %d", len(a), len(b))
+	}
+
+	// A NaN tolerance is no tolerance: the graph and the crawl are those of
+	// Tolerance 0, not a graph of NaN-expanded MBRs that links nothing.
+	opts.Tolerance = math.NaN()
+	nan, err := Build(items, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := nan.GraphStats(), strict.GraphStats(); got != want {
+		t.Fatalf("NaN tolerance: graph %+v, at tolerance 0 %+v", got, want)
+	}
+	if got, want := nan.Query(q, nil, func(int32) {}), strict.Query(q, nil, func(int32) {}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("NaN tolerance: query stats %+v, at tolerance 0 %+v", got, want)
 	}
 }

@@ -1,0 +1,202 @@
+package rtree
+
+import "neurospatial/internal/geom"
+
+// Dir is a built tree lowered into flat arrays: the form every reader walks.
+// Lower writes it in one pre-order walk, so node i's subtree follows it and
+// each node's children keep the tree's order. FLAT's seed is a Dir over its
+// page MBRs, and the engine's R-tree contender lays Dir node i out on page i.
+type Dir struct {
+	// Nodes holds the nodes in pre-order; Nodes[0] is the root.
+	Nodes []DirNode
+	// Kids holds each internal node's children, as indexes into Nodes, one
+	// run per node.
+	Kids []int32
+	// Items holds each leaf's entries, one run per leaf, leaves in pre-order
+	// (the order WalkLeaves reports them in).
+	Items []Item
+}
+
+// DirNode is one node of a Dir.
+type DirNode struct {
+	Box geom.AABB
+	// Level is the node's level (0 = leaf).
+	Level int32
+	// Off and N locate the node's run: Kids[Off:Off+N] for an internal node,
+	// Items[Off:Off+N] for a leaf.
+	Off, N int32
+}
+
+// Leaf reports whether the node is a leaf.
+func (n *DirNode) Leaf() bool { return n.Level == 0 }
+
+// KidsOf returns the children of internal node n. The slice is shared and
+// must not be modified.
+func (d *Dir) KidsOf(n *DirNode) []int32 { return d.Kids[n.Off : n.Off+n.N] }
+
+// ItemsOf returns the entries of leaf n. The slice is shared and must not be
+// modified.
+func (d *Dir) ItemsOf(n *DirNode) []Item { return d.Items[n.Off : n.Off+n.N] }
+
+// Lower lowers t into a Dir. The Dir shares nothing with t, so t may go on
+// changing. An empty tree lowers to a Dir with no nodes.
+func Lower(t *Tree) Dir {
+	if t.size == 0 {
+		return Dir{}
+	}
+	nodes := countNodes(t.root)
+	d := Dir{
+		Nodes: make([]DirNode, 0, nodes),
+		Kids:  make([]int32, 0, nodes-1), // every node but the root is a kid
+		Items: make([]Item, 0, t.size),
+	}
+	d.lower(t.root)
+	return d
+}
+
+func countNodes(n *node) int {
+	c := 1
+	for _, ch := range n.children {
+		c += countNodes(ch)
+	}
+	return c
+}
+
+// lower appends the subtree under n in pre-order and returns its root's index.
+// An internal node reserves its kid run before its children are appended, so
+// the run is contiguous.
+func (d *Dir) lower(n *node) int32 {
+	i := int32(len(d.Nodes))
+	d.Nodes = append(d.Nodes, DirNode{Box: n.box, Level: int32(n.level)})
+	if n.isLeaf() {
+		d.Nodes[i].Off, d.Nodes[i].N = int32(len(d.Items)), int32(len(n.items))
+		d.Items = append(d.Items, n.items...)
+		return i
+	}
+	off := len(d.Kids)
+	d.Nodes[i].Off, d.Nodes[i].N = int32(off), int32(len(n.children))
+	d.Kids = d.Kids[:off+len(n.children)] // within the capacity Lower counted
+	for c, ch := range n.children {
+		d.Kids[off+c] = d.lower(ch)
+	}
+	return i
+}
+
+// Bounds returns the MBR of the whole directory (empty when it is empty).
+func (d *Dir) Bounds() geom.AABB {
+	if len(d.Nodes) == 0 {
+		return geom.EmptyAABB()
+	}
+	return d.Nodes[0].Box
+}
+
+// Height returns the number of levels (0 when empty, 1 for a root leaf).
+func (d *Dir) Height() int {
+	if len(d.Nodes) == 0 {
+		return 0
+	}
+	return int(d.Nodes[0].Level) + 1
+}
+
+// Query reports every item whose box intersects q to visit, in depth-first
+// order, and returns the access statistics. It allocates nothing itself.
+func (d *Dir) Query(q geom.AABB, visit func(Item)) QueryStats {
+	var stats QueryStats
+	if len(d.Nodes) > 0 {
+		d.query(0, q, visit, &stats)
+	}
+	return stats
+}
+
+func (d *Dir) query(ni int32, q geom.AABB, visit func(Item), stats *QueryStats) {
+	n := &d.Nodes[ni]
+	stats.visit(int(n.Level))
+	if n.Leaf() {
+		items := d.ItemsOf(n)
+		for i := range items {
+			stats.EntriesTested++
+			if items[i].Box.Intersects(q) {
+				stats.Results++
+				visit(items[i])
+			}
+		}
+		return
+	}
+	for _, k := range d.KidsOf(n) {
+		if d.Nodes[k].Box.Intersects(q) {
+			d.query(k, q, visit, stats)
+		}
+	}
+}
+
+// SeedInRange returns one arbitrary item whose box intersects q, preferring
+// items near the query center. It is the first phase of FLAT's execution
+// strategy: finding *any* element in the range needs only one root-to-leaf
+// descent in the common case (§2.1 of the paper: "typically only depends on
+// the height of the R-Tree"), after which FLAT's crawl takes over. The
+// returned stats record the nodes the descent touched. It allocates nothing,
+// and it is small enough to inline, so the stats record is built in the
+// caller's frame rather than copied out of this one.
+func (d *Dir) SeedInRange(q geom.AABB) (it Item, stats QueryStats, ok bool) {
+	if len(d.Nodes) > 0 {
+		it, ok = d.seed(0, q, &stats)
+	}
+	return it, stats, ok
+}
+
+// seed descends into the intersecting children of node ni nearest q's center
+// first, in ascending (Dist2Point(center), child index) order — a stable
+// sort's order, produced without an order slice by a (lastD, lastI) cursor
+// that selects the next child on each pass: O(fanout²) selection in the worst
+// case, no allocation. The center is recomputed per node (six flops) to keep
+// SeedInRange within the inlining budget.
+func (d *Dir) seed(ni int32, q geom.AABB, stats *QueryStats) (Item, bool) {
+	n := &d.Nodes[ni]
+	stats.visit(int(n.Level))
+	center := q.Center()
+	if n.Leaf() {
+		items := d.ItemsOf(n)
+		bestIdx := -1
+		bestD := 0.0
+		for i := range items {
+			stats.EntriesTested++
+			if !items[i].Box.Intersects(q) {
+				continue
+			}
+			dist := items[i].Box.Dist2Point(center)
+			if bestIdx < 0 || dist < bestD {
+				bestIdx, bestD = i, dist
+			}
+		}
+		if bestIdx < 0 {
+			return Item{}, false
+		}
+		stats.Results++
+		return items[bestIdx], true
+	}
+	kids := d.KidsOf(n)
+	lastD, lastI := -1.0, -1 // Dist2Point is >= 0, so (-1, -1) precedes all
+	for {
+		bestI, bestD := -1, 0.0
+		for i, k := range kids {
+			b := &d.Nodes[k].Box
+			if !b.Intersects(q) {
+				continue
+			}
+			dist := b.Dist2Point(center)
+			if dist < lastD || (dist == lastD && i <= lastI) {
+				continue // already descended into
+			}
+			if bestI < 0 || dist < bestD {
+				bestI, bestD = i, dist
+			}
+		}
+		if bestI < 0 {
+			return Item{}, false
+		}
+		lastD, lastI = bestD, bestI
+		if it, ok := d.seed(kids[bestI], q, stats); ok {
+			return it, true
+		}
+	}
+}

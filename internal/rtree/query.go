@@ -63,7 +63,8 @@ func (s *QueryStats) visit(level int) {
 }
 
 // Query reports every item whose box intersects q to visit, in depth-first
-// order, and returns the access statistics. It allocates nothing itself.
+// order, and returns the access statistics. It walks the pointer tree, and
+// stays as the reference Dir.Query is tested against; readers query a Dir.
 func (t *Tree) Query(q geom.AABB, visit func(Item)) QueryStats {
 	var stats QueryStats
 	if t.size == 0 {
@@ -92,22 +93,9 @@ func (t *Tree) query(n *node, q geom.AABB, visit func(Item), stats *QueryStats) 
 	}
 }
 
-// Count returns the number of items intersecting q without materializing
-// them.
-func (t *Tree) Count(q geom.AABB) int {
-	n := 0
-	t.Query(q, func(Item) { n++ })
-	return n
-}
-
-// SeedInRange returns one arbitrary item whose box intersects q, preferring
-// items near the query center. It is the first phase of FLAT's execution
-// strategy: finding *any* element in the range needs only one root-to-leaf
-// descent in the common case (§2.1 of the paper: "typically only depends on
-// the height of the R-Tree"), after which FLAT's crawl takes over. The
-// returned stats record the nodes the descent touched. It allocates nothing,
-// and it is small enough to inline, so the stats record is built in the
-// caller's frame rather than copied out of this one.
+// SeedInRange is Dir.SeedInRange on the pointer tree: the same descent, in
+// the same (Dist2Point(center), child index) order, with the same stats. It
+// stays as the reference Dir.SeedInRange is tested against.
 func (t *Tree) SeedInRange(q geom.AABB) (it Item, stats QueryStats, ok bool) {
 	if t.size > 0 {
 		it, ok = t.seed(t.root, q, &stats)
@@ -115,12 +103,6 @@ func (t *Tree) SeedInRange(q geom.AABB) (it Item, stats QueryStats, ok bool) {
 	return it, stats, ok
 }
 
-// seed descends into the intersecting children of n nearest q's center first,
-// in ascending (Dist2Point(center), child index) order — a stable sort's
-// order, produced without an order slice by a (lastD, lastI) cursor that
-// selects the next child on each pass: O(fanout²) selection in the worst case,
-// no allocation. The center is recomputed per node (six flops) to keep
-// SeedInRange within the inlining budget.
 func (t *Tree) seed(n *node, q geom.AABB, stats *QueryStats) (Item, bool) {
 	stats.visit(n.level)
 	center := q.Center()
@@ -168,9 +150,9 @@ func (t *Tree) seed(n *node, q geom.AABB, stats *QueryStats) (Item, bool) {
 	}
 }
 
-// NodeView is a read-only handle on a tree node, exposed so other packages
-// (the S3 synchronized traversal, TOUCH's hierarchy walk, the engine's node
-// directory) can traverse the structure without mutating it.
+// NodeView is a read-only handle on a tree node, exposed so the S3
+// synchronized traversal and the test oracles can walk the pointer tree
+// without mutating it.
 type NodeView struct{ n *node }
 
 // Root returns a view of the root node; ok is false for an empty tree.

@@ -1,18 +1,22 @@
-// Package rtree implements an in-memory R-tree over axis-aligned boxes, the
-// baseline index the paper's demo compares FLAT against and the building
-// block several other components reuse:
+// Package rtree implements an R-tree over axis-aligned boxes, the baseline
+// index the paper's demo compares FLAT against and the building block several
+// other components reuse:
 //
 //   - FLAT uses a small R-tree (STR bulk-loaded, as in the FLAT paper) to
 //     find the seed element of its crawl;
+//   - the engine's R-tree contender lays one tree node out per page;
 //   - TOUCH builds its data-oriented partitioning by STR-packing dataset A;
 //   - the S3 join baseline synchronously traverses two R-trees.
 //
-// The tree supports STR bulk loading (Leutenegger et al., ICDE'97), dynamic
-// insertion with quadratic node splitting (Guttman, SIGMOD'84), deletion with
-// subtree reinsertion, range queries and seed queries (first match). Range
-// queries report the per-level node-access counts that the demo's statistics
-// panel displays: under MBR overlap an R-tree touches several nodes per level,
-// which is exactly the effect FLAT's density-independent execution avoids.
+// A Tree is the build-time form: STR bulk loading (Leutenegger et al.,
+// ICDE'97), dynamic insertion with quadratic node splitting (Guttman,
+// SIGMOD'84), or a rebuild from recorded leaf runs. Lower turns a built tree
+// into a Dir, the flat pre-order directory every reader walks: FLAT's seed
+// descent and re-seed range queries, and the R-tree contender's traversals.
+// Range queries report the per-level node-access counts that the demo's
+// statistics panel displays: under MBR overlap an R-tree touches several
+// nodes per level in dense regions, which is exactly the effect FLAT's
+// density-independent execution avoids.
 package rtree
 
 import (
@@ -50,13 +54,6 @@ func (n *node) recomputeBox() {
 		}
 	}
 	n.box = b
-}
-
-func (n *node) fanoutUsed() int {
-	if n.isLeaf() {
-		return len(n.items)
-	}
-	return len(n.children)
 }
 
 // Tree is an R-tree with a fixed maximum fanout. The zero value is not
@@ -153,7 +150,7 @@ func buildUp(nodes []*node, fanout int) *node {
 // enlargement, ties by smaller volume) and quadratic splitting on overflow.
 func (t *Tree) Insert(it Item) {
 	t.size++
-	split := t.insertAt(t.root, it, 0)
+	split := t.insertAt(t.root, it)
 	if split != nil {
 		// Root split: grow the tree by one level.
 		newRoot := &node{level: t.root.level + 1, children: []*node{t.root, split}}
@@ -162,12 +159,11 @@ func (t *Tree) Insert(it Item) {
 	}
 }
 
-// insertAt inserts it into the subtree at n, targeting the given level (0 for
-// items; >0 is used by condense-tree reinsertion of orphan subtrees). It
+// insertAt inserts it into the leaf under n that chooseSubtree leads to. It
 // returns a new sibling when n split.
-func (t *Tree) insertAt(n *node, it Item, level int) *node {
+func (t *Tree) insertAt(n *node, it Item) *node {
 	n.box = n.box.Union(it.Box)
-	if n.level == level {
+	if n.isLeaf() {
 		n.items = append(n.items, it)
 		if len(n.items) > t.fanout {
 			return t.splitLeaf(n)
@@ -175,27 +171,7 @@ func (t *Tree) insertAt(n *node, it Item, level int) *node {
 		return nil
 	}
 	child := chooseSubtree(n, it.Box)
-	if split := t.insertAt(child, it, level); split != nil {
-		n.children = append(n.children, split)
-		if len(n.children) > t.fanout {
-			return t.splitInternal(n)
-		}
-	}
-	return nil
-}
-
-// insertSubtree reattaches an orphan subtree at the height where it fits.
-func (t *Tree) insertSubtree(n *node, sub *node) *node {
-	n.box = n.box.Union(sub.box)
-	if n.level == sub.level+1 {
-		n.children = append(n.children, sub)
-		if len(n.children) > t.fanout {
-			return t.splitInternal(n)
-		}
-		return nil
-	}
-	child := chooseSubtree(n, sub.box)
-	if split := t.insertSubtree(child, sub); split != nil {
+	if split := t.insertAt(child, it); split != nil {
 		n.children = append(n.children, split)
 		if len(n.children) > t.fanout {
 			return t.splitInternal(n)
@@ -333,112 +309,6 @@ func quadraticSplit(boxes []geom.AABB, minFill int) (a, b []int) {
 		}
 	}
 	return a, b
-}
-
-// Delete removes the item with the given box and ID. It returns false when no
-// such item exists. Underfull nodes are dissolved and their entries
-// reinserted (Guttman's condense-tree).
-func (t *Tree) Delete(it Item) bool {
-	leaf, path := t.findLeaf(t.root, it, nil)
-	if leaf == nil {
-		return false
-	}
-	for i := range leaf.items {
-		if leaf.items[i].ID == it.ID && leaf.items[i].Box == it.Box {
-			leaf.items = append(leaf.items[:i], leaf.items[i+1:]...)
-			break
-		}
-	}
-	t.size--
-	t.condense(leaf, path)
-	// Shrink the root while it has a single child.
-	for !t.root.isLeaf() && len(t.root.children) == 1 {
-		t.root = t.root.children[0]
-	}
-	if t.size == 0 {
-		t.root = &node{level: 0, box: geom.EmptyAABB()}
-	}
-	return true
-}
-
-// findLeaf locates the leaf containing it, returning the leaf and the root
-// path leading to it (excluding the leaf).
-func (t *Tree) findLeaf(n *node, it Item, path []*node) (*node, []*node) {
-	if n.isLeaf() {
-		for i := range n.items {
-			if n.items[i].ID == it.ID && n.items[i].Box == it.Box {
-				return n, path
-			}
-		}
-		return nil, nil
-	}
-	for _, c := range n.children {
-		if c.box.ContainsBox(it.Box) {
-			if leaf, p := t.findLeaf(c, it, append(path, n)); leaf != nil {
-				return leaf, p
-			}
-		}
-	}
-	return nil, nil
-}
-
-// condense walks the path bottom-up, removing underfull nodes and queueing
-// their contents for reinsertion, then reinserts.
-func (t *Tree) condense(leaf *node, path []*node) {
-	var orphanItems []Item
-	var orphanNodes []*node
-
-	n := leaf
-	for i := len(path) - 1; i >= 0; i-- {
-		parent := path[i]
-		if n.fanoutUsed() < t.minFill {
-			// Unlink n from parent and queue its contents.
-			for k, c := range parent.children {
-				if c == n {
-					parent.children = append(parent.children[:k], parent.children[k+1:]...)
-					break
-				}
-			}
-			if n.isLeaf() {
-				orphanItems = append(orphanItems, n.items...)
-			} else {
-				orphanNodes = append(orphanNodes, n.children...)
-			}
-		} else {
-			n.recomputeBox()
-		}
-		n = parent
-	}
-	t.root.recomputeBox()
-
-	for _, sub := range orphanNodes {
-		if t.root.level <= sub.level {
-			// The tree shrank below the subtree's height; splice it in by
-			// growing a new root.
-			newRoot := &node{level: sub.level + 1, children: []*node{t.root, sub}}
-			if t.root.level < sub.level {
-				// Rare: wrap the old root until heights match.
-				for t.root.level < sub.level {
-					wrap := &node{level: t.root.level + 1, children: []*node{t.root}}
-					wrap.recomputeBox()
-					t.root = wrap
-				}
-				newRoot = &node{level: sub.level + 1, children: []*node{t.root, sub}}
-			}
-			newRoot.recomputeBox()
-			t.root = newRoot
-			continue
-		}
-		if split := t.insertSubtree(t.root, sub); split != nil {
-			newRoot := &node{level: t.root.level + 1, children: []*node{t.root, split}}
-			newRoot.recomputeBox()
-			t.root = newRoot
-		}
-	}
-	for _, it := range orphanItems {
-		t.size-- // Insert will re-increment
-		t.Insert(it)
-	}
 }
 
 func cbrtCeil(n int) int {

@@ -137,98 +137,6 @@ func TestInsertEqualsBruteForce(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	rng := rand.New(rand.NewSource(34))
-	items := randItems(rng, 800, 60)
-	tr, _ := STR(items, 8)
-	// Delete a random half.
-	perm := rng.Perm(len(items))
-	deleted := make(map[int32]bool)
-	for _, i := range perm[:400] {
-		if !tr.Delete(items[i]) {
-			t.Fatalf("Delete(%d) failed", items[i].ID)
-		}
-		deleted[items[i].ID] = true
-	}
-	if tr.Size() != 400 {
-		t.Fatalf("size after deletes = %d", tr.Size())
-	}
-	if n, err := tr.CheckInvariants(); err != nil || n != 400 {
-		t.Fatalf("invariants after deletes: %v (n=%d)", err, n)
-	}
-	// Deleting again fails.
-	if tr.Delete(items[perm[0]]) {
-		t.Error("double delete succeeded")
-	}
-	// Remaining items still queryable.
-	var remaining []Item
-	for _, it := range items {
-		if !deleted[it.ID] {
-			remaining = append(remaining, it)
-		}
-	}
-	for i := 0; i < 30; i++ {
-		q := geom.BoxAround(geom.V(rng.Float64()*60, rng.Float64()*60, rng.Float64()*60),
-			rng.Float64()*8+1)
-		sameIDSet(t, collectIDs(tr, q), bruteQuery(remaining, q))
-	}
-	// Delete everything.
-	for _, it := range remaining {
-		if !tr.Delete(it) {
-			t.Fatalf("final Delete(%d) failed", it.ID)
-		}
-	}
-	if tr.Size() != 0 || tr.Height() != 0 {
-		t.Errorf("tree not empty: size=%d height=%d", tr.Size(), tr.Height())
-	}
-}
-
-func TestMixedInsertDeleteRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(35))
-	tr, _ := New(6)
-	live := make(map[int32]Item)
-	nextID := int32(0)
-	for step := 0; step < 3000; step++ {
-		if len(live) == 0 || rng.Intn(3) != 0 {
-			it := Item{
-				Box: geom.BoxAround(geom.V(rng.Float64()*40, rng.Float64()*40, rng.Float64()*40),
-					rng.Float64()+0.05),
-				ID: nextID,
-			}
-			nextID++
-			tr.Insert(it)
-			live[it.ID] = it
-		} else {
-			// Delete a random live item.
-			var victim Item
-			for _, it := range live {
-				victim = it
-				break
-			}
-			if !tr.Delete(victim) {
-				t.Fatalf("step %d: delete failed", step)
-			}
-			delete(live, victim.ID)
-		}
-		if step%500 == 0 {
-			if n, err := tr.CheckInvariants(); err != nil || n != len(live) {
-				t.Fatalf("step %d: invariants: %v (n=%d live=%d)", step, err, n, len(live))
-			}
-		}
-	}
-	if tr.Size() != len(live) {
-		t.Fatalf("size=%d live=%d", tr.Size(), len(live))
-	}
-	q := geom.BoxAround(geom.V(20, 20, 20), 10)
-	want := make(map[int32]bool)
-	for _, it := range live {
-		if it.Box.Intersects(q) {
-			want[it.ID] = true
-		}
-	}
-	sameIDSet(t, collectIDs(tr, q), want)
-}
-
 func TestSeedInRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	items := randItems(rng, 2000, 100)
@@ -367,7 +275,7 @@ func TestEmptyTreeQueries(t *testing.T) {
 	}); stats.NodeAccesses() != 0 {
 		t.Error("empty query touched nodes")
 	}
-	if tr.Count(geom.BoxAround(geom.V(0, 0, 0), 1)) != 0 {
+	if len(collectIDs(tr, geom.BoxAround(geom.V(0, 0, 0), 1))) != 0 {
 		t.Error("empty count nonzero")
 	}
 }
@@ -397,7 +305,7 @@ func TestQuickSTRCountMatchesBrute(t *testing.T) {
 				want++
 			}
 		}
-		return tr.Count(q) == want
+		return len(collectIDs(tr, q)) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
@@ -420,7 +328,7 @@ func TestQuickInsertOrderInvariance(t *testing.T) {
 			b.Insert(items[i])
 		}
 		q := geom.BoxAround(geom.V(15, 15, 15), 10)
-		return a.Count(q) == b.Count(q) && a.Size() == b.Size()
+		return len(collectIDs(a, q)) == len(collectIDs(b, q)) && a.Size() == b.Size()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
