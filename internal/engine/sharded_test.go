@@ -38,48 +38,51 @@ func TestShardedMatchesUnshardedDifferential(t *testing.T) {
 	}
 	want, wantStats := serialRange(t, base, queries)
 
-	for _, k := range shardCounts {
-		sh := engine.NewSharded(engine.ShardedOptions{Shards: k})
-		if err := sh.Build(items); err != nil {
-			t.Fatalf("shards=%d: %v", k, err)
-		}
-		if got := sh.NumShards(); got != k {
-			t.Fatalf("shards=%d: built %d shards", k, got)
-		}
+	// Shards always host FLAT sub-indexes; the subtest is named for that kind.
+	t.Run("flat", func(t *testing.T) {
+		for _, k := range shardCounts {
+			sh := engine.NewSharded(engine.ShardedOptions{Shards: k})
+			if err := sh.Build(items); err != nil {
+				t.Fatalf("shards=%d: %v", k, err)
+			}
+			if got := sh.NumShards(); got != k {
+				t.Fatalf("shards=%d: built %d shards", k, got)
+			}
 
-		// Serial scatter-gather == unsharded serial loop.
-		got, gotStats := serialRange(t, sh, queries)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("shards=%d: serial hits diverged from unsharded (%d vs %d)",
-				k, len(got), len(want))
-		}
-		for qi := range gotStats {
-			if gotStats[qi].Results != wantStats[qi].Results {
-				t.Errorf("shards=%d query %d: Results %d, unsharded %d",
-					k, qi, gotStats[qi].Results, wantStats[qi].Results)
+			// Serial scatter-gather == unsharded serial loop.
+			got, gotStats := serialRange(t, sh, queries)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("shards=%d: serial hits diverged from unsharded (%d vs %d)",
+					k, len(got), len(want))
 			}
-			if st := gotStats[qi].ShardsTouched; st < 1 || st > int64(k) {
-				t.Errorf("shards=%d query %d: ShardsTouched %d outside [1,%d]",
-					k, qi, st, k)
+			for qi := range gotStats {
+				if gotStats[qi].Results != wantStats[qi].Results {
+					t.Errorf("shards=%d query %d: Results %d, unsharded %d",
+						k, qi, gotStats[qi].Results, wantStats[qi].Results)
+				}
+				if st := gotStats[qi].ShardsTouched; st < 1 || st > int64(k) {
+					t.Errorf("shards=%d query %d: ShardsTouched %d outside [1,%d]",
+						k, qi, st, k)
+				}
 			}
-		}
 
-		// DoBatch at every worker count == Sharded serial, exact
-		// per-query stats included.
-		sess, err := engine.Open(engine.WithIndex(sh))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range shardWorkerCounts {
-			batch, bsts, _ := batchRange(t, sess, queries, w)
-			if !reflect.DeepEqual(batch, want) {
-				t.Fatalf("shards=%d workers=%d: batch hits diverged", k, w)
+			// DoBatch at every worker count == Sharded serial, exact
+			// per-query stats included.
+			sess, err := engine.Open(engine.WithIndex(sh))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(bsts, gotStats) {
-				t.Fatalf("shards=%d workers=%d: batch stats diverged", k, w)
+			for _, w := range shardWorkerCounts {
+				batch, bsts, _ := batchRange(t, sess, queries, w)
+				if !reflect.DeepEqual(batch, want) {
+					t.Fatalf("shards=%d workers=%d: batch hits diverged", k, w)
+				}
+				if !reflect.DeepEqual(bsts, gotStats) {
+					t.Fatalf("shards=%d workers=%d: batch stats diverged", k, w)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestShardedThroughGlobalPool attaches one buffer pool over the global page
