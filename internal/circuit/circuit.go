@@ -81,9 +81,10 @@ type Params struct {
 	// Seed makes the build deterministic; neuron i uses sub-seed
 	// Seed*1e9 + i.
 	Seed int64
-	// Workers parallelizes morphology generation across neurons. Every
-	// neuron draws from its own sub-seeded generator, so the built circuit
-	// is bit-identical for any worker count. 0 or 1 generates serially;
+	// Workers parallelizes morphology generation and flattening across
+	// neurons. Every neuron draws from its own sub-seeded generator and
+	// fills its own run of Elements, so the built circuit is bit-identical
+	// for any worker count. 0 or 1 generates serially;
 	// values > 1 use that many workers; negative values use one worker per
 	// CPU.
 	Workers int
@@ -130,10 +131,10 @@ func Build(p Params) (*Circuit, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Morphology generation is the expensive part of a build and every
-	// neuron is independently sub-seeded, so it parallelizes cleanly; the
-	// flattening below stays serial because element IDs encode the append
-	// order.
+	// Every neuron is independently sub-seeded, so morphology generation
+	// parallelizes cleanly. Element IDs encode neuron order, so the
+	// per-neuron segment counts' prefix sums give each neuron's first ID:
+	// Elements is sized once and every neuron fills its own run.
 	workers := 1
 	if p.Workers != 0 && p.Workers != 1 {
 		workers = parallel.Workers(p.Workers)
@@ -141,8 +142,19 @@ func Build(p Params) (*Circuit, error) {
 	c.Morphologies = parallel.Map(workers, p.Neurons, func(_, i int) *morphology.Morphology {
 		return morphology.Generate(positions[i], p.Morphology, p.Seed*1_000_000_007+int64(i))
 	})
+	first := make([]int, p.Neurons+1)
 	for i, m := range c.Morphologies {
-		c.appendElements(int32(i), m)
+		first[i+1] = first[i] + m.NumSegments()
+	}
+	c.Elements = make([]Element, first[p.Neurons])
+	// Union takes the per-axis min and max, by math.Min's rules for NaN and
+	// ±0, and skips empty boxes, so the per-neuron bounds unite to the bits
+	// a single pass would give.
+	bounds := parallel.Map(workers, p.Neurons, func(_, i int) geom.AABB {
+		return fillElements(c.Elements[first[i]:first[i+1]], int32(i), int32(first[i]), c.Morphologies[i])
+	})
+	for _, b := range bounds {
+		c.Bounds = c.Bounds.Union(b)
 	}
 	return c, nil
 }
@@ -156,25 +168,23 @@ func MustBuild(p Params) *Circuit {
 	return c
 }
 
-// appendElements flattens one morphology into the element array.
-func (c *Circuit) appendElements(neuron int32, m *morphology.Morphology) {
-	add := func(branch, seg int32, s geom.Segment) {
-		e := Element{
-			ID:     int32(len(c.Elements)),
-			Neuron: neuron,
-			Branch: branch,
-			Seg:    seg,
-			Shape:  s,
-		}
-		c.Elements = append(c.Elements, e)
-		c.Bounds = c.Bounds.Union(s.Bounds())
-	}
-	add(-1, 0, m.Soma)
+// fillElements flattens one morphology into run, which holds exactly its
+// segments and whose first element gets ID first: the soma, then every
+// branch's segments in order. It returns the union of their bounds.
+func fillElements(run []Element, neuron, first int32, m *morphology.Morphology) geom.AABB {
+	run[0] = Element{ID: first, Neuron: neuron, Branch: -1, Shape: m.Soma}
+	k := 1
 	for _, b := range m.Branches {
 		for i := 0; i < b.NumSegments(); i++ {
-			add(int32(b.ID), int32(i), b.Segment(i))
+			run[k] = Element{ID: first + int32(k), Neuron: neuron, Branch: int32(b.ID), Seg: int32(i), Shape: b.Segment(i)}
+			k++
 		}
 	}
+	bounds := geom.EmptyAABB()
+	for i := range run {
+		bounds = bounds.Union(run[i].Bounds())
+	}
+	return bounds
 }
 
 // Density returns the number of elements per unit volume of the soma

@@ -65,19 +65,19 @@ func DefaultOptions() Options {
 type Model struct {
 	// Circuit is the underlying tissue data.
 	Circuit *circuit.Circuit
-	// Flat is the FLAT index over the circuit's elements.
+	// Flat is the FLAT index over the circuit's elements: the flat.Index of
+	// Dataset's epoch-0 FLAT base, the same instance, built once.
 	Flat *flat.Index
-	// Engine is the unified query layer over the circuit as built: the FLAT,
-	// R-tree, grid and sharded contenders behind one engine.SpatialIndex
-	// interface, with the stats-driven planner routing batches between them.
-	// The walkthrough/prefetch harnesses (PagedQuery needs the raw
-	// contenders' emission order — see engine.Paged) and the fixed-contender
-	// experiment tables query through it; it serves the initial build
-	// (epoch 0) and is not affected by Mutate — mutable reads go through
-	// Session/Do/DoBatch.
+	// Engine is the unified query layer over the circuit as built: Dataset's
+	// epoch-0 bases — the FLAT, R-tree, grid and sharded contenders, built
+	// once — behind one engine.SpatialIndex interface, with the stats-driven
+	// planner routing batches between them. The walkthrough/prefetch
+	// harnesses (PagedQuery needs the raw contenders' emission order — see
+	// engine.Paged) and the fixed-contender experiment tables query through
+	// it; it serves the initial build (epoch 0) and is not affected by
+	// Mutate — mutable reads go through Session/Do/DoBatch.
 	Engine *engine.Planner
-	// Dataset is the model's mutable ownership layer: the same four
-	// contenders as epoch-0 bases of an engine.Dataset, so batched mutations
+	// Dataset is the model's mutable ownership layer: batched mutations
 	// (Mutate) publish new snapshot epochs and sessions pin consistent
 	// views. Compaction rebuilds fresh contender instances; Engine and Flat
 	// above keep serving the initial build.
@@ -229,27 +229,6 @@ func NewModel(c *circuit.Circuit, opts Options) (*Model, error) {
 	for i := range c.Elements {
 		items[i] = rtree.Item{Box: c.Elements[i].Bounds(), ID: c.Elements[i].ID}
 	}
-	f, err := flat.Build(items, opts.Flat)
-	if err != nil {
-		return nil, fmt.Errorf("core: building FLAT: %w", err)
-	}
-	ert := engine.NewRTree(opts.RTreeFanout)
-	if err := ert.Build(items); err != nil {
-		return nil, fmt.Errorf("core: building R-tree: %w", err)
-	}
-	eg := engine.NewGrid(engine.GridOptions{PageSize: opts.Flat.PageSize})
-	if err := eg.Build(items); err != nil {
-		return nil, fmt.Errorf("core: building grid index: %w", err)
-	}
-	es := engine.NewSharded(engine.ShardedOptions{Shards: opts.Shards, Flat: opts.Flat})
-	if err := es.Build(items); err != nil {
-		return nil, fmt.Errorf("core: building sharded index: %w", err)
-	}
-	eflat := engine.WrapFlat(f)
-	planner := engine.NewPlanner(eflat, ert, eg, es)
-	// The same contender instances double as the dataset's epoch-0 bases:
-	// snapshots share them read-only, and compactions build fresh ones from
-	// the options below.
 	ds, err := engine.NewDataset(items, engine.DatasetOptions{
 		Contenders:   []string{"flat", "rtree", "grid", "sharded"},
 		Flat:         opts.Flat,
@@ -258,12 +237,16 @@ func NewModel(c *circuit.Circuit, opts Options) (*Model, error) {
 		Shards:       opts.Shards,
 		CompactMin:   opts.DatasetCompactMin,
 		CompactRatio: opts.DatasetCompactRatio,
-		Bases:        []engine.SpatialIndex{eflat, ert, eg, es},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: building dataset: %w", err)
 	}
-	m := &Model{Circuit: c, Flat: f, Engine: planner, Dataset: ds, opts: opts}
+	// Element IDs are dense, so the epoch-0 bases answer in element IDs.
+	bases := ds.Current().Bases()
+	m := &Model{
+		Circuit: c, Flat: bases[0].(*engine.Flat).Inner(), Engine: engine.NewPlanner(bases...),
+		Dataset: ds, opts: opts,
+	}
 	if err := m.repin(); err != nil {
 		return nil, err
 	}

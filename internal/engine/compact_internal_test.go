@@ -61,7 +61,7 @@ func TestBuildBasesStartOrderInvariant(t *testing.T) {
 	contenders := []string{"flat", "rtree", "grid", "sharded"}
 	var want []baseFingerprint
 	for _, last := range [][]time.Duration{
-		nil,          // configuration order
+		nil,          // a first build: buildOrder
 		{4, 3, 2, 1}, // the same, by durations
 		{1, 2, 3, 4}, // reversed
 		{2, 9, 2, 5}, // a tie, kept in configuration order

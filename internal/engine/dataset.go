@@ -53,9 +53,9 @@ type DatasetOptions struct {
 	// Bases, when non-nil, provides pre-built contender wrappers for the
 	// initial snapshot — the engine's own *Flat, *RTree, *Grid, *Sharded —
 	// aligned 1:1 with Contenders and built over exactly the initial item
-	// set (dense IDs). NewModel uses it to share the
-	// model's contender instances instead of building them twice.
-	// Compactions always build fresh instances from the options above.
+	// set (dense IDs). The benchmark's traced runs use it to serve
+	// contenders they built with read taps attached. Compactions always
+	// build fresh instances from the options above.
 	Bases []SpatialIndex
 }
 
@@ -78,9 +78,16 @@ func (o DatasetOptions) sanitize() DatasetOptions {
 	return o
 }
 
+// buildOrder lists the kinds newIndex knows, longest Build over the same
+// items first: the sharded contender partitions and then builds a FLAT per
+// shard, FLAT derives its neighbour graph and seed tree, the R-tree packs
+// and lowers one tree, and the grid buckets. A first build, with no
+// lastBuild to go by, starts its contenders in this order.
+var buildOrder = [...]string{"sharded", "flat", "rtree", "grid"}
+
 // maxContenders is the number of kinds newIndex knows, and so — NewDataset
 // rejecting duplicates — the most a Dataset is configured with.
-const maxContenders = 4
+const maxContenders = len(buildOrder)
 
 // newIndex constructs one fresh contender of the named kind.
 func (o DatasetOptions) newIndex(name string) (SpatialIndex, error) {
@@ -270,15 +277,19 @@ func (d *Dataset) buildBases(items []rtree.Item) ([]SpatialIndex, error) {
 	errs := make([]error, n)
 	took := make([]time.Duration, n)
 	// The pool hands slots out in ascending order, so the slot order is the
-	// start order: the contender that took longest last time goes first and
-	// the short ones fill in beside it, instead of the longest starting last
-	// and finishing alone. Results are indexed by contender, not by slot.
+	// start order: the contender that took longest last time — on the first
+	// build, the kind that builds longest — goes first and the short ones
+	// fill in beside it, instead of the longest starting last and finishing
+	// alone. Results are indexed by contender, not by slot.
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
-	if last := d.lastBuild; last != nil { // the first build keeps configuration order
+	if last := d.lastBuild; last != nil {
 		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(last[b], last[a]) })
+	} else {
+		rank := func(i int) int { return slices.Index(buildOrder[:], d.opts.Contenders[i]) }
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(rank(a), rank(b)) })
 	}
 	parallel.ForEach(d.opts.Workers, n, func(_, slot int) {
 		i := order[slot]

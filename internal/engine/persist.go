@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -46,10 +48,18 @@ func encodeOptions(o DatasetOptions) ([]byte, error) {
 	return b, nil
 }
 
+// decodeOptions parses a snapshot's options blob. A field this build does not
+// know is an error naming it: the snapshot was written with an option that
+// would otherwise be dropped without a word.
 func decodeOptions(blob []byte) (DatasetOptions, error) {
 	var o DatasetOptions
-	if err := json.Unmarshal(blob, &o); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(blob))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&o); err != nil {
 		return DatasetOptions{}, fmt.Errorf("engine: decode dataset options: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return DatasetOptions{}, fmt.Errorf("engine: decode dataset options: data after the options object")
 	}
 	return o, nil
 }

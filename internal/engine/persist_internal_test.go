@@ -10,8 +10,10 @@ package engine
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"neurospatial/internal/durable"
 	"neurospatial/internal/geom"
 	"neurospatial/internal/pager"
 	"neurospatial/internal/rtree"
@@ -114,5 +116,32 @@ func TestOpenDatasetMillionNoReindex(t *testing.T) {
 	}
 	if len(warm.Hits) != len(res.Hits) {
 		t.Fatalf("warm query returned %d hits, cold %d", len(warm.Hits), len(res.Hits))
+	}
+}
+
+// TestDecodeOptionsRejectsUnknownFields: a snapshot written with an option
+// this build lacks fails to thaw, naming the option, instead of opening with
+// it dropped; a blob of known fields still decodes.
+func TestDecodeOptionsRejectsUnknownFields(t *testing.T) {
+	o, err := decodeOptions([]byte(`{"Contenders":["flat"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(o.Contenders) != 1 || o.Contenders[0] != "flat" {
+		t.Fatalf("decoded contenders %v, want [flat]", o.Contenders)
+	}
+	blob, err := encodeOptions(DatasetOptions{Contenders: []string{"flat", "sharded"}, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeOptions(blob); err != nil {
+		t.Fatalf("an encoded blob fails to decode: %v", err)
+	}
+	rec := &durable.SnapshotRec{NextID: 1, Options: []byte(`{"Contenders":["sharded"],"ShardIndex":"rtree"}`)}
+	if _, err := thawDataset(rec); err == nil || !strings.Contains(err.Error(), "ShardIndex") {
+		t.Fatalf("thaw of a snapshot with an unknown option: error %v, want one naming ShardIndex", err)
+	}
+	if _, err := decodeOptions([]byte(`{"Contenders":["flat"]} {}`)); err == nil {
+		t.Fatal("trailing data after the options object accepted")
 	}
 }

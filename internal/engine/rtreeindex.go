@@ -105,7 +105,7 @@ func (r *RTree) page(t *rtree.Tree) error {
 		if nd.Leaf() {
 			for j, it := range d.ItemsOf(nd) {
 				b.Add(it.ID)
-				if int(it.ID) < n {
+				if it.ID >= 0 && int(it.ID) < n {
 					r.elemPage[it.ID], r.slot[it.ID] = pager.PageID(i), int32(j)
 				}
 				z.min, z.max = min(z.min, it.ID), max(z.max, it.ID)
@@ -127,12 +127,12 @@ func (r *RTree) page(t *rtree.Tree) error {
 		}
 	}
 	st := b.Build()
-	// Guarded accessor: WrapRTree tolerates non-dense item IDs; out-of-range
-	// IDs get empty (never-intersecting) sidecar slots, so no query reports
-	// them, instead of panicking the build. An in-range ID reads its box
-	// back from the entry its page and position name.
+	// Guarded accessor: WrapRTree tolerates non-dense item IDs; IDs outside
+	// [0, n) get empty (never-intersecting) sidecar slots, so no query
+	// reports them, instead of panicking the build. An in-range ID reads its
+	// box back from the entry its page and position name.
 	r.store, r.coords = st, pager.BuildCoords(st, func(id int32) geom.AABB {
-		if int(id) >= n {
+		if id < 0 || int(id) >= n {
 			return geom.EmptyAABB()
 		}
 		return d.Items[d.Nodes[r.elemPage[id]].Off+r.slot[id]].Box

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"reflect"
 	"slices"
 	"testing"
@@ -145,5 +146,30 @@ func TestRTreeLayoutOneNodePerPage(t *testing.T) {
 	walk(root)
 	if r.NumPages() != nodes || len(r.dir.Nodes) != nodes {
 		t.Fatalf("%d pages and %d directory nodes for a tree of %d nodes", r.NumPages(), len(r.dir.Nodes), nodes)
+	}
+}
+
+// TestWrapRTreeNegativeID: an ID below zero is as out of range as one past
+// the tree's size — an empty sidecar slot no query reports, not an index
+// panic in the lowering.
+func TestWrapRTreeNegativeID(t *testing.T) {
+	tr, err := rtree.STR([]rtree.Item{
+		{Box: geom.BoxAround(geom.V(1, 1, 1), 1), ID: -3},
+		{Box: geom.BoxAround(geom.V(4, 4, 4), 1), ID: 0},
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := WrapRTree(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int32
+	if _, err := r.Do(context.Background(), RangeRequest(geom.Box(geom.V(-10, -10, -10), geom.V(10, 10, 10))),
+		func(h Hit) { got = append(got, h.ID) }); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, []int32{0}) {
+		t.Fatalf("range over both items reported %v, want [0]", got)
 	}
 }

@@ -177,6 +177,14 @@ func (sn *Snapshot) Index(name string) SpatialIndex {
 	return nil
 }
 
+// Bases returns the snapshot's base contenders, aligned with
+// DatasetOptions.Contenders (nil when the base is empty): the indexes its
+// views run over, built over the base items relabeled to dense local IDs —
+// at the epoch NewDataset publishes, the items' own IDs. They serve the base
+// build alone, without the overlay, and are shared read-only with every
+// epoch until the next compaction.
+func (sn *Snapshot) Bases() []SpatialIndex { return sn.bases }
+
 // Planner returns the snapshot's own planner over its views. Its plan cache
 // is this epoch's alone; its cost history starts as a copy of the parent
 // epoch's when the two share a base (see Snapshot).

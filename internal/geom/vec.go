@@ -74,14 +74,15 @@ func (v Vec) Lerp(w Vec, t float64) Vec {
 	}
 }
 
-// Min returns the component-wise minimum of v and w.
+// Min returns the component-wise minimum of v and w. The builtin min has
+// math.Min's rules for NaN and signed zeros, inlined.
 func (v Vec) Min(w Vec) Vec {
-	return Vec{math.Min(v.X, w.X), math.Min(v.Y, w.Y), math.Min(v.Z, w.Z)}
+	return Vec{min(v.X, w.X), min(v.Y, w.Y), min(v.Z, w.Z)}
 }
 
-// Max returns the component-wise maximum of v and w.
+// Max returns the component-wise maximum of v and w, by math.Max's rules.
 func (v Vec) Max(w Vec) Vec {
-	return Vec{math.Max(v.X, w.X), math.Max(v.Y, w.Y), math.Max(v.Z, w.Z)}
+	return Vec{max(v.X, w.X), max(v.Y, w.Y), max(v.Z, w.Z)}
 }
 
 // Axis returns the i-th component (0=X, 1=Y, 2=Z). It panics on any other i,

@@ -167,6 +167,37 @@ func TestPartitionPartsDoNotAlias(t *testing.T) {
 	}
 }
 
+// FuzzPartitionMatchesReference holds Partition to refPartition over
+// arbitrary boxes: 6 bytes per item, each picking one coordinate of the box
+// (min and max per axis, in either order) from a palette that makes tied
+// centers, ±0 centers and far-apart magnitudes common. k is 1 to 8; its high
+// bit numbers the items in reverse, so input order and ID order differ.
+func FuzzPartitionMatchesReference(f *testing.F) {
+	palette := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, 3, 3, 7.25, -2, 1e300, -1e300, 1e-300,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 42, 100}
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 0, 1, 1, 0, 0, 1, 2, 3, 4, 5, 6, 7, 5, 5, 5, 5, 5, 5}, uint8(2))
+	f.Add([]byte{9, 10, 2, 2, 14, 15, 10, 9, 3, 3, 15, 14, 4, 4, 4, 4, 4, 4, 6, 6, 6, 6, 6, 6}, uint8(0x83))
+	f.Add([]byte{}, uint8(7))
+	f.Fuzz(func(t *testing.T, data []byte, k uint8) {
+		var items []rtree.Item
+		for ; len(data) >= 6; data = data[6:] {
+			c := func(i int) float64 { return palette[int(data[i])%len(palette)] }
+			items = append(items, rtree.Item{Box: geom.AABB{
+				Min: geom.V(c(0), c(2), c(4)), Max: geom.V(c(1), c(3), c(5)),
+			}, ID: int32(len(items))})
+		}
+		if k&0x80 != 0 {
+			for i := range items {
+				items[i].ID = int32(len(items) - 1 - i)
+			}
+		}
+		parts := int(k%8) + 1
+		if got, want := shard.Partition(items, parts), refPartition(items, parts); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d items, k=%d: parts %v, want %v", len(items), parts, got, want)
+		}
+	})
+}
+
 // BenchmarkPartition is the sharded contender's split of a tissue-S rebuild:
 // 256 neurons (≈76k items) in ID order, as Sharded.Build passes them, into 4
 // parts.

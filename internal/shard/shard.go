@@ -16,6 +16,7 @@ package shard
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 
 	"neurospatial/internal/geom"
@@ -48,7 +49,7 @@ func Partition(items []rtree.Item, k int) []Part {
 	if k < 1 {
 		k = 1
 	}
-	// The recursion sorts 16-byte center keys, not the items. Each key then
+	// The recursion cuts 16-byte center keys, not the items. Each key then
 	// labels its item with its part, and one pass in input order distributes
 	// the items into one array the parts slice: a part is ID-ordered whenever
 	// the input is (Sharded.Build's is), and is sorted by ID only otherwise.
@@ -94,7 +95,6 @@ func split(keys []rtree.CenterKey, items []rtree.Item, k int, out *[][]rtree.Cen
 		return
 	}
 	rtree.FillAxis(keys, items, longestCenterAxis(keys, items))
-	rtree.SortKeys(keys)
 	kl := k / 2
 	// Proportional cut: the left side carries kl of the k shards, so it gets
 	// the matching share of the items (rounded), clamped so both sides stay
@@ -106,8 +106,66 @@ func split(keys []rtree.CenterKey, items []rtree.Item, k int, out *[][]rtree.Cen
 	if max := len(keys) - (k - kl); cut > max {
 		cut = max
 	}
+	selectKeys(keys, cut)
 	split(keys[:cut], items, kl, out)
 	split(keys[cut:], items, k-kl, out)
+}
+
+// keyLess is rtree.SortKeys' order: center, then ID; −0 and +0 are equal.
+func keyLess(a, b rtree.CenterKey) bool { return a.C < b.C || a.C == b.C && a.ID < b.ID }
+
+func keyCompare(a, b rtree.CenterKey) int {
+	if c := cmp.Compare(a.C, b.C); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
+}
+
+// selectKeys reorders keys so that keys[:k] are the k least in keyLess order
+// and keys[k:] the rest, each side in no particular order: the cut a full
+// sort would make, which is all a cut's sides depend on. It is quickselect,
+// expected linear time; a range still holding the cut after 2·log₂ n
+// partitions is sorted instead, which bounds the worst case by n log n.
+func selectKeys(keys []rtree.CenterKey, k int) {
+	lo, hi := 0, len(keys)
+	for budget := 2 * bits.Len(uint(len(keys))); lo < k && k < hi; budget-- {
+		if budget == 0 || hi-lo <= 16 {
+			slices.SortFunc(keys[lo:hi], keyCompare)
+			return
+		}
+		if m := lo + partitionKeys(keys[lo:hi]); k <= m {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+}
+
+// partitionKeys takes the median of s's first, middle and last keys as the
+// pivot, moves every key less than it before it and every other key after
+// it, and returns the pivot's index.
+func partitionKeys(s []rtree.CenterKey) int {
+	last := len(s) - 1
+	mid := last / 2
+	if keyLess(s[mid], s[0]) {
+		s[0], s[mid] = s[mid], s[0]
+	}
+	if keyLess(s[last], s[mid]) {
+		s[mid], s[last] = s[last], s[mid]
+		if keyLess(s[mid], s[0]) {
+			s[0], s[mid] = s[mid], s[0]
+		}
+	}
+	s[mid], s[last] = s[last], s[mid]
+	p, i := s[last], 0
+	for j := 0; j < last; j++ {
+		if keyLess(s[j], p) {
+			s[i], s[j] = s[j], s[i]
+			i++
+		}
+	}
+	s[i], s[last] = s[last], s[i]
+	return i
 }
 
 // longestCenterAxis returns the axis (0=X, 1=Y, 2=Z) with the widest spread
