@@ -106,9 +106,9 @@ func e1Queries(m *core.Model) []geom.AABB {
 	return out
 }
 
-// BenchmarkE2FLATCrawl reproduces Figure 4: crawl cost across query sizes on
-// one dense model. Metrics: crawl pages, seed accesses, results.
-func BenchmarkE2FLATCrawl(b *testing.B) {
+// BenchmarkE2FLATResultSize reproduces Figure 4: FLAT's cost across query
+// sizes on one dense model. Metrics: data pages, seed accesses, results.
+func BenchmarkE2FLATResultSize(b *testing.B) {
 	m := benchModel(b, modelKey{neurons: 128, edge: 300, seed: 2})
 	center := m.Circuit.Params.Volume.Center()
 	for _, radius := range []float64{10, 40, 80} {
@@ -264,9 +264,8 @@ func BenchmarkE6Scale(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationFLATGranularity ablates FLAT's page size (the page-level
-// vs element-level neighborhood trade-off: page size 1 is an element-level
-// graph).
+// BenchmarkAblationFLATGranularity ablates FLAT's page size: smaller pages
+// cut the elements read per result and grow the seed directory over them.
 func BenchmarkAblationFLATGranularity(b *testing.B) {
 	m := benchModel(b, modelKey{neurons: 64, edge: 300, seed: 7})
 	items := modelItems(m)
@@ -280,16 +279,15 @@ func BenchmarkAblationFLATGranularity(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			gs := idx.GraphStats()
 			b.ResetTimer()
-			var pages int64
+			var pages, seed int64
 			for i := 0; i < b.N; i++ {
 				st := idx.Query(q, nil, func(int32) {})
 				pages += st.PagesRead
+				seed += st.SeedNodeAccesses
 			}
 			b.ReportMetric(float64(pages)/float64(b.N), "pages/op")
-			b.ReportMetric(gs.AvgDegree, "avgdegree")
-			b.ReportMetric(float64(gs.Edges), "graphedges")
+			b.ReportMetric(float64(seed)/float64(b.N), "seed/op")
 		})
 	}
 }
@@ -546,19 +544,13 @@ func BenchmarkRTreeOps(b *testing.B) {
 			}
 		}
 	})
-	// The queries run on the lowered directory, the form production reads.
+	// The query runs on the lowered directory, the form production reads.
 	d := rtree.Lower(tr)
 	q := geom.BoxAround(m.Circuit.Params.Volume.Center(), 30)
 	b.Run("RangeQuery", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			d.Query(q, func(rtree.Item) {})
-		}
-	})
-	b.Run("SeedInRange", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			d.SeedInRange(q)
 		}
 	})
 }

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	go run ./cmd/flatbench            # E1: density sweep
-//	go run ./cmd/flatbench -crawl     # E2: crawl cost vs result size
+//	go run ./cmd/flatbench -crawl     # E2: FLAT's reads vs result size
 //	go run ./cmd/flatbench -scale     # E6: constant-density scaling
 //	go run ./cmd/flatbench -all       # all three
 //
@@ -40,7 +40,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("flatbench: ")
-	crawl := flag.Bool("crawl", false, "run E2 (crawl cost)")
+	crawl := flag.Bool("crawl", false, "run E2 (FLAT's seed and page reads vs result size)")
 	scale := flag.Bool("scale", false, "run E6 (scaling)")
 	all := flag.Bool("all", false, "run every FLAT experiment")
 	workers := flag.Int("workers", -1, "circuit-construction workers (0 or 1: serial; negative: one per CPU)")

@@ -3,7 +3,7 @@
 // standing in for the tool's 3-D views.
 //
 //	Station 1 (§2.2, Figures 2-4): a range query is placed on the model;
-//	FLAT and the R-tree execute it side by side; FLAT's crawl order is
+//	FLAT and the R-tree execute it side by side; FLAT's page order is
 //	rendered by labeling each page with the order it was retrieved.
 //
 //	Station 2 (§3.2, Figure 6): a walkthrough follows a neuron branch; the
@@ -160,20 +160,21 @@ func station1(model *core.Model, kindName string, k int, radius float64) {
 	decision := model.Session().Planner().PlanKind(engine.Range, nil)
 	fmt.Printf("engine planner: %s\n\n", decision)
 
-	// Figure 4: the crawl order, each page labeled by retrieval order.
-	crawl := model.Flat.QueryTraced(q, nil, func(int32) {})
+	// Figure 4: FLAT's pages, each labeled by retrieval order (the order
+	// PagesInRange names them and a range query reads them).
+	pages := model.Flat.PagesInRange(q)
 	c2, err := viz.NewCanvas(canvasW, canvasH, q.Expand(15))
 	if err != nil {
 		log.Fatal(err)
 	}
 	c2.Box(q, '#')
-	for i, page := range crawl.CrawlOrder {
+	for i, page := range pages {
 		c2.FillBox(model.Flat.PageBox(page).Intersect(q), viz.CrawlGlyph(i))
 	}
 	fmt.Println(c2.String())
-	fmt.Printf("FLAT's crawl order (Figure 4): %d pages, labeled 0-9a-z in retrieval order;\n"+
-		"the crawl spreads outward from the seed page through neighborhood links\n\n",
-		len(crawl.CrawlOrder))
+	fmt.Printf("FLAT's page order (Figure 4): %d pages, labeled 0-9a-z in retrieval order;\n"+
+		"one walk of the RAM-resident seed tree over page MBRs names them\n\n",
+		len(pages))
 
 	// The Session front door: the same model serves any query kind through
 	// one typed Request surface, planner-routed per kind.

@@ -8,6 +8,7 @@ package bench
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -178,15 +179,15 @@ func TestIntegrationDeterminism(t *testing.T) {
 		}
 	}
 	q := geom.BoxAround(geom.V(100, 40, 100), 35)
-	s1 := m1.Flat.QueryTraced(q, nil, func(int32) {})
-	s2 := m2.Flat.QueryTraced(q, nil, func(int32) {})
-	if len(s1.CrawlOrder) != len(s2.CrawlOrder) {
-		t.Fatal("crawl orders differ in length")
+	p1, p2 := m1.Flat.PagesInRange(q), m2.Flat.PagesInRange(q)
+	if len(p1) == 0 || !slices.Equal(p1, p2) {
+		t.Fatalf("page order differs between identical builds: %v vs %v", p1, p2)
 	}
-	for i := range s1.CrawlOrder {
-		if s1.CrawlOrder[i] != s2.CrawlOrder[i] {
-			t.Fatal("crawl order differs between identical builds")
-		}
+	var ids1, ids2 []int32
+	m1.Flat.Query(q, nil, func(id int32) { ids1 = append(ids1, id) })
+	m2.Flat.Query(q, nil, func(id int32) { ids2 = append(ids2, id) })
+	if !slices.Equal(ids1, ids2) {
+		t.Fatal("query emission order differs between identical builds")
 	}
 }
 

@@ -271,8 +271,9 @@ func (m *Model) RangeQuery(q geom.AABB) ([]int32, flat.QueryStats) {
 
 // QueryComparison contrasts FLAT and the R-tree on one query — the two
 // columns of the demo's Figure 3 statistics panel. Both profiles are the
-// engine layer's unified QueryStats: for FLAT, IndexReads are seed-tree
-// accesses and PagesRead the crawl; for the R-tree, PagesRead are node
+// engine layer's unified QueryStats: for FLAT, IndexReads are the seed-tree
+// nodes its walk visited and PagesRead the data pages that walk named; for
+// the R-tree, PagesRead are node
 // accesses (one node per page) with the per-level breakdown attached.
 type QueryComparison struct {
 	// Results is the number of matching elements (identical for both).

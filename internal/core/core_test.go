@@ -164,6 +164,50 @@ func TestExplore(t *testing.T) {
 	}
 }
 
+// TestScoutPrefetchFitsSmallPool: over a 16-page pool SCOUT prefetches only
+// into the room the current query leaves, so it stalls on fewer pages per
+// step than no prefetching at all; unbounded, its predictions evicted the
+// pages the walk read next and it made about three times as many demand reads.
+func TestScoutPrefetchFitsSmallPool(t *testing.T) {
+	p := circuit.DefaultParams()
+	p.Neurons = 64
+	p.Volume = geom.Box(geom.V(0, 0, 0), geom.V(250, 250, 250))
+	p.Layers = circuit.CorticalLayers()
+	p.Seed = 1
+	m, err := BuildModel(p, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ExploreConfig{PoolPages: 16}
+	perStep := make(map[string]float64)
+	for _, name := range []string{"none", "scout"} {
+		pf, err := m.PrefetcherByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var demand, steps int64
+		for neuron := int32(0); neuron < int32(p.Neurons); neuron++ {
+			for branch := 0; branch < 3; branch++ {
+				run, err := m.Explore(neuron, branch, pf, cfg)
+				if err != nil {
+					continue // the neuron has fewer branches
+				}
+				demand += run.DemandReads
+				steps += int64(len(run.Steps))
+			}
+		}
+		if steps == 0 {
+			t.Fatal("no walk ran")
+		}
+		perStep[name] = float64(demand) / float64(steps)
+	}
+	if perStep["scout"] >= perStep["none"] {
+		t.Fatalf("demand reads per step over a 16-page pool: scout %.3f, none %.3f; want scout below none",
+			perStep["scout"], perStep["none"])
+	}
+	t.Logf("demand reads per step over a 16-page pool: scout %.3f, none %.3f", perStep["scout"], perStep["none"])
+}
+
 func TestSynapseInputsPartition(t *testing.T) {
 	m := tinyModel(t, 8)
 	axons, dendrites := m.SynapseInputs(m.Circuit.Bounds)

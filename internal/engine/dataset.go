@@ -80,9 +80,9 @@ func (o DatasetOptions) sanitize() DatasetOptions {
 
 // buildOrder lists the kinds newIndex knows, longest Build over the same
 // items first: the sharded contender partitions and then builds a FLAT per
-// shard, FLAT derives its neighbour graph and seed tree, the R-tree packs
-// and lowers one tree, and the grid buckets. A first build, with no
-// lastBuild to go by, starts its contenders in this order.
+// shard, FLAT derives its seed tree, the R-tree packs and lowers one tree,
+// and the grid buckets. A first build, with no lastBuild to go by, starts its
+// contenders in this order.
 var buildOrder = [...]string{"sharded", "flat", "rtree", "grid"}
 
 // maxContenders is the number of kinds newIndex knows, and so — NewDataset

@@ -68,7 +68,9 @@ type QueryStats struct {
 	EntriesTested int64
 	// Results counts items reported.
 	Results int64
-	// Reseeds counts FLAT component re-seeds (0 for other indexes).
+	// Reseeds is always 0: FLAT reads the pages one walk of its seed
+	// directory names, so no index re-seeds. It is kept for the readers that
+	// report it (bench's flat.reseeds_per_query).
 	Reseeds int64
 	// ShardsTouched counts the spatial shards the query fanned out to
 	// (0 for unsharded indexes).

@@ -25,7 +25,7 @@ import (
 //
 //   - scan is the native range traversal: it appends to out the ID of every
 //     item whose box intersects queryBox(req), in the contender's emission
-//     order (FLAT's crawl order, the R-tree's descent order, the grid's
+//     order (FLAT's page order, the R-tree's descent order, the grid's
 //     cell-major order, ascending global ID for Sharded), reading pages
 //     through src when it is non-nil. Exact refinement of WithinDistance and
 //     the canonical sort are the executor's. PagedQuery is scan with the

@@ -12,7 +12,7 @@ import (
 
 // Flat adapts flat.Index to the engine layer. Stats mapping: IndexReads are
 // the seed-directory node accesses (the page-level R-tree is RAM-resident),
-// PagesRead are the crawl's data-page reads — exactly the split the demo's
+// PagesRead are the data-page reads — exactly the split the demo's
 // statistics panel reports for FLAT.
 type Flat struct {
 	opts flat.Options
@@ -84,7 +84,6 @@ func fromFlat(s flat.QueryStats) QueryStats {
 		PagesRead:     s.PagesRead,
 		EntriesTested: s.EntriesTested,
 		Results:       s.Results,
-		Reseeds:       s.Reseeds,
 	}
 }
 
@@ -97,7 +96,9 @@ func (f *Flat) source(req Request, passed pager.PageSource) pager.PageSource {
 	return f.idx.Store()
 }
 
-// scan implements contender: the seed-and-crawl traversal, IDs in crawl order.
+// scan implements contender: one walk of the seed directory reading every
+// page it names, IDs in page order (PagesInRange's) and slot order within a
+// page.
 func (f *Flat) scan(ctx context.Context, req Request, src pager.PageSource, out *idCollector) (QueryStats, error) {
 	st, err := f.idx.QueryVia(ctx, queryBox(req), f.source(req, src), out.visit)
 	return fromFlat(st), err
@@ -107,8 +108,8 @@ func (f *Flat) scan(ctx context.Context, req Request, src pager.PageSource, out 
 func (f *Flat) itemBoxes() func(int32) geom.AABB { return f.boxOf }
 
 // Do implements SpatialIndex through the shared executor. Range, Point and
-// WithinDistance execute as seed-and-crawl traversals (Point stabs with a
-// degenerate box, WithinDistance crawls the sphere's bounding box and refines
+// WithinDistance execute as walks of the seed directory (Point stabs with a
+// degenerate box, WithinDistance walks the sphere's bounding box and refines
 // with the exact Dist2Point test); KNN is the executor's best-first search
 // down the seed directory to the pages nearest the center (knnExpand).
 func (f *Flat) Do(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error) {

@@ -117,8 +117,8 @@ func hitAfter(kind Kind, h, after Hit) bool {
 // though under a Limit some may never be read. The rest differ: IndexReads
 // counts candidate pages (R-tree directory nodes included), not seed-tree
 // nodes or grid cells; EntriesTested counts every resident of a page read,
-// and no R-tree child box; Reseeds stays 0 and the R-tree's LevelNodes and
-// Levels stay empty; and a WithinDistance Tombstone is a deleted item inside
+// and no R-tree child box; the R-tree's LevelNodes and Levels stay empty;
+// and a WithinDistance Tombstone is a deleted item inside
 // the sphere, where Do counts those inside its bounding box. No page's
 // record feeds a planner.
 func Stream(ctx context.Context, ix SpatialIndex, req Request) (HitIterator, error) {

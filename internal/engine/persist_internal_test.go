@@ -141,6 +141,13 @@ func TestDecodeOptionsRejectsUnknownFields(t *testing.T) {
 	if _, err := thawDataset(rec); err == nil || !strings.Contains(err.Error(), "ShardIndex") {
 		t.Fatalf("thaw of a snapshot with an unknown option: error %v, want one naming ShardIndex", err)
 	}
+	// Every snapshot written while FLAT had a Tolerance option names it (this
+	// blob is the default options as such a build encoded them): the open
+	// fails and says which option, and the directory must be rebuilt.
+	old := []byte(`{"Contenders":["flat"],"Flat":{"PageSize":64,"SeedFanout":16,"Tolerance":0},"RTreeFanout":0,"Grid":{"PageSize":0,"PerCell":0},"Shards":0,"PageSize":64,"CompactRatio":0.25,"CompactMin":64,"DisableAutoCompact":false,"Workers":0,"Bases":null}`)
+	if _, err := thawDataset(&durable.SnapshotRec{NextID: 1, Options: old}); err == nil || !strings.Contains(err.Error(), "Tolerance") {
+		t.Fatalf("thaw of a snapshot naming Flat.Tolerance: error %v, want one naming Tolerance", err)
+	}
 	if _, err := decodeOptions([]byte(`{"Contenders":["flat"]} {}`)); err == nil {
 		t.Fatal("trailing data after the options object accepted")
 	}

@@ -7,7 +7,8 @@
 // The experiments:
 //
 //	E1 — Fig. 2+3: FLAT vs R-tree range-query cost across data density.
-//	E2 — Fig. 4:   FLAT crawl vs result size; R-tree per-level node reads.
+//	E2 — Fig. 4:   FLAT seed walk and page reads vs result size; R-tree
+//	               per-level node reads.
 //	E3 — Fig. 5:   SCOUT candidate-set pruning along a walkthrough.
 //	E4 — Fig. 6:   walkthrough speedup per prefetching method.
 //	E5 — Fig. 7:   synapse join: time / memory / comparisons per algorithm.
@@ -115,12 +116,12 @@ type E1Row struct {
 	Density float64
 	// Results is the mean result size per query.
 	Results float64
-	// FlatPages is FLAT's mean data-page reads per query (the crawl). These
-	// are the disk reads: FLAT's only per-element storage is the data
+	// FlatPages is FLAT's mean data-page reads per query. These are the disk
+	// reads: FLAT's only per-element storage is the data
 	// pages.
 	FlatPages float64
-	// FlatSeed is FLAT's mean seed-tree node accesses per query, including
-	// the completeness probe. The seed tree indexes *pages*, so it is ~page
+	// FlatSeed is FLAT's mean seed-tree node accesses per query: the nodes
+	// of the one walk that names the pages to read. The seed tree indexes *pages*, so it is ~page
 	// size× smaller than an element-level R-tree and RAM-resident at any
 	// realistic scale (at the paper's 10⁸-element models the element tree
 	// is tens of GB while the page tree fits in memory); the accesses are
@@ -228,7 +229,7 @@ func E1Table(rows []E1Row) *stats.Table {
 	return tb
 }
 
-// E2Config parameterizes the crawl experiment.
+// E2Config parameterizes the result-size experiment.
 type E2Config struct {
 	// Neurons is the model size.
 	Neurons int
@@ -254,17 +255,15 @@ type E2Row struct {
 	Radius float64
 	// Results is the result size.
 	Results int64
-	// SeedReads is FLAT's seed-phase node accesses.
+	// SeedReads is the seed-directory nodes FLAT's walk visited.
 	SeedReads int64
-	// CrawlPages is FLAT's crawl-phase page reads.
-	CrawlPages int64
-	// Reseeds counts FLAT component re-seeds (expected 0).
-	Reseeds int64
+	// Pages is FLAT's data-page reads: the pages the walk named.
+	Pages int64
 	// RTreePerLevel is the R-tree's node accesses per level, leaves first.
 	RTreePerLevel []int64
 }
 
-// RunE2 executes the crawl experiment: one model, growing queries at the
+// RunE2 executes the result-size experiment: one model, growing queries at the
 // center, both contenders queried through the engine layer.
 func RunE2(cfg E2Config) ([]E2Row, error) {
 	m, err := buildModel(cfg.Neurons, cfg.Edge, cfg.Seed, cfg.Workers)
@@ -289,8 +288,7 @@ func RunE2(cfg E2Config) ([]E2Row, error) {
 			Radius:        r,
 			Results:       fs.Results,
 			SeedReads:     fs.IndexReads,
-			CrawlPages:    fs.PagesRead,
-			Reseeds:       fs.Reseeds,
+			Pages:         fs.PagesRead,
 			RTreePerLevel: ts.NodesPerLevel(),
 		})
 	}
@@ -299,19 +297,18 @@ func RunE2(cfg E2Config) ([]E2Row, error) {
 
 // E2Table renders the rows.
 func E2Table(rows []E2Row) *stats.Table {
-	tb := stats.NewTable("E2 (Fig. 4): FLAT crawl cost vs result size; R-tree reads per level",
-		"radius", "results", "seed reads", "crawl pages", "reseeds", "pages/1k res", "R-tree per-level (leaf..root)")
+	tb := stats.NewTable("E2 (Fig. 4): FLAT seed walk and page reads vs result size; R-tree reads per level",
+		"radius", "results", "seed reads", "pages", "pages/1k res", "R-tree per-level (leaf..root)")
 	for _, r := range rows {
 		perRes := "-"
 		if r.Results > 0 {
-			perRes = fmt.Sprintf("%.1f", 1000*float64(r.CrawlPages)/float64(r.Results))
+			perRes = fmt.Sprintf("%.1f", 1000*float64(r.Pages)/float64(r.Results))
 		}
 		tb.AddRow(
 			r.Radius,
 			r.Results,
 			r.SeedReads,
-			r.CrawlPages,
-			r.Reseeds,
+			r.Pages,
 			perRes,
 			fmt.Sprintf("%v", r.RTreePerLevel),
 		)

@@ -55,22 +55,18 @@ func TestRunE2CrawlScalesWithResults(t *testing.T) {
 		if rows[i].Results < rows[i-1].Results {
 			t.Error("results did not grow with radius")
 		}
-		if rows[i].CrawlPages < rows[i-1].CrawlPages {
-			t.Error("crawl pages did not grow with results")
+		if rows[i].Pages < rows[i-1].Pages {
+			t.Error("pages did not grow with results")
 		}
 	}
-	// Index work (seed descent + completeness probe over the page tree)
-	// stays below the data-page work for non-trivial queries, and dense
-	// data never needs a re-seed.
+	// Index work (the walk of the page tree) stays below the data-page work
+	// for non-trivial queries.
 	for _, r := range rows {
-		if r.CrawlPages > 8 && r.SeedReads > r.CrawlPages {
-			t.Errorf("seed reads exceed crawl pages: %+v", r)
-		}
-		if r.Reseeds != 0 {
-			t.Errorf("dense data needed %d reseeds", r.Reseeds)
+		if r.Pages > 8 && r.SeedReads > r.Pages {
+			t.Errorf("seed reads exceed pages: %+v", r)
 		}
 	}
-	if !strings.Contains(E2Table(rows).String(), "crawl pages") {
+	if !strings.Contains(E2Table(rows).String(), "seed reads") {
 		t.Error("E2 table malformed")
 	}
 }

@@ -208,7 +208,7 @@ func DefaultE6() E6Config {
 type E6Row struct {
 	// Neurons and Elements describe the dataset.
 	Neurons, Elements int
-	// BuildTime is the FLAT index construction time (STR + neighborhood +
+	// BuildTime is the FLAT index construction time (STR page layout +
 	// seed tree).
 	BuildTime time.Duration
 	// QueryReads is FLAT's mean reads for the fixed query.

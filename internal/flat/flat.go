@@ -2,43 +2,33 @@
 // density-independent range-query execution strategy that §2 of the
 // demonstrated paper presents.
 //
-// FLAT splits query execution into two phases, both independent of data
-// density:
-//
-//  1. Seed: a small R-tree over *page* MBRs (not elements) locates one
-//     arbitrary page inside the query range. Finding an arbitrary page needs
-//     roughly one root-to-leaf descent regardless of how dense the data is,
-//     unlike finding all matches, which suffers from MBR overlap.
-//  2. Crawl: precomputed neighborhood links between pages are followed
-//     breadth-first from the seed, visiting exactly the pages whose MBRs
-//     intersect the range. The crawl's cost depends only on the result size.
-//
 // The indexing phase lays elements out on disk pages with STR packing (the
-// layout the FLAT paper uses), computes each page's MBR, and derives the
-// neighborhood graph: two pages are neighbors when their MBRs, expanded by
-// half the neighborhood tolerance, intersect. In dense neuroscience data the
-// page MBRs overlap heavily, so the graph is strongly connected wherever
-// there is data.
+// layout the FLAT paper uses) and computes each page's MBR. The seed is an
+// STR tree over those page MBRs lowered into an rtree.Dir: it indexes pages,
+// not elements, so it is about page-size times smaller than an element-level
+// R-tree and RAM-resident at any realistic scale.
 //
-// The seed is an STR tree over the page MBRs lowered into an rtree.Dir, the
-// one directory the seed descent, re-seeding, PagesInRange and the engine's
-// kNN and page stream all walk.
+// A range query is one pre-order walk of that directory: every page whose
+// MBR meets the range is read once, in the directory's order, and its
+// elements are tested on the page's struct-of-arrays coordinate sidecar.
+// Only data pages are disk reads, and the pages read are exactly those whose
+// MBRs intersect the range, so the I/O depends on the result size, not on
+// the density of the data. This walk is the one PagesInRange and the
+// engine's page stream name, and the engine's kNN search descends the same
+// directory.
 //
-// Degenerate sparse regions can still split the query range across several
-// graph components; FLAT remains exact by re-seeding: after a crawl
-// exhausts a component, the seed directory is probed for unvisited pages in
-// the range. Every re-seed is reported in the query statistics, and the E1/E6
-// experiments confirm re-seeds are rare on real densities.
+// The paper instead finds one seed page with a single descent and crawls
+// precomputed page-neighbourhood links from it. With the directory in RAM
+// the crawl reads the same pages, but it cannot prove it has found all of
+// them without a range walk of the directory, so the walk alone is both
+// cheaper and simpler.
 package flat
 
 import (
 	"context"
 	"fmt"
-	"slices"
-	"sync"
 
 	"neurospatial/internal/geom"
-	"neurospatial/internal/grid"
 	"neurospatial/internal/pager"
 	"neurospatial/internal/rtree"
 )
@@ -50,11 +40,6 @@ type Options struct {
 	// SeedFanout is the fanout of the R-tree over page MBRs. Default
 	// rtree.DefaultFanout.
 	SeedFanout int
-	// Tolerance is the neighborhood distance: pages whose MBRs come within
-	// this distance are linked. Zero links exactly touching/overlapping
-	// MBRs; a small positive value bridges hairline gaps in sparse regions.
-	// Default 0.
-	Tolerance float64
 }
 
 // DefaultOptions returns the configuration used by the experiments.
@@ -68,9 +53,6 @@ func (o Options) sanitize() Options {
 	}
 	if o.SeedFanout <= 0 {
 		o.SeedFanout = rtree.DefaultFanout
-	}
-	if !(o.Tolerance >= 0) { // negative or NaN
-		o.Tolerance = 0
 	}
 	return o
 }
@@ -87,14 +69,12 @@ type Index struct {
 	pageBox []geom.AABB
 	// pageOf[i] is the page of item i.
 	pageOf []pager.PageID
-	// neighbors[p] lists the pages adjacent to page p.
-	neighbors [][]pager.PageID
 	// seed is the seed tree over page MBRs, lowered; its items are pages
 	// (an item's ID is a page ID, its box the page's MBR).
 	seed rtree.Dir
 	// coords is the struct-of-arrays sidecar of store: per-page contiguous
-	// min/max coordinate runs, so the crawl's range filter scans each loaded
-	// page with sequential loads.
+	// min/max coordinate runs, so the range filter scans each loaded page
+	// with sequential loads.
 	coords *pager.Coords
 }
 
@@ -146,7 +126,7 @@ func denseBoxes(items []rtree.Item) ([]geom.AABB, error) {
 // finish derives everything else from a page layout — builder holds one page
 // per pageBox entry, every entry an item: the store, its SoA sidecar copied
 // from boxes (the transient ID-indexed boxes), each item's page and sidecar
-// slot, then the neighborhood graph and the seed directory.
+// slot, then the seed directory.
 func (idx *Index) finish(builder *pager.Builder, boxes []geom.AABB) error {
 	idx.store = builder.Build()
 	if idx.store.NumPages() != len(idx.pageBox) {
@@ -163,13 +143,7 @@ func (idx *Index) finish(builder *pager.Builder, boxes []geom.AABB) error {
 		}
 	}
 
-	// Phase 2: derive the page neighborhood graph with a uniform grid over
-	// the page MBRs expanded by tol/2 each (so pages within tol link).
-	if err := idx.buildNeighborhood(); err != nil {
-		return err
-	}
-
-	// Phase 3: the seed R-tree over page MBRs, lowered.
+	// Phase 2: the seed R-tree over page MBRs, lowered.
 	pageItems := make([]rtree.Item, len(idx.pageBox))
 	for p, b := range idx.pageBox {
 		pageItems[p] = rtree.Item{Box: b, ID: int32(p)}
@@ -179,33 +153,6 @@ func (idx *Index) finish(builder *pager.Builder, boxes []geom.AABB) error {
 		return err
 	}
 	idx.seed = rtree.Lower(t)
-	return nil
-}
-
-func (idx *Index) buildNeighborhood() error {
-	n := len(idx.pageBox)
-	idx.neighbors = make([][]pager.PageID, n)
-	if n <= 1 {
-		return nil
-	}
-	expanded := make([]geom.AABB, n)
-	bounds := geom.EmptyAABB()
-	for p, b := range idx.pageBox {
-		expanded[p] = b.Expand(idx.opts.Tolerance / 2)
-		bounds = bounds.Union(expanded[p])
-	}
-	g, err := grid.NewAuto(bounds, expanded, 6)
-	if err != nil {
-		return err
-	}
-	g.ForEachCandidatePair(func(i, j int32) {
-		idx.neighbors[i] = append(idx.neighbors[i], pager.PageID(j))
-		idx.neighbors[j] = append(idx.neighbors[j], pager.PageID(i))
-	})
-	// Deterministic crawl order.
-	for p := range idx.neighbors {
-		slices.Sort(idx.neighbors[p])
-	}
 	return nil
 }
 
@@ -242,10 +189,6 @@ func (idx *Index) PageOf(id int32) pager.PageID { return idx.pageOf[id] }
 // for sequential per-page range filtering.
 func (idx *Index) Coords() *pager.Coords { return idx.coords }
 
-// Neighbors returns the neighbor pages of p. The slice is shared and must not
-// be modified.
-func (idx *Index) Neighbors(p pager.PageID) []pager.PageID { return idx.neighbors[p] }
-
 // Seed returns the seed directory over the page MBRs: its items are pages (an
 // item's ID is a page ID, its box the page's MBR), and it has no nodes when
 // the index is empty. It is shared and must not be modified.
@@ -254,77 +197,18 @@ func (idx *Index) Seed() *rtree.Dir { return &idx.seed }
 // SeedTreeHeight returns the height of the seed tree (for reporting).
 func (idx *Index) SeedTreeHeight() int { return idx.seed.Height() }
 
-// GraphStats summarizes the neighborhood graph.
-type GraphStats struct {
-	// Pages is the page count.
-	Pages int
-	// Edges is the undirected link count.
-	Edges int
-	// AvgDegree is 2*Edges/Pages.
-	AvgDegree float64
-	// MaxDegree is the largest neighbor list.
-	MaxDegree int
-	// Components is the number of connected components (1 = fully crawlable
-	// from any seed).
-	Components int
-}
-
-// GraphStats computes summary statistics of the neighborhood graph.
-func (idx *Index) GraphStats() GraphStats {
-	st := GraphStats{Pages: len(idx.neighbors)}
-	for _, ns := range idx.neighbors {
-		st.Edges += len(ns)
-		if len(ns) > st.MaxDegree {
-			st.MaxDegree = len(ns)
-		}
-	}
-	st.Edges /= 2
-	if st.Pages > 0 {
-		st.AvgDegree = 2 * float64(st.Edges) / float64(st.Pages)
-	}
-	// Count components with a BFS.
-	visited := make([]bool, st.Pages)
-	for p := range visited {
-		if visited[p] {
-			continue
-		}
-		st.Components++
-		queue := []pager.PageID{pager.PageID(p)}
-		visited[p] = true
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			for _, nb := range idx.neighbors[cur] {
-				if !visited[nb] {
-					visited[nb] = true
-					queue = append(queue, nb)
-				}
-			}
-		}
-	}
-	return st
-}
-
-// QueryStats describes the work of one FLAT query, split into the two phases
-// the paper describes. PagesRead is the number FLAT's row of the demo's
-// statistics panel reports.
+// QueryStats describes the work of one FLAT query. PagesRead is the number
+// FLAT's row of the demo's statistics panel reports.
 type QueryStats struct {
-	// SeedNodeAccesses counts seed-directory node reads (the small R-tree over
-	// page MBRs), including any re-seed probes.
+	// SeedNodeAccesses counts the seed-directory nodes the walk visited (the
+	// small, RAM-resident R-tree over page MBRs).
 	SeedNodeAccesses int64
-	// PagesRead counts data pages loaded by the crawl.
+	// PagesRead counts data pages loaded.
 	PagesRead int64
-	// Reseeds counts extra seed probes needed because the query range
-	// spanned disconnected graph components (0 on dense data).
-	Reseeds int64
 	// EntriesTested counts item-box comparisons on loaded pages.
 	EntriesTested int64
 	// Results counts items reported.
 	Results int64
-	// CrawlOrder, filled only when requested, lists the data pages in the
-	// order the crawl visited them (the order Figure 4 of the paper
-	// animates).
-	CrawlOrder []pager.PageID
 }
 
 // TotalReads returns seed accesses plus data-page reads, FLAT's total I/O
@@ -335,7 +219,11 @@ func (s QueryStats) TotalReads() int64 { return s.SeedNodeAccesses + s.PagesRead
 // non-nil, data pages are read through it (so buffer hits and prefetches are
 // accounted); a nil pool models a cold read per page.
 func (idx *Index) Query(q geom.AABB, pool *pager.BufferPool, visit func(int32)) QueryStats {
-	st, _ := idx.query(context.Background(), q, poolSource(idx, pool), visit, false) // never canceled
+	var src pager.PageSource = idx.store
+	if pool != nil {
+		src = pool
+	}
+	st, _ := idx.query(context.Background(), q, src, visit) // never canceled
 	return st
 }
 
@@ -349,7 +237,7 @@ func (idx *Index) QueryVia(ctx context.Context, q geom.AABB, src pager.PageSourc
 	if src == nil {
 		src = idx.store
 	}
-	return idx.query(ctx, q, src, visit, false)
+	return idx.query(ctx, q, src, visit)
 }
 
 // PagedQuery implements the prefetch.Served query path: Query through a pool
@@ -358,123 +246,35 @@ func (idx *Index) PagedQuery(q geom.AABB, pool *pager.BufferPool, visit func(int
 	idx.Query(q, pool, visit)
 }
 
-// QueryTraced is Query but additionally records the crawl order for
-// visualization.
-func (idx *Index) QueryTraced(q geom.AABB, pool *pager.BufferPool, visit func(int32)) QueryStats {
-	st, _ := idx.query(context.Background(), q, poolSource(idx, pool), visit, true) // never canceled
-	return st
-}
-
-// poolSource resolves the legacy nil-pool convention onto a PageSource.
-func poolSource(idx *Index, pool *pager.BufferPool) pager.PageSource {
-	if pool == nil {
-		return idx.store
-	}
-	return pool
-}
-
-// crawlScratch is the pooled per-query working set of the crawl: a stamped
-// visited-set and a FIFO queue, reset (not reallocated) between queries, plus
-// the re-seed exclusion visitor created once per scratch so the hot path
-// allocates no closure. The pool makes repeated queries on an index of any
-// size allocation-free in the steady state.
-type crawlScratch struct {
-	// visited[p] == stamp marks page p visited this query; bumping stamp
-	// clears the set in O(1), with a one-time re-zero on wraparound.
-	visited []uint32
-	stamp   uint32
-	queue   []pager.PageID
-	// re-seed exclusion state driven by excl, bound to this scratch once.
-	found rtree.Item
-	ok    bool
-	excl  func(rtree.Item)
-}
-
-var crawlPool = sync.Pool{New: func() any {
-	s := &crawlScratch{}
-	s.excl = func(it rtree.Item) {
-		if !s.ok && s.visited[it.ID] != s.stamp {
-			s.found, s.ok = it, true
-		}
-	}
-	return s
-}}
-
-// getCrawl returns a scratch with a cleared visited-set covering n pages.
-func getCrawl(n int) *crawlScratch {
-	s := crawlPool.Get().(*crawlScratch)
-	if cap(s.visited) < n {
-		s.visited = make([]uint32, n)
-	}
-	s.visited = s.visited[:n]
-	s.stamp++
-	if s.stamp == 0 { // wrapped: stale slots may hold any value; re-zero once
-		clear(s.visited)
-		s.stamp = 1
-	}
-	s.queue = s.queue[:0]
-	return s
-}
-
+// query walks the seed directory once and reads, in the walk's pre-order,
+// every page whose MBR intersects q: the pages PagesInRange names, in its
+// order.
 func (idx *Index) query(ctx context.Context, q geom.AABB, src pager.PageSource,
-	visit func(int32), trace bool) (QueryStats, error) {
+	visit func(int32)) (QueryStats, error) {
 
 	var stats QueryStats
-	if len(idx.pageBox) == 0 {
-		return stats, nil
-	}
-	sc := getCrawl(len(idx.pageBox))
-	defer crawlPool.Put(sc)
-
-	// Phase 1: seed.
-	seedItem, seedStats, ok := idx.seed.SeedInRange(q)
-	stats.SeedNodeAccesses += seedStats.NodeAccesses()
-	if !ok {
-		return stats, nil
-	}
-
-	for {
-		// Phase 2: crawl breadth-first through the neighborhood links,
-		// visiting pages whose MBR intersects the range. Index-based FIFO
-		// over the scratch queue — same visit order as the old pop-front
-		// slice queue, no per-query allocation.
-		sc.queue = append(sc.queue[:0], pager.PageID(seedItem.ID))
-		sc.visited[seedItem.ID] = sc.stamp
-		for qi := 0; qi < len(sc.queue); qi++ {
-			p := sc.queue[qi]
-			if err := ctx.Err(); err != nil {
-				return QueryStats{}, err
-			}
-			idx.readPage(p, q, src, visit, &stats, trace)
-			for _, nb := range idx.neighbors[p] {
-				if sc.visited[nb] != sc.stamp && idx.pageBox[nb].Intersects(q) {
-					sc.visited[nb] = sc.stamp
-					sc.queue = append(sc.queue, nb)
-				}
-			}
+	var err error
+	seed := idx.seed.Query(q, func(it rtree.Item) {
+		if err == nil {
+			err = ctx.Err()
 		}
-		// Completeness: re-seed if an unvisited page still intersects the
-		// range (possible only across graph components; never on dense
-		// data). The probe is one more cheap walk of the seed directory.
-		next, reseedStats, found := idx.seedExcluding(q, sc)
-		stats.SeedNodeAccesses += reseedStats
-		if !found {
-			return stats, nil
+		if err == nil {
+			idx.readPage(pager.PageID(it.ID), q, src, visit, &stats)
 		}
-		stats.Reseeds++
-		seedItem = next
+	})
+	if err != nil {
+		return QueryStats{}, err
 	}
+	stats.SeedNodeAccesses = seed.NodeAccesses()
+	return stats, nil
 }
 
 // readPage loads page p and tests its items against the range, scanning the
 // SoA coordinate sidecar sequentially (position-aligned with the page's
 // resident IDs).
 func (idx *Index) readPage(p pager.PageID, q geom.AABB, src pager.PageSource,
-	visit func(int32), stats *QueryStats, trace bool) {
+	visit func(int32), stats *QueryStats) {
 	stats.PagesRead++
-	if trace {
-		stats.CrawlOrder = append(stats.CrawlOrder, p)
-	}
 	base := idx.coords.PageOffset(p)
 	for i, id := range src.ReadPage(p) {
 		stats.EntriesTested++
@@ -485,19 +285,9 @@ func (idx *Index) readPage(p pager.PageID, q geom.AABB, src pager.PageSource,
 	}
 }
 
-// seedExcluding finds a page intersecting q that the scratch has not visited.
-// It reuses the seed directory's range traversal but keeps only the first
-// unvisited hit via the scratch's pre-bound exclusion visitor.
-func (idx *Index) seedExcluding(q geom.AABB, sc *crawlScratch) (rtree.Item, int64, bool) {
-	sc.ok = false
-	// The range query has no early exit, but the extra accesses are counted
-	// honestly and occur only in the rare re-seed path.
-	st := idx.seed.Query(q, sc.excl)
-	return sc.found, st.NodeAccesses(), sc.ok
-}
-
-// PagesInRange returns the pages whose MBRs intersect q, via the seed
-// directory. Prefetchers use it to turn a predicted range into page requests.
+// PagesInRange returns the pages whose MBRs intersect q, in the order Query
+// reads them. Prefetchers use it to turn a predicted range into page
+// requests.
 func (idx *Index) PagesInRange(q geom.AABB) []pager.PageID {
 	var out []pager.PageID
 	idx.seed.Query(q, func(it rtree.Item) {

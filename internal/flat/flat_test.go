@@ -1,9 +1,9 @@
 package flat
 
 import (
-	"math"
+	"context"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 
 	"neurospatial/internal/circuit"
@@ -86,7 +86,7 @@ func TestEmptyRangeQuery(t *testing.T) {
 		t.Errorf("empty range read %d pages", stats.PagesRead)
 	}
 	if stats.SeedNodeAccesses == 0 {
-		t.Error("seed descent not counted")
+		t.Error("seed walk not counted")
 	}
 }
 
@@ -140,127 +140,57 @@ func TestPageLayout(t *testing.T) {
 	}
 }
 
-func TestNeighborhoodGraph(t *testing.T) {
-	items, _ := testItems(t, 10)
-	idx, err := Build(items, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := idx.GraphStats()
-	if st.Pages != idx.NumPages() {
-		t.Fatalf("graph pages = %d", st.Pages)
-	}
-	if st.AvgDegree < 1 {
-		t.Errorf("avg degree %v too low for dense data", st.AvgDegree)
-	}
-	// Symmetry.
-	for p := 0; p < idx.NumPages(); p++ {
-		for _, nb := range idx.Neighbors(pager.PageID(p)) {
-			found := false
-			for _, back := range idx.Neighbors(nb) {
-				if back == pager.PageID(p) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("edge %d->%d not symmetric", p, nb)
-			}
-		}
-	}
-	// Neighbor MBRs actually come within tolerance.
-	for p := 0; p < idx.NumPages(); p++ {
-		pb := idx.PageBox(pager.PageID(p))
-		for _, nb := range idx.Neighbors(pager.PageID(p)) {
-			if !pb.Expand(1e-9).Intersects(idx.PageBox(nb)) {
-				t.Fatalf("neighbor pages %d,%d do not touch", p, nb)
-			}
-		}
-	}
-	// Dense circuit data should form a single crawlable component.
-	if st.Components != 1 {
-		t.Errorf("graph has %d components on dense data", st.Components)
-	}
+// recordingSource is a PageSource that logs the pages read through it.
+type recordingSource struct {
+	pager.PageSource
+	reads []pager.PageID
 }
 
-func TestCrawlStatsAndTrace(t *testing.T) {
+func (r *recordingSource) ReadPage(p pager.PageID) []int32 {
+	r.reads = append(r.reads, p)
+	return r.PageSource.ReadPage(p)
+}
+
+// A range query reads each page PagesInRange names exactly once, in that
+// order, and no other: walkthroughs, the page stream and Figure 4's frame
+// consume this order.
+func TestRangeReadsPagesInRangeOnceInOrder(t *testing.T) {
 	items, _ := testItems(t, 12)
 	idx, err := Build(items, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := geom.BoxAround(geom.V(125, 125, 125), 50)
-	stats := idx.QueryTraced(q, nil, func(int32) {})
-	if stats.Results == 0 {
-		t.Fatal("central query found nothing")
+	rng := rand.New(rand.NewSource(63))
+	qs := []geom.AABB{
+		geom.BoxAround(geom.V(125, 125, 125), 50),
+		geom.BoxAround(geom.V(125, 125, 125), 0), // a point
+		geom.BoxAround(geom.V(1e5, 1e5, 1e5), 5), // outside the data
+		idx.Bounds(),
 	}
-	if int64(len(stats.CrawlOrder)) != stats.PagesRead {
-		t.Fatalf("trace %d entries, %d pages read", len(stats.CrawlOrder), stats.PagesRead)
+	for i := 0; i < 30; i++ {
+		qs = append(qs, geom.BoxAround(
+			geom.V(rng.Float64()*250, rng.Float64()*250, rng.Float64()*250),
+			rng.Float64()*40))
 	}
-	// Each crawled page intersects the range and appears once.
-	seen := make(map[pager.PageID]bool)
-	for _, p := range stats.CrawlOrder {
-		if seen[p] {
-			t.Fatal("page crawled twice")
+	for qi, q := range qs {
+		want := idx.PagesInRange(q)
+		src := &recordingSource{PageSource: idx.Store()}
+		st, err := idx.QueryVia(context.Background(), q, src, func(int32) {})
+		if err != nil {
+			t.Fatal(err)
 		}
-		seen[p] = true
-		if !idx.PageBox(p).Intersects(q) {
-			t.Fatal("crawled page outside range")
+		if !slices.Equal(src.reads, want) {
+			t.Fatalf("query %d: read pages %v, PagesInRange %v", qi, src.reads, want)
 		}
-	}
-	// Every crawled page after the first neighbors an earlier one: the
-	// crawl is connected (Figure 4's animation property).
-	for i, p := range stats.CrawlOrder {
-		if i == 0 {
-			continue
+		if st.PagesRead != int64(len(want)) {
+			t.Fatalf("query %d: PagesRead %d, %d pages named", qi, st.PagesRead, len(want))
 		}
-		connected := false
-		for _, nb := range idx.Neighbors(p) {
-			for _, prev := range stats.CrawlOrder[:i] {
-				if nb == prev {
-					connected = true
-					break
-				}
-			}
-			if connected {
-				break
-			}
-		}
-		if !connected && stats.Reseeds == 0 {
-			t.Fatalf("crawl order disconnected at %d", i)
+		if st.SeedNodeAccesses == 0 {
+			t.Fatalf("query %d: seed walk not counted", qi)
 		}
 	}
-	// Untraced query records no order.
-	stats2 := idx.Query(q, nil, func(int32) {})
-	if stats2.CrawlOrder != nil {
-		t.Error("untraced query recorded crawl order")
-	}
-	if stats2.PagesRead != stats.PagesRead || stats2.Results != stats.Results {
-		t.Error("traced and untraced queries disagree")
-	}
-}
-
-func TestSeedCostIndependentOfResultSize(t *testing.T) {
-	items, _ := testItems(t, 16)
-	idx, err := Build(items, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	small := idx.Query(geom.BoxAround(geom.V(125, 125, 125), 5), nil, func(int32) {})
-	large := idx.Query(geom.BoxAround(geom.V(125, 125, 125), 80), nil, func(int32) {})
-	if large.Results <= small.Results {
-		t.Skip("query sizing did not produce growth")
-	}
-	// The seed phase costs about tree height for both; it must not grow
-	// with the result.
-	if large.SeedNodeAccesses > small.SeedNodeAccesses*3+6 {
-		t.Errorf("seed cost grew with result: %d -> %d",
-			small.SeedNodeAccesses, large.SeedNodeAccesses)
-	}
-	// Crawl I/O is bounded by pages holding results plus boundary pages.
-	if large.PagesRead > large.Results {
-		t.Errorf("pages read (%d) exceeded results (%d) on a dense query",
-			large.PagesRead, large.Results)
+	if got := idx.PagesInRange(idx.Bounds()); len(got) != idx.NumPages() {
+		t.Fatalf("a query over the bounds names %d of %d pages", len(got), idx.NumPages())
 	}
 }
 
@@ -278,7 +208,7 @@ func TestBufferPoolIntegration(t *testing.T) {
 	s1 := idx.Query(q, pool, func(int32) {})
 	st1 := pool.Stats()
 	if st1.DemandReads != s1.PagesRead {
-		t.Fatalf("pool reads %d, crawl pages %d", st1.DemandReads, s1.PagesRead)
+		t.Fatalf("pool reads %d, pages read %d", st1.DemandReads, s1.PagesRead)
 	}
 	// Re-running hits the pool for every page.
 	idx.Query(q, pool, func(int32) {})
@@ -344,9 +274,9 @@ func TestAgreesWithRTree(t *testing.T) {
 	}
 }
 
-// Sparse pathological data exercises the re-seed path: two distant clusters
-// inside one query range.
-func TestReseedAcrossComponents(t *testing.T) {
+// Two distant clusters inside one query range: the answer is exact however
+// the pages group.
+func TestQueryAcrossDistantClusters(t *testing.T) {
 	var items []rtree.Item
 	id := int32(0)
 	for i := 0; i < 200; i++ {
@@ -367,72 +297,24 @@ func TestReseedAcrossComponents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.GraphStats().Components < 2 {
-		t.Skip("clusters unexpectedly connected")
-	}
 	q := geom.Box(geom.V(-5, -5, -5), geom.V(1015, 15, 15))
 	got := make(map[int32]bool)
-	stats := idx.Query(q, nil, func(id int32) { got[id] = true })
-	if len(got) != 400 {
-		t.Fatalf("got %d of 400 results across components", len(got))
-	}
-	if stats.Reseeds == 0 {
-		t.Error("no re-seed despite disconnected components")
-	}
-}
-
-// A positive tolerance bridges hairline gaps: the two-cluster dataset from
-// TestReseedAcrossComponents stays disconnected, but a tolerance larger than
-// the gap unifies closer clusters.
-func TestToleranceBridgesGaps(t *testing.T) {
-	var items []rtree.Item
-	id := int32(0)
-	for c := 0; c < 2; c++ {
-		base := float64(c) * 14 // clusters ~4 units apart after extent
-		for i := 0; i < 128; i++ {
-			items = append(items, rtree.Item{
-				Box: geom.BoxAround(geom.V(base+float64(i%4), float64((i/4)%4), float64(i/16)), 0.5),
-				ID:  id,
-			})
-			id++
+	idx.Query(q, nil, func(id int32) {
+		if got[id] {
+			t.Fatalf("item %d reported twice", id)
+		}
+		got[id] = true
+	})
+	want := 0
+	for _, it := range items {
+		if it.Box.Intersects(q) != got[it.ID] {
+			t.Fatalf("item %d: got %v, brute force %v", it.ID, got[it.ID], it.Box.Intersects(q))
+		}
+		if got[it.ID] {
+			want++
 		}
 	}
-	strict, err := Build(items, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.Tolerance = 30
-	loose, err := Build(items, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strict.GraphStats().Components <= loose.GraphStats().Components &&
-		strict.GraphStats().Components != 1 {
-		t.Errorf("tolerance did not reduce components: %d vs %d",
-			strict.GraphStats().Components, loose.GraphStats().Components)
-	}
-	// Results identical either way.
-	q := geom.Box(geom.V(-2, -2, -2), geom.V(20, 6, 10))
-	a := map[int32]bool{}
-	strict.Query(q, nil, func(id int32) { a[id] = true })
-	b := map[int32]bool{}
-	loose.Query(q, nil, func(id int32) { b[id] = true })
-	if len(a) != len(b) {
-		t.Fatalf("tolerance changed results: %d vs %d", len(a), len(b))
-	}
-
-	// A NaN tolerance is no tolerance: the graph and the crawl are those of
-	// Tolerance 0, not a graph of NaN-expanded MBRs that links nothing.
-	opts.Tolerance = math.NaN()
-	nan, err := Build(items, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := nan.GraphStats(), strict.GraphStats(); got != want {
-		t.Fatalf("NaN tolerance: graph %+v, at tolerance 0 %+v", got, want)
-	}
-	if got, want := nan.Query(q, nil, func(int32) {}), strict.Query(q, nil, func(int32) {}); !reflect.DeepEqual(got, want) {
-		t.Fatalf("NaN tolerance: query stats %+v, at tolerance 0 %+v", got, want)
+	if want != 400 {
+		t.Fatalf("got %d of 400 results across the clusters", want)
 	}
 }

@@ -11,10 +11,9 @@ import (
 // Rehydrate reconstructs a FLAT index from its recorded page layout: pages
 // lists, per page, the item IDs laid out on it, exactly as a prior Build
 // placed them. The expensive phase of Build — the STR pack that decides the
-// layout — is skipped; everything else (page MBRs, coordinate sidecar,
-// neighborhood graph, seed directory) is re-derived from the layout with the same
-// code paths Build uses, so the result is indistinguishable from the
-// original index. Item IDs must be dense in [0, len(items)) and each must
+// layout — is skipped; everything else (page MBRs, coordinate sidecar, seed
+// directory) is re-derived from the layout with the same code paths Build
+// uses, so the result is indistinguishable from the original index. Item IDs must be dense in [0, len(items)) and each must
 // appear on exactly one page.
 func Rehydrate(items []rtree.Item, pages [][]int32, opts Options) (*Index, error) {
 	o := opts.sanitize()

@@ -1,16 +1,9 @@
 // Package grid provides a uniform spatial hash grid over axis-aligned boxes.
+// The engine's grid contender uses it as its cell directory: it registers
+// each item's center and walks the cells a query box covers.
 //
-// Two consumers use it as a construction substrate:
-//
-//   - FLAT's indexing phase derives the neighborhood information (§2.1 of the
-//     paper: "what spatial elements neighbor each other") by rasterizing
-//     element boxes into cells and emitting candidate pairs per cell; and
-//   - the PBSM join baseline partitions both datasets into the same grid and
-//     joins cell-by-cell.
-//
-// Boxes spanning multiple cells are registered in each (replication), so
-// consumers that must report a pair at most once deduplicate with the
-// standard reference-point method, provided here as ReportCell.
+// Boxes spanning multiple cells are registered in each (replication), so a
+// consumer that must report a box at most once deduplicates.
 package grid
 
 import (
@@ -78,9 +71,8 @@ func NewAuto(bounds geom.AABB, boxes []geom.AABB, perCell float64) (*Grid, error
 
 // DropBoxes releases the registered boxes, for a caller that keeps the
 // geometry itself and wants the cell directory only: the cell arithmetic,
-// CellBoxes and ForEachInRange keep working; Query, ReportCell and
-// ForEachCandidatePair, which refine against the boxes, must not be called
-// afterwards.
+// CellBoxes and ForEachInRange keep working; Query, which refines against
+// the boxes, must not be called afterwards.
 func (g *Grid) DropBoxes() { g.boxes = nil }
 
 // Bounds returns the grid's covered region.
@@ -178,49 +170,4 @@ func (g *Grid) Query(q geom.AABB, visit func(int32)) {
 			}
 		}
 	})
-}
-
-// ReportCell reports whether cell c is the canonical reporting cell for an
-// intersecting pair of boxes: the cell containing the reference point (the
-// minimum corner of the intersection). The reference point lies inside both
-// boxes, so both are registered in its cell, and it is unique per pair —
-// the standard PBSM trick for emitting each replicated pair exactly once
-// without a result hash table.
-func (g *Grid) ReportCell(c int, a, b geom.AABB) bool {
-	ref := a.Intersect(b)
-	if ref.IsEmpty() {
-		return false
-	}
-	p := g.bounds.Clamp(ref.Min)
-	ix := g.coord(p.X, g.bounds.Min.X, g.cell.X, g.nx)
-	iy := g.coord(p.Y, g.bounds.Min.Y, g.cell.Y, g.ny)
-	iz := g.coord(p.Z, g.bounds.Min.Z, g.cell.Z, g.nz)
-	return g.CellIndex(ix, iy, iz) == c
-}
-
-// ForEachCandidatePair enumerates every unordered pair (i, j), i < j, of
-// *registered* boxes that intersect, reporting each pair exactly once (the
-// reference-point method suppresses replicated reports). Callers that need
-// pairs within a distance eps must register boxes pre-expanded by eps/2 and
-// refine the reported candidates exactly; FLAT's neighborhood derivation does
-// exactly that.
-func (g *Grid) ForEachCandidatePair(visit func(i, j int32)) {
-	for c := range g.cells {
-		ids := g.cells[c]
-		for ai := 0; ai < len(ids); ai++ {
-			for bi := ai + 1; bi < len(ids); bi++ {
-				i, j := ids[ai], ids[bi]
-				if i > j {
-					i, j = j, i
-				}
-				if !g.boxes[i].Intersects(g.boxes[j]) {
-					continue
-				}
-				if !g.ReportCell(c, g.boxes[i], g.boxes[j]) {
-					continue
-				}
-				visit(i, j)
-			}
-		}
-	}
 }

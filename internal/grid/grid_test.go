@@ -111,49 +111,6 @@ func TestQueryFindsOutOfBoundsBoxes(t *testing.T) {
 	}
 }
 
-func TestForEachCandidatePairExactlyOnce(t *testing.T) {
-	rng := rand.New(rand.NewSource(52))
-	boxes := randBoxes(rng, 600, 30, 1.5)
-	bounds := geom.Box(geom.V(-2, -2, -2), geom.V(32, 32, 32))
-	g, err := New(bounds, 10, 10, 10, boxes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type pair struct{ i, j int32 }
-	got := make(map[pair]int)
-	g.ForEachCandidatePair(func(i, j int32) {
-		if i >= j {
-			t.Fatalf("unordered pair (%d,%d)", i, j)
-		}
-		got[pair{i, j}]++
-	})
-	// Oracle.
-	want := make(map[pair]bool)
-	for i := 0; i < len(boxes); i++ {
-		for j := i + 1; j < len(boxes); j++ {
-			if boxes[i].Intersects(boxes[j]) {
-				want[pair{int32(i), int32(j)}] = true
-			}
-		}
-	}
-	if len(want) == 0 {
-		t.Fatal("test data produced no intersecting pairs")
-	}
-	for p, n := range got {
-		if n != 1 {
-			t.Fatalf("pair %v reported %d times", p, n)
-		}
-		if !want[p] {
-			t.Fatalf("pair %v reported but boxes do not intersect", p)
-		}
-	}
-	for p := range want {
-		if got[p] == 0 {
-			t.Fatalf("pair %v missed", p)
-		}
-	}
-}
-
 func TestNewAutoResolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	boxes := randBoxes(rng, 4096, 40, 0.5)
@@ -203,34 +160,6 @@ func TestNewAutoRoundsResolution(t *testing.T) {
 		if nx != tc.wantDim || ny != tc.wantDim || nz != tc.wantDim {
 			t.Errorf("NewAuto(%d boxes, perCell %.0f) dims = %d×%d×%d, want %d per axis",
 				tc.boxes, tc.perCell, nx, ny, nz, tc.wantDim)
-		}
-	}
-}
-
-func TestReportCellUniqueness(t *testing.T) {
-	bounds := geom.Box(geom.V(0, 0, 0), geom.V(10, 10, 10))
-	g, err := New(bounds, 5, 5, 5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := geom.Box(geom.V(1, 1, 1), geom.V(6, 6, 6))
-	b := geom.Box(geom.V(3, 3, 3), geom.V(9, 9, 9))
-	// Exactly one cell claims the pair.
-	claims := 0
-	for c := 0; c < g.NumCells(); c++ {
-		if g.ReportCell(c, a, b) {
-			claims++
-		}
-	}
-	if claims != 1 {
-		t.Errorf("pair claimed by %d cells", claims)
-	}
-	// Disjoint pair: no cell claims it.
-	d := geom.Box(geom.V(8, 8, 8), geom.V(9, 9, 9))
-	e := geom.Box(geom.V(0, 0, 0), geom.V(1, 1, 1))
-	for c := 0; c < g.NumCells(); c++ {
-		if g.ReportCell(c, d, e) {
-			t.Fatal("disjoint pair claimed")
 		}
 	}
 }

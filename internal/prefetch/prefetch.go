@@ -91,7 +91,8 @@ type Prefetcher interface {
 	Reset()
 	// Predict is called after a query completes, with the query's box, its
 	// result (element IDs), and the budget: the maximum number of pages the
-	// think time can hide. It returns at most budget pages to prefetch
+	// think time can hide and the buffer pool can hold beside the pages the
+	// query touched. It returns at most budget pages to prefetch
 	// (none when budget <= 0), most valuable first. result is valid only
 	// during the call — the Simulator reuses its buffer for the next
 	// query — so a prefetcher copies whatever of it it keeps.
@@ -254,11 +255,14 @@ type Simulator struct {
 	// query; prefetch I/O runs during it for free. The demo's interactive
 	// pace is modelled by the default half second.
 	ThinkTime time.Duration
-	// PoolPages is the buffer-pool capacity used for each run.
+	// PoolPages is the buffer-pool capacity used for each run. It also
+	// bounds each step's prefetch: at most PoolPages minus the pages the
+	// step's query touched.
 	PoolPages int
 }
 
-// Budget returns how many page reads fit into the think time.
+// Budget returns how many page reads fit into the think time. A step's
+// prefetch is further bounded by the pool's room (see PoolPages).
 func (s *Simulator) Budget() int {
 	if s.Cost.PageRead <= 0 {
 		return 0
@@ -296,10 +300,13 @@ func (s *Simulator) Run(p Prefetcher, boxes []geom.AABB) (RunStats, error) {
 		}
 
 		// Think time: the prefetcher predicts and the pool fetches, capped
-		// by what the think time can hide.
-		preds := p.Predict(ctx, q, result, budget)
-		if len(preds) > budget {
-			preds = preds[:budget]
+		// by what the think time can hide and by the room the pool has
+		// beside the pages this query touched, so a prefetch never evicts a
+		// page the walk is reading.
+		room := max(0, min(budget, s.PoolPages-int(delta.DemandReads+delta.Hits)))
+		preds := p.Predict(ctx, q, result, room)
+		if len(preds) > room {
+			preds = preds[:room]
 		}
 		prefBefore := pool.Stats()
 		for _, pg := range preds {

@@ -128,75 +128,3 @@ func (d *Dir) query(ni int32, q geom.AABB, visit func(Item), stats *QueryStats) 
 		}
 	}
 }
-
-// SeedInRange returns one arbitrary item whose box intersects q, preferring
-// items near the query center. It is the first phase of FLAT's execution
-// strategy: finding *any* element in the range needs only one root-to-leaf
-// descent in the common case (§2.1 of the paper: "typically only depends on
-// the height of the R-Tree"), after which FLAT's crawl takes over. The
-// returned stats record the nodes the descent touched. It allocates nothing,
-// and it is small enough to inline, so the stats record is built in the
-// caller's frame rather than copied out of this one.
-func (d *Dir) SeedInRange(q geom.AABB) (it Item, stats QueryStats, ok bool) {
-	if len(d.Nodes) > 0 {
-		it, ok = d.seed(0, q, &stats)
-	}
-	return it, stats, ok
-}
-
-// seed descends into the intersecting children of node ni nearest q's center
-// first, in ascending (Dist2Point(center), child index) order — a stable
-// sort's order, produced without an order slice by a (lastD, lastI) cursor
-// that selects the next child on each pass: O(fanout²) selection in the worst
-// case, no allocation. The center is recomputed per node (six flops) to keep
-// SeedInRange within the inlining budget.
-func (d *Dir) seed(ni int32, q geom.AABB, stats *QueryStats) (Item, bool) {
-	n := &d.Nodes[ni]
-	stats.visit(int(n.Level))
-	center := q.Center()
-	if n.Leaf() {
-		items := d.ItemsOf(n)
-		bestIdx := -1
-		bestD := 0.0
-		for i := range items {
-			stats.EntriesTested++
-			if !items[i].Box.Intersects(q) {
-				continue
-			}
-			dist := items[i].Box.Dist2Point(center)
-			if bestIdx < 0 || dist < bestD {
-				bestIdx, bestD = i, dist
-			}
-		}
-		if bestIdx < 0 {
-			return Item{}, false
-		}
-		stats.Results++
-		return items[bestIdx], true
-	}
-	kids := d.KidsOf(n)
-	lastD, lastI := -1.0, -1 // Dist2Point is >= 0, so (-1, -1) precedes all
-	for {
-		bestI, bestD := -1, 0.0
-		for i, k := range kids {
-			b := &d.Nodes[k].Box
-			if !b.Intersects(q) {
-				continue
-			}
-			dist := b.Dist2Point(center)
-			if dist < lastD || (dist == lastD && i <= lastI) {
-				continue // already descended into
-			}
-			if bestI < 0 || dist < bestD {
-				bestI, bestD = i, dist
-			}
-		}
-		if bestI < 0 {
-			return Item{}, false
-		}
-		lastD, lastI = bestD, bestI
-		if it, ok := d.seed(kids[bestI], q, stats); ok {
-			return it, true
-		}
-	}
-}

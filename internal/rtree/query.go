@@ -93,63 +93,6 @@ func (t *Tree) query(n *node, q geom.AABB, visit func(Item), stats *QueryStats) 
 	}
 }
 
-// SeedInRange is Dir.SeedInRange on the pointer tree: the same descent, in
-// the same (Dist2Point(center), child index) order, with the same stats. It
-// stays as the reference Dir.SeedInRange is tested against.
-func (t *Tree) SeedInRange(q geom.AABB) (it Item, stats QueryStats, ok bool) {
-	if t.size > 0 {
-		it, ok = t.seed(t.root, q, &stats)
-	}
-	return it, stats, ok
-}
-
-func (t *Tree) seed(n *node, q geom.AABB, stats *QueryStats) (Item, bool) {
-	stats.visit(n.level)
-	center := q.Center()
-	if n.isLeaf() {
-		bestIdx := -1
-		bestD := 0.0
-		for i := range n.items {
-			stats.EntriesTested++
-			if !n.items[i].Box.Intersects(q) {
-				continue
-			}
-			d := n.items[i].Box.Dist2Point(center)
-			if bestIdx < 0 || d < bestD {
-				bestIdx, bestD = i, d
-			}
-		}
-		if bestIdx < 0 {
-			return Item{}, false
-		}
-		stats.Results++
-		return n.items[bestIdx], true
-	}
-	lastD, lastI := -1.0, -1 // Dist2Point is >= 0, so (-1, -1) precedes all
-	for {
-		bestI, bestD := -1, 0.0
-		for i, c := range n.children {
-			if !c.box.Intersects(q) {
-				continue
-			}
-			d := c.box.Dist2Point(center)
-			if d < lastD || (d == lastD && i <= lastI) {
-				continue // already descended into
-			}
-			if bestI < 0 || d < bestD {
-				bestI, bestD = i, d
-			}
-		}
-		if bestI < 0 {
-			return Item{}, false
-		}
-		lastD, lastI = bestD, bestI
-		if it, ok := t.seed(n.children[bestI], q, stats); ok {
-			return it, true
-		}
-	}
-}
-
 // NodeView is a read-only handle on a tree node, exposed so the S3
 // synchronized traversal and the test oracles can walk the pointer tree
 // without mutating it.

@@ -2,8 +2,8 @@
 // index the paper's demo compares FLAT against and the building block several
 // other components reuse:
 //
-//   - FLAT uses a small R-tree (STR bulk-loaded, as in the FLAT paper) to
-//     find the seed element of its crawl;
+//   - FLAT indexes its page MBRs with a small R-tree (STR bulk-loaded, as in
+//     the FLAT paper) and answers a range with one walk of it;
 //   - the engine's R-tree contender lays one tree node out per page;
 //   - TOUCH builds its data-oriented partitioning by STR-packing dataset A;
 //   - the S3 join baseline synchronously traverses two R-trees.
@@ -11,8 +11,8 @@
 // A Tree is the build-time form: STR bulk loading (Leutenegger et al.,
 // ICDE'97), dynamic insertion with quadratic node splitting (Guttman,
 // SIGMOD'84), or a rebuild from recorded leaf runs. Lower turns a built tree
-// into a Dir, the flat pre-order directory every reader walks: FLAT's seed
-// descent and re-seed range queries, and the R-tree contender's traversals.
+// into a Dir, the flat pre-order directory every reader walks: FLAT's range
+// walk, and the R-tree contender's traversals.
 // Range queries report the per-level node-access counts that the demo's
 // statistics panel displays: under MBR overlap an R-tree touches several
 // nodes per level in dense regions, which is exactly the effect FLAT's

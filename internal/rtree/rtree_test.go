@@ -137,50 +137,6 @@ func TestInsertEqualsBruteForce(t *testing.T) {
 	}
 }
 
-func TestSeedInRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(36))
-	items := randItems(rng, 2000, 100)
-	tr, _ := STR(items, 16)
-	for i := 0; i < 100; i++ {
-		q := geom.BoxAround(geom.V(rng.Float64()*100, rng.Float64()*100, rng.Float64()*100),
-			rng.Float64()*10+0.5)
-		want := bruteQuery(items, q)
-		it, stats, ok := tr.SeedInRange(q)
-		if ok != (len(want) > 0) {
-			t.Fatalf("seed ok=%v but %d matches exist", ok, len(want))
-		}
-		if ok {
-			if !want[it.ID] {
-				t.Fatalf("seed returned non-matching item %d", it.ID)
-			}
-			if stats.NodeAccesses() == 0 {
-				t.Fatal("seed reported no node accesses")
-			}
-		}
-	}
-	// Empty tree.
-	empty, _ := New(8)
-	if _, _, ok := empty.SeedInRange(geom.BoxAround(geom.V(0, 0, 0), 1)); ok {
-		t.Error("seed found item in empty tree")
-	}
-}
-
-// Seed queries in dense regions should touch about one node per level —
-// the property FLAT's first phase relies on.
-func TestSeedCheapInDenseRegion(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	items := randItems(rng, 5000, 50)
-	tr, _ := STR(items, 16)
-	q := geom.BoxAround(geom.V(25, 25, 25), 10) // dense center: thousands match
-	_, stats, ok := tr.SeedInRange(q)
-	if !ok {
-		t.Fatal("no seed found in dense region")
-	}
-	if stats.NodeAccesses() > int64(3*tr.Height()) {
-		t.Errorf("seed touched %d nodes for height %d", stats.NodeAccesses(), tr.Height())
-	}
-}
-
 func TestQueryStatsPerLevel(t *testing.T) {
 	rng := rand.New(rand.NewSource(39))
 	items := randItems(rng, 4000, 100)

@@ -126,8 +126,8 @@ func (c *Canvas) String() string {
 	return b.String()
 }
 
-// CrawlGlyph returns the character visualizing the i-th page of a FLAT crawl
-// (Figure 4 colors the result in retrieval order; here early pages get
+// CrawlGlyph returns the character visualizing the i-th page a FLAT query
+// reads (Figure 4 colors the result in retrieval order; here early pages get
 // digits, later ones letters).
 func CrawlGlyph(i int) byte {
 	const glyphs = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
