@@ -336,6 +336,39 @@ func TestPageFileCorruptSlotPanicsTyped(t *testing.T) {
 	t.Fatal("read of corrupt slot returned")
 }
 
+// TestPageFileOutOfRangePanicsTyped reads one page below and one past a
+// segment: each panics with a *FormatError, not a runtime index error.
+func TestPageFileOutOfRangePanicsTyped(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pages")
+	if err := WritePageFile(path, []Segment{{Name: "a", Store: buildStore(t, 4, [][]int32{{1, 2}, {3}})}}); err != nil {
+		t.Fatal(err)
+	}
+	pf, err := OpenPageFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pf.Close()
+	src, err := pf.Segment("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []pager.PageID{-1, pager.PageID(src.NumPages())} {
+		func() {
+			defer func() {
+				r := recover()
+				if _, ok := r.(*FormatError); !ok {
+					t.Fatalf("page %d: recovered %v (%T), want *FormatError", id, r, r)
+				}
+			}()
+			src.ReadPage(id)
+			t.Fatalf("page %d of %d: read returned", id, src.NumPages())
+		}()
+	}
+	if pf.Reads() != 0 {
+		t.Fatalf("out-of-range reads issued %d physical reads", pf.Reads())
+	}
+}
+
 func TestPageFileHeaderValidation(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "pages")

@@ -263,16 +263,20 @@ func (s *SegmentSource) NumPages() int { return int(s.meta.numPages) }
 // must not be modified. A checksum mismatch on the cold read panics with a
 // *CorruptError: the PageSource contract has no error channel, and a page
 // that fails its CRC means the storage under a live dataset is damaged.
+// A page outside [0, NumPages()) panics with a *FormatError.
 func (s *SegmentSource) ReadPage(id pager.PageID) []int32 {
-	if f := s.frames[id].Load(); f != nil {
-		return f.ids
+	if uint64(id) < uint64(len(s.frames)) {
+		if f := s.frames[id].Load(); f != nil {
+			return f.ids
+		}
 	}
 	return s.readMiss(id)
 }
 
-// readMiss is the cold path: one ReadAt into pooled scratch, checksum
-// verification, and a compare-and-swap to publish the frame (losing the race
-// just means serving the winner's identical frame).
+// readMiss is the cold path, which also rejects an out-of-range page: one
+// ReadAt into pooled scratch, checksum verification, and a compare-and-swap
+// to publish the frame (losing the race just means serving the winner's
+// identical frame).
 func (s *SegmentSource) readMiss(id pager.PageID) []int32 {
 	if int64(id) < 0 || int64(id) >= s.meta.numPages {
 		panic(&FormatError{File: "pages", Reason: fmt.Sprintf("page %d out of range [0,%d)", id, s.meta.numPages)})

@@ -54,7 +54,8 @@ func NewRTree(fanout int) *RTree {
 // WrapRTree adapts an already-built tree (STR- or insertion-built). The tree
 // is lowered onto the node directory at wrap time and not retained, so the
 // caller may go on mutating it; the index keeps answering for the tree as it
-// was wrapped.
+// was wrapped. An item whose ID is outside [0, t.Size()) is dropped: no
+// request reports it.
 func WrapRTree(t *rtree.Tree) (*RTree, error) {
 	r := &RTree{fanout: t.Fanout()}
 	if err := r.page(t); err != nil {
@@ -103,14 +104,26 @@ func (r *RTree) page(t *rtree.Tree) error {
 	for i := range d.Nodes {
 		nd, z := &d.Nodes[i], idZone{min: math.MaxInt32, max: -1}
 		if nd.Leaf() {
-			for j, it := range d.ItemsOf(nd) {
-				b.Add(it.ID)
+			// An ID outside [0, n) (WrapRTree takes any tree) stays off the
+			// page, so no request reports it: the leaf's run keeps only its
+			// in-range items, and a leaf left with none is laid out, and
+			// read, as an internal node with no kids.
+			run := d.ItemsOf(nd)
+			nd.N = 0
+			for _, it := range run {
 				if it.ID >= 0 && int(it.ID) < n {
-					r.elemPage[it.ID], r.slot[it.ID] = pager.PageID(i), int32(j)
+					b.Add(it.ID)
+					r.elemPage[it.ID], r.slot[it.ID] = pager.PageID(i), nd.N
+					run[nd.N] = it
+					nd.N++
+					z.min, z.max = min(z.min, it.ID), max(z.max, it.ID)
 				}
-				z.min, z.max = min(z.min, it.ID), max(z.max, it.ID)
 			}
-		} else {
+			if nd.N == 0 {
+				nd.Level, nd.Off = 1, 0
+			}
+		}
+		if !nd.Leaf() {
 			b.Add(-1)
 		}
 		b.FlushPage()
@@ -127,9 +140,8 @@ func (r *RTree) page(t *rtree.Tree) error {
 		}
 	}
 	st := b.Build()
-	// Guarded accessor: WrapRTree tolerates non-dense item IDs; IDs outside
-	// [0, n) get empty (never-intersecting) sidecar slots, so no query
-	// reports them, instead of panicking the build. An in-range ID reads its
+	// Guarded accessor: an internal node's -1 placeholder gets an empty
+	// sidecar slot, which no traversal reads as a resident. An item reads its
 	// box back from the entry its page and position name.
 	r.store, r.coords = st, pager.BuildCoords(st, func(id int32) geom.AABB {
 		if id < 0 || int(id) >= n {

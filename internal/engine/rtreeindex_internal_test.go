@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -150,26 +151,73 @@ func TestRTreeLayoutOneNodePerPage(t *testing.T) {
 }
 
 // TestWrapRTreeNegativeID: an ID below zero is as out of range as one past
-// the tree's size — an empty sidecar slot no query reports, not an index
-// panic in the lowering.
+// the tree's size. Neither panics the lowering, and no request kind reports
+// either — not an all-space range or a kNN that asks for every entry, and not
+// when a whole leaf holds nothing else.
 func TestWrapRTreeNegativeID(t *testing.T) {
-	tr, err := rtree.STR([]rtree.Item{
+	all := geom.Box(geom.V(math.Inf(-1), math.Inf(-1), math.Inf(-1)), geom.V(math.Inf(1), math.Inf(1), math.Inf(1)))
+	hits := func(r *RTree, req Request) []int32 {
+		t.Helper()
+		var got []int32
+		if _, err := r.Do(context.Background(), req, func(h Hit) { got = append(got, h.ID) }); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	wrap := func(items []rtree.Item, fanout int) *RTree {
+		t.Helper()
+		tr, err := rtree.STR(items, fanout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := WrapRTree(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	r := wrap([]rtree.Item{
 		{Box: geom.BoxAround(geom.V(1, 1, 1), 1), ID: -3},
 		{Box: geom.BoxAround(geom.V(4, 4, 4), 1), ID: 0},
+		{Box: geom.BoxAround(geom.V(6, 6, 6), 1), ID: 7},
 	}, 0)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name string
+		req  Request
+	}{
+		{"range", RangeRequest(geom.Box(geom.V(-10, -10, -10), geom.V(10, 10, 10)))},
+		{"all-space range", RangeRequest(all)},
+		{"knn k=3", KNNRequest(geom.V(0, 0, 0), 3)},
+		{"within", WithinDistanceRequest(geom.V(4, 4, 4), 100)},
+		{"paginated all-space range", Request{Kind: Range, Box: all, Limit: 2}},
+	} {
+		if got := hits(r, c.req); !slices.Equal(got, []int32{0}) {
+			t.Errorf("%s over {-3, 0, 7} reported %v, want [0]", c.name, got)
+		}
 	}
-	r, err := WrapRTree(tr)
-	if err != nil {
-		t.Fatal(err)
+	for _, p := range []geom.Vec{geom.V(1, 1, 1), geom.V(6, 6, 6)} {
+		if got := hits(r, PointRequest(p)); len(got) != 0 {
+			t.Errorf("point %v reported %v, want nothing", p, got)
+		}
 	}
-	var got []int32
-	if _, err := r.Do(context.Background(), RangeRequest(geom.Box(geom.V(-10, -10, -10), geom.V(10, 10, 10))),
-		func(h Hit) { got = append(got, h.ID) }); err != nil {
-		t.Fatal(err)
+	// Fanout 4 over 12 items: the 8 out-of-range ones fill whole leaves.
+	var items []rtree.Item
+	for i := 0; i < 12; i++ {
+		id := int32(i)
+		if i >= 4 {
+			id = int32(-i)
+			if i%2 == 0 {
+				id = int32(100 + i)
+			}
+		}
+		items = append(items, rtree.Item{Box: geom.BoxAround(geom.V(float64(10*i), 0, 0), 1), ID: id})
 	}
-	if !slices.Equal(got, []int32{0}) {
-		t.Fatalf("range over both items reported %v, want [0]", got)
+	r = wrap(items, 4)
+	for _, req := range []Request{RangeRequest(all), KNNRequest(geom.V(200, 0, 0), 12), {Kind: Range, Box: all, Limit: 8}} {
+		got := hits(r, req)
+		slices.Sort(got)
+		if !slices.Equal(got, []int32{0, 1, 2, 3}) {
+			t.Errorf("%v over whole out-of-range leaves reported %v, want [0 1 2 3]", req.Kind, got)
+		}
 	}
 }

@@ -253,7 +253,9 @@ func (p *BufferPool) Contains(id PageID) bool {
 // Get returns the element IDs of page id, reading it from the store on a
 // miss. It is the demand-read path: misses count as DemandReads, hits as
 // Hits (and PrefetchHits when the page was prefetched and not yet demanded).
+// A page outside the store panics before the pool or its counters change.
 func (p *BufferPool) Get(id PageID) []int32 {
+	page := p.store.Page(id)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if e, ok := p.entries[id]; ok {
@@ -263,11 +265,11 @@ func (p *BufferPool) Get(id PageID) []int32 {
 			e.prefetched = false
 		}
 		p.touch(e)
-		return p.store.Page(id)
+		return page
 	}
 	p.stats.DemandReads++
 	p.insert(id, false)
-	return p.store.Page(id)
+	return page
 }
 
 // ReadPage implements PageSource via the demand-read path (Get).
@@ -275,8 +277,12 @@ func (p *BufferPool) ReadPage(id PageID) []int32 { return p.Get(id) }
 
 // Prefetch brings page id into the pool without a demand request. Cached
 // pages are left untouched (no counter changes, no LRU promotion — a
-// prefetcher re-requesting a hot page should not be able to pin it).
+// prefetcher re-requesting a hot page should not be able to pin it), and so
+// is a page outside the store.
 func (p *BufferPool) Prefetch(id PageID) {
+	if uint64(id) >= uint64(p.store.NumPages()) {
+		return
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if _, ok := p.entries[id]; ok {

@@ -130,6 +130,34 @@ func TestPoolLRUEviction(t *testing.T) {
 	}
 }
 
+// TestBufferPoolOutOfRange asks a full pool for pages below and past its
+// store: a prefetch is ignored, and a demand read panics, and neither counts a
+// read, inserts an entry or evicts a cached page.
+func TestBufferPoolOutOfRange(t *testing.T) {
+	s := buildStore(t, 4, 12) // 3 pages
+	pool, _ := NewBufferPool(s, 2)
+	pool.Get(0)
+	pool.Get(1)
+	before := pool.Stats()
+	for _, id := range []PageID{-1, 3, math.MaxInt32} {
+		pool.Prefetch(id)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Get(%d) on a %d-page store returned", id, s.NumPages())
+				}
+			}()
+			pool.Get(id)
+		}()
+	}
+	if got := pool.Stats(); got != before {
+		t.Errorf("stats moved: %+v, want %+v", got, before)
+	}
+	if pool.Len() != 2 || !pool.Contains(0) || !pool.Contains(1) {
+		t.Errorf("pool holds %d pages, 0 cached %v, 1 cached %v; want pages 0 and 1", pool.Len(), pool.Contains(0), pool.Contains(1))
+	}
+}
+
 func TestPrefetchAccounting(t *testing.T) {
 	s := buildStore(t, 1, 6)
 	p, _ := NewBufferPool(s, 6)

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"fmt"
@@ -327,9 +328,104 @@ func FuzzSortKeys(f *testing.F) {
 	})
 }
 
-// BenchmarkSortKeys times the three sizes a tissue-S PackSTR sorts (fanout
-// 64): a Z run (≈700 keys), a Y slab (≈7.7k) and the whole set (≈76k), each a
-// prefix of the tissue's X centers. Every iteration restores the unsorted keys
+// selectAgrees runs SelectKeys(keys, k) on a copy of keys (whose Index fields
+// must be their positions) and reports the first way the cut differs from a
+// full sort's: every key arrives intact exactly once, and the keys below the
+// cut are the sort's first k, compared as (C, ID) multisets.
+func selectAgrees(keys []CenterKey, k int) error {
+	got := append([]CenterKey(nil), keys...)
+	SelectKeys(got, k)
+	seen := make([]bool, len(keys))
+	for i, g := range got {
+		if seen[g.Index] || keys[g.Index] != g {
+			return fmt.Errorf("k=%d: position %d: key %+v repeated or changed", k, i, g)
+		}
+		seen[g.Index] = true
+	}
+	for _, side := range [][2]int{{0, k}, {k, len(keys)}} {
+		want := append([]CenterKey(nil), keys...)
+		compareSortKeys(want)
+		have := append([]CenterKey(nil), got[side[0]:side[1]]...)
+		compareSortKeys(have)
+		for i, h := range have {
+			if w := want[side[0]+i]; h.C != w.C || h.ID != w.ID {
+				return fmt.Errorf("k=%d: rank %d holds (%v, %d), a sort puts (%v, %d)", k, side[0]+i, h.C, h.ID, w.C, w.ID)
+			}
+		}
+	}
+	return nil
+}
+
+// TestSelectKeysCutsLikeSort cuts small sets at every rank, k = 0 and k = n
+// included: centers that tie, ±0, repeated (C, ID) pairs — which exhaust the
+// partition budget and fall back to the radix sort — and a tissue axis at a
+// few ranks.
+func TestSelectKeysCutsLikeSort(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	rng := rand.New(rand.NewSource(5))
+	sets := map[string][]CenterKey{
+		"empty":   nil,
+		"one":     indexedKeys([]float64{3}, []int32{0}),
+		"tied":    indexedKeys([]float64{2, 1, 2, 2, negZero, 0, 1, 2, 0, negZero, 2, 1}, []int32{11, 3, 7, 0, 5, 9, 1, 2, 10, 4, 6, 8}),
+		"repeats": indexedKeys([]float64{4, 4, 4, 4, 4, 4, 4, 4, 1, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4}, make([]int32, 20)),
+	}
+	cs, ids := make([]float64, 90), make([]int32, 90)
+	for i := range cs {
+		cs[i], ids[i] = float64(rng.Intn(6)), int32(rng.Intn(30))
+	}
+	sets["random-ties"] = indexedKeys(cs, ids)
+	for name, keys := range sets {
+		for k := 0; k <= len(keys); k++ {
+			if err := selectAgrees(keys, k); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+		}
+	}
+	items := tissueItems(t, 64)
+	keys := CenterKeys(items)
+	FillAxis(keys, items, 1)
+	for _, k := range []int{0, 1, len(keys) / 3, len(keys) - 1, len(keys)} {
+		if err := selectAgrees(keys, k); err != nil {
+			t.Errorf("tissue-64: %v", err)
+		}
+	}
+}
+
+// FuzzPackSTRMatchesReference holds PackSTR to refPackSTR over arbitrary
+// boxes: 6 bytes per item, each picking one coordinate of the box (min and
+// max per axis, in either order) from a palette that makes tied centers, ±0
+// centers and far-apart magnitudes common. The fanout is 1 to 70; the high bit
+// of its byte numbers the items in reverse, so input order and ID order differ.
+func FuzzPackSTRMatchesReference(f *testing.F) {
+	palette := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, 3, 3, 7.25, -2, 1e300, -1e300, 1e-300,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 42, 100}
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 0, 1, 1, 0, 0, 1, 2, 3, 4, 5, 6, 7, 5, 5, 5, 5, 5, 5}, uint8(1))
+	f.Add([]byte{9, 10, 2, 2, 14, 15, 10, 9, 3, 3, 15, 14, 4, 4, 4, 4, 4, 4, 6, 6, 6, 6, 6, 6}, uint8(0x82))
+	f.Add(bytes.Repeat([]byte{3, 8, 0, 1, 7, 12, 5, 6, 1, 0, 2, 2, 11, 4, 9, 13, 6, 5}, 40), uint8(4))
+	f.Add([]byte{}, uint8(69))
+	f.Fuzz(func(t *testing.T, data []byte, fan uint8) {
+		var items []Item
+		for ; len(data) >= 6; data = data[6:] {
+			c := func(i int) float64 { return palette[int(data[i])%len(palette)] }
+			items = append(items, Item{Box: geom.AABB{
+				Min: geom.V(c(0), c(2), c(4)), Max: geom.V(c(1), c(3), c(5)),
+			}, ID: int32(len(items))})
+		}
+		if fan&0x80 != 0 {
+			for i := range items {
+				items[i].ID = int32(len(items) - 1 - i)
+			}
+		}
+		fanout := int(fan&0x7f)%70 + 1
+		if got, want := PackSTR(items, fanout), refPackSTR(items, fanout); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d items, fanout %d: tiles %v, want %v", len(items), fanout, got, want)
+		}
+	})
+}
+
+// BenchmarkSortKeys times a tissue-S PackSTR's Z run (fanout 64: ≈700 keys),
+// and a Y slab (≈7.7k) and the whole set (≈76k), which it selects instead of
+// sorting; each is a prefix of the tissue's X centers. Every iteration restores the unsorted keys
 // first; the copy is a few percent of the sort.
 func BenchmarkSortKeys(b *testing.B) {
 	items := tissueItems(b, 256)
@@ -342,6 +438,30 @@ func BenchmarkSortKeys(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(keys, all[:n])
 				SortKeys(keys)
+			}
+		})
+	}
+}
+
+// BenchmarkPackSTR is FLAT's page layout of a tissue (fanout 64, its page
+// size): tissue-S is 256 neurons (≈76k items), tissue-L 1024 (≈300k, skipped
+// under -short).
+func BenchmarkPackSTR(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		neurons int
+	}{{"tissue-S", 256}, {"tissue-L", 1024}} {
+		b.Run(c.name, func(b *testing.B) {
+			if testing.Short() && c.neurons > 256 {
+				b.Skip("tissue-L under -short")
+			}
+			items := tissueItems(b, c.neurons)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if tiles := PackSTR(items, 64); len(tiles) == 0 {
+					b.Fatal("no tiles")
+				}
 			}
 		})
 	}

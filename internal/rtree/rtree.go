@@ -104,9 +104,9 @@ func (t *Tree) Height() int {
 // Bounds returns the MBR of the whole tree (empty when the tree is empty).
 func (t *Tree) Bounds() geom.AABB { return t.root.box }
 
-// STR bulk-loads a tree from items using Sort-Tile-Recursive packing: sort by
-// X center, slice into vertical slabs, sort each slab by Y, tile into runs,
-// sort runs by Z and pack consecutive items into leaves. The resulting leaves
+// STR bulk-loads a tree from items using Sort-Tile-Recursive packing: cut the
+// X center order into vertical slabs, each slab's Y order into runs, sort each
+// run by Z and pack consecutive items into leaves. The resulting leaves
 // are near-full and spatially compact, which is why both FLAT and TOUCH use
 // STR for their partitioning phases. Equal centers order by ID, so the tree is
 // a function of the item set, not of the order items arrive in. Items with a
@@ -203,16 +203,8 @@ func (t *Tree) splitLeaf(n *node) *node {
 		boxes[i] = n.items[i].Box
 	}
 	groupA, groupB := quadraticSplit(boxes, t.minFill)
-	itemsA := make([]Item, 0, len(groupA))
-	itemsB := make([]Item, 0, len(groupB))
-	for _, i := range groupA {
-		itemsA = append(itemsA, n.items[i])
-	}
-	for _, i := range groupB {
-		itemsB = append(itemsB, n.items[i])
-	}
-	sib := &node{level: 0, items: itemsB}
-	n.items = itemsA
+	sib := &node{level: 0, items: pick(n.items, groupB)}
+	n.items = pick(n.items, groupA)
 	n.recomputeBox()
 	sib.recomputeBox()
 	return sib
@@ -225,19 +217,20 @@ func (t *Tree) splitInternal(n *node) *node {
 		boxes[i] = n.children[i].box
 	}
 	groupA, groupB := quadraticSplit(boxes, t.minFill)
-	chA := make([]*node, 0, len(groupA))
-	chB := make([]*node, 0, len(groupB))
-	for _, i := range groupA {
-		chA = append(chA, n.children[i])
-	}
-	for _, i := range groupB {
-		chB = append(chB, n.children[i])
-	}
-	sib := &node{level: n.level, children: chB}
-	n.children = chA
+	sib := &node{level: n.level, children: pick(n.children, groupB)}
+	n.children = pick(n.children, groupA)
 	n.recomputeBox()
 	sib.recomputeBox()
 	return sib
+}
+
+// pick returns s's elements at idx, in idx order.
+func pick[T any](s []T, idx []int) []T {
+	out := make([]T, len(idx))
+	for j, i := range idx {
+		out[j] = s[i]
+	}
+	return out
 }
 
 // quadraticSplit partitions the indices of boxes into two groups using
@@ -270,15 +263,11 @@ func quadraticSplit(boxes []geom.AABB, minFill int) (a, b []int) {
 		// Force-assign when one group must take everything left to reach
 		// the minimum fill.
 		if len(a)+len(rest) == minFill {
-			for _, i := range rest {
-				a = append(a, i)
-			}
+			a = append(a, rest...)
 			break
 		}
 		if len(b)+len(rest) == minFill {
-			for _, i := range rest {
-				b = append(b, i)
-			}
+			b = append(b, rest...)
 			break
 		}
 		// Pick the entry with the largest |d(A) - d(B)| preference.
