@@ -104,8 +104,11 @@ func BenchmarkDoHotPath(b *testing.B) {
 // the stream and the clip are one allocation each, the rest is that buffer
 // growing to ten hits. batch/… is Session.DoBatch of 16
 // mixed requests on the dataset session at one and four workers
-// (parallel.BatchCtx, ForEach, the pooled segment and error tables). All
-// ceilings are as measured and can only shrink.
+// (parallel.BatchCtx, ForEach, the pooled segment and error tables).
+// deferred/… is every kind through the view of a contender a compaction
+// deferred, once its first request has built it: the view forwards through
+// the contender's slot, and carries the view ceilings. All ceilings are as
+// measured and can only shrink.
 func TestDoHotPathAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates; alloc gate runs in uninstrumented builds")
@@ -215,6 +218,42 @@ func TestDoHotPathAllocs(t *testing.T) {
 		for _, view := range snap.Indexes() {
 			check("view/", view)
 		}
+	}
+
+	// A compaction after every kind was routed defers the contenders no kind
+	// ranks cheapest: their build time reads 0.
+	routed, err := engine.NewDataset(items, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := engine.Open(engine.WithDataset(routed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range hotPathRequests(vol) {
+		if _, err := rs.Do(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rs.Close()
+	tx := routed.Begin()
+	tx.Update(items[0].ID, items[0].Box)
+	if _, err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	compacted, err := routed.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	deferred := 0
+	for i, view := range compacted.Indexes() {
+		if routed.Stats().BuildTimes[i] == 0 {
+			deferred++
+			check("deferred/", view)
+		}
+	}
+	if deferred == 0 {
+		t.Error("deferred/…: the compaction deferred no contender")
 	}
 
 	sess, err := engine.Open(engine.WithDataset(ds)) // over the 10,000-entry overlay

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -62,7 +63,16 @@ func TestDatasetStatsRebuildTimes(t *testing.T) {
 // crosses CompactRatio: one neuron-sized batch lands on a tissue-S-sized
 // dataset with all four contenders, and the overlay is folded. The previous
 // iteration's neuron is deleted in the same batch, so the live set stays put.
-func BenchmarkDatasetCompact(b *testing.B) {
+// No request has been routed, so every compaction builds every contender.
+func BenchmarkDatasetCompact(b *testing.B) { benchmarkCompact(b, false) }
+
+// BenchmarkDatasetCompactRouted is BenchmarkDatasetCompact after one session
+// has routed a request of every kind: the history then prices every
+// contender, so each compaction builds only the ones some kind routes to, and
+// the deferred ones report a build time of 0.
+func BenchmarkDatasetCompactRouted(b *testing.B) { benchmarkCompact(b, true) }
+
+func benchmarkCompact(b *testing.B, routed bool) {
 	const elements, neuron = 76000, 593
 	vol := geom.Box(geom.V(0, 0, 0), geom.V(300, 300, 300))
 	rng := rand.New(rand.NewSource(1))
@@ -76,6 +86,18 @@ func BenchmarkDatasetCompact(b *testing.B) {
 	})
 	if err != nil {
 		b.Fatal(err)
+	}
+	if routed {
+		sess, err := engine.Open(engine.WithDataset(ds))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, req := range hotPathRequests(vol) {
+			if _, err := sess.Do(context.Background(), req); err != nil {
+				b.Fatal(err)
+			}
+		}
+		sess.Close()
 	}
 	var prev []int32
 	b.ReportAllocs()

@@ -18,9 +18,11 @@ import (
 
 // DatasetOptions configures a mutable Dataset.
 type DatasetOptions struct {
-	// Contenders names the index kinds every snapshot builds and serves
-	// ("flat", "rtree", "grid", "sharded"); empty selects just "flat".
-	// Duplicate names are rejected — the per-snapshot planner routes by name.
+	// Contenders names the index kinds every snapshot serves ("flat",
+	// "rtree", "grid", "sharded"); empty selects just "flat". Duplicate names
+	// are rejected — the per-snapshot planner routes by name. NewDataset, a
+	// reopen and a checkpoint build them all; a compaction may defer the ones
+	// its planner routes nothing to until first use (see Compact).
 	Contenders []string
 	// Flat configures the FLAT contender (and per-shard FLATs).
 	Flat flat.Options
@@ -130,8 +132,9 @@ type DatasetStats struct {
 	Cow pager.CowStats
 	// BuildTimes[i] is how long Contenders[i]'s Build took the last time the
 	// bases were built (NewDataset or a compaction); entries past
-	// len(Contenders), and all of them while this process has built no base,
-	// are 0. An array, so that DatasetStats stays comparable.
+	// len(Contenders), a contender that compaction deferred (its later build
+	// on first use is not counted), and all of them while this process has
+	// built no base, are 0. An array, so that DatasetStats stays comparable.
 	BuildTimes [maxContenders]time.Duration
 	// LastCompaction is the wall time of the most recent compaction — merge,
 	// rebuilds, layout and publish, the stall its committer saw; 0 before the
@@ -157,7 +160,8 @@ type DatasetStats struct {
 // The base contender indexes are untouched ("unchanged on disk") until a
 // size/ratio-triggered — or explicit — Compact folds the overlay down,
 // rebuilding the bases over the live item set via the existing Build path on
-// the parallel pool.
+// the parallel pool: at once the contenders the planner routes a request kind
+// to, and the rest on first use.
 //
 // All Dataset methods are safe for concurrent use; Commit is serialized
 // internally, readers never block writers (they hold immutable snapshots).
@@ -259,12 +263,14 @@ func NewDataset(items []rtree.Item, opts DatasetOptions) (*Dataset, error) {
 	return d, nil
 }
 
-// buildBases constructs and builds every configured contender over items
+// buildBases constructs and builds the configured contenders over items
 // (ascending global-ID order), relabeled to dense local IDs, on the parallel
-// pool. Returns nil for an empty item set — every contender requires at
-// least one item, and the overlay serves empty bases fine. The caller holds
-// writeMu, or owns a Dataset nobody else has seen yet.
-func (d *Dataset) buildBases(items []rtree.Item) ([]SpatialIndex, error) {
+// pool: all of them, or, when eager is given (aligned with Contenders), the
+// ones it marks — the others are left nil, and record a build time of 0.
+// Returns nil for an empty item set — every contender requires at least one
+// item, and the overlay serves empty bases fine. The caller holds writeMu, or
+// owns a Dataset nobody else has seen yet.
+func (d *Dataset) buildBases(items []rtree.Item, eager ...bool) ([]SpatialIndex, error) {
 	if len(items) == 0 {
 		return nil, nil
 	}
@@ -293,6 +299,9 @@ func (d *Dataset) buildBases(items []rtree.Item) ([]SpatialIndex, error) {
 	}
 	parallel.ForEach(d.opts.Workers, n, func(_, slot int) {
 		i := order[slot]
+		if eager != nil && !eager[i] {
+			return
+		}
 		start := time.Now()
 		ix, err := d.opts.newIndex(d.opts.Contenders[i])
 		if err == nil {
@@ -503,7 +512,8 @@ func (t *Tx) Commit() (*Snapshot, error) {
 	// copied only by a batch that adds to it) and keep for the delta merge
 	// only the IDs that can appear in it — a plain base delete cannot.
 	snap := &Snapshot{
-		epoch: prev.epoch + 1, opts: d.opts, baseIDs: prev.baseIDs, baseBox: prev.baseBox, bases: prev.bases,
+		epoch: prev.epoch + 1, opts: d.opts, baseIDs: prev.baseIDs, baseBox: prev.baseBox,
+		bases: prev.bases, deferred: prev.deferred,
 		tombs: prev.tombs, nTombs: prev.nTombs, bounds: prev.bounds, nBasePages: prev.nBasePages,
 	}
 	var patch []pager.PageID // base layout pages holding a newly dead entry
@@ -547,7 +557,7 @@ func (t *Tx) Commit() (*Snapshot, error) {
 		pending := snap.nDelta + snap.nTombs
 		if pending >= d.opts.CompactMin &&
 			float64(pending) > d.opts.CompactRatio*float64(max(snap.live, 1)) {
-			compacted, err := d.compactUnderWrite()
+			compacted, err := d.compactUnderWrite(false)
 			if err != nil {
 				// The batch is committed and stays committed; only the fold
 				// failed. Report both facts (see the contract above).
@@ -590,21 +600,44 @@ func remapLayout(prev *pager.Store, nBasePages int, patch []pager.PageID, stg ma
 // Compact folds the overlay into a new base: the live item set is
 // re-collected, the contender indexes are rebuilt over it via their normal
 // Build path on the parallel pool, the layout is laid out fresh, and a new
-// epoch with an empty delta and tombstone set is published. Pinned readers
-// keep their epochs, and the rebuild itself blocks only other writers —
-// Acquire/Current/Stats (and therefore Session.Open) stay responsive
-// throughout. A no-op (empty overlay) returns the current snapshot
-// unchanged.
+// epoch with an empty delta and tombstone set is published. Its planner
+// inherits the outgoing cost history, so it routes without probing. When
+// that history prices every contender for every request kind, only the
+// contenders it ranks cheapest for some kind are built here; each other one
+// is built on first use — a view's traversal, a planner probe, Bases, a
+// checkpoint — outside the committing call, and a workload that never reads
+// it never builds it. Pinned readers keep their epochs, and the rebuild itself
+// blocks only other writers — Acquire/Current/Stats (and therefore
+// Session.Open) stay responsive throughout. A no-op (empty overlay) returns
+// the current snapshot unchanged.
 func (d *Dataset) Compact() (*Snapshot, error) {
 	d.writeMu.Lock()
 	defer d.writeMu.Unlock()
-	return d.compactUnderWrite()
+	return d.compactUnderWrite(false)
+}
+
+// eagerSet marks the contenders a compaction of prev builds at once: the
+// ones prev's cost history ranks cheapest for some request kind, ties going
+// to registration order as in PlanKind. It returns nil — build them all —
+// unless the history prices every contender for every kind: an unpriced one
+// could be the cheapest.
+func (d *Dataset) eagerSet(prev *Snapshot) []bool {
+	eager := make([]bool, len(d.opts.Contenders))
+	for _, k := range Kinds() {
+		dec := prev.planner.PlanKind(k, nil) // an empty sample never probes
+		if len(dec.CostPerQuery) < len(eager) {
+			return nil
+		}
+		eager[slices.Index(d.opts.Contenders, dec.Index.Name())] = true
+	}
+	return eager
 }
 
 // compactUnderWrite requires writeMu (and not mu) to be held: the merge and
 // index rebuilds read only the immutable previous snapshot, and the result
-// is published under mu at the end.
-func (d *Dataset) compactUnderWrite() (*Snapshot, error) {
+// is published under mu at the end. all builds every contender; otherwise
+// the ones eagerSet leaves out are deferred.
+func (d *Dataset) compactUnderWrite(all bool) (*Snapshot, error) {
 	prev := d.Current()
 	if prev.nDelta == 0 && prev.nTombs == 0 {
 		return prev, nil
@@ -630,11 +663,16 @@ func (d *Dataset) compactUnderWrite() (*Snapshot, error) {
 	for ; int(l) < len(prev.baseIDs); l++ {
 		liveBase()
 	}
-	bases, err := d.buildBases(merged)
+	var eager []bool
+	if !all {
+		eager = d.eagerSet(prev)
+	}
+	bases, err := d.buildBases(merged, eager...)
 	if err != nil {
 		return nil, err
 	}
 	snap := newSnapshot(prev.epoch+1, d.opts, merged, bases, d.buildLayout(merged))
+	snap.planner.inheritCosts(prev.planner)
 	d.mu.Lock()
 	d.cur = snap
 	d.compactions++

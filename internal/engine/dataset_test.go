@@ -1216,8 +1216,8 @@ func TestDatasetOverlayWorkBounds(t *testing.T) {
 // TestDatasetPlanHistoryInheritedAcrossCommits: epochs that share a base share
 // their routing cost inputs, so a commit hands the parent planner's history to
 // the child — the child's first request of a kind misses the plan cache (it is
-// epoch-keyed) but plans from history without probing — and a compaction,
-// which builds new bases, starts history and probing over.
+// epoch-keyed) but plans from history without probing — and so does the
+// epoch a compaction publishes: its planner inherits the history too.
 func TestDatasetPlanHistoryInheritedAcrossCommits(t *testing.T) {
 	items := testItems(t, 8, 7013)
 	vol := geom.Box(geom.V(0, 0, 0), geom.V(200, 200, 200))
@@ -1288,5 +1288,5 @@ func TestDatasetPlanHistoryInheritedAcrossCommits(t *testing.T) {
 	if _, err := ds.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	serve(true) // new bases: new history
+	serve(false) // new bases, inherited history: no probes, routed as PlanKind
 }

@@ -276,8 +276,9 @@ func thawSharded(rec *durable.IndexRec, items []rtree.Item, opts ShardedOptions)
 	return s, nil
 }
 
-// freezeSnapshot captures a compacted snapshot as a durable record.
-func (d *Dataset) freezeSnapshot(snap *Snapshot) (*durable.SnapshotRec, error) {
+// freezeSnapshot captures a compacted snapshot, whose complete base set is
+// bases, as a durable record.
+func (d *Dataset) freezeSnapshot(snap *Snapshot, bases []SpatialIndex) (*durable.SnapshotRec, error) {
 	if snap.nDelta != 0 || snap.nTombs != 0 {
 		return nil, fmt.Errorf("engine: freeze of uncompacted snapshot (epoch %d)", snap.epoch)
 	}
@@ -295,10 +296,10 @@ func (d *Dataset) freezeSnapshot(snap *Snapshot) (*durable.SnapshotRec, error) {
 		Options: blob,
 		Items:   items,
 	}
-	if snap.bases != nil {
+	if bases != nil {
 		rec.Indexes = make([]durable.IndexRec, len(d.opts.Contenders))
 		for i, name := range d.opts.Contenders {
-			ir, err := freezeIndex(name, snap.bases[i])
+			ir, err := freezeIndex(name, bases[i])
 			if err != nil {
 				return nil, err
 			}
@@ -461,7 +462,7 @@ func (dd *DurableDataset) Checkpoint() error {
 	d := dd.Dataset
 	d.writeMu.Lock()
 	defer d.writeMu.Unlock()
-	if _, err := d.compactUnderWrite(); err != nil {
+	if _, err := d.compactUnderWrite(true); err != nil {
 		return err
 	}
 	if uint64(d.Current().epoch) == dd.man.Epoch {
@@ -471,12 +472,17 @@ func (dd *DurableDataset) Checkpoint() error {
 }
 
 // checkpointLocked writes the current (compacted) snapshot as a new durable
-// generation. Caller holds writeMu, so no commit can interleave between the
-// state capture and the WAL swap.
+// generation, first building, in one parallel pass, every contender the
+// compaction that published it deferred. Caller holds writeMu, so no commit can
+// interleave between the state capture and the WAL swap.
 func (dd *DurableDataset) checkpointLocked() error {
 	d := dd.Dataset
 	snap := d.Current()
-	rec, err := d.freezeSnapshot(snap)
+	bases, err := snap.builtBases()
+	if err != nil {
+		return err
+	}
+	rec, err := d.freezeSnapshot(snap, bases)
 	if err != nil {
 		return err
 	}
@@ -485,9 +491,9 @@ func (dd *DurableDataset) checkpointLocked() error {
 		return err
 	}
 	var segs []durable.Segment
-	if snap.bases != nil {
+	if bases != nil {
 		for i, name := range d.opts.Contenders {
-			pg, ok := snap.bases[i].(Paged)
+			pg, ok := bases[i].(Paged)
 			if !ok || pg.Store() == nil {
 				continue
 			}

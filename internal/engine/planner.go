@@ -143,9 +143,11 @@ func (p *Planner) SetEpoch(epoch int64) {
 }
 
 // inheritCosts seeds p's cost history with a copy of from's. Dataset commits
-// call it on the child epoch's planner before publishing it: epochs that
-// share a base have the same cost inputs (QueryStats.Cost counts base work
-// only), so the child plans from the parent's history instead of re-probing.
+// and compactions call it on the child epoch's planner before publishing it:
+// epochs that share a base have the same cost inputs (QueryStats.Cost counts
+// base work only), and a compaction's bases are rebuilt over nearly the same
+// items, so the child plans from the parent's history instead of re-probing —
+// and never probes a contender the compaction deferred.
 func (p *Planner) inheritCosts(from *Planner) {
 	from.mu.Lock()
 	defer from.mu.Unlock()

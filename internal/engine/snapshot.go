@@ -2,12 +2,15 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"neurospatial/internal/geom"
 	"neurospatial/internal/pager"
+	"neurospatial/internal/parallel"
 	"neurospatial/internal/rtree"
 )
 
@@ -18,7 +21,10 @@ import (
 //	base   the epoch's contender indexes (flat/rtree/grid/sharded — whichever
 //	       the Dataset is configured with), built once over the base item set
 //	       and shared read-only by every epoch until a compaction rebuilds
-//	       them;
+//	       them. A compaction may defer the contenders its planner routes no
+//	       request kind to (see Dataset.Compact): each such one is built, once,
+//	       by the first view traversal, planner probe, Bases call or freeze
+//	       that needs it;
 //	delta  the items inserted or updated since that build: an ID-ordered
 //	       sequence of small immutable chunks, each carrying its MBR, shared
 //	       between epochs except where a commit touched them (delta.go). A
@@ -46,9 +52,11 @@ import (
 //
 // A Snapshot also carries its own Planner over the views. Its plan cache is
 // the epoch's own, but its per-kind cost history is inherited from the parent
-// epoch when both share a base: QueryStats.Cost() counts base pages and index
-// reads only, which the overlay does not change, so only a compaction (new
-// bases) starts the history — and the calibration probes — over.
+// epoch: QueryStats.Cost() counts base pages and index reads only, which the
+// overlay does not change, and a compaction rebuilds the bases over nearly the
+// same items. So only an epoch with nothing to inherit — NewDataset's, a
+// reopened dataset's — calibrates by probing, and a contender a compaction
+// deferred is never probed for a kind the history already prices.
 //
 // Snapshots are immutable and safe for concurrent readers. Pinning
 // (Session.Open / Dataset.Acquire) and Release are refcounting for
@@ -67,8 +75,11 @@ type Snapshot struct {
 	baseIDs []int32
 	baseBox func(l int32) geom.AABB
 	// bases are the contender indexes over the base items relabeled to dense
-	// local IDs, aligned with opts.Contenders (nil when the base is empty).
-	bases []SpatialIndex
+	// local IDs, aligned with opts.Contenders (nil when the base is empty); an
+	// entry is nil while deferred[i] holds that contender instead. deferred is
+	// nil when the base build built every contender.
+	bases    []SpatialIndex
+	deferred []*lazyBase
 	// chunks is the delta overlay (see delta.go); nDelta its entry count.
 	chunks []*deltaChunk
 	nDelta int
@@ -96,7 +107,8 @@ type Snapshot struct {
 }
 
 // newSnapshot returns the epoch a fresh base build publishes: baseItems (in
-// ascending global-ID order) laid out on layout, with an empty overlay.
+// ascending global-ID order) laid out on layout, with an empty overlay. A nil
+// entry of bases is a contender the build deferred: it gets a lazyBase slot.
 func newSnapshot(epoch int, opts DatasetOptions, baseItems []rtree.Item,
 	bases []SpatialIndex, layout *pager.Store) *Snapshot {
 
@@ -109,16 +121,24 @@ func newSnapshot(epoch int, opts DatasetOptions, baseItems []rtree.Item,
 	for l, it := range baseItems {
 		sn.baseIDs[l] = it.ID
 	}
-	if len(bases) > 0 {
-		sn.bounds = bases[0].Bounds()
+	for i, b := range bases {
+		switch {
+		case b == nil:
+			if sn.deferred == nil {
+				sn.deferred = make([]*lazyBase, len(bases))
+			}
+			sn.deferred[i] = &lazyBase{name: opts.Contenders[i], opts: opts, n: len(baseItems), box: sn.baseBox}
+		case sn.bounds.IsEmpty(): // the first built contender's
+			sn.bounds = b.Bounds()
+		}
 	}
 	sn.wire()
 	return sn
 }
 
 // baseBoxes returns the box accessor of a base build by local ID: the
-// sidecar of the first contender, which every contender keeps anyway, else
-// the item slice itself (which the accessor then keeps alive).
+// sidecar of the first built contender, which every contender keeps anyway,
+// else the item slice itself (which the accessor then keeps alive).
 func baseBoxes(bases []SpatialIndex, items []rtree.Item) func(int32) geom.AABB {
 	for _, b := range bases {
 		if ix, ok := b.(traverser); ok {
@@ -132,11 +152,15 @@ func baseBoxes(bases []SpatialIndex, items []rtree.Item) func(int32) geom.AABB {
 func (sn *Snapshot) wire() {
 	sn.views = make([]SpatialIndex, len(sn.opts.Contenders))
 	for i, name := range sn.opts.Contenders {
-		var base contender
-		if sn.bases != nil {
-			base = sn.bases[i].(contender) // NewDataset admits nothing else
+		v := &snapView{name: name, snap: sn}
+		switch {
+		case sn.bases == nil:
+		case sn.bases[i] != nil:
+			v.base = sn.bases[i].(contender) // NewDataset admits nothing else
+		default:
+			v.slot = sn.deferred[i]
 		}
-		sn.views[i] = &snapView{name: name, snap: sn, base: base}
+		sn.views[i] = v
 	}
 	sn.planner = NewPlanner(sn.views...)
 	// The per-snapshot planner serves exactly this epoch: keying its plan
@@ -182,12 +206,34 @@ func (sn *Snapshot) Index(name string) SpatialIndex {
 // views run over, built over the base items relabeled to dense local IDs —
 // at the epoch NewDataset publishes, the items' own IDs. They serve the base
 // build alone, without the overlay, and are shared read-only with every
-// epoch until the next compaction.
-func (sn *Snapshot) Bases() []SpatialIndex { return sn.bases }
+// epoch until the next compaction. Contenders that compaction deferred are
+// built first, at once; an entry whose build failed is nil, and its view
+// returns the build's error.
+func (sn *Snapshot) Bases() []SpatialIndex {
+	bases, _ := sn.builtBases()
+	return bases
+}
+
+// builtBases is Bases with the deferred builds' errors: it builds every
+// contender the base build deferred in one pass on the parallel pool, and
+// returns the complete set (a copy when any was deferred).
+func (sn *Snapshot) builtBases() ([]SpatialIndex, error) {
+	if sn.deferred == nil {
+		return sn.bases, nil
+	}
+	bases := slices.Clone(sn.bases)
+	errs := make([]error, len(bases))
+	parallel.ForEach(sn.opts.Workers, len(bases), func(_, i int) {
+		if s := sn.deferred[i]; s != nil {
+			bases[i], errs[i] = s.get()
+		}
+	})
+	return bases, errors.Join(errs...)
+}
 
 // Planner returns the snapshot's own planner over its views. Its plan cache
 // is this epoch's alone; its cost history starts as a copy of the parent
-// epoch's when the two share a base (see Snapshot).
+// epoch's, across a compaction too (see Snapshot).
 func (sn *Snapshot) Planner() *Planner { return sn.planner }
 
 // Store returns the epoch's item-page layout (base pages, dead entries
@@ -246,7 +292,18 @@ func (sn *Snapshot) dead(l int32) bool {
 type snapView struct {
 	name string
 	snap *Snapshot
-	base contender // nil when the epoch's base item set is empty
+	base contender // nil when the epoch's base item set is empty or slot is set
+	slot *lazyBase // the deferred contender, when the base build deferred it
+}
+
+// resolve returns the base the view traverses: base itself, or the deferred
+// contender, built on first use — nil, with the build's error if any, when
+// there is none.
+func (v *snapView) resolve() (contender, error) {
+	if v.slot == nil {
+		return v.base, nil
+	}
+	return v.slot.get()
 }
 
 // Name implements SpatialIndex; views keep their contender's name, so
@@ -283,10 +340,11 @@ func (v *snapView) Do(ctx context.Context, req Request, visit func(Hit)) (QueryS
 // is not applied here: execute applies it to the sorted IDs, and a
 // walkthrough over a snapshot would apply it in emission order.
 func (v *snapView) scan(ctx context.Context, req Request, src pager.PageSource, out *idCollector) (QueryStats, error) {
-	if v.base == nil {
-		return QueryStats{}, nil
+	base, err := v.resolve()
+	if base == nil {
+		return QueryStats{}, err
 	}
-	return v.base.scan(ctx, req, src, out)
+	return base.scan(ctx, req, src, out)
 }
 
 // itemBoxes implements traverser: exact geometry by base-local ID, the IDs
@@ -297,18 +355,62 @@ func (v *snapView) itemBoxes() func(int32) geom.AABB { return v.snap.baseBox }
 // the base is empty). Like scan it does not apply the overlay: the search's
 // offer drops tombstoned residents and execute offers the delta.
 func (v *snapView) knnExpand(s *knnSearch, e knnEntry) error {
-	if v.base == nil {
-		return nil
+	base, err := v.resolve()
+	if base == nil {
+		return err
 	}
-	return v.base.knnExpand(s, e)
+	return base.knnExpand(s, e)
 }
 
 // zonePages implements traverser: the base contender's candidates (none when
-// the base is empty). Like scan it does not apply the overlay: stream
-// translates the zones, drops tombstoned residents and adds the delta chunks.
+// the base is empty; a deferred build's error ends the stream). Like scan it
+// does not apply the overlay: stream translates the zones, drops tombstoned
+// residents and adds the delta chunks.
 func (v *snapView) zonePages(req Request, ps *pageStream) pager.PageSource {
-	if v.base == nil {
+	base, err := v.resolve()
+	if base == nil {
+		ps.err = err
 		return nil
 	}
-	return v.base.zonePages(req, ps)
+	return base.zonePages(req, ps)
+}
+
+// lazyBase holds a contender a compaction deferred. The first get builds it
+// over the base items — n of them, box reading each back by local ID, so the
+// slot keeps no copy — and every epoch sharing the base shares the one build;
+// concurrent first callers wait for it. A failed build is the error of every
+// call that needs the contender.
+type lazyBase struct {
+	once sync.Once
+	name string
+	opts DatasetOptions
+	n    int
+	box  func(int32) geom.AABB
+	ix   contender
+	err  error
+}
+
+// get is kept out of line, so that resolve inlines and a view over a built
+// base reaches it without a call.
+//
+//go:noinline
+func (b *lazyBase) get() (contender, error) {
+	b.once.Do(b.build)
+	return b.ix, b.err
+}
+
+func (b *lazyBase) build() {
+	local := make([]rtree.Item, b.n)
+	for l := range local {
+		local[l] = rtree.Item{Box: b.box(int32(l)), ID: int32(l)}
+	}
+	ix, err := b.opts.newIndex(b.name)
+	if err == nil {
+		err = ix.Build(local)
+	}
+	if err != nil {
+		b.err = fmt.Errorf("engine: building deferred %s base: %w", b.name, err)
+		return
+	}
+	b.ix = ix.(contender)
 }

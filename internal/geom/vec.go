@@ -96,7 +96,7 @@ func (v Vec) Axis(i int) float64 {
 	case 2:
 		return v.Z
 	}
-	panic(fmt.Sprintf("geom: axis index %d out of range", i))
+	panic(axisIndexError(i))
 }
 
 // WithAxis returns a copy of v with the i-th component replaced by x.
@@ -109,9 +109,18 @@ func (v Vec) WithAxis(i int, x float64) Vec {
 	case 2:
 		v.Z = x
 	default:
-		panic(fmt.Sprintf("geom: axis index %d out of range", i))
+		panic(axisIndexError(i))
 	}
 	return v
+}
+
+// axisIndexError is the value Axis and WithAxis panic with. The message is
+// formatted by its Error method, out of line, so that the formatting does not
+// count against their inlining budget.
+type axisIndexError int
+
+func (i axisIndexError) Error() string {
+	return fmt.Sprintf("geom: axis index %d out of range", int(i))
 }
 
 // IsFinite reports whether all components are finite numbers.
