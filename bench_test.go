@@ -23,6 +23,7 @@ import (
 	"neurospatial/internal/join"
 	"neurospatial/internal/pager"
 	"neurospatial/internal/prefetch"
+	"neurospatial/internal/query"
 	"neurospatial/internal/rtree"
 	"neurospatial/internal/scout"
 	"neurospatial/internal/touch"
@@ -154,6 +155,58 @@ func BenchmarkE3ScoutPruning(b *testing.B) {
 	}
 	b.ReportMetric(float64(finalCandidates), "candidates")
 	b.ReportMetric(float64(len(boxes)), "steps")
+}
+
+// BenchmarkScoutPredict times SCOUT's prediction alone over one pass of a
+// walk set on the tissue-S model (256 layered neurons, ≈76k elements):
+// branches 0-2 of every 8th neuron, stride 8 and radius 15, each step's
+// result in FLAT's read order and the think-time budget of the default cost
+// model. One op is the pass; µs/step is Predict's mean per step and
+// allocs/op counts the whole pass.
+func BenchmarkScoutPredict(b *testing.B) {
+	m := benchModel(b, modelKey{neurons: 256, edge: 400, layered: true, seed: 1})
+	type step struct {
+		box    geom.AABB
+		result []int32
+	}
+	var walks [][]step
+	steps := 0
+	for n := 0; n < len(m.Circuit.Morphologies); n += 8 {
+		for br := 0; br < 3 && br < len(m.Circuit.Morphologies[n].Branches); br++ {
+			path, err := m.Circuit.BranchPath(int32(n), br)
+			if err != nil {
+				b.Fatal(err)
+			}
+			seq, err := query.Walkthrough(path, 8, 15)
+			if err != nil {
+				b.Fatal(err)
+			}
+			w := make([]step, seq.Len())
+			for i, st := range seq.Steps {
+				w[i].box = st.Box
+				m.Flat.Query(st.Box, nil, func(id int32) { w[i].result = append(w[i].result, id) })
+			}
+			walks = append(walks, w)
+			steps += len(w)
+		}
+	}
+	budget := (&prefetch.Simulator{Cost: pager.DefaultCostModel(), ThinkTime: 500 * time.Millisecond}).Budget()
+	s := scout.New(scout.Options{})
+	ctx := &prefetch.Context{Index: m.Flat, Segment: m.Segment}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, w := range walks {
+			s.Reset()
+			ctx.History = ctx.History[:0]
+			for _, st := range w {
+				ctx.History = append(ctx.History, st.box)
+				s.Predict(ctx, st.box, st.result, budget)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*steps), "µs/step")
+	b.ReportMetric(float64(steps), "steps")
 }
 
 func walkBoxes(b *testing.B, m *core.Model, neuron int32, branch int) []geom.AABB {

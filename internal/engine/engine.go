@@ -210,8 +210,9 @@ type SpatialIndex interface {
 
 // Paged is the storage capability of the engine indexes: element data lives
 // on pager pages read through a swappable PageSource, and the page geometry
-// is exposed for prefetchers (all three methods prefetch.PageGeometry
-// needs). Every index in this package implements it.
+// is exposed for prefetchers. PagesInRange is a one-range call of the
+// contenders' PagesInRanges, which with NumPages and PageOf makes each of them
+// a prefetch.PageGeometry. Every index in this package implements it.
 type Paged interface {
 	SpatialIndex
 	// Store returns the index's page store (wrap it in a pager.BufferPool

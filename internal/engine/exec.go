@@ -56,6 +56,9 @@ type traverser interface {
 type contender interface {
 	Paged
 	traverser
+	// PagesInRanges is the contender's prefetch.PageGeometry lookup of many
+	// ranges' pages at once; Paged's PagesInRange is a one-range call of it.
+	PagesInRanges(dst []pager.RangePage, boxes []geom.AABB) []pager.RangePage
 }
 
 // pickSource resolves where one traversal reads its pages: the source passed

@@ -184,12 +184,18 @@ func (f *Flat) PageOf(id int32) pager.PageID {
 	return f.idx.PageOf(id)
 }
 
-// PagesInRange implements Paged via the seed directory.
+// PagesInRange implements Paged: a one-range PagesInRanges.
 func (f *Flat) PagesInRange(q geom.AABB) []pager.PageID {
+	return pager.Pages(f.PagesInRanges(nil, []geom.AABB{q}))
+}
+
+// PagesInRanges implements prefetch.PageGeometry via the seed directory
+// (flat.Index.PagesInRanges).
+func (f *Flat) PagesInRanges(dst []pager.RangePage, boxes []geom.AABB) []pager.RangePage {
 	if f.idx == nil {
-		return nil
+		return dst
 	}
-	return f.idx.PagesInRange(q)
+	return f.idx.PagesInRanges(dst, boxes)
 }
 
 // SetSource implements Paged.

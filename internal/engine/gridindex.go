@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"neurospatial/internal/geom"
@@ -388,15 +390,42 @@ func (gx *Grid) PageOf(id int32) pager.PageID {
 	return gx.pageOf[id]
 }
 
-// PagesInRange implements Paged: the distinct pages of candidates in the
-// range, in first-touch (cell-major, so ascending) order.
+// PagesInRange implements Paged: a one-range PagesInRanges.
 func (gx *Grid) PagesInRange(q geom.AABB) []pager.PageID {
+	return pager.Pages(gx.PagesInRanges(nil, []geom.AABB{q}))
+}
+
+// PagesInRanges implements prefetch.PageGeometry. A range's pages are the
+// distinct pages of its candidates (pageRuns'), in ascending order; per window
+// of pager.RangeWindow ranges, the pages of all its ranges are merged in
+// ascending order, each once with the mask of the ranges that read it. The
+// merge sorts the window's pages in dst's tail, so it allocates only when dst
+// is short.
+func (gx *Grid) PagesInRanges(dst []pager.RangePage, boxes []geom.AABB) []pager.RangePage {
 	if gx.g == nil {
-		return nil
+		return dst
 	}
-	var out []pager.PageID
-	gx.pageRuns(q, func(p pager.PageID) { out = append(out, p) })
-	return out
+	for w, lo := int32(0), 0; lo < len(boxes); w, lo = w+1, lo+pager.RangeWindow {
+		start := len(dst)
+		for b, q := range boxes[lo:min(lo+pager.RangeWindow, len(boxes))] {
+			gx.pageRuns(q, func(p pager.PageID) {
+				dst = append(dst, pager.RangePage{Page: p, Window: w, Mask: 1 << b})
+			})
+		}
+		run := dst[start:]
+		slices.SortFunc(run, func(a, b pager.RangePage) int { return cmp.Compare(a.Page, b.Page) })
+		n := 0
+		for i := range run {
+			if n > 0 && run[n-1].Page == run[i].Page {
+				run[n-1].Mask |= run[i].Mask
+			} else {
+				run[n] = run[i]
+				n++
+			}
+		}
+		dst = dst[:start+n]
+	}
+	return dst
 }
 
 // SetSource implements Paged.

@@ -308,12 +308,45 @@ func (r *RTree) PageOf(id int32) pager.PageID {
 	return r.elemPage[id]
 }
 
-// PagesInRange implements Paged: the pages of every node a query of box q
-// would visit, in pre-order.
+// PagesInRange implements Paged: a one-range PagesInRanges.
 func (r *RTree) PagesInRange(q geom.AABB) []pager.PageID {
-	var out []pager.PageID
-	r.inRange(q, func(ni int32) { out = append(out, pager.PageID(ni)) })
-	return out
+	return pager.Pages(r.PagesInRanges(nil, []geom.AABB{q}))
+}
+
+// PagesInRanges implements prefetch.PageGeometry: one walk of the directory
+// per window of pager.RangeWindow ranges reports, in pre-order, the page of
+// every node a query of some range of the window would visit (inRange's), with
+// the mask of those ranges.
+func (r *RTree) PagesInRanges(dst []pager.RangePage, boxes []geom.AABB) []pager.RangePage {
+	if len(r.dir.Nodes) == 0 {
+		return dst
+	}
+	for w, lo := int32(0), 0; lo < len(boxes); w, lo = w+1, lo+pager.RangeWindow {
+		win := boxes[lo:min(lo+pager.RangeWindow, len(boxes))]
+		all := pager.WindowMask(len(win))
+		dst = r.nodesInRanges(dst, 0, win, all, pager.Cover(win, all), w)
+	}
+	return dst
+}
+
+// nodesInRanges is PagesInRanges' walk of the subtree under node ni for the
+// ranges of win that mask names; cover is their pager.Cover. The node's page
+// is reported, and its subtree walked, with the ranges that meet its box.
+func (r *RTree) nodesInRanges(dst []pager.RangePage, ni int32, win []geom.AABB, mask uint64, cover geom.AABB, w int32) []pager.RangePage {
+	n := &r.dir.Nodes[ni]
+	if m := pager.Meets(&n.Box, win, mask, &cover); m != mask {
+		if m == 0 {
+			return dst
+		}
+		mask, cover = m, pager.Cover(win, m)
+	}
+	dst = append(dst, pager.RangePage{Page: pager.PageID(ni), Window: w, Mask: mask})
+	if !n.Leaf() {
+		for _, ci := range r.dir.KidsOf(n) {
+			dst = r.nodesInRanges(dst, ci, win, mask, cover, w)
+		}
+	}
+	return dst
 }
 
 // SetSource implements Paged.

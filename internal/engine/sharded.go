@@ -355,21 +355,40 @@ func (s *Sharded) PageOf(id int32) pager.PageID {
 	return sh.pageBase + sh.sub.PageOf(s.local[id])
 }
 
-// PagesInRange implements Paged: the global pages a query of box q would
-// touch, shard by shard in shard order. Shard page spaces are disjoint, so
-// no cross-shard deduplication is needed.
+// PagesInRange implements Paged: a one-range PagesInRanges.
 func (s *Sharded) PagesInRange(q geom.AABB) []pager.PageID {
-	var out []pager.PageID
-	for i := range s.shards {
-		sh := &s.shards[i]
-		if !sh.bounds.Intersects(q) {
-			continue
-		}
-		for _, p := range sh.sub.PagesInRange(q) {
-			out = append(out, sh.pageBase+p)
+	return pager.Pages(s.PagesInRanges(nil, []geom.AABB{q}))
+}
+
+// PagesInRanges implements prefetch.PageGeometry: per window of
+// pager.RangeWindow ranges, the global pages of each shard's
+// PagesInRanges, shard by shard in shard order, a range counting for a shard
+// only when it meets the shard's bounds. Shard page spaces are disjoint, so
+// no cross-shard deduplication is needed.
+func (s *Sharded) PagesInRanges(dst []pager.RangePage, boxes []geom.AABB) []pager.RangePage {
+	for w, lo := int32(0), 0; lo < len(boxes); w, lo = w+1, lo+pager.RangeWindow {
+		win := boxes[lo:min(lo+pager.RangeWindow, len(boxes))]
+		all := pager.WindowMask(len(win))
+		cover := pager.Cover(win, all)
+		for i := range s.shards {
+			sh := &s.shards[i]
+			meets := pager.Meets(&sh.bounds, win, all, &cover)
+			if meets == 0 {
+				continue
+			}
+			start := len(dst)
+			dst = sh.sub.PagesInRanges(dst, win)
+			n := start
+			for _, h := range dst[start:] {
+				if h.Mask &= meets; h.Mask != 0 {
+					dst[n] = pager.RangePage{Page: sh.pageBase + h.Page, Window: w, Mask: h.Mask}
+					n++
+				}
+			}
+			dst = dst[:n]
 		}
 	}
-	return out
+	return dst
 }
 
 // SetSource implements Paged: src addresses the global page space.

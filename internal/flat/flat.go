@@ -14,8 +14,8 @@
 // Only data pages are disk reads, and the pages read are exactly those whose
 // MBRs intersect the range, so the I/O depends on the result size, not on
 // the density of the data. This walk is the one PagesInRange and the
-// engine's page stream name, and the engine's kNN search descends the same
-// directory.
+// engine's page stream name, PagesInRanges makes it for many ranges at once,
+// and the engine's kNN search descends the same directory.
 //
 // The paper instead finds one seed page with a single descent and crawls
 // precomputed page-neighbourhood links from it. With the directory in RAM
@@ -286,12 +286,17 @@ func (idx *Index) readPage(p pager.PageID, q geom.AABB, src pager.PageSource,
 }
 
 // PagesInRange returns the pages whose MBRs intersect q, in the order Query
-// reads them. Prefetchers use it to turn a predicted range into page
-// requests.
+// reads them: a one-range PagesInRanges.
 func (idx *Index) PagesInRange(q geom.AABB) []pager.PageID {
-	var out []pager.PageID
-	idx.seed.Query(q, func(it rtree.Item) {
-		out = append(out, pager.PageID(it.ID))
-	})
-	return out
+	return pager.Pages(idx.PagesInRanges(nil, []geom.AABB{q}))
+}
+
+// PagesInRanges appends to dst the pages queries of boxes would read, in one
+// walk of the seed directory per window of pager.RangeWindow ranges: each
+// page once per window, with the mask of the window's ranges whose boxes its
+// MBR meets. The pages carrying a range's bit are those PagesInRange names
+// for it, in its order. Prefetchers turn all of a step's predicted ranges
+// into page requests with it.
+func (idx *Index) PagesInRanges(dst []pager.RangePage, boxes []geom.AABB) []pager.RangePage {
+	return idx.seed.PagesInRanges(dst, boxes)
 }

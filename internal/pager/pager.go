@@ -13,9 +13,12 @@ package pager
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"neurospatial/internal/geom"
 )
 
 // PageID identifies a page in a Store. Valid IDs are dense, starting at 0.
@@ -23,6 +26,105 @@ type PageID int32
 
 // InvalidPage is returned by lookups that find no page.
 const InvalidPage PageID = -1
+
+// RangeWindow is how many ranges one RangePage mask speaks of. A multi-range
+// lookup takes its ranges in consecutive windows of this many.
+const RangeWindow = 64
+
+// RangePage is one page a multi-range lookup reports (the PagesInRanges of
+// FLAT and the engine's contenders): the page, and as a bitmask the ranges of
+// one window whose queries would read it.
+type RangePage struct {
+	Page PageID
+	// Window numbers the window of ranges Mask speaks of.
+	Window int32
+	// Mask has bit b set when range Window*RangeWindow+b reads Page. It is
+	// never zero.
+	Mask uint64
+}
+
+// Pages returns the pages of hits, in order.
+func Pages(hits []RangePage) []PageID {
+	if len(hits) == 0 {
+		return nil
+	}
+	out := make([]PageID, len(hits))
+	for i, h := range hits {
+		out[i] = h.Page
+	}
+	return out
+}
+
+// Meets returns the bits of mask whose ranges box intersects: bit b of the
+// result is set when bit b of mask is and box meets ranges[b]. cover is
+// Cover(ranges, mask); a box that misses it meets none of the ranges, which
+// one test settles.
+func Meets(box *geom.AABB, ranges []geom.AABB, mask uint64, cover *geom.AABB) uint64 {
+	if meet(box, cover) == 0 {
+		return 0
+	}
+	var out uint64
+	for m := mask; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		out |= meet(box, &ranges[b]) << b
+	}
+	return out
+}
+
+// meet returns 1 when a and b intersect and 0 when they do not, as
+// a.Intersects(b) reports, but without a branch: which of the six
+// comparisons fails is data the branch predictor cannot learn.
+func meet(a, b *geom.AABB) uint64 {
+	return b2u(a.Min.X <= b.Max.X) & b2u(b.Min.X <= a.Max.X) &
+		b2u(a.Min.Y <= b.Max.Y) & b2u(b.Min.Y <= a.Max.Y) &
+		b2u(a.Min.Z <= b.Max.Z) & b2u(b.Min.Z <= a.Max.Z)
+}
+
+func b2u(c bool) uint64 {
+	var u uint64
+	if c {
+		u = 1
+	}
+	return u
+}
+
+// Cover returns a box that every box meeting one of the ranges mask names
+// meets: the smallest box holding those ranges, a range with a NaN
+// coordinate (which meets nothing) left out.
+func Cover(ranges []geom.AABB, mask uint64) geom.AABB {
+	c := geom.EmptyAABB()
+	for m := mask; m != 0; m &= m - 1 {
+		r := &ranges[bits.TrailingZeros64(m)]
+		// A comparison with NaN is false, so NaN coordinates are skipped.
+		if r.Min.X < c.Min.X {
+			c.Min.X = r.Min.X
+		}
+		if r.Min.Y < c.Min.Y {
+			c.Min.Y = r.Min.Y
+		}
+		if r.Min.Z < c.Min.Z {
+			c.Min.Z = r.Min.Z
+		}
+		if r.Max.X > c.Max.X {
+			c.Max.X = r.Max.X
+		}
+		if r.Max.Y > c.Max.Y {
+			c.Max.Y = r.Max.Y
+		}
+		if r.Max.Z > c.Max.Z {
+			c.Max.Z = r.Max.Z
+		}
+	}
+	return c
+}
+
+// WindowMask returns the mask of every range of a window of n ranges.
+func WindowMask(n int) uint64 {
+	if n >= RangeWindow {
+		return ^uint64(0)
+	}
+	return 1<<n - 1
+}
 
 // Store is an immutable collection of pages, each holding the IDs of the
 // elements laid out on it. Build one with a Builder.

@@ -64,7 +64,7 @@ func (m *Markov) Train(sessions ...[][]pager.PageID) {
 func (m *Markov) TrainFromWalkthrough(ctx *Context, boxes []geom.AABB) {
 	session := make([][]pager.PageID, len(boxes))
 	for i, q := range boxes {
-		session[i] = ctx.Index.PagesInRange(q)
+		session[i] = PagesInRange(ctx.Index, q)
 	}
 	m.Train(session)
 }
@@ -73,7 +73,7 @@ func (m *Markov) TrainFromWalkthrough(ctx *Context, boxes []geom.AABB) {
 // the current query's pages, excluding pages the current query already
 // demanded.
 func (m *Markov) Predict(ctx *Context, q geom.AABB, _ []int32, budget int) []pager.PageID {
-	cur := ctx.Index.PagesInRange(q)
+	cur := PagesInRange(ctx.Index, q)
 	m.prev = cur
 	if budget <= 0 {
 		return nil

@@ -30,24 +30,36 @@ import (
 )
 
 // PageGeometry is the page-layout surface prefetchers need from the index
-// serving a walkthrough: how a spatial range maps to pages. flat.Index and
-// every engine.SpatialIndex wrapper satisfy it, so prefetching is no longer
-// FLAT-specific.
+// serving a walkthrough: how spatial ranges map to pages. flat.Index and the
+// engine's four contenders satisfy it, so prefetching is not FLAT-specific.
 type PageGeometry interface {
-	// PagesInRange returns the pages a query of box q would touch.
-	PagesInRange(q geom.AABB) []pager.PageID
+	// PagesInRanges appends to dst the pages queries of boxes would touch:
+	// per window of pager.RangeWindow consecutive boxes, windows in order,
+	// each page once with the mask of the window's boxes that touch it. The
+	// pages carrying one box's bit are the pages a query of that box touches,
+	// in the order the query reads them. One call looks up all of a step's
+	// predicted ranges — FLAT's and the R-tree's in one directory walk per
+	// window — and allocates only when dst is short.
+	PagesInRanges(dst []pager.RangePage, boxes []geom.AABB) []pager.RangePage
 	// PageOf returns the page holding element id.
 	PageOf(id int32) pager.PageID
 	// NumPages returns the number of data pages.
 	NumPages() int
 }
 
+// PagesInRange returns the pages a query of box q would touch on g, in the
+// order the query reads them: a one-range PagesInRanges.
+func PagesInRange(g PageGeometry, q geom.AABB) []pager.PageID {
+	return pager.Pages(g.PagesInRanges(nil, []geom.AABB{q}))
+}
+
 // Served is the full index surface the walkthrough Simulator drives: page
-// geometry for prediction, the page store to cache, and a query path that
+// geometry for prediction (PagesInRanges speaks of the pages of Store, the
+// ones PagedQuery reads), the page store to cache, and a query path that
 // reads through a buffer pool (so demand reads, hits and prefetch hits are
-// accounted). flat.Index satisfies it directly; the engine layer's indexes
-// (FLAT, R-tree, grid, sharded) all satisfy it too, which is what lets the
-// buffer-pool + prefetch/SCOUT stack sit beneath any index.
+// accounted). flat.Index satisfies it directly; the engine layer's four
+// contenders (FLAT, R-tree, grid, sharded) satisfy it too, which is what lets
+// the buffer-pool + prefetch/SCOUT stack sit beneath any index.
 type Served interface {
 	PageGeometry
 	// Store returns the page store the simulator wraps in a pool.
@@ -129,18 +141,13 @@ func (Hilbert) Predict(ctx *Context, q geom.AABB, _ []int32, budget int) []pager
 	if budget <= 0 {
 		return nil
 	}
-	pages := ctx.Index.PagesInRange(q)
+	pages := ctx.Index.PagesInRanges(nil, []geom.AABB{q})
 	if len(pages) == 0 {
 		return nil
 	}
-	lo, hi := pages[0], pages[0]
+	lo, hi := pages[0].Page, pages[0].Page
 	for _, p := range pages[1:] {
-		if p < lo {
-			lo = p
-		}
-		if p > hi {
-			hi = p
-		}
+		lo, hi = min(lo, p.Page), max(hi, p.Page)
 	}
 	n := pager.PageID(ctx.Index.NumPages())
 	var out []pager.PageID
@@ -189,7 +196,7 @@ func (Extrapolation) Predict(ctx *Context, q geom.AABB, _ []int32, budget int) [
 	next := cur.Add(step)
 	half := q.Size().Scale(0.5)
 	predicted := geom.AABB{Min: next.Sub(half), Max: next.Add(half)}
-	pages := ctx.Index.PagesInRange(predicted)
+	pages := PagesInRange(ctx.Index, predicted)
 	if len(pages) > budget {
 		pages = pages[:budget]
 	}

@@ -11,6 +11,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 
 	"neurospatial/internal/geom"
 )
@@ -38,16 +39,18 @@ func (s *Sequence) Len() int { return len(s.Steps) }
 // path generates: the path is resampled at arc-length intervals of stride and
 // a cubic range query of half-extent radius is issued at each sample. This is
 // the §3 workload: "at every step they retrieve the surroundings of the
-// branch at a particular point and visualize it".
+// branch at a particular point and visualize it". Stride and radius must be
+// positive and finite, and a stride must move a sample: one too small to
+// change the coordinates it is added to is an error, not an endless walk.
 func Walkthrough(path []geom.Vec, stride, radius float64) (*Sequence, error) {
 	if len(path) < 2 {
 		return nil, fmt.Errorf("query: walkthrough path needs >= 2 points, got %d", len(path))
 	}
-	if stride <= 0 {
-		return nil, fmt.Errorf("query: stride must be positive, got %v", stride)
+	if !(stride > 0) || math.IsInf(stride, 1) {
+		return nil, fmt.Errorf("query: stride must be positive and finite, got %v", stride)
 	}
-	if radius <= 0 {
-		return nil, fmt.Errorf("query: radius must be positive, got %v", radius)
+	if !(radius > 0) || math.IsInf(radius, 1) {
+		return nil, fmt.Errorf("query: radius must be positive and finite, got %v", radius)
 	}
 	seq := &Sequence{Radius: radius}
 	emit := func(p geom.Vec) {
@@ -66,6 +69,11 @@ func Walkthrough(path []geom.Vec, stride, radius float64) (*Sequence, error) {
 		for carried+segLen >= stride {
 			t := (stride - carried) / segLen
 			p := a.Lerp(b, t)
+			if p == a && carried == 0 {
+				// A whole stride leaves the sample where it is, and so
+				// would every one after it.
+				return nil, fmt.Errorf("query: stride %v does not advance the walk at %v", stride, a)
+			}
 			emit(p)
 			a = p
 			segLen = a.Dist(b)

@@ -21,6 +21,34 @@ func TestWalkthroughValidation(t *testing.T) {
 	}
 }
 
+// TestWalkthroughRejectsNonFiniteAndStallingStrides: NaN and infinite strides
+// and radii are errors, and so is a stride too small to move a sample off
+// its coordinates (1e-14 at x ≈ 1000, where one ulp is ≈ 1.1e-13), which
+// would otherwise emit the same sample until memory runs out.
+func TestWalkthroughRejectsNonFiniteAndStallingStrides(t *testing.T) {
+	path := []geom.Vec{geom.V(0, 0, 0), geom.V(10, 0, 0)}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Walkthrough(path, bad, 1); err == nil {
+			t.Errorf("stride %v accepted", bad)
+		}
+		if _, err := Walkthrough(path, 1, bad); err == nil {
+			t.Errorf("radius %v accepted", bad)
+		}
+	}
+	far := []geom.Vec{geom.V(1000, 0, 0), geom.V(1001, 0, 0)}
+	if _, err := Walkthrough(far, 1e-14, 1); err == nil {
+		t.Error("a stride that cannot advance the walk was accepted")
+	}
+	// A stride of two ulps there walks a segment ten ulps long in five.
+	ulp := math.Nextafter(1000, 2000) - 1000
+	short := []geom.Vec{far[0], geom.V(1000+10*ulp, 0, 0)}
+	if seq, err := Walkthrough(short, 2*ulp, 1); err != nil {
+		t.Errorf("stride of two ulps at x = 1000: %v", err)
+	} else if seq.Len() != 6 {
+		t.Errorf("stride of two ulps at x = 1000: %d steps, want 6", seq.Len())
+	}
+}
+
 func TestWalkthroughStraightLine(t *testing.T) {
 	path := []geom.Vec{geom.V(0, 0, 0), geom.V(10, 0, 0)}
 	seq, err := Walkthrough(path, 2, 3)

@@ -1,6 +1,9 @@
 package rtree
 
-import "neurospatial/internal/geom"
+import (
+	"neurospatial/internal/geom"
+	"neurospatial/internal/pager"
+)
 
 // Dir is a built tree lowered into flat arrays: the form every reader walks.
 // Lower writes it in one pre-order walk, so node i's subtree follows it and
@@ -127,4 +130,46 @@ func (d *Dir) query(ni int32, q geom.AABB, visit func(Item), stats *QueryStats) 
 			d.query(k, q, visit, stats)
 		}
 	}
+}
+
+// PagesInRanges appends to dst, for the ranges boxes, every item whose box
+// meets at least one of them, its ID taken as a page (FLAT's seed indexes
+// pages), with the mask of the ranges it meets. It walks the directory once
+// per window of pager.RangeWindow ranges, windows in order, and reports an
+// item once per window, in Query's depth-first order: the items carrying bit
+// b of window w are exactly those Query(boxes[w*pager.RangeWindow+b])
+// visits, in its order. It allocates only when dst is short.
+func (d *Dir) PagesInRanges(dst []pager.RangePage, boxes []geom.AABB) []pager.RangePage {
+	if len(d.Nodes) == 0 {
+		return dst
+	}
+	for w, lo := int32(0), 0; lo < len(boxes); w, lo = w+1, lo+pager.RangeWindow {
+		win := boxes[lo:min(lo+pager.RangeWindow, len(boxes))]
+		all := pager.WindowMask(len(win))
+		dst = d.inRanges(dst, 0, win, all, pager.Cover(win, all), w)
+	}
+	return dst
+}
+
+// inRanges is PagesInRanges' walk of the subtree under node ni for the ranges
+// of win that mask names, all of which may meet it; cover is their Cover.
+func (d *Dir) inRanges(dst []pager.RangePage, ni int32, win []geom.AABB, mask uint64, cover geom.AABB, w int32) []pager.RangePage {
+	n := &d.Nodes[ni]
+	if n.Leaf() {
+		items := d.ItemsOf(n)
+		for i := range items {
+			if m := pager.Meets(&items[i].Box, win, mask, &cover); m != 0 {
+				dst = append(dst, pager.RangePage{Page: pager.PageID(items[i].ID), Window: w, Mask: m})
+			}
+		}
+		return dst
+	}
+	for _, k := range d.KidsOf(n) {
+		if m := pager.Meets(&d.Nodes[k].Box, win, mask, &cover); m == mask {
+			dst = d.inRanges(dst, k, win, m, cover, w)
+		} else if m != 0 {
+			dst = d.inRanges(dst, k, win, m, pager.Cover(win, m), w)
+		}
+	}
+	return dst
 }

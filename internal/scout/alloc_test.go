@@ -1,9 +1,3 @@
-//go:build go1.24
-
-// The allocation gate needs Go 1.24's maps, which keep their tables across
-// clear; earlier runtimes drop a cleared map's overflow buckets, so a step can
-// allocate one back when its joints hash unevenly.
-
 package scout
 
 import (

@@ -22,15 +22,19 @@
 //     pages of those predicted ranges are prefetched.
 //
 // All of this runs between two interactive steps, so a Scout keeps its
-// working set — the union-find, the joints map, the per-position structure
-// labels, the ranked predictions and a page stamp array — and reuses it
-// across steps and walkthroughs: in steady state Predict allocates only the
-// slice it returns. One Scout serves one walkthrough goroutine at a time,
-// which its candidate state between steps already required.
+// working set — the union-find, an open-addressed joint table, the
+// per-position structure labels, the ranked predictions, the page lookup's
+// output and stamp arrays over element IDs (the candidate set) and pages —
+// and reuses it across steps and walkthroughs. Stamps carry a generation, so
+// clearing a table or a set is one increment. The predicted ranges of a step
+// become pages in one PagesInRanges lookup. In steady state Predict allocates
+// only the slice it returns. One Scout serves one walkthrough goroutine at a
+// time, which its candidate state between steps already required.
 package scout
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"neurospatial/internal/geom"
@@ -61,11 +65,13 @@ type Options struct {
 // the candidate set between the steps of one walkthrough; Reset clears it.
 type Scout struct {
 	opts Options
-	// cand is the sorted, de-duplicated union of the elements of the
-	// structures that were candidates after the latest step: the next
-	// step's pruning set and LastCandidateContains' answer. next is built
-	// beside it and the two are swapped.
-	cand, next []int32
+	// The elements of the structures that were candidates after the latest
+	// step — the next step's pruning set and LastCandidateContains' answer —
+	// are the element IDs whose cand stamp is candGen; hasCand says whether
+	// there are any.
+	cand    []uint32 // by element ID
+	candGen uint32
+	hasCand bool
 	// lastCandidates is the candidate count after the latest Predict call,
 	// exposed for the E3 pruning experiment.
 	lastCandidates int
@@ -74,11 +80,14 @@ type Scout struct {
 	segs   []geom.Segment
 	parent []int32 // union-find forest
 	label  []int32 // structure number, in order of first appearance
-	joints map[[3]int64]int32
+	joints jointTable
 	kept   []bool  // by structure number: a candidate this step
 	off    []int32 // by structure number: first slot of its exits in preds
 	exits  []exitEdge
 	preds  []ranked
+	boxes  []geom.AABB       // the predicted ranges, best first
+	hits   []pager.RangePage // their pages
+	order  []pager.PageID    // one window's pages, best range first
 	pages  []pager.PageID
 	seen   []uint32 // by page: the gen of the step that took it
 	gen    uint32
@@ -95,7 +104,7 @@ func New(opts Options) *Scout {
 	if opts.PredictRadiusFactor <= 0 {
 		opts.PredictRadiusFactor = 1.3
 	}
-	return &Scout{opts: opts, joints: make(map[[3]int64]int32)}
+	return &Scout{opts: opts}
 }
 
 // Name implements prefetch.Prefetcher.
@@ -103,7 +112,7 @@ func (s *Scout) Name() string { return "scout" }
 
 // Reset implements prefetch.Prefetcher.
 func (s *Scout) Reset() {
-	s.cand = s.cand[:0]
+	s.hasCand = false
 	s.lastCandidates = 0
 }
 
@@ -116,8 +125,33 @@ func (s *Scout) LastCandidateCount() int { return s.lastCandidates }
 // current candidate structure. The E3 experiment uses it with morphology
 // ground truth to verify the followed branch is never pruned away.
 func (s *Scout) LastCandidateContains(id int32) bool {
-	_, ok := slices.BinarySearch(s.cand, id)
-	return ok
+	return s.hasCand && s.isCand(id)
+}
+
+// isCand reports whether id is stamped into the candidate set.
+func (s *Scout) isCand(id int32) bool {
+	return uint(id) < uint(len(s.cand)) && s.cand[id] == s.candGen
+}
+
+// newCandidates empties the candidate set for the stamps of a new one.
+func (s *Scout) newCandidates() {
+	if s.candGen++; s.candGen == 0 {
+		clear(s.cand)
+		s.candGen = 1
+	}
+	s.hasCand = false
+}
+
+// addCandidate stamps element id into the candidate set, growing the stamps
+// to cover it. Element IDs index the circuit's elements, so the stamps are
+// at most one word per element.
+func (s *Scout) addCandidate(id int32) {
+	if int(id) >= len(s.cand) {
+		s.cand = slices.Grow(s.cand, int(id)+1-len(s.cand))
+		s.cand = s.cand[:cap(s.cand)]
+	}
+	s.cand[id] = s.candGen
+	s.hasCand = true
 }
 
 // exitEdge is a place where a structure's edge leaves the query box.
@@ -158,13 +192,11 @@ func (s *Scout) Predict(ctx *prefetch.Context, q geom.AABB, result []int32, budg
 	s.kept = grow(s.kept, n)
 	clear(s.kept)
 	kept := 0
-	if len(s.cand) > 0 {
+	if s.hasCand {
 		for i, id := range result {
-			if st := s.label[i]; !s.kept[st] {
-				if _, ok := slices.BinarySearch(s.cand, id); ok {
-					s.kept[st] = true
-					kept++
-				}
+			if st := s.label[i]; !s.kept[st] && s.isCand(id) {
+				s.kept[st] = true
+				kept++
 			}
 		}
 	}
@@ -175,14 +207,12 @@ func (s *Scout) Predict(ctx *prefetch.Context, q geom.AABB, result []int32, budg
 		kept = n
 	}
 	s.lastCandidates = kept
-	s.next = s.next[:0]
+	s.newCandidates()
 	for i, id := range result {
 		if s.kept[s.label[i]] {
-			s.next = append(s.next, id)
+			s.addCandidate(id)
 		}
 	}
-	slices.Sort(s.next)
-	s.cand, s.next = slices.Compact(s.next), s.cand
 	if budget <= 0 {
 		return nil
 	}
@@ -236,13 +266,19 @@ func (s *Scout) Predict(ctx *prefetch.Context, q geom.AABB, result []int32, budg
 		s.preds[j+1] = ranked{box: geom.AABB{Min: two.Sub(r), Max: two.Add(r)}, score: score - 0.01}
 	}
 	slices.SortStableFunc(s.preds, byScore)
-	preds := s.preds
-	if len(preds) > s.opts.MaxPredictions {
-		preds = preds[:s.opts.MaxPredictions]
+	s.boxes = s.boxes[:0]
+	for _, pr := range s.preds[:min(len(s.preds), s.opts.MaxPredictions)] {
+		s.boxes = append(s.boxes, pr.box)
+	}
+	if len(s.boxes) == 0 {
+		return nil
 	}
 
-	// Convert predicted ranges to pages, best prediction first, each page
-	// once: a page is taken when its stamp is not this step's generation.
+	// Convert the predicted ranges to pages, best range first and each
+	// range's pages in its query's order, each page once: one lookup names
+	// every range's pages, and a page is taken when its stamp is not this
+	// step's generation.
+	s.hits = ctx.Index.PagesInRanges(s.hits[:0], s.boxes)
 	if np := ctx.Index.NumPages(); len(s.seen) < np {
 		s.seen = make([]uint32, np)
 	}
@@ -251,22 +287,48 @@ func (s *Scout) Predict(ctx *prefetch.Context, q geom.AABB, result []int32, budg
 		s.gen = 1
 	}
 	s.pages = s.pages[:0]
-fill:
-	for _, pr := range preds {
-		for _, pg := range ctx.Index.PagesInRange(pr.box) {
-			if s.seen[pg] != s.gen {
-				s.seen[pg] = s.gen
-				s.pages = append(s.pages, pg)
-				if len(s.pages) >= budget {
-					break fill
-				}
-			}
+	for hits := s.hits; len(hits) > 0 && len(s.pages) < budget; {
+		n := 1
+		for n < len(hits) && hits[n].Window == hits[0].Window {
+			n++
 		}
+		s.take(hits[:n], budget)
+		hits = hits[n:]
 	}
 	if len(s.pages) == 0 {
 		return nil
 	}
 	return slices.Clone(s.pages)
+}
+
+// take appends the pages of one window's hits to s.pages until the budget is
+// reached, best range first. A page not taken by an earlier window belongs to
+// the first range that reads it, the lowest bit of its mask; a counting sort
+// by that range keeps each range's pages in lookup order, which is its query's
+// order.
+func (s *Scout) take(hits []pager.RangePage, budget int) {
+	var start [pager.RangeWindow + 1]int32
+	for _, h := range hits {
+		start[bits.TrailingZeros64(h.Mask)+1]++
+	}
+	for b := 1; b < len(start); b++ {
+		start[b] += start[b-1]
+	}
+	s.order = grow(s.order, len(hits))
+	for _, h := range hits {
+		b := bits.TrailingZeros64(h.Mask)
+		s.order[start[b]] = h.Page
+		start[b]++
+	}
+	for _, pg := range s.order {
+		if s.seen[pg] != s.gen {
+			s.seen[pg] = s.gen
+			s.pages = append(s.pages, pg)
+			if len(s.pages) >= budget {
+				return
+			}
+		}
+	}
 }
 
 // reconstruct stitches the result segments into skeleton structures: it
@@ -279,13 +341,16 @@ func (s *Scout) reconstruct(ctx *prefetch.Context, result []int32) int {
 	s.parent = grow(s.parent, n)
 	s.label = grow(s.label, n)
 	// Union-find over result positions, keyed by quantized endpoints.
-	clear(s.joints)
+	// The segments are fetched in a loop of their own: the fetches are
+	// independent, so their cache misses overlap.
 	for i, id := range result {
-		seg := ctx.Segment(id)
-		s.segs[i] = seg
+		s.segs[i] = ctx.Segment(id)
+	}
+	s.joints.reset(2 * n)
+	for i := range s.segs {
 		s.parent[i] = int32(i)
-		s.register(int32(i), seg.A)
-		s.register(int32(i), seg.B)
+		s.register(int32(i), s.segs[i].A)
+		s.register(int32(i), s.segs[i].B)
 	}
 	// Every position's root first; then the roots are numbered in order of
 	// first appearance, the number stored in the root's parent slot as its
@@ -308,13 +373,10 @@ func (s *Scout) reconstruct(ctx *prefetch.Context, result []int32) int {
 // register joins position i to the first position that registered the
 // joint at p, or registers it.
 func (s *Scout) register(i int32, p geom.Vec) {
-	k := s.quantize(p)
-	if j, ok := s.joints[k]; ok {
+	if j := s.joints.first(s.quantize(p), i); j != i {
 		if ri, rj := s.find(i), s.find(j); ri != rj {
 			s.parent[ri] = rj
 		}
-	} else {
-		s.joints[k] = i
 	}
 }
 
@@ -325,6 +387,57 @@ func (s *Scout) find(x int32) int32 {
 		x = s.parent[x]
 	}
 	return x
+}
+
+// jointTable maps the joint keys of one step to the first result position
+// that registered them. The step's joints are kept densely, in order of
+// registration; an open-addressed, linearly probed slot array indexes them.
+// A slot holds its generation in the high word and a joint's index in the
+// low one, and belongs to the current step when the generation is the
+// table's, so a step starts empty with one increment.
+type jointTable struct {
+	slots  []uint64
+	joints []joint
+	shift  uint8 // 64 - log2(len(slots))
+	gen    uint32
+}
+
+type joint struct {
+	key [3]int64
+	pos int32 // the result position that registered it
+}
+
+// reset empties the table for up to n keys, keeping it at most half full.
+func (t *jointTable) reset(n int) {
+	if size := 2 * max(n, 4); len(t.slots) < size {
+		logSize := bits.Len(uint(size - 1))
+		t.slots = make([]uint64, 1<<logSize)
+		t.shift = uint8(64 - logSize)
+		t.gen = 0
+	}
+	if t.gen++; t.gen == 0 {
+		clear(t.slots)
+		t.gen = 1
+	}
+	t.joints = t.joints[:0]
+}
+
+// first returns the position registered for key k, registering i for it
+// when there is none.
+func (t *jointTable) first(k [3]int64, i int32) int32 {
+	h := (uint64(k[0]) ^ bits.RotateLeft64(uint64(k[1]), 21) ^ bits.RotateLeft64(uint64(k[2]), 42)) * 0x9e3779b97f4a7c15
+	mask := len(t.slots) - 1
+	for j := int(h >> t.shift); ; j = (j + 1) & mask {
+		sl := t.slots[j]
+		if uint32(sl>>32) != t.gen {
+			t.slots[j] = uint64(t.gen)<<32 | uint64(len(t.joints))
+			t.joints = append(t.joints, joint{key: k, pos: i})
+			return i
+		}
+		if jt := &t.joints[uint32(sl)]; jt.key == k {
+			return jt.pos
+		}
+	}
 }
 
 // grow returns buf resized to n, reallocating only when its capacity is

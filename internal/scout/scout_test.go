@@ -2,6 +2,7 @@ package scout
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"testing"
@@ -396,7 +397,7 @@ func (s *mapScout) Predict(ctx *prefetch.Context, q geom.AABB, result []int32, b
 	var out []pager.PageID
 	seen := make(map[pager.PageID]bool)
 	for _, pr := range preds {
-		for _, pg := range ctx.Index.PagesInRange(pr.box) {
+		for _, pg := range prefetch.PagesInRange(ctx.Index, pr.box) {
 			if !seen[pg] {
 				seen[pg] = true
 				out = append(out, pg)
@@ -487,7 +488,8 @@ func (s *mapScout) reconstruct(ctx *prefetch.Context, q geom.AABB, result []int3
 // stem to each branch's end, with one empty-result step mid-walk — through
 // one Scout (Reset between walks, so its scratch carries over) and through
 // the map-based oracle. Results arrive in FLAT's crawl order (PagedQuery's)
-// and in ascending ID order (Do's), at Tolerance 0 and 0.5. Every step must
+// and in ascending ID order (Do's), at Tolerance 0 and 0.5 and with
+// MaxPredictions 40 (five times the default's ranges). Every step must
 // yield the same pages in the same order, the same candidate count and the
 // same candidate membership for every result ID.
 func TestPredictMatchesMapOracle(t *testing.T) {
@@ -530,9 +532,10 @@ func TestPredictMatchesMapOracle(t *testing.T) {
 	}
 
 	steps := 0
-	for _, tol := range []float64{0, 0.5} {
+	for _, run := range []Options{{Tolerance: 0}, {Tolerance: 0.5}, {MaxPredictions: 40}} {
+		tol := run.Tolerance
 		for _, idOrder := range []bool{false, true} {
-			s, o := New(Options{Tolerance: tol}), newMapScout(Options{Tolerance: tol})
+			s, o := New(run), newMapScout(run)
 			ctx := &prefetch.Context{Index: f.index, Segment: seg}
 			for wi, w := range walks {
 				s.Reset()
@@ -552,7 +555,7 @@ func TestPredictMatchesMapOracle(t *testing.T) {
 					want := o.Predict(ctx, q, result, budget)
 					got := s.Predict(ctx, q, result, budget)
 					where := func() string {
-						return fmt.Sprintf("tolerance %g, ID order %v, walk %d, step %d", tol, idOrder, wi, i)
+						return fmt.Sprintf("tolerance %g, %d predictions, ID order %v, walk %d, step %d", tol, s.opts.MaxPredictions, idOrder, wi, i)
 					}
 					if !slices.Equal(got, want) {
 						t.Fatalf("%s: pages %v, oracle %v", where(), got, want)
@@ -573,18 +576,25 @@ func TestPredictMatchesMapOracle(t *testing.T) {
 	t.Logf("%d walks, %d steps compared", len(walks), steps)
 }
 
-// fixedPages is a PageGeometry whose PagesInRange returns one preallocated
-// slice, so an allocation count sees only the prefetcher's own.
+// fixedPages is a PageGeometry that names the same pages for every range,
+// appended to the caller's buffer, so an allocation count sees only the
+// prefetcher's own.
 type fixedPages struct {
 	pages []pager.PageID
 	calls *int
 }
 
-func (g fixedPages) PagesInRange(geom.AABB) []pager.PageID {
+func (g fixedPages) PagesInRanges(dst []pager.RangePage, boxes []geom.AABB) []pager.RangePage {
 	if g.calls != nil {
 		*g.calls++
 	}
-	return g.pages
+	for w, lo := int32(0), 0; lo < len(boxes); w, lo = w+1, lo+pager.RangeWindow {
+		mask := pager.WindowMask(len(boxes) - lo)
+		for _, p := range g.pages {
+			dst = append(dst, pager.RangePage{Page: p, Window: w, Mask: mask})
+		}
+	}
+	return dst
 }
 func (g fixedPages) PageOf(int32) pager.PageID { return 0 }
 func (g fixedPages) NumPages() int             { return 64 }
@@ -642,7 +652,7 @@ func TestPrefetchersRespectBudget(t *testing.T) {
 		}
 	}
 	if calls != 0 {
-		t.Errorf("budget 0 called PagesInRange %d times", calls)
+		t.Errorf("budget 0 called PagesInRanges %d times", calls)
 	}
 }
 
@@ -650,9 +660,12 @@ func TestPrefetchersRespectBudget(t *testing.T) {
 // answers each with one page.
 type boxRecorder struct{ boxes *[]geom.AABB }
 
-func (g boxRecorder) PagesInRange(q geom.AABB) []pager.PageID {
-	*g.boxes = append(*g.boxes, q)
-	return []pager.PageID{pager.PageID(len(*g.boxes) - 1)}
+func (g boxRecorder) PagesInRanges(dst []pager.RangePage, boxes []geom.AABB) []pager.RangePage {
+	for b, q := range boxes {
+		*g.boxes = append(*g.boxes, q)
+		dst = append(dst, pager.RangePage{Page: pager.PageID(len(*g.boxes) - 1), Window: int32(b / pager.RangeWindow), Mask: 1 << (b % pager.RangeWindow)})
+	}
+	return dst
 }
 func (g boxRecorder) PageOf(int32) pager.PageID { return 0 }
 func (g boxRecorder) NumPages() int             { return 64 }
@@ -694,6 +707,58 @@ func TestPredictedBoxesKeepQueryAspect(t *testing.T) {
 			if b.Center().Dist(wantCenter) > 1e-9 {
 				t.Errorf("%s: range %d centered at %v, want %v", tc.name, k, b.Center(), wantCenter)
 			}
+		}
+	}
+}
+
+// TestPredictBeyondOneMaskWindow: a step whose predicted ranges outnumber
+// one PagesInRanges mask window (a star of 48 segments leaving the query,
+// 96 ranges) takes the same pages as the oracle, whose per-range lookups
+// know no windows, at budgets that stop in the first window, the second and
+// not at all.
+func TestPredictBeyondOneMaskWindow(t *testing.T) {
+	center := geom.V(50, 50, 50)
+	q := geom.BoxAround(center, 15)
+	var segs []geom.Segment
+	var items []rtree.Item
+	for i := 0; i < 48; i++ {
+		// Directions spread over the sphere (a golden-angle spiral).
+		z := 1 - (float64(i)+0.5)/24
+		r := math.Sqrt(1 - z*z)
+		phi := float64(i) * 2.399963229728653
+		tip := center.Add(geom.V(r*math.Cos(phi), r*math.Sin(phi), z).Scale(30))
+		segs = append(segs, geom.Seg(center, tip, 0.5))
+		items = append(items, rtree.Item{Box: segs[i].Bounds(), ID: int32(i)})
+	}
+	// Filler elements, so that the predicted ranges find pages.
+	for x := 0.0; x <= 100; x += 4 {
+		for y := 0.0; y <= 100; y += 4 {
+			for z := 0.0; z <= 100; z += 4 {
+				items = append(items, rtree.Item{Box: geom.BoxAround(geom.V(x, y, z), 1), ID: int32(len(items))})
+			}
+		}
+	}
+	idx, err := flat.Build(items, flat.Options{PageSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	result := make([]int32, len(segs))
+	for i := range result {
+		result[i] = int32(i)
+	}
+	ctx := &prefetch.Context{Index: idx, Segment: func(id int32) geom.Segment { return segs[id] }, History: []geom.AABB{q}}
+	// The pages of all ranges, and of the first window's.
+	all := len(newMapScout(Options{MaxPredictions: 200}).Predict(ctx, q, result, 1<<20))
+	first := len(newMapScout(Options{MaxPredictions: pager.RangeWindow}).Predict(ctx, q, result, 1<<20))
+	if first >= all {
+		t.Fatalf("the second window adds no page (%d of %d)", first, all)
+	}
+	opts := Options{MaxPredictions: 200}
+	for _, budget := range []int{10, (first + all) / 2, all + 1} {
+		got := New(opts).Predict(ctx, q, result, budget)
+		want := newMapScout(opts).Predict(ctx, q, result, budget)
+		if len(want) == 0 || !slices.Equal(got, want) {
+			t.Fatalf("budget %d: pages %v, oracle %v", budget, got, want)
 		}
 	}
 }
