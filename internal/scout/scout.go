@@ -67,11 +67,9 @@ type Scout struct {
 	opts Options
 	// The elements of the structures that were candidates after the latest
 	// step — the next step's pruning set and LastCandidateContains' answer —
-	// are the element IDs whose cand stamp is candGen; hasCand says whether
-	// there are any.
+	// are the element IDs whose cand stamp is candGen.
 	cand    []uint32 // by element ID
 	candGen uint32
-	hasCand bool
 	// lastCandidates is the candidate count after the latest Predict call,
 	// exposed for the E3 pruning experiment.
 	lastCandidates int
@@ -112,7 +110,7 @@ func (s *Scout) Name() string { return "scout" }
 
 // Reset implements prefetch.Prefetcher.
 func (s *Scout) Reset() {
-	s.hasCand = false
+	s.newCandidates()
 	s.lastCandidates = 0
 }
 
@@ -125,11 +123,6 @@ func (s *Scout) LastCandidateCount() int { return s.lastCandidates }
 // current candidate structure. The E3 experiment uses it with morphology
 // ground truth to verify the followed branch is never pruned away.
 func (s *Scout) LastCandidateContains(id int32) bool {
-	return s.hasCand && s.isCand(id)
-}
-
-// isCand reports whether id is stamped into the candidate set.
-func (s *Scout) isCand(id int32) bool {
 	return uint(id) < uint(len(s.cand)) && s.cand[id] == s.candGen
 }
 
@@ -139,7 +132,6 @@ func (s *Scout) newCandidates() {
 		clear(s.cand)
 		s.candGen = 1
 	}
-	s.hasCand = false
 }
 
 // addCandidate stamps element id into the candidate set, growing the stamps
@@ -151,7 +143,6 @@ func (s *Scout) addCandidate(id int32) {
 		s.cand = s.cand[:cap(s.cand)]
 	}
 	s.cand[id] = s.candGen
-	s.hasCand = true
 }
 
 // exitEdge is a place where a structure's edge leaves the query box.
@@ -187,17 +178,15 @@ func (s *Scout) Predict(ctx *prefetch.Context, q geom.AABB, result []int32, budg
 
 	// Candidate pruning against the previous step: a structure stays if it
 	// shares an element with a previous candidate. An empty intersection
-	// means the user jumped; fall back to all structures rather than
-	// prefetching nothing forever.
+	// means the user jumped (or there was no previous candidate); fall back
+	// to all structures rather than prefetching nothing forever.
 	s.kept = grow(s.kept, n)
 	clear(s.kept)
 	kept := 0
-	if s.hasCand {
-		for i, id := range result {
-			if st := s.label[i]; !s.kept[st] && s.isCand(id) {
-				s.kept[st] = true
-				kept++
-			}
+	for i, id := range result {
+		if st := s.label[i]; !s.kept[st] && s.LastCandidateContains(id) {
+			s.kept[st] = true
+			kept++
 		}
 	}
 	if kept == 0 {
