@@ -89,13 +89,13 @@ func b2u(c bool) uint64 {
 }
 
 // Cover returns a box that every box meeting one of the ranges mask names
-// meets: the smallest box holding those ranges, a range with a NaN
-// coordinate (which meets nothing) left out.
+// meets: the smallest box holding those ranges, NaN coordinates skipped (a
+// range with one meets nothing, so it needs no room).
 func Cover(ranges []geom.AABB, mask uint64) geom.AABB {
 	c := geom.EmptyAABB()
 	for m := mask; m != 0; m &= m - 1 {
 		r := &ranges[bits.TrailingZeros64(m)]
-		// A comparison with NaN is false, so NaN coordinates are skipped.
+		// A comparison with NaN is false.
 		if r.Min.X < c.Min.X {
 			c.Min.X = r.Min.X
 		}
