@@ -482,10 +482,11 @@ func BenchmarkS3ProbeWorkers(b *testing.B) {
 // guarantee).
 func benchBatch(b *testing.B, m *core.Model, contender string, queries []geom.AABB, workers int) {
 	b.Helper()
-	sess, err := engine.Open(engine.WithIndex(m.Engine.Index(contender)))
+	sess, err := engine.Open(engine.WithDataset(m.Dataset), engine.WithIndexName(contender))
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer sess.Close()
 	reqs := rangeRequests(queries)
 	b.ResetTimer()
 	var pages, results int64
@@ -614,7 +615,7 @@ func BenchmarkKNN16(b *testing.B) {
 	m := benchModel(b, modelKey{neurons: 64, edge: 300, seed: 8})
 	req := engine.KNNRequest(m.Circuit.Params.Volume.Center(), 16)
 	for _, name := range []string{"flat", "rtree", "grid", "sharded"} {
-		ix := m.Engine.Index(name)
+		ix := engineIndex(b, m, name)
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -672,7 +673,7 @@ func BenchmarkAblationWarmCache(b *testing.B) {
 	b.Run("PagedRTree", func(b *testing.B) {
 		// The engine's R-tree contender, every node a page read through the
 		// attached pool.
-		rt := m.Engine.Index("rtree").(engine.Paged)
+		rt := engineIndex(b, m, "rtree").(engine.Paged)
 		pool, err := pager.NewBufferPool(rt.Store(), rt.NumPages())
 		if err != nil {
 			b.Fatal(err)

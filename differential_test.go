@@ -262,6 +262,28 @@ func serialRange(t testing.TB, ix engine.SpatialIndex, qs []geom.AABB) ([]qhit, 
 	return hits, sts
 }
 
+// engineIndex returns the model's named epoch-0 contender.
+func engineIndex(t testing.TB, m *core.Model, name string) engine.SpatialIndex {
+	t.Helper()
+	ix, err := m.EngineIndex(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
+// openSession opens a session on the model's dataset with opts and closes it
+// when the test ends.
+func openSession(t testing.TB, m *core.Model, opts ...engine.SessionOption) *engine.Session {
+	t.Helper()
+	sess, err := engine.Open(append([]engine.SessionOption{engine.WithDataset(m.Dataset)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sess.Close)
+	return sess
+}
+
 // batchRange runs the boxes as one Session.DoBatch and flattens the results
 // into serialRange's shape.
 func batchRange(t testing.TB, sess *engine.Session, qs []geom.AABB, workers int) ([]qhit, []engine.Result) {
@@ -299,11 +321,8 @@ func TestBatchQueryMatchesSerial(t *testing.T) {
 	}
 
 	for _, name := range []string{"flat", "rtree"} {
-		ix := m.Engine.Index(name)
-		sess, err := engine.Open(engine.WithIndex(ix))
-		if err != nil {
-			t.Fatal(err)
-		}
+		ix := engineIndex(t, m, name)
+		sess := openSession(t, m, engine.WithIndexName(name))
 		want, wantStats := serialRange(t, ix, queries)
 		if len(want) == 0 {
 			t.Fatalf("%s: serial run found no hits — workload degenerate", name)
@@ -391,7 +410,7 @@ func TestEngineRoutedMatchesDirect(t *testing.T) {
 		queries = append(queries, geom.BoxAround(c.Add(off), 12+float64(i)))
 	}
 
-	eflat, ertree := m.Engine.Index("flat"), m.Engine.Index("rtree")
+	eflat, ertree := engineIndex(t, m, "flat"), engineIndex(t, m, "rtree")
 	tree := modelTree(t, m)
 	for qi, q := range queries {
 		var direct []int32
@@ -420,12 +439,9 @@ func TestEngineRoutedMatchesDirect(t *testing.T) {
 
 	// Planner-routed batch == chosen contender's serial loop, per worker
 	// count; the plan cache holds the decision across the batches.
-	sess, err := engine.Open(engine.WithPlanner(m.Engine))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := openSession(t, m)
 	_, first := batchRange(t, sess, queries, 1)
-	want, _ := serialRange(t, m.Engine.Index(first[0].Index), queries)
+	want, _ := serialRange(t, engineIndex(t, m, first[0].Index), queries)
 	for _, w := range []int{1, 3, 6} {
 		got, results := batchRange(t, sess, queries, w)
 		if results[0].Index != first[0].Index {

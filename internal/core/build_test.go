@@ -39,16 +39,16 @@ func TestModelIndexesAreTheDatasetBases(t *testing.T) {
 		engine.NewGrid(engine.GridOptions{PageSize: opts.Flat.PageSize}),
 		engine.NewSharded(engine.ShardedOptions{Flat: opts.Flat}),
 	}
-	got := m.Engine.Indexes()
-	if len(got) != len(fresh) {
-		t.Fatalf("engine has %d contenders, want %d", len(got), len(fresh))
+	if len(bases) != len(fresh) {
+		t.Fatalf("dataset has %d contenders, want %d", len(bases), len(fresh))
 	}
-	for i, ix := range got {
+	for i := range fresh {
+		ix, err := m.EngineIndex(fresh[i].Name())
+		if err != nil {
+			t.Fatal(err)
+		}
 		if ix != bases[i] {
 			t.Errorf("engine contender %d (%s) is not the dataset's base", i, ix.Name())
-		}
-		if ix.Name() != fresh[i].Name() {
-			t.Fatalf("engine contender %d is %q, want %q", i, ix.Name(), fresh[i].Name())
 		}
 		if err := fresh[i].Build(items); err != nil {
 			t.Fatal(err)

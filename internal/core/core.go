@@ -40,20 +40,13 @@ import (
 
 // Options configures model construction.
 type Options struct {
-	// Flat configures the FLAT index.
+	// Flat configures the FLAT index. Its page size is also the R-tree
+	// contender's node capacity, so one leaf corresponds to one page and I/O
+	// counts are comparable, and the grid contender's page size.
 	Flat flat.Options
-	// RTreeFanout is the node capacity of the element-level comparison
-	// R-tree. Values <= 0 select the FLAT page size, making one leaf
-	// correspond to one page so I/O counts are comparable.
-	RTreeFanout int
 	// Shards is the spatial shard count of the sharded scatter-gather
 	// contender. Values <= 0 select 4.
 	Shards int
-	// DatasetCompactMin and DatasetCompactRatio tune the model dataset's
-	// auto-compaction trigger (see engine.DatasetOptions); zero values keep
-	// the engine defaults.
-	DatasetCompactMin   int
-	DatasetCompactRatio float64
 }
 
 // DefaultOptions returns the configuration used by the experiments.
@@ -68,26 +61,23 @@ type Model struct {
 	// Flat is the FLAT index over the circuit's elements: the flat.Index of
 	// Dataset's epoch-0 FLAT base, the same instance, built once.
 	Flat *flat.Index
-	// Engine is the unified query layer over the circuit as built: Dataset's
-	// epoch-0 bases — the FLAT, R-tree, grid and sharded contenders, built
-	// once — behind one engine.SpatialIndex interface, with the stats-driven
-	// planner routing batches between them. The walkthrough/prefetch
-	// harnesses (PagedQuery needs the raw contenders' emission order — see
-	// engine.Paged) and the fixed-contender experiment tables query through
-	// it; it serves the initial build (epoch 0) and is not affected by
-	// Mutate — mutable reads go through Session/Do/DoBatch.
-	Engine *engine.Planner
 	// Dataset is the model's mutable ownership layer: batched mutations
 	// (Mutate) publish new snapshot epochs and sessions pin consistent
-	// views. Compaction rebuilds fresh contender instances; Engine and Flat
-	// above keep serving the initial build.
+	// views. Compaction rebuilds fresh contender instances; Flat above and
+	// EngineIndex keep serving the initial build.
 	Dataset *engine.Dataset
+	// bases are Dataset's epoch-0 contenders — FLAT, R-tree, grid and
+	// sharded, built once — which EngineIndex names. The walkthrough
+	// harness (PagedQuery needs the raw contenders' emission order — see
+	// engine.Paged) and the fixed-contender experiment tables read them;
+	// they serve the initial build and are not affected by Mutate — mutable
+	// reads go through Session/Do/DoBatch.
+	bases []engine.SpatialIndex
 	// session is the model's query front door: a Session pinned to the
 	// Dataset's latest snapshot, re-pinned (under sessMu) after every
 	// Mutate/Compact.
 	sessMu  sync.RWMutex //neurospatial:lock core.session
 	session *engine.Session
-	opts    Options
 }
 
 // Session returns the model's query front door: an engine.Session pinned to
@@ -199,11 +189,14 @@ func (m *Model) DoBatch(ctx context.Context, reqs []engine.Request, workers int)
 	return m.Session().DoBatch(ctx, reqs, workers)
 }
 
-// EngineIndex returns the named engine contender ("flat", "rtree", "grid",
-// "sharded").
+// EngineIndex returns the named epoch-0 contender ("flat", "rtree", "grid",
+// "sharded"): the base the model's Dataset was built with, serving the
+// initial build.
 func (m *Model) EngineIndex(name string) (engine.SpatialIndex, error) {
-	if ix := m.Engine.Index(name); ix != nil {
-		return ix, nil
+	for _, ix := range m.bases {
+		if ix.Name() == name {
+			return ix, nil
+		}
 	}
 	return nil, fmt.Errorf("core: unknown engine index %q (have flat, rtree, grid, sharded)", name)
 }
@@ -222,21 +215,16 @@ func NewModel(c *circuit.Circuit, opts Options) (*Model, error) {
 	if opts.Flat.PageSize <= 0 {
 		opts.Flat = flat.DefaultOptions()
 	}
-	if opts.RTreeFanout <= 0 {
-		opts.RTreeFanout = opts.Flat.PageSize
-	}
 	items := make([]rtree.Item, len(c.Elements))
 	for i := range c.Elements {
 		items[i] = rtree.Item{Box: c.Elements[i].Bounds(), ID: c.Elements[i].ID}
 	}
 	ds, err := engine.NewDataset(items, engine.DatasetOptions{
-		Contenders:   []string{"flat", "rtree", "grid", "sharded"},
-		Flat:         opts.Flat,
-		RTreeFanout:  opts.RTreeFanout,
-		Grid:         engine.GridOptions{PageSize: opts.Flat.PageSize},
-		Shards:       opts.Shards,
-		CompactMin:   opts.DatasetCompactMin,
-		CompactRatio: opts.DatasetCompactRatio,
+		Contenders:  []string{"flat", "rtree", "grid", "sharded"},
+		Flat:        opts.Flat,
+		RTreeFanout: opts.Flat.PageSize,
+		Grid:        engine.GridOptions{PageSize: opts.Flat.PageSize},
+		Shards:      opts.Shards,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: building dataset: %w", err)
@@ -244,8 +232,8 @@ func NewModel(c *circuit.Circuit, opts Options) (*Model, error) {
 	// Element IDs are dense, so the epoch-0 bases answer in element IDs.
 	bases := ds.Current().Bases()
 	m := &Model{
-		Circuit: c, Flat: bases[0].(*engine.Flat).Inner(), Engine: engine.NewPlanner(bases...),
-		Dataset: ds, opts: opts,
+		Circuit: c, Flat: bases[0].(*engine.Flat).Inner(), Dataset: ds,
+		bases: bases,
 	}
 	if err := m.repin(); err != nil {
 		return nil, err
@@ -294,7 +282,8 @@ type QueryComparison struct {
 // should.
 func (m *Model) CompareRangeQuery(q geom.AABB) QueryComparison {
 	var cmp QueryComparison
-	eflat, ertree := m.Engine.Index("flat"), m.Engine.Index("rtree")
+	eflat, _ := m.EngineIndex("flat") // NewModel builds all four contenders
+	ertree, _ := m.EngineIndex("rtree")
 	req := engine.RangeRequest(q)
 	run := func(ix engine.SpatialIndex) (engine.QueryStats, int, time.Duration) {
 		start := time.Now()

@@ -221,10 +221,7 @@ func TestCancellationSweepBatch(t *testing.T) {
 		ix, tap := c.ix, c.tap
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(t *testing.T) {
-				sess, err := engine.Open(engine.WithIndex(ix))
-				if err != nil {
-					t.Fatal(err)
-				}
+				sess := fixedSession(t, items, ix)
 				clean := func(when string) int {
 					tap.arm(0, nil)
 					res, err := sess.DoBatch(context.Background(), reqs, workers)

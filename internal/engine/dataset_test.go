@@ -555,9 +555,6 @@ func TestDatasetSessionFixedViewAndClose(t *testing.T) {
 	if _, err := engine.Open(engine.WithIndexName("flat")); err == nil {
 		t.Fatal("WithIndexName without WithDataset accepted")
 	}
-	if _, err := engine.Open(engine.WithDataset(ds), engine.WithPlanner(engine.NewPlanner())); err == nil {
-		t.Fatal("two routing modes accepted")
-	}
 }
 
 // TestDatasetInvalidOps: a batch containing any invalid operation is

@@ -20,10 +20,12 @@
 //
 // The public front door is the Request/Session surface: a tagged Request
 // (Range, KNN, Point, WithinDistance) executed through a Session (Open /
-// Do / DoBatch) with context cancellation checked before every page read and
-// returned as an ordinary error, routed either to a fixed contender or
-// per-kind through the Planner, which picks an index using observed
-// per-(index, kind) cost statistics (internal/stats.Running).
+// Do / DoBatch) on a pinned Dataset snapshot, with context cancellation
+// checked before every page read and returned as an ordinary error. The
+// session routes each kind to one of the snapshot's contender views through
+// the snapshot's Planner, which picks an index using observed per-(index,
+// kind) cost statistics (internal/stats.Running), or to the one view
+// WithIndexName fixes.
 //
 // Beneath it every contender has one traversal and two adapters (see
 // traverser in exec.go): scan, the native range traversal with the page
@@ -85,8 +87,8 @@ type QueryStats struct {
 	// price of deferred deletes.
 	Tombstones int64
 	// PlanCacheHits / PlanCacheMisses count plan-cache consultations made to
-	// route this query (both 0 when no planner routed it — fixed-index and
-	// fixed-view sessions, or direct Index.Do calls). A hit replayed a cached
+	// route this query (both 0 when no planner routed it — fixed-view
+	// sessions, or direct Index.Do calls). A hit replayed a cached
 	// routing decision; a miss ran PlanKind, probing any unprofiled
 	// contender. In a DoBatch, each distinct kind is routed once and the
 	// consultation is recorded on the kind's first request, so aggregated

@@ -86,6 +86,41 @@ func buildIndexes(t testing.TB, items []rtree.Item) []engine.SpatialIndex {
 	return indexes
 }
 
+// baseDataset returns a dataset over items whose epoch-0 bases are the given
+// contenders, each already built over items. At epoch 0 a view's Do is its
+// base's, stats included, and reads through the source the base has
+// attached, so a session on it serves exactly what the contenders serve.
+func baseDataset(t testing.TB, items []rtree.Item, bases ...engine.SpatialIndex) *engine.Dataset {
+	t.Helper()
+	names := make([]string, len(bases))
+	for i, b := range bases {
+		names[i] = b.Name()
+	}
+	ds, err := engine.NewDataset(items, engine.DatasetOptions{Contenders: names, Bases: bases})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+// openSession opens a session with opts and closes it when the test ends.
+func openSession(t testing.TB, opts ...engine.SessionOption) *engine.Session {
+	t.Helper()
+	sess, err := engine.Open(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sess.Close)
+	return sess
+}
+
+// fixedSession opens a session fixed to ix, built over items, on a dataset
+// of those items.
+func fixedSession(t testing.TB, items []rtree.Item, ix engine.SpatialIndex) *engine.Session {
+	t.Helper()
+	return openSession(t, engine.WithDataset(baseDataset(t, items, ix)), engine.WithIndexName(ix.Name()))
+}
+
 type hit struct {
 	q  int
 	id int32
@@ -251,10 +286,7 @@ func TestEngineBatchMatchesSerial(t *testing.T) {
 	for _, ix := range buildIndexes(t, items) {
 		t.Run(ix.Name(), func(t *testing.T) {
 			want, wantStats := serialRange(t, ix, queries)
-			sess, err := engine.Open(engine.WithIndex(ix))
-			if err != nil {
-				t.Fatal(err)
-			}
+			sess := fixedSession(t, items, ix)
 			for _, w := range []int{1, 2, 4, 7} {
 				got, gotStats, _ := batchRange(t, sess, queries, w)
 				if !reflect.DeepEqual(got, want) {
@@ -304,7 +336,8 @@ func TestPlannerRoutesAndMatches(t *testing.T) {
 	queries := testQueries(vol, 16)
 	reqs := rangeRequests(queries)
 	indexes := buildIndexes(t, items)
-	p := engine.NewPlanner(indexes...)
+	sess := openSession(t, engine.WithDataset(baseDataset(t, items, indexes...)))
+	p := sess.Planner()
 
 	d := p.PlanKind(engine.Range, reqs)
 	if d.Index == nil {
@@ -327,10 +360,6 @@ func TestPlannerRoutesAndMatches(t *testing.T) {
 	// only a prefix of the batch), so run one batch to feed the history,
 	// then predict the next choice with PlanKind — it reads history without
 	// mutating it — and diff the next batch against that index.
-	sess, err := engine.Open(engine.WithPlanner(p))
-	if err != nil {
-		t.Fatal(err)
-	}
 	batchRange(t, sess, queries, 4)
 	p.SetEpoch(1) // drop the cached decision so the next batch re-plans
 	next := p.PlanKind(engine.Range, reqs)

@@ -95,12 +95,9 @@ func walkCursor(t *testing.T, sess *engine.Session, req engine.Request, limit, t
 func TestPaginationReconcatenates(t *testing.T) {
 	items := streamItems(4000, 42)
 	for _, ix := range streamContenders(t, items) {
+		sess := fixedSession(t, items, ix)
 		for _, req := range streamRequests() {
 			t.Run(fmt.Sprintf("%s/%s", ix.Name(), req.Kind), func(t *testing.T) {
-				sess, err := engine.Open(engine.WithIndex(ix))
-				if err != nil {
-					t.Fatal(err)
-				}
 				full, err := sess.Do(context.Background(), req)
 				if err != nil {
 					t.Fatal(err)
@@ -577,10 +574,7 @@ func TestDoBatchCancelUnderLoad(t *testing.T) {
 		reqs = append(reqs, r)
 	}
 	for _, ix := range streamContenders(t, items) {
-		sess, err := engine.Open(engine.WithIndex(ix), engine.WithWorkers(8))
-		if err != nil {
-			t.Fatal(err)
-		}
+		sess := fixedSession(t, items, ix)
 		for round := 0; round < 6; round++ {
 			ctx, cancel := context.WithCancel(context.Background())
 			done := make(chan struct{})

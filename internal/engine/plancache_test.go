@@ -18,13 +18,8 @@ import (
 // consultations are hits, and the per-query stats carry the hit/miss record.
 func TestPlanCacheRepeatedShape(t *testing.T) {
 	items := testItems(t, 16, 7001)
-	indexes := buildIndexes(t, items)
-	p := engine.NewPlanner(indexes...)
-	s, err := engine.Open(engine.WithPlanner(p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := openSession(t, engine.WithDataset(baseDataset(t, items, buildIndexes(t, items)...)))
+	p := s.Planner()
 	vol := geom.Box(geom.V(0, 0, 0), geom.V(200, 200, 200))
 	c := vol.Center()
 	const n = 40
@@ -59,13 +54,8 @@ func TestPlanCacheRepeatedShape(t *testing.T) {
 // share a cache entry (each gets its own miss).
 func TestPlanCacheDistinctShapesPlanSeparately(t *testing.T) {
 	items := testItems(t, 16, 7002)
-	indexes := buildIndexes(t, items)
-	p := engine.NewPlanner(indexes...)
-	s, err := engine.Open(engine.WithPlanner(p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := openSession(t, engine.WithDataset(baseDataset(t, items, buildIndexes(t, items)...)))
+	p := s.Planner()
 	c := geom.V(100, 100, 100)
 	small := engine.RangeRequest(geom.BoxAround(c, 2))
 	large := engine.RangeRequest(geom.BoxAround(c, 80))

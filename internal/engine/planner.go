@@ -21,7 +21,7 @@ import (
 //     ObserveKind, so the planner's estimate of an (index, kind) pair
 //     sharpens with use;
 //   - probed: with no history for a pair, planning calibrates by executing a
-//     small deterministic sample of the batch (the first ProbeQueries
+//     small deterministic sample of the batch (the first probeQueries
 //     requests, results discarded) on that index and charging its Cost().
 //
 // Routing is deterministic: the index with the lowest estimated per-query
@@ -34,10 +34,6 @@ import (
 // configuration, not execution: call it before sharing the index across
 // goroutines.
 type Planner struct {
-	// ProbeQueries is the calibration sample size per unprofiled
-	// (index, kind) pair. Default 3.
-	ProbeQueries int
-
 	indexes []SpatialIndex
 	mu      sync.Mutex                    //neurospatial:lock planner.state
 	learned map[plannerKey]*stats.Running // per-query Cost() history
@@ -109,6 +105,10 @@ func logBucket(v float64) int8 {
 	return int8(b)
 }
 
+// probeQueries is the calibration sample size per unprofiled (index, kind)
+// pair.
+const probeQueries = 3
+
 // plannerKey identifies one cost-history accumulator: which contender, for
 // which query kind.
 type plannerKey struct {
@@ -120,11 +120,10 @@ type plannerKey struct {
 // (earlier indexes win cost ties).
 func NewPlanner(indexes ...SpatialIndex) *Planner {
 	return &Planner{
-		ProbeQueries: 3,
-		indexes:      indexes,
-		learned:      make(map[plannerKey]*stats.Running),
-		probes:       make(map[plannerKey]chan struct{}),
-		plans:        make(map[planCacheKey]SpatialIndex),
+		indexes: indexes,
+		learned: make(map[plannerKey]*stats.Running),
+		probes:  make(map[plannerKey]chan struct{}),
+		plans:   make(map[planCacheKey]SpatialIndex),
 	}
 }
 
@@ -199,19 +198,6 @@ func (p *Planner) PlanCacheStats() (hits, misses int64) {
 // the work the plan cache exists to avoid repeating.
 func (p *Planner) ProbesRun() int64 { return p.probesRun.Load() }
 
-// Indexes returns the contenders in registration order.
-func (p *Planner) Indexes() []SpatialIndex { return p.indexes }
-
-// Index returns the contender with the given name, or nil.
-func (p *Planner) Index(name string) SpatialIndex {
-	for _, ix := range p.indexes {
-		if ix.Name() == name {
-			return ix
-		}
-	}
-	return nil
-}
-
 // Decision records one routing choice and the evidence behind it.
 type Decision struct {
 	// Index is the chosen contender.
@@ -247,7 +233,7 @@ func (d Decision) String() string {
 
 // PlanKind estimates the per-query cost of each contender for requests of
 // one kind (using the kind's own cost history, probing with the sample's
-// first ProbeQueries requests where history is missing) and picks the
+// first probeQueries requests where history is missing) and picks the
 // cheapest. The sample requests should all be of the given kind; others are
 // ignored by the probe. Probe executions update the learned history, so later
 // plans on similar workloads skip the probe. Concurrent first plans probe each
@@ -354,10 +340,6 @@ func (p *Planner) probeOnce(ix SpatialIndex, kind Kind, sample []Request) bool {
 // report. Nothing on the index is touched, so probes need no exclusion from
 // each other or from concurrent queries.
 func (p *Planner) probe(ix SpatialIndex, kind Kind, sample []Request) {
-	n := p.ProbeQueries
-	if n <= 0 {
-		n = 3
-	}
 	var sts []QueryStats
 	for _, r := range sample {
 		if r.Kind != kind {
@@ -369,7 +351,7 @@ func (p *Planner) probe(ix SpatialIndex, kind Kind, sample []Request) {
 			continue // invalid sample requests contribute no history
 		}
 		sts = append(sts, st)
-		if len(sts) == n {
+		if len(sts) == probeQueries {
 			break
 		}
 	}

@@ -114,7 +114,7 @@ func TestPlannerConcurrentPlansProbeOnce(t *testing.T) {
 	close(start)
 	wg.Wait()
 
-	// One probe executes ProbeQueries (3) sample requests through Do.
+	// One probe executes probeQueries (3) sample requests through Do.
 	if got := counting.doCalls(); got != 3 {
 		t.Fatalf("%d concurrent first plans executed %d probe queries, want exactly 3 (one probe)",
 			goroutines, got)

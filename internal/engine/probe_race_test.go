@@ -33,10 +33,7 @@ func TestProbeVsQueryRace(t *testing.T) {
 		t.Run(ix.Name(), func(t *testing.T) {
 			tap := pager.NewCounting(ix.Store())
 			ix.SetSource(tap)
-			sess, err := engine.Open(engine.WithPlanner(engine.NewPlanner(ix)))
-			if err != nil {
-				t.Fatal(err)
-			}
+			sess := openSession(t, engine.WithDataset(baseDataset(t, items, ix)))
 			// Profile Range so the loop below never probes.
 			if _, err := sess.Do(ctx, rangeReq); err != nil {
 				t.Fatal(err)

@@ -236,8 +236,8 @@ type Hit struct {
 type Result struct {
 	// Request is the executed request.
 	Request Request
-	// Index names the contender that served it (the Session's fixed index,
-	// or the planner's per-kind routing decision).
+	// Index names the contender that served it (the view WithIndexName
+	// fixed, or the planner's per-kind routing decision).
 	Index string
 	// Hits holds the reported items in canonical order (see Hit). For a
 	// paginated request this is one page: at most Limit hits starting after

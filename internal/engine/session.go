@@ -10,43 +10,30 @@ import (
 )
 
 // Session is the engine's front door: every query — any Kind, any contender,
-// serial or batched — enters through Open / Do / DoBatch. A session serves
-// requests from one fixed SpatialIndex, through a Planner that routes each
-// request by its kind's learned cost statistics, or from a pinned Dataset
-// snapshot (WithDataset) — and it is where context cancellation enters the
-// execution stack: Do and DoBatch accept a context.Context that the index
-// traversals below observe at page-read granularity, so a canceled batch
-// aborts at the next page, not the next query.
+// serial or batched — enters through Open / Do / DoBatch. A session pins the
+// snapshot of a Dataset current at Open time: every Do and DoBatch sees that
+// epoch's consistent item set, no matter how many commits land afterwards.
+// Requests route through the snapshot's own planner, or to one fixed
+// contender view when WithIndexName is given; Close releases the pin. It is
+// also where context cancellation enters the execution stack: Do and DoBatch
+// accept a context.Context that the index traversals below observe at
+// page-read granularity, so a canceled batch aborts at the next page, not the
+// next query.
 //
-// A dataset session pins the snapshot current at Open time: every Do and
-// DoBatch sees that epoch's consistent item set, no matter how many commits
-// land afterwards. Requests route through the snapshot's own planner (or a
-// fixed contender view when WithIndexName is given); Close releases the pin.
-//
-// Sessions are safe for concurrent use as long as the underlying indexes'
-// configuration (Paged.SetSource, Build) is not mutated concurrently — the
-// same contract the indexes themselves carry. Dataset sessions read immutable
-// snapshots, so they are additionally safe against concurrent Dataset
-// commits — that is the point of them.
+// Sessions are safe for concurrent use, and against concurrent Dataset
+// commits — they read an immutable snapshot, which is the point of them — as
+// long as the bases' configuration (Paged.SetSource) is not mutated
+// concurrently, the same contract the indexes themselves carry.
 type Session struct {
-	index     SpatialIndex
-	planner   *Planner
 	dataset   *Dataset
 	snap      *Snapshot
 	fixedView SpatialIndex
 	indexName string
-	workers   int
 	closed    atomic.Bool
 }
 
 // SessionOption configures Open.
 type SessionOption func(*Session)
-
-// WithIndex serves every request from one fixed contender.
-func WithIndex(ix SpatialIndex) SessionOption { return func(s *Session) { s.index = ix } }
-
-// WithPlanner routes each request per kind through the planner's cost model.
-func WithPlanner(p *Planner) SessionOption { return func(s *Session) { s.planner = p } }
 
 // WithDataset pins the dataset's current snapshot for the session's
 // lifetime: the session serves that epoch — consistently — while later
@@ -55,72 +42,49 @@ func WithPlanner(p *Planner) SessionOption { return func(s *Session) { s.planner
 // contender.
 func WithDataset(d *Dataset) SessionOption { return func(s *Session) { s.dataset = d } }
 
-// WithIndexName fixes the serving contender of a WithDataset session to the
-// named snapshot view ("flat", "rtree", "grid", "sharded") instead of
-// planner routing.
+// WithIndexName fixes the serving contender of the session to the named
+// snapshot view ("flat", "rtree", "grid", "sharded") instead of planner
+// routing.
 func WithIndexName(name string) SessionOption { return func(s *Session) { s.indexName = name } }
 
-// WithWorkers sets the default DoBatch pool size used when a batch passes
-// workers == 0 (the repository-wide semantics apply: 1 serial, > 1 that many
-// workers, negative one per CPU).
-func WithWorkers(n int) SessionOption { return func(s *Session) { s.workers = n } }
-
-// Open opens a query session. Exactly one routing mode must be configured: a
-// fixed index (WithIndex), a planner (WithPlanner), or a dataset snapshot
-// (WithDataset, optionally narrowed by WithIndexName).
+// Open opens a query session on the snapshot WithDataset names, which it
+// requires, optionally fixed to one contender view by WithIndexName.
 func Open(opts ...SessionOption) (*Session, error) {
-	s := &Session{workers: 1}
+	s := &Session{}
 	for _, opt := range opts {
 		opt(s)
 	}
-	modes := 0
-	for _, on := range []bool{s.index != nil, s.planner != nil, s.dataset != nil} {
-		if on {
-			modes++
-		}
+	if s.dataset == nil {
+		return nil, fmt.Errorf("engine: Open requires WithDataset")
 	}
-	if modes != 1 {
-		return nil, fmt.Errorf("engine: Open takes exactly one of WithIndex, WithPlanner or WithDataset")
-	}
-	if s.indexName != "" && s.dataset == nil {
-		return nil, fmt.Errorf("engine: WithIndexName requires WithDataset")
-	}
-	if s.planner != nil && len(s.planner.Indexes()) == 0 {
-		return nil, fmt.Errorf("engine: Open: planner has no contenders")
-	}
-	if s.dataset != nil {
-		s.snap = s.dataset.Acquire()
-		if s.indexName != "" {
-			if s.fixedView = s.snap.Index(s.indexName); s.fixedView == nil {
-				s.snap.Release()
-				return nil, fmt.Errorf("engine: Open: snapshot has no contender %q (have %v)",
-					s.indexName, s.dataset.opts.Contenders)
-			}
+	s.snap = s.dataset.Acquire()
+	if s.indexName != "" {
+		if s.fixedView = s.snap.Index(s.indexName); s.fixedView == nil {
+			s.snap.Release()
+			return nil, fmt.Errorf("engine: Open: snapshot has no contender %q (have %v)",
+				s.indexName, s.dataset.opts.Contenders)
 		}
 	}
 	return s, nil
 }
 
-// Close releases a dataset session's snapshot pin. It is idempotent — and
-// safe against concurrent Close calls — and a no-op for fixed-index and
-// planner sessions. A closed session must not serve further requests.
+// Close releases the session's snapshot pin. It is idempotent, and safe
+// against concurrent Close calls. A closed session must not serve further
+// requests.
 func (s *Session) Close() {
-	if s.snap != nil && s.closed.CompareAndSwap(false, true) {
+	if s.closed.CompareAndSwap(false, true) {
 		s.snap.Release()
 	}
 }
 
-// Snapshot returns the pinned snapshot of a WithDataset session (nil
-// otherwise). Its epoch is frozen: commits after Open do not change what the
-// session reads.
+// Snapshot returns the pinned snapshot. Its epoch is frozen: commits after
+// Open do not change what the session reads.
 func (s *Session) Snapshot() *Snapshot { return s.snap }
 
-// routingPlanner returns the planner consulted for routing, if any.
+// routingPlanner returns the planner consulted for routing: the pinned
+// snapshot's, or nil when WithIndexName fixed the view.
 func (s *Session) routingPlanner() *Planner {
-	if s.planner != nil {
-		return s.planner
-	}
-	if s.snap != nil && s.fixedView == nil {
+	if s.fixedView == nil {
 		return s.snap.Planner()
 	}
 	return nil
@@ -162,14 +126,11 @@ func execRequest(ctx context.Context, ix SpatialIndex, req Request, emit func(Hi
 
 // route picks the serving index for requests of one kind, using the given
 // same-kind requests (pagination already stripped) as the planner's
-// calibration sample. Planner-backed sessions consult the per-epoch plan
-// cache first — a repeated (kind, shape) skips PlanKind and its probing
-// entirely. cached reports a cache hit; consulted reports whether a planner
-// (and therefore the cache) was involved at all.
+// calibration sample. A routed session consults the per-epoch plan cache
+// first — a repeated (kind, shape) skips PlanKind and its probing entirely.
+// cached reports a cache hit; consulted reports whether the planner (and
+// therefore the cache) was involved at all.
 func (s *Session) route(kind Kind, sample []Request) (ix SpatialIndex, cached, consulted bool) {
-	if s.index != nil {
-		return s.index, false, false
-	}
 	if s.fixedView != nil {
 		return s.fixedView, false, false
 	}
@@ -189,8 +150,8 @@ func planCacheStamp(st *QueryStats, cached, consulted bool) {
 	}
 }
 
-// observe feeds executed stats back into the routing planner (fixed-index
-// and fixed-view sessions learn nothing).
+// observe feeds executed stats back into the routing planner (a fixed-view
+// session learns nothing).
 func (s *Session) observe(name string, kind Kind, sts []QueryStats) {
 	if p := s.routingPlanner(); p != nil {
 		p.ObserveKind(name, kind, sts)
@@ -232,16 +193,17 @@ func (s *Session) Do(ctx context.Context, req Request) (Result, error) {
 
 // DoBatch executes a batch of requests — kinds may be mixed freely — on the
 // shared deterministic executor and returns one Result per request, in
-// request order. Routing is per kind: a planner-backed session plans each
-// distinct kind once for the batch (probing any unprofiled contender with
-// the kind's first requests), so a mixed workload can serve its range scans
-// and its kNN gathers from different contenders.
+// request order. Routing is per kind: a routed session plans each distinct
+// kind once for the batch (probing any unprofiled contender with the kind's
+// first requests), so a mixed workload can serve its range scans and its kNN
+// gathers from different contenders.
 //
-// workers follows the repository-wide semantics; 0 selects the session's
-// default. The output is deterministic and all-or-nothing: on success the
-// results are identical — hit for hit, stat for stat — for any worker count;
-// on cancellation DoBatch stops before completing the batch (in-flight
-// requests abort at their next page read) and returns (nil, ctx.Err()).
+// workers follows the repository-wide semantics (0 and 1 serial, > 1 that
+// many workers, negative one per CPU). The output is deterministic and
+// all-or-nothing: on success the results are identical — hit for hit, stat
+// for stat — for any worker count; on cancellation DoBatch stops before
+// completing the batch (in-flight requests abort at their next page read)
+// and returns (nil, ctx.Err()).
 func (s *Session) DoBatch(ctx context.Context, reqs []Request, workers int) ([]Result, error) {
 	for i := range reqs {
 		if err := reqs[i].Validate(); err != nil {
@@ -253,10 +215,6 @@ func (s *Session) DoBatch(ctx context.Context, reqs []Request, workers int) ([]R
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	if workers == 0 {
-		workers = s.workers
-	}
-
 	// Route once per distinct kind, in first-appearance order (deterministic
 	// probing: the kind's own requests are its calibration sample). Kinds are
 	// a closed enum, so the per-kind state lives in fixed arrays indexed by
@@ -380,17 +338,10 @@ func putBatchScratch(sc *batchScratch) {
 	batchScratchPool.Put(sc)
 }
 
-// Index returns the fixed contender of a WithIndex session, or the fixed
-// snapshot view of a WithDataset+WithIndexName session (nil for
-// planner-routed sessions).
-func (s *Session) Index() SpatialIndex {
-	if s.index != nil {
-		return s.index
-	}
-	return s.fixedView
-}
+// Index returns the snapshot view WithIndexName fixed (nil for a routed
+// session).
+func (s *Session) Index() SpatialIndex { return s.fixedView }
 
-// Planner returns the planner that routes this session's requests: the
-// WithPlanner planner, or a dataset session's per-snapshot planner (nil for
-// fixed-index and fixed-view sessions).
+// Planner returns the pinned snapshot's planner, which routes this session's
+// requests (nil for a fixed-view session).
 func (s *Session) Planner() *Planner { return s.routingPlanner() }

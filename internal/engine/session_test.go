@@ -202,10 +202,7 @@ func TestSessionDifferential(t *testing.T) {
 
 		for _, cell := range sessionCells(t, items) {
 			name := in.name + "/" + cell.name
-			sess, err := engine.Open(engine.WithIndex(cell.ix))
-			if err != nil {
-				t.Fatal(err)
-			}
+			sess := fixedSession(t, items, cell.ix)
 			var serial []engine.Result
 			for _, w := range []int{1, 4} {
 				got, err := sess.DoBatch(context.Background(), reqs, w)
@@ -253,10 +250,7 @@ func TestSessionDoMatchesDoBatch(t *testing.T) {
 	if err := ix.Build(items); err != nil {
 		t.Fatal(err)
 	}
-	sess, err := engine.Open(engine.WithIndex(ix))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := fixedSession(t, items, ix)
 	batch, err := sess.DoBatch(context.Background(), reqs, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -284,11 +278,8 @@ func TestSessionPlannerRoutedMatchesOracle(t *testing.T) {
 	reqs := mixedRequests(items, vol)
 	indexes := buildIndexes(t, items)
 
-	sess, err := engine.Open(engine.WithPlanner(engine.NewPlanner(indexes...)), engine.WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sess.DoBatch(context.Background(), reqs, 0)
+	sess := openSession(t, engine.WithDataset(baseDataset(t, items, indexes...)))
+	got, err := sess.DoBatch(context.Background(), reqs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,10 +311,7 @@ func TestDoBatchCancellation(t *testing.T) {
 		if err := ix.Build(items); err != nil {
 			t.Fatal(err)
 		}
-		sess, err := engine.Open(engine.WithIndex(ix))
-		if err != nil {
-			t.Fatal(err)
-		}
+		sess := fixedSession(t, items, ix)
 
 		// Uncanceled baseline: total page reads of the full batch.
 		base := &cancelSource{src: ix.Store(), after: -1, cancel: func() {}}
@@ -374,10 +362,7 @@ func TestDoCancellationSingle(t *testing.T) {
 	if err := ix.Build(items); err != nil {
 		t.Fatal(err)
 	}
-	sess, err := engine.Open(engine.WithIndex(ix))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := fixedSession(t, items, ix)
 
 	canceled, cancelNow := context.WithCancel(context.Background())
 	cancelNow()
@@ -410,10 +395,7 @@ func TestSessionInvalidRequests(t *testing.T) {
 	if err := ix.Build(items); err != nil {
 		t.Fatal(err)
 	}
-	sess, err := engine.Open(engine.WithIndex(ix))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := fixedSession(t, items, ix)
 	bad := []engine.Request{
 		{}, // zero kind
 		{Kind: engine.KNN, K: 0},
@@ -435,9 +417,6 @@ func TestSessionInvalidRequests(t *testing.T) {
 		}
 	}
 	if _, err := engine.Open(); err == nil {
-		t.Fatal("Open with no routing mode succeeded")
-	}
-	if _, err := engine.Open(engine.WithIndex(ix), engine.WithPlanner(engine.NewPlanner(ix))); err == nil {
-		t.Fatal("Open with both routing modes succeeded")
+		t.Fatal("Open without WithDataset succeeded")
 	}
 }

@@ -68,10 +68,7 @@ func TestShardedMatchesUnshardedDifferential(t *testing.T) {
 
 			// DoBatch at every worker count == Sharded serial, exact
 			// per-query stats included.
-			sess, err := engine.Open(engine.WithIndex(sh))
-			if err != nil {
-				t.Fatal(err)
-			}
+			sess := fixedSession(t, items, sh)
 			for _, w := range shardWorkerCounts {
 				batch, bsts, _ := batchRange(t, sess, queries, w)
 				if !reflect.DeepEqual(batch, want) {
@@ -104,10 +101,7 @@ func TestShardedThroughGlobalPool(t *testing.T) {
 		if err := sh.Build(items); err != nil {
 			t.Fatal(err)
 		}
-		sess, err := engine.Open(engine.WithIndex(sh))
-		if err != nil {
-			t.Fatal(err)
-		}
+		sess := fixedSession(t, items, sh)
 		for _, w := range shardWorkerCounts {
 			pool, err := pager.NewBufferPool(sh.Store(), 16)
 			if err != nil {
@@ -143,12 +137,8 @@ func TestShardedPlannerRouted(t *testing.T) {
 		if err := fl.Build(items); err != nil {
 			t.Fatal(err)
 		}
-		p := engine.NewPlanner(fl, sh)
-		sess, err := engine.Open(engine.WithPlanner(p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		next := p.PlanKind(engine.Range, rangeRequests(queries))
+		sess := openSession(t, engine.WithDataset(baseDataset(t, items, fl, sh)))
+		next := sess.Planner().PlanKind(engine.Range, rangeRequests(queries))
 		want, _ := serialRange(t, next.Index, queries)
 		for _, w := range shardWorkerCounts {
 			got, _, results := batchRange(t, sess, queries, w)

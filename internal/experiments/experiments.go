@@ -270,7 +270,14 @@ func RunE2(cfg E2Config) ([]E2Row, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: E2: %w", err)
 	}
-	eflat, ertree := m.Engine.Index("flat"), m.Engine.Index("rtree")
+	eflat, err := m.EngineIndex("flat")
+	if err != nil {
+		return nil, fmt.Errorf("experiments: E2: %w", err)
+	}
+	ertree, err := m.EngineIndex("rtree")
+	if err != nil {
+		return nil, fmt.Errorf("experiments: E2: %w", err)
+	}
 	center := m.Circuit.Params.Volume.Center()
 	ctx := context.Background()
 	var rows []E2Row

@@ -32,6 +32,11 @@ type Sequence struct {
 	Radius float64
 }
 
+// MaxSteps caps the steps of one walkthrough: a longer walk is an error
+// before anything is allocated. The longest walk any committed golden or
+// benchmark workload takes is 151 steps.
+const MaxSteps = 1 << 20
+
 // Len returns the number of steps.
 func (s *Sequence) Len() int { return len(s.Steps) }
 
@@ -41,7 +46,9 @@ func (s *Sequence) Len() int { return len(s.Steps) }
 // the §3 workload: "at every step they retrieve the surroundings of the
 // branch at a particular point and visualize it". Stride and radius must be
 // positive and finite, and a stride must move a sample: one too small to
-// change the coordinates it is added to is an error, not an endless walk.
+// change the coordinates it is added to is an error, not an endless walk. So
+// is a walk of more than MaxSteps steps: one per stride of the path's
+// length, plus the tip.
 func Walkthrough(path []geom.Vec, stride, radius float64) (*Sequence, error) {
 	if len(path) < 2 {
 		return nil, fmt.Errorf("query: walkthrough path needs >= 2 points, got %d", len(path))
@@ -51,6 +58,13 @@ func Walkthrough(path []geom.Vec, stride, radius float64) (*Sequence, error) {
 	}
 	if !(radius > 0) || math.IsInf(radius, 1) {
 		return nil, fmt.Errorf("query: radius must be positive and finite, got %v", radius)
+	}
+	// Counted before anything is allocated: a stride that moves a sample but
+	// is tiny against the path would otherwise allocate without bound.
+	length := PathLength(path)
+	if n := math.Floor(length/stride) + 2; n > MaxSteps {
+		return nil, fmt.Errorf("query: a walk of length %v at stride %v takes %.0f steps, above the cap of %d",
+			length, stride, n, MaxSteps)
 	}
 	seq := &Sequence{Radius: radius}
 	emit := func(p geom.Vec) {
@@ -75,6 +89,11 @@ func Walkthrough(path []geom.Vec, stride, radius float64) (*Sequence, error) {
 				return nil, fmt.Errorf("query: stride %v does not advance the walk at %v", stride, a)
 			}
 			emit(p)
+			if len(seq.Steps) > MaxSteps {
+				// Rounding moved the samples less than a stride each.
+				return nil, fmt.Errorf("query: a walk of length %v at stride %v takes more than the cap of %d steps",
+					length, stride, MaxSteps)
+			}
 			a = p
 			segLen = a.Dist(b)
 			carried = 0

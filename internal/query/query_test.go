@@ -1,8 +1,10 @@
 package query
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"neurospatial/internal/geom"
@@ -46,6 +48,24 @@ func TestWalkthroughRejectsNonFiniteAndStallingStrides(t *testing.T) {
 		t.Errorf("stride of two ulps at x = 1000: %v", err)
 	} else if seq.Len() != 6 {
 		t.Errorf("stride of two ulps at x = 1000: %d steps, want 6", seq.Len())
+	}
+}
+
+// TestWalkthroughRejectsWalksAboveTheCap: a stride that moves a sample but
+// is tiny against the path — 1e-13 over 1 µm at x ≈ 1000, ≈ 10^7 steps — is
+// an error that names the step count and the cap, returned before the walk
+// allocates.
+func TestWalkthroughRejectsWalksAboveTheCap(t *testing.T) {
+	path := []geom.Vec{geom.V(1000, 0, 0), geom.V(1000+1e-6, 0, 0)}
+	_, err := Walkthrough(path, 1e-13, 1)
+	if err == nil {
+		t.Fatal("a walk above the step cap was accepted")
+	}
+	n := math.Floor(PathLength(path)/1e-13) + 2
+	for _, want := range []string{fmt.Sprintf("%.0f steps", n), fmt.Sprintf("cap of %d", MaxSteps)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
 	}
 }
 

@@ -531,49 +531,56 @@ func TestPredictMatchesMapOracle(t *testing.T) {
 		walks = walks[:len(walks)/8]
 	}
 
-	steps := 0
+	// The six runs share only the read-only walks and index, so they run as
+	// parallel subtests.
 	for _, run := range []Options{{Tolerance: 0}, {Tolerance: 0.5}, {MaxPredictions: 40}} {
-		tol := run.Tolerance
 		for _, idOrder := range []bool{false, true} {
-			s, o := New(run), newMapScout(run)
-			ctx := &prefetch.Context{Index: f.index, Segment: seg}
-			for wi, w := range walks {
-				s.Reset()
-				o.Reset()
-				ctx.History = ctx.History[:0]
-				budget := 64
-				if wi%3 == 2 {
-					budget = 3
-				}
-				for i, q := range w.boxes {
-					ctx.History = append(ctx.History, q)
-					result := w.results[i]
-					if idOrder {
-						result = slices.Clone(result)
-						slices.Sort(result)
+			run, idOrder := run, idOrder
+			name := fmt.Sprintf("tolerance=%g/predictions=%d/idOrder=%v", run.Tolerance, run.MaxPredictions, idOrder)
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				tol := run.Tolerance
+				steps := 0
+				s, o := New(run), newMapScout(run)
+				ctx := &prefetch.Context{Index: f.index, Segment: seg}
+				for wi, w := range walks {
+					s.Reset()
+					o.Reset()
+					ctx.History = ctx.History[:0]
+					budget := 64
+					if wi%3 == 2 {
+						budget = 3
 					}
-					want := o.Predict(ctx, q, result, budget)
-					got := s.Predict(ctx, q, result, budget)
-					where := func() string {
-						return fmt.Sprintf("tolerance %g, %d predictions, ID order %v, walk %d, step %d", tol, s.opts.MaxPredictions, idOrder, wi, i)
-					}
-					if !slices.Equal(got, want) {
-						t.Fatalf("%s: pages %v, oracle %v", where(), got, want)
-					}
-					if s.LastCandidateCount() != o.lastCandidates {
-						t.Fatalf("%s: %d candidates, oracle %d", where(), s.LastCandidateCount(), o.lastCandidates)
-					}
-					for _, id := range result {
-						if s.LastCandidateContains(id) != o.LastCandidateContains(id) {
-							t.Fatalf("%s: candidate membership of %d differs", where(), id)
+					for i, q := range w.boxes {
+						ctx.History = append(ctx.History, q)
+						result := w.results[i]
+						if idOrder {
+							result = slices.Clone(result)
+							slices.Sort(result)
 						}
+						want := o.Predict(ctx, q, result, budget)
+						got := s.Predict(ctx, q, result, budget)
+						where := func() string {
+							return fmt.Sprintf("tolerance %g, %d predictions, ID order %v, walk %d, step %d", tol, s.opts.MaxPredictions, idOrder, wi, i)
+						}
+						if !slices.Equal(got, want) {
+							t.Fatalf("%s: pages %v, oracle %v", where(), got, want)
+						}
+						if s.LastCandidateCount() != o.lastCandidates {
+							t.Fatalf("%s: %d candidates, oracle %d", where(), s.LastCandidateCount(), o.lastCandidates)
+						}
+						for _, id := range result {
+							if s.LastCandidateContains(id) != o.LastCandidateContains(id) {
+								t.Fatalf("%s: candidate membership of %d differs", where(), id)
+							}
+						}
+						steps++
 					}
-					steps++
 				}
-			}
+				t.Logf("%d walks, %d steps compared", len(walks), steps)
+			})
 		}
 	}
-	t.Logf("%d walks, %d steps compared", len(walks), steps)
 }
 
 // fixedPages is a PageGeometry that names the same pages for every range,
