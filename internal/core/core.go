@@ -171,9 +171,9 @@ func (m *Model) repin() error {
 }
 
 // Do executes one typed request through the model's session. Pagination
-// fields pass straight through: a Limit/Offset/Cursor request runs on the
-// lazy streaming pipeline of the pinned snapshot's routed contender, and the
-// returned Result carries the next page's cursor when the page filled its
+// fields pass straight through: a Limit/Offset/Cursor request runs whole on
+// the pinned snapshot's routed contender and returns one slice of its hits,
+// and the Result carries the next page's cursor when the page filled its
 // Limit. Cursors minted here stay valid across Mutate/Compact for any
 // session still pinning the epoch they were minted on; the default session
 // re-pins on commit, so long-lived page walks should hold their own

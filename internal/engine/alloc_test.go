@@ -9,10 +9,10 @@ package engine_test
 // Range, Point and WithinDistance at zero on both, kNN at its measured
 // handful; the same at zero reading through an attached pager.BufferPool
 // (pooled/…) and through the page segments of a reopened durable dataset
-// (durable/…). Session.Do on top of a view allocates the Result it returns,
-// a paginated Do (page/…) opens the lazy stream, and
-// Session.DoBatch (batch/…) buffers per worker; those cells carry measured
-// ceilings. The assertions are skipped under the race detector (its
+// (durable/…); a paginated Do (page/…), which slices the page out of the
+// full execution's pooled hit buffer, at zero for every kind. Session.Do on
+// top of a view allocates the Result it returns, and Session.DoBatch
+// (batch/…) buffers per worker; those cells carry measured ceilings. The assertions are skipped under the race detector (its
 // instrumentation allocates) — CI runs this package both ways, so the gate
 // still runs on every push.
 
@@ -40,8 +40,9 @@ func hotPathRequests(vol geom.AABB) []engine.Request {
 }
 
 // BenchmarkDoHotPath covers every (contender × kind) Do cell, and the page/…
-// cells of TestDoHotPathAllocs: Do with Limit 10, the lazy stream. Run with
-// -benchmem: allocs/op is the number TestDoHotPathAllocs puts ceilings on.
+// cells of TestDoHotPathAllocs: Do with Limit 10, a slice of the full
+// execution. Run with -benchmem: allocs/op is the number TestDoHotPathAllocs
+// puts ceilings on.
 func BenchmarkDoHotPath(b *testing.B) {
 	items := testItems(b, 24, 4242)
 	indexes := buildIndexes(b, items)
@@ -69,9 +70,6 @@ func BenchmarkDoHotPath(b *testing.B) {
 	}
 	for _, ix := range indexes {
 		for _, req := range hotPathRequests(vol) {
-			if req.Kind == engine.KNN {
-				continue // bounded by K: the raw kNN cell's buffered drain
-			}
 			req.Limit = 10
 			bench(fmt.Sprintf("page/%s/%s", ix.Name(), req.Kind), ix, req)
 		}
@@ -98,11 +96,9 @@ func BenchmarkDoHotPath(b *testing.B) {
 // (BufferPool.ReadPage, and the shards' shardSource above it): zero.
 // durable/… is every kind through the views of a dataset created, closed and
 // reopened from its directory, so pages come from durable.SegmentSource's
-// frame cache: the view ceilings. page/… is Do with Limit 10 — the one lazy
-// stream every contender feeds its candidate pages into (pageStream, its
-// scratch pooled) under clipIter, drained into Do's all-or-nothing buffer:
-// the stream and the clip are one allocation each, the rest is that buffer
-// growing to ten hits. batch/… is Session.DoBatch of 16
+// frame cache: the view ceilings. page/… is Do with Limit 10: the full
+// execution gathered into the pooled hit buffer and the page sliced out of
+// it, zero like the unpaginated cells. batch/… is Session.DoBatch of 16
 // mixed requests on the dataset session at one and four workers
 // (parallel.BatchCtx, ForEach, the pooled segment and error tables).
 // deferred/… is every kind through the view of a contender a compaction
@@ -120,11 +116,6 @@ func TestDoHotPathAllocs(t *testing.T) {
 	// ceilings["name/kind"] is the per-op allocation budget; absent means 0.
 	ceilings := map[string]float64{
 		"session/range": 13, "session/knn": 6, "session/point": 4, "session/within": 12,
-
-		"page/flat/range": 7, "page/flat/point": 3, "page/flat/within": 7,
-		"page/rtree/range": 7, "page/rtree/point": 3, "page/rtree/within": 7,
-		"page/grid/range": 7, "page/grid/point": 3, "page/grid/within": 7,
-		"page/sharded/range": 7, "page/sharded/point": 3, "page/sharded/within": 7,
 
 		"batch/workers=1": 144, "batch/workers=4": 158,
 	}
@@ -173,9 +164,6 @@ func TestDoHotPathAllocs(t *testing.T) {
 		}
 
 		for _, req := range hotPathRequests(vol) {
-			if req.Kind == engine.KNN {
-				continue // bounded by K: served by the buffered drain the raw kNN cells measure
-			}
 			req.Limit = 10
 			measure(fmt.Sprintf("page/%s/%s", ix.Name(), req.Kind), func() error {
 				_, err := ix.Do(ctx, req, sink)

@@ -129,8 +129,8 @@ func churnedView(t *testing.T, base engine.SpatialIndex, items []rtree.Item) (vi
 
 // TestCancellationSweep is the table: kind {Range, KNN, Point, WithinDistance}
 // × contender {flat, rtree, grid, sharded at 1 and 4 shards} × surface {raw
-// Do, snapshot view over a live overlay, paginated Do — the Stream pipeline —
-// on the raw contender and on the view, where the stream carries the overlay}.
+// Do, snapshot view over a live overlay, paginated Do on the raw contender and
+// on the view}.
 // Each cell first runs to completion (R reads, oracle-equal hits), then is
 // canceled from inside read n for n early, mid-way and last-but-one: the
 // error is context.Canceled, no hit was emitted, at most n+1 reads happened,
@@ -149,8 +149,8 @@ func TestCancellationSweep(t *testing.T) {
 		}{
 			{"do", ix, items, 0},
 			{"view", view, live, 0},
-			// A limit past the result size: the page is the whole result, served
-			// by the lazy stream and buffered by Do.
+			// A limit past the result size: the page is the whole result, sliced
+			// out of the full execution.
 			{"page", ix, items, len(items) + 1},
 			{"viewpage", view, live, len(live) + 1},
 		}

@@ -312,7 +312,7 @@ func TestCheckpointAfterDeferringAutoCompaction(t *testing.T) {
 
 // TestDeferredBuildErrorIsTheRequestsError: when a deferred contender's build
 // fails, every request that needs it returns that error — through scan, the
-// kNN search and the lazy stream — and Bases leaves its entry nil. Fanout 2
+// kNN search and a paginated Do — and Bases leaves its entry nil. Fanout 2
 // fails the R-tree's build.
 func TestDeferredBuildErrorIsTheRequestsError(t *testing.T) {
 	ds, _ := servedDataset(t, allFour, Range, KNN, Point, WithinDistance)

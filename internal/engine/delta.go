@@ -11,8 +11,7 @@ import (
 // since the base build, kept as an ID-ordered sequence of small immutable
 // chunks that consecutive epochs share structurally. A commit rewrites only
 // the chunks its batch touches (mergeDelta); a request tests only the entries
-// of chunks whose MBR its predicate admits (deltaIter, and the stream's
-// delta candidates).
+// of chunks whose MBR its predicate admits (deltaIter).
 
 // deltaChunkCap bounds a chunk's entry count: one default layout page. A
 // dataset configured with smaller layout pages uses that size instead, so a
@@ -128,8 +127,7 @@ func appendMerged(out []*deltaChunk, c *deltaChunk, ids []int32, stg map[int32]s
 // center. For KNN the caller lowers pred.r2 to its k-th best distance as
 // candidates arrive (ties are kept; the accumulator breaks them by ID).
 // entries counts the entries tested, so it tracks the answer's neighbourhood,
-// not the overlay. The lazy stream takes the same chunks as candidates of its
-// own (pageStream.takeChunk).
+// not the overlay.
 type deltaIter struct {
 	chunks  []*deltaChunk // chunks not yet considered
 	pred    predicate
@@ -164,4 +162,37 @@ func (d *deltaIter) Next() (Hit, bool) {
 		}
 		d.cur = nil
 	}
+}
+
+// predicate is the exact test of a request, the one deltaIter applies: a box
+// meets the query box (Range, Point), or lies within r2 of the center
+// (WithinDistance; KNN's delta pass lowers r2 to its k-th best distance as
+// candidates arrive).
+type predicate struct {
+	byDist bool
+	box    geom.AABB
+	center geom.Vec
+	r2     float64
+}
+
+func newPredicate(req Request) predicate {
+	return predicate{byDist: req.Kind == WithinDistance || req.Kind == KNN, box: queryBox(req),
+		center: req.Center, r2: req.Radius * req.Radius}
+}
+
+// admits reports whether a region bounded by mbr can hold a match.
+func (p *predicate) admits(mbr geom.AABB) bool {
+	if p.byDist {
+		return mbr.Dist2Point(p.center) <= p.r2
+	}
+	return mbr.Intersects(p.box)
+}
+
+// match tests item id with box b, returning its hit when it passes.
+func (p *predicate) match(id int32, b geom.AABB) (Hit, bool) {
+	if p.byDist {
+		d2 := b.Dist2Point(p.center)
+		return Hit{ID: id, Dist2: d2}, d2 <= p.r2
+	}
+	return Hit{ID: id}, b.Intersects(p.box)
 }

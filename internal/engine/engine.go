@@ -27,18 +27,17 @@
 // kind) cost statistics (internal/stats.Running), or to the one view
 // WithIndexName fixes.
 //
-// Beneath it every contender has one traversal and two adapters (see
+// Beneath it every contender has one traversal and one adapter (see
 // traverser in exec.go): scan, the native range traversal with the page
-// source an argument; knnExpand, which lets the executor's one best-first kNN
-// search descend the contender's own directory; and zonePages, which names
-// the candidate pages, with their ID zones, that the one lazy stream behind
-// Stream and pagination reads (iter.go). One executor serves Do for all four
-// contenders and every snapshot view: Do is scan plus the canonical sort (and
-// the exact refinement of WithinDistance), or that search, with a view's
-// overlay an argument — as it is of the stream. Every index also satisfies
-// prefetch.Served: PagedQuery is scan reading through the given pool, IDs in
-// emission order — so a walkthrough with prefetching can run over any of
-// them.
+// source an argument, and knnExpand, which lets the executor's one best-first
+// kNN search descend the contender's own directory. One executor serves Do
+// for all four contenders and every snapshot view: Do is scan plus the
+// canonical sort (and the exact refinement of WithinDistance), or that
+// search, with a view's overlay an argument. A paginated Do is a slice of the
+// same execution: a page reads what its full query reads. Every index also
+// satisfies prefetch.Served: PagedQuery is scan reading through the given
+// pool, IDs in emission order — so a walkthrough with prefetching can run
+// over any of them.
 package engine
 
 import (
@@ -202,11 +201,11 @@ type SpatialIndex interface {
 	// ctx.Err() when canceled mid-execution (in which case nothing was
 	// emitted — emission is all-or-nothing). A nil ctx reads as
 	// context.Background; a nil visit discards hits (stats only).
-	// Pagination fields (Limit/Offset/Cursor) are honored: the request is
-	// served through the lazy streaming pipeline (see Stream) and only the
-	// requested page is emitted, with stats covering only the work of that
-	// page. Do returns no resume cursor — paging callers go through
-	// Session.Do (which mints one) or Stream + NextCursor.
+	// Pagination fields (Limit/Offset/Cursor) are honored: the request runs
+	// whole and only the requested page of its hits is emitted; the stats
+	// are the whole execution's, with Results counting the page. Do returns
+	// no resume cursor — paging callers go through Session.Do (which mints
+	// one) or mint one with NextCursor.
 	Do(ctx context.Context, req Request, visit func(Hit)) (QueryStats, error)
 }
 
@@ -226,8 +225,9 @@ type Paged interface {
 	PageOf(id int32) pager.PageID
 	// PagesInRange returns the pages a query of box q would touch.
 	PagesInRange(q geom.AABB) []pager.PageID
-	// SetSource routes subsequent page reads — Do of every kind, streams —
-	// through src (nil restores cold reads from the index's own store).
+	// SetSource routes subsequent page reads — Do of every kind, paginated
+	// or not — through src (nil restores cold reads from the index's own
+	// store).
 	SetSource(src pager.PageSource)
 	// Source returns the currently attached PageSource (nil when reads go
 	// cold to the index's own store). Planner calibration probes read the

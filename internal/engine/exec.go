@@ -10,18 +10,18 @@ import (
 )
 
 // This file holds the shared execution machinery of the Request surface: the
-// contender interface and the one eager executor above it — its scan arm and
-// its best-first kNN search — the canonical hit-ordering helpers, and the
-// bound-tightening top-k accumulator the search gathers into.
+// contender interface and the one eager executor above it — its scan arm, its
+// best-first kNN search and the page slice of a paginated request — the
+// canonical hit-ordering helpers, and the bound-tightening top-k accumulator
+// the search gathers into.
 
-// traverser is what the executors run: the native range traversal of one
-// item set, the hierarchy its kNN search descends, and the candidate pages
-// its lazy stream reads, under the SpatialIndex face. The four contenders
-// implement it over their own pages; a snapshot view implements it over its
-// base contender (snapshot.go), and execute and stream lay the snapshot's
-// overlay on top. Page reads resolve their source per call (see pickSource)
-// and check ctx first, returning its error — cancellation is an ordinary
-// error on every path, never a panic.
+// traverser is what the executor runs: the native range traversal of one
+// item set and the hierarchy its kNN search descends, under the SpatialIndex
+// face. The four contenders implement it over their own pages; a snapshot
+// view implements it over its base contender (snapshot.go), and execute lays
+// the snapshot's overlay on top. Page reads resolve their source per call
+// (see pickSource) and check ctx first, returning its error — cancellation is
+// an ordinary error on every path, never a panic.
 //
 //   - scan is the native range traversal: it appends to out the ID of every
 //     item whose box intersects queryBox(req), in the contender's emission
@@ -29,23 +29,18 @@ import (
 //     cell-major order, ascending global ID for Sharded), reading pages
 //     through src when it is non-nil. Exact refinement of WithinDistance and
 //     the canonical sort are the executor's. PagedQuery is scan with the
-//     pool as src; Do is scan plus the canonical sort.
+//     pool as src; Do is scan plus the canonical sort, and a page of a
+//     paginated Do is a slice of that (executePage).
 //   - knnExpand is the hierarchy adapter of the one kNN search (executeKNN):
 //     it expands frontier entry e of search s — pushes what lies beneath it
 //     with lower distance bounds (s.push), or reads its page (s.read) and
 //     offers the residents (s.offer). e.ref == knnRoot asks for the
 //     contender's top-level entries; every other ref is one the contender
 //     pushed itself. The search, the pruning and the overlay are execute's.
-//   - zonePages is the lazy stream's (iter.go) whole traversal: it adds to ps
-//     every page a scan of queryBox(req) could find a hit on, each with its
-//     (min, max) ID zone and SoA sidecar (ps.add), and returns the source the
-//     pages are read through. Reading, refining, ordering and the overlay
-//     are the stream's.
 type traverser interface {
 	SpatialIndex
 	scan(ctx context.Context, req Request, src pager.PageSource, out *idCollector) (QueryStats, error)
 	knnExpand(s *knnSearch, e knnEntry) error
-	zonePages(req Request, ps *pageStream) pager.PageSource
 	// itemBoxes returns the exact-geometry accessor by the IDs scan emits
 	// (read from the contender's coordinate sidecar).
 	itemBoxes() func(int32) geom.AABB
@@ -77,6 +72,19 @@ func pickSource(req Request, passed, attached pager.PageSource) pager.PageSource
 	return attached
 }
 
+// queryBox is the traversal box of an ascending-ID kind: the range box
+// itself, the degenerate stab box of Point, the bounding box of the
+// WithinDistance sphere.
+func queryBox(req Request) geom.AABB {
+	switch req.Kind {
+	case Point:
+		return geom.Box(req.Center, req.Center)
+	case WithinDistance:
+		return geom.BoxAround(req.Center, req.Radius)
+	}
+	return req.Box
+}
+
 // ctxErr is ctx.Err() tolerating a nil context.
 func ctxErr(ctx context.Context) error {
 	if ctx == nil {
@@ -104,11 +112,10 @@ func admit(ctx context.Context, req Request, visit func(Hit)) (context.Context, 
 func discardHit(Hit) {}
 
 // execute is the eager executor behind every Do — a raw contender's (ov nil)
-// and a snapshot view's (ov the snapshot, ix the view over its base): serve a
-// paginated request through the lazy stream (stream, its twin with the same
-// overlay argument), and otherwise run the kind's
-// traversal and emit its hits in canonical order — all or nothing: an error
-// from the traversal means visit was never called.
+// and a snapshot view's (ov the snapshot, ix the view over its base): run the
+// kind's traversal and emit its hits in canonical order — all or nothing: an
+// error from the traversal means visit was never called. A paginated request
+// is executePage's slice of that same execution.
 //
 // KNN is executeKNN's best-first search over the contender's hierarchy. The
 // scan arm (Range, Point, WithinDistance) is collect → sort → refine →
@@ -130,7 +137,7 @@ func execute(ctx context.Context, ix traverser, ov *Snapshot, req Request, visit
 		return QueryStats{}, nil
 	}
 	if req.paginated() {
-		return doPaginated(ctx, ix, req, visit)
+		return executePage(ctx, ix, ov, req, visit)
 	}
 	if req.Kind == KNN {
 		return executeKNN(ctx, ix, ov, req, visit)
@@ -180,6 +187,37 @@ func execute(ctx context.Context, ix traverser, ov *Snapshot, req Request, visit
 		visit(h)
 	}
 	for _, h := range delta {
+		visit(h)
+	}
+	return st, nil
+}
+
+// executePage serves a paginated request from the eager executor: the request
+// runs once with its pagination fields cleared, into a pooled buffer, and the
+// page is the slice of those hits strictly after the Cursor position, past
+// Offset, at most Limit long. A page therefore reads what its full query
+// reads, and its record is the full execution's with Results the page's
+// length. Emission starts only once the execution has returned cleanly.
+func executePage(ctx context.Context, ix traverser, ov *Snapshot, req Request, visit func(Hit)) (QueryStats, error) {
+	full := req
+	full.Limit, full.Offset, full.Cursor = 0, 0, ""
+	buf := getHits()
+	defer putHits(buf)
+	st, err := execute(ctx, ix, ov, full, func(h Hit) { *buf = append(*buf, h) })
+	if err != nil {
+		return QueryStats{}, err
+	}
+	hits := *buf
+	if req.Cursor != "" {
+		_, after, _ := req.Cursor.decode() // Validate has checked it
+		hits = skipThrough(hits, req.Kind, after)
+	}
+	hits = hits[min(req.Offset, len(hits)):]
+	if req.Limit > 0 && req.Limit < len(hits) {
+		hits = hits[:req.Limit]
+	}
+	st.Results = int64(len(hits))
+	for _, h := range hits {
 		visit(h)
 	}
 	return st, nil

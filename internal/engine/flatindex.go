@@ -20,16 +20,12 @@ type Flat struct {
 	// boxOf is the exact-geometry accessor bound once per build (a per-query
 	// method value would be a hot-path allocation).
 	boxOf func(int32) geom.AABB
-	// zones is the per-page (min, max) item-ID zone map of the build, what
-	// the lazy stream orders pages by.
-	zones []idZone
 	src   pager.PageSource
 }
 
 // adopt installs a built flat.Index.
 func (f *Flat) adopt(idx *flat.Index) {
 	f.idx, f.boxOf = idx, idx.ItemBox
-	f.zones = storeZones(idx.Store())
 }
 
 // NewFlat returns an unbuilt FLAT engine index with the given options.
@@ -143,21 +139,6 @@ func (f *Flat) knnExpand(s *knnSearch, e knnEntry) error {
 		s.push(d.Nodes[k].Box.Dist2Point(s.req.Center), ^k)
 	}
 	return nil
-}
-
-// zonePages implements traverser: the pages whose MBRs intersect the query
-// box, found by a range query of the seed directory (the set PagesInRange
-// returns), each with its zone. Every true hit lies on such a page, so the
-// candidate set is complete.
-func (f *Flat) zonePages(req Request, ps *pageStream) pager.PageSource {
-	if f.NumPages() == 0 {
-		return nil
-	}
-	coords := f.idx.Coords()
-	f.idx.Seed().Query(queryBox(req), func(it rtree.Item) {
-		ps.add(pager.PageID(it.ID), f.zones[it.ID], coords)
-	})
-	return f.source(req, nil)
 }
 
 // Store implements Paged (nil before Build).

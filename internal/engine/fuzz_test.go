@@ -1,10 +1,13 @@
 package engine_test
 
-// Fuzz target for the Request validation contract: arbitrary field
+// Fuzz targets for the Request surface. FuzzRequestValidate: arbitrary field
 // combinations never panic anywhere in the execution stack, invalid
 // requests always come back as a typed *RequestError, and valid requests
-// always execute. The seed corpus under testdata/fuzz covers every kind,
+// always execute; the seed corpus under testdata/fuzz covers every kind,
 // the NaN/Inf poison values and the overflow-prone K values.
+// FuzzPagination: arbitrary Limit, Offset and cursor positions either come
+// back as a *RequestError or serve exactly the slice of the unpaginated
+// result they name.
 
 import (
 	"context"
@@ -24,16 +27,21 @@ var (
 	fuzzIndexes []engine.SpatialIndex
 )
 
-// fuzzTargets lazily builds one small deterministic item set behind every
-// contender shape (the build cost is paid once per fuzz process, not per
-// input).
+// fuzzItems is the small deterministic item set behind every fuzz target.
+func fuzzItems() []rtree.Item {
+	var items []rtree.Item
+	for i := 0; i < 48; i++ {
+		c := geom.V(float64(3+(i*17)%90), float64(5+(i*29)%90), float64(7+(i*41)%90))
+		items = append(items, rtree.Item{Box: geom.BoxAround(c, 1+float64(i%5)), ID: int32(i)})
+	}
+	return items
+}
+
+// fuzzTargets lazily builds fuzzItems behind every contender shape (the
+// build cost is paid once per fuzz process, not per input).
 func fuzzTargets(t testing.TB) []engine.SpatialIndex {
 	fuzzOnce.Do(func() {
-		var items []rtree.Item
-		for i := 0; i < 48; i++ {
-			c := geom.V(float64(3+(i*17)%90), float64(5+(i*29)%90), float64(7+(i*41)%90))
-			items = append(items, rtree.Item{Box: geom.BoxAround(c, 1+float64(i%5)), ID: int32(i)})
-		}
+		items := fuzzItems()
 		build := func(ix engine.SpatialIndex) engine.SpatialIndex {
 			if err := ix.Build(items); err != nil {
 				t.Fatal(err)
@@ -96,4 +104,127 @@ func FuzzRequestValidate(f *testing.F) {
 			}
 		}
 	})
+}
+
+var (
+	pageOnce    sync.Once
+	pageIndexes []engine.SpatialIndex
+)
+
+// pageTargets lazily builds fuzzItems behind every contender, on pages of 8
+// so a result spans several, and one snapshot view of a dataset over them
+// whose overlay holds updates, deletes and inserts.
+func pageTargets(t testing.TB) []engine.SpatialIndex {
+	pageOnce.Do(func() {
+		items := fuzzItems()
+		for _, ix := range []engine.SpatialIndex{
+			engine.NewFlat(flat.Options{PageSize: 8}),
+			engine.NewRTree(8),
+			engine.NewGrid(engine.GridOptions{PageSize: 8}),
+			engine.NewSharded(engine.ShardedOptions{Shards: 3, Flat: flat.Options{PageSize: 8}}),
+		} {
+			if err := ix.Build(items); err != nil {
+				t.Fatal(err)
+			}
+			pageIndexes = append(pageIndexes, ix)
+		}
+		ds, err := engine.NewDataset(items, engine.DatasetOptions{
+			Contenders: []string{"rtree"}, RTreeFanout: 8, DisableAutoCompact: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx := ds.Begin()
+		for i, it := range items {
+			switch i % 6 {
+			case 0:
+				tx.Update(it.ID, it.Box.Expand(2))
+			case 1:
+				tx.Delete(it.ID)
+			case 2:
+				tx.Insert(it.Box)
+			}
+		}
+		snap, err := tx.Commit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pageIndexes = append(pageIndexes, snap.Index("rtree"))
+	})
+	return pageIndexes
+}
+
+func FuzzPagination(f *testing.F) {
+	nan := math.NaN()
+	f.Add(uint8(0), 5, 0, false, uint8(1), int32(0), 0.0)           // first range page
+	f.Add(uint8(0), 4, 3, true, uint8(1), int32(23), 0.0)           // range cursor on a hit, offset and limit
+	f.Add(uint8(1), 3, 0, true, uint8(2), int32(14), 52.0)          // knn resume inside a distance tie
+	f.Add(uint8(1), 0, 1, true, uint8(2), int32(8), 130.0)          // knn cursor on a tie's first hit
+	f.Add(uint8(1), 0, 0, true, uint8(2), int32(-1), nan)           // knn cursor at NaN
+	f.Add(uint8(3), 2, 0, true, uint8(4), int32(29), 0.0)           // within cursor on a hit
+	f.Add(uint8(3), 0, 2, true, uint8(4), int32(1<<30), 0.0)        // within, past every ID
+	f.Add(uint8(2), 1, 0, true, uint8(1), int32(0), 0.0)            // cursor of another kind
+	f.Add(uint8(0), -1, 0, false, uint8(0), int32(0), 0.0)          // negative limit
+	f.Add(uint8(0), 0, -3, false, uint8(0), int32(0), 0.0)          // negative offset
+	f.Add(uint8(0), 0, math.MaxInt, false, uint8(0), int32(0), 0.0) // offset past the result
+	f.Add(uint8(0), math.MaxInt, 0, false, uint8(0), int32(0), 0.0) // limit past the result
+	f.Add(uint8(0), 3, 0, true, uint8(9), int32(0), 0.0)            // cursor of no kind
+
+	center := geom.V(50, 50, 50)
+	reqs := []engine.Request{
+		engine.RangeRequest(geom.Box(geom.V(20, 20, 20), geom.V(80, 80, 80))),
+		engine.KNNRequest(center, 9),
+		engine.PointRequest(geom.V(71, 31, 81)), // item 4's center
+		engine.WithinDistanceRequest(center, 30),
+	}
+	f.Fuzz(func(t *testing.T, reqKind uint8, limit, offset int, hasCursor bool, cursorKind uint8, cursorID int32, cursorDist float64) {
+		req := reqs[int(reqKind)%len(reqs)]
+		after := engine.Hit{ID: cursorID, Dist2: cursorDist}
+		page := req
+		page.Limit, page.Offset = limit, offset
+		if hasCursor {
+			page.Cursor = engine.NextCursor(engine.Kind(cursorKind), after)
+		}
+		invalid := limit < 0 || offset < 0 || hasCursor && engine.Kind(cursorKind) != req.Kind
+		for _, ix := range pageTargets(t) {
+			var got []engine.Hit
+			st, err := ix.Do(context.Background(), page, func(h engine.Hit) { got = append(got, h) })
+			if invalid {
+				var reqErr *engine.RequestError
+				if !errors.As(err, &reqErr) || len(got) != 0 {
+					t.Fatalf("%s: %+v: error %v with %d hits, want a *RequestError and none", ix.Name(), page, err, len(got))
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: %+v: %v", ix.Name(), page, err)
+			}
+			var want []engine.Hit
+			if _, err := ix.Do(context.Background(), req, func(h engine.Hit) {
+				if !hasCursor || follows(req.Kind, h, after) {
+					want = append(want, h)
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+			want = want[min(offset, len(want)):]
+			if limit > 0 && limit < len(want) {
+				want = want[:limit]
+			}
+			if !hitsEqual(got, want) {
+				t.Fatalf("%s: %+v: page %v, want %v", ix.Name(), page, got, want)
+			}
+			if st.Results != int64(len(got)) {
+				t.Fatalf("%s: %+v: Results = %d, page holds %d hits", ix.Name(), page, st.Results, len(got))
+			}
+		}
+	})
+}
+
+// follows reports whether h comes strictly after the cursor position in
+// kind's canonical order: ascending ID, or ascending (Dist2, ID) for KNN.
+func follows(kind engine.Kind, h, after engine.Hit) bool {
+	if kind == engine.KNN && h.Dist2 != after.Dist2 {
+		return h.Dist2 > after.Dist2
+	}
+	return h.ID > after.ID
 }

@@ -65,9 +65,6 @@ type Grid struct {
 	// boxOf is the exact-geometry accessor bound once per build (a per-query
 	// closure would be a hot-path allocation).
 	boxOf func(int32) geom.AABB
-	// zones is the per-page (min, max) item-ID zone map of the build, what
-	// the lazy stream orders pages by.
-	zones []idZone
 	src   pager.PageSource
 }
 
@@ -158,7 +155,6 @@ func (gx *Grid) build(items []rtree.Item, nx, ny, nz int) error {
 	gx.store, gx.pageOf, gx.itemOff = builder.Build(), pageOf, itemOff
 	gx.coords = pager.BuildCoords(gx.store, func(id int32) geom.AABB { return boxes[id] })
 	gx.boxOf = func(id int32) geom.AABB { return gx.coords.BoxAt(int(gx.itemOff[id])) }
-	gx.zones = storeZones(gx.store)
 	return nil
 }
 
@@ -252,16 +248,6 @@ func (gx *Grid) scan(ctx context.Context, req Request, src pager.PageSource, out
 
 // itemBoxes implements contender.
 func (gx *Grid) itemBoxes() func(int32) geom.AABB { return gx.boxOf }
-
-// zonePages implements traverser: the pages scan reads (pageRuns), each with
-// its zone.
-func (gx *Grid) zonePages(req Request, ps *pageStream) pager.PageSource {
-	if gx.g == nil {
-		return nil
-	}
-	gx.pageRuns(queryBox(req), func(p pager.PageID) { ps.add(p, gx.zones[p], gx.coords) })
-	return gx.source(req, nil)
-}
 
 // pageRuns calls fn, in ascending order, on every page a scan of q reads:
 // those of the items registered in the cells q expanded by the largest

@@ -11,7 +11,6 @@ import (
 	"neurospatial/internal/engine"
 	"neurospatial/internal/flat"
 	"neurospatial/internal/geom"
-	"neurospatial/internal/pager"
 	"neurospatial/internal/rtree"
 )
 
@@ -88,10 +87,7 @@ func walkCursor(t *testing.T, sess *engine.Session, req engine.Request, limit, t
 
 // TestPaginationReconcatenates is the seeded pagination property: for every
 // contender × kind, (a) Limit/Offset pages and (b) cursor walks re-concatenate
-// to exactly the unpaginated canonical hit sequence, and (c) a Limit-10 page
-// of a large result, and the page its cursor resumes, read strictly fewer
-// pages than the full scan — verified both by the reported stats and by an
-// independent pager.Counting tap on the real page reads.
+// to exactly the unpaginated canonical hit sequence.
 func TestPaginationReconcatenates(t *testing.T) {
 	items := streamItems(4000, 42)
 	for _, ix := range streamContenders(t, items) {
@@ -136,75 +132,17 @@ func TestPaginationReconcatenates(t *testing.T) {
 				if !hitsEqual(walked, full.Hits) {
 					t.Fatalf("cursor pagination diverged: %d walked vs %d full hits", len(walked), len(full.Hits))
 				}
-
-				// (c) Early stop: a small first page of a large result reads
-				// strictly fewer pages than the full scan. KNN is bounded by K
-				// already (its limited scan equals the full one), so the proof
-				// targets the ascending-ID kinds.
-				if req.Kind == engine.KNN || len(full.Hits) < 40 {
-					return
-				}
-				lim := req
-				lim.Limit = 10
-				res, err := sess.Do(context.Background(), lim)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(res.Hits) != 10 {
-					t.Fatalf("limited page returned %d hits, want 10", len(res.Hits))
-				}
-				if res.Stats.PagesRead >= full.Stats.PagesRead {
-					t.Fatalf("limit 10 read %d pages, full scan %d — no early stop",
-						res.Stats.PagesRead, full.Stats.PagesRead)
-				}
-
-				// Independent proof: tap the real page reads.
-				pg, ok := ix.(engine.Paged)
-				if !ok {
-					t.Fatalf("%s does not implement Paged", ix.Name())
-				}
-				tap := pager.NewCounting(pg.Store())
-				pg.SetSource(tap)
-				defer pg.SetSource(nil)
-				first, err := sess.Do(context.Background(), lim)
-				if err != nil {
-					t.Fatal(err)
-				}
-				limReads := tap.Reads()
-				tap.Reset()
-				if _, err := sess.Do(context.Background(), req); err != nil {
-					t.Fatal(err)
-				}
-				fullReads := tap.Reads()
-				if limReads >= fullReads {
-					t.Fatalf("counting tap: limit 10 issued %d reads, full scan %d — no early stop",
-						limReads, fullReads)
-				}
-				// The second page resumes where the first stopped: it must not
-				// pay for the scan again.
-				next := lim
-				next.Cursor = first.Cursor
-				tap.Reset()
-				if _, err := sess.Do(context.Background(), next); err != nil {
-					t.Fatal(err)
-				}
-				if resumeReads := tap.Reads(); resumeReads >= fullReads {
-					t.Fatalf("counting tap: cursor resume issued %d reads, full scan %d — resume restarted the scan",
-						resumeReads, fullReads)
-				}
 			})
 		}
 	}
 }
 
-// TestStreamDrainReadsLikeDo pins what the lazy stream must keep from the
-// eager executor: a Do whose Limit lies past the result — the stream drained
-// to the end — emits exactly the unpaginated Do's hits and reads exactly its
+// TestStreamDrainReadsLikeDo pins what a page keeps from the unpaginated
+// execution: a Do whose Limit lies past the result — the whole result drained
+// as one page — emits exactly the unpaginated Do's hits and reads exactly its
 // pages, counted both by the request's PagesRead and by a tap on the real
 // reads; through a churned snapshot view it also tests exactly as many delta
-// entries. Every contender is covered, so a stream that stops reading R-tree
-// directory nodes or a shard's pages where the eager traversal reads them
-// shows up here.
+// entries. Every contender and every kind is covered.
 func TestStreamDrainReadsLikeDo(t *testing.T) {
 	items := streamItems(3000, 79)
 	cs := sweepContenders(t, items)
@@ -216,9 +154,6 @@ func TestStreamDrainReadsLikeDo(t *testing.T) {
 			n    int
 		}{{"raw", c.ix, len(items)}, {"view", view, len(live)}} {
 			for _, req := range streamRequests() {
-				if req.Kind == engine.KNN {
-					continue // served by a buffered drain of Do, not the stream
-				}
 				t.Run(fmt.Sprintf("%s/%s/%s", c.name, sf.name, req.Kind), func(t *testing.T) {
 					run := func(req engine.Request) ([]engine.Hit, engine.QueryStats, int) {
 						c.tap.arm(0, nil)
@@ -293,7 +228,7 @@ func churnedDataset(t *testing.T, items []rtree.Item, seed int64) *engine.Datase
 // TestSnapshotPagination runs the pagination property through a churned
 // Dataset snapshot: every contender view's cursor walk re-concatenates to its
 // full drain (which the dataset tests pin identical across views), and a
-// limited page reads fewer pages through the overlay merge.
+// cursor anywhere in the delta's ID sequence resumes with the hits after it.
 func TestSnapshotPagination(t *testing.T) {
 	items := streamItems(2000, 7)
 	ds := churnedDataset(t, items, 8)
@@ -320,19 +255,6 @@ func TestSnapshotPagination(t *testing.T) {
 				walked := walkCursor(t, sess, req, 17, len(full.Hits))
 				if !hitsEqual(walked, full.Hits) {
 					t.Fatalf("snapshot cursor pagination diverged: %d walked vs %d full", len(walked), len(full.Hits))
-				}
-
-				if req.Kind != engine.KNN && len(full.Hits) >= 40 {
-					lim := req
-					lim.Limit = 10
-					res, err := sess.Do(context.Background(), lim)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if res.Stats.PagesRead >= full.Stats.PagesRead {
-						t.Fatalf("limit 10 read %d pages, full %d — no early stop through the overlay",
-							res.Stats.PagesRead, full.Stats.PagesRead)
-					}
 				}
 
 				// A resume position anywhere in the delta's ID sequence — the
@@ -602,72 +524,11 @@ func TestDoBatchCancelUnderLoad(t *testing.T) {
 	}
 }
 
-// TestStreamLifecycle covers the exported Stream surface directly: Close is
-// idempotent and releases mid-drain, a NextCursor resume starts strictly
-// after the cursor position, and a kind-mismatched cursor is rejected at
-// validation with a field-pointing *RequestError.
-func TestStreamLifecycle(t *testing.T) {
-	items := streamItems(500, 5)
-	ix := engine.NewFlat(flat.Options{PageSize: 8})
-	if err := ix.Build(items); err != nil {
-		t.Fatal(err)
-	}
-	req := engine.RangeRequest(geom.Box(geom.Vec{}, geom.Vec{X: 100, Y: 100, Z: 100}))
-
-	it, err := engine.Stream(context.Background(), ix, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var first []engine.Hit
-	for len(first) < 10 {
-		h, ok := it.Next()
-		if !ok {
-			t.Fatalf("stream dried up at %d hits", len(first))
-		}
-		first = append(first, h)
-	}
-	it.Close()
-	it.Close() // idempotent
-
-	resume := req
-	resume.Cursor = engine.NextCursor(engine.Range, first[len(first)-1])
-	it2, err := engine.Stream(context.Background(), ix, resume)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it2.Close()
-	prev := first[len(first)-1].ID
-	n := 0
-	for {
-		h, ok := it2.Next()
-		if !ok {
-			break
-		}
-		if h.ID <= prev {
-			t.Fatalf("resume emitted %d after %d — not strictly ascending past the cursor", h.ID, prev)
-		}
-		prev = h.ID
-		n++
-	}
-	if err := it2.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if n != len(items)-len(first) {
-		t.Fatalf("resume emitted %d hits, want %d", n, len(items)-len(first))
-	}
-
-	wrong := engine.KNNRequest(geom.Vec{}, 3)
-	wrong.Cursor = resume.Cursor
-	var reqErr *engine.RequestError
-	if _, err := engine.Stream(context.Background(), ix, wrong); !errors.As(err, &reqErr) || reqErr.Field != "Cursor" {
-		t.Fatalf("kind-mismatched cursor: error = %v, want *RequestError on Cursor", err)
-	}
-}
-
 // TestDoHonorsPagination pins the direct execution surface: a paginated
 // request passed straight to SpatialIndex.Do (not through a Session) serves
-// exactly the requested window, all-or-nothing, with page-scoped stats —
-// pagination fields are never silently ignored.
+// exactly the requested window, all-or-nothing, with Results counting the
+// page — pagination fields are never silently ignored — and a cursor minted
+// for another kind is refused with a field-pointing *RequestError.
 func TestDoHonorsPagination(t *testing.T) {
 	items := streamItems(600, 31)
 	req := streamRequests()[0] // range over [10,90]³
@@ -708,6 +569,62 @@ func TestDoHonorsPagination(t *testing.T) {
 		}
 		if !hitsEqual(next, full[15:25]) {
 			t.Fatalf("%s: Do cursor resume emitted %v, want hits 15..24", ix.Name(), next)
+		}
+
+		wrong := engine.KNNRequest(geom.Vec{}, 3)
+		wrong.Cursor = resumed.Cursor
+		var reqErr *engine.RequestError
+		if _, err := ix.Do(context.Background(), wrong, nil); !errors.As(err, &reqErr) || reqErr.Field != "Cursor" {
+			t.Fatalf("%s: kind-mismatched cursor: error = %v, want *RequestError on Cursor", ix.Name(), err)
+		}
+	}
+}
+
+// TestPageStatsAreTheFullExecutions pins a page's record: a paginated Do runs
+// its request once, whole, so its Stats equal the unpaginated Do's in every
+// field but Results, which counts the page (Results == len(Hits)). Every
+// contender and kind is covered, raw and through a churned snapshot view,
+// with Limit, Offset and Cursor each alone and together.
+func TestPageStatsAreTheFullExecutions(t *testing.T) {
+	items := streamItems(2000, 83)
+	for _, c := range sweepContenders(t, items) {
+		view, _ := churnedView(t, c.ix, items)
+		for _, sf := range []struct {
+			name string
+			ix   engine.SpatialIndex
+		}{{"raw", c.ix}, {"view", view}} {
+			for _, req := range streamRequests() {
+				var full []engine.Hit
+				want, err := sf.ix.Do(context.Background(), req, func(h engine.Hit) { full = append(full, h) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(full) < 8 {
+					t.Fatalf("%s/%s/%s: degenerate workload, %d hits", c.name, sf.name, req.Kind, len(full))
+				}
+				cursor := engine.NextCursor(req.Kind, full[2])
+				for _, p := range []struct {
+					limit, offset int
+					cursor        engine.Cursor
+				}{
+					{limit: 5}, {offset: 3}, {cursor: cursor}, {limit: 4, offset: 2, cursor: cursor}, {offset: len(full) + 1},
+				} {
+					page := req
+					page.Limit, page.Offset, page.Cursor = p.limit, p.offset, p.cursor
+					var hits []engine.Hit
+					st, err := sf.ix.Do(context.Background(), page, func(h engine.Hit) { hits = append(hits, h) })
+					if err != nil {
+						t.Fatal(err)
+					}
+					if st.Results != int64(len(hits)) {
+						t.Errorf("%s/%s/%s %+v: Results = %d, page holds %d hits", c.name, sf.name, req.Kind, p, st.Results, len(hits))
+					}
+					st.Results = want.Results
+					if st != want {
+						t.Errorf("%s/%s/%s %+v: page stats %+v, unpaginated Do's %+v", c.name, sf.name, req.Kind, p, st, want)
+					}
+				}
+			}
 		}
 	}
 }

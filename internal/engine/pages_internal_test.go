@@ -46,6 +46,27 @@ func refPages(t testing.TB, ix contender, q geom.AABB) []pager.PageID {
 	return out
 }
 
+// inRange calls fn, in pre-order, on the index of every directory node whose
+// box — and whose ancestors' boxes — intersect q.
+func (r *RTree) inRange(q geom.AABB, fn func(int32)) {
+	if len(r.dir.Nodes) > 0 && r.dir.Nodes[0].Box.Intersects(q) {
+		r.walkRange(0, q, fn)
+	}
+}
+
+func (r *RTree) walkRange(ni int32, q geom.AABB, fn func(int32)) {
+	fn(ni)
+	n := &r.dir.Nodes[ni]
+	if n.Leaf() {
+		return
+	}
+	for _, ci := range r.dir.KidsOf(n) {
+		if r.dir.Nodes[ci].Box.Intersects(q) {
+			r.walkRange(ci, q, fn)
+		}
+	}
+}
+
 // refSeedPages is FLAT's per-range walk: one Query of the seed directory.
 func refSeedPages(idx *flat.Index, q geom.AABB) []pager.PageID {
 	var out []pager.PageID

@@ -85,15 +85,13 @@ type Request struct {
 	// Radius is the sphere radius (WithinDistance only).
 	Radius float64
 
-	// Limit caps the number of hits returned (0 = unlimited). A limited
-	// request executes lazily: the streaming path stops reading pages as
-	// soon as the limit is satisfied, so a Limit-10 page of a million-hit
-	// result costs a handful of page reads, not the full scan.
+	// Limit caps the number of hits returned (0 = unlimited). A page is a
+	// slice of the full result: the request runs whole, reading every page
+	// its unpaginated form reads, and the page is cut from its hits.
 	Limit int
 	// Offset skips that many leading hits (after the Cursor position, when
-	// both are set). Offset pages still read the pages holding the skipped
-	// hits; prefer Cursor for deep paging — the cursor position prunes
-	// whole pages without reading them.
+	// both are set). Like Cursor, it changes which hits a page returns, not
+	// what the request reads.
 	Offset int
 	// Cursor resumes a paginated result strictly after the position encoded
 	// in a previous Result's Cursor token. It must have been minted for the
@@ -243,9 +241,8 @@ type Result struct {
 	// paginated request this is one page: at most Limit hits starting after
 	// the request's Cursor/Offset position.
 	Hits []Hit
-	// Stats is the unified execution record. Under a Limit it reflects only
-	// the work the page actually performed — page reads stop once the limit
-	// is satisfied.
+	// Stats is the unified execution record. A paginated request's is its
+	// whole execution's, with Results counting the page's hits.
 	Stats QueryStats
 	// Cursor is the resume token of the next page. It is set only when the
 	// request carried a Limit and the page filled it; an exactly-full final

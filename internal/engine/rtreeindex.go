@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"neurospatial/internal/geom"
 	"neurospatial/internal/pager"
@@ -11,14 +10,14 @@ import (
 )
 
 // RTree adapts an R-tree to the engine layer as its node directory: each node
-// of the tree is one page (the classic disk R-tree layout) whose MBR, level,
-// children and item-ID zone stay in RAM, and the items' boxes live in the
-// pages' coordinate sidecar. The tree itself — STR-built by Build, rebuilt
-// from its leaf runs by a durable thaw, or any tree handed to WrapRTree — is
-// lowered onto an rtree.Dir once and not retained. Stats mapping: every node
-// access is a page read through the source, for every kind, so PagesRead is
-// the total node accesses, IndexReads is 0 and NodesPerLevel carries the
-// per-level breakdown the demo's panel shows.
+// of the tree is one page (the classic disk R-tree layout) whose MBR, level
+// and children stay in RAM, and the items' boxes live in the pages' coordinate
+// sidecar. The tree itself — STR-built by Build, rebuilt from its leaf runs by
+// a durable thaw, or any tree handed to WrapRTree — is lowered onto an
+// rtree.Dir once and not retained. Stats mapping: every node access is a page
+// read through the source, for every kind, so PagesRead is the total node
+// accesses, IndexReads is 0 and NodesPerLevel carries the per-level breakdown
+// the demo's panel shows.
 type RTree struct {
 	fanout   int
 	store    *pager.Store // one page per node: a leaf's item IDs, or a -1 placeholder
@@ -37,9 +36,6 @@ type RTree struct {
 	// dir is the lowered tree without its entries (the store and coords hold
 	// them): dir.Nodes[i] is laid out on page i, and node 0 is the root.
 	dir rtree.Dir
-	// zones[i] is the (min, max) item-ID zone of node i's subtree — what the
-	// lazy stream orders nodes by.
-	zones []idZone
 }
 
 // NewRTree returns an unbuilt R-tree engine index with the given fanout
@@ -86,7 +82,7 @@ func (r *RTree) Build(items []rtree.Item) error {
 // and fanout entries, so it fills exactly one page. A failure leaves the index
 // empty.
 func (r *RTree) page(t *rtree.Tree) error {
-	r.store, r.elemPage, r.slot, r.coords, r.dir, r.zones = nil, nil, nil, nil, rtree.Dir{}, nil
+	r.store, r.elemPage, r.slot, r.coords, r.dir = nil, nil, nil, nil, rtree.Dir{}
 	if t.Size() == 0 {
 		return nil
 	}
@@ -100,9 +96,8 @@ func (r *RTree) page(t *rtree.Tree) error {
 	// slot holds each item's position on its leaf page until the sidecar
 	// exists.
 	r.slot = make([]int32, n)
-	r.zones = make([]idZone, len(d.Nodes))
 	for i := range d.Nodes {
-		nd, z := &d.Nodes[i], idZone{min: math.MaxInt32, max: -1}
+		nd := &d.Nodes[i]
 		if nd.Leaf() {
 			// An ID outside [0, n) (WrapRTree takes any tree) stays off the
 			// page, so no request reports it: the leaf's run keeps only its
@@ -116,7 +111,6 @@ func (r *RTree) page(t *rtree.Tree) error {
 					r.elemPage[it.ID], r.slot[it.ID] = pager.PageID(i), nd.N
 					run[nd.N] = it
 					nd.N++
-					z.min, z.max = min(z.min, it.ID), max(z.max, it.ID)
 				}
 			}
 			if nd.N == 0 {
@@ -127,17 +121,6 @@ func (r *RTree) page(t *rtree.Tree) error {
 			b.Add(-1)
 		}
 		b.FlushPage()
-		r.zones[i] = z
-	}
-	// Children follow their parent in pre-order, so a reverse pass meets
-	// every node's kids before the node: its zone is theirs, merged.
-	for i := len(d.Nodes) - 1; i >= 0; i-- {
-		if nd := &d.Nodes[i]; !nd.Leaf() {
-			z := &r.zones[i]
-			for _, k := range d.KidsOf(nd) {
-				z.min, z.max = min(z.min, r.zones[k].min), max(z.max, r.zones[k].max)
-			}
-		}
 	}
 	st := b.Build()
 	// Guarded accessor: an internal node's -1 placeholder gets an empty
@@ -259,41 +242,6 @@ func (r *RTree) source(req Request, passed pager.PageSource) pager.PageSource {
 	return r.store
 }
 
-// zonePages implements traverser: every directory node the range descent
-// visits (inRange) at its page, with its subtree's zone. An internal node's
-// page holds no element, so the stream reads it, one page read as in the
-// descent, when it becomes the least unread zone: never before its parent
-// (pages are assigned in pre-order, so a tie on the zone min goes to the
-// parent) and never past the point a Limit stops the stream.
-func (r *RTree) zonePages(req Request, ps *pageStream) pager.PageSource {
-	if len(r.dir.Nodes) == 0 {
-		return nil
-	}
-	r.inRange(queryBox(req), func(ni int32) { ps.add(pager.PageID(ni), r.zones[ni], r.coords) })
-	return r.source(req, nil)
-}
-
-// inRange calls fn, in pre-order, on the index of every directory node whose
-// box — and whose ancestors' boxes — intersect q.
-func (r *RTree) inRange(q geom.AABB, fn func(int32)) {
-	if len(r.dir.Nodes) > 0 && r.dir.Nodes[0].Box.Intersects(q) {
-		r.walkRange(0, q, fn)
-	}
-}
-
-func (r *RTree) walkRange(ni int32, q geom.AABB, fn func(int32)) {
-	fn(ni)
-	n := &r.dir.Nodes[ni]
-	if n.Leaf() {
-		return
-	}
-	for _, ci := range r.dir.KidsOf(n) {
-		if r.dir.Nodes[ci].Box.Intersects(q) {
-			r.walkRange(ci, q, fn)
-		}
-	}
-}
-
 // Store implements Paged (nil for an empty tree).
 func (r *RTree) Store() *pager.Store { return r.store }
 
@@ -315,8 +263,8 @@ func (r *RTree) PagesInRange(q geom.AABB) []pager.PageID {
 
 // PagesInRanges implements prefetch.PageGeometry: one walk of the directory
 // per window of pager.RangeWindow ranges reports, in pre-order, the page of
-// every node a query of some range of the window would visit (inRange's), with
-// the mask of those ranges.
+// every node a query of some range of the window would visit, with the mask of
+// those ranges.
 func (r *RTree) PagesInRanges(dst []pager.RangePage, boxes []geom.AABB) []pager.RangePage {
 	if len(r.dir.Nodes) == 0 {
 		return dst

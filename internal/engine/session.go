@@ -90,44 +90,19 @@ func (s *Session) routingPlanner() *Planner {
 	return nil
 }
 
-// stripPagination clears a request's pagination fields in place for routing
-// and planner observation: a partial-scan cost record would poison the
-// per-kind history the planner routes by, so paginated requests are routed by
-// their underlying query shape and their stats are not fed back.
-func stripPagination(r *Request) {
-	r.Limit, r.Offset, r.Cursor = 0, 0, ""
-}
-
-// execRequest runs one request on its routed index: the index's native Do
-// for a full result, doPaginated for a paginated one (the stream stops
-// reading pages once the limit is filled; the returned cursor resumes after
-// the last hit of a full page).
-func execRequest(ctx context.Context, ix SpatialIndex, req Request, emit func(Hit)) (QueryStats, Cursor, error) {
-	if !req.paginated() {
-		st, err := ix.Do(ctx, req, emit)
-		return st, "", err
+// nextCursor is the resume token of a result: set only when req carried a
+// Limit and its page of hits filled it.
+func nextCursor(req Request, hits []Hit) Cursor {
+	if req.Limit == 0 || len(hits) != req.Limit {
+		return ""
 	}
-	var n int
-	var last Hit
-	st, err := doPaginated(ctx, ix, req, func(h Hit) {
-		n++
-		last = h
-		emit(h)
-	})
-	if err != nil {
-		return QueryStats{}, "", err
-	}
-	var next Cursor
-	if req.Limit > 0 && n == req.Limit {
-		next = NextCursor(req.Kind, last)
-	}
-	return st, next, nil
+	return NextCursor(req.Kind, hits[len(hits)-1])
 }
 
 // route picks the serving index for requests of one kind, using the given
-// same-kind requests (pagination already stripped) as the planner's
-// calibration sample. A routed session consults the per-epoch plan cache
-// first — a repeated (kind, shape) skips PlanKind and its probing entirely.
+// same-kind requests as the planner's calibration sample. A routed session
+// consults the per-epoch plan cache first — a repeated (kind, shape) skips
+// PlanKind and its probing entirely.
 // cached reports a cache hit; consulted reports whether the planner (and
 // therefore the cache) was involved at all.
 func (s *Session) route(kind Kind, sample []Request) (ix SpatialIndex, cached, consulted bool) {
@@ -173,22 +148,17 @@ func (s *Session) Do(ctx context.Context, req Request) (Result, error) {
 	// The one-request calibration sample lives on the stack frame; routing
 	// does not retain it.
 	sample := [1]Request{req}
-	stripPagination(&sample[0])
 	ix, cached, consulted := s.route(req.Kind, sample[:])
 	// The emit closure captures the hit slice alone: capturing the Result
 	// would move all of it to the heap on every request.
 	var hits []Hit
-	st, cursor, err := execRequest(ctx, ix, req, func(h Hit) { hits = append(hits, h) })
+	st, err := ix.Do(ctx, req, func(h Hit) { hits = append(hits, h) })
 	if err != nil {
 		return Result{}, err
 	}
 	planCacheStamp(&st, cached, consulted)
-	if !req.paginated() {
-		// A page's partial-scan cost is not a routing signal (see
-		// stripPagination); only full executions feed the planner.
-		s.observe(ix.Name(), req.Kind, []QueryStats{st})
-	}
-	return Result{Request: req, Index: ix.Name(), Hits: hits, Stats: st, Cursor: cursor}, nil
+	s.observe(ix.Name(), req.Kind, []QueryStats{st})
+	return Result{Request: req, Index: ix.Name(), Hits: hits, Stats: st, Cursor: nextCursor(req, hits)}, nil
 }
 
 // DoBatch executes a batch of requests — kinds may be mixed freely — on the
@@ -218,9 +188,8 @@ func (s *Session) DoBatch(ctx context.Context, reqs []Request, workers int) ([]R
 	// Route once per distinct kind, in first-appearance order (deterministic
 	// probing: the kind's own requests are its calibration sample). Kinds are
 	// a closed enum, so the per-kind state lives in fixed arrays indexed by
-	// Kind — no per-batch maps — and the normalized (pagination-stripped)
-	// sample copies share one pooled scratch slice, grouped contiguously by
-	// kind in batch order.
+	// Kind — no per-batch maps — and the sample copies share one pooled
+	// scratch slice, grouped contiguously by kind in batch order.
 	sc := getBatchScratch(len(reqs))
 	defer putBatchScratch(sc)
 	var counts, off [numKinds]int
@@ -242,9 +211,7 @@ func (s *Session) DoBatch(ctx context.Context, reqs []Request, workers int) ([]R
 			nk++
 			firstOf[k] = i
 		}
-		at := off[k] + fill[k]
-		sc.reqs[at] = reqs[i]
-		stripPagination(&sc.reqs[at])
+		sc.reqs[off[k]+fill[k]] = reqs[i]
 		fill[k]++
 	}
 	kinds := kindsArr[:nk]
@@ -258,13 +225,9 @@ func (s *Session) DoBatch(ctx context.Context, reqs []Request, workers int) ([]R
 	for i := range reqs {
 		results[i] = Result{Request: reqs[i], Index: routed[reqs[i].Kind].Name()}
 	}
-	// sc.cursors is written per slot on the worker goroutines and read only
-	// after BatchCtx joins — distinct elements, no sharing.
-	cursors := sc.cursors
 	sts, err := parallel.BatchCtx(ctx, workers, len(reqs),
-		func(qi int, emit func(Hit)) (st QueryStats, err error) {
-			st, cursors[qi], err = execRequest(ctx, routed[reqs[qi].Kind], reqs[qi], emit)
-			return st, err
+		func(qi int, emit func(Hit)) (QueryStats, error) {
+			return routed[reqs[qi].Kind].Do(ctx, reqs[qi], emit)
 		},
 		func(qi int, h Hit) { results[qi].Hits = append(results[qi].Hits, h) })
 	if err != nil {
@@ -272,7 +235,7 @@ func (s *Session) DoBatch(ctx context.Context, reqs []Request, workers int) ([]R
 	}
 	for i := range results {
 		results[i].Stats = sts[i]
-		results[i].Cursor = cursors[i]
+		results[i].Cursor = nextCursor(reqs[i], results[i].Hits)
 	}
 	// Record each kind's one routing consultation on the kind's first
 	// request, so aggregated batch stats count exactly the consultations.
@@ -283,9 +246,7 @@ func (s *Session) DoBatch(ctx context.Context, reqs []Request, workers int) ([]R
 		for _, k := range kinds {
 			var kindStats []QueryStats
 			for i := range reqs {
-				// Partial-scan pages are not routing signals (see
-				// stripPagination); only full executions feed the planner.
-				if reqs[i].Kind == k && !reqs[i].paginated() {
+				if reqs[i].Kind == k {
 					kindStats = append(kindStats, sts[i])
 				}
 			}
@@ -300,19 +261,16 @@ func (s *Session) DoBatch(ctx context.Context, reqs []Request, workers int) ([]R
 // validated before routing, so Kind values index the arrays directly.
 const numKinds = 5
 
-// batchScratch is DoBatch's pooled per-call scratch: the normalized
-// (pagination-stripped, kind-grouped) copy of the batch's requests, and the
-// per-slot cursor table the workers fill. Pooling them makes a batch's fixed
-// overhead independent of batch size in steady state.
+// batchScratch is DoBatch's pooled per-call scratch: the kind-grouped copy
+// of the batch's requests the routing samples are cut from. Pooling it makes a
+// batch's fixed overhead independent of batch size in steady state.
 type batchScratch struct {
-	reqs    []Request
-	cursors []Cursor
+	reqs []Request
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return &batchScratch{} }}
 
-// getBatchScratch returns scratch with both tables sized to n; recycled
-// cursor entries are cleared (a stale cursor would leak into a result).
+// getBatchScratch returns scratch with its table sized to n.
 func getBatchScratch(n int) *batchScratch {
 	sc := batchScratchPool.Get().(*batchScratch)
 	if cap(sc.reqs) < n {
@@ -320,21 +278,14 @@ func getBatchScratch(n int) *batchScratch {
 	} else {
 		sc.reqs = sc.reqs[:n]
 	}
-	if cap(sc.cursors) < n {
-		sc.cursors = make([]Cursor, n)
-	} else {
-		sc.cursors = sc.cursors[:n]
-		clear(sc.cursors)
-	}
 	return sc
 }
 
 // putBatchScratch clears and recycles the scratch; entries are zeroed so the
-// pool does not retain the batch's request strings and cursor payloads.
+// pool does not retain the batch's cursor strings.
 func putBatchScratch(sc *batchScratch) {
 	clear(sc.reqs)
-	clear(sc.cursors)
-	sc.reqs, sc.cursors = sc.reqs[:0], sc.cursors[:0]
+	sc.reqs = sc.reqs[:0]
 	batchScratchPool.Put(sc)
 }
 

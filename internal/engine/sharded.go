@@ -307,33 +307,6 @@ func (s *Sharded) knnExpand(ks *knnSearch, e knnEntry) error {
 	return sh.sub.knnExpand(ks, e)
 }
 
-// zonePages implements traverser: the candidates of the shards the request
-// admits, each sub-index's own, moved into the global page space (pageBase+p)
-// with their zones translated to global IDs — local IDs ascend with global
-// ones within a shard, so a zone stays a zone. The pages are read through the
-// index's global source, whose content is already in global IDs and mirrors
-// the shard's page slot for slot, so the shard's sidecar still refines it.
-func (s *Sharded) zonePages(req Request, ps *pageStream) pager.PageSource {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		if !sh.admits(req) {
-			continue
-		}
-		ps.st.ShardsTouched++
-		mark := len(ps.cands)
-		sh.sub.zonePages(req, ps)
-		for j := range ps.cands[mark:] {
-			z := &ps.cands[mark+j]
-			z.p += sh.pageBase
-			z.min, z.max = sh.global[z.min], sh.global[z.max]
-		}
-	}
-	if src := pickSource(req, nil, s.src); src != nil {
-		return src
-	}
-	return s.store
-}
-
 // Store implements Paged: the dense global page space over all shards (nil
 // before Build or when empty).
 func (s *Sharded) Store() *pager.Store { return s.store }

@@ -45,10 +45,8 @@ import (
 // what it costs on the raw contender plus O(answer + touched delta), and at an
 // empty overlay the view's Do is its base's, stats included. QueryStats gain
 // DeltaEntries and Tombstones, the two maintenance counters of the overlay.
-// Stream and paginated Do take the lazy twin of that executor (stream,
-// iter.go) with the same overlay argument: the base's candidate pages and the
-// admitted delta chunks in one zone-ordered loop that filters and translates
-// as it reads, so stopping early leaves the rest unread.
+// A paginated Do is a slice of that same execution (executePage), so a page
+// reads what its full query reads.
 //
 // A Snapshot also carries its own Planner over the views. Its plan cache is
 // the epoch's own, but its per-kind cost history is inherited from the parent
@@ -360,19 +358,6 @@ func (v *snapView) knnExpand(s *knnSearch, e knnEntry) error {
 		return err
 	}
 	return base.knnExpand(s, e)
-}
-
-// zonePages implements traverser: the base contender's candidates (none when
-// the base is empty; a deferred build's error ends the stream). Like scan it
-// does not apply the overlay: stream translates the zones, drops tombstoned
-// residents and adds the delta chunks.
-func (v *snapView) zonePages(req Request, ps *pageStream) pager.PageSource {
-	base, err := v.resolve()
-	if base == nil {
-		ps.err = err
-		return nil
-	}
-	return base.zonePages(req, ps)
 }
 
 // lazyBase holds a contender a compaction deferred. The first get builds it

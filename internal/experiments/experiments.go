@@ -23,7 +23,6 @@ import (
 	"neurospatial/internal/circuit"
 	"neurospatial/internal/core"
 	"neurospatial/internal/engine"
-	"neurospatial/internal/flat"
 	"neurospatial/internal/geom"
 	"neurospatial/internal/rtree"
 	"neurospatial/internal/stats"
@@ -322,6 +321,3 @@ func E2Table(rows []E2Row) *stats.Table {
 	}
 	return tb
 }
-
-// FlatIndexForModel exposes the model's FLAT index to the ablation benches.
-func FlatIndexForModel(m *core.Model) *flat.Index { return m.Flat }

@@ -13,9 +13,9 @@
 // elements are tested on the page's struct-of-arrays coordinate sidecar.
 // Only data pages are disk reads, and the pages read are exactly those whose
 // MBRs intersect the range, so the I/O depends on the result size, not on
-// the density of the data. This walk is the one PagesInRange and the
-// engine's page stream name, PagesInRanges makes it for many ranges at once,
-// and the engine's kNN search descends the same directory.
+// the density of the data. This walk is the one PagesInRange names,
+// PagesInRanges makes it for many ranges at once, and the engine's kNN search
+// descends the same directory.
 //
 // The paper instead finds one seed page with a single descent and crawls
 // precomputed page-neighbourhood links from it. With the directory in RAM
@@ -185,8 +185,8 @@ func (idx *Index) ItemBox(id int32) geom.AABB { return idx.coords.BoxAt(int(idx.
 func (idx *Index) PageOf(id int32) pager.PageID { return idx.pageOf[id] }
 
 // Coords returns the struct-of-arrays coordinate sidecar of the page layout
-// (position-aligned with Store's pages). The engine's streaming path uses it
-// for sequential per-page range filtering.
+// (position-aligned with Store's pages). The engine's kNN search reads a
+// page's residents' distances from it.
 func (idx *Index) Coords() *pager.Coords { return idx.coords }
 
 // Seed returns the seed directory over the page MBRs: its items are pages (an

@@ -32,9 +32,11 @@ type Sequence struct {
 	Radius float64
 }
 
-// MaxSteps caps the steps of one walkthrough: a longer walk is an error
-// before anything is allocated. The longest walk any committed golden or
-// benchmark workload takes is 151 steps.
+// MaxSteps caps the steps of one walkthrough. A walk whose count, one per
+// stride of the path's length plus the tip, is above it is an error before
+// anything is allocated; a walk whose rounding emits more steps than that
+// count (see Walkthrough) stops with an error once it passes the cap. The
+// longest walk any committed golden or benchmark workload takes is 151 steps.
 const MaxSteps = 1 << 20
 
 // Len returns the number of steps.
@@ -49,6 +51,13 @@ func (s *Sequence) Len() int { return len(s.Steps) }
 // change the coordinates it is added to is an error, not an endless walk. So
 // is a walk of more than MaxSteps steps: one per stride of the path's
 // length, plus the tip.
+//
+// The spacing is one stride only up to rounding. Each sample is interpolated
+// from the one before it, and the rounded interpolation can land short of a
+// full stride; at strides within a few ulps of the coordinates, consecutive
+// samples are then less than a stride apart, and a walk can emit up to about
+// 1.5 times PathLength/stride steps (a diagonal at x ≈ 1000 counted 2,015 and
+// emitted 3,000). Such a walk is bounded only by MaxSteps.
 func Walkthrough(path []geom.Vec, stride, radius float64) (*Sequence, error) {
 	if len(path) < 2 {
 		return nil, fmt.Errorf("query: walkthrough path needs >= 2 points, got %d", len(path))
