@@ -580,6 +580,58 @@ func TestDoHonorsPagination(t *testing.T) {
 	}
 }
 
+// TestStreamLifecycle walks one result stream page by page through Do: a
+// Limit page is the stream's head, a NextCursor resume without a Limit drains
+// the rest strictly after the cursor position with every item exactly once,
+// and a kind-mismatched cursor is rejected at validation with a
+// field-pointing *RequestError.
+func TestStreamLifecycle(t *testing.T) {
+	items := streamItems(500, 5)
+	ix := engine.NewFlat(flat.Options{PageSize: 8})
+	if err := ix.Build(items); err != nil {
+		t.Fatal(err)
+	}
+	req := engine.RangeRequest(geom.Box(geom.Vec{}, geom.Vec{X: 100, Y: 100, Z: 100}))
+
+	head := req
+	head.Limit = 10
+	var first []engine.Hit
+	if _, err := ix.Do(context.Background(), head, func(h engine.Hit) { first = append(first, h) }); err != nil {
+		t.Fatal(err)
+	}
+	if len(first) != 10 {
+		t.Fatalf("Limit:10 page emitted %d hits", len(first))
+	}
+
+	resume := req
+	resume.Cursor = engine.NextCursor(engine.Range, first[len(first)-1])
+	prev := first[len(first)-1].ID
+	n := 0
+	var orderErr error
+	if _, err := ix.Do(context.Background(), resume, func(h engine.Hit) {
+		if h.ID <= prev && orderErr == nil {
+			orderErr = fmt.Errorf("resume emitted %d after %d — not strictly ascending past the cursor", h.ID, prev)
+		}
+		prev = h.ID
+		n++
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if orderErr != nil {
+		t.Fatal(orderErr)
+	}
+	if n != len(items)-len(first) {
+		t.Fatalf("resume emitted %d hits, want %d", n, len(items)-len(first))
+	}
+
+	wrong := engine.KNNRequest(geom.Vec{}, 3)
+	wrong.Cursor = resume.Cursor
+	var reqErr *engine.RequestError
+	if _, err := ix.Do(context.Background(), wrong, nil); !errors.As(err, &reqErr) || reqErr.Field != "Cursor" {
+		t.Fatalf("kind-mismatched cursor: error = %v, want *RequestError on Cursor", err)
+	}
+}
+
 // TestPageStatsAreTheFullExecutions pins a page's record: a paginated Do runs
 // its request once, whole, so its Stats equal the unpaginated Do's in every
 // field but Results, which counts the page (Results == len(Hits)). Every
