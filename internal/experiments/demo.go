@@ -90,7 +90,8 @@ func RunPagingDemo(kindName string, k int, radius float64, limit int, cursor str
 	req.Cursor = engine.Cursor(cursor)
 
 	tb := stats.NewTable(fmt.Sprintf("paging demo: %s in pages of %d through the Session front door"+
-		"\n(each page stops reading once filled; pass the cursor to resume)", kind, limit),
+		"\n(each page runs the full query and is cut from its hits, so it reads what the whole query reads;"+
+		"\npass the cursor to resume)", kind, limit),
 		"page", "routed to", "hits", "pages read", "next cursor")
 	const maxPages = 8
 	for page := 1; ; page++ {
