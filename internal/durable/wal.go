@@ -51,7 +51,6 @@ const (
 // WAL is an open write-ahead log positioned for appends.
 type WAL struct {
 	f         *os.File
-	path      string
 	baseEpoch uint64
 	lastEpoch uint64 // epoch of the last record on disk (baseEpoch when none)
 	buf       []byte // append scratch, reused across batches
@@ -76,7 +75,7 @@ func CreateWAL(path string, baseEpoch uint64) (*WAL, error) {
 		f.Close()
 		return nil, fmt.Errorf("durable: create wal: %w", err)
 	}
-	return &WAL{f: f, path: path, baseEpoch: baseEpoch, lastEpoch: baseEpoch}, nil
+	return &WAL{f: f, baseEpoch: baseEpoch, lastEpoch: baseEpoch}, nil
 }
 
 // OpenWAL reads the log at path, decodes every durable record, truncates a
@@ -110,7 +109,7 @@ func OpenWAL(path string) (*WAL, []Record, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("durable: open wal: %w", err)
 	}
-	w := &WAL{f: f, path: path, baseEpoch: baseEpoch, lastEpoch: baseEpoch}
+	w := &WAL{f: f, baseEpoch: baseEpoch, lastEpoch: baseEpoch}
 	if n := len(recs); n > 0 {
 		w.lastEpoch = recs[n-1].Epoch
 	}
@@ -254,9 +253,6 @@ func (w *WAL) BaseEpoch() uint64 { return w.baseEpoch }
 // LastEpoch returns the epoch of the last durable record (BaseEpoch when the
 // log is empty).
 func (w *WAL) LastEpoch() uint64 { return w.lastEpoch }
-
-// Path returns the file path of the log.
-func (w *WAL) Path() string { return w.path }
 
 // Close closes the underlying file.
 func (w *WAL) Close() error {

@@ -11,7 +11,6 @@ import (
 
 	"neurospatial/internal/flat"
 	"neurospatial/internal/geom"
-	"neurospatial/internal/pager"
 	"neurospatial/internal/parallel"
 	"neurospatial/internal/rtree"
 )
@@ -32,8 +31,9 @@ type DatasetOptions struct {
 	Grid GridOptions
 	// Shards is the shard count of the sharded contender; <= 0 selects 4.
 	Shards int
-	// PageSize is the snapshot layout's page capacity; <= 0 selects the FLAT
-	// page size (so layout page counts are comparable to FLAT's).
+	// PageSize caps a delta chunk's entry count (at most 64 either way) and
+	// is the page capacity DatasetStats.LayoutPages counts in; <= 0 selects
+	// the FLAT page size (so those page counts are comparable to FLAT's).
 	PageSize int
 	// CompactRatio triggers an automatic compaction after a commit when
 	// (delta + tombstones) exceeds this fraction of the live item count;
@@ -124,12 +124,14 @@ type DatasetStats struct {
 	Commits, Compactions, AutoCompactions int64
 	// Inserts, Deletes and Updates count applied operations.
 	Inserts, Deletes, Updates int64
-	// LayoutPages is the current snapshot layout's page count.
+	// LayoutPages counts the current snapshot's items in pages of PageSize:
+	// the base items (dead ones included) in ⌈base/PageSize⌉ pages, then one
+	// page per delta chunk. It is derived from those counts; no such pages
+	// are built.
 	LayoutPages int
-	// Cow is the cumulative copy-on-write accounting over all commits: how
-	// many layout pages were shared versus patched/appended — the
-	// incremental-maintenance win.
-	Cow pager.CowStats
+	// Cow is CowStats summed over all commits — how much of that page count
+	// each commit left as it was, derived from what it changed.
+	Cow CowStats
 	// BuildTimes[i] is how long Contenders[i]'s Build took the last time the
 	// bases were built (NewDataset or a compaction); entries past
 	// len(Contenders), a contender that compaction deferred (its later build
@@ -137,24 +139,49 @@ type DatasetStats struct {
 	// built no base, are 0. An array, so that DatasetStats stays comparable.
 	BuildTimes [maxContenders]time.Duration
 	// LastCompaction is the wall time of the most recent compaction — merge,
-	// rebuilds, layout and publish, the stall its committer saw; 0 before the
-	// first.
+	// rebuilds and publish, the stall its committer saw; 0 before the first.
 	LastCompaction time.Duration
 }
 
+// CowStats accounts one commit in the pages DatasetStats.LayoutPages counts,
+// as a copy-on-write remap of those pages would: a base page holding an item
+// the commit tombstones is patched, the delta pages from the first chunk the
+// commit rewrites on are dropped and the new epoch's appended, and every
+// other page is shared.
+type CowStats struct {
+	// Shared counts the base pages the commit tombstones no item on and the
+	// delta chunks before the first one it rewrites.
+	Shared int
+	// Patched counts the base pages holding an item the commit tombstones.
+	Patched int
+	// Dropped counts the previous epoch's delta chunks from the first one
+	// the commit rewrites on.
+	Dropped int
+	// Appended counts the new epoch's delta chunks from that position on.
+	Appended int
+}
+
+// Add accumulates o into s.
+func (s *CowStats) Add(o CowStats) {
+	s.Shared += o.Shared
+	s.Patched += o.Patched
+	s.Dropped += o.Dropped
+	s.Appended += o.Appended
+}
+
 // Dataset is the engine's mutable ownership model: writers apply batched
-// mutations (Begin / Insert / Delete / Update / Commit) that produce
-// immutable Snapshot epochs, and readers pin an epoch (Session.Open with
-// WithDataset) so every Do/DoBatch sees a consistent view while later
-// commits land — the per-update maintenance trade of answering queries under
-// updates: a commit never rebuilds an index. It rewrites the overlay chunks
-// its batch touches and shares the rest with the previous epoch, copies the
-// tombstone bitset only when it adds to it, and remaps the layout pages it
-// touched — work in the size of the batch, not of the overlay
-// (bench: dataset.commit_us_per_op). A request in turn tests the overlay
-// entries of the chunks near its answer, not the overlay
-// (bench: snapshot.delta_entries_per_query against snapshot.overlay_size),
-// although the overlay itself grows to CompactRatio of the live set between
+// mutations (Begin / Insert / Delete / Update / Commit) that produce immutable
+// Snapshot epochs, and readers pin an epoch (Session.Open with WithDataset) so
+// every Do/DoBatch sees a consistent view while later commits land — the
+// per-update maintenance trade of answering queries under updates: a commit
+// never rebuilds an index. It rewrites the overlay chunks its batch touches
+// and shares the rest with the previous epoch, and copies the tombstone bitset
+// only when it adds to it — work in the size of the batch, plus one copy of
+// the chunk list's pointers and of the bitset's words, not in the overlay's
+// entries (bench: dataset.commit_us_per_op). A request in turn tests the
+// overlay entries of the chunks near its answer, not the overlay (bench:
+// snapshot.delta_entries_per_query against snapshot.overlay_size), although
+// the overlay itself grows to CompactRatio of the live set between
 // compactions.
 //
 // The base contender indexes are untouched ("unchanged on disk") until a
@@ -183,7 +210,7 @@ type Dataset struct {
 
 	commits, compactions, autoCompactions int64
 	inserts, deletes, updates             int64
-	cowTotal                              pager.CowStats
+	cowTotal                              CowStats
 	// lastBuild[i] is how long Contenders[i] took in the last buildBases (nil
 	// before the first): the next one's start order, and Stats' answer to
 	// where a rebuild's time went. Written under writeMu and mu, so either
@@ -259,7 +286,7 @@ func NewDataset(items []rtree.Item, opts DatasetOptions) (*Dataset, error) {
 			return nil, err
 		}
 	}
-	d.cur = newSnapshot(0, d.opts, base, bases, d.buildLayout(base))
+	d.cur = newSnapshot(0, d.opts, base, bases)
 	return d, nil
 }
 
@@ -320,18 +347,6 @@ func (d *Dataset) buildBases(items []rtree.Item, eager ...bool) ([]SpatialIndex,
 	return bases, nil
 }
 
-// buildLayout lays the items' global IDs onto fresh pages in base order.
-func (d *Dataset) buildLayout(items []rtree.Item) *pager.Store {
-	b, err := pager.NewBuilder(d.opts.PageSize)
-	if err != nil { // unreachable: sanitize guarantees a positive page size
-		panic(err)
-	}
-	for _, it := range items {
-		b.Add(it.ID)
-	}
-	return b.Build()
-}
-
 // Current returns the current snapshot without pinning it.
 func (d *Dataset) Current() *Snapshot {
 	d.mu.Lock()
@@ -364,7 +379,7 @@ func (d *Dataset) Stats() DatasetStats {
 		Inserts:         d.inserts,
 		Deletes:         d.deletes,
 		Updates:         d.updates,
-		LayoutPages:     d.cur.layout.NumPages(),
+		LayoutPages:     d.cur.basePages() + len(d.cur.chunks),
 		Cow:             d.cowTotal,
 		LastCompaction:  d.lastCompact,
 	}
@@ -419,9 +434,6 @@ func (t *Tx) Delete(id int32) {
 func (t *Tx) Update(id int32, box geom.AABB) {
 	t.ops = append(t.ops, txOp{kind: opUpdate, id: id, box: box})
 }
-
-// Len returns the number of buffered operations.
-func (t *Tx) Len() int { return len(t.ops) }
 
 // Rollback discards the batch. Allocated Insert IDs are not reused.
 func (t *Tx) Rollback() { t.done = true }
@@ -514,9 +526,9 @@ func (t *Tx) Commit() (*Snapshot, error) {
 	snap := &Snapshot{
 		epoch: prev.epoch + 1, opts: d.opts, baseIDs: prev.baseIDs, baseBox: prev.baseBox,
 		bases: prev.bases, deferred: prev.deferred,
-		tombs: prev.tombs, nTombs: prev.nTombs, bounds: prev.bounds, nBasePages: prev.nBasePages,
+		tombs: prev.tombs, nTombs: prev.nTombs, bounds: prev.bounds,
 	}
-	var patch []pager.PageID // base layout pages holding a newly dead entry
+	var patch []int // the base pages (see basePages) holding a newly dead item
 	ids := touched[:0]
 	for _, id := range touched {
 		s := stg[id]
@@ -527,7 +539,7 @@ func (t *Tx) Commit() (*Snapshot, error) {
 			}
 			snap.tombs[s.tomb>>6] |= 1 << (uint(s.tomb) & 63)
 			snap.nTombs++
-			patch = append(patch, pager.PageID(int(s.tomb)/d.opts.PageSize))
+			patch = append(patch, int(s.tomb)/d.opts.PageSize)
 			if !s.live {
 				continue
 			}
@@ -541,7 +553,14 @@ func (t *Tx) Commit() (*Snapshot, error) {
 	for _, c := range chunks[firstDirty:] {
 		snap.bounds = snap.bounds.Union(c.mbr) // deletes do not shrink it; Compact does
 	}
-	snap.layout, snap.cow = remapLayout(prev.layout, prev.nBasePages, patch, stg, chunks, firstDirty)
+	slices.Sort(patch)
+	nPatched := len(slices.Compact(patch))
+	snap.cow = CowStats{
+		Shared:   prev.basePages() + firstDirty - nPatched,
+		Patched:  nPatched,
+		Dropped:  len(prev.chunks) - firstDirty,
+		Appended: len(chunks) - firstDirty,
+	}
 	snap.wire()
 	snap.planner.inheritCosts(prev.planner)
 	d.mu.Lock()
@@ -573,43 +592,18 @@ func (t *Tx) Commit() (*Snapshot, error) {
 	return snap, nil
 }
 
-// remapLayout derives the new epoch's item-page layout from the previous one
-// copy-on-write: base pages stay shared unless a newly tombstoned base item
-// sits on them (those are patched in place), and behind them one page per
-// delta chunk — the chunk's own ID array — of which the ones before
-// firstDirty are the previous epoch's, kept as they are.
-func remapLayout(prev *pager.Store, nBasePages int, patch []pager.PageID, stg map[int32]staged,
-	chunks []*deltaChunk, firstDirty int) (*pager.Store, pager.CowStats) {
-
-	c := pager.NewCow(prev)
-	c.Truncate(nBasePages + firstDirty)
-	slices.Sort(patch)
-	for _, p := range slices.Compact(patch) {
-		// Earlier epochs' dead entries are already gone from their
-		// (previously patched) pages; drop the ones this batch superseded.
-		_ = c.Patch(p, func(id int32) bool { s, hit := stg[id]; return !hit || s.tomb < 0 })
-	}
-	for _, ch := range chunks[firstDirty:] {
-		if _, err := c.Append(ch.ids); err != nil { // unreachable: chunks fit the capacity
-			panic(err)
-		}
-	}
-	return c.Build()
-}
-
 // Compact folds the overlay into a new base: the live item set is
 // re-collected, the contender indexes are rebuilt over it via their normal
-// Build path on the parallel pool, the layout is laid out fresh, and a new
-// epoch with an empty delta and tombstone set is published. Its planner
-// inherits the outgoing cost history, so it routes without probing. When
-// that history prices every contender for every request kind, only the
-// contenders it ranks cheapest for some kind are built here; each other one
-// is built on first use — a view's traversal, a planner probe, Bases, a
-// checkpoint — outside the committing call, and a workload that never reads
-// it never builds it. Pinned readers keep their epochs, and the rebuild itself
-// blocks only other writers — Acquire/Current/Stats (and therefore
-// Session.Open) stay responsive throughout. A no-op (empty overlay) returns
-// the current snapshot unchanged.
+// Build path on the parallel pool, and a new epoch with an empty delta and
+// tombstone set is published. Its planner inherits the outgoing cost history,
+// so it routes without probing. When that history prices every contender for
+// every request kind, only the contenders it ranks cheapest for some kind are
+// built here; each other one is built on first use — a view's traversal, a
+// planner probe, Bases, a checkpoint — outside the committing call, and a
+// workload that never reads it never builds it. Pinned readers keep their
+// epochs, and the rebuild itself blocks only other writers —
+// Acquire/Current/Stats (and therefore Session.Open) stay responsive
+// throughout. A no-op (empty overlay) returns the current snapshot unchanged.
 func (d *Dataset) Compact() (*Snapshot, error) {
 	d.writeMu.Lock()
 	defer d.writeMu.Unlock()
@@ -671,7 +665,7 @@ func (d *Dataset) compactUnderWrite(all bool) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap := newSnapshot(prev.epoch+1, d.opts, merged, bases, d.buildLayout(merged))
+	snap := newSnapshot(prev.epoch+1, d.opts, merged, bases)
 	snap.planner.inheritCosts(prev.planner)
 	d.mu.Lock()
 	d.cur = snap

@@ -13,15 +13,16 @@ import (
 // the chunks its batch touches (mergeDelta); a request tests only the entries
 // of chunks whose MBR its predicate admits (deltaIter).
 
-// deltaChunkCap bounds a chunk's entry count: one default layout page. A
-// dataset configured with smaller layout pages uses that size instead, so a
-// chunk's ID array always fits — and is — one page of the epoch's layout.
+// deltaChunkCap bounds a chunk's entry count: one default page. A dataset
+// configured with smaller pages (DatasetOptions.PageSize) uses that size
+// instead, so a chunk always fits the one page DatasetStats.LayoutPages
+// counts it as.
 const deltaChunkCap = 64
 
 // deltaChunk is one immutable run of delta entries in ascending ID order.
 // Consecutive chunks cover disjoint, ascending ID ranges; none is empty.
 type deltaChunk struct {
-	ids   []int32     // ascending global IDs; doubles as the chunk's layout page
+	ids   []int32     // ascending global IDs
 	boxes []geom.AABB // boxes[i] is the live box of ids[i]
 	mbr   geom.AABB   // union of boxes: the chunk's pruning bound
 }

@@ -8,7 +8,6 @@ import (
 
 	"neurospatial/internal/flat"
 	"neurospatial/internal/geom"
-	"neurospatial/internal/pager"
 	"neurospatial/internal/rtree"
 )
 
@@ -24,11 +23,11 @@ func flattenDelta(sn *Snapshot) ([]rtree.Item, []uint64) {
 	return items, append([]uint64(nil), sn.tombs...)
 }
 
-// checkDelta asserts the structural invariants of a snapshot's overlay
-// against the model: chunks non-empty, at most chunkCap long, globally
-// ascending, each MBR the union of its boxes, counts carried forward
-// correctly, and the layout's delta tail exactly the chunks' ID arrays.
-func checkDelta(t *testing.T, sn *Snapshot, chunkCap int, wantDelta map[int32]geom.AABB, wantTombs map[int32]bool) {
+// checkDelta asserts the structural invariants of ds's current snapshot sn's
+// overlay against the model: chunks non-empty, at most chunkCap long,
+// globally ascending, each MBR the union of its boxes, counts carried forward
+// correctly, and LayoutPages the base pages plus one page per chunk.
+func checkDelta(t *testing.T, ds *Dataset, sn *Snapshot, chunkCap int, wantDelta map[int32]geom.AABB, wantTombs map[int32]bool) {
 	t.Helper()
 	n, prev := 0, int32(-1)
 	for ci, c := range sn.chunks {
@@ -49,16 +48,14 @@ func checkDelta(t *testing.T, sn *Snapshot, chunkCap int, wantDelta map[int32]ge
 		if mbr != c.mbr {
 			t.Fatalf("epoch %d chunk %d: MBR %v, boxes span %v", sn.epoch, ci, c.mbr, mbr)
 		}
-		if page := sn.layout.Page(pager.PageID(sn.nBasePages + ci)); !reflect.DeepEqual(page, c.ids) {
-			t.Fatalf("epoch %d: layout page of chunk %d = %v, chunk IDs %v", sn.epoch, ci, page, c.ids)
-		}
 		n += len(c.ids)
 	}
 	if n != len(wantDelta) || sn.nDelta != n || sn.DeltaEntries() != n {
 		t.Fatalf("epoch %d: %d delta entries in chunks, count %d, model %d", sn.epoch, n, sn.nDelta, len(wantDelta))
 	}
-	if sn.layout.NumPages() != sn.nBasePages+len(sn.chunks) {
-		t.Fatalf("epoch %d: layout has %d pages, want %d base + %d chunks", sn.epoch, sn.layout.NumPages(), sn.nBasePages, len(sn.chunks))
+	ps := sn.opts.PageSize
+	if got, base := ds.Stats().LayoutPages, (len(sn.baseIDs)+ps-1)/ps; got != base+len(sn.chunks) {
+		t.Fatalf("epoch %d: LayoutPages %d, want %d base + %d chunks", sn.epoch, got, base, len(sn.chunks))
 	}
 	dead := 0
 	for l, id := range sn.baseIDs {
@@ -155,7 +152,7 @@ func TestDeltaChunkSharingAndInvariants(t *testing.T) {
 				t.Fatalf("step %d: %v", step, err)
 			}
 			delta, tombs = nd, nt
-			checkDelta(t, snap, chunkCap, delta, tombs)
+			checkDelta(t, ds, snap, chunkCap, delta, tombs)
 			fi, ft := flattenDelta(snap)
 			history = append(history, frozen{snap, fi, ft})
 		}

@@ -497,19 +497,6 @@ func cmpHit(x, y Hit) int {
 	return 0
 }
 
-// cmpHitID orders hits by ascending ID alone — the canonical order of the
-// boolean kinds, where every Dist2 is zero (Range, Point) or irrelevant to
-// ordering (WithinDistance).
-func cmpHitID(x, y Hit) int {
-	switch {
-	case x.ID < y.ID:
-		return -1
-	case x.ID > y.ID:
-		return 1
-	}
-	return 0
-}
-
 // Hits returns the kept hits in canonical order (ascending Dist2, ties by
 // ascending ID). The accumulator must not be offered to afterwards; it is
 // pooled with its search, so the hits are copied out (visit emits by value)

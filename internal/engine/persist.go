@@ -352,7 +352,7 @@ func thawDataset(rec *durable.SnapshotRec) (*Dataset, error) {
 			}
 		}
 	}
-	d.cur = newSnapshot(int(rec.Epoch), d.opts, rec.Items, bases, d.buildLayout(rec.Items))
+	d.cur = newSnapshot(int(rec.Epoch), d.opts, rec.Items, bases)
 	return d, nil
 }
 
@@ -403,9 +403,6 @@ func CreateDataset(dir string, items []rtree.Item, opts DatasetOptions) (*Durabl
 	dd.installHook()
 	return dd, nil
 }
-
-// Dir returns the dataset directory.
-func (dd *DurableDataset) Dir() string { return dd.dir }
 
 // Manifest returns the currently installed manifest.
 func (dd *DurableDataset) Manifest() durable.Manifest { return dd.man }

@@ -89,14 +89,8 @@ type Snapshot struct {
 	live   int
 	bounds geom.AABB
 
-	// layout is the epoch's item-page layout (global IDs in base order, dead
-	// entries patched out copy-on-write, then one page per delta chunk) —
-	// what a disk-backed implementation would persist. nBasePages is the
-	// fixed base prefix; cow accounts how much of the previous epoch's
-	// layout this one reused.
-	layout     *pager.Store
-	nBasePages int
-	cow        pager.CowStats
+	// cow accounts the commit that published this epoch (see CowStats).
+	cow CowStats
 
 	views   []SpatialIndex
 	planner *Planner
@@ -105,16 +99,14 @@ type Snapshot struct {
 }
 
 // newSnapshot returns the epoch a fresh base build publishes: baseItems (in
-// ascending global-ID order) laid out on layout, with an empty overlay. A nil
-// entry of bases is a contender the build deferred: it gets a lazyBase slot.
-func newSnapshot(epoch int, opts DatasetOptions, baseItems []rtree.Item,
-	bases []SpatialIndex, layout *pager.Store) *Snapshot {
+// ascending global-ID order) with an empty overlay. A nil entry of bases is a
+// contender the build deferred: it gets a lazyBase slot.
+func newSnapshot(epoch int, opts DatasetOptions, baseItems []rtree.Item, bases []SpatialIndex) *Snapshot {
 
 	sn := &Snapshot{
 		epoch: epoch, opts: opts, bases: bases,
 		baseIDs: make([]int32, len(baseItems)), baseBox: baseBoxes(bases, baseItems),
 		live: len(baseItems), bounds: geom.EmptyAABB(),
-		layout: layout, nBasePages: layout.NumPages(),
 	}
 	for l, it := range baseItems {
 		sn.baseIDs[l] = it.ID
@@ -234,14 +226,15 @@ func (sn *Snapshot) builtBases() ([]SpatialIndex, error) {
 // epoch's, across a compaction too (see Snapshot).
 func (sn *Snapshot) Planner() *Planner { return sn.planner }
 
-// Store returns the epoch's item-page layout (base pages, dead entries
-// patched out, delta pages appended).
-func (sn *Snapshot) Store() *pager.Store { return sn.layout }
+// CowStats accounts the commit that published this epoch (zero for the
+// initial build, a reopen and a compaction).
+func (sn *Snapshot) CowStats() CowStats { return sn.cow }
 
-// CowStats reports how much of the previous epoch's layout this epoch's
-// commit reused (zero for the initial build and for compactions, which lay
-// out fresh pages).
-func (sn *Snapshot) CowStats() pager.CowStats { return sn.cow }
+// basePages is the number of pages of opts.PageSize the base items fill,
+// dead ones included: the base part of DatasetStats.LayoutPages.
+func (sn *Snapshot) basePages() int {
+	return (len(sn.baseIDs) + sn.opts.PageSize - 1) / sn.opts.PageSize
+}
 
 // Pins returns the number of outstanding acquisitions (pinned sessions).
 func (sn *Snapshot) Pins() int { return int(sn.pins.Load()) }
